@@ -1,4 +1,4 @@
-"""Base exact arithmetic: Kronecker symbols, truncated p-adics, quadratic
+"""Base exact arithmetic: Kronecker symbols, p-adic valuations, quadratic
 Dirichlet characters, rational cusps and continued-fraction paths.
 
 Everything here is integer or Fraction arithmetic; no floating point.
@@ -7,7 +7,7 @@ Everything here is integer or Fraction arithmetic; no floating point.
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .errors import NonUnimodular, PrecisionMismatch
+from .errors import NonUnimodular
 
 
 def xgcd(a, b):
@@ -133,117 +133,19 @@ def mat_pow(g, n):
 
 
 # ---------------------------------------------------------------------------
-# truncated p-adic numbers
+# p-adic valuations
 
 
-class PadicApprox:
-    """Element of Z/p^M viewed as a p-adic approximation.
-
-    Immutable by convention.  Arithmetic requires both operands to share
-    (p, M); valuation(0) = M.
-    """
-
-    __slots__ = ("residue", "p", "M")
-
-    def __init__(self, value, p, M):
-        assert p >= 5 and M >= 1
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "residue", value % p**M)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PadicApprox is immutable")
-
-    def _check(self, other):
-        if isinstance(other, PadicApprox):
-            if other.p != self.p or other.M != self.M:
-                raise PrecisionMismatch(f"({self.p},{self.M}) vs ({other.p},{other.M})")
-            return other.residue
-        if isinstance(other, int):
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        r = self._check(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return PadicApprox(self.residue + r, self.p, self.M)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        r = self._check(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return PadicApprox(self.residue - r, self.p, self.M)
-
-    def __rsub__(self, other):
-        r = self._check(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return PadicApprox(r - self.residue, self.p, self.M)
-
-    def __mul__(self, other):
-        r = self._check(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return PadicApprox(self.residue * r, self.p, self.M)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return PadicApprox(-self.residue, self.p, self.M)
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        return PadicApprox(pow(self.residue, n, self.p**self.M), self.p, self.M)
-
-    def inverse(self):
-        if self.residue % self.p == 0:
-            raise ZeroDivisionError("non-unit in Z/p^M")
-        return PadicApprox(pow(self.residue, -1, self.p**self.M), self.p, self.M)
-
-    def valuation(self):
-        """p-adic valuation, capped at M for the zero residue."""
-        if self.residue == 0:
-            return self.M
-        v = 0
-        r = self.residue
-        while r % self.p == 0:
-            r //= self.p
-            v += 1
-        return v
-
-    def is_zero(self):
-        return self.residue == 0
-
-    def __eq__(self, other):
-        if isinstance(other, PadicApprox):
-            return (self.p, self.M, self.residue) == (other.p, other.M, other.residue)
-        if isinstance(other, int):
-            return self.residue == other % self.p**self.M
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.M, self.residue))
-
-    def __repr__(self):
-        return f"{self.residue} + O({self.p}^{self.M})"
-
-
-def teichmuller(a, p, M):
-    """Teichmuller lift of a mod p, as a residue mod p^M (0 if p | a)."""
-    x = a % p
+def valuation(x, p, prec):
+    """p-adic valuation of x mod p^prec, capped at prec for the zero residue."""
+    x = int(x) % p**prec
     if x == 0:
-        return 0
-    pm = p**M
-    x %= pm
-    while True:
-        y = pow(x, p, pm)
-        if y == x:
-            return x
-        x = y
+        return prec
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +231,6 @@ class DirichletChar:
 
     def __repr__(self):
         return f"DirichletChar(mod {self.modulus})"
-
-
-def char_eval(chi, a):
-    """Evaluate a character, zero on non-units."""
-    return chi(a)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ from math import gcd
 from . import qf
 from .arith import DirichletChar
 from .dist import ArithWeight
-from .linalg import frac_rref
+from .errors import KernelOverflow
+from .linalg import _check_kernel_bounds, frac_rref
 from .lifting import (
     halfint_Tl2,
     qexp_hecke_Tl,
@@ -78,6 +79,10 @@ class JobConfig:
             if gcd(self.p, self.tame) != 1:
                 raise UsageError(
                     f"p = {self.p} must be coprime to the tame level {self.tame}")
+            try:
+                _check_kernel_bounds(self.p, self.prec, self.moments)
+            except KernelOverflow as exc:
+                raise UsageError(f"{type(exc).__name__}: {exc}") from exc
         if self.level < 1 or self.tame < 1:
             raise UsageError("levels must be positive")
         if self.weight < 0:

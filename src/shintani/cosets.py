@@ -17,39 +17,39 @@ def _units(M):
 
 
 @lru_cache(maxsize=None)
+def _p1_table(M):
+    """Sorted canonical classes of P^1(Z/M) and the map (u, v) -> class index.
+
+    One walk over the pairs in lexicographic order: the first pair of each
+    unit orbit met is the orbit's minimum, hence its canonical
+    representative, and spanning the orbit from it labels every member.
+    """
+    units = _units(M)
+    classes = []
+    table = {}
+    for u in range(M):
+        for v in range(M):
+            if (u, v) in table or gcd(gcd(u, v), M) != 1:
+                continue
+            for t in units:
+                table[((t * u) % M, (t * v) % M)] = len(classes)
+            classes.append((u, v))
+    return tuple(classes), table
+
+
+@lru_cache(maxsize=None)
 def p1_classes(M):
     """Canonical representatives of P^1(Z/M), sorted."""
     if M == 1:
         return ((0, 1),)
-    units = _units(M)
-    out = set()
-    for u in range(M):
-        for v in range(M):
-            if gcd(gcd(u, v), M) != 1:
-                continue
-            out.add(min(((t * u) % M, (t * v) % M) for t in units))
-    return tuple(sorted(out))
-
-
-@lru_cache(maxsize=None)
-def _p1_table(M):
-    """Map from every (u, v) pair to the index of its projective class."""
-    index = {c: i for i, c in enumerate(p1_classes(M))}
-    units = _units(M)
-    table = {}
-    for u in range(M):
-        for v in range(M):
-            if gcd(gcd(u, v), M) == 1:
-                canon = min(((t * u) % M, (t * v) % M) for t in units)
-                table[(u, v)] = index[canon]
-    return table
+    return _p1_table(M)[0]
 
 
 def coset_index(g, M):
     """Index of the coset Gamma0(M) g, read off the bottom row mod M."""
     if M == 1:
         return 0
-    return _p1_table(M)[(g[2] % M, g[3] % M)]
+    return _p1_table(M)[1][(g[2] % M, g[3] % M)]
 
 
 def _lift_coprime(u, v, M):

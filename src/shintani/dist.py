@@ -23,8 +23,10 @@ import numpy as np
 from .errors import (
     BadSemigroupElement,
     InsufficientMoments,
+    OperandMismatch,
     PrecisionMismatch,
 )
+from .linalg import _check_kernel_bounds
 
 
 @lru_cache(maxsize=None)
@@ -84,6 +86,7 @@ class MomentDist2:
     __slots__ = ("p", "prec", "T", "data")
 
     def __init__(self, p, prec, T, data=None):
+        _check_kernel_bounds(p, prec, T)
         n = len(_pairs(T)[0])
         if data is None:
             data = np.zeros((p - 1, n), dtype=np.int64)
@@ -184,6 +187,7 @@ class MomentDist1:
     __slots__ = ("p", "prec", "Tp", "data")
 
     def __init__(self, p, prec, Tp, data=None):
+        _check_kernel_bounds(p, prec, Tp)
         if data is None:
             data = np.zeros((p - 1, Tp + 1), dtype=np.int64)
         else:
@@ -545,12 +549,16 @@ class MetaCoeff:
         self.left = left
         self.right = right
 
+    def _compat(self, other):
+        if self.left != other.left:
+            raise OperandMismatch("sum requires matching left factors")
+
     def __add__(self, other):
-        assert self.left == other.left, "sum requires matching left factors"
+        self._compat(other)
         return MetaCoeff(self.left, self.right + other.right)
 
     def __sub__(self, other):
-        assert self.left == other.left, "difference requires matching left factors"
+        self._compat(other)
         return MetaCoeff(self.left, self.right - other.right)
 
     def __neg__(self):

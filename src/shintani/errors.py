@@ -33,6 +33,18 @@ class PrecisionMismatch(ShintaniError):
     """Two p-adic quantities live at different (p, M) settings."""
 
 
+class KernelOverflow(ShintaniError):
+    """p^M or the moment degree is too large for the exact int64 kernels."""
+
+
+class OperandMismatch(ShintaniError):
+    """Operands of a sum or difference live in different spaces."""
+
+
+class NotInFM(ShintaniError):
+    """Quadratic form is not in the congruence family F_M of the level."""
+
+
 class BadCharacteristic(ShintaniError):
     """Coefficient ring where 6 is not invertible."""
 
@@ -43,10 +55,6 @@ class BadIndex(ShintaniError):
 
 class TwoNotInvertible(ShintaniError):
     """Involution split requires 2 invertible in the ring."""
-
-
-class IrrationalEigenvalue(ShintaniError):
-    """Hecke eigenvalue does not lie in the base ring."""
 
 
 class SlopeGapUnresolvable(ShintaniError):

@@ -14,7 +14,7 @@ from math import factorial, gcd
 
 import sympy
 
-from .arith import RationalCusp, kronecker
+from .arith import RationalCusp, kronecker, valuation
 from .dist import (
     DistN,
     MetaCoeff,
@@ -24,7 +24,7 @@ from .dist import (
     meta_zero,
     tilde_JQ,
 )
-from .errors import BadIndex, DegreeMismatch
+from .errors import BadIndex, DegreeMismatch, NotInFM, OperandMismatch
 from .modsym import SymPoly, check_ring, pairing, ring_reduce
 from .qf import cycle_divisor, enumerate_classes, in_FM
 
@@ -104,9 +104,9 @@ class HalfIntQExp:
         return self.coeffs.get(n, 0)
 
     def _compat(self, other):
-        assert (self.M, self.k, self.ring, self.twists) == (
-            other.M, other.k, other.ring, other.twists)
-        assert self.chi == other.chi
+        if ((self.M, self.k, self.ring, self.twists, self.chi) !=
+                (other.M, other.k, other.ring, other.twists, other.chi)):
+            raise OperandMismatch(f"{self!r} and {other!r} do not add")
 
     def _like(self, coeffs, n_max=None, twists=None):
         return HalfIntQExp(self.M, self.k, self.chi, coeffs,
@@ -213,7 +213,8 @@ def J_classical(phi, Q, k, chi, base=None):
         raise DegreeMismatch(
             f"symbol degree {phi.k} does not match weight parameter {k}")
     M = phi.level
-    assert in_FM(Q, M), f"{Q!r} is not adapted to level {M}"
+    if not in_FM(Q, M):
+        raise NotInFM(f"{Q!r} is not adapted to level {M}")
     if base is None:
         base = RationalCusp.infinity()
     D = cycle_divisor(Q, M, base)
@@ -285,8 +286,9 @@ class FormalQExp:
         return got
 
     def _compat(self, other):
-        assert (self.level, self.N, self.p, self.prec, self.Tp) == (
-            other.level, other.N, other.p, other.prec, other.Tp)
+        if ((self.level, self.N, self.p, self.prec, self.Tp) !=
+                (other.level, other.N, other.p, other.prec, other.Tp)):
+            raise OperandMismatch(f"{self!r} and {other!r} do not add")
 
     def _like(self, coeffs, n_max=None, indices=None):
         return FormalQExp(self.level, self.N, self.p, self.prec, self.Tp,
@@ -363,7 +365,8 @@ def _meta_json(mc):
 
 def J_oc(Phi, Q, base=None):
     """Tensor coefficient of the finite-precision lift at the class of Q."""
-    assert in_FM(Q, Phi.level), f"{Q!r} is not adapted to level {Phi.level}"
+    if not in_FM(Q, Phi.level):
+        raise NotInFM(f"{Q!r} is not adapted to level {Phi.level}")
     if base is None:
         base = RationalCusp.infinity()
     D = cycle_divisor(Q, Phi.level, base)
@@ -471,17 +474,6 @@ def specialize_qexp(e, kappa_tilde):
                        e.n_max, ring)
 
 
-def _valuation(x, p, prec):
-    x %= p**prec
-    if x == 0:
-        return prec
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
-
-
 def verify_interpolation(Phi, kappa_tilde, n_max, loss=2, threads=1):
     """Compare the two routes from a finite-precision symbol to a weight.
 
@@ -499,7 +491,7 @@ def verify_interpolation(Phi, kappa_tilde, n_max, loss=2, threads=1):
     worst = prec
     fails = []
     for n in range(1, n_max + 1):
-        v = _valuation(lifted.coeff(n) - exact.coeff(n), p, prec)
+        v = valuation(lifted.coeff(n) - exact.coeff(n), p, prec)
         worst = min(worst, v)
         if v < prec - loss:
             fails.append(n)

@@ -1,18 +1,38 @@
 """Exact linear algebra over Q and over Z/p^M.
 
 Rational solvers use Fraction rows.  The p-adic side works on numpy int64
-matrices with entries in [0, p^M); p^M stays below 2^28 for every
-configuration used here, and all products are chunk-reduced so int64 never
-overflows.
+matrices with entries in [0, p^M); _check_kernel_bounds refuses every
+profile with p^M >= 2^28, and all products are chunk-reduced so int64
+never overflows.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
+
+from .arith import valuation
+from .errors import KernelOverflow
 
 # inner-dimension chunk for reduced accumulation:
 # chunk * (p^M - 1)^2 must stay below 2^63
 _CHUNK = 128
+
+
+@lru_cache(maxsize=None)
+def _check_kernel_bounds(p, prec, T=0):
+    """Raise KernelOverflow unless the int64 kernels are exact at (p, prec, T).
+
+    matmul_mod and the Howell reduction need p^prec < 2^28.  act_S0 sums
+    T + 1 products of residues in one raw ``@``, so (T + 1) (p^prec - 1)^2
+    must stay below 2^63.
+    """
+    mod = p**prec
+    if mod >= 2**28:
+        raise KernelOverflow(f"{p}^{prec} is not below 2^28")
+    if (T + 1) * (mod - 1) ** 2 >= 2**63:
+        raise KernelOverflow(
+            f"{T + 1} products of residues mod {p}^{prec} overflow int64")
 
 
 def matmul_mod(A, B, mod):
@@ -33,17 +53,6 @@ def matmul_mod(A, B, mod):
         return out.reshape(-1)
     if B.ndim == 1:
         return out.reshape(-1)
-    return out
-
-
-def mat_pow_mod(A, n, mod):
-    out = np.eye(A.shape[0], dtype=np.int64) % mod
-    base = np.asarray(A, dtype=np.int64) % mod
-    while n:
-        if n & 1:
-            out = matmul_mod(out, base, mod)
-        base = matmul_mod(base, base, mod)
-        n >>= 1
     return out
 
 
@@ -112,16 +121,6 @@ def frac_solve(rows, rhs):
 # Z/p^M kernels via Howell-style reduction
 
 
-def _val(x, p, M):
-    if x == 0:
-        return M
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
-
-
 def _howell_reduce(rows, width, p, M):
     """Howell form of the row span of ``rows`` inside (Z/p^M)^width.
 
@@ -139,9 +138,9 @@ def _howell_reduce(rows, width, p, M):
         if not cand:
             col += 1
             continue
-        best = min(cand, key=lambda i: _val(int(work[i][col]), p, M))
+        best = min(cand, key=lambda i: valuation(work[i][col], p, M))
         row = work.pop(best)
-        v = _val(int(row[col]), p, M)
+        v = valuation(row[col], p, M)
         unit = int(row[col]) // p**v
         row = (row * pow(unit, -1, pm)) % pm   # pivot entry becomes p^v
         for i, r in enumerate(work):

@@ -132,6 +132,18 @@ def evaluate_values(M, values, divisor):
     return total
 
 
+def check_relations(sym):
+    """Exact check of the defining relations on a symbol's generator values."""
+    values = sym.values
+    for rel in presentation(sym.level).relation_terms():
+        acc = values[0].zero_like()
+        for c, mat, coeff in rel:
+            acc = acc + values[c].act(mat).scale(coeff)
+        if not acc.is_zero():
+            return False
+    return True
+
+
 def hecke_reps(n, M):
     """Upper triangular coset representatives for the n-th Hecke operator.
 

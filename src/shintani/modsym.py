@@ -30,7 +30,13 @@ from .errors import (
     DegreeMismatch,
     TwoNotInvertible,
 )
-from .linalg import frac_nullspace, frac_rref, frac_solve, zpm_kernel
+from .linalg import (
+    _check_kernel_bounds,
+    frac_nullspace,
+    frac_rref,
+    frac_solve,
+    zpm_kernel,
+)
 from . import manin
 
 
@@ -46,6 +52,7 @@ def check_ring(ring):
         _, p, prec = ring
         if p < 5 or not sympy.isprime(p) or prec < 1:
             raise BadCharacteristic(f"need Z/p^M with prime p >= 5, got {ring}")
+        _check_kernel_bounds(p, prec)
         return
     raise BadCharacteristic(f"unsupported coefficient ring {ring!r}")
 
@@ -201,10 +208,6 @@ class SymPoly:
         return f"SymPoly(k={self.k}, side={self.side}, {list(self.coeffs)})"
 
 
-def act_on_poly(F, g):
-    return F.act(g)
-
-
 def pairing(F, P):
     """Pair a side-L vector against a side-Lstar vector of equal degree."""
     if F.k != P.k:
@@ -317,24 +320,9 @@ class ModularSymbol:
             out.extend(v.coeffs)
         return tuple(out)
 
-    def check_relations(self):
-        """Exact check of the defining relations on the stored values."""
-        pres = manin.presentation(self.level)
-        for rel in pres.relation_terms():
-            acc = self.values[0].zero_like()
-            for c, mat, coeff in rel:
-                acc = acc + self.values[c].act(mat).scale(coeff)
-            if not acc.is_zero():
-                return False
-        return True
-
     def __repr__(self):
         return (f"ModularSymbol(level={self.level}, k={self.k}, "
                 f"ring={self.ring!r}, {len(self.values)} generators)")
-
-
-def evaluate(phi, divisor):
-    return phi.evaluate(divisor)
 
 
 def _from_flat(M, k, chi, ring, flat):
@@ -376,18 +364,8 @@ def solve_symbol_space(M, k, chi, ring="Q"):
     ncols = manin.presentation(M).ngens * (k + 1)
     if ring == "Q":
         basis = frac_nullspace([[Fraction(x) for x in row] for row in rows], ncols)
-        out = []
-        for vec in basis:
-            den = 1
-            for x in vec:
-                den = den * x.denominator // gcd(den, x.denominator)
-            ints = [int(x * den) for x in vec]
-            g = 0
-            for x in ints:
-                g = gcd(g, x)
-            if g > 1:
-                ints = [x // g for x in ints]
-            out.append(_from_flat(M, k, chi, ring, ints))
+        out = [_from_flat(M, k, chi, ring, _normalize_content(vec))
+               for vec in basis]
     else:
         _, p, prec = ring
         mod = p**prec
@@ -395,7 +373,7 @@ def solve_symbol_space(M, k, chi, ring="Q"):
         basis, _ = zpm_kernel(A, p, prec)
         out = [_from_flat(M, k, chi, ring, [int(x) for x in vec]) for vec in basis]
     for sym in out:
-        assert sym.check_relations()
+        assert manin.check_relations(sym)
     return out
 
 
@@ -458,15 +436,7 @@ def hecke_matrix(basis, n, op=hecke_Tn):
 
 
 def involution_matrix(basis):
-    flats = [sym.coords() for sym in basis]
-    cols = []
-    for sym in basis:
-        img = involution(sym).coords()
-        x = _coords_in_basis(flats, img)
-        assert x is not None
-        cols.append(x)
-    dim = len(basis)
-    return [[cols[j][i] for j in range(dim)] for i in range(dim)]
+    return hecke_matrix(basis, None, lambda sym, _: involution(sym))
 
 
 def _normalize_content(flat):
@@ -480,11 +450,6 @@ def _normalize_content(flat):
         g = gcd(g, x)
     if g:
         ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
     return ints
 
 
@@ -555,6 +520,8 @@ def eigensymbols(M, k, chi, sign, lbound=7):
         flat = [sum(v[i] * Fraction(flats[i][j]) for i in range(dim))
                 for j in range(len(flats[0]))]
         ints = _normalize_content(flat)
+        if next(x for x in ints if x) < 0:
+            ints = [-x for x in ints]
         sym = _from_flat(M, k, chi, "Q", ints)
         clean = {l: (int(x) if x.denominator == 1 else x) for l, x in emap.items()}
         out.append((sym, clean))

@@ -18,7 +18,8 @@ import numpy as np
 import sympy
 
 from . import manin
-from .arith import crt
+from .arith import crt, valuation
+from .cosets import _units
 from .dist import (
     MomentDist2,
     TaggedDist2,
@@ -43,12 +44,6 @@ from .linalg import (
     zpm_solve,
 )
 from .modsym import ModularSymbol, SymPoly
-
-
-def _units(N):
-    if N == 1:
-        return (0,)
-    return tuple(t for t in range(N) if gcd(t, N) == 1)
 
 
 class OCSymbol:
@@ -109,15 +104,6 @@ class OCSymbol:
                 out.extend(int(x)
                            for x in v.component(t).data[:, cols].reshape(-1))
         return np.array(out, dtype=np.int64)
-
-    def check_relations(self):
-        for rel in manin.presentation(self.level).relation_terms():
-            acc = self.values[0].zero_like()
-            for c, mat, coeff in rel:
-                acc = acc + self.values[c].act(mat).scale(coeff)
-            if not acc.is_zero():
-                return False
-        return True
 
     def __repr__(self):
         return (f"OCSymbol(level={self.level}, N={self.N}, p={self.p}, "
@@ -375,17 +361,6 @@ def charpoly_strata(space, dmax=None):
     return poly
 
 
-def _val(x, p, prec):
-    x = int(x) % p**prec
-    if x == 0:
-        return prec
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
-
-
 def newton_slopes(charpoly, p, prec):
     """Slope multiset of the reversed-series polygon, capped at precision.
 
@@ -396,7 +371,7 @@ def newton_slopes(charpoly, p, prec):
     reaching such a point is reported capped at prec.
     """
     n = len(charpoly) - 1
-    pts = [(i, _val(charpoly[i], p, prec)) for i in range(n + 1)]
+    pts = [(i, valuation(charpoly[i], p, prec)) for i in range(n + 1)]
     hull = lower_convex_hull(pts)
     slopes = []
     for (x0, y0), (x1, y1) in zip(hull, hull[1:]):
@@ -409,15 +384,6 @@ def newton_slopes(charpoly, p, prec):
 
 # ---------------------------------------------------------------------------
 # polynomial helpers over Z / p^M, ascending coefficient lists
-
-
-def _pmul(a, b, mod):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % mod
-    return out
 
 
 def _padd(a, b, mod):
@@ -463,15 +429,17 @@ def _hensel_pair(f, g0, h0, s0, t0, p, prec):
     m = p
     while m < p**prec:
         m = min(m * m, p**prec)
-        e = _padd(f, _pscale(_pmul(g, h, m), -1, m), m)
-        q, r = _pquo_rem(_pmul(s, e, m), h, m)
-        g = _ptrim(_padd(_padd(g, _pmul(t, e, m), m), _pmul(q, g, m), m))
+        e = _padd(f, _pscale(poly_mul_mod(g, h, m), -1, m), m)
+        q, r = _pquo_rem(poly_mul_mod(s, e, m), h, m)
+        g = _ptrim(_padd(_padd(g, poly_mul_mod(t, e, m), m),
+                         poly_mul_mod(q, g, m), m))
         h = _ptrim(_padd(h, r, m))
-        b = _padd(_padd(_pmul(s, g, m), _pmul(t, h, m), m), [m - 1], m)
-        c, dd = _pquo_rem(_pmul(s, b, m), h, m)
+        b = _padd(_padd(poly_mul_mod(s, g, m), poly_mul_mod(t, h, m), m),
+                  [m - 1], m)
+        c, dd = _pquo_rem(poly_mul_mod(s, b, m), h, m)
         s = _ptrim(_padd(s, _pscale(dd, -1, m), m))
-        t = _ptrim(_padd(_padd(t, _pscale(_pmul(t, b, m), -1, m), m),
-                         _pscale(_pmul(c, g, m), -1, m), m))
+        t = _ptrim(_padd(_padd(t, _pscale(poly_mul_mod(t, b, m), -1, m), m),
+                         _pscale(poly_mul_mod(c, g, m), -1, m), m))
     assert g[-1] == 1 and h[-1] == 1
     return g, h, s, t
 
@@ -531,7 +499,7 @@ def slope_projector(matrix, p, prec, h=0):
     g_, h_, s_, t_ = _hensel_pair(f, rb, qb, s0, t0, p, prec)
     # s g + t h = 1 and f(U) = 0, so (s g)(U) is the identity on the
     # unit-root kernel of h(U) and zero on the complement
-    return _poly_eval_matrix(_pmul(s_, g_, mod), matrix, mod)
+    return _poly_eval_matrix(poly_mul_mod(s_, g_, mod), matrix, mod)
 
 
 class SlopeData:
@@ -598,7 +566,7 @@ def lift_eigensymbol(space, phi, alpha, kappa, sign=-1, n_iter=None,
     p, prec = space.p, space.prec
     mod = p**prec
     k = kappa.k
-    if _val(alpha, p, prec) >= k + 1:
+    if valuation(alpha, p, prec) >= k + 1:
         raise CriticalSlope(
             f"v_p({alpha}) >= {k + 1} is critical at weight {k}")
     ainv = pow(int(alpha) % mod, -1, mod)
@@ -627,7 +595,8 @@ def lift_eigensymbol(space, phi, alpha, kappa, sign=-1, n_iter=None,
         y = oc_sign_project(y, sign)
         y = disc_sector_project(y, k)
     residual = oc_hecke_Up(y) - y.scale(int(alpha) % mod)
-    res_val = min((_val(v, p, prec) for v in residual.flat()), default=prec)
+    res_val = min((valuation(v, p, prec) for v in residual.flat()),
+                  default=prec)
     if res_val < prec - target_loss:
         raise NoConvergence(
             f"iteration stalled: residual valuation {res_val} < "
@@ -649,7 +618,8 @@ def hecke_eigenvalue(sym, n, loss=2):
         raise NotEigen("symbol has no unit coordinate")
     lam = (int(img.flat()[lead]) * pow(int(flat[lead]), -1, mod)) % mod
     residual = img - sym.scale(lam)
-    res_val = min((_val(v, p, prec) for v in residual.flat()), default=prec)
+    res_val = min((valuation(v, p, prec) for v in residual.flat()),
+                  default=prec)
     if res_val < prec - loss:
         raise NotEigen(f"residual valuation {res_val} below {prec - loss}")
     return lam

@@ -74,10 +74,6 @@ class QuadForm:
         return f"QuadForm{self.triple()}"
 
 
-def discriminant(Q):
-    return Q.discriminant()
-
-
 def act(Q, g):
     """Right action Q|g = Q((X,Y) g^{-1}); g must lie in SL2(Z)."""
     if mat_det(g) != 1:
@@ -443,33 +439,16 @@ def _canonical_key(P):
 def _bucket_dedupe(P, m, M):
     """Gamma0(M)-inequivalent members of the SL2-orbit of m*P inside F_M.
 
-    Representatives are m*P acted by left-coset representatives; two of
-    them, indexed by h_i and h_j, are equivalent iff some h_i^{-1} A^n h_j
-    lies in Gamma0(M) with A the fundamental automorph of P.
+    One member per left coset h Gamma0(M): m*P acted by h, kept when it
+    lands in F_M.  Q|h and Q|h' are equivalent iff h' lies in
+    h Stab(Q|h) Gamma0(M).  The automorphs of a form (a, b, c) are
+    ((t - bu)/2, au; -cu, (t + bu)/2) with t^2 - d u^2 = 4, so those of a
+    form in F_M lie in Gamma0(M) and that double coset is h Gamma0(M): the
+    automorph's orbits on the cosets fix every coset whose form is in F_M.
     """
-    d = P.discriminant()
-    e = isqrt(d)
-    square = e * e == d
-    A = None if square else fundamental_automorph(P)
     Qm = P.scale(m)
-    kept = []
-    for h in left_coset_reps(M):
-        Qh = act(Qm, h)
-        if not in_FM(Qh, M):
-            continue
-        dup = False
-        for _, hk in kept:
-            g0 = mat_mul(mat_inv(hk), h)
-            if square:
-                if g0[2] % M == 0:
-                    dup = True
-                    break
-            elif _automorph_mod_search(g0, A, M) is not None:
-                dup = True
-                break
-        if not dup:
-            kept.append((Qh, h))
-    return [Q for Q, _ in kept]
+    return [Q for Q in (act(Qm, h) for h in left_coset_reps(M))
+            if in_FM(Q, M)]
 
 
 _DISK_CACHE_DIR = None

@@ -179,6 +179,16 @@ def test_usage_error_p_divides_tame(capsys):
     assert code == 2
 
 
+def test_usage_error_int64_overflow(capsys):
+    # 31^9 is about 2^44.6: the int64 kernels would overflow silently
+    code = cli.main(["slopes", "--p", "31", "--padic-prec", "9",
+                     "--moments", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "KernelOverflow" in captured.err
+
+
 def test_usage_error_missing_subcommand():
     with pytest.raises(SystemExit) as exc:
         cli.main(["qf"])

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 import sympy
 
-from shintani.arith import DirichletChar, mat_mul, teichmuller
+from shintani.arith import DirichletChar, mat_mul
 from shintani.cosets import gamma0_generators
 from shintani.errors import (
     BadSemigroupElement,
     InsufficientMoments,
+    KernelOverflow,
+    OperandMismatch,
     PrecisionMismatch,
 )
 from shintani.dist import (
@@ -41,7 +43,8 @@ from shintani.dist import (
     tilde_JQ,
     JQ_dist,
 )
-from shintani.modsym import SymPoly, pairing
+from shintani.linalg import _check_kernel_bounds
+from shintani.modsym import SymPoly, check_ring, pairing
 from shintani.qf import QuadForm
 
 P, PREC, T = 5, 8, 8
@@ -130,6 +133,25 @@ def test_precision_mismatch():
         a + b
 
 
+@pytest.mark.parametrize("p, prec", [(5, 13), (11, 9), (31, 9)])
+def test_int64_overflowing_profiles_are_refused(p, prec):
+    # 5^13 is about 2^30.2, the others exceed 2^31
+    with pytest.raises(KernelOverflow):
+        MomentDist2(p, prec, 2)
+    with pytest.raises(KernelOverflow):
+        MomentDist1(p, prec, 2)
+    with pytest.raises(KernelOverflow):
+        check_ring(("zpm", p, prec))
+
+
+def test_int64_moment_degree_bound():
+    # (T + 1) products of residues below 5^12 must sum below 2^63
+    _check_kernel_bounds(11, 8, 8)
+    _check_kernel_bounds(5, 12, 100)
+    with pytest.raises(KernelOverflow):
+        _check_kernel_bounds(5, 12, 154)
+
+
 # ----------------------------------------------------- dirac, convolution
 
 def test_dirac_convolution_group_law():
@@ -161,6 +183,32 @@ def test_dirac_translation_rotates_discs():
         for n in range(5):
             want = (pow(s, n, MOD) * nu.m(pow(s, -1, P) * c % P, n)) % MOD
             assert out.m(c, n) == want
+
+
+def teichmuller(a, p, M):
+    """Teichmuller lift of a mod p, as a residue mod p^M (0 if p | a)."""
+    x = a % p
+    if x == 0:
+        return 0
+    pm = p**M
+    while True:
+        y = pow(x, p, pm)
+        if y == x:
+            return x
+        x = y
+
+
+def test_teichmuller():
+    p, M = 5, 6
+    pm = p**M
+    for a in range(p):
+        t = teichmuller(a, p, M)
+        if a == 0:
+            assert t == 0
+        else:
+            assert t % p == a
+            assert pow(t, p - 1, pm) == 1
+            assert pow(t, p, pm) == t
 
 
 def test_twisted_moments_multiply():
@@ -406,7 +454,7 @@ def test_meta_canonicalize_preserves_evaluation():
 def test_meta_addition_requires_matching_left():
     z = meta_zero(1, P, PREC, 4)
     other = MetaCoeff(dirac_distN(2, 1, P, PREC, 4), DistN(1, P, PREC, 4))
-    with pytest.raises(AssertionError):
+    with pytest.raises(OperandMismatch):
         z + other
 
 

@@ -1,11 +1,15 @@
 """Exact and finite-precision lifts to half-integral-weight expansions."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import shintani
 from shintani.arith import DirichletChar, RationalCusp, kronecker
 from shintani.dist import ArithWeight, MetaCoeff, dirac_distN, scalar_action
 from shintani.errors import BadIndex, DegreeMismatch
@@ -296,6 +300,55 @@ def test_J_degree_mismatch(eigen51):
 
 # ---------------------------------------------------------------------------
 # tensor-coefficient expansions
+
+
+OPTIMIZED_GUARDS = """
+from shintani.arith import DirichletChar
+from shintani.dist import DistN, MetaCoeff, dirac_distN, meta_zero
+from shintani.errors import NotInFM, OperandMismatch
+from shintani.lifting import FormalQExp, HalfIntQExp, J_classical, J_oc
+from shintani.modsym import solve_symbol_space
+from shintani.ocsymb import solve_oc_space
+from shintani.qf import QuadForm
+
+T = DirichletChar.trivial(1)
+bad = QuadForm(2, 1, -3)  # in neither F_5 nor F_11
+cases = {
+    "J_classical": lambda: J_classical(
+        solve_symbol_space(11, 0, T)[0], bad, 0, T),
+    "J_oc": lambda: J_oc(solve_oc_space(5, 1, (2, 2)).basis[0], bad),
+    "HalfIntQExp": lambda: (HalfIntQExp(11, 0, T, {}, 4)
+                            + HalfIntQExp(11, 1, T, {}, 4)),
+    "FormalQExp": lambda: (FormalQExp(5, 1, 5, 2, 1, {}, 4)
+                           + FormalQExp(5, 1, 5, 3, 1, {}, 4)),
+    "MetaCoeff": lambda: (meta_zero(1, 5, 2, 2) + MetaCoeff(
+        dirac_distN(2, 1, 5, 2, 4), DistN(1, 5, 2, 2))),
+}
+print("debug", __debug__)
+for name, call in cases.items():
+    try:
+        call()
+        print(name, "accepted")
+    except (NotInFM, OperandMismatch) as exc:
+        print(name, type(exc).__name__)
+"""
+
+
+def test_input_guards_survive_optimize():
+    # python -O strips asserts; the caller-input guards must still raise
+    src = os.path.dirname(os.path.dirname(os.path.abspath(shintani.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_GUARDS],
+                         capture_output=True, text=True, check=True, env=env,
+                         timeout=300).stdout.split("\n")
+    assert out[:6] == [
+        "debug False",
+        "J_classical NotInFM",
+        "J_oc NotInFM",
+        "HalfIntQExp OperandMismatch",
+        "FormalQExp OperandMismatch",
+        "MetaCoeff OperandMismatch",
+    ]
 
 
 def test_formal_qexp_container(ocphi5):

@@ -13,7 +13,6 @@ from shintani.linalg import (
     frac_rref,
     frac_solve,
     lower_convex_hull,
-    mat_pow_mod,
     matmul_mod,
     poly_mul_mod,
     rank_mod_p,
@@ -33,13 +32,6 @@ def test_matmul_mod_matches_bigint():
     got = matmul_mod(A, B, mod)
     want = (A.astype(object) @ B.astype(object)) % mod
     assert (got.astype(object) == want).all()
-
-
-def test_mat_pow_mod():
-    mod = 5**8
-    A = np.array([[1, 2], [3, 4]], dtype=np.int64)
-    want = np.linalg.matrix_power(A.astype(object), 9) % mod
-    assert (mat_pow_mod(A, 9, mod).astype(object) == want).all()
 
 
 def test_frac_rref_and_nullspace_vs_sympy():

@@ -7,7 +7,12 @@ import pytest
 import sympy
 
 from shintani.arith import MAT_ID, RationalCusp, mat_det, mat_inv, mat_mul, mat_pow
-from shintani.cosets import coset_section, gamma0_generators, left_coset_reps, p1_classes
+from shintani.cosets import (
+    coset_index,
+    coset_section,
+    gamma0_generators,
+    p1_classes,
+)
 from shintani.errors import DiscriminantMismatch, NonUnimodular, SquareDiscriminant
 from shintani.qf import (
     QuadForm,
@@ -15,7 +20,6 @@ from shintani.qf import (
     _primitive_sl2_classes,
     act,
     cycle_divisor,
-    discriminant,
     enumerate_classes,
     equivalent_under_gamma0,
     fundamental_automorph,
@@ -73,6 +77,20 @@ def test_p1_sizes():
         assert len(coset_section(M)) == size
 
 
+@pytest.mark.parametrize("M", [1, 4, 12, 36, 143])
+def test_p1_table_matches_unit_orbit_minimum(M):
+    # the definition: the class of (u, v) is the least of its unit multiples
+    units = [t for t in range(M) if gcd(t, M) == 1]
+    canon = {(u, v): min(((t * u) % M, (t * v) % M) for t in units)
+             for u in range(M) for v in range(M) if gcd(gcd(u, v), M) == 1}
+    index = {c: i for i, c in enumerate(sorted(set(canon.values())))}
+    assert len(p1_classes(M)) == len(index)
+    if M > 1:  # P^1(Z/1) is one point, written (0, 1)
+        assert p1_classes(M) == tuple(index)
+    for (u, v), c in canon.items():
+        assert coset_index((0, 0, u, v), M) == index[c]
+
+
 def test_schreier_generators_in_gamma0():
     for M in (2, 5, 11, 15):
         for g in gamma0_generators(M):
@@ -80,9 +98,9 @@ def test_schreier_generators_in_gamma0():
 
 
 def test_discriminant_examples():
-    assert discriminant(QuadForm(1, 0, -1)) == 4
-    assert discriminant(QuadForm(1, 1, -1)) == 5
-    assert discriminant(QuadForm(1, 5, 5)) == 5
+    assert QuadForm(1, 0, -1).discriminant() == 4
+    assert QuadForm(1, 1, -1).discriminant() == 5
+    assert QuadForm(1, 5, 5).discriminant() == 5
 
 
 def test_in_FM_examples():
@@ -115,7 +133,7 @@ def test_act_is_right_action():
         Q = QuadForm(rng.randint(-10, 10), rng.randint(-10, 10), rng.randint(-10, 10))
         g, h = random_sl2(rng), random_sl2(rng)
         assert act(act(Q, g), h) == act(Q, mat_mul(g, h))
-        assert discriminant(act(Q, g)) == discriminant(Q)
+        assert act(Q, g).discriminant() == Q.discriminant()
 
 
 def test_act_preserves_FM():
@@ -367,16 +385,23 @@ def test_enumerate_classes_respects_congruence():
 
 
 def test_enumerate_classes_level_five():
-    reps = enumerate_classes(5, 20)
-    assert len(reps) >= 2
-    for Q in reps:
-        assert in_FM(Q, 5) and Q.discriminant() == 20
-    for i, Qi in enumerate(reps):
-        for Qj in reps[:i]:
-            assert equivalent_under_gamma0(Qi, Qj, 5) is None
-    # completeness against a coefficient box
-    for Q in box_forms(5, 20, 30):
-        assert any(equivalent_under_gamma0(Q, R, 5) is not None for R in reps)
+    # level 15 is composite; there the automorph of a disc-60 class moves
+    # the identity coset through an orbit of 15 cosets
+    for M, delta in ((5, 20), (15, 60)):
+        reps = enumerate_classes(M, delta)
+        assert len(reps) >= 2
+        for Q in reps:
+            assert in_FM(Q, M) and Q.discriminant() == delta
+            # enumeration keeps one form per coset: automorphs of forms
+            # in F_M lie in Gamma0(M)
+            assert fundamental_automorph(Q)[2] % M == 0
+        for i, Qi in enumerate(reps):
+            for Qj in reps[:i]:
+                assert equivalent_under_gamma0(Qi, Qj, M) is None
+        # completeness against a coefficient box
+        for Q in box_forms(M, delta, 30):
+            assert any(equivalent_under_gamma0(Q, R, M) is not None
+                       for R in reps)
 
 
 def test_enumerate_classes_deterministic():
