@@ -10,6 +10,7 @@ weight evaluation intertwines the two constructions coefficientwise.
 """
 
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 from math import factorial, gcd
 
 import sympy
@@ -25,7 +26,15 @@ from .dist import (
     tilde_JQ,
 )
 from .errors import BadIndex, DegreeMismatch, NotInFM, OperandMismatch
-from .modsym import SymPoly, check_ring, pairing, ring_reduce
+from .manin import presentation
+from .modsym import (
+    SymPoly,
+    _apply_int_matrix,
+    _divisor_rows,
+    check_ring,
+    pairing,
+    ring_reduce,
+)
 from .qf import cycle_divisor, enumerate_classes, in_FM
 
 
@@ -223,17 +232,47 @@ def J_classical(phi, Q, k, chi, base=None):
     return ring_reduce(phi.ring, chi(Q.triple()[0] % chi.modulus) * pair)
 
 
+@lru_cache(maxsize=8192)
+def _theta_kernel(M, k, chi, phi_chi, n):
+    """Integer vector K_n with coefficient n of the lift equal to K_n . coords.
+
+    K_n = sum_Q chi(a_Q) * s(Q^k)^T E_{D_Q} over the classes of the q^n
+    slot, where s is the signed reversal that pairing applies to Q^k and
+    E_D is the evaluation matrix of symbols twisted by phi_chi; it is
+    J_classical summed over the classes, with the symbol factored out.
+    """
+    K = 2 * k
+    out = [0] * (presentation(M).ngens * (K + 1))
+    base = RationalCusp.infinity()
+    for Q in enumerate_classes(M, delta_of_index(M, n)):
+        if not in_FM(Q, M):
+            raise NotInFM(f"{Q!r} is not adapted to level {M}")
+        f = chi(Q.a)
+        if not f:
+            continue
+        qk = quad_power(Q, k, M, phi_chi).coeffs
+        E = _divisor_rows(M, K, phi_chi, cycle_divisor(Q, M, base).pairs)
+        for i in range(K + 1):
+            s = f * (-1) ** i * int(qk[K - i])
+            if s:
+                for col, e in enumerate(E[i]):
+                    out[col] += s * e
+    return tuple(out)
+
+
 def theta_classical(phi, M, k, chi, n_max, threads=1):
     """Assemble the exact lift's q-expansion up to q^n_max."""
-    assert phi.level == M
+    if phi.level != M:
+        raise OperandMismatch(f"symbol level {phi.level} is not {M}")
+    if phi.k != 2 * k:
+        raise DegreeMismatch(
+            f"symbol degree {phi.k} does not match weight parameter {k}")
 
-    def one(n):
-        tot = 0
-        for Q in enumerate_classes(M, delta_of_index(M, n)):
-            tot += J_classical(phi, Q, k, chi)
-        return tot
+    def kernel(n):
+        return _theta_kernel(M, k, chi, phi.chi, n)
 
-    values = _map_indices(one, range(1, n_max + 1), threads)
+    kernels = _map_indices(kernel, range(1, n_max + 1), threads)
+    values = _apply_int_matrix(kernels, phi)
     return HalfIntQExp(M, k, chi, dict(zip(range(1, n_max + 1), values)),
                        n_max, phi.ring)
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb, gcd, lcm
+from operator import mul
 
 import numpy as np
 import sympy
@@ -28,6 +29,7 @@ from .errors import (
     BadIndex,
     BadSemigroupElement,
     DegreeMismatch,
+    OperandMismatch,
     TwoNotInvertible,
 )
 from .linalg import (
@@ -114,6 +116,17 @@ def _act_matrix_Lstar(g, k):
     return tuple(rows)
 
 
+def _check_semigroup(g, level):
+    """Refuse g unless it acts at this level: det > 0, c = 0 mod level, a a unit."""
+    a, _, c, _ = g
+    if mat_det(g) <= 0:
+        raise BadSemigroupElement(f"determinant of {g} is not positive")
+    if c % level != 0:
+        raise BadSemigroupElement(f"{g} is not upper triangular mod {level}")
+    if gcd(a, level) != 1:
+        raise BadSemigroupElement(f"upper-left of {g} shares a factor with {level}")
+
+
 class SymPoly:
     """A weight-k coefficient vector on one side of the pairing."""
 
@@ -133,9 +146,9 @@ class SymPoly:
         self.ring = ring
 
     def _compat(self, other):
-        assert (self.level, self.k, self.side, self.ring) == (
-            other.level, other.k, other.side, other.ring)
-        assert self.chi == other.chi
+        if ((self.level, self.k, self.side, self.ring, self.chi) !=
+                (other.level, other.k, other.side, other.ring, other.chi)):
+            raise OperandMismatch(f"{self!r} and {other!r} do not add")
 
     def zero_like(self):
         return SymPoly(self.level, self.k, (0,) * (self.k + 1),
@@ -168,12 +181,7 @@ class SymPoly:
         chi(d) on side Lstar.
         """
         a, b, c, d = g
-        if mat_det(g) <= 0:
-            raise BadSemigroupElement(f"determinant of {g} is not positive")
-        if c % self.level != 0:
-            raise BadSemigroupElement(f"{g} is not upper triangular mod {self.level}")
-        if gcd(a, self.level) != 1:
-            raise BadSemigroupElement(f"upper-left of {g} shares a factor with {self.level}")
+        _check_semigroup(g, self.level)
         if self.side == "L":
             mat = _act_matrix_L(g, self.k)
             factor = self.chi(a)
@@ -294,7 +302,8 @@ class ModularSymbol:
                              [z] * len(self.values))
 
     def __add__(self, other):
-        assert (self.level, self.k, self.ring) == (other.level, other.k, other.ring)
+        if (self.level, self.k, self.ring) != (other.level, other.k, other.ring):
+            raise OperandMismatch(f"{self!r} and {other!r} do not add")
         return ModularSymbol(self.level, self.k, self.chi, self.ring,
                              [x + y for x, y in zip(self.values, other.values)])
 
@@ -350,6 +359,70 @@ def _relation_rows(M, k, chi):
     return rows
 
 
+def _divisor_rows(M, k, chi, divisor):
+    """Integer matrix E with phi(D) = E . phi.coords() for symbols twisted by chi.
+
+    D is ((cusp, mult), ...); each generator term w * w_c|gamma adds
+    w * chi(gamma_a) * _act_matrix_L(gamma) into block c.
+    """
+    step = k + 1
+    rows = [[0] * (manin.presentation(M).ngens * step) for _ in range(step)]
+    for c, gamma, w in manin.divisor_terms(M, divisor):
+        tm = _act_matrix_L(gamma, k)
+        f = w * chi(gamma[0])
+        for j in range(step):
+            row, tj = rows[j], tm[j]
+            for i in range(step):
+                row[c * step + i] += f * tj[i]
+    return rows
+
+
+@lru_cache(maxsize=256)
+def _hecke_rows(M, k, chi, reps):
+    """Integer matrix of the double coset operator of reps on phi.coords().
+
+    Block row b is sum_alpha chi(alpha_a) * _act_matrix_L(alpha) *
+    E_{alpha . base_b}, the matrix form of manin.apply_double_coset.
+    """
+    for alpha in reps:
+        _check_semigroup(alpha, M)
+    pres = manin.presentation(M)
+    step = k + 1
+    rows = []
+    for base in pres.base_divisors:
+        block = [[0] * (pres.ngens * step) for _ in range(step)]
+        for alpha in reps:
+            moved = tuple((cusp.apply(alpha), mult) for cusp, mult in base)
+            E = _divisor_rows(M, k, chi, moved)
+            tm = _act_matrix_L(alpha, k)
+            f = chi(alpha[0])
+            for j in range(step):
+                row = block[j]
+                for m in range(step):
+                    x = f * tm[j][m]
+                    if x:
+                        for col, e in enumerate(E[m]):
+                            row[col] += x * e
+        rows.extend(tuple(row) for row in block)
+    return tuple(rows)
+
+
+def _apply_int_matrix(rows, phi):
+    """Exact rows . phi.coords(), summed over one common denominator."""
+    coords = phi.coords()
+    if phi.ring != "Q":
+        return [sum(map(mul, row, coords)) for row in rows]
+    den = lcm(*(x.denominator for x in coords))
+    ints = [x.numerator * (den // x.denominator) for x in coords]
+    return [Fraction(sum(map(mul, row, ints)), den) for row in rows]
+
+
+def _apply_hecke(phi, reps):
+    rows = _hecke_rows(phi.level, phi.k, phi.chi, tuple(reps))
+    return _from_flat(phi.level, phi.k, phi.chi, phi.ring,
+                      _apply_int_matrix(rows, phi))
+
+
 def solve_symbol_space(M, k, chi, ring="Q"):
     """Basis of the space of level-M weight-k symbols over the ring.
 
@@ -379,9 +452,7 @@ def solve_symbol_space(M, k, chi, ring="Q"):
 
 def hecke_Tn(phi, n):
     """Phi|T_n via the upper triangular determinant-n representatives."""
-    reps = manin.hecke_reps(n, phi.level)
-    vals = manin.apply_double_coset(phi.level, phi.values, reps)
-    return ModularSymbol(phi.level, phi.k, phi.chi, phi.ring, vals)
+    return _apply_hecke(phi, manin.hecke_reps(n, phi.level))
 
 
 def hecke_Up(phi, p):
@@ -394,8 +465,7 @@ def hecke_Tll(phi, l):
     """Diamond-scaled operator for l coprime to the level: one scalar rep."""
     if gcd(l, phi.level) != 1:
         raise BadIndex(f"{l} must be coprime to the level {phi.level}")
-    vals = manin.apply_double_coset(phi.level, phi.values, [(l, 0, 0, l)])
-    return ModularSymbol(phi.level, phi.k, phi.chi, phi.ring, vals)
+    return _apply_hecke(phi, [(l, 0, 0, l)])
 
 
 def involution(phi):

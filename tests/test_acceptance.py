@@ -101,12 +101,14 @@ def test_acceptance_antisymmetry_classical():
 
 def test_acceptance_classical_hecke_equivariance():
     t0 = time.monotonic()
-    M, k = 11, 0
+    M, k = 11, 1
     chi = DirichletChar.trivial(M)
     basis = solve_symbol_space(M, 2 * k, chi, "Q")
-    assert len(basis) == 3
+    assert len(basis) == 6
+    living = 0
     for phi in basis:
         deep = theta_classical(phi, M, k, chi, 60 * 49, threads=THREADS)
+        living += any(deep.coeff(n) for n in range(1, 61))
         for l in (3, 7):
             lhs = theta_classical(hecke_Tn(phi, l), M, k, chi, 60,
                                   threads=THREADS)
@@ -114,19 +116,23 @@ def test_acceptance_classical_hecke_equivariance():
             assert rhs.n_max >= 60
             for n in range(1, 61):
                 assert lhs.coeff(n) == rhs.coeff(n), (l, n)
+    # the identity is not vacuous: some lift has mass below q^61
+    assert living >= 1
     assert time.monotonic() - t0 < 120
 
 
 # ---------------------------------------------------------------------------
-# 3. the rational eigensystem at level 11 lifts to an eigenform of the
-#    square-index operators with the same eigenvalues
+# 3. the rational eigensystem at level 5, weight 2 lifts to an eigenform
+#    of the square-index operators with the same eigenvalues
 
 
 def test_acceptance_eigen_lift_property():
-    [(phi, emap)] = eigensymbols(11, 0, DirichletChar.trivial(11), -1)
-    assert emap[3] == -1 and emap[7] == -2
-    chi = DirichletChar.trivial(11)
-    th = theta_classical(phi, 11, 0, chi, 60 * 49, threads=THREADS)
+    chi = DirichletChar.trivial(5)
+    [(phi, emap)] = eigensymbols(5, 2, chi, -1)
+    assert emap == {2: -4, 3: 2, 5: -5, 7: 6}
+    th = theta_classical(phi, 5, 1, chi, 60 * 49, threads=THREADS)
+    # the identity is not vacuous
+    assert sum(1 for n in range(1, 61) if th.coeff(n)) >= 20
     for l in (3, 7):
         out = halfint_Tl2(th, l)
         assert out.n_max >= 60

@@ -37,6 +37,8 @@ from shintani.modsym import (
     hecke_Tn,
     involution,
     involution_split,
+    ring_half,
+    ring_reduce,
     solve_symbol_space,
 )
 from shintani.ocsymb import (
@@ -296,6 +298,28 @@ def test_J_degree_mismatch(eigen51):
     phi, _ = eigen51
     with pytest.raises(DegreeMismatch):
         J_classical(phi, QuadForm(1, 0, -5), 0, T5)
+    with pytest.raises(DegreeMismatch):
+        theta_classical(phi, 5, 0, T5, 4)
+
+
+@pytest.mark.parametrize("ring", ["Q", ("zpm", 7, 3)])
+def test_theta_classical_matches_J_classical_oracle(ring):
+    # the cached kernels against the class-by-class cycle pairing, with a
+    # quadratic character on the symbols, on the lift, and on only the lift
+    quad = DirichletChar.from_kronecker(5)
+    nonzero = 0
+    for sym_chi, chi, k in ((T5, T5, 1), (quad, quad, 2), (T5, quad, 1)):
+        basis = solve_symbol_space(5, 2 * k, sym_chi, ring)
+        # halving one summand mixes the coordinates' denominators
+        half = ring_half(ring)
+        for phi in basis + [b.scale(half) + basis[0] for b in basis[1:]]:
+            th = theta_classical(phi, 5, k, chi, 24)
+            for n in range(1, 25):
+                classes = enumerate_classes(5, delta_of_index(5, n))
+                oracle = sum(J_classical(phi, Q, k, chi) for Q in classes)
+                assert th.coeff(n) == ring_reduce(ring, oracle), (chi, n)
+            nonzero += not th.is_zero()
+    assert nonzero >= 3
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +330,15 @@ OPTIMIZED_GUARDS = """
 from shintani.arith import DirichletChar
 from shintani.dist import DistN, MetaCoeff, dirac_distN, meta_zero
 from shintani.errors import NotInFM, OperandMismatch
-from shintani.lifting import FormalQExp, HalfIntQExp, J_classical, J_oc
+from shintani.lifting import (
+    FormalQExp, HalfIntQExp, J_classical, J_oc, theta_classical)
 from shintani.modsym import solve_symbol_space
 from shintani.ocsymb import solve_oc_space
 from shintani.qf import QuadForm
 
 T = DirichletChar.trivial(1)
 bad = QuadForm(2, 1, -3)  # in neither F_5 nor F_11
+sym5, sym11 = solve_symbol_space(5, 2, T)[0], solve_symbol_space(11, 2, T)[0]
 cases = {
     "J_classical": lambda: J_classical(
         solve_symbol_space(11, 0, T)[0], bad, 0, T),
@@ -323,6 +349,9 @@ cases = {
                            + FormalQExp(5, 1, 5, 3, 1, {}, 4)),
     "MetaCoeff": lambda: (meta_zero(1, 5, 2, 2) + MetaCoeff(
         dirac_distN(2, 1, 5, 2, 4), DistN(1, 5, 2, 2))),
+    "theta_classical": lambda: theta_classical(sym5, 11, 1, T, 4),
+    "SymPoly": lambda: sym5.values[0] + sym11.values[0],
+    "ModularSymbol": lambda: sym5 + sym11,
 }
 print("debug", __debug__)
 for name, call in cases.items():
@@ -341,13 +370,16 @@ def test_input_guards_survive_optimize():
     out = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_GUARDS],
                          capture_output=True, text=True, check=True, env=env,
                          timeout=300).stdout.split("\n")
-    assert out[:6] == [
+    assert out[:9] == [
         "debug False",
         "J_classical NotInFM",
         "J_oc NotInFM",
         "HalfIntQExp OperandMismatch",
         "FormalQExp OperandMismatch",
         "MetaCoeff OperandMismatch",
+        "theta_classical OperandMismatch",
+        "SymPoly OperandMismatch",
+        "ModularSymbol OperandMismatch",
     ]
 
 

@@ -17,7 +17,8 @@ from shintani.errors import (
     TwoNotInvertible,
 )
 from shintani.linalg import zpm_in_span
-from shintani.manin import check_relations
+from shintani import modsym
+from shintani.manin import apply_double_coset, check_relations, hecke_reps
 from shintani.modsym import (
     Divisor0,
     ModularSymbol,
@@ -328,6 +329,29 @@ def test_hecke_index_errors():
         hecke_Tll(sym, 11)
     with pytest.raises(BadIndex):
         hecke_Tn(sym, 0)
+
+
+@pytest.mark.parametrize("ring", ["Q", ("zpm", 7, 3)])
+def test_hecke_matrices_match_double_coset_oracle(ring):
+    # one cached integer matrix per operator against the value-by-value
+    # evaluation of manin.apply_double_coset
+    cases = ((10, 2, DirichletChar.trivial(10)),
+             (5, 2, DirichletChar.from_kronecker(5)))
+    for M, k, chi in cases:
+        basis = solve_symbol_space(M, k, chi, ring)
+        assert basis
+        primes = [p for p in (2, 5) if M % p == 0]
+        for phi in basis + [involution_split(b)[1] for b in basis]:
+            for n in (2, 3, 6):
+                assert hecke_Tn(phi, n).values == tuple(apply_double_coset(
+                    M, phi.values, hecke_reps(n, M)))
+            for p in primes:
+                assert hecke_Up(phi, p).values == tuple(apply_double_coset(
+                    M, phi.values, hecke_reps(p, M)))
+            assert hecke_Tll(phi, 3).values == tuple(apply_double_coset(
+                M, phi.values, [(3, 0, 0, 3)]))
+    with pytest.raises(BadSemigroupElement):
+        modsym._hecke_rows(5, 2, TRIV, ((1, 0, 1, 1),))
 
 
 def test_spectrum_level_eleven():
