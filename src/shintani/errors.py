@@ -49,6 +49,10 @@ class BadCharacteristic(ShintaniError):
     """Coefficient ring where 6 is not invertible."""
 
 
+class BadLevel(ShintaniError):
+    """Level is not a tame level times a prime coprime to it."""
+
+
 class BadIndex(ShintaniError):
     """Hecke operator index incompatible with the level."""
 

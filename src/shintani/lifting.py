@@ -438,24 +438,26 @@ def theta_oc(Phi, n_max, indices=None, threads=1):
     if indices is None:
         indices = range(1, n_max + 1)
     indices = sorted(set(indices))
-    memo = {}
-
-    def prim(Q):
-        key = Q.triple()
-        got = memo.get(key)
-        if got is None:
-            got = memo[key] = J_oc(Phi, Q)
-        return got
+    classes = {n: enumerate_classes(Np, delta_of_index(Np, n)) for n in indices}
+    # each primitive class once, whatever the number of threads
+    prims = {}
+    for n in indices:
+        for Q in classes[n]:
+            P = Q.primitive_part()
+            prims.setdefault(P.triple(), P)
+    keys = list(prims)
+    memo = dict(zip(keys, _map_indices(lambda key: J_oc(Phi, prims[key]),
+                                       keys, threads)))
 
     def one(n):
         mc = meta_zero(N, p, Phi.prec, Tp)
-        for Q in enumerate_classes(Np, delta_of_index(Np, n)):
+        for Q in classes[n]:
             m = Q.content()
-            piece = prim(Q) if m == 1 else _conv_right(m, prim(Q.primitive_part()))
-            mc = mc + piece
+            piece = memo[Q.primitive_part().triple()]
+            mc = mc + (piece if m == 1 else _conv_right(m, piece))
         return mc
 
-    values = _map_indices(one, indices, threads)
+    values = [one(n) for n in indices]
     return FormalQExp(Np, N, p, Phi.prec, Tp, dict(zip(indices, values)),
                       n_max, indices)
 

@@ -2,9 +2,11 @@
 
 A symbol is stored by its values on the standard paths attached to a
 section of the right cosets of P^1(Z/M).  Everything here is agnostic
-about what those values are: any type with ``act(g)``, ``scale(n)``,
-``zero_like()`` and ``+`` works, so the classical and the distribution
-valued symbols share one engine.
+about what those values are.  The two loops, ``weighted_sum`` over
+(generator, matrix, weight) terms and ``double_coset``, take the value
+arithmetic as callbacks, so integer row blocks, stacked coordinate
+arrays and generator values (any type with ``act(g)``, ``scale(n)``,
+``zero_like()`` and ``+``) all run through the same code.
 """
 
 from __future__ import annotations
@@ -19,81 +21,56 @@ from .errors import BadIndex
 MAT_S = (0, -1, 1, 0)
 MAT_T = (0, -1, 1, -1)
 MAT_MINUS_ID = (-1, 0, 0, -1)
+MAT_IOTA = (1, 0, 0, -1)
 
 
 class Presentation:
     """Generators and relations for symbols of one level.
 
     Each generator c corresponds to the path {g_c.0} - {g_c.oo} for the
-    section matrix g_c.  Relations are stored structurally, as lists of
-    (generator, matrix) terms whose twisted sum must vanish; the matrices
-    all lie in the level-M congruence group, so any value module can
-    realize them.
+    section matrix g_c.  A relation ((c0, m0, n0), (c1, m1, n1), ...)
+    asserts sum_i n_i * w_{ci}|m_i = 0: the minus relations, then the
+    S-pairs, then the T-triples.  The matrices all lie in the level-M
+    congruence group (the minus relation uses -I), so any value module
+    realizes them through its ordinary weight action.
     """
 
-    __slots__ = ("level", "section", "spairs", "ttriples", "base_divisors")
+    __slots__ = ("level", "section", "relations", "base_divisors")
 
-    def __init__(self, level, section, spairs, ttriples, base_divisors):
+    def __init__(self, level, section, relations, base_divisors):
         self.level = level
         self.section = section
-        self.spairs = spairs
-        self.ttriples = ttriples
+        self.relations = relations
         self.base_divisors = base_divisors
 
     @property
     def ngens(self):
         return len(self.section)
 
-    def relation_terms(self):
-        """All relations as lists of signed (gen_index, matrix, coeff) terms.
 
-        A relation [(c0,m0,n0),(c1,m1,n1),...] asserts
-        sum_i n_i * w_{ci}|m_i = 0.  The minus relation uses -I, which is
-        a legal semigroup element, so every matrix here acts through the
-        ordinary weight action.
-        """
-        ident = (1, 0, 0, 1)
-        out = []
-        for c in range(self.ngens):
-            out.append([(c, ident, 1), (c, MAT_MINUS_ID, -1)])
-        for c, c2, m in self.spairs:
-            out.append([(c, ident, 1), (c2, m, 1)])
-        for c, c1, m1, c2, m2 in self.ttriples:
-            out.append([(c, ident, 1), (c1, m1, 1), (c2, m2, 1)])
-        return out
-
-
-def _assert_gamma0(g, M):
-    assert mat_det(g) == 1 and g[2] % M == 0, (g, M)
+def _coset_term(M, g):
+    """(c, gamma) for g in coset c: gamma = g_c * g^-1 is in the level group."""
+    c = coset_index(g, M)
+    gamma = mat_mul(coset_section(M)[c], mat_inv(g))
+    assert mat_det(gamma) == 1 and gamma[2] % M == 0, (gamma, M)
+    return c, gamma
 
 
 @lru_cache(maxsize=None)
 def presentation(M):
     section = coset_section(M)
-    spairs = []
-    ttriples = []
-    for c, g in enumerate(section):
-        gS = mat_mul(g, MAT_S)
-        c2 = coset_index(gS, M)
-        gamma = mat_mul(gS, mat_inv(section[c2]))
-        _assert_gamma0(gamma, M)
-        spairs.append((c, c2, mat_inv(gamma)))
+    ident = (1, 0, 0, 1)
     T2 = mat_mul(MAT_T, MAT_T)
+    minus, spairs, ttriples = [], [], []
     for c, g in enumerate(section):
-        gT = mat_mul(g, MAT_T)
-        c1 = coset_index(gT, M)
-        g1 = mat_mul(gT, mat_inv(section[c1]))
-        _assert_gamma0(g1, M)
-        gTT = mat_mul(g, T2)
-        c2 = coset_index(gTT, M)
-        g2 = mat_mul(gTT, mat_inv(section[c2]))
-        _assert_gamma0(g2, M)
-        ttriples.append((c, c1, mat_inv(g1), c2, mat_inv(g2)))
-    base = []
-    for g in section:
-        a, b, cc, d = g
-        base.append((((RationalCusp(b, d)), 1), ((RationalCusp(a, cc)), -1)))
-    return Presentation(M, section, tuple(spairs), tuple(ttriples), tuple(base))
+        minus.append(((c, ident, 1), (c, MAT_MINUS_ID, -1)))
+        spairs.append(((c, ident, 1), (*_coset_term(M, mat_mul(g, MAT_S)), 1)))
+        ttriples.append(((c, ident, 1),
+                         (*_coset_term(M, mat_mul(g, MAT_T)), 1),
+                         (*_coset_term(M, mat_mul(g, T2)), 1)))
+    base = tuple(((RationalCusp(b, d), 1), (RationalCusp(a, cc), -1))
+                 for a, b, cc, d in section)
+    return Presentation(M, section, tuple(minus + spairs + ttriples), base)
 
 
 @lru_cache(maxsize=None)
@@ -103,14 +80,7 @@ def _path_terms(M, cusp):
     Returns ((gen_index, gamma, sign), ...) with gamma in the level-M
     group, meaning  Phi({cusp}-{oo}) = sum sign * w_gen|gamma.
     """
-    pres = presentation(M)
-    out = []
-    for g in sl2_chain(cusp):
-        c = coset_index(g, M)
-        gamma = mat_mul(pres.section[c], mat_inv(g))
-        _assert_gamma0(gamma, M)
-        out.append((c, gamma, -1))
-    return tuple(out)
+    return tuple((*_coset_term(M, g), -1) for g in sl2_chain(cusp))
 
 
 def divisor_terms(M, divisor):
@@ -124,24 +94,35 @@ def divisor_terms(M, divisor):
     return out
 
 
+def weighted_sum(terms, add, acc):
+    """Fold the terms of sum_(c, g, w) w * x_c|g into acc.
+
+    add(acc, c, g, w) adds one term and returns the accumulator; the value
+    type decides what x_c|g is (a generator value, a block of integer rows,
+    stacked coordinates) and whether acc is updated in place.
+    """
+    for c, g, w in terms:
+        acc = add(acc, c, g, w)
+    return acc
+
+
+def _add_value(values):
+    return lambda acc, c, g, w: acc + values[c].act(g).scale(w)
+
+
 def evaluate_values(M, values, divisor):
-    """Phi(D) from generator values; D is ((cusp, mult), ...)."""
-    total = values[0].zero_like()
-    for c, gamma, weight in divisor_terms(M, divisor):
-        total = total + values[c].act(gamma).scale(weight)
-    return total
+    """Phi(D) from generator values; D is ((cusp, mult), ...) or a Divisor0."""
+    divisor = getattr(divisor, "pairs", divisor)
+    return weighted_sum(divisor_terms(M, divisor), _add_value(values),
+                        values[0].zero_like())
 
 
 def check_relations(sym):
     """Exact check of the defining relations on a symbol's generator values."""
-    values = sym.values
-    for rel in presentation(sym.level).relation_terms():
-        acc = values[0].zero_like()
-        for c, mat, coeff in rel:
-            acc = acc + values[c].act(mat).scale(coeff)
-        if not acc.is_zero():
-            return False
-    return True
+    add = _add_value(sym.values)
+    zero = sym.values[0].zero_like()
+    return all(weighted_sum(rel, add, zero).is_zero()
+               for rel in presentation(sym.level).relations)
 
 
 def hecke_reps(n, M):
@@ -165,34 +146,20 @@ def hecke_reps(n, M):
     return reps
 
 
-def apply_double_coset(M, values, reps):
-    """Generator values of Phi|Op for Op given by right coset reps.
+def double_coset(M, reps, evaluate, twist, zero):
+    """Block rows of Phi|Op for Op given by right coset reps alpha.
 
-    (Phi|Op)(D) = sum_i Phi(alpha_i D)|alpha_i; only the final twist
-    involves a non-unimodular matrix, so evaluation stays inside the
-    presentation.
+    (Phi|Op)(D) = sum_alpha Phi(alpha D)|alpha, so block row b folds
+    acc = twist(acc, alpha, evaluate(alpha . base_b)) over the reps,
+    starting from zero().  Only the twist involves a non-unimodular
+    matrix, so evaluation stays inside the presentation.  The involution
+    is the one-rep case MAT_IOTA.
     """
-    pres = presentation(M)
     out = []
-    for base in pres.base_divisors:
-        acc = values[0].zero_like()
+    for base in presentation(M).base_divisors:
+        acc = zero()
         for alpha in reps:
             moved = tuple((cusp.apply(alpha), mult) for cusp, mult in base)
-            acc = acc + evaluate_values(M, values, moved).act(alpha)
+            acc = twist(acc, alpha, evaluate(moved))
         out.append(acc)
-    return out
-
-
-def apply_involution(M, values, act_invol):
-    """Generator values of Phi|iota for iota = diag(1,-1).
-
-    act_invol(value) must realize the weight action of iota on values;
-    the divisor side is the cusp map x/y -> -x/y.
-    """
-    iota = (1, 0, 0, -1)
-    pres = presentation(M)
-    out = []
-    for base in pres.base_divisors:
-        moved = tuple((cusp.apply(iota), mult) for cusp, mult in base)
-        out.append(act_invol(evaluate_values(M, values, moved)))
     return out

@@ -246,7 +246,8 @@ class Divisor0:
             if mult:
                 merged[cusp] = merged.get(cusp, 0) + mult
         items = [(c, m) for c, m in merged.items() if m != 0]
-        assert sum(m for _, m in items) == 0, "divisor must have degree zero"
+        if sum(m for _, m in items) != 0:
+            raise DegreeMismatch("divisor must have degree zero")
         items.sort(key=lambda cm: cm[0].sort_key())
         self.pairs = tuple(items)
 
@@ -318,8 +319,6 @@ class ModularSymbol:
         return all(v.is_zero() for v in self.values)
 
     def evaluate(self, divisor):
-        if isinstance(divisor, Divisor0):
-            divisor = divisor.pairs
         return manin.evaluate_values(self.level, self.values, divisor)
 
     def coords(self):
@@ -341,21 +340,37 @@ def _from_flat(M, k, chi, ring, flat):
     return ModularSymbol(M, k, chi, ring, vals)
 
 
+def _zero_rows(M, k):
+    return [[0] * (manin.presentation(M).ngens * (k + 1)) for _ in range(k + 1)]
+
+
+def _add_rows(M, k, chi):
+    """Step of manin.weighted_sum on integer rows of a level-M symbol.
+
+    Adds w * chi(g_a) * _act_matrix_L(g) into generator block c.
+    """
+    step = k + 1
+
+    def add(rows, c, g, w):
+        _check_semigroup(g, M)
+        tm = _act_matrix_L(g, k)
+        f = w * chi(g[0])
+        at = c * step
+        for j in range(step):
+            row, tj = rows[j], tm[j]
+            for i in range(step):
+                row[at + i] += f * tj[i]
+        return rows
+
+    return add
+
+
 def _relation_rows(M, k, chi):
     """Integer relation matrix for the generator coefficient vector."""
-    pres = manin.presentation(M)
-    ngen = pres.ngens
-    step = k + 1
+    add = _add_rows(M, k, chi)
     rows = []
-    for rel in pres.relation_terms():
-        block = [[0] * (ngen * step) for _ in range(step)]
-        for c, mat, coeff in rel:
-            tm = _act_matrix_L(mat, k)
-            f = chi(mat[0]) * coeff
-            for j in range(step):
-                for i in range(step):
-                    block[j][c * step + i] += f * tm[j][i]
-        rows.extend(block)
+    for rel in manin.presentation(M).relations:
+        rows.extend(manin.weighted_sum(rel, add, _zero_rows(M, k)))
     return rows
 
 
@@ -365,46 +380,42 @@ def _divisor_rows(M, k, chi, divisor):
     D is ((cusp, mult), ...); each generator term w * w_c|gamma adds
     w * chi(gamma_a) * _act_matrix_L(gamma) into block c.
     """
-    step = k + 1
-    rows = [[0] * (manin.presentation(M).ngens * step) for _ in range(step)]
-    for c, gamma, w in manin.divisor_terms(M, divisor):
-        tm = _act_matrix_L(gamma, k)
-        f = w * chi(gamma[0])
-        for j in range(step):
-            row, tj = rows[j], tm[j]
-            for i in range(step):
-                row[c * step + i] += f * tj[i]
-    return rows
+    return manin.weighted_sum(manin.divisor_terms(M, divisor),
+                              _add_rows(M, k, chi), _zero_rows(M, k))
 
 
 @lru_cache(maxsize=256)
-def _hecke_rows(M, k, chi, reps):
+def _coset_rows(M, k, chi, reps):
     """Integer matrix of the double coset operator of reps on phi.coords().
 
     Block row b is sum_alpha chi(alpha_a) * _act_matrix_L(alpha) *
-    E_{alpha . base_b}, the matrix form of manin.apply_double_coset.
+    E_{alpha . base_b}.  For MAT_IOTA the twist _act_matrix_L is
+    diag((-1)^j), which is SymPoly.act_involution on side L.
     """
+    step = k + 1
+
+    def twist(block, alpha, E):
+        tm = _act_matrix_L(alpha, k)
+        f = chi(alpha[0])
+        for j in range(step):
+            row = block[j]
+            for m in range(step):
+                x = f * tm[j][m]
+                if x:
+                    for col, e in enumerate(E[m]):
+                        row[col] += x * e
+        return block
+
+    blocks = manin.double_coset(M, reps, lambda D: _divisor_rows(M, k, chi, D),
+                                twist, lambda: _zero_rows(M, k))
+    return tuple(tuple(row) for block in blocks for row in block)
+
+
+def _hecke_rows(M, k, chi, reps):
+    """_coset_rows for reps in the acting semigroup, each one checked."""
     for alpha in reps:
         _check_semigroup(alpha, M)
-    pres = manin.presentation(M)
-    step = k + 1
-    rows = []
-    for base in pres.base_divisors:
-        block = [[0] * (pres.ngens * step) for _ in range(step)]
-        for alpha in reps:
-            moved = tuple((cusp.apply(alpha), mult) for cusp, mult in base)
-            E = _divisor_rows(M, k, chi, moved)
-            tm = _act_matrix_L(alpha, k)
-            f = chi(alpha[0])
-            for j in range(step):
-                row = block[j]
-                for m in range(step):
-                    x = f * tm[j][m]
-                    if x:
-                        for col, e in enumerate(E[m]):
-                            row[col] += x * e
-        rows.extend(tuple(row) for row in block)
-    return tuple(rows)
+    return _coset_rows(M, k, chi, tuple(reps))
 
 
 def _apply_int_matrix(rows, phi):
@@ -417,8 +428,7 @@ def _apply_int_matrix(rows, phi):
     return [Fraction(sum(map(mul, row, ints)), den) for row in rows]
 
 
-def _apply_hecke(phi, reps):
-    rows = _hecke_rows(phi.level, phi.k, phi.chi, tuple(reps))
+def _apply_rows(phi, rows):
     return _from_flat(phi.level, phi.k, phi.chi, phi.ring,
                       _apply_int_matrix(rows, phi))
 
@@ -452,7 +462,8 @@ def solve_symbol_space(M, k, chi, ring="Q"):
 
 def hecke_Tn(phi, n):
     """Phi|T_n via the upper triangular determinant-n representatives."""
-    return _apply_hecke(phi, manin.hecke_reps(n, phi.level))
+    return _apply_rows(phi, _hecke_rows(phi.level, phi.k, phi.chi,
+                                        manin.hecke_reps(n, phi.level)))
 
 
 def hecke_Up(phi, p):
@@ -465,14 +476,14 @@ def hecke_Tll(phi, l):
     """Diamond-scaled operator for l coprime to the level: one scalar rep."""
     if gcd(l, phi.level) != 1:
         raise BadIndex(f"{l} must be coprime to the level {phi.level}")
-    return _apply_hecke(phi, [(l, 0, 0, l)])
+    return _apply_rows(phi, _hecke_rows(phi.level, phi.k, phi.chi,
+                                        [(l, 0, 0, l)]))
 
 
 def involution(phi):
     """Phi|iota for iota = diag(1, -1)."""
-    vals = manin.apply_involution(phi.level, phi.values,
-                                  lambda v: v.act_involution())
-    return ModularSymbol(phi.level, phi.k, phi.chi, phi.ring, vals)
+    return _apply_rows(phi, _coset_rows(phi.level, phi.k, phi.chi,
+                                        (manin.MAT_IOTA,)))
 
 
 def involution_split(phi):

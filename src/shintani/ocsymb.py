@@ -24,6 +24,7 @@ from .dist import (
     MomentDist2,
     TaggedDist2,
     _act_blocks,
+    _check_s0,
     _pairs,
     _stratum_cols,
     dirac_distN,
@@ -31,6 +32,8 @@ from .dist import (
     specialize,
 )
 from .errors import (
+    BadIndex,
+    BadLevel,
     CriticalSlope,
     NoConvergence,
     NotEigen,
@@ -43,7 +46,7 @@ from .linalg import (
     zpm_kernel,
     zpm_solve,
 )
-from .modsym import ModularSymbol, SymPoly
+from .modsym import ModularSymbol, SymPoly, check_ring
 
 
 class OCSymbol:
@@ -82,93 +85,124 @@ class OCSymbol:
         return all(v.is_zero() for v in self.values)
 
     def evaluate(self, divisor):
-        if hasattr(divisor, "pairs"):
-            divisor = divisor.pairs
         return manin.evaluate_values(self.level, self.values, divisor)
 
     def flat(self):
         """Concatenated moment vector: generator, tag, disc, (a, b) order."""
-        tags = _units(self.N)
-        out = []
-        for v in self.values:
-            for t in tags:
-                out.extend(int(x) for x in v.component(t).data.reshape(-1))
-        return np.array(out, dtype=np.int64)
+        return _stack(self).reshape(-1)
 
     def flat_stratum(self, d):
-        tags = _units(self.N)
-        cols = list(_stratum_cols(self.T, d))
-        out = []
-        for v in self.values:
-            for t in tags:
-                out.extend(int(x)
-                           for x in v.component(t).data[:, cols].reshape(-1))
-        return np.array(out, dtype=np.int64)
+        return _stack(self)[..., list(_stratum_cols(self.T, d))].reshape(-1)
 
     def __repr__(self):
         return (f"OCSymbol(level={self.level}, N={self.N}, p={self.p}, "
                 f"M={self.prec}, T={self.T})")
 
 
-def _from_stratum_flat(level, N, p, prec, T, d, vec):
-    """Rebuild a stratum-supported symbol from flattened coordinates."""
+def _stack(sym):
+    """Generator values as one array indexed (generator, tag, disc, moment)."""
+    return np.array([[v.component(t).data for t in _units(sym.N)]
+                     for v in sym.values], dtype=np.int64)
+
+
+def _unstack(level, N, p, prec, T, data):
     tags = _units(N)
-    ngen = manin.presentation(level).ngens
-    cols = list(_stratum_cols(T, d))
-    per_tag = (p - 1) * (d + 1)
-    per_gen = len(tags) * per_tag
-    nmom = len(_pairs(T)[0])
-    values = []
-    for c in range(ngen):
-        comps = {}
-        for ti, t in enumerate(tags):
-            start = c * per_gen + ti * per_tag
-            block = np.asarray(vec[start:start + per_tag],
-                               dtype=np.int64).reshape(p - 1, d + 1)
-            data = np.zeros((p - 1, nmom), dtype=np.int64)
-            data[:, cols] = block
-            comps[t] = MomentDist2(p, prec, T, data)
-        values.append(TaggedDist2(N, p, prec, T, comps))
-    return OCSymbol(level, N, p, prec, T, values)
+    return OCSymbol(level, N, p, prec, T, [
+        TaggedDist2(N, p, prec, T, {t: MomentDist2(p, prec, T, block)
+                                    for t, block in zip(tags, gen)})
+        for gen in data])
+
+
+def _act_stratum(g, Y, N, p, prec, T, d):
+    """Value action of g on stacked stratum-d coordinates.
+
+    Y is indexed (tag, disc, moment, column).  Tags and discs move by the
+    upper-left entry, moments by the stratum-d block of _act_blocks: the
+    action of act_S0 and TaggedDist2.act, on every column at once.  The
+    product sums d + 1 <= T + 1 residue products, inside the int64 bound.
+    """
+    _check_s0(g, N * p)
+    mod = p**prec
+    g = tuple(x % (N * mod) for x in g)
+    ainv = pow(g[0], -1, N * p)
+    tags = _units(N)
+    tsrc = [tags.index(ainv * t % N) for t in tags]
+    dsrc = [ainv * c % p - 1 for c in range(1, p)]
+    V = _act_blocks(g, p, prec, T)[d]
+    return (V @ Y.take(tsrc, axis=0).take(dsrc, axis=1)) % mod
 
 
 @lru_cache(maxsize=4096)
 def _stratum_action_matrix(g, N, p, prec, T, d):
     """Flat-coordinate matrix of the value action on one stratum.
 
-    Index order (tag, disc, moment): tags and discs multiply by the
-    upper-left entry, moments by the binomial substitution block.
+    Index order (tag, disc, moment): _act_stratum on the identity.
     """
-    tags = _units(N)
-    nt = len(tags)
-    A = g[0]
-    mod = p**prec
-    V = np.asarray(_act_blocks(g, p, prec, T)[d], dtype=np.int64)
-    tpos = {t: i for i, t in enumerate(tags)}
-    tag_perm = np.zeros((nt, nt), dtype=np.int64)
-    for i, t in enumerate(tags):
-        tag_perm[tpos[(A * t) % N], i] = 1
-    disc_perm = np.zeros((p - 1, p - 1), dtype=np.int64)
-    for c_in in range(1, p):
-        c_out = (c_in * A) % p
-        disc_perm[c_out - 1, c_in - 1] = 1
-    return np.kron(tag_perm, np.kron(disc_perm, V)) % mod
+    n = len(_units(N)) * (p - 1) * (d + 1)
+    eye = np.eye(n, dtype=np.int64).reshape(-1, p - 1, d + 1, n)
+    return _act_stratum(g, eye, N, p, prec, T, d).reshape(n, n)
 
 
 def _stratum_relation_matrix(level, N, p, prec, T, d):
     pres = manin.presentation(level)
-    ngen = pres.ngens
     blockdim = len(_units(N)) * (p - 1) * (d + 1)
     mod = p**prec
-    rows = []
-    for rel in pres.relation_terms():
-        block = np.zeros((blockdim, ngen * blockdim), dtype=np.int64)
-        for c, mat, coeff in rel:
-            W = _stratum_action_matrix(mat, N, p, prec, T, d)
-            sl = slice(c * blockdim, (c + 1) * blockdim)
-            block[:, sl] = (block[:, sl] + coeff * W) % mod
-        rows.append(block)
-    return np.vstack(rows)
+
+    def add(block, c, g, w):
+        W = _stratum_action_matrix(g, N, p, prec, T, d)
+        sl = slice(c * blockdim, (c + 1) * blockdim)
+        block[:, sl] = (block[:, sl] + w * W) % mod
+        return block
+
+    return np.vstack([
+        manin.weighted_sum(rel, add, np.zeros(
+            (blockdim, pres.ngens * blockdim), dtype=np.int64))
+        for rel in pres.relations])
+
+
+def _coset_stratum(level, N, p, prec, T, d, X, reps):
+    """manin.double_coset on stacked stratum-d coordinates.
+
+    X is indexed (generator, tag, disc, moment, column); each column is
+    one symbol's stratum-d part, and the result has the same layout.
+    Every path matrix and every rep goes through _act_stratum's check;
+    MAT_IOTA, of determinant -1, twists by the sign (-1)^b of the moment
+    x^a y^b instead.
+    """
+    mod = p**prec
+
+    def act(g, Y):
+        return _act_stratum(g, Y, N, p, prec, T, d)
+
+    def add(acc, c, g, w):
+        return (acc + (w % mod) * act(g, X[c])) % mod
+
+    def evaluate(D):
+        return manin.weighted_sum(manin.divisor_terms(level, D), add,
+                                  np.zeros_like(X[0]))
+
+    sign = np.array([(-1) ** (d - n) for n in range(d + 1)],
+                    dtype=np.int64)[:, None]
+
+    def twist(acc, alpha, Y):
+        moved = Y * sign if alpha == manin.MAT_IOTA else act(alpha, Y)
+        return (acc + moved) % mod
+
+    return np.stack(manin.double_coset(level, reps, evaluate, twist,
+                                       lambda: np.zeros_like(X[0])))
+
+
+def _apply_coset(sym, reps):
+    """The double coset of reps on a symbol, stratum by stratum."""
+    data = _stack(sym)
+    out = np.zeros_like(data)
+    for d in range(sym.T + 1):
+        cols = list(_stratum_cols(sym.T, d))
+        X = data[..., cols, None]
+        if X.any():
+            out[..., cols] = _coset_stratum(sym.level, sym.N, sym.p, sym.prec,
+                                            sym.T, d, X, reps)[..., 0]
+    return _unstack(sym.level, sym.N, sym.p, sym.prec, sym.T, out)
 
 
 class OCSpace:
@@ -204,24 +238,6 @@ class OCSpace:
                                      else np.zeros((0, 0), dtype=np.int64))
         return self._stratum_flat[d]
 
-    def coordinates(self, sym):
-        """Coordinates of a symbol in the basis, stratum by stratum."""
-        out = np.zeros(self.dimension, dtype=np.int64)
-        mod = self.p**self.prec
-        for d in range(self.T + 1):
-            idx = self.stratum_indices(d)
-            target = sym.flat_stratum(d)
-            if not idx:
-                if np.any(target % mod):
-                    return None
-                continue
-            x = zpm_solve(self.stratum_matrix(d), target, self.p, self.prec)
-            if x is None:
-                return None
-            for j, i in enumerate(idx):
-                out[i] = x[j]
-        return out
-
     def combination(self, coeffs):
         assert self.basis
         acc = self.basis[0].zero_like()
@@ -240,23 +256,26 @@ def solve_oc_space(Np, N, precision):
     only defined modulo a smaller power of p.
     """
     p = Np // N
-    assert N * p == Np and gcd(p, N) == 1 and p >= 5 and sympy.isprime(p)
+    if N * p != Np or gcd(p, N) != 1:
+        raise BadLevel(f"{Np} is not {N} times a prime coprime to {N}")
     prec, T = precision
+    check_ring(("zpm", p, prec))
+    shape = (manin.presentation(Np).ngens, len(_units(N)), p - 1)
     basis, strata, torsion = [], [], []
     for d in range(T + 1):
         A = _stratum_relation_matrix(Np, N, p, prec, T, d)
         kernel, tors = zpm_kernel(A, p, prec)
         for vec, v in zip(kernel, tors):
-            basis.append(_from_stratum_flat(Np, N, p, prec, T, d, vec))
+            data = np.zeros(shape + (len(_pairs(T)[0]),), dtype=np.int64)
+            data[..., list(_stratum_cols(T, d))] = vec.reshape(shape + (d + 1,))
+            basis.append(_unstack(Np, N, p, prec, T, data))
             strata.append(d)
             torsion.append(v)
     return OCSpace(Np, N, p, prec, T, basis, strata, torsion)
 
 
 def oc_hecke_Tn(sym, n):
-    reps = manin.hecke_reps(n, sym.level)
-    vals = manin.apply_double_coset(sym.level, sym.values, reps)
-    return OCSymbol(sym.level, sym.N, sym.p, sym.prec, sym.T, vals)
+    return _apply_coset(sym, manin.hecke_reps(n, sym.level))
 
 
 def oc_hecke_Up(sym):
@@ -264,23 +283,14 @@ def oc_hecke_Up(sym):
 
 
 def oc_hecke_Tll(sym, l):
-    assert gcd(l, sym.level) == 1
-    vals = manin.apply_double_coset(sym.level, sym.values, [(l, 0, 0, l)])
-    return OCSymbol(sym.level, sym.N, sym.p, sym.prec, sym.T, vals)
-
-
-def _invol_tagged(v):
-    """diag(1,-1) on a value: moment (a,b) scales by (-1)^b, tag fixed."""
-    pairs, _ = _pairs(v.T)
-    signs = np.array([(-1) ** b for _, b in pairs], dtype=np.int64)
-    comps = {t: MomentDist2(v.p, v.prec, v.T, mu.data * signs)
-             for t, mu in v.comps.items()}
-    return TaggedDist2(v.N, v.p, v.prec, v.T, comps)
+    if gcd(l, sym.level) != 1:
+        raise BadIndex(f"{l} must be coprime to the level {sym.level}")
+    return _apply_coset(sym, [(l, 0, 0, l)])
 
 
 def oc_involution(sym):
-    vals = manin.apply_involution(sym.level, sym.values, _invol_tagged)
-    return OCSymbol(sym.level, sym.N, sym.p, sym.prec, sym.T, vals)
+    """Phi|iota for iota = diag(1, -1)."""
+    return _apply_coset(sym, [manin.MAT_IOTA])
 
 
 def oc_sign_project(sym, sign):
@@ -313,31 +323,24 @@ def disc_sector_project(sym, d):
     return acc.scale(pow(p - 1, -1, mod))
 
 
-def up_matrix(space, d=None, n=None):
+def up_matrix(space, d, n=None):
     """Matrix of U_p (or T_n when n is given) on one stratum's basis.
 
     Operators are degree-homogeneous, so each stratum carries its own
-    square matrix; d = None assembles the block diagonal over all strata.
+    square matrix.  T_n acts once on all basis columns of the stratum.
     """
-    if d is None:
-        blocks = [up_matrix(space, dd, n) for dd in range(space.T + 1)]
-        total = sum(b.shape[0] for b in blocks)
-        out = np.zeros((total, total), dtype=np.int64)
-        at = 0
-        for b in blocks:
-            w = b.shape[0]
-            out[at:at + w, at:at + w] = b
-            at += w
-        return out
     idx = space.stratum_indices(d)
     if not idx:
         return np.zeros((0, 0), dtype=np.int64)
-    nn = space.p if n is None else n
+    p, N = space.p, space.N
+    reps = manin.hecke_reps(p if n is None else n, space.level)
     A = space.stratum_matrix(d)
+    X = A.reshape(-1, len(_units(N)), p - 1, d + 1, len(idx))
+    img = _coset_stratum(space.level, N, p, space.prec, space.T, d, X,
+                         reps).reshape(A.shape)
     cols = []
-    for i in idx:
-        img = oc_hecke_Tn(space.basis[i], nn)
-        x = zpm_solve(A, img.flat_stratum(d), space.p, space.prec)
+    for j in range(len(idx)):
+        x = zpm_solve(A, img[:, j], p, space.prec)
         assert x is not None, "Hecke image left the solved space"
         cols.append(x)
     return np.stack(cols, axis=1)

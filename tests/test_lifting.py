@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -329,20 +330,21 @@ def test_theta_classical_matches_J_classical_oracle(ring):
 OPTIMIZED_GUARDS = """
 from shintani.arith import DirichletChar
 from shintani.dist import DistN, MetaCoeff, dirac_distN, meta_zero
-from shintani.errors import NotInFM, OperandMismatch
+from shintani.errors import ShintaniError
 from shintani.lifting import (
     FormalQExp, HalfIntQExp, J_classical, J_oc, theta_classical)
-from shintani.modsym import solve_symbol_space
-from shintani.ocsymb import solve_oc_space
+from shintani.modsym import Divisor0, solve_symbol_space
+from shintani.ocsymb import oc_hecke_Tll, solve_oc_space
 from shintani.qf import QuadForm
 
 T = DirichletChar.trivial(1)
 bad = QuadForm(2, 1, -3)  # in neither F_5 nor F_11
 sym5, sym11 = solve_symbol_space(5, 2, T)[0], solve_symbol_space(11, 2, T)[0]
+oc5 = solve_oc_space(5, 1, (2, 2)).basis[0]
 cases = {
     "J_classical": lambda: J_classical(
         solve_symbol_space(11, 0, T)[0], bad, 0, T),
-    "J_oc": lambda: J_oc(solve_oc_space(5, 1, (2, 2)).basis[0], bad),
+    "J_oc": lambda: J_oc(oc5, bad),
     "HalfIntQExp": lambda: (HalfIntQExp(11, 0, T, {}, 4)
                             + HalfIntQExp(11, 1, T, {}, 4)),
     "FormalQExp": lambda: (FormalQExp(5, 1, 5, 2, 1, {}, 4)
@@ -352,13 +354,17 @@ cases = {
     "theta_classical": lambda: theta_classical(sym5, 11, 1, T, 4),
     "SymPoly": lambda: sym5.values[0] + sym11.values[0],
     "ModularSymbol": lambda: sym5 + sym11,
+    "Divisor0": lambda: Divisor0([((1, 2), 1)]),
+    "oc_hecke_Tll": lambda: oc_hecke_Tll(oc5, 5),
+    "solve_oc_space(25, 5)": lambda: solve_oc_space(25, 5, (2, 2)),
+    "solve_oc_space(3, 1)": lambda: solve_oc_space(3, 1, (2, 2)),
 }
 print("debug", __debug__)
 for name, call in cases.items():
     try:
         call()
         print(name, "accepted")
-    except (NotInFM, OperandMismatch) as exc:
+    except ShintaniError as exc:
         print(name, type(exc).__name__)
 """
 
@@ -370,7 +376,7 @@ def test_input_guards_survive_optimize():
     out = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_GUARDS],
                          capture_output=True, text=True, check=True, env=env,
                          timeout=300).stdout.split("\n")
-    assert out[:9] == [
+    assert out[:13] == [
         "debug False",
         "J_classical NotInFM",
         "J_oc NotInFM",
@@ -380,7 +386,41 @@ def test_input_guards_survive_optimize():
         "theta_classical OperandMismatch",
         "SymPoly OperandMismatch",
         "ModularSymbol OperandMismatch",
+        "Divisor0 DegreeMismatch",
+        "oc_hecke_Tll BadIndex",
+        "solve_oc_space(25, 5) BadLevel",
+        "solve_oc_space(3, 1) BadCharacteristic",
     ]
+
+
+def test_theta_oc_evaluates_each_primitive_class_once(monkeypatch, ocphi5):
+    # the thread pool shares one J_oc per primitive class between indices;
+    # a short switch interval makes a check-then-set race show
+    from shintani import lifting
+
+    n_max = 40
+    prims = {Q.primitive_part().triple() for n in range(1, n_max + 1)
+             for Q in enumerate_classes(5, delta_of_index(5, n))}
+    expected = theta_oc(ocphi5, n_max, threads=1)
+    original = lifting.J_oc
+    lock = threading.Lock()
+    calls = []
+
+    def counted(Phi, Q, base=None):
+        with lock:
+            calls.append(Q.triple())
+        return original(Phi, Q, base)
+
+    monkeypatch.setattr(lifting, "J_oc", counted)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            calls.clear()
+            assert theta_oc(ocphi5, n_max, threads=2) == expected
+            assert len(calls) == len(prims) == len(set(calls))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_formal_qexp_container(ocphi5):

@@ -1,6 +1,7 @@
 """Overconvergent symbol spaces, slopes, projectors, and the eigenlift."""
 
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -14,10 +15,16 @@ from shintani.dist import (
     _act_blocks,
     _pairs,
     dirac_distN,
+    random_moments2,
     scalar_action,
 )
-from shintani.errors import CriticalSlope, NotEigen, SlopeGapUnresolvable
-from shintani import manin
+from shintani.errors import (
+    BadSemigroupElement,
+    CriticalSlope,
+    NotEigen,
+    SlopeGapUnresolvable,
+)
+from shintani import manin, ocsymb
 from shintani.linalg import (
     berkowitz_charpoly,
     rank_mod_p,
@@ -50,6 +57,8 @@ from shintani.ocsymb import (
     up_matrix,
 )
 from shintani.modsym import eigensymbols
+
+from oracles import apply_double_coset, apply_involution, invol_tagged
 
 TRIV = DirichletChar.trivial(1)
 
@@ -122,7 +131,7 @@ def test_dimension_matches_dense_kernel_oracle(sp11_small):
         return np.array(cols, dtype=np.int64).T
 
     rows = []
-    for rel in pres.relation_terms():
+    for rel in pres.relations:
         blockrow = np.zeros((block, pres.ngens * block), dtype=np.int64)
         for c, mat, coeff in rel:
             W = full_action_matrix(mat)
@@ -184,7 +193,7 @@ def test_tame_sector_block_decomposition(sp15):
         # p-logarithm of the sector module's cardinality: invariant under
         # the coordinate embedding, unlike generator counts
         rows = []
-        for rel in pres.relation_terms():
+        for rel in pres.relations:
             blockrow = np.zeros((block, pres.ngens * block), dtype=np.int64)
             for c, mat, coeff in rel:
                 W = single_action_matrix(mat)
@@ -304,6 +313,64 @@ def test_up_commutes_with_tl(sp11_small):
     U = up_matrix(sp11_small, 0)
     T3 = up_matrix(sp11_small, 0, n=3)
     assert np.array_equal(mmul(U, T3, mod), mmul(T3, U, mod))
+
+
+@pytest.mark.parametrize("level, N, precision",
+                         [(5, 1, (4, 3)), (15, 3, (3, 1)), (11, 1, (3, 2))])
+def test_oc_operators_match_value_by_value_oracle(level, N, precision):
+    # the stratum batches against the double coset and the involution
+    # applied one value and one path term at a time
+    space = solve_oc_space(level, N, precision)
+    p, mod = level // N, space.p**space.prec
+    several = random_symbol(space, seed=level)
+    assert len({d for d in range(space.T + 1)
+                if several.flat_stratum(d).any()}) > 1
+    for sym in (several, space.basis[-1]):
+        vals = sym.values
+        for n in (2, 3, 6, p):
+            want = apply_double_coset(level, vals, manin.hecke_reps(n, level))
+            assert oc_hecke_Tn(sym, n).values == tuple(want), n
+        assert oc_hecke_Up(sym).values == tuple(apply_double_coset(
+            level, vals, manin.hecke_reps(p, level)))
+        assert oc_hecke_Tll(sym, 2).values == tuple(apply_double_coset(
+            level, vals, [(2, 0, 0, 2)]))
+        assert oc_involution(sym).values == tuple(apply_involution(
+            level, vals, invol_tagged))
+    for d in range(space.T + 1):
+        idx = space.stratum_indices(d)
+        A = space.stratum_matrix(d)
+        for n in (None, 2):
+            reps = manin.hecke_reps(p if n is None else n, level)
+            images = np.stack([OCSymbol(level, N, p, space.prec, space.T,
+                                        apply_double_coset(
+                                            level, space.basis[i].values,
+                                            reps)).flat_stratum(d)
+                               for i in idx], axis=1)
+            assert np.array_equal(mmul(A, up_matrix(space, d, n=n), mod),
+                                  images % mod), (d, n)
+    bad = [(1, 0, 1, 1)]  # lower-left entry not divisible by the level
+    with pytest.raises(BadSemigroupElement):
+        apply_double_coset(level, several.values, bad)
+    with pytest.raises(BadSemigroupElement):
+        ocsymb._apply_coset(several, bad)
+
+
+def test_oc_operators_match_oracle_on_unsolved_values():
+    # tame level 5 has units of order 4, so tags and discs moving by a
+    # versus by a^-1 differ; the operators are formulas in the generator
+    # values, so random values need not satisfy the relations
+    level, N, p, prec, T = 35, 5, 7, 3, 2
+    rng = random.Random(35)
+    vals = [TaggedDist2(N, p, prec, T, {t: random_moments2(rng, p, prec, T)
+                                        for t in (1, 2, 3, 4)})
+            for _ in range(manin.presentation(level).ngens)]
+    sym = OCSymbol(level, N, p, prec, T, vals)
+    assert oc_hecke_Tn(sym, 2).values == tuple(apply_double_coset(
+        level, vals, manin.hecke_reps(2, level)))
+    assert oc_hecke_Tll(sym, 3).values == tuple(apply_double_coset(
+        level, vals, [(3, 0, 0, 3)]))
+    assert oc_involution(sym).values == tuple(apply_involution(
+        level, vals, invol_tagged))
 
 
 # ---------------------------------------------------------------------------
