@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from math import comb, factorial, gcd
+from math import gcd
 
 import numpy as np
 
@@ -54,30 +54,41 @@ def _check_s0(g, level):
         raise BadSemigroupElement(f"upper-left of {g} not a unit mod {level}")
 
 
+def _sym_blocks(gs, p, prec, T, strata):
+    """Sym^d blocks of the substitutions (x, y) -> ((x, y) g) for a batch gs.
+
+    Returns {d: array (len(gs), d + 1, d + 1)} for d in strata; row a of a
+    stratum-d block holds the coefficients of x^n y^(d-n) in
+    (A x + C y)^a (B x + D y)^(d-a).  Degree d + 1 follows from degree d:
+    row a >= 1 is row a - 1 times (A x + C y), row 0 is row 0 times
+    (B x + D y), each entry a sum of two residue products below 2^57.
+    """
+    mod = p**prec
+    G = np.array([[x % mod for x in g] for g in gs],
+                 dtype=np.int64).reshape(-1, 4, 1, 1)
+    A, B, C, D = (G[:, i] for i in range(4))
+    V = np.full((len(G), 1, 1), 1 % mod, dtype=np.int64)
+    top = max(strata, default=-1)
+    out = {}
+    for d in range(top + 1):
+        if d in strata:
+            out[d] = V
+        if d == top:
+            break
+        W = np.zeros((len(G), d + 2, d + 2), dtype=np.int64)
+        W[:, 1:, 1:] = A * V
+        W[:, 1:, :-1] += C * V
+        W[:, :1, 1:] += B * V[:, :1]
+        W[:, :1, :-1] += D * V[:, :1]
+        V = W % mod
+    return out
+
+
 @lru_cache(maxsize=8192)
 def _act_blocks(g, p, prec, T):
-    """Per-degree matrices of the substitution (x,y) -> ((x,y)g).
-
-    Stratum d output (a, b=d-a) from input (n, d-n):
-    V_d[a, n] = sum over i+j = n of C(a,i) C(b,j) A^i C^(a-i) B^j D^(b-j).
-    """
-    A, B, C, D = g
-    mod = p**prec
-    blocks = []
-    for d in range(T + 1):
-        V = np.zeros((d + 1, d + 1), dtype=np.int64)
-        for a in range(d + 1):
-            b = d - a
-            for n in range(d + 1):
-                tot = 0
-                for i in range(max(0, n - b), min(a, n) + 1):
-                    j = n - i
-                    tot += (comb(a, i) * comb(b, j)
-                            * pow(A, i, mod) * pow(C, a - i, mod)
-                            * pow(B, j, mod) * pow(D, b - j, mod))
-                V[a, n] = tot % mod
-        blocks.append(V)
-    return tuple(blocks)
+    """The stratum blocks of one matrix g: the one-matrix _sym_blocks."""
+    blocks = _sym_blocks([g], p, prec, T, range(T + 1))
+    return tuple(blocks[d][0] for d in range(T + 1))
 
 
 class MomentDist2:
@@ -626,56 +637,6 @@ def specialize(value, kappa):
                     inner += cc * mu.m(c, k - i, i)
             coeffs[i] = (coeffs[i] + (-1) ** i * ct * inner) % mod
     return SymPoly(value.N * p, k, coeffs, kappa.chi, "L", ("zpm", p, value.prec))
-
-
-def JQ_dist(mu, Q):
-    """Pushforward of a two-variable distribution along the form Q.
-
-    Q must be congruent to a*x^2 mod p on the support (p divides the two
-    trailing coefficients), so discs map by c -> a c^2; precision halves.
-    """
-    qa, qb, qc = Q.triple()
-    p = mu.p
-    assert qb % p == 0 and qc % p == 0, "form must reduce to a*x^2 mod p"
-    assert qa % p != 0
-    Tp = mu.T // 2
-    mod = p**mu.prec
-    data = np.zeros((p - 1, Tp + 1), dtype=np.int64)
-    _, pos = _pairs(mu.T)
-    for n in range(Tp + 1):
-        terms = []
-        for i in range(n + 1):
-            for j in range(n - i + 1):
-                kk = n - i - j
-                coeff = (factorial(n) // (factorial(i) * factorial(j) * factorial(kk))
-                         * pow(qa, i, mod) * pow(qb, j, mod) * pow(qc, kk, mod)) % mod
-                terms.append((coeff, pos[(2 * i + j, j + 2 * kk)]))
-        for cx in range(1, p):
-            cout = (qa * cx * cx) % p
-            tot = 0
-            for coeff, flat in terms:
-                tot += coeff * int(mu.data[cx - 1, flat])
-            data[cout - 1, n] = (data[cout - 1, n] + tot) % mod
-    return MomentDist1(p, mu.prec, Tp, data)
-
-
-def tilde_JQ(value, Q):
-    """Metaplectic J-coefficient of a tagged value at the form Q.
-
-    left = point mass at 1; right = sum over tags t of the pushforward
-    of the t-component, tagged by t^2 * a_Q mod N.
-    """
-    N, p, prec = value.N, value.p, value.prec
-    Tp = value.T // 2
-    qa = Q.triple()[0]
-    right = DistN(N, p, prec, Tp)
-    for t, mu in value.comps.items():
-        piece = DistN(N, p, prec, Tp,
-                      {(t * t * qa) % N: JQ_dist(mu, Q)})
-        right = right + piece
-    # The left factor carries twice the right factor's moment range: its
-    # evaluations go through the squaring map, which halves the range.
-    return MetaCoeff(dirac_distN(1, N, p, prec, 2 * Tp), right)
 
 
 # ------------------------------------------------------------------- JSON

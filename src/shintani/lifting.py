@@ -13,20 +13,25 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from math import factorial, gcd
 
+import numpy as np
 import sympy
 
 from .arith import RationalCusp, kronecker, valuation
+from .cosets import _units
 from .dist import (
     DistN,
     MetaCoeff,
+    MomentDist1,
+    _check_s0,
+    _stratum_cols,
+    _sym_blocks,
     convolve_distN,
     dirac_distN,
     eval_weight_meta,
     meta_zero,
-    tilde_JQ,
 )
-from .errors import BadIndex, DegreeMismatch, NotInFM, OperandMismatch
-from .manin import presentation
+from .errors import BadIndex, BadLevel, DegreeMismatch, NotInFM, OperandMismatch
+from .manin import divisor_terms, presentation
 from .modsym import (
     SymPoly,
     _apply_int_matrix,
@@ -35,6 +40,7 @@ from .modsym import (
     pairing,
     ring_reduce,
 )
+from .ocsymb import _sources, _stack, specialize_symbol
 from .qf import cycle_divisor, enumerate_classes, in_FM
 
 
@@ -294,25 +300,28 @@ class FormalQExp:
     __slots__ = ("level", "N", "p", "prec", "Tp", "n_max", "indices", "coeffs")
 
     def __init__(self, level, N, p, prec, Tp, coeffs, n_max, indices=None):
-        assert level % N == 0 and gcd(N, level // N) == 1
+        if level != N * p or gcd(N, p) != 1:
+            raise BadLevel(f"{level} is not {N} * {p} with {p} prime to {N}")
         self.level = level
         self.N = N
-        self.p = level // N
-        assert self.p == p
+        self.p = p
         self.prec = prec
         self.Tp = Tp
         self.n_max = n_max
         if indices is None:
             indices = range(1, n_max + 1)
         self.indices = frozenset(indices)
-        assert all(1 <= n <= n_max for n in self.indices)
+        if not all(1 <= n <= n_max for n in self.indices):
+            raise BadIndex(f"an index lies outside 1..{n_max}")
         store = {}
         for n, mc in dict(coeffs).items():
-            assert n in self.indices, f"coefficient {n} outside the index set"
-            assert isinstance(mc, MetaCoeff)
+            if n not in self.indices:
+                raise BadIndex(f"coefficient {n} outside the index set")
+            if not isinstance(mc, MetaCoeff):
+                raise OperandMismatch(f"coefficient {n} is not a MetaCoeff")
             if not mc.is_zero():
-                assert realizable_index(level, n), \
-                    f"index {n} carries no discriminant"
+                if not realizable_index(level, n):
+                    raise BadIndex(f"index {n} carries no discriminant")
                 store[n] = mc
         self.coeffs = store
 
@@ -402,14 +411,85 @@ def _meta_json(mc):
 # finite-precision lift
 
 
-def J_oc(Phi, Q, base=None):
-    """Tensor coefficient of the finite-precision lift at the class of Q."""
+def _class_terms(Phi, Q, base=None):
+    """Path terms (generator, g mod N p^M, weight) of Phi on the cycle of Q.
+
+    The pure-Python part of J_oc: the F_M check, the cycle divisor and
+    the semigroup check of every path matrix.
+    """
     if not in_FM(Q, Phi.level):
         raise NotInFM(f"{Q!r} is not adapted to level {Phi.level}")
     if base is None:
         base = RationalCusp.infinity()
     D = cycle_divisor(Q, Phi.level, base)
-    return tilde_JQ(Phi.evaluate(D.pairs), Q)
+    red = Phi.N * Phi.p**Phi.prec
+    terms = []
+    for c, g, w in divisor_terms(Phi.level, D.pairs):
+        _check_s0(g, Phi.level)
+        terms.append((c, tuple(x % red for x in g), w))
+    return terms
+
+
+def _J_batch(Phi, forms, terms):
+    """J_oc at every form at once, from the forms' _class_terms.
+
+    Runs on the stacked symbol and on the even strata d = 2n only, the
+    ones J_Q reads.  Per stratum: one gather of the generator, tag and
+    disc axes by a^-1, one batched product with the Sym^d blocks (d + 1
+    residue products per entry), the term weights and a per-form sum;
+    then the pushforward along Q, batched over forms: contract with the
+    coefficients of Q(x, y)^n, move disc c to a c^2 and tag t to t^2 a.
+    """
+    N, p, prec, T = Phi.N, Phi.p, Phi.prec, Phi.T
+    mod, Tp, tags = p**prec, T // 2, _units(N)
+    mats, rows = {}, []
+    for i, ts in enumerate(terms):
+        rows += [(i, c, mats.setdefault(g, len(mats)), w % mod)
+                 for c, g, w in ts]
+    owner, gen, mat, wt = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    src = [_sources(g, N, p) for g in mats]
+    tsrc = np.array([s[0] for s in src],
+                    dtype=np.int64).reshape(-1, len(tags))[mat]
+    dsrc = np.array([s[1] for s in src],
+                    dtype=np.int64).reshape(-1, p - 1)[mat]
+    evens = range(0, 2 * Tp + 1, 2)
+    blocks = _sym_blocks(list(mats), p, prec, T, evens)
+    X = _stack(Phi)
+    qa, qb, qc = (np.array([Q.triple()[i] % mod for Q in forms],
+                           dtype=np.int64).reshape(-1, 1) for i in range(3))
+    qpow = np.ones((len(forms), 1), dtype=np.int64)
+    tout = np.array([[tags.index(t * t * Q.a % N) for t in tags]
+                     for Q in forms], dtype=np.int64).reshape(-1, len(tags))
+    dout = (qa % p) * (np.arange(1, p) ** 2 % p) % p - 1
+    right = np.zeros((len(forms), len(tags), p - 1, Tp + 1), dtype=np.int64)
+    for n, d in enumerate(evens):
+        Y = X[..., list(_stratum_cols(T, d))][
+            gen[:, None, None], tsrc[:, :, None], dsrc[:, None, :]]
+        moved = np.matmul(Y.reshape(len(gen), -1, d + 1),
+                          blocks[d][mat].transpose(0, 2, 1)) % mod
+        value = np.zeros((len(forms),) + moved.shape[1:], dtype=np.int64)
+        np.add.at(value, owner, moved * wt[:, None, None] % mod)
+        pushed = np.matmul(value % mod, qpow[:, :, None]) % mod
+        np.add.at(right[..., n], (np.arange(len(forms))[:, None, None],
+                                  tout[:, :, None], dout[:, None, :]),
+                  pushed.reshape(len(forms), len(tags), p - 1))
+        nxt = np.zeros((len(forms), d + 3), dtype=np.int64)
+        nxt[:, 2:] = qa * qpow
+        nxt[:, 1:-1] += qb * qpow
+        nxt[:, :-2] += qc * qpow
+        qpow = nxt % mod
+    left = dirac_distN(1, N, p, prec, 2 * Tp)
+    return [MetaCoeff(left, DistN(N, p, prec, Tp, {
+        t: MomentDist1(p, prec, Tp, block) for t, block in zip(tags, R)}))
+        for R in right % mod]
+
+
+def J_oc(Phi, Q, base=None):
+    """Tensor coefficient of the finite-precision lift at the class of Q.
+
+    The one-form case of _J_batch, which theta_oc runs on all its forms.
+    """
+    return _J_batch(Phi, [Q], [_class_terms(Phi, Q, base)])[0]
 
 
 def _unit_dirac(s, N, p, prec, Tp):
@@ -445,9 +525,9 @@ def theta_oc(Phi, n_max, indices=None, threads=1):
         for Q in classes[n]:
             P = Q.primitive_part()
             prims.setdefault(P.triple(), P)
-    keys = list(prims)
-    memo = dict(zip(keys, _map_indices(lambda key: J_oc(Phi, prims[key]),
-                                       keys, threads)))
+    forms = list(prims.values())
+    terms = _map_indices(lambda P: _class_terms(Phi, P), forms, threads)
+    memo = dict(zip(prims, _J_batch(Phi, forms, terms)))
 
     def one(n):
         mc = meta_zero(N, p, Phi.prec, Tp)
@@ -507,10 +587,10 @@ def qexp_module_action(r, e):
 
 def specialize_qexp(e, kappa_tilde):
     """Evaluate every tensor coefficient at an admissible weight."""
+    if e.indices != frozenset(range(1, e.n_max + 1)):
+        raise BadIndex("weight evaluation needs a fully assembled expansion")
     ring = ("zpm", e.p, e.prec)
     co = {n: eval_weight_meta(mc, kappa_tilde) for n, mc in e.coeffs.items()}
-    assert e.indices == frozenset(range(1, e.n_max + 1)), \
-        "weight evaluation needs a fully assembled expansion"
     return HalfIntQExp(e.level, kappa_tilde.k, kappa_tilde.chi, co,
                        e.n_max, ring)
 
@@ -522,7 +602,6 @@ def verify_interpolation(Phi, kappa_tilde, n_max, loss=2, threads=1):
     route two specializes the symbol first and lifts exactly.  Returns
     a report; equality is required modulo p^(prec - loss).
     """
-    from .ocsymb import specialize_symbol
     p, prec = Phi.p, Phi.prec
     lifted = specialize_qexp(theta_oc(Phi, n_max, threads=threads),
                              kappa_tilde)

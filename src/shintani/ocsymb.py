@@ -113,21 +113,31 @@ def _unstack(level, N, p, prec, T, data):
         for gen in data])
 
 
+def _sources(g, N, p):
+    """Source positions (tags, discs) of the value action of g.
+
+    Tags and discs move by the upper-left entry a: output tag t and disc
+    c read input tag a^-1 t and disc a^-1 c, as in act_S0 and
+    TaggedDist2.act.
+    """
+    ainv = pow(g[0], -1, N * p)
+    tags = _units(N)
+    return ([tags.index(ainv * t % N) for t in tags],
+            [ainv * c % p - 1 for c in range(1, p)])
+
+
 def _act_stratum(g, Y, N, p, prec, T, d):
     """Value action of g on stacked stratum-d coordinates.
 
-    Y is indexed (tag, disc, moment, column).  Tags and discs move by the
-    upper-left entry, moments by the stratum-d block of _act_blocks: the
+    Y is indexed (tag, disc, moment, column).  Tags and discs move as
+    _sources says, moments by the stratum-d block of _act_blocks: the
     action of act_S0 and TaggedDist2.act, on every column at once.  The
     product sums d + 1 <= T + 1 residue products, inside the int64 bound.
     """
     _check_s0(g, N * p)
     mod = p**prec
     g = tuple(x % (N * mod) for x in g)
-    ainv = pow(g[0], -1, N * p)
-    tags = _units(N)
-    tsrc = [tags.index(ainv * t % N) for t in tags]
-    dsrc = [ainv * c % p - 1 for c in range(1, p)]
+    tsrc, dsrc = _sources(g, N, p)
     V = _act_blocks(g, p, prec, T)[d]
     return (V @ Y.take(tsrc, axis=0).take(dsrc, axis=1)) % mod
 

@@ -24,6 +24,8 @@ from shintani.dist import (
     MomentDist1,
     MomentDist2,
     TaggedDist2,
+    _act_blocks,
+    _sym_blocks,
     act_S0,
     convolve,
     convolve_distN,
@@ -40,12 +42,12 @@ from shintani.dist import (
     sigma_distN,
     sigma_moments,
     specialize,
-    tilde_JQ,
-    JQ_dist,
 )
 from shintani.linalg import _check_kernel_bounds
 from shintani.modsym import SymPoly, check_ring, pairing
-from shintani.qf import QuadForm
+from shintani.qf import QuadForm, gamma_Q
+
+from oracles import JQ_dist, act_blocks_formula, tilde_JQ
 
 P, PREC, T = 5, 8, 8
 MOD = P**PREC
@@ -124,6 +126,43 @@ def test_act_rejects_bad_elements():
         act_S0(mu, (P, 0, 0, 1))
     with pytest.raises(BadSemigroupElement):
         act_S0(mu, (1, 0, P, 1), tame=3)  # lower-left must vanish mod 15
+
+
+# ------------------------------------------------------------ Sym^d blocks
+
+def test_sym_blocks_match_the_entry_formula():
+    # the numpy recurrence against the entry-by-entry formula, for
+    # negative entries, an automorph of discriminant 4 * 94 (entries near
+    # 4e7) and 40-digit entries, with moduli up to just below the 2^28
+    # kernel bound; a batch equals its matrices built one at a time
+    rng = random.Random(21)
+    automorph = gamma_Q(QuadForm(1, 0, -94), 1)
+    assert max(map(abs, automorph)) > 10**7
+    for p, prec in ((5, 8), (7, 5), (11, 4), (5, 12), (16381, 2)):
+        assert p**prec < 2**28
+        gs = [rand_s0(rng, p) for _ in range(4)]
+        gs += [automorph, (-3, 5, -7, -2), (-1, 0, 0, -1),
+               tuple(rng.randrange(-10**40, 10**40) for _ in range(4))]
+        for T in (0, 1, 3, 8):
+            batch = _sym_blocks(gs, p, prec, T, range(T + 1))
+            evens = _sym_blocks(gs, p, prec, T, range(0, T + 1, 2))
+            assert sorted(batch) == list(range(T + 1))
+            assert sorted(evens) == list(range(0, T + 1, 2))
+            for k, g in enumerate(gs):
+                want = act_blocks_formula(g, p, prec, T)
+                one = _act_blocks(g, p, prec, T)
+                for d in range(T + 1):
+                    assert batch[d].shape == (len(gs), d + 1, d + 1)
+                    assert np.array_equal(batch[d][k], want[d]), (p, T, g, d)
+                    assert np.array_equal(one[d], want[d]), (p, T, g, d)
+                    if d % 2 == 0:
+                        assert np.array_equal(evens[d][k], want[d])
+
+
+def test_sym_blocks_empty_batch():
+    out = _sym_blocks([], P, PREC, 4, range(0, 5, 2))
+    assert [out[d].shape for d in (0, 2, 4)] == [(0, 1, 1), (0, 3, 3),
+                                                 (0, 5, 5)]
 
 
 def test_precision_mismatch():

@@ -12,8 +12,10 @@ import pytest
 
 import shintani
 from shintani.arith import DirichletChar, RationalCusp, kronecker
-from shintani.dist import ArithWeight, MetaCoeff, dirac_distN, scalar_action
-from shintani.errors import BadIndex, DegreeMismatch
+from shintani.cosets import _units
+from shintani.dist import (
+    ArithWeight, MetaCoeff, dirac_distN, meta_zero, scalar_action)
+from shintani.errors import BadIndex, DegreeMismatch, NotInFM
 from shintani.lifting import (
     FormalQExp,
     HalfIntQExp,
@@ -49,6 +51,8 @@ from shintani.ocsymb import (
     solve_oc_space,
 )
 from shintani.qf import QuadForm, act, enumerate_classes
+
+from oracles import J_oc_values
 
 T5 = DirichletChar.trivial(5)
 T11 = DirichletChar.trivial(11)
@@ -329,10 +333,11 @@ def test_theta_classical_matches_J_classical_oracle(ring):
 
 OPTIMIZED_GUARDS = """
 from shintani.arith import DirichletChar
-from shintani.dist import DistN, MetaCoeff, dirac_distN, meta_zero
+from shintani.dist import ArithWeight, DistN, MetaCoeff, dirac_distN, meta_zero
 from shintani.errors import ShintaniError
 from shintani.lifting import (
-    FormalQExp, HalfIntQExp, J_classical, J_oc, theta_classical)
+    FormalQExp, HalfIntQExp, J_classical, J_oc, specialize_qexp,
+    theta_classical)
 from shintani.modsym import Divisor0, solve_symbol_space
 from shintani.ocsymb import oc_hecke_Tll, solve_oc_space
 from shintani.qf import QuadForm
@@ -341,6 +346,7 @@ T = DirichletChar.trivial(1)
 bad = QuadForm(2, 1, -3)  # in neither F_5 nor F_11
 sym5, sym11 = solve_symbol_space(5, 2, T)[0], solve_symbol_space(11, 2, T)[0]
 oc5 = solve_oc_space(5, 1, (2, 2)).basis[0]
+mc = MetaCoeff(dirac_distN(1, 1, 5, 2, 2), dirac_distN(1, 1, 5, 2, 1))
 cases = {
     "J_classical": lambda: J_classical(
         solve_symbol_space(11, 0, T)[0], bad, 0, T),
@@ -358,6 +364,13 @@ cases = {
     "oc_hecke_Tll": lambda: oc_hecke_Tll(oc5, 5),
     "solve_oc_space(25, 5)": lambda: solve_oc_space(25, 5, (2, 2)),
     "solve_oc_space(3, 1)": lambda: solve_oc_space(3, 1, (2, 2)),
+    "FormalQExp(level)": lambda: FormalQExp(10, 1, 5, 2, 1, {}, 4),
+    "FormalQExp(indices)": lambda: FormalQExp(5, 1, 5, 2, 1, {}, 4, [5]),
+    "FormalQExp(slot)": lambda: FormalQExp(5, 1, 5, 2, 1, {3: mc}, 4, [1]),
+    "FormalQExp(coeff)": lambda: FormalQExp(5, 1, 5, 2, 1, {1: 3}, 4),
+    "FormalQExp(disc)": lambda: FormalQExp(5, 1, 5, 2, 1, {2: mc}, 4),
+    "specialize_qexp": lambda: specialize_qexp(
+        FormalQExp(5, 1, 5, 2, 1, {}, 4, [1]), ArithWeight(0, T, 5)),
 }
 print("debug", __debug__)
 for name, call in cases.items():
@@ -376,7 +389,7 @@ def test_input_guards_survive_optimize():
     out = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_GUARDS],
                          capture_output=True, text=True, check=True, env=env,
                          timeout=300).stdout.split("\n")
-    assert out[:13] == [
+    assert out[:19] == [
         "debug False",
         "J_classical NotInFM",
         "J_oc NotInFM",
@@ -390,19 +403,26 @@ def test_input_guards_survive_optimize():
         "oc_hecke_Tll BadIndex",
         "solve_oc_space(25, 5) BadLevel",
         "solve_oc_space(3, 1) BadCharacteristic",
+        "FormalQExp(level) BadLevel",
+        "FormalQExp(indices) BadIndex",
+        "FormalQExp(slot) BadIndex",
+        "FormalQExp(coeff) OperandMismatch",
+        "FormalQExp(disc) BadIndex",
+        "specialize_qexp BadIndex",
     ]
 
 
 def test_theta_oc_evaluates_each_primitive_class_once(monkeypatch, ocphi5):
-    # the thread pool shares one J_oc per primitive class between indices;
-    # a short switch interval makes a check-then-set race show
+    # the thread pool runs one path-term task per primitive class, shared
+    # between indices; a short switch interval makes a check-then-set
+    # race show
     from shintani import lifting
 
     n_max = 40
     prims = {Q.primitive_part().triple() for n in range(1, n_max + 1)
              for Q in enumerate_classes(5, delta_of_index(5, n))}
     expected = theta_oc(ocphi5, n_max, threads=1)
-    original = lifting.J_oc
+    original = lifting._class_terms
     lock = threading.Lock()
     calls = []
 
@@ -411,7 +431,7 @@ def test_theta_oc_evaluates_each_primitive_class_once(monkeypatch, ocphi5):
             calls.append(Q.triple())
         return original(Phi, Q, base)
 
-    monkeypatch.setattr(lifting, "J_oc", counted)
+    monkeypatch.setattr(lifting, "_class_terms", counted)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -437,7 +457,7 @@ def test_formal_qexp_container(ocphi5):
 def test_formal_qexp_realizability_guard(ocphi5):
     e = theta_oc(ocphi5, 8, indices=[1, 4])
     bad = e.coeff(1)
-    with pytest.raises(AssertionError):
+    with pytest.raises(BadIndex):
         FormalQExp(5, 1, 5, e.prec, e.Tp, {2: bad}, 8)  # 10 is not a disc
 
 
@@ -460,6 +480,68 @@ def test_J_oc_orbit_invariance(ocphi5):
         for g in gamma0_elements(5, 4):
             w = J_oc(ocphi5, act(Q, g))
             assert (w - v).is_zero()
+
+
+@pytest.fixture(scope="module")
+def oc_lift_cases(ocsp5, ocphi5):
+    """(symbol, q-slots) at p = 5 with N = 1 and 3, and p = 7 with odd T."""
+    rng = random.Random(29)
+    out = [(ocphi5, [1, 4, 5, 9, 11, 16, 20, 36])]
+    for level, N, precision, idx in ((15, 3, (4, 3), [3, 4, 12, 15, 16]),
+                                     (7, 1, (5, 5), [3, 4, 12, 19, 27])):
+        space = solve_oc_space(level, N, precision)
+        mod = space.p**space.prec
+        out.append((space.combination(
+            [rng.randrange(mod) for _ in range(space.dimension)]), idx))
+    return out
+
+
+def test_theta_oc_matches_value_by_value_oracle(oc_lift_cases):
+    # every coefficient against the sum over all classes of the slot,
+    # imprimitive ones evaluated directly at the scaled form, each class
+    # through Phi(D_Q) value by value and tilde_JQ
+    scaled = 0
+    for Phi, idx in oc_lift_cases:
+        Np, Tp = Phi.level, Phi.T // 2
+        want = {}
+        for n in idx:
+            acc = meta_zero(Phi.N, Phi.p, Phi.prec, Tp)
+            for Q in enumerate_classes(Np, delta_of_index(Np, n)):
+                scaled += Q.content() > 1
+                acc = acc + J_oc_values(Phi, Q)
+            want[n] = acc
+        assert sum(not v.is_zero() for v in want.values()) >= 3
+        for threads in (1, 2):
+            e = theta_oc(Phi, max(idx) + 1, indices=idx, threads=threads)
+            assert e.indices == frozenset(idx)
+            for n in idx:
+                assert e.coeff(n) == want[n], (Phi, n, threads)
+    assert scaled >= 3
+
+
+def test_J_oc_matches_value_by_value_oracle(oc_lift_cases):
+    for Phi, idx in oc_lift_cases:
+        Np = Phi.level
+        forms = [Q for n in idx[:3]
+                 for Q in enumerate_classes(Np, delta_of_index(Np, n))]
+        for Q in forms:
+            assert J_oc(Phi, Q) == J_oc_values(Phi, Q)
+        base = RationalCusp(2, 3)
+        assert J_oc(Phi, forms[-1], base) == J_oc_values(Phi, forms[-1], base)
+        tags = {t for v in Phi.values for t in v.comps}
+        assert len(tags) == len(_units(Phi.N))  # every tag carries mass
+
+
+def test_theta_oc_refuses_forms_outside_FM(monkeypatch, ocphi5):
+    from shintani import lifting
+
+    with pytest.raises(NotInFM):
+        J_oc(ocphi5, QuadForm(2, 1, -3))
+    monkeypatch.setattr(lifting, "enumerate_classes",
+                        lambda M, disc: [QuadForm(1, 0, -5),
+                                         QuadForm(2, 1, -3)])
+    with pytest.raises(NotInFM):
+        theta_oc(ocphi5, 4, indices=[1])
 
 
 def test_J_oc_imprimitive_convolution(ocphi5):
@@ -529,7 +611,7 @@ def test_specialize_qexp_linearity(ocsp5, ocphi5):
 
 def test_specialize_requires_full_assembly(ocphi5):
     e = theta_oc(ocphi5, 8, indices=[1, 4])
-    with pytest.raises(AssertionError):
+    with pytest.raises(BadIndex):
         specialize_qexp(e, ArithWeight(1, T5, 5))
 
 
