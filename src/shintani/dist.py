@@ -5,21 +5,22 @@ x^a y^b over the disc x = c mod p, for units c and total degree
 a + b <= T, with values mod p^M.  The semigroup action substitutes a
 linear change of variables, which is homogeneous, so the degree-T
 truncation is exact: no error enters except through the base ring.
+Here live the Sym^d blocks of that substitution; the values themselves,
+tagged by the tame units, are the int64 arrays of ``ocsymb.OCSymbol``.
 
 One-variable distributions on the units carry moments m_c(n), n <= T'.
 Tame level N enters as a finite group algebra tag in {0,...,N-1} units,
-giving the tagged containers DistN (one-variable) and TaggedDist2
-(two-variable, the value module of overconvergent symbols).
+giving the tagged container DistN, the lift's coefficient ring.
 """
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 from math import gcd
 
 import numpy as np
 
+from .cosets import _units
 from .errors import (
     BadSemigroupElement,
     InsufficientMoments,
@@ -89,107 +90,6 @@ def _act_blocks(g, p, prec, T):
     """The stratum blocks of one matrix g: the one-matrix _sym_blocks."""
     blocks = _sym_blocks([g], p, prec, T, range(T + 1))
     return tuple(blocks[d][0] for d in range(T + 1))
-
-
-class MomentDist2:
-    """Moments m_c(a, b) mod p^M, discs c = 1..p-1, a + b <= T."""
-
-    __slots__ = ("p", "prec", "T", "data")
-
-    def __init__(self, p, prec, T, data=None):
-        _check_kernel_bounds(p, prec, T)
-        n = len(_pairs(T)[0])
-        if data is None:
-            data = np.zeros((p - 1, n), dtype=np.int64)
-        else:
-            data = np.asarray(data, dtype=np.int64) % p**prec
-            assert data.shape == (p - 1, n)
-        data.flags.writeable = False
-        self.p = p
-        self.prec = prec
-        self.T = T
-        self.data = data
-
-    @classmethod
-    def from_entries(cls, p, prec, T, entries):
-        """entries: iterable of (disc, a, b, value)."""
-        n = len(_pairs(T)[0])
-        _, pos = _pairs(T)
-        data = np.zeros((p - 1, n), dtype=np.int64)
-        for c, a, b, v in entries:
-            assert 1 <= c % p <= p - 1
-            data[c % p - 1, pos[(a, b)]] = v % p**prec
-        return cls(p, prec, T, data)
-
-    def m(self, c, a, b):
-        _, pos = _pairs(self.T)
-        return int(self.data[c % self.p - 1, pos[(a, b)]])
-
-    def _like(self, data):
-        return MomentDist2(self.p, self.prec, self.T, data)
-
-    def zero_like(self):
-        return MomentDist2(self.p, self.prec, self.T)
-
-    def _compat(self, other):
-        if (self.p, self.prec, self.T) != (other.p, other.prec, other.T):
-            raise PrecisionMismatch(
-                f"({self.p},{self.prec},{self.T}) vs ({other.p},{other.prec},{other.T})")
-
-    def __add__(self, other):
-        self._compat(other)
-        return self._like(self.data + other.data)
-
-    def __sub__(self, other):
-        self._compat(other)
-        return self._like(self.data - other.data)
-
-    def __neg__(self):
-        return self._like(-self.data)
-
-    def scale(self, r):
-        return self._like(self.data * (int(r) % self.p**self.prec))
-
-    def is_zero(self):
-        return not self.data.any()
-
-    def __eq__(self, other):
-        if not isinstance(other, MomentDist2):
-            return NotImplemented
-        return ((self.p, self.prec, self.T) == (other.p, other.prec, other.T)
-                and np.array_equal(self.data, other.data))
-
-    def __hash__(self):
-        return hash((self.p, self.prec, self.T, self.data.tobytes()))
-
-    def __repr__(self):
-        nz = int(np.count_nonzero(self.data))
-        return f"MomentDist2(p={self.p}, M={self.prec}, T={self.T}, {nz} nonzero)"
-
-
-def act_S0(mu, g, tame=1):
-    """Right action of g in S0(tame * p) on a two-variable distribution.
-
-    Exact on each degree stratum; the disc index transforms by the
-    inverse of the upper-left entry.
-    """
-    p = mu.p
-    _check_s0(g, tame * p)
-    mod = p**mu.prec
-    # The action factors through the entries mod tame * p^prec (tag, disc
-    # and moment transforms all reduce); canonical representatives keep the
-    # block cache effective when paths carry automorph-sized entries.
-    g = tuple(x % (tame * mod) for x in g)
-    A = g[0]
-    Ainv = pow(A, -1, p)
-    src_rows = np.array([(c * Ainv) % p - 1 for c in range(1, p)])
-    src = mu.data[src_rows, :]
-    out = np.zeros_like(mu.data)
-    blocks = _act_blocks(g, p, mu.prec, mu.T)
-    for d in range(mu.T + 1):
-        cols = list(_stratum_cols(mu.T, d))
-        out[:, cols] = (src[:, cols] @ blocks[d].T) % mod
-    return mu._like(out)
 
 
 class MomentDist1:
@@ -394,113 +294,6 @@ def sigma_distN(d):
     return out
 
 
-class TaggedDist2:
-    """Tame-tagged two-variable distribution: the symbol value module.
-
-    The semigroup action acts on each component and multiplies the tag
-    by the upper-left entry mod N.
-    """
-
-    __slots__ = ("N", "p", "prec", "T", "comps")
-
-    def __init__(self, N, p, prec, T, comps=None):
-        self.N = N
-        self.p = p
-        self.prec = prec
-        self.T = T
-        clean = {}
-        for t, mu in (comps or {}).items():
-            assert gcd(t, N) == 1 or N == 1
-            assert (mu.p, mu.prec, mu.T) == (p, prec, T)
-            if not mu.is_zero():
-                clean[t % N] = mu
-        self.comps = clean
-
-    def zero_like(self):
-        return TaggedDist2(self.N, self.p, self.prec, self.T)
-
-    def component(self, t):
-        return self.comps.get(t % self.N,
-                              MomentDist2(self.p, self.prec, self.T))
-
-    def _compat(self, other):
-        if (self.N, self.p, self.prec, self.T) != (other.N, other.p,
-                                                   other.prec, other.T):
-            raise PrecisionMismatch("tame/moment profiles differ")
-
-    def __add__(self, other):
-        self._compat(other)
-        comps = dict(self.comps)
-        for t, mu in other.comps.items():
-            comps[t] = comps[t] + mu if t in comps else mu
-        return TaggedDist2(self.N, self.p, self.prec, self.T, comps)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, r):
-        return TaggedDist2(self.N, self.p, self.prec, self.T,
-                           {t: mu.scale(r) for t, mu in self.comps.items()})
-
-    def act(self, g):
-        out = self.zero_like()
-        for t, mu in self.comps.items():
-            piece = TaggedDist2(self.N, self.p, self.prec, self.T,
-                                {(g[0] * t) % self.N: act_S0(mu, g, tame=self.N)})
-            out = out + piece
-        return out
-
-    def is_zero(self):
-        return not self.comps
-
-    def __eq__(self, other):
-        if not isinstance(other, TaggedDist2):
-            return NotImplemented
-        return ((self.N, self.p, self.prec, self.T) ==
-                (other.N, other.p, other.prec, other.T)
-                and self.comps == other.comps)
-
-    def __repr__(self):
-        return f"TaggedDist2(N={self.N}, p={self.p}, tags={sorted(self.comps)})"
-
-
-def scalar_action(nu, value):
-    """Module action of a one-variable tagged distribution on a value.
-
-    Multiplication on the group: x^a y^b picks up t^(a+b), so the n-th
-    moments of nu weight the degree strata.  Requires nu's moment range
-    to cover the value's total degree.
-    """
-    if nu.Tp < value.T:
-        raise InsufficientMoments(
-            f"need scalar moments to degree {value.T}, have {nu.Tp}")
-    if (nu.N, nu.p, nu.prec) != (value.N, value.p, value.prec):
-        raise PrecisionMismatch("tame/moment profiles differ")
-    p = value.p
-    mod = p**value.prec
-    out = value.zero_like()
-    for t1, one in nu.comps.items():
-        for t2, two in value.comps.items():
-            data = np.zeros_like(two.data)
-            for lam in range(1, p):
-                col = one.data[lam - 1]
-                if not col.any():
-                    continue
-                # degree weight per flat position
-                weights = np.array([int(col[a + b]) for a, b in _pairs(value.T)[0]],
-                                   dtype=np.int64)
-                for c1 in range(1, p):
-                    c = (c1 * lam) % p
-                    data[c - 1] = (data[c - 1] + two.data[c1 - 1] * weights) % mod
-            piece = TaggedDist2(value.N, p, value.prec, value.T,
-                                {(t1 * t2) % value.N: MomentDist2(p, value.prec, value.T, data)})
-            out = out + piece
-    return out
-
-
 class ArithWeight:
     """Weight k >= 0 with a character split into tame and wild parts."""
 
@@ -612,59 +405,21 @@ def meta_zero(N, p, prec, Tp):
     return MetaCoeff(one, DistN(N, p, prec, Tp))
 
 
-def specialize(value, kappa):
-    """Project a tagged two-variable distribution to a weight-k polynomial.
+def specialize(gen, kappa, N, p, prec, T):
+    """Project one generator's tagged moments to a weight-k polynomial.
 
-    Coefficient of the i-th divided basis vector:
+    gen is indexed (tag, disc, moment), one generator of an OCSymbol's
+    data.  Coefficient of the i-th divided basis vector:
     (-1)^i * sum_t chi_N(t) * sum_c chi_p(c) * m_{t,c}(k - i, i).
     """
     from .modsym import SymPoly
     k = kappa.k
-    if k > value.T:
-        raise InsufficientMoments(f"weight {k} exceeds moment degree {value.T}")
-    p = value.p
-    mod = p**value.prec
-    coeffs = [0] * (k + 1)
-    for t, mu in value.comps.items():
-        ct = kappa.chi_N(t) if value.N > 1 else kappa.chi_N(1)
-        if ct == 0:
-            continue
-        for i in range(k + 1):
-            inner = 0
-            for c in range(1, p):
-                cc = kappa.chi_p(c)
-                if cc:
-                    inner += cc * mu.m(c, k - i, i)
-            coeffs[i] = (coeffs[i] + (-1) ** i * ct * inner) % mod
-    return SymPoly(value.N * p, k, coeffs, kappa.chi, "L", ("zpm", p, value.prec))
-
-
-# ------------------------------------------------------------------- JSON
-
-def moments2_to_json(mu):
-    """Canonical moment-table document, entries ordered by (disc, a, b)."""
-    pairs, _ = _pairs(mu.T)
-    ms = []
-    for c in range(1, mu.p):
-        for a, b in pairs:
-            ms.append({"disc": c, "a": a, "b": b, "val": mu.m(c, a, b)})
-    return {"p": mu.p, "M": mu.prec, "T": mu.T, "moments": ms}
-
-
-def moments2_from_json(obj):
-    return MomentDist2.from_entries(
-        obj["p"], obj["M"], obj["T"],
-        [(e["disc"], e["a"], e["b"], e["val"]) for e in obj["moments"]])
-
-
-def moments2_dumps(mu):
-    return json.dumps(moments2_to_json(mu), sort_keys=True, separators=(",", ":"))
-
-
-def random_moments2(rng, p, prec, T):
-    """Deterministic pseudo-random table for property tests."""
-    mod = p**prec
-    n = len(_pairs(T)[0])
-    data = np.array([[rng.randrange(mod) for _ in range(n)]
-                     for _ in range(p - 1)], dtype=np.int64)
-    return MomentDist2(p, prec, T, data)
+    if k > T:
+        raise InsufficientMoments(f"weight {k} exceeds moment degree {T}")
+    ct = [kappa.chi_N(t) if N > 1 else kappa.chi_N(1) for t in _units(N)]
+    cc = [kappa.chi_p(c) for c in range(1, p)]
+    # the moments (k - i, i), i = 0..k; character values are 0 or +-1
+    inner = np.einsum("t,c,tci->i", ct, cc,
+                      gen[..., list(_stratum_cols(T, k))[::-1]])
+    coeffs = [(-1) ** i * int(x) % p**prec for i, x in enumerate(inner)]
+    return SymPoly(N * p, k, coeffs, kappa.chi, "L", ("zpm", p, prec))

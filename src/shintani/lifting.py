@@ -40,7 +40,7 @@ from .modsym import (
     pairing,
     ring_reduce,
 )
-from .ocsymb import _sources, _stack, specialize_symbol
+from .ocsymb import _sources, specialize_symbol
 from .qf import cycle_divisor, enumerate_classes, in_FM
 
 
@@ -433,7 +433,7 @@ def _class_terms(Phi, Q, base=None):
 def _J_batch(Phi, forms, terms):
     """J_oc at every form at once, from the forms' _class_terms.
 
-    Runs on the stacked symbol and on the even strata d = 2n only, the
+    Runs on the symbol's data and on the even strata d = 2n only, the
     ones J_Q reads.  Per stratum: one gather of the generator, tag and
     disc axes by a^-1, one batched product with the Sym^d blocks (d + 1
     residue products per entry), the term weights and a per-form sum;
@@ -454,7 +454,7 @@ def _J_batch(Phi, forms, terms):
                     dtype=np.int64).reshape(-1, p - 1)[mat]
     evens = range(0, 2 * Tp + 1, 2)
     blocks = _sym_blocks(list(mats), p, prec, T, evens)
-    X = _stack(Phi)
+    X = Phi.data
     qa, qb, qc = (np.array([Q.triple()[i] % mod for Q in forms],
                            dtype=np.int64).reshape(-1, 1) for i in range(3))
     qpow = np.ones((len(forms), 1), dtype=np.int64)

@@ -20,28 +20,23 @@ import sympy
 from . import manin
 from .arith import crt, valuation
 from .cosets import _units
-from .dist import (
-    MomentDist2,
-    TaggedDist2,
-    _act_blocks,
-    _check_s0,
-    _pairs,
-    _stratum_cols,
-    dirac_distN,
-    scalar_action,
-    specialize,
-)
+from .dist import _act_blocks, _check_s0, _pairs, _stratum_cols, specialize
 from .errors import (
     BadIndex,
     BadLevel,
     CriticalSlope,
+    DegreeMismatch,
     NoConvergence,
     NotEigen,
+    OperandMismatch,
+    PrecisionMismatch,
     SlopeGapUnresolvable,
 )
 from .linalg import (
+    _check_kernel_bounds,
     berkowitz_charpoly,
     lower_convex_hull,
+    matmul_mod,
     poly_mul_mod,
     zpm_kernel,
     zpm_solve,
@@ -50,75 +45,74 @@ from .modsym import ModularSymbol, SymPoly, check_ring
 
 
 class OCSymbol:
-    """Generator values in the tagged two-variable distribution module."""
+    """Generator values in the tagged two-variable distribution module.
 
-    __slots__ = ("level", "N", "p", "prec", "T", "values")
+    data is one read-only int64 array indexed (generator, tag, disc,
+    moment), reduced mod p^prec: tags run over the units mod N, discs over
+    1..p-1 and moments over the (a, b) of dist._pairs(T).
+    """
 
-    def __init__(self, level, N, p, prec, T, values):
-        assert level == N * p
+    __slots__ = ("level", "N", "p", "prec", "T", "data")
+
+    def __init__(self, level, N, p, prec, T, data):
+        if level != N * p:
+            raise BadLevel(f"level {level} is not {N} * {p}")
+        _check_kernel_bounds(p, prec, T)
+        data = np.asarray(data, dtype=np.int64) % p**prec
+        shape = (manin.presentation(level).ngens, len(_units(N)), p - 1,
+                 len(_pairs(T)[0]))
+        if data.shape != shape:
+            raise DegreeMismatch(f"data of shape {data.shape}, need {shape}")
+        data.flags.writeable = False
         self.level = level
         self.N = N
         self.p = p
         self.prec = prec
         self.T = T
-        self.values = tuple(values)
-        assert len(self.values) == manin.presentation(level).ngens
+        self.data = data
+
+    def _like(self, data):
+        return OCSymbol(self.level, self.N, self.p, self.prec, self.T, data)
+
+    def _compat(self, other):
+        if (self.N, self.p, self.prec, self.T) != (other.N, other.p,
+                                                   other.prec, other.T):
+            raise PrecisionMismatch(f"{self!r} and {other!r} do not add")
 
     def zero_like(self):
-        z = self.values[0].zero_like()
-        return OCSymbol(self.level, self.N, self.p, self.prec, self.T,
-                        [z] * len(self.values))
+        return self._like(np.zeros_like(self.data))
 
     def __add__(self, other):
-        return OCSymbol(self.level, self.N, self.p, self.prec, self.T,
-                        [a + b for a, b in zip(self.values, other.values)])
+        self._compat(other)
+        return self._like(self.data + other.data)
 
     def __sub__(self, other):
-        return OCSymbol(self.level, self.N, self.p, self.prec, self.T,
-                        [a - b for a, b in zip(self.values, other.values)])
+        self._compat(other)
+        return self._like(self.data - other.data)
 
     def scale(self, r):
-        return OCSymbol(self.level, self.N, self.p, self.prec, self.T,
-                        [v.scale(r) for v in self.values])
+        return self._like(self.data * (int(r) % self.p**self.prec))
 
     def is_zero(self):
-        return all(v.is_zero() for v in self.values)
-
-    def evaluate(self, divisor):
-        return manin.evaluate_values(self.level, self.values, divisor)
+        return not self.data.any()
 
     def flat(self):
         """Concatenated moment vector: generator, tag, disc, (a, b) order."""
-        return _stack(self).reshape(-1)
+        return self.data.reshape(-1)
 
     def flat_stratum(self, d):
-        return _stack(self)[..., list(_stratum_cols(self.T, d))].reshape(-1)
+        return self.data[..., list(_stratum_cols(self.T, d))].reshape(-1)
 
     def __repr__(self):
         return (f"OCSymbol(level={self.level}, N={self.N}, p={self.p}, "
                 f"M={self.prec}, T={self.T})")
 
 
-def _stack(sym):
-    """Generator values as one array indexed (generator, tag, disc, moment)."""
-    return np.array([[v.component(t).data for t in _units(sym.N)]
-                     for v in sym.values], dtype=np.int64)
-
-
-def _unstack(level, N, p, prec, T, data):
-    tags = _units(N)
-    return OCSymbol(level, N, p, prec, T, [
-        TaggedDist2(N, p, prec, T, {t: MomentDist2(p, prec, T, block)
-                                    for t, block in zip(tags, gen)})
-        for gen in data])
-
-
 def _sources(g, N, p):
     """Source positions (tags, discs) of the value action of g.
 
     Tags and discs move by the upper-left entry a: output tag t and disc
-    c read input tag a^-1 t and disc a^-1 c, as in act_S0 and
-    TaggedDist2.act.
+    c read input tag a^-1 t and disc a^-1 c.
     """
     ainv = pow(g[0], -1, N * p)
     tags = _units(N)
@@ -130,9 +124,9 @@ def _act_stratum(g, Y, N, p, prec, T, d):
     """Value action of g on stacked stratum-d coordinates.
 
     Y is indexed (tag, disc, moment, column).  Tags and discs move as
-    _sources says, moments by the stratum-d block of _act_blocks: the
-    action of act_S0 and TaggedDist2.act, on every column at once.  The
-    product sums d + 1 <= T + 1 residue products, inside the int64 bound.
+    _sources says, moments by the stratum-d block of _act_blocks, on
+    every column at once.  The product sums d + 1 <= T + 1 residue
+    products, inside the int64 bound.
     """
     _check_s0(g, N * p)
     mod = p**prec
@@ -204,33 +198,36 @@ def _coset_stratum(level, N, p, prec, T, d, X, reps):
 
 def _apply_coset(sym, reps):
     """The double coset of reps on a symbol, stratum by stratum."""
-    data = _stack(sym)
-    out = np.zeros_like(data)
+    out = np.zeros_like(sym.data)
     for d in range(sym.T + 1):
         cols = list(_stratum_cols(sym.T, d))
-        X = data[..., cols, None]
+        X = sym.data[..., cols, None]
         if X.any():
             out[..., cols] = _coset_stratum(sym.level, sym.N, sym.p, sym.prec,
                                             sym.T, d, X, reps)[..., 0]
-    return _unstack(sym.level, sym.N, sym.p, sym.prec, sym.T, out)
+    return sym._like(out)
 
 
 class OCSpace:
-    """Solved symbol space, basis grouped by moment stratum."""
+    """Solved symbol space, basis grouped by moment stratum.
 
-    __slots__ = ("level", "N", "p", "prec", "T", "basis", "strata", "torsion",
-                 "_stratum_flat")
+    data stacks the basis symbols' data along a leading basis axis.
+    """
 
-    def __init__(self, level, N, p, prec, T, basis, strata, torsion):
+    __slots__ = ("level", "N", "p", "prec", "T", "data", "basis", "strata",
+                 "torsion")
+
+    def __init__(self, level, N, p, prec, T, data, strata, torsion):
         self.level = level
         self.N = N
         self.p = p
         self.prec = prec
         self.T = T
-        self.basis = tuple(basis)
+        self.basis = tuple(OCSymbol(level, N, p, prec, T, x) for x in data)
+        self.data = np.asarray(data, dtype=np.int64) % p**prec
+        self.data.flags.writeable = False
         self.strata = tuple(strata)
         self.torsion = tuple(torsion)
-        self._stratum_flat = {}
 
     @property
     def dimension(self):
@@ -241,20 +238,20 @@ class OCSpace:
 
     def stratum_matrix(self, d):
         """Columns are the stratum-d flats of the stratum-d basis symbols."""
-        if d not in self._stratum_flat:
-            cols = [self.basis[i].flat_stratum(d)
-                    for i in self.stratum_indices(d)]
-            self._stratum_flat[d] = (np.stack(cols, axis=1) if cols
-                                     else np.zeros((0, 0), dtype=np.int64))
-        return self._stratum_flat[d]
+        idx = self.stratum_indices(d)
+        block = self.data[idx][..., list(_stratum_cols(self.T, d))]
+        return block.reshape(len(idx), -1).T
 
     def combination(self, coeffs):
-        assert self.basis
-        acc = self.basis[0].zero_like()
-        for c, b in zip(coeffs, self.basis):
-            if int(c) % self.p**self.prec:
-                acc = acc + b.scale(int(c))
-        return acc
+        """The symbol sum_i coeffs[i] * basis[i]."""
+        mod = self.p**self.prec
+        coeffs = [int(c) % mod for c in coeffs]
+        if not self.basis or len(coeffs) != self.dimension:
+            raise OperandMismatch(f"{len(coeffs)} coefficients for a basis "
+                                  f"of {self.dimension}")
+        flat = matmul_mod(coeffs, self.data.reshape(self.dimension, -1), mod)
+        return OCSymbol(self.level, self.N, self.p, self.prec, self.T,
+                        flat.reshape(self.data.shape[1:]))
 
 
 def solve_oc_space(Np, N, precision):
@@ -271,17 +268,19 @@ def solve_oc_space(Np, N, precision):
     prec, T = precision
     check_ring(("zpm", p, prec))
     shape = (manin.presentation(Np).ngens, len(_units(N)), p - 1)
-    basis, strata, torsion = [], [], []
+    blocks, strata, torsion = [], [], []
     for d in range(T + 1):
         A = _stratum_relation_matrix(Np, N, p, prec, T, d)
         kernel, tors = zpm_kernel(A, p, prec)
         for vec, v in zip(kernel, tors):
-            data = np.zeros(shape + (len(_pairs(T)[0]),), dtype=np.int64)
-            data[..., list(_stratum_cols(T, d))] = vec.reshape(shape + (d + 1,))
-            basis.append(_unstack(Np, N, p, prec, T, data))
+            blocks.append((d, vec.reshape(shape + (d + 1,))))
             strata.append(d)
             torsion.append(v)
-    return OCSpace(Np, N, p, prec, T, basis, strata, torsion)
+    data = np.zeros((len(blocks),) + shape + (len(_pairs(T)[0]),),
+                    dtype=np.int64)
+    for i, (d, block) in enumerate(blocks):
+        data[i][..., list(_stratum_cols(T, d))] = block
+    return OCSpace(Np, N, p, prec, T, data, strata, torsion)
 
 
 def oc_hecke_Tn(sym, n):
@@ -318,19 +317,21 @@ def disc_sector_project(sym, d):
     Rescaling the units by s acts on stratum d as s^d times a pure disc
     rotation; dividing the weight back out leaves the rotation, and
     averaging over s projects onto the rotation-invariant sector.
-    Commutes with every Hecke operator and with the involution.
+    Commutes with every Hecke operator and with the involution.  With
+    s = 1 mod N the tags stay put; disc c reads disc s^-1 c, and the
+    moment x^a y^b is weighted by s^(a + b - d).
     """
     p, N = sym.p, sym.N
     mod = p**sym.prec
-    acc = sym.zero_like()
+    degrees = np.array([a + b - d for a, b in _pairs(sym.T)[0]])
+    acc = np.zeros_like(sym.data)
     for c in range(1, p):
         s = crt(1, N, c, p) if N > 1 else c
-        nu = dirac_distN(s, N, p, sym.prec, sym.T)
-        weight = pow(pow(s, -1, mod), d, mod)
-        moved = OCSymbol(sym.level, N, p, sym.prec, sym.T,
-                         [scalar_action(nu, v) for v in sym.values])
-        acc = acc + moved.scale(weight)
-    return acc.scale(pow(p - 1, -1, mod))
+        weight = np.array([pow(s, int(e), mod) for e in degrees],
+                          dtype=np.int64)
+        discs = [pow(s, -1, p) * x % p - 1 for x in range(1, p)]
+        acc = (acc + sym.data.take(discs, axis=2) * weight) % mod
+    return sym._like(acc * pow(p - 1, -1, mod))
 
 
 def up_matrix(space, d, n=None):
@@ -351,7 +352,8 @@ def up_matrix(space, d, n=None):
     cols = []
     for j in range(len(idx)):
         x = zpm_solve(A, img[:, j], p, space.prec)
-        assert x is not None, "Hecke image left the solved space"
+        if x is None:
+            raise OperandMismatch("Hecke image left the solved space")
         cols.append(x)
     return np.stack(cols, axis=1)
 
@@ -542,7 +544,8 @@ class SlopeData:
 
 def specialize_symbol(sym, kappa):
     """Generator-wise projection to the classical weight-k symbol space."""
-    vals = [specialize(v, kappa) for v in sym.values]
+    vals = [specialize(gen, kappa, sym.N, sym.p, sym.prec, sym.T)
+            for gen in sym.data]
     return ModularSymbol(sym.level, kappa.k, kappa.chi,
                          ("zpm", sym.p, sym.prec), vals)
 
@@ -586,18 +589,20 @@ def lift_eigensymbol(space, phi, alpha, kappa, sign=-1, n_iter=None,
     phi_z = phi if phi.ring != "Q" else classical_to_zpm(phi, p, prec)
 
     idx = space.stratum_indices(k)
-    assert idx, "no stratum matches the target weight"
+    if not idx:
+        raise DegreeMismatch(f"no basis symbol of moment degree {k}")
     S = np.stack(
         [np.array([int(c) for c in
                    specialize_symbol(space.basis[i], kappa).coords()],
                   dtype=np.int64) for i in idx], axis=1)
     target = np.array([int(c) for c in phi_z.coords()], dtype=np.int64)
     x = zpm_solve(S, target, p, prec)
-    assert x is not None, "classical symbol is not in the specialization image"
-    seed = space.basis[idx[0]].zero_like()
-    for c, i in zip(x, idx):
-        if int(c) % mod:
-            seed = seed + space.basis[i].scale(int(c))
+    if x is None:
+        raise OperandMismatch(
+            "classical symbol is not in the specialization image")
+    coeffs = np.zeros(space.dimension, dtype=np.int64)
+    coeffs[idx] = x
+    seed = space.combination(coeffs)
     if perturb is not None:
         seed = seed + perturb
     if n_iter is None:

@@ -6,6 +6,13 @@ path term at a time, which is how the package applied Hecke operators
 and the involution before it built them as integer matrices and stratum
 batches.  ``invol_tagged`` is the involution on one tagged value.
 
+``MomentDist2`` (one moment table), ``act_S0`` (its matrix action),
+``TaggedDist2`` (a table per tame tag) and ``scalar_action`` are the value
+module as the package kept it, one object per generator value, before an
+``OCSymbol`` became one int64 array.  ``values_of`` and ``data_of``
+convert between that array and a tuple of ``TaggedDist2``, and
+``evaluate`` is ``OCSymbol.evaluate`` on the converted values.
+
 ``act_blocks_formula`` is the entry-by-entry Sym^d block that the numpy
 recurrence ``dist._sym_blocks`` replaced, and ``J_oc_values`` the
 finite-precision lift's coefficient at one form computed value by value:
@@ -13,23 +20,289 @@ the symbol evaluated on the cycle divisor through ``TaggedDist2.act``,
 then ``tilde_JQ`` pushing each tag component forward along the form.
 """
 
-from math import comb, factorial
+import json
+from math import comb, factorial, gcd
 
 import numpy as np
 
 from shintani.arith import RationalCusp
+from shintani.cosets import _units
 from shintani.dist import (
     DistN,
     MetaCoeff,
     MomentDist1,
-    MomentDist2,
-    TaggedDist2,
+    _act_blocks,
+    _check_s0,
     _pairs,
+    _stratum_cols,
     dirac_distN,
 )
-from shintani.errors import NotInFM
+from shintani.errors import InsufficientMoments, NotInFM, PrecisionMismatch
+from shintani.linalg import _check_kernel_bounds
 from shintani.manin import MAT_IOTA, evaluate_values, presentation
 from shintani.qf import cycle_divisor, in_FM
+
+
+class MomentDist2:
+    """Moments m_c(a, b) mod p^M, discs c = 1..p-1, a + b <= T."""
+
+    __slots__ = ("p", "prec", "T", "data")
+
+    def __init__(self, p, prec, T, data=None):
+        _check_kernel_bounds(p, prec, T)
+        n = len(_pairs(T)[0])
+        if data is None:
+            data = np.zeros((p - 1, n), dtype=np.int64)
+        else:
+            data = np.asarray(data, dtype=np.int64) % p**prec
+            assert data.shape == (p - 1, n)
+        data.flags.writeable = False
+        self.p = p
+        self.prec = prec
+        self.T = T
+        self.data = data
+
+    @classmethod
+    def from_entries(cls, p, prec, T, entries):
+        """entries: iterable of (disc, a, b, value)."""
+        n = len(_pairs(T)[0])
+        _, pos = _pairs(T)
+        data = np.zeros((p - 1, n), dtype=np.int64)
+        for c, a, b, v in entries:
+            assert 1 <= c % p <= p - 1
+            data[c % p - 1, pos[(a, b)]] = v % p**prec
+        return cls(p, prec, T, data)
+
+    def m(self, c, a, b):
+        _, pos = _pairs(self.T)
+        return int(self.data[c % self.p - 1, pos[(a, b)]])
+
+    def _like(self, data):
+        return MomentDist2(self.p, self.prec, self.T, data)
+
+    def zero_like(self):
+        return MomentDist2(self.p, self.prec, self.T)
+
+    def _compat(self, other):
+        if (self.p, self.prec, self.T) != (other.p, other.prec, other.T):
+            raise PrecisionMismatch(
+                f"({self.p},{self.prec},{self.T}) vs ({other.p},{other.prec},{other.T})")
+
+    def __add__(self, other):
+        self._compat(other)
+        return self._like(self.data + other.data)
+
+    def __sub__(self, other):
+        self._compat(other)
+        return self._like(self.data - other.data)
+
+    def __neg__(self):
+        return self._like(-self.data)
+
+    def scale(self, r):
+        return self._like(self.data * (int(r) % self.p**self.prec))
+
+    def is_zero(self):
+        return not self.data.any()
+
+    def __eq__(self, other):
+        if not isinstance(other, MomentDist2):
+            return NotImplemented
+        return ((self.p, self.prec, self.T) == (other.p, other.prec, other.T)
+                and np.array_equal(self.data, other.data))
+
+    def __hash__(self):
+        return hash((self.p, self.prec, self.T, self.data.tobytes()))
+
+    def __repr__(self):
+        nz = int(np.count_nonzero(self.data))
+        return f"MomentDist2(p={self.p}, M={self.prec}, T={self.T}, {nz} nonzero)"
+
+
+def act_S0(mu, g, tame=1):
+    """Right action of g in S0(tame * p) on a two-variable distribution.
+
+    Exact on each degree stratum; the disc index transforms by the
+    inverse of the upper-left entry.
+    """
+    p = mu.p
+    _check_s0(g, tame * p)
+    mod = p**mu.prec
+    # The action factors through the entries mod tame * p^prec (tag, disc
+    # and moment transforms all reduce); canonical representatives keep the
+    # block cache effective when paths carry automorph-sized entries.
+    g = tuple(x % (tame * mod) for x in g)
+    A = g[0]
+    Ainv = pow(A, -1, p)
+    src_rows = np.array([(c * Ainv) % p - 1 for c in range(1, p)])
+    src = mu.data[src_rows, :]
+    out = np.zeros_like(mu.data)
+    blocks = _act_blocks(g, p, mu.prec, mu.T)
+    for d in range(mu.T + 1):
+        cols = list(_stratum_cols(mu.T, d))
+        out[:, cols] = (src[:, cols] @ blocks[d].T) % mod
+    return mu._like(out)
+
+
+
+class TaggedDist2:
+    """Tame-tagged two-variable distribution: the symbol value module.
+
+    The semigroup action acts on each component and multiplies the tag
+    by the upper-left entry mod N.
+    """
+
+    __slots__ = ("N", "p", "prec", "T", "comps")
+
+    def __init__(self, N, p, prec, T, comps=None):
+        self.N = N
+        self.p = p
+        self.prec = prec
+        self.T = T
+        clean = {}
+        for t, mu in (comps or {}).items():
+            assert gcd(t, N) == 1 or N == 1
+            assert (mu.p, mu.prec, mu.T) == (p, prec, T)
+            if not mu.is_zero():
+                clean[t % N] = mu
+        self.comps = clean
+
+    def zero_like(self):
+        return TaggedDist2(self.N, self.p, self.prec, self.T)
+
+    def component(self, t):
+        return self.comps.get(t % self.N,
+                              MomentDist2(self.p, self.prec, self.T))
+
+    def _compat(self, other):
+        if (self.N, self.p, self.prec, self.T) != (other.N, other.p,
+                                                   other.prec, other.T):
+            raise PrecisionMismatch("tame/moment profiles differ")
+
+    def __add__(self, other):
+        self._compat(other)
+        comps = dict(self.comps)
+        for t, mu in other.comps.items():
+            comps[t] = comps[t] + mu if t in comps else mu
+        return TaggedDist2(self.N, self.p, self.prec, self.T, comps)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, r):
+        return TaggedDist2(self.N, self.p, self.prec, self.T,
+                           {t: mu.scale(r) for t, mu in self.comps.items()})
+
+    def act(self, g):
+        out = self.zero_like()
+        for t, mu in self.comps.items():
+            piece = TaggedDist2(self.N, self.p, self.prec, self.T,
+                                {(g[0] * t) % self.N: act_S0(mu, g, tame=self.N)})
+            out = out + piece
+        return out
+
+    def is_zero(self):
+        return not self.comps
+
+    def __eq__(self, other):
+        if not isinstance(other, TaggedDist2):
+            return NotImplemented
+        return ((self.N, self.p, self.prec, self.T) ==
+                (other.N, other.p, other.prec, other.T)
+                and self.comps == other.comps)
+
+    def __repr__(self):
+        return f"TaggedDist2(N={self.N}, p={self.p}, tags={sorted(self.comps)})"
+
+
+def scalar_action(nu, value):
+    """Module action of a one-variable tagged distribution on a value.
+
+    Multiplication on the group: x^a y^b picks up t^(a+b), so the n-th
+    moments of nu weight the degree strata.  Requires nu's moment range
+    to cover the value's total degree.
+    """
+    if nu.Tp < value.T:
+        raise InsufficientMoments(
+            f"need scalar moments to degree {value.T}, have {nu.Tp}")
+    if (nu.N, nu.p, nu.prec) != (value.N, value.p, value.prec):
+        raise PrecisionMismatch("tame/moment profiles differ")
+    p = value.p
+    mod = p**value.prec
+    out = value.zero_like()
+    for t1, one in nu.comps.items():
+        for t2, two in value.comps.items():
+            data = np.zeros_like(two.data)
+            for lam in range(1, p):
+                col = one.data[lam - 1]
+                if not col.any():
+                    continue
+                # degree weight per flat position
+                weights = np.array([int(col[a + b]) for a, b in _pairs(value.T)[0]],
+                                   dtype=np.int64)
+                for c1 in range(1, p):
+                    c = (c1 * lam) % p
+                    data[c - 1] = (data[c - 1] + two.data[c1 - 1] * weights) % mod
+            piece = TaggedDist2(value.N, p, value.prec, value.T,
+                                {(t1 * t2) % value.N: MomentDist2(p, value.prec, value.T, data)})
+            out = out + piece
+    return out
+
+
+
+
+# ------------------------------------------------------------------- JSON
+
+def moments2_to_json(mu):
+    """Canonical moment-table document, entries ordered by (disc, a, b)."""
+    pairs, _ = _pairs(mu.T)
+    ms = []
+    for c in range(1, mu.p):
+        for a, b in pairs:
+            ms.append({"disc": c, "a": a, "b": b, "val": mu.m(c, a, b)})
+    return {"p": mu.p, "M": mu.prec, "T": mu.T, "moments": ms}
+
+
+def moments2_from_json(obj):
+    return MomentDist2.from_entries(
+        obj["p"], obj["M"], obj["T"],
+        [(e["disc"], e["a"], e["b"], e["val"]) for e in obj["moments"]])
+
+
+def moments2_dumps(mu):
+    return json.dumps(moments2_to_json(mu), sort_keys=True, separators=(",", ":"))
+
+
+def random_moments2(rng, p, prec, T):
+    """Deterministic pseudo-random table for property tests."""
+    mod = p**prec
+    n = len(_pairs(T)[0])
+    data = np.array([[rng.randrange(mod) for _ in range(n)]
+                     for _ in range(p - 1)], dtype=np.int64)
+    return MomentDist2(p, prec, T, data)
+
+
+def values_of(sym):
+    """Generator values of a symbol's data, one TaggedDist2 each."""
+    tags = _units(sym.N)
+    return tuple(
+        TaggedDist2(sym.N, sym.p, sym.prec, sym.T,
+                    {t: MomentDist2(sym.p, sym.prec, sym.T, block)
+                     for t, block in zip(tags, gen)})
+        for gen in sym.data)
+
+
+def data_of(values):
+    """The data array indexed (generator, tag, disc, moment) of values."""
+    return np.array([[v.component(t).data for t in _units(v.N)]
+                     for v in values], dtype=np.int64)
+
+
+def evaluate(sym, divisor):
+    return evaluate_values(sym.level, values_of(sym), divisor)
 
 
 def apply_double_coset(M, values, reps):
@@ -152,4 +425,4 @@ def J_oc_values(Phi, Q, base=None):
         raise NotInFM(f"{Q!r} is not adapted to level {Phi.level}")
     if base is None:
         base = RationalCusp.infinity()
-    return tilde_JQ(Phi.evaluate(cycle_divisor(Q, Phi.level, base).pairs), Q)
+    return tilde_JQ(evaluate(Phi, cycle_divisor(Q, Phi.level, base).pairs), Q)

@@ -12,14 +12,17 @@ import time
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 
+from oracles import act_S0, random_moments2
 from test_dist import rand_dist1, rand_s0
 from test_qf import bfs_orbit, box_forms
 
 from shintani import qf
 from shintani.arith import DirichletChar, mat_mul
-from shintani.dist import ArithWeight, act_S0, convolve, dirac, random_moments2
+from shintani.cosets import _units
+from shintani.dist import ArithWeight, convolve, dirac
 from shintani.lifting import (
     halfint_Tl2,
     qexp_hecke_Tl,
@@ -38,6 +41,7 @@ from shintani.modsym import (
 )
 from shintani.ocsymb import (
     SlopeData,
+    _act_stratum,
     charpoly_strata,
     classical_to_zpm,
     hecke_eigenvalue,
@@ -320,4 +324,24 @@ def test_acceptance_distribution_calculus():
         assert act_S0(act_S0(mu, g), h) == act_S0(mu, mat_mul(g, h))
         assert act_S0(mu + nu, g) == act_S0(mu, g) + act_S0(nu, g)
         assert act_S0(mu.scale(7), g) == act_S0(mu, g).scale(7)
+    # the same four axioms on the package's value action, on random
+    # stacked values indexed (tag, disc, moment, column), every stratum
+    gen = np.random.default_rng(8)
+    for N in (1, 3):
+        for _ in range(50):
+            g, h = rand_s0(rng, p, N), rand_s0(rng, p, N)
+            for d in range(Tp + 1):
+                shape = (len(_units(N)), p - 1, d + 1, 3)
+                Y, Z = gen.integers(0, mod, size=(2,) + shape)
+
+                def act(g, Y):
+                    return _act_stratum(g, Y, N, p, prec, Tp, d)
+
+                assert np.array_equal(act((1, 0, 0, 1), Y), Y)
+                assert np.array_equal(act(h, act(g, Y)),
+                                      act(mat_mul(g, h), Y))
+                assert np.array_equal(act(g, (Y + Z) % mod),
+                                      (act(g, Y) + act(g, Z)) % mod)
+                assert np.array_equal(act(g, 7 * Y % mod),
+                                      7 * act(g, Y) % mod)
     assert time.monotonic() - t0 < 60

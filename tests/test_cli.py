@@ -167,6 +167,24 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     assert "n=1" in out
 
 
+def test_verify_zero_against_zero_is_vacuous(capsys):
+    # every lift at lifting weight 0 vanishes: an equivariance report that
+    # only compared zero with zero ends in VACUOUS and exits 1
+    code, out = run_cli(capsys, "verify", "equivariance", "--level", "11",
+                        "--weight", "0", "--nmax", "10")
+    assert code == 1
+    assert out.count("[PASS]") == 6 and "[FAIL]" not in out
+    assert out.endswith("\nRESULT: VACUOUS\n")
+    # lift(phi^+) = 0 claims a vanishing, so the involution report passes
+    code, out = run_cli(capsys, "verify", "involution", "--level", "11",
+                        "--weight", "0", "--nmax", "10")
+    assert code == 0 and out.endswith("\nRESULT: PASS\n")
+    # some comparisons zero with zero, some not: the report passes
+    code, out = run_cli(capsys, "verify", "equivariance", "--level", "11",
+                        "--weight", "1", "--nmax", "10", "--ells", "3")
+    assert code == 0 and out.endswith("\nRESULT: PASS\n")
+
+
 def test_usage_error_small_p(capsys):
     code = cli.main(["verify", "interpolation", "--p", "3", "--tame-n", "1",
                      "--nmax", "4"])

@@ -22,11 +22,8 @@ from shintani.dist import (
     DistN,
     MetaCoeff,
     MomentDist1,
-    MomentDist2,
-    TaggedDist2,
     _act_blocks,
     _sym_blocks,
-    act_S0,
     convolve,
     convolve_distN,
     dirac,
@@ -34,11 +31,6 @@ from shintani.dist import (
     eval_weight,
     eval_weight_meta,
     meta_zero,
-    moments2_dumps,
-    moments2_from_json,
-    moments2_to_json,
-    random_moments2,
-    scalar_action,
     sigma_distN,
     sigma_moments,
     specialize,
@@ -47,7 +39,20 @@ from shintani.linalg import _check_kernel_bounds
 from shintani.modsym import SymPoly, check_ring, pairing
 from shintani.qf import QuadForm, gamma_Q
 
-from oracles import JQ_dist, act_blocks_formula, tilde_JQ
+from oracles import (
+    JQ_dist,
+    MomentDist2,
+    TaggedDist2,
+    act_blocks_formula,
+    act_S0,
+    data_of,
+    moments2_dumps,
+    moments2_from_json,
+    moments2_to_json,
+    random_moments2,
+    scalar_action,
+    tilde_JQ,
+)
 
 P, PREC, T = 5, 8, 8
 MOD = P**PREC
@@ -338,22 +343,22 @@ def test_scalar_action_degree_weights():
 def test_specialize_low_weights():
     rng = random.Random(12)
     mu = random_moments2(rng, P, PREC, T)
-    v = TaggedDist2(1, P, PREC, T, {0: mu})
-    k0 = specialize(v, ArithWeight(0, TRIV, P))
+    [x] = data_of([TaggedDist2(1, P, PREC, T, {0: mu})])
+    k0 = specialize(x, ArithWeight(0, TRIV, P), 1, P, PREC, T)
     assert k0.coeffs[0] == sum(mu.m(c, 0, 0) for c in range(1, P)) % MOD
-    k1 = specialize(v, ArithWeight(1, TRIV, P))
+    k1 = specialize(x, ArithWeight(1, TRIV, P), 1, P, PREC, T)
     # e_0 = Y coefficient, e_1 = X coefficient with a sign
     assert k1.coeffs[0] == sum(mu.m(c, 1, 0) for c in range(1, P)) % MOD
     assert k1.coeffs[1] == (-sum(mu.m(c, 0, 1) for c in range(1, P))) % MOD
     chi5 = DirichletChar.from_kronecker(5, wild=5)
-    k1t = specialize(v, ArithWeight(1, chi5, P))
+    k1t = specialize(x, ArithWeight(1, chi5, P), 1, P, PREC, T)
     assert k1t.coeffs[0] == sum(chi5(c) * mu.m(c, 1, 0) for c in range(1, P)) % MOD
 
 
 def test_specialize_insufficient_moments():
-    v = TaggedDist2(1, P, PREC, 2, {0: MomentDist2(P, PREC, 2)})
+    [x] = data_of([TaggedDist2(1, P, PREC, 2, {0: MomentDist2(P, PREC, 2)})])
     with pytest.raises(InsufficientMoments):
-        specialize(v, ArithWeight(3, TRIV, P))
+        specialize(x, ArithWeight(3, TRIV, P), 1, P, PREC, 2)
 
 
 def test_specialize_equivariance():
@@ -369,8 +374,9 @@ def test_specialize_equivariance():
             g = (1, 0, 0, 1)
             for _ in range(rng.randrange(1, 5)):
                 g = mat_mul(g, rng.choice(gens))
-            lhs = specialize(v.act(g), kappa)
-            rhs = specialize(v, kappa).act(g)
+            x, y = data_of([v.act(g), v])
+            lhs = specialize(x, kappa, N, P, PREC, T)
+            rhs = specialize(y, kappa, N, P, PREC, T).act(g)
             assert lhs.coeffs == rhs.coeffs
 
 
@@ -436,9 +442,9 @@ def test_tilde_JQ_tags_and_interpolation():
         kt = ArithWeight(k, ch, P)
         lhs = eval_weight_meta(mc, kt)
         kappa = kt.doubled()
-        spec = specialize(v, kappa)
+        sp = specialize(data_of([v])[0], kappa, N, P, PREC, T)
         qpow = quadratic_power_poly(Q, k, 15, kappa.chi)
-        rhs = (ch(Q.triple()[0]) * pairing(spec, qpow)) % MOD
+        rhs = (ch(Q.triple()[0]) * pairing(sp, qpow)) % MOD
         assert lhs == rhs
 
 

@@ -13,8 +13,7 @@ import pytest
 import shintani
 from shintani.arith import DirichletChar, RationalCusp, kronecker
 from shintani.cosets import _units
-from shintani.dist import (
-    ArithWeight, MetaCoeff, dirac_distN, meta_zero, scalar_action)
+from shintani.dist import ArithWeight, MetaCoeff, dirac_distN, meta_zero
 from shintani.errors import BadIndex, DegreeMismatch, NotInFM
 from shintani.lifting import (
     FormalQExp,
@@ -52,7 +51,7 @@ from shintani.ocsymb import (
 )
 from shintani.qf import QuadForm, act, enumerate_classes
 
-from oracles import J_oc_values
+from oracles import J_oc_values, data_of, scalar_action, values_of
 
 T5 = DirichletChar.trivial(5)
 T11 = DirichletChar.trivial(11)
@@ -332,21 +331,31 @@ def test_theta_classical_matches_J_classical_oracle(ring):
 
 
 OPTIMIZED_GUARDS = """
+import numpy as np
 from shintani.arith import DirichletChar
 from shintani.dist import ArithWeight, DistN, MetaCoeff, dirac_distN, meta_zero
 from shintani.errors import ShintaniError
 from shintani.lifting import (
     FormalQExp, HalfIntQExp, J_classical, J_oc, specialize_qexp,
     theta_classical)
-from shintani.modsym import Divisor0, solve_symbol_space
-from shintani.ocsymb import oc_hecke_Tll, solve_oc_space
+from shintani.modsym import Divisor0, _from_flat, solve_symbol_space
+from shintani.ocsymb import (
+    OCSpace, OCSymbol, lift_eigensymbol, oc_hecke_Tll, solve_oc_space,
+    up_matrix)
 from shintani.qf import QuadForm
 
 T = DirichletChar.trivial(1)
 bad = QuadForm(2, 1, -3)  # in neither F_5 nor F_11
 sym5, sym11 = solve_symbol_space(5, 2, T)[0], solve_symbol_space(11, 2, T)[0]
-oc5 = solve_oc_space(5, 1, (2, 2)).basis[0]
+sp5 = solve_oc_space(5, 1, (2, 2))
+oc5, oc5_prec3 = sp5.basis[0], solve_oc_space(5, 1, (3, 2)).basis[0]
 mc = MetaCoeff(dirac_distN(1, 1, 5, 2, 2), dirac_distN(1, 1, 5, 2, 1))
+# a one-symbol "space" whose U_p image leaves its span
+unit = np.zeros((1,) + oc5.data.shape, dtype=np.int64)
+unit[0, 0, 0, 0, 0] = 1
+not_stable = OCSpace(5, 1, 5, 2, 2, unit, [0], [0])
+# value 1 on one generator breaks the weight-0 relations
+off_image = _from_flat(5, 0, T, ("zpm", 5, 2), [1, 0, 0, 0, 0, 0])
 cases = {
     "J_classical": lambda: J_classical(
         solve_symbol_space(11, 0, T)[0], bad, 0, T),
@@ -371,6 +380,17 @@ cases = {
     "FormalQExp(disc)": lambda: FormalQExp(5, 1, 5, 2, 1, {2: mc}, 4),
     "specialize_qexp": lambda: specialize_qexp(
         FormalQExp(5, 1, 5, 2, 1, {}, 4, [1]), ArithWeight(0, T, 5)),
+    "OCSymbol(level)": lambda: OCSymbol(10, 1, 5, 2, 2, oc5.data),
+    "OCSymbol(shape)": lambda: OCSymbol(5, 1, 5, 2, 2, oc5.data[1:]),
+    "OCSymbol(+)": lambda: oc5 + oc5_prec3,
+    "OCSymbol(-)": lambda: oc5 - oc5_prec3,
+    "combination": lambda: OCSpace(
+        5, 1, 5, 2, 2, sp5.data[:0], [], []).combination([]),
+    "up_matrix": lambda: up_matrix(not_stable, 0),
+    "lift_eigensymbol(stratum)": lambda: lift_eigensymbol(
+        sp5, sym5, 1, ArithWeight(3, T, 5)),
+    "lift_eigensymbol(image)": lambda: lift_eigensymbol(
+        sp5, off_image, 1, ArithWeight(0, T, 5)),
 }
 print("debug", __debug__)
 for name, call in cases.items():
@@ -389,7 +409,7 @@ def test_input_guards_survive_optimize():
     out = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_GUARDS],
                          capture_output=True, text=True, check=True, env=env,
                          timeout=300).stdout.split("\n")
-    assert out[:19] == [
+    assert out[:27] == [
         "debug False",
         "J_classical NotInFM",
         "J_oc NotInFM",
@@ -409,6 +429,14 @@ def test_input_guards_survive_optimize():
         "FormalQExp(coeff) OperandMismatch",
         "FormalQExp(disc) BadIndex",
         "specialize_qexp BadIndex",
+        "OCSymbol(level) BadLevel",
+        "OCSymbol(shape) DegreeMismatch",
+        "OCSymbol(+) PrecisionMismatch",
+        "OCSymbol(-) PrecisionMismatch",
+        "combination OperandMismatch",
+        "up_matrix OperandMismatch",
+        "lift_eigensymbol(stratum) DegreeMismatch",
+        "lift_eigensymbol(image) OperandMismatch",
     ]
 
 
@@ -528,7 +556,7 @@ def test_J_oc_matches_value_by_value_oracle(oc_lift_cases):
             assert J_oc(Phi, Q) == J_oc_values(Phi, Q)
         base = RationalCusp(2, 3)
         assert J_oc(Phi, forms[-1], base) == J_oc_values(Phi, forms[-1], base)
-        tags = {t for v in Phi.values for t in v.comps}
+        tags = {t for v in values_of(Phi) for t in v.comps}
         assert len(tags) == len(_units(Phi.N))  # every tag carries mass
 
 
@@ -557,7 +585,7 @@ def test_J_oc_imprimitive_convolution(ocphi5):
 def test_theta_oc_module_linearity(ocsp5, ocphi5):
     r = dirac_distN(3, 1, 5, 6, 6)
     acted = OCSymbol(ocsp5.level, ocsp5.N, ocsp5.p, ocsp5.prec, ocsp5.T,
-                     [scalar_action(r, v) for v in ocphi5.values])
+                     data_of([scalar_action(r, v) for v in values_of(ocphi5)]))
     idx = [1, 4, 5, 8]
     lhs = theta_oc(acted, 8, indices=idx).canonicalize()
     rhs = qexp_module_action(r, theta_oc(ocphi5, 8, indices=idx)).canonicalize()

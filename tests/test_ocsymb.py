@@ -3,25 +3,25 @@
 import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from shintani.arith import DirichletChar, crt
+from shintani.cosets import _units
 from shintani.dist import (
     ArithWeight,
-    MomentDist2,
-    TaggedDist2,
     _act_blocks,
     _pairs,
+    _stratum_cols,
     dirac_distN,
-    random_moments2,
-    scalar_action,
 )
 from shintani.errors import (
     BadSemigroupElement,
     CriticalSlope,
     NotEigen,
+    PrecisionMismatch,
     SlopeGapUnresolvable,
 )
 from shintani import manin, ocsymb
@@ -39,6 +39,7 @@ from shintani.modsym import (
     solve_symbol_space,
 )
 from shintani.ocsymb import (
+    OCSpace,
     OCSymbol,
     SlopeData,
     charpoly_strata,
@@ -58,7 +59,18 @@ from shintani.ocsymb import (
 )
 from shintani.modsym import eigensymbols
 
-from oracles import apply_double_coset, apply_involution, invol_tagged
+from oracles import (
+    MomentDist2,
+    TaggedDist2,
+    apply_double_coset,
+    apply_involution,
+    data_of,
+    evaluate,
+    invol_tagged,
+    random_moments2,
+    scalar_action,
+    values_of,
+)
 
 TRIV = DirichletChar.trivial(1)
 
@@ -109,6 +121,85 @@ def unit_tagged(N, p, prec, T, t, c, pos):
 
 
 # ---------------------------------------------------------------------------
+# the array operations against the value-by-value route
+
+
+@pytest.mark.parametrize("level, N, precision",
+                         [(5, 1, (8, 8)), (15, 3, (8, 8)), (11, 1, (6, 4))])
+def test_array_operations_match_value_by_value_oracle(level, N, precision):
+    # each operation on the data array against the same computation on
+    # one TaggedDist2 per generator; random values, relations not needed
+    p, (prec, T) = level // N, precision
+    mod, tags = p**prec, _units(N)
+    rng = np.random.default_rng(level)
+    shape = (manin.presentation(level).ngens, len(tags), p - 1,
+             len(_pairs(T)[0]))
+
+    def rand():
+        return OCSymbol(level, N, p, prec, T,
+                        rng.integers(0, mod, size=shape))
+
+    a, b = rand(), rand()
+    va, vb = values_of(a), values_of(b)
+    assert values_of(a + b) == tuple(x + y for x, y in zip(va, vb))
+    assert values_of(a - b) == tuple(x - y for x, y in zip(va, vb))
+    assert values_of(a.scale(-7)) == tuple(x.scale(-7) for x in va)
+    assert np.array_equal(a.flat(), np.concatenate(
+        [v.component(t).data.reshape(-1) for v in va for t in tags]))
+    for d in range(T + 1):
+        cols = list(_stratum_cols(T, d))
+        assert np.array_equal(a.flat_stratum(d), np.concatenate(
+            [v.component(t).data[:, cols].reshape(-1)
+             for v in va for t in tags]))
+
+    basis = [rand() for _ in range(4)]
+    space = OCSpace(level, N, p, prec, T, [x.data for x in basis],
+                    [0] * 4, [0] * 4)
+    coeffs = rng.integers(0, mod, size=4)
+    want = [v.zero_like() for v in va]
+    for c, x in zip(coeffs, basis):
+        want = [w + v.scale(int(c)) for w, v in zip(want, values_of(x))]
+    assert values_of(space.combination(coeffs)) == tuple(want)
+    assert np.array_equal(space.stratum_matrix(0), np.stack(
+        [x.flat_stratum(0) for x in basis], axis=1))
+
+    for d in (0, 1, T):
+        want = [v.zero_like() for v in va]
+        for c in range(1, p):
+            s = crt(1, N, c, p) if N > 1 else c
+            nu = dirac_distN(s, N, p, prec, T)
+            want = [w + scalar_action(nu, v).scale(pow(s, -d, mod))
+                    for w, v in zip(want, va)]
+        assert values_of(disc_sector_project(a, d)) == tuple(
+            w.scale(pow(p - 1, -1, mod)) for w in want)
+
+    flip = apply_involution(level, va, invol_tagged)
+    for sign in (1, -1):
+        assert values_of(oc_sign_project(a, sign)) == tuple(
+            (v + w.scale(sign)).scale(pow(2, -1, mod))
+            for v, w in zip(va, flip))
+
+    chi = DirichletChar.from_kronecker(-p if p % 4 == 3 else p, wild=p)
+    if N > 1:
+        chi = chi * DirichletChar.from_kronecker(-3)
+    for k in (0, 1, 3):
+        kappa = ArithWeight(k, chi, p)
+        spec = specialize_symbol(a, kappa)
+        for v, w in zip(va, spec.values):
+            assert list(w.coeffs) == [
+                (-1) ** i * sum(
+                    (kappa.chi_N(t) if N > 1 else 1) * kappa.chi_p(c)
+                    * v.component(t).m(c, k - i, i)
+                    for t in tags for c in range(1, p)) % mod
+                for i in range(k + 1)]
+
+    with pytest.raises(PrecisionMismatch):
+        a + OCSymbol(level, N, p, prec - 1, T, a.data)
+    with pytest.raises(PrecisionMismatch):
+        a - OCSymbol(level, N, p, prec, T - 1, a.data[..., :-T - 1])
+
+
+# ---------------------------------------------------------------------------
 # solve_oc_space
 
 
@@ -145,10 +236,9 @@ def test_dimension_matches_dense_kernel_oracle(sp11_small):
 
 
 def test_basis_symbols_satisfy_relations(sp11_small, sp15):
-    for b in sp11_small.basis:
-        assert manin.check_relations(b)
-    for b in sp15.basis[::7]:
-        assert manin.check_relations(b)
+    for b in sp11_small.basis + sp15.basis[::7]:
+        assert manin.check_relations(
+            SimpleNamespace(level=b.level, values=values_of(b)))
 
 
 def test_t0_space_specializes_onto_classical():
@@ -228,8 +318,8 @@ def test_tame_sector_block_decomposition(sp15):
 
     def rotate(sym, d):
         w = pow(pow(s, -1, mod), d, mod)
-        return OCSymbol(level, N, p, prec, T,
-                        [scalar_action(nu, v).scale(w) for v in sym.values])
+        return OCSymbol(level, N, p, prec, T, data_of(
+            [scalar_action(nu, v).scale(w) for v in values_of(sym)]))
 
     lc_plus = lc_minus = 0
     for d in range(T + 1):
@@ -326,15 +416,15 @@ def test_oc_operators_match_value_by_value_oracle(level, N, precision):
     assert len({d for d in range(space.T + 1)
                 if several.flat_stratum(d).any()}) > 1
     for sym in (several, space.basis[-1]):
-        vals = sym.values
+        vals = values_of(sym)
         for n in (2, 3, 6, p):
             want = apply_double_coset(level, vals, manin.hecke_reps(n, level))
-            assert oc_hecke_Tn(sym, n).values == tuple(want), n
-        assert oc_hecke_Up(sym).values == tuple(apply_double_coset(
+            assert values_of(oc_hecke_Tn(sym, n)) == tuple(want), n
+        assert values_of(oc_hecke_Up(sym)) == tuple(apply_double_coset(
             level, vals, manin.hecke_reps(p, level)))
-        assert oc_hecke_Tll(sym, 2).values == tuple(apply_double_coset(
+        assert values_of(oc_hecke_Tll(sym, 2)) == tuple(apply_double_coset(
             level, vals, [(2, 0, 0, 2)]))
-        assert oc_involution(sym).values == tuple(apply_involution(
+        assert values_of(oc_involution(sym)) == tuple(apply_involution(
             level, vals, invol_tagged))
     for d in range(space.T + 1):
         idx = space.stratum_indices(d)
@@ -342,15 +432,15 @@ def test_oc_operators_match_value_by_value_oracle(level, N, precision):
         for n in (None, 2):
             reps = manin.hecke_reps(p if n is None else n, level)
             images = np.stack([OCSymbol(level, N, p, space.prec, space.T,
-                                        apply_double_coset(
-                                            level, space.basis[i].values,
-                                            reps)).flat_stratum(d)
+                                        data_of(apply_double_coset(
+                                            level, values_of(space.basis[i]),
+                                            reps))).flat_stratum(d)
                                for i in idx], axis=1)
             assert np.array_equal(mmul(A, up_matrix(space, d, n=n), mod),
                                   images % mod), (d, n)
     bad = [(1, 0, 1, 1)]  # lower-left entry not divisible by the level
     with pytest.raises(BadSemigroupElement):
-        apply_double_coset(level, several.values, bad)
+        apply_double_coset(level, values_of(several), bad)
     with pytest.raises(BadSemigroupElement):
         ocsymb._apply_coset(several, bad)
 
@@ -364,12 +454,12 @@ def test_oc_operators_match_oracle_on_unsolved_values():
     vals = [TaggedDist2(N, p, prec, T, {t: random_moments2(rng, p, prec, T)
                                         for t in (1, 2, 3, 4)})
             for _ in range(manin.presentation(level).ngens)]
-    sym = OCSymbol(level, N, p, prec, T, vals)
-    assert oc_hecke_Tn(sym, 2).values == tuple(apply_double_coset(
+    sym = OCSymbol(level, N, p, prec, T, data_of(vals))
+    assert values_of(oc_hecke_Tn(sym, 2)) == tuple(apply_double_coset(
         level, vals, manin.hecke_reps(2, level)))
-    assert oc_hecke_Tll(sym, 3).values == tuple(apply_double_coset(
+    assert values_of(oc_hecke_Tll(sym, 3)) == tuple(apply_double_coset(
         level, vals, [(3, 0, 0, 3)]))
-    assert oc_involution(sym).values == tuple(apply_involution(
+    assert values_of(oc_involution(sym)) == tuple(apply_involution(
         level, vals, invol_tagged))
 
 
@@ -478,7 +568,7 @@ def test_specialize_total_mass_at_weight_zero(sp11_small):
     sym = random_symbol(sp11_small, seed=5)
     spec = specialize_symbol(sym, kappa)
     mod = 11**5
-    for v, w in zip(sym.values, spec.values):
+    for v, w in zip(values_of(sym), spec.values):
         mass = int(np.sum(v.component(0).data[:, 0])) % mod
         assert int(w.coeffs[0]) % mod == mass
 
@@ -507,7 +597,8 @@ def test_specialize_intertwines_every_hecke_operator(sp11_small):
 def test_lift_converges_with_full_residual(lifted_11a):
     _, _, Phi, res_val = lifted_11a
     assert res_val >= 8 - 2
-    assert manin.check_relations(Phi)
+    assert manin.check_relations(
+        SimpleNamespace(level=Phi.level, values=values_of(Phi)))
 
 
 def test_lift_specializes_to_classical(lifted_11a):
@@ -600,6 +691,6 @@ def test_oc_symbol_evaluate_invariance(sp11_small):
     gamma = (4, 1, 11, 3)
     base = ((RationalCusp(1, 7), 1), (RationalCusp.infinity(), -1))
     moved = tuple((c.apply(gamma), m) for c, m in base)
-    lhs = sym.evaluate(moved).act(gamma)
-    rhs = sym.evaluate(base)
+    lhs = evaluate(sym, moved).act(gamma)
+    rhs = evaluate(sym, base)
     assert (lhs - rhs).is_zero()
