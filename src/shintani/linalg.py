@@ -12,7 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import valuation
-from .errors import KernelOverflow
+from .errors import KernelOverflow, OperandMismatch
 
 # inner-dimension chunk for reduced accumulation:
 # chunk * (p^M - 1)^2 must stay below 2^63
@@ -42,7 +42,9 @@ def matmul_mod(A, B, mod):
     a2 = A.reshape(1, -1) if A.ndim == 1 else A
     b2 = B.reshape(-1, 1) if B.ndim == 1 else B
     inner = a2.shape[1]
-    assert inner == b2.shape[0]
+    if inner != b2.shape[0]:
+        raise OperandMismatch(
+            f"inner dimensions {inner} and {b2.shape[0]} do not match")
     out = np.zeros((a2.shape[0], b2.shape[1]), dtype=np.int64)
     for lo in range(0, inner, _CHUNK):
         hi = min(lo + _CHUNK, inner)
@@ -175,11 +177,21 @@ def zpm_kernel(A, p, M):
     # rows (column_i(A), e_i): the row span is the graph {(A x, x)}
     aug = np.concatenate([A.T % pm, np.eye(n, dtype=np.int64)], axis=1)
     reduced, info = _howell_reduce(list(aug), m + n, p, M)
-    raw = [r[m:] for r, (c, v) in zip(reduced, info) if c >= m]
-    if not raw:
+    raw = [r[m:] for r, (c, _) in zip(reduced, info) if c >= m]
+    return zpm_span_basis(raw, n, p, M)
+
+
+def zpm_span_basis(rows, width, p, M):
+    """Howell basis of the span of ``rows`` inside (Z/p^M)^width.
+
+    Returns (basis, torsion) as zpm_kernel does.  The pivots are p^v with
+    the entries above each reduced into [0, p^v), which makes the basis
+    unique: any generating set of one module gives the same rows.
+    """
+    if len(rows) == 0:
         return [], []
-    kern, kinfo = _howell_reduce(raw, n, p, M)
-    return kern, [v for (_, v) in kinfo]
+    basis, info = _howell_reduce(rows, width, p, M)
+    return basis, [v for _, v in info]
 
 
 def zpm_solve(A, b, p, M):

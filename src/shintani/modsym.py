@@ -510,7 +510,8 @@ def hecke_matrix(basis, n, op=hecke_Tn):
     for sym in basis:
         img = op(sym, n).coords()
         x = _coords_in_basis(flats, img)
-        assert x is not None, "operator image left the spanned space"
+        if x is None:
+            raise OperandMismatch("Hecke image left the solved space")
         cols.append(x)
     dim = len(basis)
     return [[cols[j][i] for j in range(dim)] for i in range(dim)]
@@ -579,7 +580,8 @@ def eigensymbols(M, k, chi, sign, lbound=7):
             R = sympy.zeros(r, r)
             for idx, img in enumerate(imgs):
                 x = frac_solve([row[:] for row in rows], [Fraction(t) for t in img])
-                assert x is not None
+                if x is None:
+                    raise OperandMismatch("Hecke image left the solved space")
                 for i in range(r):
                     R[i, idx] = sympy.Rational(x[i].numerator, x[i].denominator)
             for lam, _, _vecs in R.eigenvects():

@@ -3,8 +3,14 @@
 The value module is graded by total moment degree and every operator in
 sight (the congruence group, Hecke sums, the involution) is homogeneous,
 so the solution space, the U_p matrix and the slope theory all decompose
-stratum by stratum.  Solving and linear algebra happen per stratum; a
-general symbol is a sum of stratum-supported pieces.
+stratum by stratum.  Linear algebra happens per stratum; a general symbol
+is a sum of stratum-supported pieces.
+
+The relations are solved per stratum and Teichmuller sector.  The disc
+axis carries the regular representation of (Z/p)^x, whose characters
+omega^j are defined over Z/p^M (D(Z_p^x) = sum_j omega^j D(1 + pZ_p), as
+in Stevens' rigid analytic modular symbols), so each stratum's relations
+split into p - 1 independent blocks.
 """
 
 from __future__ import annotations
@@ -12,10 +18,9 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
-import sympy
 
 from . import manin
 from .arith import crt, valuation
@@ -40,6 +45,7 @@ from .linalg import (
     poly_mul_mod,
     zpm_kernel,
     zpm_solve,
+    zpm_span_basis,
 )
 from .modsym import ModularSymbol, SymPoly, check_ring
 
@@ -55,14 +61,8 @@ class OCSymbol:
     __slots__ = ("level", "N", "p", "prec", "T", "data")
 
     def __init__(self, level, N, p, prec, T, data):
-        if level != N * p:
-            raise BadLevel(f"level {level} is not {N} * {p}")
-        _check_kernel_bounds(p, prec, T)
+        _check_shape(level, N, p, prec, T, np.shape(data))
         data = np.asarray(data, dtype=np.int64) % p**prec
-        shape = (manin.presentation(level).ngens, len(_units(N)), p - 1,
-                 len(_pairs(T)[0]))
-        if data.shape != shape:
-            raise DegreeMismatch(f"data of shape {data.shape}, need {shape}")
         data.flags.writeable = False
         self.level = level
         self.N = N
@@ -70,6 +70,14 @@ class OCSymbol:
         self.prec = prec
         self.T = T
         self.data = data
+
+    @classmethod
+    def _view(cls, space, data):
+        """A symbol of space on data already checked, reduced and read-only."""
+        sym = cls.__new__(cls)
+        sym.level, sym.N, sym.p = space.level, space.N, space.p
+        sym.prec, sym.T, sym.data = space.prec, space.T, data
+        return sym
 
     def _like(self, data):
         return OCSymbol(self.level, self.N, self.p, self.prec, self.T, data)
@@ -108,6 +116,17 @@ class OCSymbol:
                 f"M={self.prec}, T={self.T})")
 
 
+def _check_shape(level, N, p, prec, T, shape):
+    """Raise unless arrays of this shape hold the data of such a symbol."""
+    if level != N * p:
+        raise BadLevel(f"level {level} is not {N} * {p}")
+    _check_kernel_bounds(p, prec, T)
+    need = (manin.presentation(level).ngens, len(_units(N)), p - 1,
+            len(_pairs(T)[0]))
+    if tuple(shape) != need:
+        raise DegreeMismatch(f"data of shape {tuple(shape)}, need {need}")
+
+
 def _sources(g, N, p):
     """Source positions (tags, discs) of the value action of g.
 
@@ -136,32 +155,62 @@ def _act_stratum(g, Y, N, p, prec, T, d):
     return (V @ Y.take(tsrc, axis=0).take(dsrc, axis=1)) % mod
 
 
+@lru_cache(maxsize=None)
+def _characters(p, prec):
+    """Teichmuller characters mod p^prec: row j is omega^j on discs 1..p-1.
+
+    omega(c) = c^(p^(prec-1)) is the (p-1)-th root of unity congruent to
+    c mod p, so the rows are the p - 1 characters of (Z/p)^x.  The table
+    is invertible over Z/p^prec, p - 1 being a unit: its inverse has
+    entry omega^-j(c) / (p - 1) at (c, j).
+    """
+    mod = p**prec
+    omega = [pow(c, p ** (prec - 1), mod) for c in range(1, p)]
+    return np.array([[pow(w, j, mod) for w in omega] for j in range(p - 1)],
+                    dtype=np.int64)
+
+
 @lru_cache(maxsize=4096)
 def _stratum_action_matrix(g, N, p, prec, T, d):
-    """Flat-coordinate matrix of the value action on one stratum.
+    """The value action of g on one stratum, one block per sector.
 
-    Index order (tag, disc, moment): _act_stratum on the identity.
+    A disc vector c -> omega^j(c) is an eigenvector of the disc gather of
+    _act_stratum: reading disc a^-1 c gives omega^j(a^-1 c), that is
+    omega^j(a)^-1 times it.  So in sector j the action is omega^j(a)^-1
+    times the tag gather tensor the stratum-d block of _act_blocks.
+    Indexed (sector, (tag, moment), (tag, moment)).
     """
-    n = len(_units(N)) * (p - 1) * (d + 1)
-    eye = np.eye(n, dtype=np.int64).reshape(-1, p - 1, d + 1, n)
-    return _act_stratum(g, eye, N, p, prec, T, d).reshape(n, n)
+    _check_s0(g, N * p)
+    mod = p**prec
+    g = tuple(x % (N * mod) for x in g)
+    tsrc, _ = _sources(g, N, p)
+    tags = np.eye(len(tsrc), dtype=np.int64)[tsrc]
+    block = np.kron(tags, _act_blocks(g, p, prec, T)[d])
+    twist = _characters(p, prec)[:, pow(g[0], -1, p) - 1]
+    return (twist[:, None, None] * block) % mod
 
 
-def _stratum_relation_matrix(level, N, p, prec, T, d):
+def _sector_relation_blocks(level, N, p, prec, T, d):
+    """The stratum-d relation matrix as its p - 1 sector blocks.
+
+    Block j has rows (relation, tag, moment) and columns (generator, tag,
+    moment); x solves it exactly when the generator values with disc c
+    entry omega^j(c) x satisfy the relations.
+    """
     pres = manin.presentation(level)
-    blockdim = len(_units(N)) * (p - 1) * (d + 1)
+    blockdim = len(_units(N)) * (d + 1)
     mod = p**prec
 
     def add(block, c, g, w):
-        W = _stratum_action_matrix(g, N, p, prec, T, d)
+        S = _stratum_action_matrix(g, N, p, prec, T, d)
         sl = slice(c * blockdim, (c + 1) * blockdim)
-        block[:, sl] = (block[:, sl] + w * W) % mod
+        block[:, :, sl] = (block[:, :, sl] + w * S) % mod
         return block
 
-    return np.vstack([
+    return np.concatenate([
         manin.weighted_sum(rel, add, np.zeros(
-            (blockdim, pres.ngens * blockdim), dtype=np.int64))
-        for rel in pres.relations])
+            (p - 1, blockdim, pres.ngens * blockdim), dtype=np.int64))
+        for rel in pres.relations], axis=1)
 
 
 def _coset_stratum(level, N, p, prec, T, d, X, reps):
@@ -211,21 +260,23 @@ def _apply_coset(sym, reps):
 class OCSpace:
     """Solved symbol space, basis grouped by moment stratum.
 
-    data stacks the basis symbols' data along a leading basis axis.
+    data stacks the basis symbols' data along a leading basis axis, and
+    each basis symbol's data is a read-only view of its row.
     """
 
     __slots__ = ("level", "N", "p", "prec", "T", "data", "basis", "strata",
                  "torsion")
 
     def __init__(self, level, N, p, prec, T, data, strata, torsion):
+        _check_shape(level, N, p, prec, T, np.shape(data)[1:])
         self.level = level
         self.N = N
         self.p = p
         self.prec = prec
         self.T = T
-        self.basis = tuple(OCSymbol(level, N, p, prec, T, x) for x in data)
         self.data = np.asarray(data, dtype=np.int64) % p**prec
         self.data.flags.writeable = False
+        self.basis = tuple(OCSymbol._view(self, x) for x in self.data)
         self.strata = tuple(strata)
         self.torsion = tuple(torsion)
 
@@ -255,10 +306,13 @@ class OCSpace:
 
 
 def solve_oc_space(Np, N, precision):
-    """Exact solution space of the relations, solved per moment stratum.
+    """Exact solution space of the relations, per stratum and sector.
 
     precision = (prec, T): values mod p^prec with moments of total degree
-    up to T.  The returned basis symbols are stratum-supported and
+    up to T.  Each sector block's kernel goes back to disc coordinates
+    through the character table, and the union is Howell-reduced once per
+    stratum; that basis is unique, so it is the basis of the full stratum
+    matrix.  The returned basis symbols are stratum-supported and
     generate the full space; a nonzero torsion entry marks a generator
     only defined modulo a smaller power of p.
     """
@@ -267,11 +321,18 @@ def solve_oc_space(Np, N, precision):
         raise BadLevel(f"{Np} is not {N} times a prime coprime to {N}")
     prec, T = precision
     check_ring(("zpm", p, prec))
+    mod = p**prec
+    chars = _characters(p, prec)
     shape = (manin.presentation(Np).ngens, len(_units(N)), p - 1)
     blocks, strata, torsion = [], [], []
     for d in range(T + 1):
-        A = _stratum_relation_matrix(Np, N, p, prec, T, d)
-        kernel, tors = zpm_kernel(A, p, prec)
+        rows = []
+        for j, B in enumerate(_sector_relation_blocks(Np, N, p, prec, T, d)):
+            for y in zpm_kernel(B, p, prec)[0]:
+                x = y.reshape(shape[:2] + (1, d + 1)) * chars[j][:, None]
+                rows.append((x % mod).reshape(-1))
+        kernel, tors = zpm_span_basis(rows, prod(shape) * (d + 1), p,
+                                      prec)
         for vec, v in zip(kernel, tors):
             blocks.append((d, vec.reshape(shape + (d + 1,))))
             strata.append(d)
@@ -435,6 +496,26 @@ def _pquo_rem(a, b, mod):
     return _ptrim(q), _ptrim(a[:len(b) - 1] or [0])
 
 
+def _bezout_mod_p(a, b, p):
+    """s, t with s a + t b = 1 over F_p, deg s < deg b and deg t < deg a.
+
+    a and b are coprime; extended Euclid on the coefficient lists.  The
+    degree bounds make the pair unique.
+    """
+    r0, r1 = _ptrim([x % p for x in a]), _ptrim([x % p for x in b])
+    s0, s1, t0, t1 = [1], [0], [0], [1]
+    while r1 != [0]:
+        inv = pow(r1[-1], -1, p)
+        q, r = _pquo_rem(r0, _pscale(r1, inv, p), p)
+        minus_q = _pscale(q, -inv, p)   # r0 = -minus_q r1 + r
+        r0, r1 = r1, r
+        s0, s1 = s1, _ptrim(_padd(s0, poly_mul_mod(minus_q, s1, p), p))
+        t0, t1 = t1, _ptrim(_padd(t0, poly_mul_mod(minus_q, t1, p), p))
+    assert len(r0) == 1, "polynomials are not coprime"
+    inv = pow(r0[0], -1, p)
+    return _pscale(s0, inv, p), _pscale(t0, inv, p)
+
+
 def _hensel_pair(f, g0, h0, s0, t0, p, prec):
     """Lift f = g h, s g + t h = 1 from mod p to mod p^prec.
 
@@ -503,14 +584,7 @@ def slope_projector(matrix, p, prec, h=0):
         return np.zeros((n, n), dtype=np.int64)
     qb = fp[a:]
     rb = [0] * a + [1]
-    x = sympy.symbols("x")
-    sp_R = sympy.Poly(list(reversed(rb)), x, modulus=p)
-    sp_Q = sympy.Poly(list(reversed(qb)), x, modulus=p)
-    ss, tt, gg = sympy.gcdex(sp_R, sp_Q)
-    assert gg.degree() == 0
-    ginv = pow(int(gg.all_coeffs()[0]) % p, -1, p)
-    s0 = [int(c) * ginv % p for c in reversed(ss.all_coeffs())] or [0]
-    t0 = [int(c) * ginv % p for c in reversed(tt.all_coeffs())] or [0]
+    s0, t0 = _bezout_mod_p(rb, qb, p)
     g_, h_, s_, t_ = _hensel_pair(f, rb, qb, s0, t0, p, prec)
     # s g + t h = 1 and f(U) = 0, so (s g)(U) is the identity on the
     # unit-root kernel of h(U) and zero on the complement

@@ -13,6 +13,10 @@ module as the package kept it, one object per generator value, before an
 convert between that array and a tuple of ``TaggedDist2``, and
 ``evaluate`` is ``OCSymbol.evaluate`` on the converted values.
 
+``stratum_relation_matrix`` is one stratum's relation matrix in disc
+coordinates, the matrix ``solve_oc_space`` reduced whole before it solved
+each Teichmuller sector on its own.
+
 ``act_blocks_formula`` is the entry-by-entry Sym^d block that the numpy
 recurrence ``dist._sym_blocks`` replaced, and ``J_oc_values`` the
 finite-precision lift's coefficient at one form computed value by value:
@@ -39,7 +43,9 @@ from shintani.dist import (
 )
 from shintani.errors import InsufficientMoments, NotInFM, PrecisionMismatch
 from shintani.linalg import _check_kernel_bounds
-from shintani.manin import MAT_IOTA, evaluate_values, presentation
+from shintani.manin import (
+    MAT_IOTA, evaluate_values, presentation, weighted_sum)
+from shintani.ocsymb import _act_stratum
 from shintani.qf import cycle_divisor, in_FM
 
 
@@ -342,6 +348,30 @@ def invol_tagged(v):
     comps = {t: MomentDist2(v.p, v.prec, v.T, mu.data * signs)
              for t, mu in v.comps.items()}
     return TaggedDist2(v.N, v.p, v.prec, v.T, comps)
+
+
+def stratum_relation_matrix(level, N, p, prec, T, d):
+    """The stratum-d relations as one matrix on (generator, tag, disc, moment).
+
+    Rows are indexed (relation, tag, disc, moment); each term's block is
+    _act_stratum on the identity.
+    """
+    pres = presentation(level)
+    blockdim = len(_units(N)) * (p - 1) * (d + 1)
+    mod = p**prec
+    eye = np.eye(blockdim, dtype=np.int64).reshape(-1, p - 1, d + 1,
+                                                    blockdim)
+
+    def add(block, c, g, w):
+        W = _act_stratum(g, eye, N, p, prec, T, d).reshape(blockdim, -1)
+        sl = slice(c * blockdim, (c + 1) * blockdim)
+        block[:, sl] = (block[:, sl] + w * W) % mod
+        return block
+
+    return np.vstack([
+        weighted_sum(rel, add, np.zeros(
+            (blockdim, pres.ngens * blockdim), dtype=np.int64))
+        for rel in pres.relations])
 
 
 def act_blocks_formula(g, p, prec, T):

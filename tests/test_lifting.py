@@ -338,7 +338,9 @@ from shintani.errors import ShintaniError
 from shintani.lifting import (
     FormalQExp, HalfIntQExp, J_classical, J_oc, specialize_qexp,
     theta_classical)
-from shintani.modsym import Divisor0, _from_flat, solve_symbol_space
+from shintani.linalg import matmul_mod
+from shintani.modsym import (
+    Divisor0, _from_flat, hecke_matrix, solve_symbol_space)
 from shintani.ocsymb import (
     OCSpace, OCSymbol, lift_eigensymbol, oc_hecke_Tll, solve_oc_space,
     up_matrix)
@@ -391,6 +393,10 @@ cases = {
         sp5, sym5, 1, ArithWeight(3, T, 5)),
     "lift_eigensymbol(image)": lambda: lift_eigensymbol(
         sp5, off_image, 1, ArithWeight(0, T, 5)),
+    "matmul_mod": lambda: matmul_mod(np.ones((2, 3)), np.ones((5, 2)), 7),
+    # an "operator" sending the first basis symbol onto the second
+    "hecke_matrix": lambda: hecke_matrix(
+        [sym11], None, lambda sym, _: solve_symbol_space(11, 2, T)[1]),
 }
 print("debug", __debug__)
 for name, call in cases.items():
@@ -409,7 +415,7 @@ def test_input_guards_survive_optimize():
     out = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_GUARDS],
                          capture_output=True, text=True, check=True, env=env,
                          timeout=300).stdout.split("\n")
-    assert out[:27] == [
+    assert out[:29] == [
         "debug False",
         "J_classical NotInFM",
         "J_oc NotInFM",
@@ -437,6 +443,8 @@ def test_input_guards_survive_optimize():
         "up_matrix OperandMismatch",
         "lift_eigensymbol(stratum) DegreeMismatch",
         "lift_eigensymbol(image) OperandMismatch",
+        "matmul_mod OperandMismatch",
+        "hecke_matrix OperandMismatch",
     ]
 
 

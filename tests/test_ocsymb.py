@@ -69,6 +69,7 @@ from oracles import (
     invol_tagged,
     random_moments2,
     scalar_action,
+    stratum_relation_matrix,
     values_of,
 )
 
@@ -233,6 +234,96 @@ def test_dimension_matches_dense_kernel_oracle(sp11_small):
     kern, torsion = zpm_kernel(A, p, prec)
     assert len(kern) == sp11_small.dimension
     assert sorted(torsion) == sorted(sp11_small.torsion)
+
+
+def _character_inverse(p, prec):
+    """Entry omega^-j(c) / (p - 1) at (c, j), from modular inverses."""
+    mod = p**prec
+    X = ocsymb._characters(p, prec)
+    inv = pow(p - 1, -1, mod)
+    return np.array([[pow(int(X[j, c]), -1, mod) * inv % mod
+                      for j in range(p - 1)] for c in range(p - 1)],
+                    dtype=np.int64)
+
+
+@pytest.mark.parametrize("p, prec", [(5, 8), (7, 4), (11, 6)])
+def test_character_table(p, prec):
+    mod = p**prec
+    X = ocsymb._characters(p, prec)
+    Xinv = _character_inverse(p, prec)
+    eye = np.eye(p - 1, dtype=np.int64)
+    assert np.array_equal(mmul(X, Xinv, mod), eye)
+    assert np.array_equal(mmul(Xinv, X, mod), eye)
+    omega = [int(w) for w in X[1]]
+    for c1 in range(1, p):
+        assert omega[c1 - 1] % p == c1
+        for c2 in range(1, p):
+            assert omega[c1 * c2 % p - 1] == omega[c1 - 1] * omega[c2 - 1] % mod
+    # omega^j is trivial exactly when p - 1 divides j
+    orders = [next(n for n in range(1, p) if pow(w, n, mod) == 1)
+              for w in omega]
+    assert max(orders) == p - 1
+    assert all(X[0] == 1)
+    assert all(X[j].any() and not all(X[j] == 1) for j in range(1, p - 1))
+
+
+def _conjugate_by_characters(A, level, N, p, prec, d):
+    """Cinv A C on both disc axes, with C[c, j] = omega^j(c)."""
+    mod = p**prec
+    X = ocsymb._characters(p, prec)
+    Xinv = _character_inverse(p, prec).T
+    ntags = len(_units(N))
+    A8 = A.reshape(-1, ntags, p - 1, d + 1, manin.presentation(level).ngens,
+                   ntags, p - 1, d + 1)
+    B = np.einsum("jc,rtcmgusn->rtjmgusn", Xinv, A8) % mod
+    return np.einsum("rtjmgusn,ks->rtjmgukn", B, X) % mod
+
+
+@pytest.mark.parametrize("level, N, prec, T, d",
+                         [(5, 1, 8, 8, 4), (15, 3, 8, 8, 4)])
+def test_sector_blocks_are_the_conjugated_relation_matrix(level, N, prec, T,
+                                                          d):
+    # the character table conjugates the full relation matrix to block
+    # diagonal form, and the directly built sector blocks are its blocks
+    p = level // N
+    A = stratum_relation_matrix(level, N, p, prec, T, d)
+    conj = _conjugate_by_characters(A, level, N, p, prec, d)
+    off = [conj[:, :, j, :, :, :, k, :] for j in range(p - 1)
+           for k in range(p - 1) if j != k]
+    assert sum(int(np.count_nonzero(x)) for x in off) == 0
+    blocks = ocsymb._sector_relation_blocks(level, N, p, prec, T, d)
+    diag = [conj[:, :, j, :, :, :, j, :].reshape(blocks[j].shape)
+            for j in range(p - 1)]
+    for j in range(p - 1):
+        assert np.array_equal(blocks[j], diag[j])
+    # the sign of the twist omega^j(a)^-1 is pinned: sector j and sector
+    # -j, which would swap under omega^j(a), differ
+    assert not np.array_equal(diag[1], diag[p - 2])
+
+
+@pytest.mark.parametrize("level, N, precision",
+                         [(5, 1, (8, 8)), (11, 1, (6, 4)), (15, 3, (8, 4))])
+def test_sector_solve_matches_full_stratum_kernel(level, N, precision):
+    # oracle: zpm_kernel on each full stratum matrix in disc coordinates;
+    # a reduced Howell basis is unique, so rows and torsion agree exactly
+    p, (prec, T) = level // N, precision
+    space = solve_oc_space(level, N, precision)
+    for d in range(T + 1):
+        kern, tors = zpm_kernel(
+            stratum_relation_matrix(level, N, p, prec, T, d), p, prec)
+        idx = space.stratum_indices(d)
+        assert len(kern) == len(idx) > 0
+        assert np.array_equal(space.stratum_matrix(d).T, np.stack(kern))
+        assert [space.torsion[i] for i in idx] == tors
+
+
+def test_basis_symbols_view_the_space_data(sp11_small):
+    space = sp11_small
+    for i, b in enumerate(space.basis):
+        assert np.shares_memory(b.data, space.data)
+        assert np.array_equal(b.data, space.data[i])
+        assert not b.data.flags.writeable
+    assert not space.data.flags.writeable
 
 
 def test_basis_symbols_satisfy_relations(sp11_small, sp15):
@@ -537,6 +628,28 @@ def test_slope_projector_complement_determinant(sp11_big):
         v += 1
     assert v == pos_sum
     assert v < prec - 2
+
+
+def test_bezout_mod_p_matches_sympy_gcdex():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(5)
+    checked = 0
+    for p in (5, 7, 11):
+        for _ in range(60):
+            a = [rng.randrange(p) for _ in range(rng.randint(1, 7))] + [1]
+            b = [rng.randrange(p) for _ in range(rng.randint(0, 6))] + [1]
+            A = sympy.Poly(a[::-1], x, modulus=p)
+            B = sympy.Poly(b[::-1], x, modulus=p)
+            ss, tt, gg = sympy.gcdex(A, B)
+            if gg.degree() != 0:
+                continue
+            ginv = pow(int(gg.LC()) % p, -1, p)
+            want = tuple([int(c) * ginv % p for c in v.all_coeffs()[::-1]]
+                         or [0] for v in (ss, tt))
+            assert ocsymb._bezout_mod_p(a, b, p) == want
+            checked += 1
+    assert checked > 100
 
 
 def test_slope_projector_gap_unresolvable(sp11_small):
