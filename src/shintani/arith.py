@@ -7,7 +7,7 @@ Everything here is integer or Fraction arithmetic; no floating point.
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .errors import NonUnimodular
+from .errors import NonUnimodular, PrimalityUnproven
 
 
 def xgcd(a, b):
@@ -64,6 +64,28 @@ def kronecker(a, n):
             sign = -sign
         a %= n
     return sign if n == 1 else 0
+
+
+# Miller-Rabin to these 13 bases has no strong pseudoprime below the bound
+# (Sorenson-Webster, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def is_prime(n):
+    """Deterministic primality test for n below 3.3 * 10^24."""
+    if n < 2 or any(n % q == 0 for q in _MR_BASES):
+        return n in _MR_BASES
+    if n >= _MR_BOUND:
+        raise PrimalityUnproven(f"no deterministic test for {n}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 2**r, n) != n - 1 for r in range(s)):
+            return False
+    return True
 
 
 def sign_a_plus_b_sqrt(a, b, d):
@@ -261,11 +283,6 @@ class RationalCusp:
     @classmethod
     def infinity(cls):
         return cls(1, 0)
-
-    @classmethod
-    def from_fraction(cls, q):
-        q = Fraction(q)
-        return cls(q.numerator, q.denominator)
 
     @property
     def is_infinity(self):

@@ -45,6 +45,10 @@ class NotInFM(ShintaniError):
     """Quadratic form is not in the congruence family F_M of the level."""
 
 
+class PrimalityUnproven(ShintaniError):
+    """Integer beyond the range where the primality test is proven."""
+
+
 class BadCharacteristic(ShintaniError):
     """Coefficient ring where 6 is not invertible."""
 

@@ -14,9 +14,8 @@ from functools import lru_cache
 from math import factorial, gcd
 
 import numpy as np
-import sympy
 
-from .arith import RationalCusp, kronecker, valuation
+from .arith import RationalCusp, is_prime, kronecker, valuation
 from .cosets import _units
 from .dist import (
     DistN,
@@ -81,7 +80,9 @@ class HalfIntQExp:
 
     def __init__(self, M, k, chi, coeffs, n_max, ring="Q", twists=()):
         check_ring(ring)
-        assert M >= 1 and k >= 0 and n_max >= 0
+        if M < 1 or k < 0 or n_max < 0:
+            raise BadIndex(f"need M >= 1, k >= 0 and n_max >= 0, "
+                           f"got {M}, {k} and {n_max}")
         self.M = M
         self.k = k
         self.chi = chi
@@ -187,7 +188,7 @@ def halfint_Tp(e, p):
 
 def halfint_Tl2(e, l):
     """Square-index Hecke operator at an odd prime away from the level."""
-    if l == 2 or not sympy.isprime(l) or gcd(l, 2 * e.M) != 1:
+    if l == 2 or not is_prime(l) or gcd(l, 2 * e.M) != 1:
         raise BadIndex(f"need an odd prime coprime to {4 * e.M}, got {l}")
     k = e.k
     sign = kronecker(-1, l) ** (k + 1)
@@ -550,7 +551,7 @@ def qexp_hecke_Tl(e, l):
     """
     if l == 2 and e.N % 2:
         raise BadIndex("index 2 requires an even tame level")
-    if not sympy.isprime(l):
+    if not is_prime(l):
         raise BadIndex(f"{l} is not prime")
     nm = e.n_max // (l * l)
     co = {}

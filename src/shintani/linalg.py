@@ -222,32 +222,34 @@ def zpm_in_span(vectors, target, p, M):
 # characteristic polynomial, division-free
 
 
-def berkowitz_charpoly(A, mod):
-    """Coefficients [1, c_{n-1}, ..., c_0] of det(XI - A) mod ``mod``."""
-    A = np.asarray(A, dtype=np.int64) % mod
+def berkowitz_charpoly(A, mod=None):
+    """Coefficients [1, c_{n-1}, ..., c_0] of det(XI - A) mod ``mod``, or
+    over Z with exact Python ints when mod is None."""
+    if mod is None:
+        A = np.array([[int(x) for x in row] for row in A], dtype=object)
+        red, dot = (lambda x: x), np.dot
+    else:
+        A = np.asarray(A, dtype=np.int64) % mod
+        red, dot = (lambda x: x % mod), (lambda X, v: matmul_mod(X, v, mod))
     n = A.shape[0]
     if n == 0:
         return [1]
-    poly = np.array([1, (-int(A[0, 0])) % mod], dtype=np.int64)
+    poly = [1, red(-int(A[0, 0]))]
     for k in range(1, n):
         R = A[k, :k]
         C = A[:k, k]
         M0 = A[:k, :k]
-        column = [1, (-int(A[k, k])) % mod]
+        column = [1, red(-int(A[k, k]))]
         v = C.copy()
         for j in range(k):
-            column.append((-matmul_mod(R, v, mod)) % mod)
+            column.append(red(-int(dot(R, v))))
             if j < k - 1:
-                v = matmul_mod(M0, v, mod)
+                v = dot(M0, v)
         # lower-triangular Toeplitz (k+2) x (k+1) applied to poly
-        new = np.zeros(k + 2, dtype=np.int64)
-        for i in range(k + 2):
-            acc = 0
-            for j in range(min(i, k) + 1):
-                acc = (acc + column[i - j] * int(poly[j])) % mod
-            new[i] = acc
-        poly = new
-    return [int(c) % mod for c in poly]
+        poly = [red(sum(column[i - j] * poly[j]
+                        for j in range(min(i, k) + 1)))
+                for i in range(k + 2)]
+    return poly
 
 
 def poly_mul_mod(a, b, mod):

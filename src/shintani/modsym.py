@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import count, dropwhile
 from math import comb, gcd, lcm
 from operator import mul
 
 import numpy as np
-import sympy
 
-from .arith import RationalCusp, mat_det
+from .arith import RationalCusp, is_prime, mat_det
 from .cosets import p1_classes
 from .errors import (
     BadCharacteristic,
@@ -34,6 +34,7 @@ from .errors import (
 )
 from .linalg import (
     _check_kernel_bounds,
+    berkowitz_charpoly,
     frac_nullspace,
     frac_rref,
     frac_solve,
@@ -52,7 +53,7 @@ def check_ring(ring):
         return
     if ring_is_zpm(ring):
         _, p, prec = ring
-        if p < 5 or not sympy.isprime(p) or prec < 1:
+        if p < 5 or not is_prime(p) or prec < 1:
             raise BadCharacteristic(f"need Z/p^M with prime p >= 5, got {ring}")
         _check_kernel_bounds(p, prec)
         return
@@ -523,16 +524,10 @@ def involution_matrix(basis):
 
 def _normalize_content(flat):
     """Scale a rational vector to integer entries with unit content."""
-    den = 1
-    for x in flat:
-        den = den * x.denominator // gcd(den, x.denominator)
+    den = lcm(*(x.denominator for x in flat))
     ints = [int(x * den) for x in flat]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g:
-        ints = [x // g for x in ints]
-    return ints
+    g = gcd(*ints)
+    return [x // g for x in ints] if g else ints
 
 
 def eigensymbols(M, k, chi, sign, lbound=7):
@@ -544,16 +539,13 @@ def eigensymbols(M, k, chi, sign, lbound=7):
     Returns a list of (symbol, {l: eigenvalue}) pairs, each symbol scaled
     to integer coefficients with content one.
     """
-    assert sign in (1, -1)
+    if sign not in (1, -1):
+        raise BadIndex(f"sign must be 1 or -1, got {sign!r}")
     basis = solve_symbol_space(M, k, chi, "Q")
     dim = len(basis)
     if dim == 0:
         return []
     flats = [sym.coords() for sym in basis]
-
-    def op_matrix(l):
-        return hecke_matrix(basis, l)
-
     J = involution_matrix(basis)
     # column space of (I + sign*J)/2 inside coordinate space
     proj = [[(Fraction(1 if i == j else 0) + sign * J[i][j]) / 2
@@ -564,38 +556,32 @@ def eigensymbols(M, k, chi, sign, lbound=7):
     if not subspace:
         return []
 
-    primes = list(sympy.primerange(2, lbound + 1))
+    primes = [l for l in range(2, lbound + 1) if is_prime(l)]
     spaces = [subspace]
     maps = [dict()]
     for l in primes:
-        A = op_matrix(l)
+        A = hecke_matrix(basis, l)
         new_spaces, new_maps = [], []
         for space, emap in zip(spaces, maps):
             r = len(space)
-            imgs = []
-            for v in space:
-                imgs.append([sum(A[i][j] * v[j] for j in range(dim))
-                             for i in range(dim)])
+            imgs = [[sum(A[i][j] * v[j] for j in range(dim)) for i in range(dim)]
+                    for v in space]
             rows = [[Fraction(space[j][i]) for j in range(r)] for i in range(dim)]
-            R = sympy.zeros(r, r)
+            R = [[None] * r for _ in range(r)]
             for idx, img in enumerate(imgs):
                 x = frac_solve([row[:] for row in rows], [Fraction(t) for t in img])
                 if x is None:
                     raise OperandMismatch("Hecke image left the solved space")
                 for i in range(r):
-                    R[i, idx] = sympy.Rational(x[i].numerator, x[i].denominator)
-            for lam, _, _vecs in R.eigenvects():
-                if not lam.is_Rational:
-                    warnings.warn(
-                        f"skipping irrational eigenvalue of T_{l} at level {M}",
-                        RuntimeWarning)
-                    continue
-                lamf = Fraction(int(lam.p), int(lam.q))
-                for piece in _rational_eigenspace(R, lam, r):
+                    R[i][idx] = x[i]
+            for lam in _rational_eigenvalues(R, l, M):
+                shifted = [[x - lam if i == j else x for j, x in enumerate(row)]
+                           for i, row in enumerate(R)]
+                for piece in frac_nullspace(shifted, r):
                     vec = [sum(Fraction(piece[j]) * space[j][i] for j in range(r))
                            for i in range(dim)]
                     new_spaces.append([vec])
-                    new_maps.append({**emap, l: lamf})
+                    new_maps.append({**emap, l: lam})
         spaces, maps = _merge_eigen(new_spaces, new_maps)
     out = []
     for space, emap in zip(spaces, maps):
@@ -612,12 +598,59 @@ def eigensymbols(M, k, chi, sign, lbound=7):
     return out
 
 
-def _rational_eigenspace(R, lam, r):
-    """Basis of ker(R - lam) as rational row vectors."""
-    Mm = R - lam * sympy.eye(r)
-    rows = [[Fraction(int(Mm[i, j].p), int(Mm[i, j].q)) for j in range(r)]
-            for i in range(r)]
-    return frac_nullspace(rows, r)
+def _rational_eigenvalues(R, l, M):
+    """Distinct rational eigenvalues of the Fraction matrix R.
+
+    With D the common denominator of R, the square-free part g of chi_A,
+    A = D R, is monic in Z[y] (Gauss's lemma), so a rational eigenvalue of
+    R is a / D for an integer root a of g, with |a| <= 2t if t^i bounds
+    the coefficient of y^(n-i) for every i (Fujiwara).  At the least
+    prime q where all roots of g mod q are simple, each root has one
+    Newton lift mod q^(2^j) > 4t, and its symmetric residue is the only
+    integer root it can give.  Warns once per irrational eigenvalue.
+    """
+    D = lcm(*(x.denominator for row in R for x in row))
+    f = berkowitz_charpoly([[int(x * D) for x in row] for row in R])
+    a, b = f, _derivative(f)
+    while any(b):
+        b = [Fraction(x) / b[0] for x in dropwhile(lambda x: x == 0, b)]
+        a, b = b, _divide_monic(a, b)[1]
+    g = [int(x) for x in _divide_monic(f, a)[0]]
+    dg, t = _derivative(g), 1
+    while any(abs(x) > t**i for i, x in enumerate(g)):
+        t *= 2
+    for mod in filter(is_prime, count(2)):
+        lifts = [r for r in range(mod) if _horner(g, r) % mod == 0]
+        if all(_horner(dg, r) % mod for r in lifts):
+            break
+    while mod <= 4 * t:
+        mod *= mod
+        lifts = [(r - _horner(g, r) * pow(_horner(dg, r), -1, mod)) % mod
+                 for r in lifts]
+    roots = [r - mod if 2 * r > mod else r for r in lifts]
+    roots = [y for y in roots if _horner(g, y) == 0]
+    for _ in range(len(g) - 1 - len(roots)):
+        warnings.warn(f"skipping irrational eigenvalue of T_{l} at level {M}",
+                      RuntimeWarning)
+    return [Fraction(y, D) for y in roots]
+
+
+def _derivative(f):
+    """f' for f given by its coefficients, highest first, as below."""
+    return [x * (len(f) - 1 - i) for i, x in enumerate(f[:-1])]
+
+
+def _horner(f, x):
+    return reduce(lambda acc, c: acc * x + c, f, 0)
+
+
+def _divide_monic(f, g):
+    """(quotient, remainder) of f by a monic g."""
+    quot = []
+    while len(f) >= len(g):
+        quot.append(c := f[0])
+        f = [x - c * y for x, y in zip(f[1:], g[1:] + [0] * len(f))]
+    return quot, f
 
 
 def _merge_eigen(spaces, maps):

@@ -305,6 +305,7 @@ class OCSpace:
                         flat.reshape(self.data.shape[1:]))
 
 
+@lru_cache(maxsize=1)
 def solve_oc_space(Np, N, precision):
     """Exact solution space of the relations, per stratum and sector.
 
@@ -314,7 +315,8 @@ def solve_oc_space(Np, N, precision):
     stratum; that basis is unique, so it is the basis of the full stratum
     matrix.  The returned basis symbols are stratum-supported and
     generate the full space; a nonzero torsion entry marks a generator
-    only defined modulo a smaller power of p.
+    only defined modulo a smaller power of p.  The space is immutable, so
+    the last one solved is cached and shared.
     """
     p = Np // N
     if N * p != Np or gcd(p, N) != 1:

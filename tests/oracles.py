@@ -17,6 +17,11 @@ convert between that array and a tuple of ``TaggedDist2``, and
 coordinates, the matrix ``solve_oc_space`` reduced whole before it solved
 each Teichmuller sector on its own.
 
+``eigensymbols_sympy`` and ``_rational_eigenspace`` are
+``modsym.eigensymbols`` as it split the sign subspace with sympy's
+``Matrix.eigenvects`` before the package found rational eigenvalues from
+an exact integer characteristic polynomial.
+
 ``act_blocks_formula`` is the entry-by-entry Sym^d block that the numpy
 recurrence ``dist._sym_blocks`` replaced, and ``J_oc_values`` the
 finite-precision lift's coefficient at one form computed value by value:
@@ -25,9 +30,12 @@ then ``tilde_JQ`` pushing each tag component forward along the form.
 """
 
 import json
+import warnings
+from fractions import Fraction
 from math import comb, factorial, gcd
 
 import numpy as np
+import sympy
 
 from shintani.arith import RationalCusp
 from shintani.cosets import _units
@@ -41,10 +49,20 @@ from shintani.dist import (
     _stratum_cols,
     dirac_distN,
 )
-from shintani.errors import InsufficientMoments, NotInFM, PrecisionMismatch
-from shintani.linalg import _check_kernel_bounds
+from shintani.errors import (
+    InsufficientMoments, NotInFM, OperandMismatch, PrecisionMismatch)
+from shintani.linalg import (
+    _check_kernel_bounds, frac_nullspace, frac_rref, frac_solve)
 from shintani.manin import (
     MAT_IOTA, evaluate_values, presentation, weighted_sum)
+from shintani.modsym import (
+    _from_flat,
+    _merge_eigen,
+    _normalize_content,
+    hecke_matrix,
+    involution_matrix,
+    solve_symbol_space,
+)
 from shintani.ocsymb import _act_stratum
 from shintani.qf import cycle_divisor, in_FM
 
@@ -456,3 +474,88 @@ def J_oc_values(Phi, Q, base=None):
     if base is None:
         base = RationalCusp.infinity()
     return tilde_JQ(evaluate(Phi, cycle_divisor(Q, Phi.level, base).pairs), Q)
+
+
+def eigensymbols_sympy(M, k, chi, sign, lbound=7):
+    """Rational Hecke eigensystems in one sign eigenspace.
+
+    Splits the sign subspace by T_l (U_l when l divides M) for primes
+    l <= lbound and keeps the pieces where every eigenvalue is rational;
+    systems with irrational eigenvalues are skipped with a warning.
+    Returns a list of (symbol, {l: eigenvalue}) pairs, each symbol scaled
+    to integer coefficients with content one.
+    """
+    assert sign in (1, -1)
+    basis = solve_symbol_space(M, k, chi, "Q")
+    dim = len(basis)
+    if dim == 0:
+        return []
+    flats = [sym.coords() for sym in basis]
+
+    def op_matrix(l):
+        return hecke_matrix(basis, l)
+
+    J = involution_matrix(basis)
+    # column space of (I + sign*J)/2 inside coordinate space
+    proj = [[(Fraction(1 if i == j else 0) + sign * J[i][j]) / 2
+             for j in range(dim)] for i in range(dim)]
+    cols = [[proj[i][j] for i in range(dim)] for j in range(dim)]
+    reduced, pivots = frac_rref([row[:] for row in cols], dim)
+    subspace = [list(reduced[r]) for r in range(len(pivots))]
+    if not subspace:
+        return []
+
+    primes = list(sympy.primerange(2, lbound + 1))
+    spaces = [subspace]
+    maps = [dict()]
+    for l in primes:
+        A = op_matrix(l)
+        new_spaces, new_maps = [], []
+        for space, emap in zip(spaces, maps):
+            r = len(space)
+            imgs = []
+            for v in space:
+                imgs.append([sum(A[i][j] * v[j] for j in range(dim))
+                             for i in range(dim)])
+            rows = [[Fraction(space[j][i]) for j in range(r)] for i in range(dim)]
+            R = sympy.zeros(r, r)
+            for idx, img in enumerate(imgs):
+                x = frac_solve([row[:] for row in rows], [Fraction(t) for t in img])
+                if x is None:
+                    raise OperandMismatch("Hecke image left the solved space")
+                for i in range(r):
+                    R[i, idx] = sympy.Rational(x[i].numerator, x[i].denominator)
+            for lam, _, _vecs in R.eigenvects():
+                if not lam.is_Rational:
+                    warnings.warn(
+                        f"skipping irrational eigenvalue of T_{l} at level {M}",
+                        RuntimeWarning)
+                    continue
+                lamf = Fraction(int(lam.p), int(lam.q))
+                for piece in _rational_eigenspace(R, lam, r):
+                    vec = [sum(Fraction(piece[j]) * space[j][i] for j in range(r))
+                           for i in range(dim)]
+                    new_spaces.append([vec])
+                    new_maps.append({**emap, l: lamf})
+        spaces, maps = _merge_eigen(new_spaces, new_maps)
+    out = []
+    for space, emap in zip(spaces, maps):
+        v = space[0]
+        flat = [sum(v[i] * Fraction(flats[i][j]) for i in range(dim))
+                for j in range(len(flats[0]))]
+        ints = _normalize_content(flat)
+        if next(x for x in ints if x) < 0:
+            ints = [-x for x in ints]
+        sym = _from_flat(M, k, chi, "Q", ints)
+        clean = {l: (int(x) if x.denominator == 1 else x) for l, x in emap.items()}
+        out.append((sym, clean))
+    out.sort(key=lambda se: tuple(se[1][l] for l in primes))
+    return out
+
+
+def _rational_eigenspace(R, lam, r):
+    """Basis of ker(R - lam) as rational row vectors."""
+    Mm = R - lam * sympy.eye(r)
+    rows = [[Fraction(int(Mm[i, j].p), int(Mm[i, j].q)) for j in range(r)]
+            for i in range(r)]
+    return frac_nullspace(rows, r)

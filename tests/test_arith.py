@@ -5,13 +5,14 @@ from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
-from sympy import jacobi_symbol
+from sympy import isprime, jacobi_symbol
 
 from shintani.arith import (
     DirichletChar,
     RationalCusp,
     cfrac_path,
     crt,
+    is_prime,
     kronecker,
     mat_det,
     mat_inv,
@@ -22,6 +23,7 @@ from shintani.arith import (
     valuation,
     xgcd,
 )
+from shintani.errors import PrimalityUnproven
 
 
 def legendre_exhaustive(a, p):
@@ -65,6 +67,43 @@ def test_kronecker_matches_sympy_jacobi():
     for n in range(1, 60, 2):
         for a in range(-40, 41):
             assert kronecker(a, n) == jacobi_symbol(a, n), (a, n)
+
+
+# Carmichael numbers below 10^6; each passes the Korselt check below
+CARMICHAEL = (
+    561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041,
+    46657, 52633, 62745, 63973, 75361, 101101, 115921, 126217, 162401,
+    172081, 188461, 252601, 278545, 294409, 314821, 334153, 340561, 399001,
+    410041, 449065, 488881, 512461, 530881, 552721, 656601, 658801, 670033,
+    748657, 825265, 838201, 852841, 997633)
+
+
+def test_is_prime_matches_sympy():
+    assert all(is_prime(n) == isprime(n) for n in range(-10, 10**5))
+
+
+def test_is_prime_rejects_carmichael_and_strong_pseudoprimes():
+    from sympy import factorint
+
+    for n in CARMICHAEL:
+        factors = factorint(n)
+        assert len(factors) >= 3 and set(factors.values()) == {1}
+        assert all((n - 1) % (q - 1) == 0 for q in factors)
+    # 3215031751 is a strong pseudoprime to bases 2, 3, 5 and 7;
+    # 3825123056546413051 to every prime base up to 31
+    for n in CARMICHAEL + (3215031751, 3825123056546413051):
+        assert is_prime(n) is False and not isprime(n), n
+
+
+def test_is_prime_large_and_out_of_range():
+    from sympy import prevprime
+
+    bound = 3317044064679887385961981
+    top = prevprime(bound)
+    for n in (2**61 - 1, 2**64 - 59, 2**64 + 1, 2**81 - 1, top, top + 2):
+        assert is_prime(n) == isprime(n), n
+    with pytest.raises(PrimalityUnproven):
+        is_prime(2**89 - 1)
 
 
 def test_kronecker_multiplicative_bottom():

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from shintani import cli, qf
+import shintani
+from shintani import cli, ocsymb, qf
 from shintani.arith import DirichletChar
 from shintani.lifting import theta_classical
 
@@ -255,6 +256,65 @@ def test_console_entry_subprocess():
          "--level", "11", "--weight", "0"],
         capture_output=True, text=True, check=True)
     assert "dimension: 3" in out.stdout
+
+
+OC_PROFILE = ("--p", "5", "--tame-n", "1", "--moments", "2",
+              "--padic-prec", "3")
+
+
+def test_oc_commands_share_one_solved_space(capsys, monkeypatch):
+    # one process solves each overconvergent space once
+    spaces = []
+
+    def recorded(*args):
+        spaces.append(ocsymb.solve_oc_space(*args))
+        return spaces[-1]
+
+    monkeypatch.setattr(cli, "solve_oc_space", recorded)
+    ocsymb.solve_oc_space.cache_clear()
+    args = ("shintani", "oc", *OC_PROFILE, "--nmax", "8", "--json")
+    _, first = run_cli(capsys, *args)
+    code, report = run_cli(capsys, "verify", "oc-hecke", *OC_PROFILE,
+                           "--nmax", "8")
+    _, again = run_cli(capsys, *args)
+    assert code == 0 and report.rstrip().endswith("RESULT: PASS")
+    assert len(spaces) == 3 and spaces[0] is spaces[1] is spaces[2]
+    assert ocsymb.solve_oc_space.cache_info().misses == 1
+    ocsymb.solve_oc_space.cache_clear()
+    _, fresh = run_cli(capsys, *args)
+    assert spaces[3] is not spaces[0]
+    assert first == again == fresh
+
+
+# sympy is only a test oracle: the CLI must import and run without it
+NUMPY_ONLY = """
+import contextlib, io, json, sys
+import shintani.cli
+loaded = sorted(m for m in sys.modules
+                if m.split(".")[0] in ("sympy", "mpmath"))
+sys.modules["sympy"] = None  # any later "import sympy" fails
+runs = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = shintani.cli.main(argv)
+    runs.append([code, buf.getvalue()])
+print(json.dumps({"loaded": loaded, "runs": runs}))
+"""
+
+
+def test_runtime_needs_numpy_only(capsys):
+    argvs = [["modsym", "eigen", "--level", "11", "--weight", "0", "--json"],
+             ["shintani", "classical", "--level", "5", "--weight", "1",
+              "--nmax", "40", "--json"]]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(shintani.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_ONLY, json.dumps(argvs)],
+        capture_output=True, text=True, check=True, env=env, timeout=300)
+    got = json.loads(proc.stdout)
+    assert got["loaded"] == []
+    assert got["runs"] == [[0, run_cli(capsys, *argv)[1]] for argv in argvs]
 
 
 def test_jobconfig_character():

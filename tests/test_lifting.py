@@ -340,7 +340,7 @@ from shintani.lifting import (
     theta_classical)
 from shintani.linalg import matmul_mod
 from shintani.modsym import (
-    Divisor0, _from_flat, hecke_matrix, solve_symbol_space)
+    Divisor0, _from_flat, eigensymbols, hecke_matrix, solve_symbol_space)
 from shintani.ocsymb import (
     OCSpace, OCSymbol, lift_eigensymbol, oc_hecke_Tll, solve_oc_space,
     up_matrix)
@@ -397,6 +397,9 @@ cases = {
     # an "operator" sending the first basis symbol onto the second
     "hecke_matrix": lambda: hecke_matrix(
         [sym11], None, lambda sym, _: solve_symbol_space(11, 2, T)[1]),
+    "eigensymbols(sign)": lambda: eigensymbols(11, 0, T, 0),
+    "HalfIntQExp(level)": lambda: HalfIntQExp(0, 0, T, {}, 4),
+    "HalfIntQExp(n_max)": lambda: HalfIntQExp(11, 0, T, {}, -1),
 }
 print("debug", __debug__)
 for name, call in cases.items():
@@ -415,7 +418,7 @@ def test_input_guards_survive_optimize():
     out = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_GUARDS],
                          capture_output=True, text=True, check=True, env=env,
                          timeout=300).stdout.split("\n")
-    assert out[:29] == [
+    assert out[:32] == [
         "debug False",
         "J_classical NotInFM",
         "J_oc NotInFM",
@@ -445,6 +448,9 @@ def test_input_guards_survive_optimize():
         "lift_eigensymbol(image) OperandMismatch",
         "matmul_mod OperandMismatch",
         "hecke_matrix OperandMismatch",
+        "eigensymbols(sign) BadIndex",
+        "HalfIntQExp(level) BadIndex",
+        "HalfIntQExp(n_max) BadIndex",
     ]
 
 

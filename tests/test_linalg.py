@@ -167,6 +167,21 @@ def test_berkowitz_vs_sympy():
         assert got == [int(c) % mod for c in want]
 
 
+def test_berkowitz_exact_vs_sympy():
+    # mod=None: exact Python-int coefficients, far beyond int64
+    r = random.Random(29)
+    lam = sympy.Symbol("lam")
+    for n in (0, 1, 2, 3, 5, 8):
+        for bits in (4, 40, 200):
+            A = [[r.randrange(-2**bits, 2**bits) for _ in range(n)]
+                 for _ in range(n)]
+            got = berkowitz_charpoly(A)
+            want = sympy.Poly(sympy.Matrix(n, n, sum(A, [])).charpoly(lam)
+                              .as_expr(), lam).all_coeffs()
+            assert got == [int(c) for c in want]
+            assert all(type(c) is int for c in got)
+
+
 def test_berkowitz_block_diagonal_multiplies():
     # charpoly of a block diagonal matrix is the product of block charpolys
     mod = 5**8

@@ -1,6 +1,7 @@
 """Classical modular symbols: actions, relations, Hecke eigensystems."""
 
 import random
+import time
 import warnings
 from fractions import Fraction
 
@@ -37,7 +38,7 @@ from shintani.modsym import (
     solve_symbol_space,
 )
 
-from oracles import apply_double_coset, apply_involution
+from oracles import apply_double_coset, apply_involution, eigensymbols_sympy
 
 TRIV = DirichletChar.trivial(1)
 X, Y = sympy.symbols("X Y")
@@ -432,3 +433,74 @@ def test_eigensystem_level_five_sym2():
 
 def test_eigensymbols_empty_when_space_is_zero():
     assert eigensymbols(1, 0, TRIV, -1) == []
+
+
+def _systems_and_warnings(route, M, k, sign):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        systems = route(M, k, DirichletChar.trivial(M), sign)
+    assert all(w.category is RuntimeWarning for w in caught)
+    return [(sym.coords(), emap) for sym, emap in systems], len(caught)
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("k", (0, 2))
+@pytest.mark.parametrize("M", (1, 5, 11, 23, 37))
+def test_eigensymbols_match_sympy_oracle(M, k, sign):
+    # the integer charpoly route and sympy's eigenvects give the same
+    # systems, coordinates and irrational-eigenvalue warnings
+    got = _systems_and_warnings(eigensymbols, M, k, sign)
+    assert got == _systems_and_warnings(eigensymbols_sympy, M, k, sign)
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("k", (10, 22))
+def test_eigensymbols_with_large_eigenvalues_match_sympy_oracle(k, sign):
+    # at level 1 the Eisenstein symbol has T_l eigenvalue 1 + l^(k+1),
+    # 1977326744 at l = 7 and k = 10; weight 22 adds two irrational
+    # cusp eigenvalues.  Root finding must not scale with their size.
+    start = time.perf_counter()
+    got = _systems_and_warnings(eigensymbols, 1, k, sign)
+    assert time.perf_counter() - start < 10
+    assert got == _systems_and_warnings(eigensymbols_sympy, 1, k, sign)
+    if sign == 1:
+        assert got[0][-1][1] == {l: 1 + l ** (k + 1) for l in (2, 3, 5, 7)}
+
+
+def test_eigensymbols_skips_irrational_systems():
+    # at level 23 the minus part is the one newform with coefficients in
+    # Q(sqrt 5): T_2 has two conjugate irrational eigenvalues
+    assert _systems_and_warnings(eigensymbols, 23, 0, -1) == ([], 2)
+
+
+def test_rational_eigenvalues_of_non_lattice_matrix():
+    # chi_R = y^2 - y/2 - 3/2 is not integral; its roots are 3/2 and -1
+    R = [[Fraction(1, 2), Fraction(3, 4)], [Fraction(2), Fraction(0)]]
+    assert sorted(modsym._rational_eigenvalues(R, 2, 1)) == [-1, Fraction(3, 2)]
+    # y (y^2 - 2)^2: one rational root and two distinct irrational ones
+    R = [[Fraction(x) for x in row] for row in ([0, 2, 0, 0, 0],
+                                                [1, 0, 0, 0, 0],
+                                                [0, 1, 0, 2, 0],
+                                                [0, 0, 1, 0, 0],
+                                                [0, 0, 0, 1, 0])]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert modsym._rational_eigenvalues(R, 2, 1) == [0]
+    assert len(caught) == 2
+
+
+def test_rational_eigenvalues_large_and_repeated():
+    # chi = (y - big)^2 (y + 3) y: repeated and 10^11-sized roots, no scan
+    big = 1 + 7**13
+    R = [[Fraction(x) for x in row] for row in ([big, 1, 0, 0],
+                                                [0, big, 0, 0],
+                                                [0, 0, -3, 0],
+                                                [0, 0, 0, 0])]
+    assert sorted(modsym._rational_eigenvalues(R, 7, 1)) == [-3, 0, big]
+    # y (y - 2): both roots collide mod 2, so the roots are lifted mod 3
+    R = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]]
+    assert sorted(modsym._rational_eigenvalues(R, 2, 1)) == [0, 2]
+    # the same with a denominator: eigenvalues -big/5 and 1/5
+    R = [[Fraction(-big, 5), Fraction(1, 5)], [Fraction(0), Fraction(1, 5)]]
+    assert sorted(modsym._rational_eigenvalues(R, 2, 1)) == [
+        Fraction(-big, 5), Fraction(1, 5)]
