@@ -22,7 +22,9 @@ import numpy as np
 
 from .cosets import _units
 from .errors import (
+    BadIndex,
     BadSemigroupElement,
+    DegreeMismatch,
     InsufficientMoments,
     OperandMismatch,
     PrecisionMismatch,
@@ -55,20 +57,26 @@ def _check_s0(g, level):
         raise BadSemigroupElement(f"upper-left of {g} not a unit mod {level}")
 
 
-def _sym_blocks(gs, p, prec, T, strata):
+def _sym_blocks(gs, strata, mod=None):
     """Sym^d blocks of the substitutions (x, y) -> ((x, y) g) for a batch gs.
 
     Returns {d: array (len(gs), d + 1, d + 1)} for d in strata; row a of a
     stratum-d block holds the coefficients of x^n y^(d-n) in
     (A x + C y)^a (B x + D y)^(d-a).  Degree d + 1 follows from degree d:
     row a >= 1 is row a - 1 times (A x + C y), row 0 is row 0 times
-    (B x + D y), each entry a sum of two residue products below 2^57.
+    (B x + D y).  With mod None the blocks are exact, Python integers in
+    object arrays.  Otherwise they are int64 mod ``mod``, each entry a sum
+    of two residue products below 2^57, and g is reduced in Python first,
+    since its entries need not fit in int64.
     """
-    mod = p**prec
-    G = np.array([[x % mod for x in g] for g in gs],
-                 dtype=np.int64).reshape(-1, 4, 1, 1)
+    if mod is None:
+        red, G = (lambda X: X), np.array(gs, dtype=object)
+    else:
+        red = (lambda X: X % mod)
+        G = np.array([[x % mod for x in g] for g in gs], dtype=np.int64)
+    G = G.reshape(-1, 4, 1, 1)
     A, B, C, D = (G[:, i] for i in range(4))
-    V = np.full((len(G), 1, 1), 1 % mod, dtype=np.int64)
+    V = red(np.ones((len(G), 1, 1), dtype=G.dtype))
     top = max(strata, default=-1)
     out = {}
     for d in range(top + 1):
@@ -76,19 +84,19 @@ def _sym_blocks(gs, p, prec, T, strata):
             out[d] = V
         if d == top:
             break
-        W = np.zeros((len(G), d + 2, d + 2), dtype=np.int64)
+        W = np.zeros((len(G), d + 2, d + 2), dtype=G.dtype)
         W[:, 1:, 1:] = A * V
         W[:, 1:, :-1] += C * V
         W[:, :1, 1:] += B * V[:, :1]
         W[:, :1, :-1] += D * V[:, :1]
-        V = W % mod
+        V = red(W)
     return out
 
 
 @lru_cache(maxsize=8192)
 def _act_blocks(g, p, prec, T):
     """The stratum blocks of one matrix g: the one-matrix _sym_blocks."""
-    blocks = _sym_blocks([g], p, prec, T, range(T + 1))
+    blocks = _sym_blocks([g], range(T + 1), p**prec)
     return tuple(blocks[d][0] for d in range(T + 1))
 
 
@@ -103,7 +111,9 @@ class MomentDist1:
             data = np.zeros((p - 1, Tp + 1), dtype=np.int64)
         else:
             data = np.asarray(data, dtype=np.int64) % p**prec
-            assert data.shape == (p - 1, Tp + 1)
+            if data.shape != (p - 1, Tp + 1):
+                raise DegreeMismatch(f"moment table of shape {data.shape}, "
+                                     f"expected {(p - 1, Tp + 1)}")
         data.flags.writeable = False
         self.p = p
         self.prec = prec
@@ -208,8 +218,11 @@ class DistN:
         self.Tp = Tp
         clean = {}
         for t, nu in (comps or {}).items():
-            assert gcd(t, N) == 1 or N == 1
-            assert (nu.p, nu.prec, nu.Tp) == (p, prec, Tp)
+            if gcd(t, N) != 1 and N != 1:
+                raise BadIndex(f"tag {t} is not a unit mod {N}")
+            if (nu.p, nu.prec, nu.Tp) != (p, prec, Tp):
+                raise PrecisionMismatch(
+                    f"component ({nu.p},{nu.prec},{nu.Tp}) in ({p},{prec},{Tp})")
             if not nu.is_zero():
                 clean[t % N] = nu
         self.comps = clean
@@ -300,7 +313,8 @@ class ArithWeight:
     __slots__ = ("k", "chi", "p", "chi_N", "chi_p")
 
     def __init__(self, k, chi, p):
-        assert k >= 0
+        if k < 0:
+            raise BadIndex(f"weight must be >= 0, got {k}")
         tame, wild = chi.factor(p)
         if wild.modulus not in (1, p):
             raise ValueError(f"wild part must have modulus dividing {p}, "
@@ -349,7 +363,8 @@ class MetaCoeff:
     __slots__ = ("left", "right")
 
     def __init__(self, left, right):
-        assert isinstance(left, DistN) and isinstance(right, DistN)
+        if not (isinstance(left, DistN) and isinstance(right, DistN)):
+            raise OperandMismatch("a MetaCoeff is a tensor of two DistN")
         self.left = left
         self.right = right
 

@@ -30,11 +30,11 @@ from .dist import (
     meta_zero,
 )
 from .errors import BadIndex, BadLevel, DegreeMismatch, NotInFM, OperandMismatch
-from .manin import divisor_terms, presentation
+from .manin import divisor_terms
 from .modsym import (
     SymPoly,
     _apply_int_matrix,
-    _divisor_rows,
+    _term_rows,
     check_ring,
     pairing,
     ring_reduce,
@@ -249,22 +249,19 @@ def _theta_kernel(M, k, chi, phi_chi, n):
     J_classical summed over the classes, with the symbol factored out.
     """
     K = 2 * k
-    out = [0] * (presentation(M).ngens * (K + 1))
     base = RationalCusp.infinity()
+    weights, groups = [], []
     for Q in enumerate_classes(M, delta_of_index(M, n)):
         if not in_FM(Q, M):
             raise NotInFM(f"{Q!r} is not adapted to level {M}")
         f = chi(Q.a)
-        if not f:
-            continue
-        qk = quad_power(Q, k, M, phi_chi).coeffs
-        E = _divisor_rows(M, K, phi_chi, cycle_divisor(Q, M, base).pairs)
-        for i in range(K + 1):
-            s = f * (-1) ** i * int(qk[K - i])
-            if s:
-                for col, e in enumerate(E[i]):
-                    out[col] += s * e
-    return tuple(out)
+        if f:
+            qk = quad_power(Q, k, M, phi_chi).coeffs
+            weights.append([f * (-1) ** i * int(qk[K - i])
+                            for i in range(K + 1)])
+            groups.append(divisor_terms(M, cycle_divisor(Q, M, base).pairs))
+    W = np.array(weights, dtype=object).reshape(len(groups), K + 1)
+    return tuple(np.tensordot(W, _term_rows(M, K, phi_chi, groups), 2).tolist())
 
 
 def theta_classical(phi, M, k, chi, n_max, threads=1):
@@ -454,7 +451,7 @@ def _J_batch(Phi, forms, terms):
     dsrc = np.array([s[1] for s in src],
                     dtype=np.int64).reshape(-1, p - 1)[mat]
     evens = range(0, 2 * Tp + 1, 2)
-    blocks = _sym_blocks(list(mats), p, prec, T, evens)
+    blocks = _sym_blocks(list(mats), evens, mod)
     X = Phi.data
     qa, qb, qc = (np.array([Q.triple()[i] % mod for Q in forms],
                            dtype=np.int64).reshape(-1, 1) for i in range(3))

@@ -8,6 +8,7 @@ never overflows.
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 
@@ -103,20 +104,26 @@ def frac_nullspace(rows, ncols):
 
 def frac_solve(rows, rhs):
     """One solution of rows @ x = rhs over Q, or None."""
+    return frac_solve_many(rows, [rhs])[0]
+
+
+def frac_solve_many(rows, rhss):
+    """One solution of rows @ x = b over Q for each b in rhss, or None.
+
+    One elimination of [rows | rhss] with pivots among the columns of
+    rows; each solution is then checked exactly against its b.
+    """
     ncols = len(rows[0]) if rows else 0
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    aug = [[*r, *bs] for r, bs in zip(rows, zip(*rhss))]
     rref, pivots = frac_rref(aug, ncols)
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = rref[i][-1]
-    # rows with zero coefficients but nonzero rhs mean inconsistency
-    for i in range(len(rref)):
-        if all(v == 0 for v in rref[i][:ncols]) and rref[i][-1] != 0:
-            return None
-    for r, b in zip(rows, rhs):
-        if sum(Fraction(a) * v for a, v in zip(r, x)) != b:
-            return None
-    return x
+    out = []
+    for j, b in enumerate(rhss):
+        x = [Fraction(0)] * ncols
+        for row, c in zip(rref, pivots):
+            x[c] = row[ncols + j]
+        solved = all(sum(map(mul, r, x)) == bi for r, bi in zip(rows, b))
+        out.append(x if solved else None)
+    return out
 
 
 # ---------------------------------------------------------------------------

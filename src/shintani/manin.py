@@ -150,16 +150,20 @@ def double_coset(M, reps, evaluate, twist, zero):
     """Block rows of Phi|Op for Op given by right coset reps alpha.
 
     (Phi|Op)(D) = sum_alpha Phi(alpha D)|alpha, so block row b folds
-    acc = twist(acc, alpha, evaluate(alpha . base_b)) over the reps,
-    starting from zero().  Only the twist involves a non-unimodular
-    matrix, so evaluation stays inside the presentation.  The involution
-    is the one-rep case MAT_IOTA.
+    acc = twist(acc, alpha, Phi(alpha . base_b)) over the reps, starting
+    from zero(); evaluate maps the list of all divisors alpha . base_b,
+    b-major, to an iterable of their values, in one batch or lazily.  Only
+    the twist involves a non-unimodular matrix, so evaluation stays inside
+    the presentation.  The involution is the one-rep case MAT_IOTA.
     """
+    bases = presentation(M).base_divisors
+    values = iter(evaluate([tuple((cusp.apply(alpha), mult)
+                                  for cusp, mult in base)
+                            for base in bases for alpha in reps]))
     out = []
-    for base in presentation(M).base_divisors:
+    for _ in bases:
         acc = zero()
         for alpha in reps:
-            moved = tuple((cusp.apply(alpha), mult) for cusp, mult in base)
-            acc = twist(acc, alpha, evaluate(moved))
+            acc = twist(acc, alpha, next(values))
         out.append(acc)
     return out

@@ -7,8 +7,9 @@ Values live in one of two weight-k modules over the base ring:
 * side "Lstar": plain monomial coefficients, twisted by chi(lower-right).
 
 The two sides pair to the base ring, and the pairing is invariant under
-the level-M group.  Base rings are exact: "Q" (Fraction coefficients) or
-("zpm", p, prec) with p >= 5.
+the level-M group.  Both action matrices are exact Sym^k blocks of
+``dist._sym_blocks``.  Base rings are exact: "Q" (Fraction coefficients)
+or ("zpm", p, prec) with p >= 5.
 """
 
 from __future__ import annotations
@@ -17,17 +18,17 @@ import warnings
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import count, dropwhile
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import mul
 
 import numpy as np
 
-from .arith import RationalCusp, is_prime, mat_det
+from .arith import RationalCusp, is_prime
 from .cosets import p1_classes
+from .dist import _check_s0, _sym_blocks
 from .errors import (
     BadCharacteristic,
     BadIndex,
-    BadSemigroupElement,
     DegreeMismatch,
     OperandMismatch,
     TwoNotInvertible,
@@ -37,7 +38,7 @@ from .linalg import (
     berkowitz_charpoly,
     frac_nullspace,
     frac_rref,
-    frac_solve,
+    frac_solve_many,
     zpm_kernel,
 )
 from . import manin
@@ -77,55 +78,30 @@ def ring_half(ring):
     return pow(2, -1, p**prec)
 
 
+def _L_blocks(gs, k):
+    """_act_matrix_L of every g in gs, exact, from one _sym_blocks call.
+
+    The substitution (X, Y) -> (X, Y) adj(g) is the Sym^k block of the
+    transposed adjugate (d, -c, -b, a).
+    """
+    return _sym_blocks([(d, -c, -b, a) for a, b, c, d in gs], (k,))[k]
+
+
 @lru_cache(maxsize=None)
 def _act_matrix_L(g, k):
     """Divided-basis matrix of F -> F((X,Y) adj(g)), rows j, cols i."""
-    a, b, c, d = g
-    rows = []
-    for j in range(k + 1):
-        row = []
-        for i in range(k + 1):
-            s_lo = max(0, i + j - k)
-            s_hi = min(i, j)
-            tot = 0
-            for s in range(s_lo, s_hi + 1):
-                tot += (comb(j, s) * comb(k - j, i - s)
-                        * d**s * (-c) ** (i - s) * (-b) ** (j - s)
-                        * a ** (k - i - j + s))
-            row.append(tot)
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(map(tuple, _L_blocks([g], k)[0].tolist()))
 
 
 @lru_cache(maxsize=None)
 def _act_matrix_Lstar(g, k):
-    """Monomial-basis matrix of the same substitution, rows m, cols n."""
+    """Monomial-basis matrix of the same substitution, rows m, cols n.
+
+    The transpose of the Sym^k block of adj(g) = (d, -b, -c, a).
+    """
     a, b, c, d = g
-    rows = []
-    for m in range(k + 1):
-        row = []
-        for n in range(k + 1):
-            s_lo = max(0, m - (k - n))
-            s_hi = min(n, m)
-            tot = 0
-            for s in range(s_lo, s_hi + 1):
-                tot += (comb(n, s) * comb(k - n, m - s)
-                        * d**s * (-c) ** (n - s) * (-b) ** (m - s)
-                        * a ** (k - n - m + s))
-            row.append(tot)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _check_semigroup(g, level):
-    """Refuse g unless it acts at this level: det > 0, c = 0 mod level, a a unit."""
-    a, _, c, _ = g
-    if mat_det(g) <= 0:
-        raise BadSemigroupElement(f"determinant of {g} is not positive")
-    if c % level != 0:
-        raise BadSemigroupElement(f"{g} is not upper triangular mod {level}")
-    if gcd(a, level) != 1:
-        raise BadSemigroupElement(f"upper-left of {g} shares a factor with {level}")
+    block = _sym_blocks([(d, -b, -c, a)], (k,))[k][0]
+    return tuple(map(tuple, block.T.tolist()))
 
 
 class SymPoly:
@@ -182,7 +158,7 @@ class SymPoly:
         chi(d) on side Lstar.
         """
         a, b, c, d = g
-        _check_semigroup(g, self.level)
+        _check_s0(g, self.level)
         if self.side == "L":
             mat = _act_matrix_L(g, self.k)
             factor = self.chi(a)
@@ -289,9 +265,14 @@ class ModularSymbol:
 
     def __init__(self, level, k, chi, ring, values):
         values = tuple(values)
-        assert len(values) == len(p1_classes(level))
+        ngens = len(p1_classes(level))
+        if len(values) != ngens:
+            raise DegreeMismatch(f"level {level} needs {ngens} generator "
+                                 f"values, got {len(values)}")
         for v in values:
-            assert (v.level, v.k, v.ring) == (level, k, ring)
+            if (v.level, v.k, v.ring) != (level, k, ring):
+                raise OperandMismatch(f"{v!r} is not a value at level "
+                                      f"{level}, weight {k}, ring {ring!r}")
         self.level = level
         self.k = k
         self.chi = chi
@@ -341,48 +322,29 @@ def _from_flat(M, k, chi, ring, flat):
     return ModularSymbol(M, k, chi, ring, vals)
 
 
-def _zero_rows(M, k):
-    return [[0] * (manin.presentation(M).ngens * (k + 1)) for _ in range(k + 1)]
+def _term_rows(M, k, chi, groups):
+    """Integer rows of sum_(c, g, w) w * chi(g_a) * _act_matrix_L(g) in
+    generator block c: an object array (len(groups), k + 1, ncols).
 
-
-def _add_rows(M, k, chi):
-    """Step of manin.weighted_sum on integer rows of a level-M symbol.
-
-    Adds w * chi(g_a) * _act_matrix_L(g) into generator block c.
+    For a relation of the presentation these are its relation rows; for
+    the terms of a divisor D (``manin.divisor_terms``) they are the matrix
+    E_D with phi(D) = E_D . phi.coords().  Every g is checked to act at
+    level M, the blocks of all terms come from one _sym_blocks call, and
+    each is added into its generator slice.
     """
-    step = k + 1
-
-    def add(rows, c, g, w):
-        _check_semigroup(g, M)
-        tm = _act_matrix_L(g, k)
-        f = w * chi(g[0])
-        at = c * step
-        for j in range(step):
-            row, tj = rows[j], tm[j]
-            for i in range(step):
-                row[at + i] += f * tj[i]
-        return rows
-
-    return add
-
-
-def _relation_rows(M, k, chi):
-    """Integer relation matrix for the generator coefficient vector."""
-    add = _add_rows(M, k, chi)
-    rows = []
-    for rel in manin.presentation(M).relations:
-        rows.extend(manin.weighted_sum(rel, add, _zero_rows(M, k)))
-    return rows
-
-
-def _divisor_rows(M, k, chi, divisor):
-    """Integer matrix E with phi(D) = E . phi.coords() for symbols twisted by chi.
-
-    D is ((cusp, mult), ...); each generator term w * w_c|gamma adds
-    w * chi(gamma_a) * _act_matrix_L(gamma) into block c.
-    """
-    return manin.weighted_sum(manin.divisor_terms(M, divisor),
-                              _add_rows(M, k, chi), _zero_rows(M, k))
+    terms = [(i, c, g, w) for i, group in enumerate(groups)
+             for c, g, w in group]
+    ngens = manin.presentation(M).ngens
+    out = np.zeros((len(groups), ngens, k + 1, k + 1), dtype=object)
+    if terms:
+        owner, gens, gs, ws = zip(*terms)
+        for g in gs:
+            _check_s0(g, M)
+        f = np.array([w * chi(g[0]) for g, w in zip(gs, ws)], dtype=object)
+        np.add.at(out, (list(owner), list(gens)),
+                  _L_blocks(gs, k) * f[:, None, None])
+    return out.transpose(0, 2, 1, 3).reshape(len(groups), k + 1,
+                                             ngens * (k + 1))
 
 
 @lru_cache(maxsize=256)
@@ -393,29 +355,20 @@ def _coset_rows(M, k, chi, reps):
     E_{alpha . base_b}.  For MAT_IOTA the twist _act_matrix_L is
     diag((-1)^j), which is SymPoly.act_involution on side L.
     """
-    step = k + 1
-
-    def twist(block, alpha, E):
-        tm = _act_matrix_L(alpha, k)
-        f = chi(alpha[0])
-        for j in range(step):
-            row = block[j]
-            for m in range(step):
-                x = f * tm[j][m]
-                if x:
-                    for col, e in enumerate(E[m]):
-                        row[col] += x * e
-        return block
-
-    blocks = manin.double_coset(M, reps, lambda D: _divisor_rows(M, k, chi, D),
-                                twist, lambda: _zero_rows(M, k))
-    return tuple(tuple(row) for block in blocks for row in block)
+    chis = np.array([chi(alpha[0]) for alpha in reps], dtype=object)
+    twists = dict(zip(reps, _L_blocks(reps, k) * chis[:, None, None]))
+    blocks = manin.double_coset(
+        M, reps,
+        lambda Ds: _term_rows(M, k, chi,
+                              [manin.divisor_terms(M, D) for D in Ds]),
+        lambda acc, alpha, E: acc + twists[alpha] @ E, lambda: 0)
+    return tuple(map(tuple, np.concatenate(blocks).tolist()))
 
 
 def _hecke_rows(M, k, chi, reps):
     """_coset_rows for reps in the acting semigroup, each one checked."""
     for alpha in reps:
-        _check_semigroup(alpha, M)
+        _check_s0(alpha, M)
     return _coset_rows(M, k, chi, tuple(reps))
 
 
@@ -444,16 +397,16 @@ def solve_symbol_space(M, k, chi, ring="Q"):
     check_ring(ring)
     if chi.modulus > 1 and M % chi.modulus != 0:
         raise ValueError(f"character modulus {chi.modulus} must divide {M}")
-    rows = _relation_rows(M, k, chi)
-    ncols = manin.presentation(M).ngens * (k + 1)
+    rows = _term_rows(M, k, chi, manin.presentation(M).relations)
+    rows = rows.reshape(-1, rows.shape[-1])
     if ring == "Q":
-        basis = frac_nullspace([[Fraction(x) for x in row] for row in rows], ncols)
+        basis = frac_nullspace(rows, rows.shape[1])
         out = [_from_flat(M, k, chi, ring, _normalize_content(vec))
                for vec in basis]
     else:
         _, p, prec = ring
         mod = p**prec
-        A = np.array([[x % mod for x in row] for row in rows], dtype=np.int64)
+        A = (rows % mod).astype(np.int64)
         basis, _ = zpm_kernel(A, p, prec)
         out = [_from_flat(M, k, chi, ring, [int(x) for x in vec]) for vec in basis]
     for sym in out:
@@ -496,26 +449,19 @@ def involution_split(phi):
     return plus, minus
 
 
-def _coords_in_basis(basis_flat, target_flat):
-    """Coordinates of target in the span of the basis rows, or None."""
-    ncols = len(basis_flat)
-    rows = [[Fraction(basis_flat[j][i]) for j in range(ncols)]
-            for i in range(len(target_flat))]
-    return frac_solve(rows, [Fraction(x) for x in target_flat])
+def _coords(basis, targets):
+    """Coordinates of each target vector in the basis vectors' span."""
+    cols = frac_solve_many(list(zip(*basis)), targets)
+    if None in cols:
+        raise OperandMismatch("Hecke image left the solved space")
+    return cols
 
 
 def hecke_matrix(basis, n, op=hecke_Tn):
     """Matrix of an operator on a basis of symbols, columns = images."""
-    flats = [sym.coords() for sym in basis]
-    cols = []
-    for sym in basis:
-        img = op(sym, n).coords()
-        x = _coords_in_basis(flats, img)
-        if x is None:
-            raise OperandMismatch("Hecke image left the solved space")
-        cols.append(x)
-    dim = len(basis)
-    return [[cols[j][i] for j in range(dim)] for i in range(dim)]
+    cols = _coords([sym.coords() for sym in basis],
+                   [op(sym, n).coords() for sym in basis])
+    return [list(row) for row in zip(*cols)]
 
 
 def involution_matrix(basis):
@@ -548,11 +494,9 @@ def eigensymbols(M, k, chi, sign, lbound=7):
     flats = [sym.coords() for sym in basis]
     J = involution_matrix(basis)
     # column space of (I + sign*J)/2 inside coordinate space
-    proj = [[(Fraction(1 if i == j else 0) + sign * J[i][j]) / 2
-             for j in range(dim)] for i in range(dim)]
-    cols = [[proj[i][j] for i in range(dim)] for j in range(dim)]
-    reduced, pivots = frac_rref([row[:] for row in cols], dim)
-    subspace = [list(reduced[r]) for r in range(len(pivots))]
+    cols = [[(Fraction(1 if i == j else 0) + sign * J[i][j]) / 2
+             for i in range(dim)] for j in range(dim)]
+    subspace, _ = frac_rref(cols, dim)
     if not subspace:
         return []
 
@@ -566,14 +510,7 @@ def eigensymbols(M, k, chi, sign, lbound=7):
             r = len(space)
             imgs = [[sum(A[i][j] * v[j] for j in range(dim)) for i in range(dim)]
                     for v in space]
-            rows = [[Fraction(space[j][i]) for j in range(r)] for i in range(dim)]
-            R = [[None] * r for _ in range(r)]
-            for idx, img in enumerate(imgs):
-                x = frac_solve([row[:] for row in rows], [Fraction(t) for t in img])
-                if x is None:
-                    raise OperandMismatch("Hecke image left the solved space")
-                for i in range(r):
-                    R[i][idx] = x[i]
+            R = [list(row) for row in zip(*_coords(space, imgs))]
             for lam in _rational_eigenvalues(R, l, M):
                 shifted = [[x - lam if i == j else x for j, x in enumerate(row)]
                            for i, row in enumerate(R)]

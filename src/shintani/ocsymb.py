@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd, prod
 
 import numpy as np
@@ -241,8 +241,8 @@ def _coset_stratum(level, N, p, prec, T, d, X, reps):
         moved = Y * sign if alpha == manin.MAT_IOTA else act(alpha, Y)
         return (acc + moved) % mod
 
-    return np.stack(manin.double_coset(level, reps, evaluate, twist,
-                                       lambda: np.zeros_like(X[0])))
+    return np.stack(manin.double_coset(level, reps, partial(map, evaluate),
+                                       twist, lambda: np.zeros_like(X[0])))
 
 
 def _apply_coset(sym, reps):

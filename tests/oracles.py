@@ -23,10 +23,13 @@ each Teichmuller sector on its own.
 an exact integer characteristic polynomial.
 
 ``act_blocks_formula`` is the entry-by-entry Sym^d block that the numpy
-recurrence ``dist._sym_blocks`` replaced, and ``J_oc_values`` the
-finite-precision lift's coefficient at one form computed value by value:
-the symbol evaluated on the cycle divisor through ``TaggedDist2.act``,
-then ``tilde_JQ`` pushing each tag component forward along the form.
+recurrence ``dist._sym_blocks`` replaced, ``act_matrix_L_formula`` and
+``act_matrix_Lstar_formula`` the binomial sums ``modsym`` built its weight
+action matrices with before they became ``_sym_blocks`` output, and
+``J_oc_values`` the finite-precision lift's coefficient at one form
+computed value by value: the symbol evaluated on the cycle divisor through
+``TaggedDist2.act``, then ``tilde_JQ`` pushing each tag component forward
+along the form.
 """
 
 import json
@@ -415,6 +418,44 @@ def act_blocks_formula(g, p, prec, T):
                 V[a, n] = tot % mod
         blocks.append(V)
     return tuple(blocks)
+
+
+def act_matrix_L_formula(g, k):
+    """Divided-basis matrix of F -> F((X,Y) adj(g)), rows j, cols i."""
+    a, b, c, d = g
+    rows = []
+    for j in range(k + 1):
+        row = []
+        for i in range(k + 1):
+            s_lo = max(0, i + j - k)
+            s_hi = min(i, j)
+            tot = 0
+            for s in range(s_lo, s_hi + 1):
+                tot += (comb(j, s) * comb(k - j, i - s)
+                        * d**s * (-c) ** (i - s) * (-b) ** (j - s)
+                        * a ** (k - i - j + s))
+            row.append(tot)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def act_matrix_Lstar_formula(g, k):
+    """Monomial-basis matrix of the same substitution, rows m, cols n."""
+    a, b, c, d = g
+    rows = []
+    for m in range(k + 1):
+        row = []
+        for n in range(k + 1):
+            s_lo = max(0, m - (k - n))
+            s_hi = min(n, m)
+            tot = 0
+            for s in range(s_lo, s_hi + 1):
+                tot += (comb(n, s) * comb(k - n, m - s)
+                        * d**s * (-c) ** (n - s) * (-b) ** (m - s)
+                        * a ** (k - n - m + s))
+            row.append(tot)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def JQ_dist(mu, Q):

@@ -149,8 +149,8 @@ def test_sym_blocks_match_the_entry_formula():
         gs += [automorph, (-3, 5, -7, -2), (-1, 0, 0, -1),
                tuple(rng.randrange(-10**40, 10**40) for _ in range(4))]
         for T in (0, 1, 3, 8):
-            batch = _sym_blocks(gs, p, prec, T, range(T + 1))
-            evens = _sym_blocks(gs, p, prec, T, range(0, T + 1, 2))
+            batch = _sym_blocks(gs, range(T + 1), p**prec)
+            evens = _sym_blocks(gs, range(0, T + 1, 2), p**prec)
             assert sorted(batch) == list(range(T + 1))
             assert sorted(evens) == list(range(0, T + 1, 2))
             for k, g in enumerate(gs):
@@ -164,8 +164,27 @@ def test_sym_blocks_match_the_entry_formula():
                         assert np.array_equal(evens[d][k], want[d])
 
 
+def test_exact_sym_blocks_reduce_to_the_int64_blocks():
+    # without a modulus the blocks are exact Python integers, also past
+    # 2^63; reduced mod p^M they are the int64 blocks
+    rng = random.Random(29)
+    gs = [tuple(rng.randrange(-2**80, 2**80) for _ in range(4))
+          for _ in range(6)] + [rand_s0(rng) for _ in range(6)]
+    exact = _sym_blocks(gs, range(9))
+    assert exact[8].dtype == object
+    assert max(abs(x) for x in exact[8].flat) > 2**63
+    assert all(type(x) is int for x in exact[8].flat)
+    for p, prec in ((5, 8), (11, 4), (16381, 2)):
+        mod = p**prec
+        reduced = _sym_blocks(gs, range(0, 9, 2), mod)
+        for d in range(0, 9, 2):
+            assert reduced[d].dtype == np.int64
+            assert np.array_equal((exact[d] % mod).astype(np.int64),
+                                  reduced[d])
+
+
 def test_sym_blocks_empty_batch():
-    out = _sym_blocks([], P, PREC, 4, range(0, 5, 2))
+    out = _sym_blocks([], range(0, 5, 2), MOD)
     assert [out[d].shape for d in (0, 2, 4)] == [(0, 1, 1), (0, 3, 3),
                                                  (0, 5, 5)]
 

@@ -333,14 +333,16 @@ def test_theta_classical_matches_J_classical_oracle(ring):
 OPTIMIZED_GUARDS = """
 import numpy as np
 from shintani.arith import DirichletChar
-from shintani.dist import ArithWeight, DistN, MetaCoeff, dirac_distN, meta_zero
+from shintani.dist import (
+    ArithWeight, DistN, MetaCoeff, MomentDist1, dirac_distN, meta_zero)
 from shintani.errors import ShintaniError
 from shintani.lifting import (
     FormalQExp, HalfIntQExp, J_classical, J_oc, specialize_qexp,
     theta_classical)
 from shintani.linalg import matmul_mod
 from shintani.modsym import (
-    Divisor0, _from_flat, eigensymbols, hecke_matrix, solve_symbol_space)
+    Divisor0, ModularSymbol, _from_flat, eigensymbols, hecke_matrix,
+    solve_symbol_space)
 from shintani.ocsymb import (
     OCSpace, OCSymbol, lift_eigensymbol, oc_hecke_Tll, solve_oc_space,
     up_matrix)
@@ -400,6 +402,15 @@ cases = {
     "eigensymbols(sign)": lambda: eigensymbols(11, 0, T, 0),
     "HalfIntQExp(level)": lambda: HalfIntQExp(0, 0, T, {}, 4),
     "HalfIntQExp(n_max)": lambda: HalfIntQExp(11, 0, T, {}, -1),
+    "ModularSymbol(gens)": lambda: ModularSymbol(
+        5, 2, T, "Q", sym5.values[:-1]),
+    "ModularSymbol(values)": lambda: ModularSymbol(
+        11, 2, T, "Q", sym5.values[:1] * len(sym11.values)),
+    "ArithWeight": lambda: ArithWeight(-1, T, 5),
+    "MomentDist1": lambda: MomentDist1(5, 2, 2, np.zeros((3, 3))),
+    "DistN(profile)": lambda: DistN(1, 5, 2, 2, {1: MomentDist1(5, 3, 2)}),
+    "DistN(tag)": lambda: DistN(3, 5, 2, 2, {3: MomentDist1(5, 2, 2)}),
+    "MetaCoeff(1, 2)": lambda: MetaCoeff(1, 2),
 }
 print("debug", __debug__)
 for name, call in cases.items():
@@ -418,7 +429,7 @@ def test_input_guards_survive_optimize():
     out = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_GUARDS],
                          capture_output=True, text=True, check=True, env=env,
                          timeout=300).stdout.split("\n")
-    assert out[:32] == [
+    assert out[:39] == [
         "debug False",
         "J_classical NotInFM",
         "J_oc NotInFM",
@@ -451,6 +462,13 @@ def test_input_guards_survive_optimize():
         "eigensymbols(sign) BadIndex",
         "HalfIntQExp(level) BadIndex",
         "HalfIntQExp(n_max) BadIndex",
+        "ModularSymbol(gens) DegreeMismatch",
+        "ModularSymbol(values) OperandMismatch",
+        "ArithWeight BadIndex",
+        "MomentDist1 DegreeMismatch",
+        "DistN(profile) PrecisionMismatch",
+        "DistN(tag) BadIndex",
+        "MetaCoeff(1, 2) OperandMismatch",
     ]
 
 

@@ -19,7 +19,7 @@ from shintani.errors import (
 )
 from shintani.linalg import zpm_in_span
 from shintani import modsym
-from shintani.manin import check_relations, hecke_reps
+from shintani.manin import MAT_IOTA, check_relations, hecke_reps
 from shintani.modsym import (
     Divisor0,
     ModularSymbol,
@@ -38,7 +38,13 @@ from shintani.modsym import (
     solve_symbol_space,
 )
 
-from oracles import apply_double_coset, apply_involution, eigensymbols_sympy
+from oracles import (
+    act_matrix_L_formula,
+    act_matrix_Lstar_formula,
+    apply_double_coset,
+    apply_involution,
+    eigensymbols_sympy,
+)
 
 TRIV = DirichletChar.trivial(1)
 X, Y = sympy.symbols("X Y")
@@ -89,6 +95,38 @@ def test_act_matches_substitution_oracle(side):
         got = F.act(g).coeffs
         want = sympy_act(coeffs, k, g, side)
         assert list(got) == [Fraction(int(w.p), int(w.q)) for w in want]
+
+
+def test_act_matrices_match_the_binomial_formulas():
+    # both weight-action matrices are dist._sym_blocks output; compare them
+    # with the binomial sums for both determinant signs, small entries and
+    # entries above 2^63, k <= 10
+    rng = random.Random(17)
+    signs = set()
+    for _ in range(300):
+        bound = rng.choice([7, 2**70])
+        g = tuple(rng.randrange(-bound, bound + 1) for _ in range(4))
+        k = rng.randrange(0, 11)
+        a, b, c, d = g
+        signs.add((a * d - b * c > 0) - (a * d - b * c < 0))
+        assert modsym._act_matrix_L(g, k) == act_matrix_L_formula(g, k), (g, k)
+        assert (modsym._act_matrix_Lstar(g, k)
+                == act_matrix_Lstar_formula(g, k)), (g, k)
+    assert {-1, 1} <= signs
+    big = (2**64 + 3, -(2**65), 3 * 2**63, -(2**66) + 1)
+    for k in range(11):
+        assert modsym._act_matrix_L(big, k) == act_matrix_L_formula(big, k)
+        assert (modsym._act_matrix_Lstar(big, k)
+                == act_matrix_Lstar_formula(big, k))
+
+
+def test_act_matrix_of_iota_is_the_sign_diagonal():
+    # _coset_rows twists by _act_matrix_L(MAT_IOTA), which must be
+    # diag((-1)^j), SymPoly.act_involution on side L
+    for k in range(11):
+        assert modsym._act_matrix_L(MAT_IOTA, k) == tuple(
+            tuple((-1) ** j if i == j else 0 for i in range(k + 1))
+            for j in range(k + 1))
 
 
 def test_act_rejects_bad_semigroup_elements():
