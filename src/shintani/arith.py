@@ -7,7 +7,7 @@ Everything here is integer or Fraction arithmetic; no floating point.
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .errors import NonUnimodular, PrimalityUnproven
+from .errors import BadIndex, NonUnimodular, PrimalityUnproven
 
 
 def xgcd(a, b):
@@ -28,7 +28,8 @@ def xgcd(a, b):
 def crt(r1, m1, r2, m2):
     """Residue mod m1*m2 congruent to r1 mod m1 and r2 mod m2 (coprime moduli)."""
     g, u, _ = xgcd(m1, m2)
-    assert g == 1
+    if g != 1:
+        raise BadIndex(f"moduli {m1} and {m2} are not coprime")
     return (r1 + (r2 - r1) * u % m2 * m1) % (m1 * m2)
 
 
@@ -185,7 +186,8 @@ class DirichletChar:
     __slots__ = ("modulus", "table", "wild")
 
     def __init__(self, modulus, table, wild=None):
-        assert modulus >= 1
+        if modulus < 1:
+            raise BadIndex(f"character modulus {modulus} is not positive")
         self.modulus = modulus
         # full period table, zero on non-units
         self.table = tuple(

@@ -317,7 +317,7 @@ def _seeded_oc_symbol(space, seed):
 def cmd_shintani_oc(cfg):
     space = solve_oc_space(cfg.p * cfg.tame, cfg.tame, (cfg.prec, cfg.moments))
     Phi = _seeded_oc_symbol(space, cfg.seed)
-    e = theta_oc(Phi, cfg.n_max, threads=cfg.threads)
+    e = theta_oc(Phi, cfg.n_max)
     # report the weight-1 specialization: the even-weight sector of the
     # lifting vanishes identically by anti-symmetry, so weight 1 is the
     # smallest informative cross-section of the expansion
@@ -486,19 +486,15 @@ def cmd_verify_oc_hecke(cfg):
             continue
         idx = sorted({n for b in base for n in (b, l * l * b)}
                      | {b // (l * l) for b in base if b % (l * l) == 0})
-        lhs = theta_oc(oc_hecke_Tn(Phi, l), cfg.n_max, indices=base,
-                       threads=cfg.threads)
+        lhs = theta_oc(oc_hecke_Tn(Phi, l), cfg.n_max, indices=base)
         rhs = qexp_hecke_Tl(
-            theta_oc(Phi, cfg.n_max * l * l, indices=idx,
-                     threads=cfg.threads), l)
+            theta_oc(Phi, cfg.n_max * l * l, indices=idx), l)
         d = _first_formal_diff(lhs, rhs)
         ok &= _check(lines, d is None,
                      f"l={l}: lift(Phi|T_{l}) = T_{l}-operator(lift(Phi))",
                      d and f"n={d[0]}: {d[1]}")
-        lhs2 = theta_oc(oc_hecke_Tll(Phi, l), cfg.n_max, indices=base,
-                        threads=cfg.threads)
-        rhs2 = qexp_hecke_Tll(
-            theta_oc(Phi, cfg.n_max, indices=base, threads=cfg.threads), l)
+        lhs2 = theta_oc(oc_hecke_Tll(Phi, l), cfg.n_max, indices=base)
+        rhs2 = qexp_hecke_Tll(theta_oc(Phi, cfg.n_max, indices=base), l)
         d2 = _first_formal_diff(lhs2, rhs2)
         ok &= _check(lines, d2 is None,
                      f"l={l}: lift(Phi|T_{l},{l}) = "
@@ -515,7 +511,7 @@ def _add_common(sp):
     sp.add_argument("--json", action="store_true", dest="json_out",
                     help="emit the versioned JSON schema instead of text")
     sp.add_argument("--threads", type=int, default=0,
-                    help="parallel map width (default: available cores)")
+                    help="classical lift threads (default: available cores)")
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED,
                     help="seed for randomized reports and property checks")
 

@@ -58,7 +58,7 @@ class BadLevel(ShintaniError):
 
 
 class BadIndex(ShintaniError):
-    """Hecke operator index incompatible with the level."""
+    """Hecke index, q-slot, discriminant or modulus out of range."""
 
 
 class TwoNotInvertible(ShintaniError):

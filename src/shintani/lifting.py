@@ -10,7 +10,7 @@ weight evaluation intertwines the two constructions coefficientwise.
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial, gcd
 
 import numpy as np
@@ -272,10 +272,8 @@ def theta_classical(phi, M, k, chi, n_max, threads=1):
         raise DegreeMismatch(
             f"symbol degree {phi.k} does not match weight parameter {k}")
 
-    def kernel(n):
-        return _theta_kernel(M, k, chi, phi.chi, n)
-
-    kernels = _map_indices(kernel, range(1, n_max + 1), threads)
+    kernels = _map_indices(partial(_theta_kernel, M, k, chi, phi.chi),
+                           range(1, n_max + 1), threads)
     values = _apply_int_matrix(kernels, phi)
     return HalfIntQExp(M, k, chi, dict(zip(range(1, n_max + 1), values)),
                        n_max, phi.ring)
@@ -504,7 +502,7 @@ def _conv_right(s, mc):
     return MetaCoeff(mc.left, convolve_distN(d, r))
 
 
-def theta_oc(Phi, n_max, indices=None, threads=1):
+def theta_oc(Phi, n_max, indices=None):
     """Assemble the finite-precision lift on the requested q-slots.
 
     Scaled copies of a primitive form contribute the primitive class's
@@ -517,14 +515,13 @@ def theta_oc(Phi, n_max, indices=None, threads=1):
         indices = range(1, n_max + 1)
     indices = sorted(set(indices))
     classes = {n: enumerate_classes(Np, delta_of_index(Np, n)) for n in indices}
-    # each primitive class once, whatever the number of threads
     prims = {}
     for n in indices:
         for Q in classes[n]:
             P = Q.primitive_part()
             prims.setdefault(P.triple(), P)
     forms = list(prims.values())
-    terms = _map_indices(lambda P: _class_terms(Phi, P), forms, threads)
+    terms = [_class_terms(Phi, P) for P in forms]
     memo = dict(zip(prims, _J_batch(Phi, forms, terms)))
 
     def one(n):
@@ -601,8 +598,7 @@ def verify_interpolation(Phi, kappa_tilde, n_max, loss=2, threads=1):
     a report; equality is required modulo p^(prec - loss).
     """
     p, prec = Phi.p, Phi.prec
-    lifted = specialize_qexp(theta_oc(Phi, n_max, threads=threads),
-                             kappa_tilde)
+    lifted = specialize_qexp(theta_oc(Phi, n_max), kappa_tilde)
     phik = specialize_symbol(Phi, kappa_tilde.doubled())
     exact = theta_classical(phik, Phi.level, kappa_tilde.k, kappa_tilde.chi,
                             n_max, threads=threads)

@@ -24,9 +24,9 @@ _CHUNK = 128
 def _check_kernel_bounds(p, prec, T=0):
     """Raise KernelOverflow unless the int64 kernels are exact at (p, prec, T).
 
-    matmul_mod and the Howell reduction need p^prec < 2^28.  The value
-    action (``ocsymb._act_stratum``) sums T + 1 products of residues in one
-    raw ``@``, so (T + 1) (p^prec - 1)^2 must stay below 2^63.
+    matmul_mod and the Howell reduction need p^prec < 2^28.  The batched
+    lift (``lifting._J_batch``) sums up to T + 1 products of residues in one
+    raw ``np.matmul``, so (T + 1) (p^prec - 1)^2 must stay below 2^63.
     """
     mod = p**prec
     if mod >= 2**28:
@@ -100,11 +100,6 @@ def frac_nullspace(rows, ncols):
             v[c] = -rref[i][free]
         basis.append(v)
     return basis
-
-
-def frac_solve(rows, rhs):
-    """One solution of rows @ x = rhs over Q, or None."""
-    return frac_solve_many(rows, [rhs])[0]
 
 
 def frac_solve_many(rows, rhss):

@@ -6,11 +6,11 @@ so the solution space, the U_p matrix and the slope theory all decompose
 stratum by stratum.  Linear algebra happens per stratum; a general symbol
 is a sum of stratum-supported pieces.
 
-The relations are solved per stratum and Teichmuller sector.  The disc
-axis carries the regular representation of (Z/p)^x, whose characters
-omega^j are defined over Z/p^M (D(Z_p^x) = sum_j omega^j D(1 + pZ_p), as
-in Stevens' rigid analytic modular symbols), so each stratum's relations
-split into p - 1 independent blocks.
+The disc axis carries the regular representation of (Z/p)^x, whose
+characters omega^j are defined over Z/p^M (D(Z_p^x) = sum_j omega^j
+D(1 + pZ_p), as in Stevens' rigid analytic modular symbols), so each
+stratum splits into p - 1 Teichmuller sectors.  The relations are solved,
+and every Hecke operator is applied, one sector block at a time.
 """
 
 from __future__ import annotations
@@ -139,22 +139,6 @@ def _sources(g, N, p):
             [ainv * c % p - 1 for c in range(1, p)])
 
 
-def _act_stratum(g, Y, N, p, prec, T, d):
-    """Value action of g on stacked stratum-d coordinates.
-
-    Y is indexed (tag, disc, moment, column).  Tags and discs move as
-    _sources says, moments by the stratum-d block of _act_blocks, on
-    every column at once.  The product sums d + 1 <= T + 1 residue
-    products, inside the int64 bound.
-    """
-    _check_s0(g, N * p)
-    mod = p**prec
-    g = tuple(x % (N * mod) for x in g)
-    tsrc, dsrc = _sources(g, N, p)
-    V = _act_blocks(g, p, prec, T)[d]
-    return (V @ Y.take(tsrc, axis=0).take(dsrc, axis=1)) % mod
-
-
 @lru_cache(maxsize=None)
 def _characters(p, prec):
     """Teichmuller characters mod p^prec: row j is omega^j on discs 1..p-1.
@@ -174,11 +158,11 @@ def _characters(p, prec):
 def _stratum_action_matrix(g, N, p, prec, T, d):
     """The value action of g on one stratum, one block per sector.
 
-    A disc vector c -> omega^j(c) is an eigenvector of the disc gather of
-    _act_stratum: reading disc a^-1 c gives omega^j(a^-1 c), that is
-    omega^j(a)^-1 times it.  So in sector j the action is omega^j(a)^-1
-    times the tag gather tensor the stratum-d block of _act_blocks.
-    Indexed (sector, (tag, moment), (tag, moment)).
+    g moves tags and discs as _sources says, moments by the stratum-d
+    block of _act_blocks.  Reading disc a^-1 c turns the disc vector
+    c -> omega^j(c) into omega^j(a)^-1 times it, so in sector j the action
+    is omega^j(a)^-1 times the tag gather tensor the Sym^d block.  Indexed
+    (sector, (tag, moment), (tag, moment)).
     """
     _check_s0(g, N * p)
     mod = p**prec
@@ -190,6 +174,26 @@ def _stratum_action_matrix(g, N, p, prec, T, d):
     return (twist[:, None, None] * block) % mod
 
 
+def _term_blocks(terms, ngens, N, p, prec, T, d):
+    """sum_(c, g, w) w * x_c|g on stratum d as its p - 1 sector blocks.
+
+    Block j has rows (tag, moment) and columns (generator, tag, moment);
+    each term adds w times the sector blocks of _stratum_action_matrix(g)
+    into generator slice c.
+    """
+    blockdim = len(_units(N)) * (d + 1)
+    mod = p**prec
+
+    def add(block, c, g, w):
+        S = _stratum_action_matrix(g, N, p, prec, T, d)
+        sl = slice(c * blockdim, (c + 1) * blockdim)
+        block[:, :, sl] = (block[:, :, sl] + (w % mod) * S) % mod
+        return block
+
+    return manin.weighted_sum(terms, add, np.zeros(
+        (p - 1, blockdim, ngens * blockdim), dtype=np.int64))
+
+
 def _sector_relation_blocks(level, N, p, prec, T, d):
     """The stratum-d relation matrix as its p - 1 sector blocks.
 
@@ -198,51 +202,60 @@ def _sector_relation_blocks(level, N, p, prec, T, d):
     entry omega^j(c) x satisfy the relations.
     """
     pres = manin.presentation(level)
-    blockdim = len(_units(N)) * (d + 1)
+    return np.concatenate([_term_blocks(rel, pres.ngens, N, p, prec, T, d)
+                           for rel in pres.relations], axis=1)
+
+
+@lru_cache(maxsize=64)
+def _coset_blocks(level, N, p, prec, T, d, reps):
+    """The double coset of reps on stratum d, one read-only block per sector.
+
+    Block j acts on (generator, tag, moment); its block row b is the sum
+    over alpha of S_j(alpha) E_j(alpha . base_b), E from _term_blocks and
+    S from _stratum_action_matrix, which checks every path matrix and rep.
+    MAT_IOTA (determinant -1) has S the moment sign (-1)^b of x^a y^b.
+    At most 64 are kept, of (p - 1) (ngens phi(N) (d + 1))^2 entries each.
+    """
+    ngens = manin.presentation(level).ngens
     mod = p**prec
+    sign = np.tile([(-1) ** (d - n) for n in range(d + 1)], len(_units(N)))
 
-    def add(block, c, g, w):
-        S = _stratum_action_matrix(g, N, p, prec, T, d)
-        sl = slice(c * blockdim, (c + 1) * blockdim)
-        block[:, :, sl] = (block[:, :, sl] + w * S) % mod
-        return block
+    def evaluate(D):
+        terms = manin.divisor_terms(level, D)
+        return _term_blocks(terms, ngens, N, p, prec, T, d)
 
-    return np.concatenate([
-        manin.weighted_sum(rel, add, np.zeros(
-            (p - 1, blockdim, pres.ngens * blockdim), dtype=np.int64))
-        for rel in pres.relations], axis=1)
+    def twist(acc, alpha, E):
+        if alpha == manin.MAT_IOTA:
+            return (acc + sign[:, None] * E) % mod
+        S = _stratum_action_matrix(alpha, N, p, prec, T, d)
+        return (acc + np.stack([matmul_mod(s, e, mod)
+                                for s, e in zip(S, E)])) % mod
+
+    op = np.concatenate(manin.double_coset(level, reps, partial(map, evaluate),
+                                           twist, lambda: 0), axis=1)
+    op.flags.writeable = False
+    return op
 
 
 def _coset_stratum(level, N, p, prec, T, d, X, reps):
-    """manin.double_coset on stacked stratum-d coordinates.
+    """The double coset of reps on stacked stratum-d coordinates.
 
-    X is indexed (generator, tag, disc, moment, column); each column is
-    one symbol's stratum-d part, and the result has the same layout.
-    Every path matrix and every rep goes through _act_stratum's check;
-    MAT_IOTA, of determinant -1, twists by the sign (-1)^b of the moment
-    x^a y^b instead.
+    X is indexed (generator, tag, disc, moment, column), one symbol's
+    stratum-d part per column, and so is the result.  The inverse
+    character table maps discs to sectors, each sector takes one product
+    with its _coset_blocks block, and the table maps back.
     """
     mod = p**prec
-
-    def act(g, Y):
-        return _act_stratum(g, Y, N, p, prec, T, d)
-
-    def add(acc, c, g, w):
-        return (acc + (w % mod) * act(g, X[c])) % mod
-
-    def evaluate(D):
-        return manin.weighted_sum(manin.divisor_terms(level, D), add,
-                                  np.zeros_like(X[0]))
-
-    sign = np.array([(-1) ** (d - n) for n in range(d + 1)],
-                    dtype=np.int64)[:, None]
-
-    def twist(acc, alpha, Y):
-        moved = Y * sign if alpha == manin.MAT_IOTA else act(alpha, Y)
-        return (acc + moved) % mod
-
-    return np.stack(manin.double_coset(level, reps, partial(map, evaluate),
-                                       twist, lambda: np.zeros_like(X[0])))
+    op = _coset_blocks(level, N, p, prec, T, d, tuple(reps))
+    chars = _characters(p, prec)
+    # row j of the inverse table is omega^-j / (p - 1) = omega^(p-1-j) / (p - 1)
+    to_sectors = chars[-np.arange(p - 1) % (p - 1)] * pow(p - 1, -1, mod) % mod
+    discs = np.moveaxis(X, 2, 0)
+    sectors = matmul_mod(to_sectors, discs.reshape(p - 1, -1), mod).reshape(
+        p - 1, op.shape[2], -1)
+    images = np.stack([matmul_mod(B, x, mod) for B, x in zip(op, sectors)])
+    out = matmul_mod(chars.T, images.reshape(p - 1, -1), mod)
+    return np.moveaxis(out.reshape(discs.shape), 0, 2)
 
 
 def _apply_coset(sym, reps):
@@ -401,7 +414,8 @@ def up_matrix(space, d, n=None):
     """Matrix of U_p (or T_n when n is given) on one stratum's basis.
 
     Operators are degree-homogeneous, so each stratum carries its own
-    square matrix.  T_n acts once on all basis columns of the stratum.
+    square matrix.  T_n's cached sector blocks act on all basis columns of
+    the stratum at once.
     """
     idx = space.stratum_indices(d)
     if not idx:
@@ -412,12 +426,9 @@ def up_matrix(space, d, n=None):
     X = A.reshape(-1, len(_units(N)), p - 1, d + 1, len(idx))
     img = _coset_stratum(space.level, N, p, space.prec, space.T, d, X,
                          reps).reshape(A.shape)
-    cols = []
-    for j in range(len(idx)):
-        x = zpm_solve(A, img[:, j], p, space.prec)
-        if x is None:
-            raise OperandMismatch("Hecke image left the solved space")
-        cols.append(x)
+    cols = [zpm_solve(A, y, p, space.prec) for y in img.T]
+    if any(x is None for x in cols):
+        raise OperandMismatch("Hecke image left the solved space")
     return np.stack(cols, axis=1)
 
 
@@ -637,10 +648,7 @@ def classical_to_zpm(phi, p, prec):
 
 
 def _leading_unit_index(flatvec, p):
-    for i, x in enumerate(flatvec):
-        if int(x) % p:
-            return i
-    return None
+    return next((i for i, x in enumerate(flatvec) if int(x) % p), None)
 
 
 def lift_eigensymbol(space, phi, alpha, kappa, sign=-1, n_iter=None,

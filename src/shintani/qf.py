@@ -24,7 +24,8 @@ from .arith import (
     xgcd,
 )
 from .cosets import left_coset_reps
-from .errors import DiscriminantMismatch, NonUnimodular, SquareDiscriminant
+from .errors import (
+    BadIndex, DiscriminantMismatch, NonUnimodular, SquareDiscriminant)
 
 
 class QuadForm:
@@ -485,13 +486,14 @@ def enumerate_classes(M, delta):
     Deterministic order: lexicographic on the canonical reduced triple of
     the class (scaled by the content), ties broken by the representative.
     """
+    if delta <= 0:
+        raise BadIndex(f"discriminant {delta} is not positive")
     if _DISK_CACHE_DIR is not None:
         return _disk_cached_classes(M, delta)
     return _enumerate_classes(M, delta)
 
 
 def _enumerate_classes(M, delta):
-    assert delta > 0
     if M % 2 == 1:
         if delta % M:
             return ()

@@ -15,7 +15,10 @@ convert between that array and a tuple of ``TaggedDist2``, and
 
 ``stratum_relation_matrix`` is one stratum's relation matrix in disc
 coordinates, the matrix ``solve_oc_space`` reduced whole before it solved
-each Teichmuller sector on its own.
+each Teichmuller sector on its own.  It builds each term's block with
+``_act_stratum``, the value action on disc coordinates that the package
+applied one path term at a time before its Hecke operators became cached
+sector blocks.
 
 ``eigensymbols_sympy`` and ``_rational_eigenspace`` are
 ``modsym.eigensymbols`` as it split the sign subspace with sympy's
@@ -55,7 +58,7 @@ from shintani.dist import (
 from shintani.errors import (
     InsufficientMoments, NotInFM, OperandMismatch, PrecisionMismatch)
 from shintani.linalg import (
-    _check_kernel_bounds, frac_nullspace, frac_rref, frac_solve)
+    _check_kernel_bounds, frac_nullspace, frac_rref, frac_solve_many)
 from shintani.manin import (
     MAT_IOTA, evaluate_values, presentation, weighted_sum)
 from shintani.modsym import (
@@ -66,7 +69,7 @@ from shintani.modsym import (
     involution_matrix,
     solve_symbol_space,
 )
-from shintani.ocsymb import _act_stratum
+from shintani.ocsymb import _sources
 from shintani.qf import cycle_divisor, in_FM
 
 
@@ -371,6 +374,22 @@ def invol_tagged(v):
     return TaggedDist2(v.N, v.p, v.prec, v.T, comps)
 
 
+def _act_stratum(g, Y, N, p, prec, T, d):
+    """Value action of g on stacked stratum-d coordinates.
+
+    Y is indexed (tag, disc, moment, column).  Tags and discs move as
+    _sources says, moments by the stratum-d block of _act_blocks, on
+    every column at once.  The product sums d + 1 <= T + 1 residue
+    products, inside the int64 bound.
+    """
+    _check_s0(g, N * p)
+    mod = p**prec
+    g = tuple(x % (N * mod) for x in g)
+    tsrc, dsrc = _sources(g, N, p)
+    V = _act_blocks(g, p, prec, T)[d]
+    return (V @ Y.take(tsrc, axis=0).take(dsrc, axis=1)) % mod
+
+
 def stratum_relation_matrix(level, N, p, prec, T, d):
     """The stratum-d relations as one matrix on (generator, tag, disc, moment).
 
@@ -561,7 +580,8 @@ def eigensymbols_sympy(M, k, chi, sign, lbound=7):
             rows = [[Fraction(space[j][i]) for j in range(r)] for i in range(dim)]
             R = sympy.zeros(r, r)
             for idx, img in enumerate(imgs):
-                x = frac_solve([row[:] for row in rows], [Fraction(t) for t in img])
+                x = frac_solve_many([row[:] for row in rows],
+                                    [[Fraction(t) for t in img]])[0]
                 if x is None:
                     raise OperandMismatch("Hecke image left the solved space")
                 for i in range(r):

@@ -41,7 +41,7 @@ from shintani.modsym import (
 )
 from shintani.ocsymb import (
     SlopeData,
-    _act_stratum,
+    _stratum_action_matrix,
     charpoly_strata,
     classical_to_zpm,
     hecke_eigenvalue,
@@ -163,18 +163,14 @@ def test_acceptance_oc_hecke_formula():
                 continue
             idx = sorted({n for b in base for n in (b, l * l * b)}
                          | {b // (l * l) for b in base if b % (l * l) == 0})
-            lhs = theta_oc(oc_hecke_Tn(Phi, l), 40, indices=base,
-                           threads=THREADS)
-            rhs = qexp_hecke_Tl(
-                theta_oc(Phi, 40 * l * l, indices=idx, threads=THREADS), l)
+            lhs = theta_oc(oc_hecke_Tn(Phi, l), 40, indices=base)
+            rhs = qexp_hecke_Tl(theta_oc(Phi, 40 * l * l, indices=idx), l)
             assert set(base) <= rhs.indices
             for n in base:
                 assert lhs.coeff(n) == rhs.coeff(n), (N, l, n)
             assert lhs.coeffs, (N, l)  # not a vacuous identity
-            lhs2 = theta_oc(oc_hecke_Tll(Phi, l), 40, indices=base,
-                            threads=THREADS)
-            rhs2 = qexp_hecke_Tll(
-                theta_oc(Phi, 40, indices=base, threads=THREADS), l)
+            lhs2 = theta_oc(oc_hecke_Tll(Phi, l), 40, indices=base)
+            rhs2 = qexp_hecke_Tll(theta_oc(Phi, 40, indices=base), l)
             assert lhs2 == rhs2, (N, l)
             checked += 1
         assert checked == (2 if N == 1 else 1)
@@ -324,24 +320,24 @@ def test_acceptance_distribution_calculus():
         assert act_S0(act_S0(mu, g), h) == act_S0(mu, mat_mul(g, h))
         assert act_S0(mu + nu, g) == act_S0(mu, g) + act_S0(nu, g)
         assert act_S0(mu.scale(7), g) == act_S0(mu, g).scale(7)
-    # the same four axioms on the package's value action, on random
-    # stacked values indexed (tag, disc, moment, column), every stratum
+    # the same four axioms on the package's value action, sector by
+    # sector on random stacked values indexed (sector, (tag, moment),
+    # column), every stratum: a right action, so S(g h) = S(h) S(g)
     gen = np.random.default_rng(8)
     for N in (1, 3):
         for _ in range(50):
             g, h = rand_s0(rng, p, N), rand_s0(rng, p, N)
             for d in range(Tp + 1):
-                shape = (len(_units(N)), p - 1, d + 1, 3)
+                def S(g):
+                    return _stratum_action_matrix(g, N, p, prec, Tp, d)
+
+                shape = (p - 1, len(_units(N)) * (d + 1), 3)
                 Y, Z = gen.integers(0, mod, size=(2,) + shape)
-
-                def act(g, Y):
-                    return _act_stratum(g, Y, N, p, prec, Tp, d)
-
-                assert np.array_equal(act((1, 0, 0, 1), Y), Y)
-                assert np.array_equal(act(h, act(g, Y)),
-                                      act(mat_mul(g, h), Y))
-                assert np.array_equal(act(g, (Y + Z) % mod),
-                                      (act(g, Y) + act(g, Z)) % mod)
-                assert np.array_equal(act(g, 7 * Y % mod),
-                                      7 * act(g, Y) % mod)
+                assert (S((1, 0, 0, 1)) == np.eye(shape[1])).all()
+                assert np.array_equal(S(mat_mul(g, h)),
+                                      S(h) @ S(g) % mod)
+                assert np.array_equal(S(g) @ ((Y + Z) % mod) % mod,
+                                      (S(g) @ Y + S(g) @ Z) % mod)
+                assert np.array_equal(S(g) @ (7 * Y % mod) % mod,
+                                      7 * (S(g) @ Y % mod) % mod)
     assert time.monotonic() - t0 < 60

@@ -11,7 +11,7 @@ from shintani.linalg import (
     berkowitz_charpoly,
     frac_nullspace,
     frac_rref,
-    frac_solve,
+    frac_solve_many,
     lower_convex_hull,
     matmul_mod,
     poly_mul_mod,
@@ -49,15 +49,16 @@ def test_frac_rref_and_nullspace_vs_sympy():
         if basis:
             B = [[basis[j][i] for j in range(len(basis))] for i in range(n)]
             for w in want:
-                assert frac_solve(B, [Fraction(x) for x in w]) is not None
+                assert frac_solve_many(B, [[Fraction(x) for x in w]])[0] \
+                    is not None
 
 
 def test_frac_solve():
     rows = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
-    x = frac_solve(rows, [Fraction(5), Fraction(10)])
+    [x] = frac_solve_many(rows, [[Fraction(5), Fraction(10)]])
     assert x == [Fraction(1), Fraction(3)]
-    assert frac_solve([[1, 1], [2, 2]], [1, 3]) is None
-    assert frac_solve([[1, 1], [2, 2]], [1, 2]) is not None
+    assert frac_solve_many([[1, 1], [2, 2]], [[1, 3]]) == [None]
+    assert frac_solve_many([[1, 1], [2, 2]], [[1, 2]])[0] is not None
 
 
 def brute_kernel(A, p, M):

@@ -554,6 +554,33 @@ def test_oc_operators_match_oracle_on_unsolved_values():
         level, vals, invol_tagged))
 
 
+def test_coset_blocks_are_cached_and_read_only():
+    key = (15, 3, 5, 3, 2, 1, tuple(manin.hecke_reps(5, 15)))
+    op = ocsymb._coset_blocks(*key)
+    assert ocsymb._coset_blocks(*key) is op
+    assert op.shape == (4, 24 * 2 * 2, 24 * 2 * 2)
+    assert not op.flags.writeable
+    with pytest.raises(ValueError):
+        op[0, 0, 0] = 1
+
+
+@pytest.mark.parametrize("reps", [manin.hecke_reps(5, 15),
+                                  manin.hecke_reps(2, 15),
+                                  [manin.MAT_IOTA]])
+def test_operator_on_a_stack_matches_column_by_column(reps):
+    # random values need not satisfy the relations; the operator is
+    # linear, so each column of a stack is the image of that column alone
+    level, N, p, prec, T, d = 15, 3, 5, 3, 2, 2
+    shape = (manin.presentation(level).ngens, len(_units(N)), p - 1, d + 1)
+    X = np.random.default_rng(15).integers(0, p**prec, size=shape + (4,))
+    stacked = ocsymb._coset_stratum(level, N, p, prec, T, d, X, reps)
+    assert stacked.any()
+    for i in range(X.shape[-1]):
+        alone = ocsymb._coset_stratum(level, N, p, prec, T, d,
+                                      X[..., i:i + 1], reps)
+        assert np.array_equal(stacked[..., i:i + 1], alone), i
+
+
 # ---------------------------------------------------------------------------
 # newton_slopes and slope_projector
 
