@@ -179,13 +179,12 @@ class DirichletChar:
     """Dirichlet character with values in {-1, 0, 1}.
 
     Only trivial and quadratic characters arise here, so values are plain
-    ints.  ``wild`` optionally records which prime carries the wild part,
-    enabling the tame/wild factorization used for weight characters.
+    ints.
     """
 
-    __slots__ = ("modulus", "table", "wild")
+    __slots__ = ("modulus", "table")
 
-    def __init__(self, modulus, table, wild=None):
+    def __init__(self, modulus, table):
         if modulus < 1:
             raise BadIndex(f"character modulus {modulus} is not positive")
         self.modulus = modulus
@@ -193,19 +192,18 @@ class DirichletChar:
         self.table = tuple(
             table[a] if gcd(a, modulus) == 1 else 0 for a in range(modulus)
         )
-        self.wild = wild
 
     @classmethod
-    def trivial(cls, modulus=1, wild=None):
-        return cls(modulus, {a: 1 for a in range(modulus)}, wild=wild)
+    def trivial(cls, modulus=1):
+        return cls(modulus, {a: 1 for a in range(modulus)})
 
     @classmethod
-    def from_kronecker(cls, D, modulus=None, wild=None):
+    def from_kronecker(cls, D, modulus=None):
         """Quadratic character a -> kronecker(D, a), period |D| (or 4|D|)."""
         m = modulus if modulus is not None else (abs(D) if D % 4 in (0, 1) else 4 * abs(D))
         if m == 0:
             m = 1
-        return cls(m, {a: kronecker(D, a) for a in range(m)}, wild=wild)
+        return cls(m, {a: kronecker(D, a) for a in range(m)})
 
     def __call__(self, a):
         return self.table[a % self.modulus]
@@ -220,9 +218,7 @@ class DirichletChar:
 
     def __mul__(self, other):
         m = self.modulus * other.modulus // gcd(self.modulus, other.modulus)
-        table = {a: self(a) * other(a) for a in range(m)}
-        wild = self.wild if self.wild is not None else other.wild
-        return DirichletChar(m, table, wild=wild)
+        return DirichletChar(m, {a: self(a) * other(a) for a in range(m)})
 
     def squared(self):
         return self * self
@@ -236,22 +232,12 @@ class DirichletChar:
             mp *= p
         mN = self.modulus // mp
         if mN == 1:
-            return DirichletChar.trivial(1), DirichletChar(mp, dict(enumerate(self.table)), wild=p)
+            return DirichletChar.trivial(1), DirichletChar(mp, dict(enumerate(self.table)))
         if mp == 1:
-            return DirichletChar(mN, dict(enumerate(self.table))), DirichletChar.trivial(1, wild=p)
+            return DirichletChar(mN, dict(enumerate(self.table))), DirichletChar.trivial(1)
         tame = {a: self(crt(a, mN, 1, mp)) for a in range(mN) if gcd(a, mN) == 1}
         wild = {a: self(crt(1, mN, a, mp)) for a in range(mp) if gcd(a, mp) == 1}
-        return DirichletChar(mN, tame), DirichletChar(mp, wild, wild=p)
-
-    @property
-    def tame_part(self):
-        assert self.wild is not None
-        return self.factor(self.wild)[0]
-
-    @property
-    def wild_part(self):
-        assert self.wild is not None
-        return self.factor(self.wild)[1]
+        return DirichletChar(mN, tame), DirichletChar(mp, wild)
 
     def __repr__(self):
         return f"DirichletChar(mod {self.modulus})"

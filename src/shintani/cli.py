@@ -23,6 +23,7 @@ from .dist import ArithWeight
 from .errors import KernelOverflow
 from .linalg import _check_kernel_bounds, frac_rref
 from .lifting import (
+    _coeff_json,
     halfint_Tl2,
     qexp_hecke_Tl,
     qexp_hecke_Tll,
@@ -142,12 +143,9 @@ def _first_qexp_diff(lhs, rhs):
 
 def _first_formal_diff(lhs, rhs):
     """First differing assembled index of two finite-precision expansions."""
-    common = sorted(lhs.indices & rhs.indices)
-    from .lifting import _meta_json
-
-    for n in common:
-        a = _meta_json(lhs.coeff(n).canonicalize())
-        b = _meta_json(rhs.coeff(n).canonicalize())
+    for n in sorted(set(lhs.indices) & set(rhs.indices)):
+        a = _coeff_json(lhs, lhs.coeff(n))
+        b = _coeff_json(rhs, rhs.coeff(n))
         if a != b:
             return n, _json_diff(a, b)
     return None

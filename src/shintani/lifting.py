@@ -4,9 +4,13 @@ The exact-coefficient lift pairs symbol values against powers of
 quadratic forms and assembles the results over form classes into a
 q-expansion; the finite-precision lift does the same with tagged
 distribution values, producing tensor coefficients that evaluate to
-the exact coefficients at every admissible weight.  Both sides carry
-their own Hecke operators, and the verifier at the bottom checks that
-weight evaluation intertwines the two constructions coefficientwise.
+the exact coefficients at every admissible weight.  Each such
+coefficient is the point mass at 1 tensor a right factor, one moment
+table per tame tag, and an expansion stores its right factors as one
+int64 array; point-mass convolutions on that array carry the
+imprimitive classes and the Hecke operators.  Both sides carry their
+own Hecke operators, and the verifier at the bottom checks that weight
+evaluation intertwines the two constructions coefficientwise.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -17,19 +21,16 @@ import numpy as np
 
 from .arith import RationalCusp, is_prime, kronecker, valuation
 from .cosets import _units
-from .dist import (
-    DistN,
-    MetaCoeff,
-    MomentDist1,
-    _check_s0,
-    _stratum_cols,
-    _sym_blocks,
-    convolve_distN,
-    dirac_distN,
-    eval_weight_meta,
-    meta_zero,
+from .dist import _char_vectors, _check_s0, _stratum_cols, _sym_blocks
+from .errors import (
+    BadIndex,
+    BadLevel,
+    DegreeMismatch,
+    InsufficientMoments,
+    NotInFM,
+    OperandMismatch,
 )
-from .errors import BadIndex, BadLevel, DegreeMismatch, NotInFM, OperandMismatch
+from .linalg import _check_kernel_bounds
 from .manin import divisor_terms
 from .modsym import (
     SymPoly,
@@ -177,15 +178,6 @@ class HalfIntQExp:
                 f"n_max={self.n_max}, {len(self.coeffs)} nonzero)")
 
 
-def halfint_Tp(e, p):
-    """Index compression by a prime dividing the level parameter."""
-    if e.M % p:
-        raise BadIndex(f"{p} does not divide the level parameter {e.M}")
-    nm = e.n_max // p
-    return e._like({n: e.coeff(p * n) for n in range(1, nm + 1)},
-                   n_max=nm, twists=e.twists + (p,))
-
-
 def halfint_Tl2(e, l):
     """Square-index Hecke operator at an odd prime away from the level."""
     if l == 2 or not is_prime(l) or gcd(l, 2 * e.M) != 1:
@@ -286,84 +278,85 @@ def theta_classical(phi, M, k, chi, n_max, threads=1):
 class FormalQExp:
     """q-expansion whose coefficients are tensors of tagged distributions.
 
-    ``indices`` records which coefficient slots were assembled; absent
-    members of that set are zero, and querying an unassembled slot is
-    an error rather than a silent zero.  Nonzero coefficients may only
-    sit at indices whose attached discriminant is an actual
-    discriminant.
+    Every coefficient is the point mass at 1, on moment range 2 Tp, tensor
+    a right factor; the left factor is the same everywhere and is not
+    stored.  ``data`` is one read-only int64 array indexed (slot, tag,
+    disc, moment), reduced mod p^prec: row i is the right factor at
+    ``indices[i]``, one moment table per tame tag.  ``indices`` are the
+    sorted assembled slots; reading any other slot is an error rather
+    than a silent zero.  Nonzero rows may only sit at indices whose
+    attached discriminant is an actual discriminant.
     """
 
-    __slots__ = ("level", "N", "p", "prec", "Tp", "n_max", "indices", "coeffs")
+    __slots__ = ("level", "N", "p", "prec", "Tp", "n_max", "indices", "data")
 
-    def __init__(self, level, N, p, prec, Tp, coeffs, n_max, indices=None):
+    def __init__(self, level, N, p, prec, Tp, data, n_max, indices=None):
         if level != N * p or gcd(N, p) != 1:
             raise BadLevel(f"{level} is not {N} * {p} with {p} prime to {N}")
+        _check_kernel_bounds(p, prec, Tp)
+        if indices is None:
+            indices = range(1, n_max + 1)
+        indices = tuple(sorted(set(indices)))
+        if not all(1 <= n <= n_max for n in indices):
+            raise BadIndex(f"an index lies outside 1..{n_max}")
+        data = np.asarray(data, dtype=np.int64) % p**prec
+        shape = (len(indices), len(_units(N)), p - 1, Tp + 1)
+        if data.shape != shape:
+            raise DegreeMismatch(f"coefficients of shape {data.shape}, "
+                                 f"expected {shape}")
+        for n, live in zip(indices, data.any(axis=(1, 2, 3))):
+            if live and not realizable_index(level, n):
+                raise BadIndex(f"index {n} carries no discriminant")
+        data.flags.writeable = False
         self.level = level
         self.N = N
         self.p = p
         self.prec = prec
         self.Tp = Tp
         self.n_max = n_max
-        if indices is None:
-            indices = range(1, n_max + 1)
-        self.indices = frozenset(indices)
-        if not all(1 <= n <= n_max for n in self.indices):
-            raise BadIndex(f"an index lies outside 1..{n_max}")
-        store = {}
-        for n, mc in dict(coeffs).items():
-            if n not in self.indices:
-                raise BadIndex(f"coefficient {n} outside the index set")
-            if not isinstance(mc, MetaCoeff):
-                raise OperandMismatch(f"coefficient {n} is not a MetaCoeff")
-            if not mc.is_zero():
-                if not realizable_index(level, n):
-                    raise BadIndex(f"index {n} carries no discriminant")
-                store[n] = mc
-        self.coeffs = store
+        self.indices = indices
+        self.data = data
+
+    def _rows(self, ns):
+        """The right factors at the slots ns, each of them assembled."""
+        pos = {n: i for i, n in enumerate(self.indices)}
+        for n in ns:
+            if n not in pos:
+                raise BadIndex(f"coefficient {n} was not assembled")
+        return self.data[[pos[n] for n in ns]]
 
     def coeff(self, n):
-        if n not in self.indices:
-            raise BadIndex(f"coefficient {n} was not assembled")
-        got = self.coeffs.get(n)
-        if got is None:
-            return meta_zero(self.N, self.p, self.prec, self.Tp)
-        return got
+        """The right factor at slot n, indexed (tag, disc, moment)."""
+        return self._rows([n])[0]
 
     def _compat(self, other):
         if ((self.level, self.N, self.p, self.prec, self.Tp) !=
                 (other.level, other.N, other.p, other.prec, other.Tp)):
             raise OperandMismatch(f"{self!r} and {other!r} do not add")
 
-    def _like(self, coeffs, n_max=None, indices=None):
+    def _like(self, data, n_max=None, indices=None):
         return FormalQExp(self.level, self.N, self.p, self.prec, self.Tp,
-                          coeffs,
+                          data,
                           self.n_max if n_max is None else n_max,
                           self.indices if indices is None else indices)
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
         self._compat(other)
-        idx = self.indices & other.indices
-        nm = min(self.n_max, other.n_max)
-        return self._like({n: self.coeff(n) + other.coeff(n) for n in idx},
-                          n_max=nm, indices={n for n in idx if n <= nm})
+        idx = sorted(set(self.indices) & set(other.indices))
+        return self._like(self._rows(idx) + sign * other._rows(idx),
+                          n_max=min(self.n_max, other.n_max), indices=idx)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        self._compat(other)
-        idx = self.indices & other.indices
-        nm = min(self.n_max, other.n_max)
-        return self._like({n: self.coeff(n) - other.coeff(n) for n in idx},
-                          n_max=nm, indices={n for n in idx if n <= nm})
+        return self._combine(other, -1)
 
     def scale(self, r):
-        return self._like({n: mc.scale(r) for n, mc in self.coeffs.items()})
+        return self._like(self.data * (int(r) % self.p**self.prec))
 
     def is_zero(self):
-        return not self.coeffs
-
-    def canonicalize(self):
-        """Push every coefficient's left factor through the squaring map."""
-        return self._like({n: mc.canonicalize()
-                           for n, mc in self.coeffs.items()})
+        return not self.data.any()
 
     def __eq__(self, other):
         if not isinstance(other, FormalQExp):
@@ -372,7 +365,7 @@ class FormalQExp:
                  self.n_max, self.indices) ==
                 (other.level, other.N, other.p, other.prec, other.Tp,
                  other.n_max, other.indices)
-                and self.coeffs == other.coeffs)
+                and np.array_equal(self.data, other.data))
 
     def to_json(self):
         return {
@@ -382,25 +375,33 @@ class FormalQExp:
             "precision": self.prec,
             "moment_degree": self.Tp,
             "n_max": self.n_max,
-            "coeffs": {str(n): _meta_json(self.coeffs[n])
-                       for n in sorted(self.coeffs)},
+            "coeffs": {str(n): _coeff_json(self, row)
+                       for n, row in zip(self.indices, self.data)
+                       if row.any()},
         }
 
     def __repr__(self):
         return (f"FormalQExp(level={self.level}, p={self.p}, "
-                f"n_max={self.n_max}, {len(self.coeffs)} nonzero)")
+                f"n_max={self.n_max}, {len(self.indices)} slots)")
 
 
-def _distN_json(d):
-    comps = {}
-    for t in sorted(d.comps):
-        nu = d.comps[t]
-        comps[str(t)] = [[int(x) for x in row] for row in nu.data.tolist()]
-    return {"N": d.N, "p": d.p, "M": d.prec, "Tp": d.Tp, "components": comps}
+def _coeff_json(e, row):
+    """One coefficient of e as {"left": ..., "right": ...}.
 
+    Each factor is written as a tagged distribution: its profile and the
+    moment table, rows discs 1..p-1, of every tag that carries mass.  The
+    left factor is the point mass at 1 on moment range 2 Tp.
+    """
+    unit = np.zeros((e.p - 1, 2 * e.Tp + 1), dtype=np.int64)
+    unit[0] = 1
 
-def _meta_json(mc):
-    return {"left": _distN_json(mc.left), "right": _distN_json(mc.right)}
+    def factor(tables, Tp):
+        return {"N": e.N, "p": e.p, "M": e.prec, "Tp": Tp,
+                "components": {str(t): table.tolist()
+                               for t, table in tables if table.any()}}
+
+    return {"left": factor([(1 % e.N, unit)], 2 * e.Tp),
+            "right": factor(zip(_units(e.N), row), e.Tp)}
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +462,7 @@ def _J_batch(Phi, forms, terms):
     for n, d in enumerate(evens):
         Y = X[..., list(_stratum_cols(T, d))][
             gen[:, None, None], tsrc[:, :, None], dsrc[:, None, :]]
-        moved = np.matmul(Y.reshape(len(gen), -1, d + 1),
+        moved = np.matmul(Y.reshape(len(gen), len(tags) * (p - 1), d + 1),
                           blocks[d][mat].transpose(0, 2, 1)) % mod
         value = np.zeros((len(forms),) + moved.shape[1:], dtype=np.int64)
         np.add.at(value, owner, moved * wt[:, None, None] % mod)
@@ -474,32 +475,32 @@ def _J_batch(Phi, forms, terms):
         nxt[:, 1:-1] += qb * qpow
         nxt[:, :-2] += qc * qpow
         qpow = nxt % mod
-    left = dirac_distN(1, N, p, prec, 2 * Tp)
-    return [MetaCoeff(left, DistN(N, p, prec, Tp, {
-        t: MomentDist1(p, prec, Tp, block) for t, block in zip(tags, R)}))
-        for R in right % mod]
+    return right % mod
 
 
 def J_oc(Phi, Q, base=None):
-    """Tensor coefficient of the finite-precision lift at the class of Q.
+    """Right tensor factor of the finite-precision lift at the class of Q.
 
-    The one-form case of _J_batch, which theta_oc runs on all its forms.
+    Indexed (tag, disc, moment); the one-form case of _J_batch, which
+    theta_oc runs on all its forms.
     """
     return _J_batch(Phi, [Q], [_class_terms(Phi, Q, base)])[0]
 
 
-def _unit_dirac(s, N, p, prec, Tp):
-    """Point mass at s on the unit group; zero when s is not a unit."""
-    if s % p == 0 or (N > 1 and gcd(s, N) != 1):
-        return DistN(N, p, prec, Tp)
-    return dirac_distN(s, N, p, prec, Tp)
+def _dirac_convolve(X, s, N, p, prec):
+    """Right factors X (..., tag, disc, moment) convolved with delta_s.
 
-
-def _conv_right(s, mc):
-    """Convolve the right tensor factor with the point mass at s."""
-    r = mc.right
-    d = _unit_dirac(s, r.N, r.p, r.prec, r.Tp)
-    return MetaCoeff(mc.left, convolve_distN(d, r))
+    The point mass at s moves tag t to s t and disc c to s c, the gather
+    _sources gives for upper-left entry s, and weights moment n by s^n.
+    It is zero unless s is a unit mod N p.
+    """
+    if gcd(s, N * p) != 1:
+        return np.zeros_like(X)
+    mod = p**prec
+    tsrc, dsrc = _sources((s, 0, 0, 1), N, p)
+    weights = np.array([pow(s, n, mod) for n in range(X.shape[-1])],
+                       dtype=np.int64)
+    return X[..., tsrc, :, :][..., dsrc, :] * weights % mod
 
 
 def theta_oc(Phi, n_max, indices=None):
@@ -509,8 +510,7 @@ def theta_oc(Phi, n_max, indices=None):
     tensor convolved with the point mass at the scaling factor, so each
     primitive class is evaluated once and shared across indices.
     """
-    Np, N, p = Phi.level, Phi.N, Phi.p
-    Tp = Phi.T // 2
+    Np, N, p, prec = Phi.level, Phi.N, Phi.p, Phi.prec
     if indices is None:
         indices = range(1, n_max + 1)
     indices = sorted(set(indices))
@@ -521,20 +521,19 @@ def theta_oc(Phi, n_max, indices=None):
             P = Q.primitive_part()
             prims.setdefault(P.triple(), P)
     forms = list(prims.values())
-    terms = [_class_terms(Phi, P) for P in forms]
-    memo = dict(zip(prims, _J_batch(Phi, forms, terms)))
-
-    def one(n):
-        mc = meta_zero(N, p, Phi.prec, Tp)
+    right = _J_batch(Phi, forms, [_class_terms(Phi, P) for P in forms])
+    pos = {key: j for j, key in enumerate(prims)}
+    # (slot row, primitive row) of every class, grouped by its content
+    by_content = {}
+    for i, n in enumerate(indices):
         for Q in classes[n]:
-            m = Q.content()
-            piece = memo[Q.primitive_part().triple()]
-            mc = mc + (piece if m == 1 else _conv_right(m, piece))
-        return mc
-
-    values = [one(n) for n in indices]
-    return FormalQExp(Np, N, p, Phi.prec, Tp, dict(zip(indices, values)),
-                      n_max, indices)
+            by_content.setdefault(Q.content(), []).append(
+                (i, pos[Q.primitive_part().triple()]))
+    data = np.zeros((len(indices),) + right.shape[1:], dtype=np.int64)
+    for m, pairs in by_content.items():
+        slot, prim = np.array(pairs, dtype=np.int64).T
+        np.add.at(data, slot, _dirac_convolve(right[prim], m, N, p, prec))
+    return FormalQExp(Np, N, p, prec, Phi.T // 2, data, n_max, indices)
 
 
 def qexp_hecke_Tl(e, l):
@@ -547,33 +546,25 @@ def qexp_hecke_Tl(e, l):
         raise BadIndex("index 2 requires an even tame level")
     if not is_prime(l):
         raise BadIndex(f"{l} is not prime")
-    nm = e.n_max // (l * l)
-    co = {}
-    idx = []
-    for n in range(1, nm + 1):
-        if (n * l * l not in e.indices or n not in e.indices
-                or (n % (l * l) == 0 and n // (l * l) not in e.indices)):
-            continue
-        idx.append(n)
-        mc = e.coeff(n * l * l)
-        mc = mc + _conv_right(l, e.coeff(n)).scale(kronecker(e.level * n, l))
-        if n % (l * l) == 0:
-            mc = mc + _conv_right(l * l, e.coeff(n // (l * l))).scale(l)
-        co[n] = mc
-    return e._like(co, n_max=nm, indices=idx)
+    have, ll, mod = set(e.indices), l * l, e.p**e.prec
+    idx = [n for n in range(1, e.n_max // ll + 1)
+           if n * ll in have and n in have
+           and (n % ll or n // ll in have)]
+    signs = np.array([kronecker(e.level * n, l) % mod for n in idx],
+                     dtype=np.int64).reshape(-1, 1, 1, 1)
+    out = (e._rows([n * ll for n in idx])
+           + _dirac_convolve(e._rows(idx), l, e.N, e.p, e.prec) * signs)
+    deep = [i for i, n in enumerate(idx) if n % ll == 0]
+    out[deep] += _dirac_convolve(e._rows([idx[i] // ll for i in deep]), ll,
+                                 e.N, e.p, e.prec) * l
+    return e._like(out, n_max=e.n_max // ll, indices=idx)
 
 
 def qexp_hecke_Tll(e, l):
     """Diamond-type operator: convolve with the point mass at l^2."""
     if gcd(l, e.level) != 1:
         raise BadIndex(f"{l} must be coprime to the level {e.level}")
-    return e._like({n: _conv_right(l * l, e.coeff(n)) for n in e.coeffs})
-
-
-def qexp_module_action(r, e):
-    """Act by a tagged one-variable distribution on every left factor."""
-    return e._like({n: MetaCoeff(convolve_distN(r, mc.left), mc.right)
-                    for n, mc in e.coeffs.items()})
+    return e._like(_dirac_convolve(e.data, l * l, e.N, e.p, e.prec))
 
 
 # ---------------------------------------------------------------------------
@@ -581,13 +572,23 @@ def qexp_module_action(r, e):
 
 
 def specialize_qexp(e, kappa_tilde):
-    """Evaluate every tensor coefficient at an admissible weight."""
-    if e.indices != frozenset(range(1, e.n_max + 1)):
+    """Evaluate every tensor coefficient at an admissible weight.
+
+    The left factor, the point mass at 1, evaluates to 1 at the doubled
+    weight, so coefficient n is the right factor's value
+    sum_t chi_N(t) * sum_c chi_p(c) * m_{t,c}(k) at slot n.
+    """
+    if e.indices != tuple(range(1, e.n_max + 1)):
         raise BadIndex("weight evaluation needs a fully assembled expansion")
-    ring = ("zpm", e.p, e.prec)
-    co = {n: eval_weight_meta(mc, kappa_tilde) for n, mc in e.coeffs.items()}
-    return HalfIntQExp(e.level, kappa_tilde.k, kappa_tilde.chi, co,
-                       e.n_max, ring)
+    k = kappa_tilde.k
+    if k > e.Tp:
+        raise InsufficientMoments(f"weight {k} exceeds moment range {e.Tp}")
+    ct, cc = _char_vectors(kappa_tilde, e.N, e.p)
+    # character values are 0 or +-1
+    values = np.einsum("t,c,itc->i", ct, cc, e.data[..., k]) % e.p**e.prec
+    return HalfIntQExp(e.level, k, kappa_tilde.chi,
+                       dict(zip(e.indices, values.tolist())), e.n_max,
+                       ("zpm", e.p, e.prec))
 
 
 def verify_interpolation(Phi, kappa_tilde, n_max, loss=2, threads=1):

@@ -13,6 +13,17 @@ module as the package kept it, one object per generator value, before an
 convert between that array and a tuple of ``TaggedDist2``, and
 ``evaluate`` is ``OCSymbol.evaluate`` on the converted values.
 
+``MomentDist1`` (one one-variable moment table), ``DistN`` (a table per
+tame tag) and ``MetaCoeff`` (a tensor of two ``DistN``), with point
+masses, multiplicative convolution, the squaring pushforward and weight
+evaluation, are the lift's coefficient ring as the package kept it, one
+object per coefficient, before a ``FormalQExp`` became one int64 array
+of right factors.  ``meta_of`` and ``row_of`` convert between an array
+row and a ``MetaCoeff`` with the point mass at 1 as its left factor;
+``qexp_module_action`` acts on the left factors through that ring, and
+``halfint_Tp`` is the index compression of exact expansions, which only
+the tests use.
+
 ``stratum_relation_matrix`` is one stratum's relation matrix in disc
 coordinates, the matrix ``solve_oc_space`` reduced whole before it solved
 each Teichmuller sector on its own.  It builds each term's block with
@@ -45,18 +56,15 @@ import sympy
 
 from shintani.arith import RationalCusp
 from shintani.cosets import _units
-from shintani.dist import (
-    DistN,
-    MetaCoeff,
-    MomentDist1,
-    _act_blocks,
-    _check_s0,
-    _pairs,
-    _stratum_cols,
-    dirac_distN,
-)
+from shintani.dist import _act_blocks, _check_s0, _pairs, _stratum_cols
 from shintani.errors import (
-    InsufficientMoments, NotInFM, OperandMismatch, PrecisionMismatch)
+    BadIndex,
+    DegreeMismatch,
+    InsufficientMoments,
+    NotInFM,
+    OperandMismatch,
+    PrecisionMismatch,
+)
 from shintani.linalg import (
     _check_kernel_bounds, frac_nullspace, frac_rref, frac_solve_many)
 from shintani.manin import (
@@ -282,6 +290,340 @@ def scalar_action(nu, value):
     return out
 
 
+
+
+# ------------------------------------------- the lift's coefficient ring
+
+class MomentDist1:
+    """Moments m_c(n) mod p^M over unit discs, n <= Tprime."""
+
+    __slots__ = ("p", "prec", "Tp", "data")
+
+    def __init__(self, p, prec, Tp, data=None):
+        _check_kernel_bounds(p, prec, Tp)
+        if data is None:
+            data = np.zeros((p - 1, Tp + 1), dtype=np.int64)
+        else:
+            data = np.asarray(data, dtype=np.int64) % p**prec
+            if data.shape != (p - 1, Tp + 1):
+                raise DegreeMismatch(f"moment table of shape {data.shape}, "
+                                     f"expected {(p - 1, Tp + 1)}")
+        data.flags.writeable = False
+        self.p = p
+        self.prec = prec
+        self.Tp = Tp
+        self.data = data
+
+    def m(self, c, n):
+        return int(self.data[c % self.p - 1, n])
+
+    def _like(self, data, Tp=None):
+        return MomentDist1(self.p, self.prec, self.Tp if Tp is None else Tp, data)
+
+    def zero_like(self):
+        return MomentDist1(self.p, self.prec, self.Tp)
+
+    def _compat(self, other):
+        if (self.p, self.prec, self.Tp) != (other.p, other.prec, other.Tp):
+            raise PrecisionMismatch(
+                f"({self.p},{self.prec},{self.Tp}) vs ({other.p},{other.prec},{other.Tp})")
+
+    def __add__(self, other):
+        self._compat(other)
+        return self._like(self.data + other.data)
+
+    def __sub__(self, other):
+        self._compat(other)
+        return self._like(self.data - other.data)
+
+    def __neg__(self):
+        return self._like(-self.data)
+
+    def scale(self, r):
+        return self._like(self.data * (int(r) % self.p**self.prec))
+
+    def is_zero(self):
+        return not self.data.any()
+
+    def __eq__(self, other):
+        if not isinstance(other, MomentDist1):
+            return NotImplemented
+        return ((self.p, self.prec, self.Tp) == (other.p, other.prec, other.Tp)
+                and np.array_equal(self.data, other.data))
+
+    def __hash__(self):
+        return hash((self.p, self.prec, self.Tp, self.data.tobytes()))
+
+    def __repr__(self):
+        nz = int(np.count_nonzero(self.data))
+        return f"MomentDist1(p={self.p}, M={self.prec}, T'={self.Tp}, {nz} nonzero)"
+
+
+def dirac(s, p, prec, Tp):
+    """Point mass at the integer s; zero when p divides s."""
+    out = MomentDist1(p, prec, Tp)
+    if s % p == 0:
+        return out
+    mod = p**prec
+    data = np.zeros((p - 1, Tp + 1), dtype=np.int64)
+    data[s % p - 1, :] = [pow(s, n, mod) for n in range(Tp + 1)]
+    return MomentDist1(p, prec, Tp, data)
+
+
+def convolve(nu1, nu2):
+    """Multiplicative convolution on the units.
+
+    Twisted moments multiply: for any character omega of the disc group,
+    sum_c omega(c) m_c(n) is multiplicative in the two factors.
+    """
+    nu1._compat(nu2)
+    p, mod = nu1.p, nu1.p**nu1.prec
+    data = np.zeros((p - 1, nu1.Tp + 1), dtype=np.int64)
+    for c1 in range(1, p):
+        row1 = nu1.data[c1 - 1]
+        if not row1.any():
+            continue
+        for c2 in range(1, p):
+            c = (c1 * c2) % p
+            data[c - 1] = (data[c - 1] + row1 * nu2.data[c2 - 1]) % mod
+    return MomentDist1(p, nu1.prec, nu1.Tp, data)
+
+
+def sigma_moments(nu):
+    """Push forward along t -> t^2; moments appear at doubled index."""
+    p = nu.p
+    Tp = nu.Tp // 2
+    data = np.zeros((p - 1, Tp + 1), dtype=np.int64)
+    for c in range(1, p):
+        c2 = (c * c) % p
+        data[c2 - 1] = (data[c2 - 1] + nu.data[c - 1, 0:2 * Tp + 1:2]) % p**nu.prec
+    return MomentDist1(p, nu.prec, Tp, data)
+
+
+class DistN:
+    """Finite formal sum of tame tags with one-variable distributions."""
+
+    __slots__ = ("N", "p", "prec", "Tp", "comps")
+
+    def __init__(self, N, p, prec, Tp, comps=None):
+        self.N = N
+        self.p = p
+        self.prec = prec
+        self.Tp = Tp
+        clean = {}
+        for t, nu in (comps or {}).items():
+            if gcd(t, N) != 1 and N != 1:
+                raise BadIndex(f"tag {t} is not a unit mod {N}")
+            if (nu.p, nu.prec, nu.Tp) != (p, prec, Tp):
+                raise PrecisionMismatch(
+                    f"component ({nu.p},{nu.prec},{nu.Tp}) in ({p},{prec},{Tp})")
+            if not nu.is_zero():
+                clean[t % N] = nu
+        self.comps = clean
+
+    def zero_like(self):
+        return DistN(self.N, self.p, self.prec, self.Tp)
+
+    def component(self, t):
+        return self.comps.get(t % self.N,
+                              MomentDist1(self.p, self.prec, self.Tp))
+
+    def _compat(self, other):
+        if (self.N, self.p, self.prec, self.Tp) != (other.N, other.p,
+                                                    other.prec, other.Tp):
+            raise PrecisionMismatch("tame/moment profiles differ")
+
+    def __add__(self, other):
+        self._compat(other)
+        comps = dict(self.comps)
+        for t, nu in other.comps.items():
+            comps[t] = comps[t] + nu if t in comps else nu
+        return DistN(self.N, self.p, self.prec, self.Tp, comps)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, r):
+        return DistN(self.N, self.p, self.prec, self.Tp,
+                     {t: nu.scale(r) for t, nu in self.comps.items()})
+
+    def is_zero(self):
+        return not self.comps
+
+    def __eq__(self, other):
+        if not isinstance(other, DistN):
+            return NotImplemented
+        return ((self.N, self.p, self.prec, self.Tp) ==
+                (other.N, other.p, other.prec, other.Tp)
+                and self.comps == other.comps)
+
+    def __hash__(self):
+        return hash((self.N, self.p, self.prec, self.Tp,
+                     tuple(sorted((t, hash(nu)) for t, nu in self.comps.items()))))
+
+    def __repr__(self):
+        return (f"DistN(N={self.N}, p={self.p}, tags={sorted(self.comps)})")
+
+
+def dirac_distN(s, N, p, prec, Tp):
+    """Point mass at s on the N-tame, p-wild unit group.
+
+    Zero when s shares a factor with Np, following the convention that
+    point masses at non-units vanish.
+    """
+    if gcd(s, N) != 1 or s % p == 0:
+        return DistN(N, p, prec, Tp)
+    return DistN(N, p, prec, Tp, {s % N: dirac(s, p, prec, Tp)})
+
+
+def convolve_distN(d1, d2):
+    d1._compat(d2)
+    out = d1.zero_like()
+    for t1, n1 in d1.comps.items():
+        for t2, n2 in d2.comps.items():
+            piece = DistN(d1.N, d1.p, d1.prec, d1.Tp,
+                          {(t1 * t2) % d1.N: convolve(n1, n2)})
+            out = out + piece
+    return out
+
+
+def sigma_distN(d):
+    """The squaring pushforward on tags and discs simultaneously."""
+    comps = {}
+    Tp = d.Tp // 2
+    out = DistN(d.N, d.p, d.prec, Tp, comps)
+    for t, nu in d.comps.items():
+        piece = DistN(d.N, d.p, d.prec, Tp, {(t * t) % d.N: sigma_moments(nu)})
+        out = out + piece
+    return out
+
+
+def eval_weight(d, kappa):
+    """Integrate chi(t) * t_p^k against a tagged one-variable distribution."""
+    if kappa.k > d.Tp:
+        raise InsufficientMoments(f"weight {kappa.k} exceeds moment range {d.Tp}")
+    mod = d.p**d.prec
+    tot = 0
+    for t, nu in d.comps.items():
+        ct = kappa.chi_N(t) if d.N > 1 else kappa.chi_N(1)
+        if ct == 0:
+            continue
+        inner = 0
+        for c in range(1, d.p):
+            cc = kappa.chi_p(c)
+            if cc:
+                inner += cc * nu.m(c, kappa.k)
+        tot += ct * inner
+    return tot % mod
+
+
+class MetaCoeff:
+    """Pure tensor left x right of tagged distributions.
+
+    Evaluation at a signature (k, chi) sends the left factor through the
+    squaring map first: value = kappa(left) * kappa~(right) with
+    kappa = kappa~ o sigma of signature (2k, chi^2).
+    """
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        if not (isinstance(left, DistN) and isinstance(right, DistN)):
+            raise OperandMismatch("a MetaCoeff is a tensor of two DistN")
+        self.left = left
+        self.right = right
+
+    def _compat(self, other):
+        if self.left != other.left:
+            raise OperandMismatch("sum requires matching left factors")
+
+    def __add__(self, other):
+        self._compat(other)
+        return MetaCoeff(self.left, self.right + other.right)
+
+    def __sub__(self, other):
+        self._compat(other)
+        return MetaCoeff(self.left, self.right - other.right)
+
+    def __neg__(self):
+        return MetaCoeff(self.left, -self.right)
+
+    def scale(self, r):
+        return MetaCoeff(self.left, self.right.scale(r))
+
+    def is_zero(self):
+        return self.right.is_zero()
+
+    def canonicalize(self):
+        """Move the left factor through sigma into the right factor."""
+        moved = convolve_distN(sigma_distN(self.left), self.right)
+        one = dirac_distN(1, moved.N, moved.p, moved.prec, 2 * moved.Tp)
+        return MetaCoeff(one, moved)
+
+    def __eq__(self, other):
+        if not isinstance(other, MetaCoeff):
+            return NotImplemented
+        return self.left == other.left and self.right == other.right
+
+    def __repr__(self):
+        return f"MetaCoeff(left tags {sorted(self.left.comps)}, right tags {sorted(self.right.comps)})"
+
+
+def eval_weight_meta(mc, kappa_tilde):
+    kappa = kappa_tilde.doubled()
+    mod = mc.right.p**mc.right.prec
+    return (eval_weight(mc.left, kappa) * eval_weight(mc.right, kappa_tilde)) % mod
+
+
+def meta_zero(N, p, prec, Tp):
+    """The zero coefficient with the standard identity left factor.
+
+    The left factor's moment range is doubled: left evaluations go
+    through the squaring map, which halves the range.
+    """
+    one = dirac_distN(1, N, p, prec, 2 * Tp)
+    return MetaCoeff(one, DistN(N, p, prec, Tp))
+
+
+
+def meta_of(row, N, p, prec, Tp):
+    """The MetaCoeff of an array row (tag, disc, moment): delta_1 x row."""
+    return MetaCoeff(dirac_distN(1, N, p, prec, 2 * Tp), DistN(
+        N, p, prec, Tp, {t: MomentDist1(p, prec, Tp, table)
+                         for t, table in zip(_units(N), row)}))
+
+
+def row_of(mc):
+    """The array row (tag, disc, moment) of a MetaCoeff with left delta_1."""
+    r = mc.right
+    if mc.left != dirac_distN(1, r.N, r.p, r.prec, 2 * r.Tp):
+        raise OperandMismatch("left factor is not the point mass at 1")
+    return np.array([r.component(t).data for t in _units(r.N)],
+                    dtype=np.int64)
+
+
+def qexp_module_action(r, e):
+    """Act by a tagged one-variable distribution on every left factor.
+
+    Each coefficient conv(r, delta_1) x right is canonicalized back to
+    delta_1 x (sigma(r) * right), the form the array stores.
+    """
+    rows = [row_of(MetaCoeff(convolve_distN(r, mc.left), mc.right)
+                   .canonicalize())
+            for mc in (meta_of(row, e.N, e.p, e.prec, e.Tp) for row in e.data)]
+    return e._like(np.array(rows, dtype=np.int64).reshape(e.data.shape))
+
+
+def halfint_Tp(e, p):
+    """Index compression by a prime dividing the level parameter."""
+    if e.M % p:
+        raise BadIndex(f"{p} does not divide the level parameter {e.M}")
+    nm = e.n_max // p
+    return e._like({n: e.coeff(p * n) for n in range(1, nm + 1)},
+                   n_max=nm, twists=e.twists + (p,))
 
 
 # ------------------------------------------------------------------- JSON

@@ -228,14 +228,14 @@ def test_char_product_and_square():
 
 def test_char_tame_wild_factorization():
     # character mod 15 = (mod 3 part) * (mod 5 part), with 5 the wild prime
-    chi = DirichletChar.from_kronecker(-15, wild=5)
+    chi = DirichletChar.from_kronecker(-15)
     tame, wildp = chi.factor(5)
     assert tame.modulus == 3 and wildp.modulus == 5
     for a in range(60):
         assert chi(a) == tame(a) * wildp(a)
-    assert chi.tame_part == tame and chi.wild_part == wildp
+    assert chi.factor(5) == (tame, wildp)
     # trivial wild part
-    chi3 = DirichletChar.from_kronecker(-3, wild=5)
+    chi3 = DirichletChar.from_kronecker(-3)
     tame3, wild3 = chi3.factor(5)
     assert tame3.modulus == 3 and wild3.modulus == 1
     for a in range(30):

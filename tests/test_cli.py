@@ -1,5 +1,6 @@
 """Command-line interface: reports, schemas, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -166,6 +167,31 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     assert "RESULT: FAIL" in out
     assert "first failing coefficient" in out
     assert "n=1" in out
+
+
+def test_verify_oc_hecke_failure_names_the_first_moment(capsys, monkeypatch):
+    # a T_l that doubles its output: the report points at the first
+    # differing moment by its path in the coefficient's JSON
+    real = cli.qexp_hecke_Tl
+    monkeypatch.setattr(cli, "qexp_hecke_Tl", lambda e, l: real(e, l).scale(2))
+    code, out = run_cli(capsys, "verify", "oc-hecke", "--p", "5",
+                        "--tame-n", "3", "--moments", "4", "--padic-prec", "4",
+                        "--nmax", "20", "--ells", "7")
+    assert code == 1
+    assert ("         first failing coefficient: n=3: "
+            "$.right.components.1[0][1]: 565 != 505") in out.splitlines()
+    assert out.endswith("RESULT: FAIL\n")
+
+
+def test_two_tag_oc_json_is_pinned(capsys):
+    # the benchmark's digests cover tame level 1 only; this pins the JSON
+    # of a lift with two tame tags byte for byte
+    code, out = run_cli(capsys, "shintani", "oc", "--p", "7", "--tame-n", "3",
+                        "--moments", "4", "--padic-prec", "4", "--nmax", "30",
+                        "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3a651a2d918ab2777ce330624d2392d1348562c03bb4847ecfdc3395fb81190e")
 
 
 def test_verify_zero_against_zero_is_vacuous(capsys):

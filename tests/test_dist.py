@@ -17,40 +17,35 @@ from shintani.errors import (
     OperandMismatch,
     PrecisionMismatch,
 )
-from shintani.dist import (
-    ArithWeight,
-    DistN,
-    MetaCoeff,
-    MomentDist1,
-    _act_blocks,
-    _sym_blocks,
-    convolve,
-    convolve_distN,
-    dirac,
-    dirac_distN,
-    eval_weight,
-    eval_weight_meta,
-    meta_zero,
-    sigma_distN,
-    sigma_moments,
-    specialize,
-)
+from shintani.dist import ArithWeight, _act_blocks, _sym_blocks, specialize
+from shintani.lifting import FormalQExp
 from shintani.linalg import _check_kernel_bounds
 from shintani.modsym import SymPoly, check_ring, pairing
 from shintani.qf import QuadForm, gamma_Q
 
 from oracles import (
+    DistN,
     JQ_dist,
+    MetaCoeff,
+    MomentDist1,
     MomentDist2,
     TaggedDist2,
     act_blocks_formula,
     act_S0,
+    convolve,
     data_of,
+    dirac,
+    dirac_distN,
+    eval_weight,
+    eval_weight_meta,
+    meta_zero,
     moments2_dumps,
     moments2_from_json,
     moments2_to_json,
     random_moments2,
     scalar_action,
+    sigma_distN,
+    sigma_moments,
     tilde_JQ,
 )
 
@@ -202,7 +197,7 @@ def test_int64_overflowing_profiles_are_refused(p, prec):
     with pytest.raises(KernelOverflow):
         MomentDist2(p, prec, 2)
     with pytest.raises(KernelOverflow):
-        MomentDist1(p, prec, 2)
+        FormalQExp(p, 1, p, prec, 2, [], 1)
     with pytest.raises(KernelOverflow):
         check_ring(("zpm", p, prec))
 
@@ -296,7 +291,7 @@ def test_sigma_on_dirac_and_eval_duality():
     assert sigma_moments(d7) == dirac(49, P, PREC, 4)
     # eval_weight(sigma(r), kt) == eval_weight(r, kt o sigma)
     rng = random.Random(8)
-    chi = DirichletChar.from_kronecker(5, wild=5)
+    chi = DirichletChar.from_kronecker(5)
     for _ in range(10):
         r = DistN(1, P, PREC, 8, {0: rand_dist1(rng, Tp=8)})
         for k in (0, 1, 2):
@@ -369,7 +364,7 @@ def test_specialize_low_weights():
     # e_0 = Y coefficient, e_1 = X coefficient with a sign
     assert k1.coeffs[0] == sum(mu.m(c, 1, 0) for c in range(1, P)) % MOD
     assert k1.coeffs[1] == (-sum(mu.m(c, 0, 1) for c in range(1, P))) % MOD
-    chi5 = DirichletChar.from_kronecker(5, wild=5)
+    chi5 = DirichletChar.from_kronecker(5)
     k1t = specialize(x, ArithWeight(1, chi5, P), 1, P, PREC, T)
     assert k1t.coeffs[0] == sum(chi5(c) * mu.m(c, 1, 0) for c in range(1, P)) % MOD
 
@@ -383,7 +378,7 @@ def test_specialize_insufficient_moments():
 def test_specialize_equivariance():
     rng = random.Random(13)
     N = 3
-    chi = DirichletChar.from_kronecker(-3) * DirichletChar.from_kronecker(5, wild=5)
+    chi = DirichletChar.from_kronecker(-3) * DirichletChar.from_kronecker(5)
     gens = gamma0_generators(15)
     v = TaggedDist2(N, P, PREC, T, {1: random_moments2(rng, P, PREC, T),
                                     2: random_moments2(rng, P, PREC, T)})
@@ -456,7 +451,7 @@ def test_tilde_JQ_tags_and_interpolation():
     assert mc1.right.component(2) == JQ_dist(v.component(1), Q)
 
     # interpolation: evaluation at (k, chi) equals chi(a) * <specialize, Q^k>
-    chi = DirichletChar.from_kronecker(-3) * DirichletChar.from_kronecker(5, wild=5)
+    chi = DirichletChar.from_kronecker(-3) * DirichletChar.from_kronecker(5)
     for k, ch in ((0, TRIV), (1, chi), (2, chi), (1, TRIV)):
         kt = ArithWeight(k, ch, P)
         lhs = eval_weight_meta(mc, kt)
@@ -523,11 +518,11 @@ def test_meta_addition_requires_matching_left():
 
 
 def test_arith_weight_validation():
-    chi15 = DirichletChar.from_kronecker(-15, wild=5)
+    chi15 = DirichletChar.from_kronecker(-15)
     w = ArithWeight(2, chi15, 5)
     assert w.chi_N.modulus == 3 and w.chi_p.modulus == 5
     assert w.doubled().k == 4
-    chi25 = DirichletChar.trivial(25, wild=5)
+    chi25 = DirichletChar.trivial(25)
     with pytest.raises(ValueError):
         ArithWeight(1, chi25, 5)
 

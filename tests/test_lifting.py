@@ -1,31 +1,36 @@
 """Exact and finite-precision lifts to half-integral-weight expansions."""
 
+import ast
+import importlib
+import inspect
 import json
 import os
+import pathlib
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 
+import numpy as np
 import pytest
 
 import shintani
 from shintani.arith import DirichletChar, RationalCusp, kronecker
 from shintani.cosets import _units
-from shintani.dist import ArithWeight, MetaCoeff, dirac_distN, meta_zero
-from shintani.errors import BadIndex, DegreeMismatch, NotInFM
+from shintani.dist import ArithWeight
+from shintani.errors import BadIndex, DegreeMismatch, InsufficientMoments, NotInFM
 from shintani.lifting import (
     FormalQExp,
     HalfIntQExp,
     J_classical,
     J_oc,
-    _conv_right,
+    _dirac_convolve,
     delta_of_index,
     halfint_Tl2,
-    halfint_Tp,
     qexp_hecke_Tl,
     qexp_hecke_Tll,
-    qexp_module_action,
     quad_power,
     realizable_index,
     specialize_qexp,
@@ -50,7 +55,21 @@ from shintani.ocsymb import (
 )
 from shintani.qf import QuadForm, act, enumerate_classes
 
-from oracles import J_oc_values, data_of, scalar_action, values_of
+from oracles import (
+    J_oc_values,
+    MetaCoeff,
+    convolve_distN,
+    data_of,
+    dirac_distN,
+    eval_weight_meta,
+    halfint_Tp,
+    meta_of,
+    meta_zero,
+    qexp_module_action,
+    row_of,
+    scalar_action,
+    values_of,
+)
 
 T5 = DirichletChar.trivial(5)
 T11 = DirichletChar.trivial(11)
@@ -332,8 +351,7 @@ def test_theta_classical_matches_J_classical_oracle(ring):
 OPTIMIZED_GUARDS = """
 import numpy as np
 from shintani.arith import DirichletChar, crt
-from shintani.dist import (
-    ArithWeight, DistN, MetaCoeff, MomentDist1, dirac_distN, meta_zero)
+from shintani.dist import ArithWeight
 from shintani.errors import ShintaniError
 from shintani.lifting import (
     FormalQExp, HalfIntQExp, J_classical, J_oc, specialize_qexp,
@@ -352,7 +370,11 @@ bad = QuadForm(2, 1, -3)  # in neither F_5 nor F_11
 sym5, sym11 = solve_symbol_space(5, 2, T)[0], solve_symbol_space(11, 2, T)[0]
 sp5 = solve_oc_space(5, 1, (2, 2))
 oc5, oc5_prec3 = sp5.basis[0], solve_oc_space(5, 1, (3, 2)).basis[0]
-mc = MetaCoeff(dirac_distN(1, 1, 5, 2, 2), dirac_distN(1, 1, 5, 2, 1))
+# coefficient arrays (slot, tag, disc, moment) for q-slots 1..4 at
+# (p, M, Tp) = (5, 2, 1); the second carries mass at slot 2 (disc 10)
+zeros = np.zeros((4, 1, 4, 2), dtype=np.int64)
+at2 = zeros.copy()
+at2[1, 0, 0, 0] = 1
 # a one-symbol "space" whose U_p image leaves its span
 unit = np.zeros((1,) + oc5.data.shape, dtype=np.int64)
 unit[0, 0, 0, 0, 0] = 1
@@ -365,10 +387,8 @@ cases = {
     "J_oc": lambda: J_oc(oc5, bad),
     "HalfIntQExp": lambda: (HalfIntQExp(11, 0, T, {}, 4)
                             + HalfIntQExp(11, 1, T, {}, 4)),
-    "FormalQExp": lambda: (FormalQExp(5, 1, 5, 2, 1, {}, 4)
-                           + FormalQExp(5, 1, 5, 3, 1, {}, 4)),
-    "MetaCoeff": lambda: (meta_zero(1, 5, 2, 2) + MetaCoeff(
-        dirac_distN(2, 1, 5, 2, 4), DistN(1, 5, 2, 2))),
+    "FormalQExp": lambda: (FormalQExp(5, 1, 5, 2, 1, zeros, 4)
+                           + FormalQExp(5, 1, 5, 3, 1, zeros, 4)),
     "theta_classical": lambda: theta_classical(sym5, 11, 1, T, 4),
     "SymPoly": lambda: sym5.values[0] + sym11.values[0],
     "ModularSymbol": lambda: sym5 + sym11,
@@ -376,13 +396,16 @@ cases = {
     "oc_hecke_Tll": lambda: oc_hecke_Tll(oc5, 5),
     "solve_oc_space(25, 5)": lambda: solve_oc_space(25, 5, (2, 2)),
     "solve_oc_space(3, 1)": lambda: solve_oc_space(3, 1, (2, 2)),
-    "FormalQExp(level)": lambda: FormalQExp(10, 1, 5, 2, 1, {}, 4),
-    "FormalQExp(indices)": lambda: FormalQExp(5, 1, 5, 2, 1, {}, 4, [5]),
-    "FormalQExp(slot)": lambda: FormalQExp(5, 1, 5, 2, 1, {3: mc}, 4, [1]),
-    "FormalQExp(coeff)": lambda: FormalQExp(5, 1, 5, 2, 1, {1: 3}, 4),
-    "FormalQExp(disc)": lambda: FormalQExp(5, 1, 5, 2, 1, {2: mc}, 4),
+    "FormalQExp(level)": lambda: FormalQExp(10, 1, 5, 2, 1, zeros, 4),
+    "FormalQExp(indices)": lambda: FormalQExp(5, 1, 5, 2, 1, zeros[:1], 4,
+                                              [5]),
+    "FormalQExp(slot)": lambda: FormalQExp(5, 1, 5, 2, 1, zeros, 4, [1]),
+    "FormalQExp(coeff)": lambda: FormalQExp(5, 1, 5, 2, 1, zeros[..., :1],
+                                            4),
+    "FormalQExp(disc)": lambda: FormalQExp(5, 1, 5, 2, 1, at2, 4),
+    "FormalQExp(overflow)": lambda: FormalQExp(5, 1, 5, 13, 1, zeros, 4),
     "specialize_qexp": lambda: specialize_qexp(
-        FormalQExp(5, 1, 5, 2, 1, {}, 4, [1]), ArithWeight(0, T, 5)),
+        FormalQExp(5, 1, 5, 2, 1, zeros[:1], 4, [1]), ArithWeight(0, T, 5)),
     "OCSymbol(level)": lambda: OCSymbol(10, 1, 5, 2, 2, oc5.data),
     "OCSymbol(shape)": lambda: OCSymbol(5, 1, 5, 2, 2, oc5.data[1:]),
     "OCSymbol(+)": lambda: oc5 + oc5_prec3,
@@ -406,10 +429,6 @@ cases = {
     "ModularSymbol(values)": lambda: ModularSymbol(
         11, 2, T, "Q", sym5.values[:1] * len(sym11.values)),
     "ArithWeight": lambda: ArithWeight(-1, T, 5),
-    "MomentDist1": lambda: MomentDist1(5, 2, 2, np.zeros((3, 3))),
-    "DistN(profile)": lambda: DistN(1, 5, 2, 2, {1: MomentDist1(5, 3, 2)}),
-    "DistN(tag)": lambda: DistN(3, 5, 2, 2, {3: MomentDist1(5, 2, 2)}),
-    "MetaCoeff(1, 2)": lambda: MetaCoeff(1, 2),
     "enumerate_classes": lambda: enumerate_classes(11, -11),
     "crt": lambda: crt(1, 4, 3, 6),
     "DirichletChar": lambda: DirichletChar(0, {}),
@@ -431,13 +450,12 @@ def test_input_guards_survive_optimize():
     out = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_GUARDS],
                          capture_output=True, text=True, check=True, env=env,
                          timeout=300).stdout.split("\n")
-    assert out[:42] == [
+    assert out[:38] == [
         "debug False",
         "J_classical NotInFM",
         "J_oc NotInFM",
         "HalfIntQExp OperandMismatch",
         "FormalQExp OperandMismatch",
-        "MetaCoeff OperandMismatch",
         "theta_classical OperandMismatch",
         "SymPoly OperandMismatch",
         "ModularSymbol OperandMismatch",
@@ -447,9 +465,10 @@ def test_input_guards_survive_optimize():
         "solve_oc_space(3, 1) BadCharacteristic",
         "FormalQExp(level) BadLevel",
         "FormalQExp(indices) BadIndex",
-        "FormalQExp(slot) BadIndex",
-        "FormalQExp(coeff) OperandMismatch",
+        "FormalQExp(slot) DegreeMismatch",
+        "FormalQExp(coeff) DegreeMismatch",
         "FormalQExp(disc) BadIndex",
+        "FormalQExp(overflow) KernelOverflow",
         "specialize_qexp BadIndex",
         "OCSymbol(level) BadLevel",
         "OCSymbol(shape) DegreeMismatch",
@@ -467,10 +486,6 @@ def test_input_guards_survive_optimize():
         "ModularSymbol(gens) DegreeMismatch",
         "ModularSymbol(values) OperandMismatch",
         "ArithWeight BadIndex",
-        "MomentDist1 DegreeMismatch",
-        "DistN(profile) PrecisionMismatch",
-        "DistN(tag) BadIndex",
-        "MetaCoeff(1, 2) OperandMismatch",
         "enumerate_classes BadIndex",
         "crt BadIndex",
         "DirichletChar BadIndex",
@@ -497,9 +512,13 @@ def test_theta_oc_evaluates_each_primitive_class_once(monkeypatch, ocphi5):
 
 
 def test_formal_qexp_container(ocphi5):
-    e = theta_oc(ocphi5, 8, indices=[1, 4, 5])
-    assert e.indices == frozenset({1, 4, 5})
-    assert isinstance(e.coeff(4), MetaCoeff)
+    e = theta_oc(ocphi5, 8, indices=[5, 1, 4])
+    assert e.indices == (1, 4, 5)
+    # one read-only int64 array (slot, tag, disc, moment) mod 5^6, Tp = 3
+    assert e.data.dtype == np.int64 and e.data.shape == (3, 1, 4, 4)
+    assert not e.data.flags.writeable
+    assert 0 <= e.data.min() and e.data.max() < 5**6
+    assert np.array_equal(e.coeff(4), e.data[1])
     with pytest.raises(BadIndex):
         e.coeff(8)  # not assembled
     z = e - e
@@ -509,9 +528,12 @@ def test_formal_qexp_container(ocphi5):
 
 def test_formal_qexp_realizability_guard(ocphi5):
     e = theta_oc(ocphi5, 8, indices=[1, 4])
-    bad = e.coeff(1)
+    data = np.zeros((8,) + e.data.shape[1:], dtype=np.int64)
+    data[1] = e.coeff(1)
     with pytest.raises(BadIndex):
-        FormalQExp(5, 1, 5, e.prec, e.Tp, {2: bad}, 8)  # 10 is not a disc
+        FormalQExp(5, 1, 5, e.prec, e.Tp, data, 8)  # 10 is not a disc
+    with pytest.raises(DegreeMismatch):
+        FormalQExp(5, 1, 5, e.prec, e.Tp, data[:, :, :, :-1], 8)
 
 
 def test_theta_oc_zero_and_linearity(ocsp5, ocphi5):
@@ -526,13 +548,20 @@ def test_theta_oc_zero_and_linearity(ocsp5, ocphi5):
     assert lhs == rhs
 
 
+def test_theta_oc_on_slots_without_classes(ocphi5):
+    # 5 n is 2 or 3 mod 4 for n = 2, 3, so no form has that discriminant;
+    # the lift there, and on no slots at all, is zero rather than an error
+    e = theta_oc(ocphi5, 3, indices=[2, 3])
+    assert e.indices == (2, 3) and e.is_zero()
+    assert theta_oc(ocphi5, 3, indices=[]).data.shape == (0, 1, 4, 4)
+
+
 def test_J_oc_orbit_invariance(ocphi5):
     for Q in [QuadForm(1, 0, -5), QuadForm(2, -5, -5)]:
         v = J_oc(ocphi5, Q)
-        assert not v.is_zero()
+        assert v.any()
         for g in gamma0_elements(5, 4):
-            w = J_oc(ocphi5, act(Q, g))
-            assert (w - v).is_zero()
+            assert np.array_equal(J_oc(ocphi5, act(Q, g)), v)
 
 
 @pytest.fixture(scope="module")
@@ -565,9 +594,9 @@ def test_theta_oc_matches_value_by_value_oracle(oc_lift_cases):
             want[n] = acc
         assert sum(not v.is_zero() for v in want.values()) >= 3
         e = theta_oc(Phi, max(idx) + 1, indices=idx)
-        assert e.indices == frozenset(idx)
+        assert e.indices == tuple(idx)
         for n in idx:
-            assert e.coeff(n) == want[n], (Phi, n)
+            assert np.array_equal(e.coeff(n), row_of(want[n])), (Phi, n)
     assert scaled >= 3
 
 
@@ -577,9 +606,10 @@ def test_J_oc_matches_value_by_value_oracle(oc_lift_cases):
         forms = [Q for n in idx[:3]
                  for Q in enumerate_classes(Np, delta_of_index(Np, n))]
         for Q in forms:
-            assert J_oc(Phi, Q) == J_oc_values(Phi, Q)
+            assert np.array_equal(J_oc(Phi, Q), row_of(J_oc_values(Phi, Q)))
         base = RationalCusp(2, 3)
-        assert J_oc(Phi, forms[-1], base) == J_oc_values(Phi, forms[-1], base)
+        assert np.array_equal(J_oc(Phi, forms[-1], base),
+                              row_of(J_oc_values(Phi, forms[-1], base)))
         tags = {t for v in values_of(Phi) for t in v.comps}
         assert len(tags) == len(_units(Phi.N))  # every tag carries mass
 
@@ -602,8 +632,95 @@ def test_J_oc_imprimitive_convolution(ocphi5):
     for Q, m in [(QuadForm(1, 0, -5), 2), (QuadForm(2, -5, -5), 3)]:
         mQ = QuadForm(*(m * x for x in Q.triple()))
         direct = J_oc(ocphi5, mQ)
-        shortcut = _conv_right(m, J_oc(ocphi5, Q))
-        assert (direct - shortcut).is_zero()
+        shortcut = _dirac_convolve(J_oc(ocphi5, Q), m, 1, 5, 6)
+        assert direct.any() and np.array_equal(direct, shortcut)
+
+
+def _conv_meta(s, mc):
+    """mc with its right factor convolved with the point mass at s."""
+    r = mc.right
+    return MetaCoeff(mc.left, convolve_distN(
+        dirac_distN(s, r.N, r.p, r.prec, r.Tp), r))
+
+
+def _metas(e):
+    """The oracle coefficients of e, one MetaCoeff per assembled slot."""
+    return {n: meta_of(row, e.N, e.p, e.prec, e.Tp)
+            for n, row in zip(e.indices, e.data)}
+
+
+def test_dirac_convolve_matches_oracle(oc_lift_cases):
+    # point masses at units and at non-units of N p: 3 divides the tame
+    # level 3, and 5, 7, 10, 21 and 49 are divisible by p
+    for Phi, idx in oc_lift_cases:
+        e = theta_oc(Phi, max(idx), indices=idx)
+        metas = _metas(e)
+        for s in (1, 2, 3, 4, 5, 7, 9, 10, 11, 21, 49):
+            got = _dirac_convolve(e.data, s, e.N, e.p, e.prec)
+            want = [row_of(_conv_meta(s, metas[n])) for n in e.indices]
+            assert np.array_equal(got, np.array(want)), (e, s)
+            assert got.any() == (gcd(s, e.level) == 1), (e, s)
+
+
+def _hecke_Tl_oracle(e, l):
+    """qexp_hecke_Tl on the oracle coefficients, slot by slot."""
+    co, ll, out = _metas(e), l * l, {}
+    for n in range(1, e.n_max // ll + 1):
+        if n * ll in co and n in co and (n % ll or n // ll in co):
+            mc = co[n * ll] + _conv_meta(l, co[n]).scale(
+                kronecker(e.level * n, l))
+            if n % ll == 0:
+                mc = mc + _conv_meta(ll, co[n // ll]).scale(l)
+            out[n] = mc
+    return out
+
+
+def test_qexp_hecke_matches_oracle(oc_lift_cases):
+    # T_l at primes that are units and non-units of N p (l = 3 divides the
+    # tame level 3, l = p), and T_{l,l} at units, against the MetaCoeff sums
+    for Phi, _ in oc_lift_cases:
+        Np = Phi.level
+        base = [n for n in range(1, 13) if realizable_index(Np, n)]
+        for l in (3, 5, 7):
+            idx = sorted({n for b in base for n in (b, l * l * b)}
+                         | {b // (l * l) for b in base if b % (l * l) == 0})
+            e = theta_oc(Phi, 12 * l * l, indices=idx)
+            got, want = qexp_hecke_Tl(e, l), _hecke_Tl_oracle(e, l)
+            assert got.indices == tuple(want) and not got.is_zero(), (e, l)
+            for n, mc in want.items():
+                assert np.array_equal(got.coeff(n), row_of(mc)), (e, l, n)
+        e = theta_oc(Phi, 12, indices=base)
+        for l in (2, 11):
+            got = qexp_hecke_Tll(e, l)
+            assert not got.is_zero()
+            for n, mc in _metas(e).items():
+                assert np.array_equal(got.coeff(n),
+                                      row_of(_conv_meta(l * l, mc))), (e, l)
+
+
+def test_specialize_qexp_matches_oracle(oc_lift_cases):
+    # eval_weight_meta on every coefficient, at every weight the moments
+    # reach, with tame and wild quadratic characters
+    live = 0
+    for Phi, _ in oc_lift_cases:
+        p = Phi.p
+        e = theta_oc(Phi, 12)
+        metas = _metas(e)
+        tame = DirichletChar.from_kronecker(-3)
+        wild = DirichletChar.from_kronecker(5 if p == 5 else -7)
+        for k in range(e.Tp + 1):
+            for chi in (DirichletChar.trivial(), tame, wild, tame * wild):
+                kt = ArithWeight(k, chi, p)
+                got = specialize_qexp(e, kt)
+                want = {n: eval_weight_meta(mc, kt) for n, mc in metas.items()}
+                assert {n: got.coeff(n) for n in e.indices} == want, (e, kt)
+                live += any(want.values())
+        beyond = ArithWeight(e.Tp + 1, DirichletChar.trivial(), p)
+        with pytest.raises(InsufficientMoments):
+            specialize_qexp(e, beyond)
+        with pytest.raises(InsufficientMoments):
+            eval_weight_meta(metas[1], beyond)
+    assert live >= 10
 
 
 def test_theta_oc_module_linearity(ocsp5, ocphi5):
@@ -611,8 +728,8 @@ def test_theta_oc_module_linearity(ocsp5, ocphi5):
     acted = OCSymbol(ocsp5.level, ocsp5.N, ocsp5.p, ocsp5.prec, ocsp5.T,
                      data_of([scalar_action(r, v) for v in values_of(ocphi5)]))
     idx = [1, 4, 5, 8]
-    lhs = theta_oc(acted, 8, indices=idx).canonicalize()
-    rhs = qexp_module_action(r, theta_oc(ocphi5, 8, indices=idx)).canonicalize()
+    lhs = theta_oc(acted, 8, indices=idx)
+    rhs = qexp_module_action(r, theta_oc(ocphi5, 8, indices=idx))
     assert lhs == rhs
 
 
@@ -622,7 +739,8 @@ def test_oc_hecke_equivariance_sparse(ocphi5):
     lhs = theta_oc(oc_hecke_Tn(ocphi5, 3), 8, indices=base)
     rhs = qexp_hecke_Tl(theta_oc(ocphi5, 72, indices=idx), 3)
     assert lhs == rhs
-    assert sorted(lhs.coeffs) == base  # nonzero, not a vacuous identity
+    # nonzero at every slot, not a vacuous identity
+    assert all(lhs.coeff(n).any() for n in base)
 
 
 def test_oc_hecke_Tll_equivariance(ocphi5):
@@ -636,7 +754,7 @@ def test_qexp_hecke_index_bookkeeping(ocphi5):
     e = theta_oc(ocphi5, 45, indices=[1, 4, 9, 36, 45])
     t = qexp_hecke_Tl(e, 3)
     # kept: n with n and 9n assembled (and n/9 when 9 | n)
-    assert t.indices == frozenset({1, 4})
+    assert t.indices == (1, 4)
     with pytest.raises(BadIndex):
         qexp_hecke_Tl(e, 2)  # odd tame level
     with pytest.raises(BadIndex):
@@ -700,3 +818,53 @@ def test_formal_json_deterministic(ocphi5):
     b = theta_oc(ocphi5, 5, indices=[1, 4, 5]).to_json()
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
     assert a["p"] == 5 and a["moment_degree"] == 3
+
+
+# ---------------------------------------------------------------------------
+# public surface
+
+
+def _references(path):
+    """{owner: names referenced} of a module; owner is None at top level.
+
+    The owner of a reference inside a top-level function or class is that
+    definition's name, so a function calling itself does not count.
+    """
+    tree = ast.parse(path.read_text())
+    refs = {}
+    for node in tree.body:
+        owner = (node.name if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            else None)
+        names = refs.setdefault(owner, set())
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
+            elif isinstance(sub, ast.alias):
+                names.add(sub.name)
+    return refs
+
+
+@pytest.mark.parametrize("module", ["dist", "lifting"])
+def test_public_names_have_callers_outside_the_tests(module):
+    # every public function and class is referenced in src/ outside its
+    # own definition, or named in bench/ or the README
+    root = pathlib.Path(__file__).resolve().parents[1]
+    mod = importlib.import_module(f"shintani.{module}")
+    public = [name for name, obj in vars(mod).items()
+              if not name.startswith("_")
+              and (inspect.isfunction(obj) or inspect.isclass(obj))
+              and obj.__module__ == mod.__name__]
+    assert public
+    used = set()
+    for path in sorted((root / "src" / "shintani").glob("*.py")):
+        for owner, names in _references(path).items():
+            used |= {n for n in names
+                     if (path.stem, owner) != (module, n)}
+    texts = [path.read_text() for path in sorted((root / "bench").glob("*.py"))]
+    texts.append((root / "README.md").read_text())
+    unused = [name for name in public if name not in used
+              and not any(re.search(rf"\b{name}\b", t) for t in texts)]
+    assert unused == [], f"shintani.{module}: only the tests call {unused}"

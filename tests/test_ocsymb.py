@@ -10,13 +10,7 @@ import pytest
 
 from shintani.arith import DirichletChar, crt
 from shintani.cosets import _units
-from shintani.dist import (
-    ArithWeight,
-    _act_blocks,
-    _pairs,
-    _stratum_cols,
-    dirac_distN,
-)
+from shintani.dist import ArithWeight, _act_blocks, _pairs, _stratum_cols
 from shintani.errors import (
     BadSemigroupElement,
     CriticalSlope,
@@ -65,6 +59,7 @@ from oracles import (
     apply_double_coset,
     apply_involution,
     data_of,
+    dirac_distN,
     evaluate,
     invol_tagged,
     random_moments2,
@@ -180,7 +175,7 @@ def test_array_operations_match_value_by_value_oracle(level, N, precision):
             (v + w.scale(sign)).scale(pow(2, -1, mod))
             for v, w in zip(va, flip))
 
-    chi = DirichletChar.from_kronecker(-p if p % 4 == 3 else p, wild=p)
+    chi = DirichletChar.from_kronecker(-p if p % 4 == 3 else p)
     if N > 1:
         chi = chi * DirichletChar.from_kronecker(-3)
     for k in (0, 1, 3):
