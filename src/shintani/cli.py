@@ -15,6 +15,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from . import qf
@@ -447,7 +448,7 @@ def cmd_verify_interpolation(cfg):
     ]
     space = solve_oc_space(cfg.p * cfg.tame, cfg.tame, (cfg.prec, cfg.moments))
     Phi = _seeded_oc_symbol(space, cfg.seed)
-    ok = True
+    ok, live = True, False
     for k in cfg.weights:
         kappa = ArithWeight(k, DirichletChar.trivial(), cfg.p)
         report = verify_interpolation(Phi, kappa, cfg.n_max,
@@ -462,7 +463,8 @@ def cmd_verify_interpolation(cfg):
             f"weight k={k}: residual valuation "
             f"{report['residual_valuation']} >= {need}",
             diff)
-    return _report(lines, ok)
+        live |= report["live"]
+    return _report(lines, ok, live)
 
 
 def cmd_verify_oc_hecke(cfg):
@@ -477,7 +479,7 @@ def cmd_verify_oc_hecke(cfg):
     space = solve_oc_space(level, cfg.tame, (cfg.prec, cfg.moments))
     Phi = _seeded_oc_symbol(space, cfg.seed)
     base = [n for n in range(1, cfg.n_max + 1) if realizable_index(level, n)]
-    ok = True
+    ok, live = True, False
     for l in cfg.ells:
         if level % l == 0:
             lines.append(f"  [SKIP] l={l} divides the level")
@@ -498,7 +500,8 @@ def cmd_verify_oc_hecke(cfg):
                      f"l={l}: lift(Phi|T_{l},{l}) = "
                      f"T_{l},{l}-operator(lift(Phi))",
                      d2 and f"n={d2[0]}: {d2[1]}")
-    return _report(lines, ok)
+        live |= not all(e.is_zero() for e in (lhs, rhs, lhs2, rhs2))
+    return _report(lines, ok, live)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +534,9 @@ def _ells(text):
     return out
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it as it was."""
     ap = argparse.ArgumentParser(
         prog="shintani",
         description="Exact classical and finite-slope theta liftings.")

@@ -596,7 +596,8 @@ def verify_interpolation(Phi, kappa_tilde, n_max, loss=2, threads=1):
 
     Route one evaluates the lifted expansion's tensors at the weight;
     route two specializes the symbol first and lifts exactly.  Returns
-    a report; equality is required modulo p^(prec - loss).
+    a report; equality is required modulo p^(prec - loss), and ``live``
+    says that some coefficient of either route is nonzero.
     """
     p, prec = Phi.p, Phi.prec
     lifted = specialize_qexp(theta_oc(Phi, n_max), kappa_tilde)
@@ -619,4 +620,5 @@ def verify_interpolation(Phi, kappa_tilde, n_max, loss=2, threads=1):
         "passed": not fails,
         "residual_valuation": worst,
         "failing_indices": fails,
+        "live": not (lifted.is_zero() and exact.is_zero()),
     }

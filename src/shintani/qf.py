@@ -4,13 +4,24 @@ Covers the congruence families F_M, the unimodular right action, Gauss
 reduction cycles, fundamental automorphs, level automorphs with their
 orientation normalization, geodesic boundary divisors, exact equivalence
 testing under Gamma0(M), and deterministic class enumeration.
+
+Class enumeration never scans the cosets of Gamma0(M).  The primitive
+SL2(Z) classes of a discriminant come from one walk of each reduced cycle
+on integer triples, and each class's representative is the least triple
+of its cycle, which is also its sort key.  The left cosets h Gamma0(M)
+whose form m*P|h can lie in F_M are the roots mod M, in h's first column
+(alpha : gamma), of the congruences that make its b- and c-coefficients
+vanish; they are found one prime power of M at a time and combined by
+CRT, and the exact F_M test runs on those cosets only.
 """
 
 import hashlib
 import json
 import os
 from functools import lru_cache
+from itertools import product
 from math import gcd, isqrt
+from operator import itemgetter
 
 from .arith import (
     MAT_ID,
@@ -23,9 +34,10 @@ from .arith import (
     sign_a_plus_b_sqrt,
     xgcd,
 )
-from .cosets import left_coset_reps
+from .cosets import _p1_table, left_coset_reps
 from .errors import (
-    BadIndex, DiscriminantMismatch, NonUnimodular, SquareDiscriminant)
+    BadIndex, DiscriminantMismatch, NoConvergence, NonUnimodular,
+    SquareDiscriminant)
 
 
 class QuadForm:
@@ -104,17 +116,20 @@ def in_FM(Q, M):
 def is_reduced(Q):
     """0 < b < sqrt(d) and sqrt(d) - b < 2|a| < sqrt(d) + b, exactly."""
     d = Q.discriminant()
-    s = isqrt(d)
-    assert d > 0 and s * s != d
+    s = isqrt(max(d, 0))
+    if d <= 0 or s * s == d:
+        raise SquareDiscriminant(f"discriminant {d}")
     return 1 <= Q.b <= s and s + 1 - Q.b <= 2 * abs(Q.a) <= s + Q.b
 
 
-def _rho(Q):
-    """One reduction / cycle step; returns (Q', g) with act(Q, g) = Q'."""
-    d = Q.discriminant()
-    s = isqrt(d)
-    b, c = Q.b, Q.c
-    assert c != 0
+def _rho_step(a, b, c, d, s):
+    """One reduction / cycle step on the triple (a, b, c) of discriminant d.
+
+    s = isqrt(d).  Returns (c, r, c', m): the next triple (c, r, c') and
+    the m for which (a, b, c) acted by (-m, -1; 1, 0) is that triple.
+    """
+    if c == 0:
+        raise BadIndex(f"reduction step on ({a}, {b}, {c}): c = 0")
     ac = abs(c)
     if ac > s:
         lo = -ac + 1          # -|c| < r <= |c|
@@ -122,9 +137,14 @@ def _rho(Q):
         lo = s - 2 * ac + 1   # sqrt(d) - 2|c| < r <= sqrt(d)
     t = 2 * c
     r = lo + ((-b - lo) % abs(t))
-    m = (-b - r) // t
-    Qn = QuadForm(c, r, (r * r - d) // (4 * c))
-    return Qn, (-m, -1, 1, 0)
+    return c, r, (r * r - d) // (4 * c), (-b - r) // t
+
+
+def _rho(Q):
+    """One reduction / cycle step; returns (Q', g) with act(Q, g) = Q'."""
+    d = Q.discriminant()
+    a, b, c, m = _rho_step(Q.a, Q.b, Q.c, d, isqrt(d))
+    return QuadForm(a, b, c), (-m, -1, 1, 0)
 
 
 def reduce_form(Q):
@@ -138,7 +158,8 @@ def reduce_form(Q):
         R, g = _rho(R)
         t = mat_mul(t, g)
         guard += 1
-        assert guard < 10_000
+        if guard >= 10_000:
+            raise NoConvergence(f"{Q} not reduced after {guard} steps")
     return R, t
 
 
@@ -157,7 +178,8 @@ def _cycle(R0):
         R, g = _rho(R)
         t = mat_mul(t, g)
         guard += 1
-        assert guard < 100_000
+        if guard >= 100_000:
+            raise NoConvergence(f"cycle of {R0} open after {guard} steps")
     return members, t
 
 
@@ -390,13 +412,18 @@ def equivalent_under_gamma0(Q1, Q2, M):
 
 
 def _primitive_sl2_classes(d):
-    """Representatives of primitive SL2(Z) classes of discriminant d > 0."""
+    """Representatives of primitive SL2(Z) classes of discriminant d > 0.
+
+    Each representative is its class's canonical triple, the one
+    _canonical_key returns: for nonsquare d the least member of its
+    reduced cycle, for square d = e^2 the form (0, e, c) with 0 <= c < e.  Scan and cycle walk run on integer
+    triples; only the returned representatives become QuadForms.
+    """
     if d <= 0 or d % 4 not in (0, 1):
         return []
-    e = isqrt(d)
-    if e * e == d:
-        return [QuadForm(0, e, c) for c in range(e) if gcd(e, c) == 1]
     s = isqrt(d)
+    if s * s == d:
+        return [QuadForm(0, s, c) for c in range(s) if gcd(s, c) == 1]
     reduced = set()
     for b in range(1, s + 1):
         if (b * b - d) % 4:
@@ -408,25 +435,35 @@ def _primitive_sl2_classes(d):
             if prod % aa:
                 continue
             for a in (aa, -aa):
-                Q = QuadForm(a, b, prod // a)
-                if Q.is_primitive():
-                    assert is_reduced(Q)
-                    reduced.add(Q)
+                c = prod // a
+                if gcd(gcd(a, b), c) == 1:
+                    reduced.add((a, b, c))
     classes = []
-    seen = set()
-    for Q in sorted(reduced, key=QuadForm.triple):
-        if Q in seen:
+    for start in sorted(reduced):
+        if start not in reduced:
             continue
-        members, _ = _cycle(Q)
-        cycle_forms = [F for F, _ in members]
-        seen.update(cycle_forms)
-        classes.append(min(cycle_forms, key=QuadForm.triple))
-    return sorted(classes, key=QuadForm.triple)
+        a, b, c = start
+        least = start
+        for _ in range(len(reduced)):
+            reduced.discard((a, b, c))
+            least = min(least, (a, b, c))
+            a, b, c, _m = _rho_step(a, b, c, d, s)
+            if (a, b, c) == start:
+                break
+        else:
+            raise NoConvergence(f"cycle of {start} open at discriminant {d}")
+        classes.append(least)
+    return [QuadForm(*t) for t in sorted(classes)]
 
 
 @lru_cache(maxsize=None)
 def _canonical_key(P):
-    """Deterministic per-SL2-class key of a primitive form."""
+    """Deterministic per-SL2-class key of a primitive form.
+
+    Class enumeration no longer calls it: the bucket's representative from
+    _primitive_sl2_classes is this key.  It stays as the oracle for that
+    sort key and because the benchmark reads its cache statistics.
+    """
     d = P.discriminant()
     e = isqrt(d)
     if e * e == d:
@@ -437,19 +474,74 @@ def _canonical_key(P):
     return min(F.triple() for F, _ in members)
 
 
+@lru_cache(maxsize=None)
+def _local_lines(M):
+    """P^1 over each prime power q of M, with the CRT idempotent of q.
+
+    A tuple of (q, points, e): points are the (alpha, gamma) of P^1(Z/q),
+    (1, t) for t < q and (p*t, 1) for t < q/p, and e = 1 mod q,
+    e = 0 mod M/q.
+    """
+    out = []
+    rest, p = M, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest
+        if rest % p == 0:
+            q = 1
+            while rest % p == 0:
+                rest //= p
+                q *= p
+            points = ([(1, t) for t in range(q)]
+                      + [(p * t, 1) for t in range(q // p)])
+            out.append((q, tuple(points), M // q * pow(M // q, -1, q) % M))
+        p += 1
+    return tuple(out)
+
+
 def _bucket_dedupe(P, m, M):
     """Gamma0(M)-inequivalent members of the SL2-orbit of m*P inside F_M.
 
-    One member per left coset h Gamma0(M): m*P acted by h, kept when it
-    lands in F_M.  Q|h and Q|h' are equivalent iff h' lies in
-    h Stab(Q|h) Gamma0(M).  The automorphs of a form (a, b, c) are
-    ((t - bu)/2, au; -cu, (t + bu)/2) with t^2 - d u^2 = 4, so those of a
-    form in F_M lie in Gamma0(M) and that double coset is h Gamma0(M): the
-    automorph's orbits on the cosets fix every coset whose form is in F_M.
+    One member per left coset h Gamma0(M) whose form Q|h (Q = m*P) lies
+    in F_M.  With h = (alpha, beta; gamma, delta), Q|h(X, Y) is
+    Q(X*v1 + Y*v2) for v1 = (delta, -beta) and v2 = (-gamma, alpha), so
+    its c-coefficient is Q(v2) = Q(gamma, -alpha) and its b-coefficient
+    B(v1, v2), B the bilinear form of Q.  The coset is fixed by h's first
+    column (alpha : gamma) in P^1(Z/M).  Given M | Q(v2), M | B(v1, v2)
+    holds iff B(., v2) vanishes mod M, because v1 and v2 span Z^2: two
+    linear congruences in (alpha, gamma).  The common roots of the three
+    congruences are found on P^1(Z/q) for each prime power q of M and
+    combined by CRT; each root's representative is the coset section's
+    h, whose bottom-left class is (-gamma, alpha).  The congruences are
+    necessary, not sufficient (F_M also asks that a' be a unit and, for
+    even M, that 2M divide b'), so the exact in_FM test on Q|h stays.
+
+    Q|h and Q|h' are equivalent iff h' lies in h Stab(Q|h) Gamma0(M).
+    The automorphs of a form (a, b, c) are ((t - bu)/2, au; -cu,
+    (t + bu)/2) with t^2 - d u^2 = 4, so those of a form in F_M lie in
+    Gamma0(M) and that double coset is h Gamma0(M): distinct cosets give
+    inequivalent forms.
     """
-    Qm = P.scale(m)
-    return [Q for Q in (act(Qm, h) for h in left_coset_reps(M))
-            if in_FM(Q, M)]
+    a, b, c = m * P.a, m * P.b, m * P.c
+    local = []
+    for q, points, e in _local_lines(M):
+        roots = [(al * e, ga * e) for al, ga in points
+                 if (2 * a * ga - b * al) % q == 0
+                 and (b * ga - 2 * c * al) % q == 0
+                 and (a * ga * ga - b * al * ga + c * al * al) % q == 0]
+        if not roots:
+            return []
+        local.append(roots)
+    Qm = QuadForm(a, b, c)
+    reps, index = left_coset_reps(M), _p1_table(M)[1]
+    out = []
+    for combo in product(*local):
+        al = sum(x for x, _ in combo) % M
+        ga = sum(y for _, y in combo) % M
+        Q = act(Qm, reps[index[(-ga % M, al)]])
+        if in_FM(Q, M):
+            out.append(Q)
+    return out
 
 
 _DISK_CACHE_DIR = None
@@ -499,17 +591,15 @@ def _enumerate_classes(M, delta):
             return ()
     elif delta % (4 * M):
         return ()
-    out = []
+    keyed = []
     m = 1
     while m * m <= delta:
         if delta % (m * m) == 0 and gcd(m, M) == 1:
             for P in _primitive_sl2_classes(delta // (m * m)):
-                out.extend(_bucket_dedupe(P, m, M))
+                # P is _canonical_key of every form in its bucket
+                key = (m * P.a, m * P.b, m * P.c)
+                keyed.extend(((key, Q.triple()), Q)
+                             for Q in _bucket_dedupe(P, m, M))
         m += 1
-
-    def key(Q):
-        m0 = Q.content()
-        ck = _canonical_key(Q.primitive_part())
-        return (tuple(m0 * x for x in ck), Q.triple())
-
-    return tuple(sorted(out, key=key))
+    keyed.sort(key=itemgetter(0))
+    return tuple(Q for _, Q in keyed)

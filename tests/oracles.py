@@ -31,6 +31,11 @@ each Teichmuller sector on its own.  It builds each term's block with
 applied one path term at a time before its Hecke operators became cached
 sector blocks.
 
+``bucket_dedupe_scan`` is ``qf._bucket_dedupe`` as it acted by every left
+coset of Gamma0(M) before it solved the F_M congruence per prime power
+of M, and ``primitive_sl2_classes_cycle`` is ``qf._primitive_sl2_classes``
+as it walked each reduced cycle on ``QuadForm`` objects through ``_cycle``.
+
 ``eigensymbols_sympy`` and ``_rational_eigenspace`` are
 ``modsym.eigensymbols`` as it split the sign subspace with sympy's
 ``Matrix.eigenvects`` before the package found rational eigenvalues from
@@ -49,13 +54,13 @@ along the form.
 import json
 import warnings
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, isqrt
 
 import numpy as np
 import sympy
 
 from shintani.arith import RationalCusp
-from shintani.cosets import _units
+from shintani.cosets import _units, left_coset_reps
 from shintani.dist import _act_blocks, _check_s0, _pairs, _stratum_cols
 from shintani.errors import (
     BadIndex,
@@ -78,7 +83,7 @@ from shintani.modsym import (
     solve_symbol_space,
 )
 from shintani.ocsymb import _sources
-from shintani.qf import cycle_divisor, in_FM
+from shintani.qf import QuadForm, _cycle, act, cycle_divisor, in_FM, is_reduced
 
 
 class MomentDist2:
@@ -962,3 +967,49 @@ def _rational_eigenspace(R, lam, r):
     rows = [[Fraction(int(Mm[i, j].p), int(Mm[i, j].q)) for j in range(r)]
             for i in range(r)]
     return frac_nullspace(rows, r)
+
+
+def bucket_dedupe_scan(P, m, M):
+    """Gamma0(M)-inequivalent members of the SL2-orbit of m*P inside F_M.
+
+    One member per left coset h Gamma0(M): m*P acted by h, kept when it
+    lands in F_M.
+    """
+    Qm = P.scale(m)
+    return [Q for Q in (act(Qm, h) for h in left_coset_reps(M))
+            if in_FM(Q, M)]
+
+
+def primitive_sl2_classes_cycle(d):
+    """Representatives of primitive SL2(Z) classes of discriminant d > 0."""
+    if d <= 0 or d % 4 not in (0, 1):
+        return []
+    e = isqrt(d)
+    if e * e == d:
+        return [QuadForm(0, e, c) for c in range(e) if gcd(e, c) == 1]
+    s = isqrt(d)
+    reduced = set()
+    for b in range(1, s + 1):
+        if (b * b - d) % 4:
+            continue
+        prod = (b * b - d) // 4   # equals a*c, negative
+        lo = s + 1 - b
+        hi = s + b
+        for aa in range(max(1, (lo + 1) // 2), hi // 2 + 1):
+            if prod % aa:
+                continue
+            for a in (aa, -aa):
+                Q = QuadForm(a, b, prod // a)
+                if Q.is_primitive():
+                    assert is_reduced(Q)
+                    reduced.add(Q)
+    classes = []
+    seen = set()
+    for Q in sorted(reduced, key=QuadForm.triple):
+        if Q in seen:
+            continue
+        members, _ = _cycle(Q)
+        cycle_forms = [F for F, _ in members]
+        seen.update(cycle_forms)
+        classes.append(min(cycle_forms, key=QuadForm.triple))
+    return sorted(classes, key=QuadForm.triple)

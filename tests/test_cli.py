@@ -212,6 +212,18 @@ def test_verify_zero_against_zero_is_vacuous(capsys):
     assert code == 0 and out.endswith("\nRESULT: PASS\n")
 
 
+@pytest.mark.parametrize("command", ["oc-hecke", "interpolation"])
+def test_verify_finite_precision_empty_is_vacuous(capsys, command):
+    # at p = 7 no slot up to 2 is realizable, so both sides of every
+    # comparison are empty expansions
+    code, out = run_cli(capsys, "verify", command, "--p", "7", "--tame-n",
+                        "1", "--moments", "4", "--padic-prec", "4",
+                        "--nmax", "2")
+    assert code == 1
+    assert "[PASS]" in out and "[FAIL]" not in out
+    assert out.endswith("\nRESULT: VACUOUS\n")
+
+
 def test_usage_error_small_p(capsys):
     code = cli.main(["verify", "interpolation", "--p", "3", "--tame-n", "1",
                      "--nmax", "4"])
@@ -242,6 +254,24 @@ def test_usage_error_missing_subcommand():
 
 # ---------------------------------------------------------------------------
 # determinism and cache plumbing
+
+
+def test_one_parser_serves_every_call(capsys):
+    # build_parser is cached: a usage error, then --json, then plain text,
+    # must each print what a fresh process prints
+    def fresh(argv):
+        return subprocess.run([sys.executable, "-m", "shintani", *argv],
+                              capture_output=True, text=True).stdout
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["qf", "classes", "--level", "11"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == fresh(["qf", "classes", "--level", "11"])
+    for argv in (["qf", "classes", "--level", "11", "--disc", "33", "--json"],
+                 ["qf", "classes", "--level", "11", "--disc", "33"]):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == fresh(argv)
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_json_reruns_byte_identical(capsys):

@@ -1,11 +1,18 @@
 """Quadratic forms: action, reduction, automorphs, equivalence, enumeration."""
 
+import hashlib
+import os
 import random
+import subprocess
+import sys
 from math import gcd, isqrt
 
 import pytest
 import sympy
+from oracles import bucket_dedupe_scan, primitive_sl2_classes_cycle
 
+import shintani
+from shintani import cli, qf
 from shintani.arith import MAT_ID, RationalCusp, mat_det, mat_inv, mat_mul, mat_pow
 from shintani.cosets import (
     coset_index,
@@ -16,6 +23,8 @@ from shintani.cosets import (
 from shintani.errors import DiscriminantMismatch, NonUnimodular, SquareDiscriminant
 from shintani.qf import (
     QuadForm,
+    _bucket_dedupe,
+    _canonical_key,
     _cycle,
     _primitive_sl2_classes,
     act,
@@ -416,3 +425,131 @@ def test_enumerate_includes_imprimitive():
     reps = enumerate_classes(1, 45)
     contents = sorted(Q.content() for Q in reps)
     assert 3 in contents and 1 in contents
+
+
+# ---------------------------------------------------------------------------
+# class enumeration by congruence, against the coset scan and cycle oracles
+
+
+def buckets(M, delta):
+    """The (P, m) buckets that enumerate_classes(M, delta) walks."""
+    m = 1
+    while m * m <= delta:
+        if delta % (m * m) == 0 and gcd(m, M) == 1:
+            for P in _primitive_sl2_classes(delta // (m * m)):
+                yield P, m
+        m += 1
+
+
+def realizable(M, delta):
+    return delta % M == 0 if M % 2 else delta % (4 * M) == 0
+
+
+# levels with repeated prime factors, and the benchmark's composite levels
+BUCKET_LEVELS = [4, 8, 9, 12, 16, 25, 27, 36, 45, 143, 221, 225, 256]
+
+
+@pytest.mark.parametrize("M", BUCKET_LEVELS)
+def test_bucket_dedupe_matches_coset_scan(M, monkeypatch):
+    acts = []
+
+    def counted(Q, g):
+        acts.append(g)
+        return act(Q, g)
+
+    seen = 0
+    for k in range(1, 61):
+        delta = M * k
+        if delta % 4 not in (0, 1) or not realizable(M, delta):
+            continue
+        for P, m in buckets(M, delta):
+            acts.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(qf, "act", counted)
+                got = _bucket_dedupe(P, m, M)
+            # the congruences leave one coset per odd prime power and at
+            # most two at the prime 2
+            assert len(acts) <= (1 if M % 2 else 2)
+            want = bucket_dedupe_scan(P, m, M)
+            assert sorted(Q.triple() for Q in got) == sorted(
+                Q.triple() for Q in want), (M, delta, P, m)
+            seen += len(got)
+    assert seen > 0
+
+
+def test_primitive_sl2_classes_match_cycle_oracle():
+    for d in range(-4, 3001):
+        assert _primitive_sl2_classes(d) == primitive_sl2_classes_cycle(d), d
+
+
+@pytest.mark.parametrize("M", [1, 9, 12, 25, 221])
+def test_bucket_sort_key_is_canonical_key(M):
+    # enumerate_classes sorts by (m * P, Q) with P the bucket's class
+    # representative; that must be m times _canonical_key of the form
+    for k in range(1, 61):
+        delta = M * k
+        if delta % 4 not in (0, 1) or not realizable(M, delta):
+            continue
+        for P, m in buckets(M, delta):
+            for Q in _bucket_dedupe(P, m, M):
+                assert Q.content() == m
+                assert P.triple() == _canonical_key(Q.primitive_part())
+        old_key = sorted(
+            enumerate_classes(M, delta),
+            key=lambda Q: (tuple(Q.content() * x for x in
+                                 _canonical_key(Q.primitive_part())),
+                           Q.triple()))
+        assert list(enumerate_classes(M, delta)) == old_key
+
+
+def test_prime_power_level_class_table_is_pinned(capsys):
+    # level 225 = 3^2 * 5^2: the congruence has several roots per prime
+    assert cli.main(["qf", "classes", "--level", "225", "--disc", "900"]) == 0
+    out = capsys.readouterr().out
+    assert "count: 16" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "31bb5a87428016e794adf5b449f7ecf13e99827e1dfe60aecb688f519d404f29")
+
+
+# Run under python -O, which strips asserts: each bad input must still raise
+# the package's own exception.
+CHECKS_WITHOUT_ASSERTS = """
+from shintani import qf
+from shintani.arith import MAT_ID
+from shintani.errors import BadIndex, NoConvergence, SquareDiscriminant
+
+def raises(exc, fn, *args):
+    try:
+        fn(*args)
+    except exc:
+        return True
+    return False
+
+Q = qf.QuadForm
+out = [
+    raises(SquareDiscriminant, qf.is_reduced, Q(2, 4, 0)),     # d = 16
+    raises(SquareDiscriminant, qf.is_reduced, Q(1, 1, 1)),     # d = -3
+    raises(SquareDiscriminant, qf.is_reduced, Q(0, 0, 0)),     # d = 0
+    raises(BadIndex, qf._rho, Q(1, 3, 0)),
+    raises(BadIndex, qf._rho_step, 1, 3, 0, 9, 3),
+]
+real = qf._rho
+qf._rho = lambda F: (F, MAT_ID)                 # a step that never moves
+out.append(raises(NoConvergence, qf.reduce_form, Q(1, 0, -2)))
+qf._rho = lambda F: (Q(F.a + 1, F.b, F.c), MAT_ID)   # a cycle that never closes
+out.append(raises(NoConvergence, qf._cycle, Q(1, 1, -1)))
+qf._rho = real
+print(out)
+"""
+
+
+def test_checks_raise_without_asserts():
+    assert not is_reduced(QuadForm(1, 0, -2))
+    with pytest.raises(SquareDiscriminant):
+        is_reduced(QuadForm(2, 4, 0))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(shintani.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", CHECKS_WITHOUT_ASSERTS],
+        capture_output=True, text=True, check=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.strip() == str([True] * 7)
