@@ -37,7 +37,6 @@ from .modsym import (
     _apply_int_matrix,
     _term_rows,
     check_ring,
-    pairing,
     ring_reduce,
 )
 from .ocsymb import _sources, specialize_symbol
@@ -211,34 +210,15 @@ def quad_power(Q, k, level, chi, ring="Q"):
     return SymPoly(level, 2 * k, coeffs, chi, "Lstar", ring)
 
 
-def J_classical(phi, Q, k, chi, base=None):
-    """Cycle pairing chi(a_Q) * <phi(D_Q), Q^k>.
-
-    Depends only on the class of Q under the level group; the optional
-    base cusp moves the cycle's endpoints without changing the value.
-    """
-    if phi.k != 2 * k:
-        raise DegreeMismatch(
-            f"symbol degree {phi.k} does not match weight parameter {k}")
-    M = phi.level
-    if not in_FM(Q, M):
-        raise NotInFM(f"{Q!r} is not adapted to level {M}")
-    if base is None:
-        base = RationalCusp.infinity()
-    D = cycle_divisor(Q, M, base)
-    val = phi.evaluate(D.pairs)
-    pair = pairing(val, quad_power(Q, k, M, phi.chi, phi.ring))
-    return ring_reduce(phi.ring, chi(Q.triple()[0] % chi.modulus) * pair)
-
-
 @lru_cache(maxsize=8192)
 def _theta_kernel(M, k, chi, phi_chi, n):
     """Integer vector K_n with coefficient n of the lift equal to K_n . coords.
 
     K_n = sum_Q chi(a_Q) * s(Q^k)^T E_{D_Q} over the classes of the q^n
-    slot, where s is the signed reversal that pairing applies to Q^k and
-    E_D is the evaluation matrix of symbols twisted by phi_chi; it is
-    J_classical summed over the classes, with the symbol factored out.
+    slot, where s(P)_i = (-1)^i P_(2k-i) pairs side L with the monomial
+    side and E_D is the evaluation matrix of symbols twisted by phi_chi:
+    the cycle pairing chi(a_Q) <phi(D_Q), Q^k> summed over the classes,
+    with the symbol factored out.
     """
     K = 2 * k
     base = RationalCusp.infinity()

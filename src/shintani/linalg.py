@@ -1,6 +1,6 @@
 """Exact linear algebra over Q and over Z/p^M.
 
-Rational solvers use Fraction rows.  The p-adic side works on numpy int64
+Rational elimination uses Fraction rows.  The p-adic side works on numpy int64
 matrices with entries in [0, p^M); _check_kernel_bounds refuses every
 profile with p^M >= 2^28, and all products are chunk-reduced so int64
 never overflows.
@@ -8,7 +8,6 @@ never overflows.
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 
 import numpy as np
 
@@ -102,25 +101,6 @@ def frac_nullspace(rows, ncols):
     return basis
 
 
-def frac_solve_many(rows, rhss):
-    """One solution of rows @ x = b over Q for each b in rhss, or None.
-
-    One elimination of [rows | rhss] with pivots among the columns of
-    rows; each solution is then checked exactly against its b.
-    """
-    ncols = len(rows[0]) if rows else 0
-    aug = [[*r, *bs] for r, bs in zip(rows, zip(*rhss))]
-    rref, pivots = frac_rref(aug, ncols)
-    out = []
-    for j, b in enumerate(rhss):
-        x = [Fraction(0)] * ncols
-        for row, c in zip(rref, pivots):
-            x[c] = row[ncols + j]
-        solved = all(sum(map(mul, r, x)) == bi for r, bi in zip(rows, b))
-        out.append(x if solved else None)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Z/p^M kernels via Howell-style reduction
 
@@ -212,14 +192,6 @@ def zpm_solve(A, b, p, M):
     return None
 
 
-def zpm_in_span(vectors, target, p, M):
-    """Whether target lies in the Z/p^M span of the given vectors."""
-    if not vectors:
-        return not np.any(np.asarray(target) % p**M)
-    A = np.stack([np.asarray(v, dtype=np.int64) for v in vectors], axis=1)
-    return zpm_solve(A, target, p, M) is not None
-
-
 # ---------------------------------------------------------------------------
 # characteristic polynomial, division-free
 
@@ -263,27 +235,6 @@ def poly_mul_mod(a, b, mod):
         for j, bj in enumerate(b):
             out[i + j] = (out[i + j] + ai * bj) % mod
     return out
-
-
-def rank_mod_p(A, p):
-    """Rank of A over the field F_p."""
-    A = (np.asarray(A, dtype=np.int64) % p).copy()
-    m, n = A.shape
-    rank = 0
-    for c in range(n):
-        pivot = next((i for i in range(rank, m) if A[i, c] % p), None)
-        if pivot is None:
-            continue
-        A[[rank, pivot]] = A[[pivot, rank]]
-        inv = pow(int(A[rank, c]), -1, p)
-        A[rank] = A[rank] * inv % p
-        for i in range(m):
-            if i != rank and A[i, c]:
-                A[i] = (A[i] - A[i, c] * A[rank]) % p
-        rank += 1
-        if rank == m:
-            break
-    return rank
 
 
 def lower_convex_hull(points):

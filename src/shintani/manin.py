@@ -1,12 +1,14 @@
-"""Coset presentation of modular symbols and the generic evaluation engine.
+"""Coset presentation of modular symbols and the double coset loop.
 
 A symbol is stored by its values on the standard paths attached to a
 section of the right cosets of P^1(Z/M).  Everything here is agnostic
-about what those values are.  The two loops, ``weighted_sum`` over
-(generator, matrix, weight) terms and ``double_coset``, take the value
-arithmetic as callbacks, so integer row blocks, stacked coordinate
-arrays and generator values (any type with ``act(g)``, ``scale(n)``,
-``zero_like()`` and ``+``) all run through the same code.
+about what those values are.  The relations of the presentation and
+``divisor_terms`` are lists of (generator, matrix, weight) terms, which
+``modsym`` turns into integer rows and ``ocsymb`` into Teichmuller
+sector blocks.  The one loop, ``double_coset``, takes the evaluation of
+divisors and the twist by each representative as callbacks, so both
+kinds of symbol build their Hecke operators and the involution through
+the same code.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from math import gcd
 
 from .arith import RationalCusp, mat_det, mat_inv, mat_mul, sl2_chain
 from .cosets import coset_index, coset_section
-from .errors import BadIndex
+from .errors import BadIndex, BadSemigroupElement
 
 MAT_S = (0, -1, 1, 0)
 MAT_T = (0, -1, 1, -1)
@@ -29,7 +31,7 @@ class Presentation:
 
     Each generator c corresponds to the path {g_c.0} - {g_c.oo} for the
     section matrix g_c.  A relation ((c0, m0, n0), (c1, m1, n1), ...)
-    asserts sum_i n_i * w_{ci}|m_i = 0: the minus relations, then the
+    states sum_i n_i * w_{ci}|m_i = 0: the minus relations, then the
     S-pairs, then the T-triples.  The matrices all lie in the level-M
     congruence group (the minus relation uses -I), so any value module
     realizes them through its ordinary weight action.
@@ -52,7 +54,8 @@ def _coset_term(M, g):
     """(c, gamma) for g in coset c: gamma = g_c * g^-1 is in the level group."""
     c = coset_index(g, M)
     gamma = mat_mul(coset_section(M)[c], mat_inv(g))
-    assert mat_det(gamma) == 1 and gamma[2] % M == 0, (gamma, M)
+    if mat_det(gamma) != 1 or gamma[2] % M:
+        raise BadSemigroupElement(f"{gamma} is not in the level-{M} group")
     return c, gamma
 
 
@@ -92,37 +95,6 @@ def divisor_terms(M, divisor):
         for c, gamma, sign in _path_terms(M, cusp):
             out.append((c, gamma, sign * mult))
     return out
-
-
-def weighted_sum(terms, add, acc):
-    """Fold the terms of sum_(c, g, w) w * x_c|g into acc.
-
-    add(acc, c, g, w) adds one term and returns the accumulator; the value
-    type decides what x_c|g is (a generator value, a block of integer rows,
-    stacked coordinates) and whether acc is updated in place.
-    """
-    for c, g, w in terms:
-        acc = add(acc, c, g, w)
-    return acc
-
-
-def _add_value(values):
-    return lambda acc, c, g, w: acc + values[c].act(g).scale(w)
-
-
-def evaluate_values(M, values, divisor):
-    """Phi(D) from generator values; D is ((cusp, mult), ...) or a Divisor0."""
-    divisor = getattr(divisor, "pairs", divisor)
-    return weighted_sum(divisor_terms(M, divisor), _add_value(values),
-                        values[0].zero_like())
-
-
-def check_relations(sym):
-    """Exact check of the defining relations on a symbol's generator values."""
-    add = _add_value(sym.values)
-    zero = sym.values[0].zero_like()
-    return all(weighted_sum(rel, add, zero).is_zero()
-               for rel in presentation(sym.level).relations)
 
 
 def hecke_reps(n, M):

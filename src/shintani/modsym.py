@@ -10,6 +10,14 @@ The two sides pair to the base ring, and the pairing is invariant under
 the level-M group.  Both action matrices are exact Sym^k blocks of
 ``dist._sym_blocks``.  Base rings are exact: "Q" (Fraction coefficients)
 or ("zpm", p, prec) with p >= 5.
+
+A symbol is its generator values, and everything else goes through
+integer rows acting on its flat coordinates: the relation rows that the
+solver's kernel is checked against, the evaluation matrix of a divisor
+(``_term_rows``) and one cached matrix per Hecke operator or involution
+(``_coset_rows``).  Coordinates in a basis are read off each basis
+vector's private column.  The value-by-value evaluation and the pairing
+itself are the tests' oracles.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from operator import mul
 
 import numpy as np
 
-from .arith import RationalCusp, is_prime
+from .arith import is_prime
 from .cosets import p1_classes
 from .dist import _check_s0, _sym_blocks
 from .errors import (
@@ -38,7 +46,7 @@ from .linalg import (
     berkowitz_charpoly,
     frac_nullspace,
     frac_rref,
-    frac_solve_many,
+    matmul_mod,
     zpm_kernel,
 )
 from . import manin
@@ -169,16 +177,6 @@ class SymPoly:
                for j in range(self.k + 1)]
         return SymPoly(self.level, self.k, out, self.chi, self.side, self.ring)
 
-    def act_involution(self):
-        """Weight action of diag(1,-1); determinant -1 needs its own path."""
-        if self.side == "L":
-            out = [x if i % 2 == 0 else -x for i, x in enumerate(self.coeffs)]
-        else:
-            f = self.chi(-1)
-            out = [f * x if n % 2 == 0 else -f * x
-                   for n, x in enumerate(self.coeffs)]
-        return SymPoly(self.level, self.k, out, self.chi, self.side, self.ring)
-
     def __eq__(self, other):
         if not isinstance(other, SymPoly):
             return NotImplemented
@@ -191,71 +189,6 @@ class SymPoly:
 
     def __repr__(self):
         return f"SymPoly(k={self.k}, side={self.side}, {list(self.coeffs)})"
-
-
-def pairing(F, P):
-    """Pair a side-L vector against a side-Lstar vector of equal degree."""
-    if F.k != P.k:
-        raise DegreeMismatch(f"degrees {F.k} and {P.k} do not pair")
-    if F.side != "L" or P.side != "Lstar":
-        raise ValueError("pairing takes (L, Lstar) in that order")
-    k = F.k
-    tot = sum((-1) ** i * F.coeffs[i] * P.coeffs[k - i] for i in range(k + 1))
-    return ring_reduce(F.ring, tot)
-
-
-def dirac_poly(a, b, k, level, chi, ring="Q"):
-    """(aY - bX)^k / k! on side L; pairs with P to give P(a, b)."""
-    coeffs = [(-b) ** i * a ** (k - i) for i in range(k + 1)]
-    return SymPoly(level, k, coeffs, chi, "L", ring)
-
-
-class Divisor0:
-    """Degree-zero divisor on the rational cusps, stored sorted."""
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs):
-        merged = {}
-        for cusp, mult in pairs:
-            if not isinstance(cusp, RationalCusp):
-                cusp = RationalCusp(*cusp) if isinstance(cusp, tuple) else RationalCusp(cusp)
-            if mult:
-                merged[cusp] = merged.get(cusp, 0) + mult
-        items = [(c, m) for c, m in merged.items() if m != 0]
-        if sum(m for _, m in items) != 0:
-            raise DegreeMismatch("divisor must have degree zero")
-        items.sort(key=lambda cm: cm[0].sort_key())
-        self.pairs = tuple(items)
-
-    @classmethod
-    def path(cls, src, dst):
-        """{src} - {dst} for cusps or things coercible to cusps."""
-        return cls([(src, 1), (dst, -1)])
-
-    def apply(self, g):
-        return Divisor0([(c.apply(g), m) for c, m in self.pairs])
-
-    def __add__(self, other):
-        return Divisor0(self.pairs + other.pairs)
-
-    def __neg__(self):
-        return Divisor0([(c, -m) for c, m in self.pairs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def __eq__(self, other):
-        return isinstance(other, Divisor0) and self.pairs == other.pairs
-
-    def __hash__(self):
-        return hash(self.pairs)
-
-    def __repr__(self):
-        return f"Divisor0({list(self.pairs)})"
 
 
 class ModularSymbol:
@@ -299,9 +232,6 @@ class ModularSymbol:
 
     def is_zero(self):
         return all(v.is_zero() for v in self.values)
-
-    def evaluate(self, divisor):
-        return manin.evaluate_values(self.level, self.values, divisor)
 
     def coords(self):
         """Flat coefficient vector, generator blocks in order."""
@@ -353,7 +283,7 @@ def _coset_rows(M, k, chi, reps):
 
     Block row b is sum_alpha chi(alpha_a) * _act_matrix_L(alpha) *
     E_{alpha . base_b}.  For MAT_IOTA the twist _act_matrix_L is
-    diag((-1)^j), which is SymPoly.act_involution on side L.
+    diag((-1)^j), the weight action of diag(1, -1) on side L.
     """
     chis = np.array([chi(alpha[0]) for alpha in reps], dtype=object)
     twists = dict(zip(reps, _L_blocks(reps, k) * chis[:, None, None]))
@@ -372,13 +302,18 @@ def _hecke_rows(M, k, chi, reps):
     return _coset_rows(M, k, chi, tuple(reps))
 
 
+def _over_denominator(vec):
+    """(den, den * vec) for a rational vector, den its least denominator."""
+    den = lcm(*(x.denominator for x in vec))
+    return den, [x.numerator * (den // x.denominator) for x in vec]
+
+
 def _apply_int_matrix(rows, phi):
     """Exact rows . phi.coords(), summed over one common denominator."""
     coords = phi.coords()
     if phi.ring != "Q":
         return [sum(map(mul, row, coords)) for row in rows]
-    den = lcm(*(x.denominator for x in coords))
-    ints = [x.numerator * (den // x.denominator) for x in coords]
+    den, ints = _over_denominator(coords)
     return [Fraction(sum(map(mul, row, ints)), den) for row in rows]
 
 
@@ -392,46 +327,36 @@ def solve_symbol_space(M, k, chi, ring="Q"):
 
     Unknowns are the generator values; the returned symbols satisfy the
     S-pair, triple and minus relations exactly, hence extend to genuine
-    equivariant maps on degree-zero cusp divisors.
+    equivariant maps on degree-zero cusp divisors.  One exact product of
+    the relation rows with the integer basis vectors (mod p^M over
+    Z/p^M) checks that on every call.
     """
     check_ring(ring)
     if chi.modulus > 1 and M % chi.modulus != 0:
         raise ValueError(f"character modulus {chi.modulus} must divide {M}")
     rows = _term_rows(M, k, chi, manin.presentation(M).relations)
-    rows = rows.reshape(-1, rows.shape[-1])
+    n = rows.shape[-1]
+    rows = rows.reshape(-1, n)
     if ring == "Q":
-        basis = frac_nullspace(rows, rows.shape[1])
-        out = [_from_flat(M, k, chi, ring, _normalize_content(vec))
-               for vec in basis]
+        basis = [_normalize_content(vec) for vec in frac_nullspace(rows, n)]
+        residue = rows.dot(np.array(basis, dtype=object).reshape(-1, n).T)
     else:
         _, p, prec = ring
-        mod = p**prec
-        A = (rows % mod).astype(np.int64)
-        basis, _ = zpm_kernel(A, p, prec)
-        out = [_from_flat(M, k, chi, ring, [int(x) for x in vec]) for vec in basis]
-    for sym in out:
-        assert manin.check_relations(sym)
-    return out
+        rows = (rows % p**prec).astype(np.int64)
+        basis, _ = zpm_kernel(rows, p, prec)
+        residue = matmul_mod(rows, np.reshape(basis, (len(basis), n)).T,
+                             p**prec)
+    if np.any(residue):
+        raise OperandMismatch(f"a solved level-{M} weight-{k} symbol "
+                              f"breaks the relations")
+    return [_from_flat(M, k, chi, ring, [int(x) for x in vec])
+            for vec in basis]
 
 
 def hecke_Tn(phi, n):
     """Phi|T_n via the upper triangular determinant-n representatives."""
     return _apply_rows(phi, _hecke_rows(phi.level, phi.k, phi.chi,
                                         manin.hecke_reps(n, phi.level)))
-
-
-def hecke_Up(phi, p):
-    if phi.level % p != 0:
-        raise BadIndex(f"{p} does not divide the level {phi.level}")
-    return hecke_Tn(phi, p)
-
-
-def hecke_Tll(phi, l):
-    """Diamond-scaled operator for l coprime to the level: one scalar rep."""
-    if gcd(l, phi.level) != 1:
-        raise BadIndex(f"{l} must be coprime to the level {phi.level}")
-    return _apply_rows(phi, _hecke_rows(phi.level, phi.k, phi.chi,
-                                        [(l, 0, 0, l)]))
 
 
 def involution(phi):
@@ -450,11 +375,37 @@ def involution_split(phi):
 
 
 def _coords(basis, targets):
-    """Coordinates of each target vector in the basis vectors' span."""
-    cols = frac_solve_many(list(zip(*basis)), targets)
-    if None in cols:
-        raise OperandMismatch("Hecke image left the solved space")
-    return cols
+    """Coordinates of each target vector in the basis vectors' span.
+
+    Every basis vector needs a private column, where all the other basis
+    vectors are zero: a free column of a nullspace basis, or a pivot of a
+    row echelon form.  A target's coordinate on a basis vector is its
+    entry in that column over the vector's, and the combination is then
+    checked against the whole target exactly, in integers: with the basis
+    vectors and the target scaled to integer vectors B_i and u, and L the
+    lcm of the private entries B_i[c_i], the target is the combination
+    exactly when sum_i u[c_i] (L / B_i[c_i]) B_i = L u.
+    """
+    scaled = [_over_denominator(v) for v in basis]
+    cols = list(zip(*(B for _, B in scaled)))
+    private = {}
+    for c, col in enumerate(cols):
+        owners = [i for i, x in enumerate(col) if x]
+        if len(owners) == 1:
+            private.setdefault(owners[0], c)
+    if len(private) < len(basis):
+        raise OperandMismatch("a basis vector has no private column")
+    pivots = [B[private[i]] for i, (_, B) in enumerate(scaled)]
+    L = lcm(*pivots)
+    out = []
+    for t in targets:
+        den, u = _over_denominator(t)
+        y = [u[private[i]] * (L // P) for i, P in enumerate(pivots)]
+        if any(sum(map(mul, y, col)) != L * z for col, z in zip(cols, u)):
+            raise OperandMismatch("Hecke image left the solved space")
+        out.append([Fraction(u[private[i]] * D, den * P)
+                    for i, ((D, _), P) in enumerate(zip(scaled, pivots))])
+    return out
 
 
 def hecke_matrix(basis, n, op=hecke_Tn):
@@ -470,8 +421,7 @@ def involution_matrix(basis):
 
 def _normalize_content(flat):
     """Scale a rational vector to integer entries with unit content."""
-    den = lcm(*(x.denominator for x in flat))
-    ints = [int(x * den) for x in flat]
+    ints = _over_denominator(flat)[1]
     g = gcd(*ints)
     return [x // g for x in ints] if g else ints
 

@@ -183,15 +183,12 @@ def _term_blocks(terms, ngens, N, p, prec, T, d):
     """
     blockdim = len(_units(N)) * (d + 1)
     mod = p**prec
-
-    def add(block, c, g, w):
+    block = np.zeros((p - 1, blockdim, ngens * blockdim), dtype=np.int64)
+    for c, g, w in terms:
         S = _stratum_action_matrix(g, N, p, prec, T, d)
         sl = slice(c * blockdim, (c + 1) * blockdim)
         block[:, :, sl] = (block[:, :, sl] + (w % mod) * S) % mod
-        return block
-
-    return manin.weighted_sum(terms, add, np.zeros(
-        (p - 1, blockdim, ngens * blockdim), dtype=np.int64))
+    return block
 
 
 def _sector_relation_blocks(level, N, p, prec, T, d):

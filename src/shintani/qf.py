@@ -36,8 +36,8 @@ from .arith import (
 )
 from .cosets import _p1_table, left_coset_reps
 from .errors import (
-    BadIndex, DiscriminantMismatch, NoConvergence, NonUnimodular,
-    SquareDiscriminant)
+    BadIndex, BadSemigroupElement, DegreeMismatch, DiscriminantMismatch,
+    NoConvergence, NonUnimodular, SquareDiscriminant)
 
 
 class QuadForm:
@@ -194,7 +194,9 @@ def fundamental_automorph(Q):
     A = mat_mul(mat_mul(t, h), mat_inv(t))
     if A[0] + A[3] < 0:
         A = mat_neg(A)
-    assert A[0] + A[3] > 2 and act(P, A) == P
+    if A[0] + A[3] <= 2 or act(P, A) != P:
+        raise NoConvergence(f"the cycle of {P} closed on {A}, "
+                            f"not a hyperbolic automorph")
     return A
 
 
@@ -207,7 +209,8 @@ def _is_normalized(Q, g):
     d = Q.discriminant()
     r, _, t, _ = g
     c2 = 2 * Q.c
-    assert c2 != 0
+    if c2 == 0:
+        raise BadIndex(f"orientation of {Q} needs c != 0")
     lhs = sign_a_plus_b_sqrt(c2 * (r - 1) - t * Q.b, -t, d)
     return lhs == (1 if c2 > 0 else -1)
 
@@ -224,12 +227,17 @@ def gamma_Q(Q, M):
         while C[2] % M != 0:
             C = tuple(x % M for x in mat_mul(C, B))
             j0 += 1
-            assert j0 <= 10**7
+            if j0 > 10**7:
+                raise NoConvergence(f"no power of {A} in Gamma0({M})")
     g = mat_pow(A, j0)
     if not _is_normalized(Q, g):
         g = mat_inv(g)
-        assert _is_normalized(Q, g)
-    assert g[2] % M == 0 and act(Q, g) == Q
+        if not _is_normalized(Q, g):
+            raise BadSemigroupElement(
+                f"neither {g} nor its inverse is oriented for {Q}")
+    if g[2] % M or act(Q, g) != Q:
+        raise BadSemigroupElement(f"{g} is not an automorph of {Q} "
+                                  f"in Gamma0({M})")
     return g
 
 
@@ -250,7 +258,8 @@ class CycleDivisor:
     def __init__(self, pairs, provenance):
         object.__setattr__(self, "pairs", tuple(pairs))
         object.__setattr__(self, "provenance", provenance)
-        assert sum(n for _, n in self.pairs) == 0
+        if sum(n for _, n in self.pairs) != 0:
+            raise DegreeMismatch("a cycle divisor must have degree zero")
 
     def __setattr__(self, name, value):
         raise AttributeError("CycleDivisor is immutable")
@@ -267,8 +276,10 @@ class CycleDivisor:
 def square_endpoints(Q):
     """Oriented endpoint pair (omega, omega') for square discriminant."""
     d = Q.discriminant()
+    if d <= 0 or isqrt(d) ** 2 != d:
+        raise BadIndex(f"endpoints need a positive square discriminant, "
+                       f"got {d}")
     e = isqrt(d)
-    assert e * e == d and d > 0
     if Q.c != 0:
         return (
             RationalCusp(Q.b + e, 2 * Q.c),
@@ -288,7 +299,8 @@ def cycle_divisor(Q, M, omega):
         return CycleDivisor(((w1, 1), (w2, -1)), ("endpoints", w1, w2))
     g = gamma_Q(Q, M)
     moved = omega.apply(g)
-    assert moved != omega
+    if moved == omega:
+        raise BadSemigroupElement(f"{g} fixes the base cusp {omega}")
     return CycleDivisor(((moved, 1), (omega, -1)), ("automorph", g, omega))
 
 

@@ -36,6 +36,17 @@ coset of Gamma0(M) before it solved the F_M congruence per prime power
 of M, and ``primitive_sl2_classes_cycle`` is ``qf._primitive_sl2_classes``
 as it walked each reduced cycle on ``QuadForm`` objects through ``_cycle``.
 
+``weighted_sum``, ``evaluate_values`` and ``check_relations`` evaluate a
+classical symbol one generator value at a time through ``SymPoly.act``;
+with ``evaluate_symbol``, ``act_involution``, ``pairing``, ``dirac_poly``,
+``Divisor0`` and the class-by-class cycle pairing ``J_classical`` they
+are the second route the package kept for classical symbols before it
+checked, evaluated and gave them coordinates through integer rows only.
+``frac_solve_many`` is the elimination that gave coordinates in a basis
+before ``modsym._coords`` read them off private columns.  ``hecke_Up``,
+``hecke_Tll``, ``zpm_in_span`` and ``rank_mod_p`` are helpers that only
+the tests call.
+
 ``eigensymbols_sympy`` and ``_rational_eigenspace`` are
 ``modsym.eigensymbols`` as it split the sign subspace with sympy's
 ``Matrix.eigenvects`` before the package found rational eigenvalues from
@@ -55,6 +66,7 @@ import json
 import warnings
 from fractions import Fraction
 from math import comb, factorial, gcd, isqrt
+from operator import mul
 
 import numpy as np
 import sympy
@@ -70,16 +82,21 @@ from shintani.errors import (
     OperandMismatch,
     PrecisionMismatch,
 )
+from shintani.lifting import quad_power
 from shintani.linalg import (
-    _check_kernel_bounds, frac_nullspace, frac_rref, frac_solve_many)
-from shintani.manin import (
-    MAT_IOTA, evaluate_values, presentation, weighted_sum)
+    _check_kernel_bounds, frac_nullspace, frac_rref, zpm_solve)
+from shintani.manin import MAT_IOTA, divisor_terms, presentation
 from shintani.modsym import (
+    SymPoly,
+    _apply_rows,
     _from_flat,
+    _hecke_rows,
     _merge_eigen,
     _normalize_content,
     hecke_matrix,
+    hecke_Tn,
     involution_matrix,
+    ring_reduce,
     solve_symbol_space,
 )
 from shintani.ocsymb import _sources
@@ -1013,3 +1030,201 @@ def primitive_sl2_classes_cycle(d):
         seen.update(cycle_forms)
         classes.append(min(cycle_forms, key=QuadForm.triple))
     return sorted(classes, key=QuadForm.triple)
+
+
+# ---------------------------------------------------------------------------
+# the classical symbols' value-by-value route
+
+
+def weighted_sum(terms, add, acc):
+    """Fold the terms of sum_(c, g, w) w * x_c|g into acc.
+
+    add(acc, c, g, w) adds one term and returns the accumulator; the value
+    type decides what x_c|g is (a generator value, a block of integer rows,
+    stacked coordinates) and whether acc is updated in place.
+    """
+    for c, g, w in terms:
+        acc = add(acc, c, g, w)
+    return acc
+
+
+def _add_value(values):
+    return lambda acc, c, g, w: acc + values[c].act(g).scale(w)
+
+
+def evaluate_values(M, values, divisor):
+    """Phi(D) from generator values; D is ((cusp, mult), ...) or a Divisor0."""
+    divisor = getattr(divisor, "pairs", divisor)
+    return weighted_sum(divisor_terms(M, divisor), _add_value(values),
+                        values[0].zero_like())
+
+
+def check_relations(sym):
+    """Exact check of the defining relations on a symbol's generator values."""
+    add = _add_value(sym.values)
+    zero = sym.values[0].zero_like()
+    return all(weighted_sum(rel, add, zero).is_zero()
+               for rel in presentation(sym.level).relations)
+
+
+def evaluate_symbol(phi, divisor):
+    """Phi(D) for a ModularSymbol, from its generator values."""
+    return evaluate_values(phi.level, phi.values, divisor)
+
+
+def act_involution(F):
+    """SymPoly.act by diag(1,-1); determinant -1 needs its own path."""
+    if F.side == "L":
+        out = [x if i % 2 == 0 else -x for i, x in enumerate(F.coeffs)]
+    else:
+        f = F.chi(-1)
+        out = [f * x if n % 2 == 0 else -f * x
+               for n, x in enumerate(F.coeffs)]
+    return SymPoly(F.level, F.k, out, F.chi, F.side, F.ring)
+
+
+def pairing(F, P):
+    """Pair a side-L vector against a side-Lstar vector of equal degree."""
+    if F.k != P.k:
+        raise DegreeMismatch(f"degrees {F.k} and {P.k} do not pair")
+    if F.side != "L" or P.side != "Lstar":
+        raise ValueError("pairing takes (L, Lstar) in that order")
+    k = F.k
+    tot = sum((-1) ** i * F.coeffs[i] * P.coeffs[k - i] for i in range(k + 1))
+    return ring_reduce(F.ring, tot)
+
+
+def dirac_poly(a, b, k, level, chi, ring="Q"):
+    """(aY - bX)^k / k! on side L; pairs with P to give P(a, b)."""
+    coeffs = [(-b) ** i * a ** (k - i) for i in range(k + 1)]
+    return SymPoly(level, k, coeffs, chi, "L", ring)
+
+
+class Divisor0:
+    """Degree-zero divisor on the rational cusps, stored sorted."""
+
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs):
+        merged = {}
+        for cusp, mult in pairs:
+            if not isinstance(cusp, RationalCusp):
+                cusp = RationalCusp(*cusp) if isinstance(cusp, tuple) else RationalCusp(cusp)
+            if mult:
+                merged[cusp] = merged.get(cusp, 0) + mult
+        items = [(c, m) for c, m in merged.items() if m != 0]
+        if sum(m for _, m in items) != 0:
+            raise DegreeMismatch("divisor must have degree zero")
+        items.sort(key=lambda cm: cm[0].sort_key())
+        self.pairs = tuple(items)
+
+    @classmethod
+    def path(cls, src, dst):
+        """{src} - {dst} for cusps or things coercible to cusps."""
+        return cls([(src, 1), (dst, -1)])
+
+    def apply(self, g):
+        return Divisor0([(c.apply(g), m) for c, m in self.pairs])
+
+    def __add__(self, other):
+        return Divisor0(self.pairs + other.pairs)
+
+    def __neg__(self):
+        return Divisor0([(c, -m) for c, m in self.pairs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __iter__(self):
+        return iter(self.pairs)
+
+    def __eq__(self, other):
+        return isinstance(other, Divisor0) and self.pairs == other.pairs
+
+    def __hash__(self):
+        return hash(self.pairs)
+
+    def __repr__(self):
+        return f"Divisor0({list(self.pairs)})"
+
+
+def J_classical(phi, Q, k, chi, base=None):
+    """Cycle pairing chi(a_Q) * <phi(D_Q), Q^k>.
+
+    Depends only on the class of Q under the level group; the optional
+    base cusp moves the cycle's endpoints without changing the value.
+    """
+    if phi.k != 2 * k:
+        raise DegreeMismatch(
+            f"symbol degree {phi.k} does not match weight parameter {k}")
+    M = phi.level
+    if not in_FM(Q, M):
+        raise NotInFM(f"{Q!r} is not adapted to level {M}")
+    if base is None:
+        base = RationalCusp.infinity()
+    D = cycle_divisor(Q, M, base)
+    val = evaluate_symbol(phi, D.pairs)
+    pair = pairing(val, quad_power(Q, k, M, phi.chi, phi.ring))
+    return ring_reduce(phi.ring, chi(Q.triple()[0] % chi.modulus) * pair)
+
+
+def hecke_Up(phi, p):
+    if phi.level % p != 0:
+        raise BadIndex(f"{p} does not divide the level {phi.level}")
+    return hecke_Tn(phi, p)
+
+
+def hecke_Tll(phi, l):
+    """Diamond-scaled operator for l coprime to the level: one scalar rep."""
+    if gcd(l, phi.level) != 1:
+        raise BadIndex(f"{l} must be coprime to the level {phi.level}")
+    return _apply_rows(phi, _hecke_rows(phi.level, phi.k, phi.chi,
+                                        [(l, 0, 0, l)]))
+
+
+def frac_solve_many(rows, rhss):
+    """One solution of rows @ x = b over Q for each b in rhss, or None.
+
+    One elimination of [rows | rhss] with pivots among the columns of
+    rows; each solution is then checked exactly against its b.
+    """
+    ncols = len(rows[0]) if rows else 0
+    aug = [[*r, *bs] for r, bs in zip(rows, zip(*rhss))]
+    rref, pivots = frac_rref(aug, ncols)
+    out = []
+    for j, b in enumerate(rhss):
+        x = [Fraction(0)] * ncols
+        for row, c in zip(rref, pivots):
+            x[c] = row[ncols + j]
+        solved = all(sum(map(mul, r, x)) == bi for r, bi in zip(rows, b))
+        out.append(x if solved else None)
+    return out
+
+
+def zpm_in_span(vectors, target, p, M):
+    """Whether target lies in the Z/p^M span of the given vectors."""
+    if not vectors:
+        return not np.any(np.asarray(target) % p**M)
+    A = np.stack([np.asarray(v, dtype=np.int64) for v in vectors], axis=1)
+    return zpm_solve(A, target, p, M) is not None
+
+
+def rank_mod_p(A, p):
+    """Rank of A over the field F_p."""
+    A = (np.asarray(A, dtype=np.int64) % p).copy()
+    m, n = A.shape
+    rank = 0
+    for c in range(n):
+        pivot = next((i for i in range(rank, m) if A[i, c] % p), None)
+        if pivot is None:
+            continue
+        A[[rank, pivot]] = A[[pivot, rank]]
+        inv = pow(int(A[rank, c]), -1, p)
+        A[rank] = A[rank] * inv % p
+        for i in range(m):
+            if i != rank and A[i, c]:
+                A[i] = (A[i] - A[i, c] * A[rank]) % p
+        rank += 1
+        if rank == m:
+            break
+    return rank

@@ -20,7 +20,7 @@ from shintani.errors import (
 from shintani.dist import ArithWeight, _act_blocks, _sym_blocks, specialize
 from shintani.lifting import FormalQExp
 from shintani.linalg import _check_kernel_bounds
-from shintani.modsym import SymPoly, check_ring, pairing
+from shintani.modsym import SymPoly, check_ring
 from shintani.qf import QuadForm, gamma_Q
 
 from oracles import (
@@ -42,6 +42,7 @@ from oracles import (
     moments2_dumps,
     moments2_from_json,
     moments2_to_json,
+    pairing,
     random_moments2,
     scalar_action,
     sigma_distN,

@@ -24,7 +24,6 @@ from shintani.errors import BadIndex, DegreeMismatch, InsufficientMoments, NotIn
 from shintani.lifting import (
     FormalQExp,
     HalfIntQExp,
-    J_classical,
     J_oc,
     _dirac_convolve,
     delta_of_index,
@@ -56,6 +55,7 @@ from shintani.ocsymb import (
 from shintani.qf import QuadForm, act, enumerate_classes
 
 from oracles import (
+    J_classical,
     J_oc_values,
     MetaCoeff,
     convolve_distN,
@@ -353,17 +353,19 @@ import numpy as np
 from shintani.arith import DirichletChar, crt
 from shintani.dist import ArithWeight
 from shintani.errors import ShintaniError
+from shintani import modsym
 from shintani.lifting import (
-    FormalQExp, HalfIntQExp, J_classical, J_oc, specialize_qexp,
-    theta_classical)
+    FormalQExp, HalfIntQExp, J_oc, specialize_qexp, theta_classical)
 from shintani.linalg import matmul_mod
 from shintani.modsym import (
-    Divisor0, ModularSymbol, _from_flat, eigensymbols, hecke_matrix,
+    ModularSymbol, _from_flat, eigensymbols, hecke_matrix,
     solve_symbol_space)
 from shintani.ocsymb import (
     OCSpace, OCSymbol, lift_eigensymbol, oc_hecke_Tll, solve_oc_space,
     up_matrix)
 from shintani.qf import QuadForm, enumerate_classes
+
+from oracles import Divisor0, J_classical
 
 T = DirichletChar.trivial(1)
 bad = QuadForm(2, 1, -3)  # in neither F_5 nor F_11
@@ -381,6 +383,18 @@ unit[0, 0, 0, 0, 0] = 1
 not_stable = OCSpace(5, 1, 5, 2, 2, unit, [0], [0])
 # value 1 on one generator breaks the weight-0 relations
 off_image = _from_flat(5, 0, T, ("zpm", 5, 2), [1, 0, 0, 0, 0, 0])
+
+
+def corrupted(kernel, fake, *args):
+    # solve_symbol_space with its kernel routine replaced by a fake
+    real = getattr(modsym, kernel)
+    setattr(modsym, kernel, fake)
+    try:
+        return solve_symbol_space(*args)
+    finally:
+        setattr(modsym, kernel, real)
+
+
 cases = {
     "J_classical": lambda: J_classical(
         solve_symbol_space(11, 0, T)[0], bad, 0, T),
@@ -421,6 +435,13 @@ cases = {
     # an "operator" sending the first basis symbol onto the second
     "hecke_matrix": lambda: hecke_matrix(
         [sym11], None, lambda sym, _: solve_symbol_space(11, 2, T)[1]),
+    # one all-ones "kernel" vector breaks the weight-0 S-pair relations
+    "solve_symbol_space(Q kernel)": lambda: corrupted(
+        "frac_nullspace", lambda rows, n: [[1] * n], 11, 0, T),
+    "solve_symbol_space(zpm kernel)": lambda: corrupted(
+        "zpm_kernel",
+        lambda A, p, prec: ([np.ones(A.shape[1], np.int64)], [0]),
+        11, 0, T, ("zpm", 5, 2)),
     "eigensymbols(sign)": lambda: eigensymbols(11, 0, T, 0),
     "HalfIntQExp(level)": lambda: HalfIntQExp(0, 0, T, {}, 4),
     "HalfIntQExp(n_max)": lambda: HalfIntQExp(11, 0, T, {}, -1),
@@ -444,13 +465,15 @@ for name, call in cases.items():
 
 
 def test_input_guards_survive_optimize():
-    # python -O strips asserts; the caller-input guards must still raise
+    # python -O strips asserts; the caller-input guards must still raise.
+    # tests/ is on the path for the oracles' J_classical and Divisor0.
     src = os.path.dirname(os.path.dirname(os.path.abspath(shintani.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
     out = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_GUARDS],
                          capture_output=True, text=True, check=True, env=env,
                          timeout=300).stdout.split("\n")
-    assert out[:38] == [
+    assert out[:40] == [
         "debug False",
         "J_classical NotInFM",
         "J_oc NotInFM",
@@ -480,6 +503,8 @@ def test_input_guards_survive_optimize():
         "lift_eigensymbol(image) OperandMismatch",
         "matmul_mod OperandMismatch",
         "hecke_matrix OperandMismatch",
+        "solve_symbol_space(Q kernel) OperandMismatch",
+        "solve_symbol_space(zpm kernel) OperandMismatch",
         "eigensymbols(sign) BadIndex",
         "HalfIntQExp(level) BadIndex",
         "HalfIntQExp(n_max) BadIndex",
@@ -847,7 +872,8 @@ def _references(path):
     return refs
 
 
-@pytest.mark.parametrize("module", ["dist", "lifting"])
+@pytest.mark.parametrize("module",
+                         ["dist", "lifting", "linalg", "manin", "modsym"])
 def test_public_names_have_callers_outside_the_tests(module):
     # every public function and class is referenced in src/ outside its
     # own definition, or named in bench/ or the README

@@ -15,35 +15,40 @@ from shintani.errors import (
     BadIndex,
     BadSemigroupElement,
     DegreeMismatch,
+    OperandMismatch,
     TwoNotInvertible,
 )
-from shintani.linalg import zpm_in_span
 from shintani import modsym
-from shintani.manin import MAT_IOTA, check_relations, hecke_reps
+from shintani.manin import MAT_IOTA, hecke_reps
 from shintani.modsym import (
-    Divisor0,
     ModularSymbol,
     SymPoly,
-    dirac_poly,
     eigensymbols,
     hecke_matrix,
-    hecke_Tll,
     hecke_Tn,
-    hecke_Up,
     involution,
     involution_matrix,
     involution_split,
-    pairing,
     ring_half,
     solve_symbol_space,
 )
 
 from oracles import (
+    Divisor0,
+    act_involution,
     act_matrix_L_formula,
     act_matrix_Lstar_formula,
     apply_double_coset,
     apply_involution,
+    check_relations,
+    dirac_poly,
     eigensymbols_sympy,
+    evaluate_symbol,
+    frac_solve_many,
+    hecke_Tll,
+    hecke_Up,
+    pairing,
+    zpm_in_span,
 )
 
 TRIV = DirichletChar.trivial(1)
@@ -122,7 +127,7 @@ def test_act_matrices_match_the_binomial_formulas():
 
 def test_act_matrix_of_iota_is_the_sign_diagonal():
     # _coset_rows twists by _act_matrix_L(MAT_IOTA), which must be
-    # diag((-1)^j), SymPoly.act_involution on side L
+    # diag((-1)^j), the oracles' act_involution on side L
     for k in range(11):
         assert modsym._act_matrix_L(MAT_IOTA, k) == tuple(
             tuple((-1) ** j if i == j else 0 for i in range(k + 1))
@@ -192,7 +197,7 @@ def test_involution_action_square_is_identity():
             k = rng.randrange(0, 5)
             F = SymPoly(1, k, [rng.randrange(-5, 6) for _ in range(k + 1)],
                         TRIV, side)
-            assert F.act_involution().act_involution().coeffs == F.coeffs
+            assert act_involution(act_involution(F)).coeffs == F.coeffs
 
 
 # ------------------------------------------------------------- dimensions
@@ -285,6 +290,29 @@ def test_basis_symbols_satisfy_relations():
             assert check_relations(sym)
 
 
+def _bump_first_entry(basis):
+    return [[basis[0][0] + 1, *basis[0][1:]], *basis[1:]]
+
+
+@pytest.mark.parametrize("ring, kernel", [
+    ("Q", "frac_nullspace"), (("zpm", 5, 2), "zpm_kernel")], ids=["Q", "zpm"])
+def test_relation_check_refuses_a_corrupted_kernel(monkeypatch, ring, kernel):
+    # the solver multiplies the relation rows into its kernel on every
+    # call; one entry off by one breaks an S-pair relation
+    assert solve_symbol_space(11, 0, TRIV, ring)
+    real = getattr(modsym, kernel)
+
+    def fake(*args):
+        if ring == "Q":
+            return _bump_first_entry(real(*args))
+        basis, torsion = real(*args)
+        return _bump_first_entry(basis), torsion
+
+    monkeypatch.setattr(modsym, kernel, fake)
+    with pytest.raises(OperandMismatch, match="breaks the relations"):
+        solve_symbol_space(11, 0, TRIV, ring)
+
+
 def test_perturbed_symbol_breaks_relations():
     sym = solve_symbol_space(11, 0, TRIV, "Q")[0]
     vals = list(sym.values)
@@ -301,7 +329,7 @@ def test_evaluate_half_to_infinity_uses_two_paths():
     assert len(sl2_chain(RationalCusp(1, 2))) == 2
     sym = solve_symbol_space(11, 0, TRIV, "Q")[0]
     D = Divisor0.path(RationalCusp(1, 2), RationalCusp.infinity())
-    val = sym.evaluate(D)
+    val = evaluate_symbol(sym, D)
     chain = sl2_chain(RationalCusp(1, 2))
     manual = sym.values[0].zero_like()
     from shintani.manin import presentation
@@ -327,8 +355,8 @@ def test_evaluate_group_invariance():
             if r1 == r2:
                 continue
             D = Divisor0.path(r1, r2)
-            lhs = phi.evaluate(D.apply(g)).act(g)
-            rhs = phi.evaluate(D)
+            lhs = evaluate_symbol(phi, D.apply(g)).act(g)
+            rhs = evaluate_symbol(phi, D)
             assert (lhs - rhs).is_zero()
 
 
@@ -392,9 +420,44 @@ def test_hecke_matrices_match_double_coset_oracle(ring):
             assert hecke_Tll(phi, 3).values == tuple(apply_double_coset(
                 M, phi.values, [(3, 0, 0, 3)]))
             assert involution(phi).values == tuple(apply_involution(
-                M, phi.values, lambda v: v.act_involution()))
+                M, phi.values, act_involution))
     with pytest.raises(BadSemigroupElement):
         modsym._hecke_rows(5, 2, TRIV, ((1, 0, 1, 1),))
+
+
+@pytest.mark.parametrize("M", (11, 15, 37))
+def test_coords_match_frac_solve_oracle(monkeypatch, M):
+    # coordinates read off private columns against one elimination, for
+    # the T_2, T_3 and involution matrices and for every subspace that
+    # eigensymbols splits: its row echelon sign spaces and their pieces
+    calls = []
+    real = modsym._coords
+
+    def recorded(basis, targets):
+        calls.append((basis, targets, real(basis, targets)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(modsym, "_coords", recorded)
+    symbols = solve_symbol_space(M, 2, TRIV)
+    hecke_matrix(symbols, 2)
+    hecke_matrix(symbols, 3)
+    involution_matrix(symbols)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for sign in (1, -1):
+            eigensymbols(M, 2, TRIV, sign)
+    assert {len(basis) for basis, _, _ in calls} > {len(symbols)}
+    for basis, targets, got in calls:
+        assert got == frac_solve_many(list(zip(*basis)), targets)
+
+
+def test_coords_refuse_what_they_cannot_read():
+    # no column where only one basis vector is nonzero
+    with pytest.raises(OperandMismatch, match="private column"):
+        modsym._coords([[1, 1], [1, -1]], [[2, 0]])
+    # column 0 gives the coordinate 1, which misses column 2
+    with pytest.raises(OperandMismatch, match="left the solved space"):
+        modsym._coords([[1, 0, 1]], [[1, 0, 0]])
 
 
 def test_spectrum_level_eleven():

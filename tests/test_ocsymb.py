@@ -19,19 +19,8 @@ from shintani.errors import (
     SlopeGapUnresolvable,
 )
 from shintani import manin, ocsymb
-from shintani.linalg import (
-    berkowitz_charpoly,
-    rank_mod_p,
-    zpm_kernel,
-    zpm_solve,
-)
-from shintani.modsym import (
-    hecke_Tll,
-    hecke_Tn,
-    hecke_Up,
-    involution,
-    solve_symbol_space,
-)
+from shintani.linalg import berkowitz_charpoly, zpm_kernel, zpm_solve
+from shintani.modsym import hecke_Tn, involution, solve_symbol_space
 from shintani.ocsymb import (
     OCSpace,
     OCSymbol,
@@ -58,11 +47,15 @@ from oracles import (
     TaggedDist2,
     apply_double_coset,
     apply_involution,
+    check_relations,
     data_of,
     dirac_distN,
     evaluate,
+    hecke_Tll,
+    hecke_Up,
     invol_tagged,
     random_moments2,
+    rank_mod_p,
     scalar_action,
     stratum_relation_matrix,
     values_of,
@@ -323,7 +316,7 @@ def test_basis_symbols_view_the_space_data(sp11_small):
 
 def test_basis_symbols_satisfy_relations(sp11_small, sp15):
     for b in sp11_small.basis + sp15.basis[::7]:
-        assert manin.check_relations(
+        assert check_relations(
             SimpleNamespace(level=b.level, values=values_of(b)))
 
 
@@ -336,7 +329,7 @@ def test_t0_space_specializes_onto_classical():
     images = []
     for b in space.basis:
         s = specialize_symbol(b, kappa)
-        assert manin.check_relations(s)
+        assert check_relations(s)
         images.append(np.array([int(c) for c in s.coords()], dtype=np.int64))
     # every classical basis vector lies in the span of the specialized images
     A = np.stack(images, axis=1)
@@ -732,7 +725,7 @@ def test_specialize_intertwines_every_hecke_operator(sp11_small):
 def test_lift_converges_with_full_residual(lifted_11a):
     _, _, Phi, res_val = lifted_11a
     assert res_val >= 8 - 2
-    assert manin.check_relations(
+    assert check_relations(
         SimpleNamespace(level=Phi.level, values=values_of(Phi)))
 
 

@@ -516,7 +516,8 @@ def test_prime_power_level_class_table_is_pinned(capsys):
 CHECKS_WITHOUT_ASSERTS = """
 from shintani import qf
 from shintani.arith import MAT_ID
-from shintani.errors import BadIndex, NoConvergence, SquareDiscriminant
+from shintani.errors import (
+    BadIndex, DegreeMismatch, NoConvergence, SquareDiscriminant)
 
 def raises(exc, fn, *args):
     try:
@@ -532,6 +533,9 @@ out = [
     raises(SquareDiscriminant, qf.is_reduced, Q(0, 0, 0)),     # d = 0
     raises(BadIndex, qf._rho, Q(1, 3, 0)),
     raises(BadIndex, qf._rho_step, 1, 3, 0, 9, 3),
+    raises(BadIndex, qf.square_endpoints, Q(1, 0, -2)),   # d = 8
+    raises(DegreeMismatch, qf.CycleDivisor, [((1, 2), 1)], None),
+    raises(BadIndex, qf._is_normalized, Q(1, 3, 0), MAT_ID),   # c = 0
 ]
 real = qf._rho
 qf._rho = lambda F: (F, MAT_ID)                 # a step that never moves
@@ -552,4 +556,4 @@ def test_checks_raise_without_asserts():
         [sys.executable, "-O", "-c", CHECKS_WITHOUT_ASSERTS],
         capture_output=True, text=True, check=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=src))
-    assert proc.stdout.strip() == str([True] * 7)
+    assert proc.stdout.strip() == str([True] * 10)
