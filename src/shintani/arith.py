@@ -7,7 +7,7 @@ Everything here is integer or Fraction arithmetic; no floating point.
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .errors import BadIndex, NonUnimodular, PrimalityUnproven
+from .errors import BadIndex, NoConvergence, NonUnimodular, PrimalityUnproven
 
 
 def xgcd(a, b):
@@ -91,7 +91,8 @@ def is_prime(n):
 
 def sign_a_plus_b_sqrt(a, b, d):
     """Exact sign of a + b*sqrt(d) for integers a, b and d >= 0."""
-    assert d >= 0
+    if d < 0:
+        raise BadIndex(f"sign of a + b*sqrt(d) needs d >= 0, got {d}")
     r = isqrt(d)
     if r * r == d:
         v = a + b * r
@@ -305,7 +306,9 @@ class RationalCusp:
 
 def cfrac_convergents(num, den):
     """Convergents of num/den: list of (p_j, q_j), starting with (1, 0)."""
-    assert den > 0 and gcd(num, den) == 1
+    if den <= 0 or gcd(num, den) != 1:
+        raise BadIndex(f"{num}/{den} is not reduced with a positive "
+                       f"denominator")
     convs = [(1, 0)]
     p0, q0 = 1, 0
     p1, q1 = None, None
@@ -321,24 +324,10 @@ def cfrac_convergents(num, den):
         else:
             p0, q0, p1, q1 = p1, q1, q * p1 + p0, q * q1 + q0
         convs.append((p1, q1))
-    assert (p1, q1) == (num, den)
+    if (p1, q1) != (num, den):
+        raise NoConvergence(f"the convergents of {num}/{den} end at "
+                            f"{p1}/{q1}")
     return convs
-
-
-def cfrac_path(cusp):
-    """Unimodular path from oo to the cusp through its convergents.
-
-    Returns matrices whose columns are consecutive convergents
-    (previous, next); each has determinant +-1 and the column cusps
-    telescope from infinity to the target.
-    """
-    if cusp.is_infinity:
-        raise ValueError("no path from infinity to itself")
-    convs = cfrac_convergents(cusp.num, cusp.den)
-    return [
-        (convs[j][0], convs[j + 1][0], convs[j][1], convs[j + 1][1])
-        for j in range(len(convs) - 1)
-    ]
 
 
 def sl2_chain(cusp):
@@ -356,6 +345,7 @@ def sl2_chain(cusp):
         g = (pn, pp, qn, qq)
         if mat_det(g) == -1:
             g = (pn, -pp, qn, -qq)
-        assert mat_det(g) == 1
+        if mat_det(g) != 1:
+            raise NonUnimodular(f"chain step {g} of {cusp} is not in SL2(Z)")
         chain.append(g)
     return chain

@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import gcd
 
 from . import qf
-from .arith import DirichletChar
+from .arith import DirichletChar, is_prime
 from .dist import ArithWeight
 from .errors import KernelOverflow
 from .linalg import _check_kernel_bounds, frac_rref
@@ -53,9 +53,12 @@ class UsageError(Exception):
 
 @dataclass
 class JobConfig:
-    """Validated parameters of one CLI job."""
+    """Validated parameters of one CLI job.
 
-    command: str
+    ells and weights are empty unless the command takes --ells or
+    --weights, so validate checks them only where they are read.
+    """
+
     level: int = 1
     tame: int = 1
     p: int = 0
@@ -66,21 +69,23 @@ class JobConfig:
     n_max: int = 20
     slope_bound: int = 1
     sign: int = -1
-    ells: tuple = (3, 7)
-    weights: tuple = (0, 1, 2)
+    ells: tuple = ()
+    weights: tuple = ()
     seed: int = DEFAULT_SEED
-    threads: int = 0
+    threads: int = 1
     json_out: bool = False
 
     def validate(self):
-        if self.threads <= 0:
-            self.threads = os.cpu_count() or 1
         if self.p:
-            if self.p < 5:
-                raise UsageError(f"p must be at least 5, got {self.p}")
+            if self.p < 5 or not is_prime(self.p):
+                raise UsageError(f"p must be a prime >= 5, got {self.p}")
             if gcd(self.p, self.tame) != 1:
                 raise UsageError(
                     f"p = {self.p} must be coprime to the tame level {self.tame}")
+            if self.moments < 0:
+                raise UsageError("moments must be nonnegative")
+            if self.prec < 1:
+                raise UsageError("padic-prec must be positive")
             try:
                 _check_kernel_bounds(self.p, self.prec, self.moments)
             except KernelOverflow as exc:
@@ -93,6 +98,22 @@ class JobConfig:
             raise UsageError("nmax must be nonnegative")
         if self.sign not in (1, -1):
             raise UsageError("sign must be 1 or -1")
+        if self.level % self.character().modulus:
+            raise UsageError(f"character modulus {self.character().modulus} "
+                             f"must divide the level {self.level}")
+        for l in self.ells:
+            if not is_prime(l):
+                raise UsageError(f"ells must be primes, got {l}")
+            if self.p:
+                if l == 2 and self.tame % 2:
+                    raise UsageError("l = 2 needs an even tame level")
+            elif l == 2 or self.level % l == 0:
+                raise UsageError(f"l = {l} must be odd and prime to the "
+                                 f"level {self.level}")
+        for k in self.weights:
+            if not 0 <= k <= self.moments // 2:
+                raise UsageError(f"weights must lie in 0..{self.moments // 2} "
+                                 f"for {self.moments} moments, got {k}")
         return self
 
     def character(self):
@@ -511,8 +532,9 @@ def cmd_verify_oc_hecke(cfg):
 def _add_common(sp):
     sp.add_argument("--json", action="store_true", dest="json_out",
                     help="emit the versioned JSON schema instead of text")
-    sp.add_argument("--threads", type=int, default=0,
-                    help="classical lift threads (default: available cores)")
+    sp.add_argument("--threads", type=int, default=1,
+                    help="classical lift threads (default 1); the output "
+                         "does not depend on it")
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED,
                     help="seed for randomized reports and property checks")
 
@@ -612,7 +634,7 @@ def build_parser():
 
 
 def _config_from_args(args):
-    cfg = JobConfig(command=f"{args.group} {getattr(args, 'action', '')}".strip())
+    cfg = JobConfig()
     for name, attr in (
         ("level", "level"), ("tame", "tame"), ("p", "p"),
         ("weight", "weight"), ("char", "char_disc"),

@@ -8,7 +8,8 @@ below.
 from functools import lru_cache
 from math import gcd
 
-from .arith import MAT_ID, mat_inv, mat_mul, xgcd
+from .arith import MAT_ID, mat_det, mat_inv, xgcd
+from .errors import BadIndex, NonUnimodular
 
 
 @lru_cache(maxsize=None)
@@ -58,7 +59,7 @@ def _lift_coprime(u, v, M):
         v0 = v + k * M
         if gcd(u, v0) == 1:
             return u, v0
-    raise AssertionError("coprime lift not found")
+    raise BadIndex(f"({u} : {v}) is not a point of P^1(Z/{M})")
 
 
 @lru_cache(maxsize=None)
@@ -71,12 +72,15 @@ def coset_section(M):
     out = []
     for u, v in p1_classes(M):
         u0, v0 = _lift_coprime(u, v, M)
-        g0, x, y = xgcd(v0, u0)
-        assert g0 == 1
+        _, x, y = xgcd(v0, u0)
         g = (x, -y, u0, v0)
-        assert g[0] * g[3] - g[1] * g[2] == 1
+        if mat_det(g) != 1:   # det g = gcd(u0, v0)
+            raise NonUnimodular(f"section matrix {g} of ({u} : {v})")
         out.append(g)
-    assert out[coset_index(MAT_ID, M)] == MAT_ID
+    identity = out[coset_index(MAT_ID, M)]
+    if identity != MAT_ID:
+        raise BadIndex(f"the coset of 1 in Gamma0({M}) has section "
+                       f"{identity}")
     return tuple(out)
 
 
@@ -84,26 +88,3 @@ def coset_section(M):
 def left_coset_reps(M):
     """Matrices h_j with SL2(Z) the disjoint union of the h_j Gamma0(M)."""
     return tuple(mat_inv(g) for g in coset_section(M))
-
-
-@lru_cache(maxsize=None)
-def gamma0_generators(M):
-    """A finite generating set of Gamma0(M), by Schreier's lemma.
-
-    SL2(Z) is generated by S and T; for each section element g and each
-    generator x, the element g x h^{-1} (h the section rep of the coset of
-    g x) lies in Gamma0(M), and together these generate it.
-    """
-    S = (0, -1, 1, 0)
-    T = (1, 1, 0, 1)
-    section = coset_section(M)
-    gens = set()
-    for g in section:
-        for x in (S, T):
-            gx = mat_mul(g, x)
-            h = section[coset_index(gx, M)]
-            gamma = mat_mul(gx, mat_inv(h))
-            assert gamma[2] % M == 0
-            if gamma != MAT_ID:
-                gens.add(gamma)
-    return tuple(sorted(gens))

@@ -17,10 +17,6 @@ class SquareDiscriminant(ShintaniError):
     """Operation requires a nonsquare discriminant (no fundamental automorph exists)."""
 
 
-class DiscriminantMismatch(ShintaniError):
-    """Two quadratic forms that should share a discriminant do not."""
-
-
 class DegreeMismatch(ShintaniError):
     """Polynomial or moment data does not match the expected degree bound."""
 
@@ -63,10 +59,6 @@ class BadIndex(ShintaniError):
 
 class TwoNotInvertible(ShintaniError):
     """Involution split requires 2 invertible in the ring."""
-
-
-class SlopeGapUnresolvable(ShintaniError):
-    """Newton polygon cannot separate the requested slope at working precision."""
 
 
 class CriticalSlope(ShintaniError):

@@ -39,7 +39,7 @@ from .modsym import (
     check_ring,
     ring_reduce,
 )
-from .ocsymb import _sources, specialize_symbol
+from .ocsymb import LOSS, _sources, specialize_symbol
 from .qf import cycle_divisor, enumerate_classes, in_FM
 
 
@@ -571,12 +571,12 @@ def specialize_qexp(e, kappa_tilde):
                        ("zpm", e.p, e.prec))
 
 
-def verify_interpolation(Phi, kappa_tilde, n_max, loss=2, threads=1):
+def verify_interpolation(Phi, kappa_tilde, n_max, threads=1):
     """Compare the two routes from a finite-precision symbol to a weight.
 
     Route one evaluates the lifted expansion's tensors at the weight;
     route two specializes the symbol first and lifts exactly.  Returns
-    a report; equality is required modulo p^(prec - loss), and ``live``
+    a report; equality is required modulo p^(prec - LOSS), and ``live``
     says that some coefficient of either route is nonzero.
     """
     p, prec = Phi.p, Phi.prec
@@ -589,14 +589,14 @@ def verify_interpolation(Phi, kappa_tilde, n_max, loss=2, threads=1):
     for n in range(1, n_max + 1):
         v = valuation(lifted.coeff(n) - exact.coeff(n), p, prec)
         worst = min(worst, v)
-        if v < prec - loss:
+        if v < prec - LOSS:
             fails.append(n)
     return {
         "level": Phi.level,
         "weight_k": kappa_tilde.k,
         "n_max": n_max,
         "precision": prec,
-        "loss": loss,
+        "loss": LOSS,
         "passed": not fails,
         "residual_valuation": worst,
         "failing_indices": fails,

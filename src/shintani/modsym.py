@@ -426,11 +426,11 @@ def _normalize_content(flat):
     return [x // g for x in ints] if g else ints
 
 
-def eigensymbols(M, k, chi, sign, lbound=7):
+def eigensymbols(M, k, chi, sign):
     """Rational Hecke eigensystems in one sign eigenspace.
 
-    Splits the sign subspace by T_l (U_l when l divides M) for primes
-    l <= lbound and keeps the pieces where every eigenvalue is rational;
+    Splits the sign subspace by T_l (U_l when l divides M) for the primes
+    l <= 7 and keeps the pieces where every eigenvalue is rational;
     systems with irrational eigenvalues are skipped with a warning.
     Returns a list of (symbol, {l: eigenvalue}) pairs, each symbol scaled
     to integer coefficients with content one.
@@ -450,7 +450,7 @@ def eigensymbols(M, k, chi, sign, lbound=7):
     if not subspace:
         return []
 
-    primes = [l for l in range(2, lbound + 1) if is_prime(l)]
+    primes = (2, 3, 5, 7)
     spaces = [subspace]
     maps = [dict()]
     for l in primes:

@@ -35,7 +35,6 @@ from .errors import (
     NotEigen,
     OperandMismatch,
     PrecisionMismatch,
-    SlopeGapUnresolvable,
 )
 from .linalg import (
     _check_kernel_bounds,
@@ -468,139 +467,6 @@ def newton_slopes(charpoly, p, prec):
     return sorted(slopes), list(hull)
 
 
-# ---------------------------------------------------------------------------
-# polynomial helpers over Z / p^M, ascending coefficient lists
-
-
-def _padd(a, b, mod):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return [(x + y) % mod for x, y in zip(a, b)]
-
-
-def _pscale(a, s, mod):
-    return [(x * s) % mod for x in a]
-
-
-def _ptrim(a):
-    a = list(a)
-    while len(a) > 1 and a[-1] == 0:
-        a = a[:-1]
-    return a
-
-
-def _pquo_rem(a, b, mod):
-    """Division with remainder by a monic polynomial."""
-    assert b[-1] == 1
-    a = [x % mod for x in a]
-    if len(a) < len(b):
-        return [0], _ptrim(a)
-    q = [0] * (len(a) - len(b) + 1)
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] % mod
-        if c:
-            q[i] = c
-            for j, y in enumerate(b):
-                a[i + j] = (a[i + j] - c * y) % mod
-    return _ptrim(q), _ptrim(a[:len(b) - 1] or [0])
-
-
-def _bezout_mod_p(a, b, p):
-    """s, t with s a + t b = 1 over F_p, deg s < deg b and deg t < deg a.
-
-    a and b are coprime; extended Euclid on the coefficient lists.  The
-    degree bounds make the pair unique.
-    """
-    r0, r1 = _ptrim([x % p for x in a]), _ptrim([x % p for x in b])
-    s0, s1, t0, t1 = [1], [0], [0], [1]
-    while r1 != [0]:
-        inv = pow(r1[-1], -1, p)
-        q, r = _pquo_rem(r0, _pscale(r1, inv, p), p)
-        minus_q = _pscale(q, -inv, p)   # r0 = -minus_q r1 + r
-        r0, r1 = r1, r
-        s0, s1 = s1, _ptrim(_padd(s0, poly_mul_mod(minus_q, s1, p), p))
-        t0, t1 = t1, _ptrim(_padd(t0, poly_mul_mod(minus_q, t1, p), p))
-    assert len(r0) == 1, "polynomials are not coprime"
-    inv = pow(r0[0], -1, p)
-    return _pscale(s0, inv, p), _pscale(t0, inv, p)
-
-
-def _hensel_pair(f, g0, h0, s0, t0, p, prec):
-    """Lift f = g h, s g + t h = 1 from mod p to mod p^prec.
-
-    g and h monic with deg f = deg g + deg h; quadratic steps.
-    """
-    g, h, s, t = (list(map(int, v)) for v in (g0, h0, s0, t0))
-    m = p
-    while m < p**prec:
-        m = min(m * m, p**prec)
-        e = _padd(f, _pscale(poly_mul_mod(g, h, m), -1, m), m)
-        q, r = _pquo_rem(poly_mul_mod(s, e, m), h, m)
-        g = _ptrim(_padd(_padd(g, poly_mul_mod(t, e, m), m),
-                         poly_mul_mod(q, g, m), m))
-        h = _ptrim(_padd(h, r, m))
-        b = _padd(_padd(poly_mul_mod(s, g, m), poly_mul_mod(t, h, m), m),
-                  [m - 1], m)
-        c, dd = _pquo_rem(poly_mul_mod(s, b, m), h, m)
-        s = _ptrim(_padd(s, _pscale(dd, -1, m), m))
-        t = _ptrim(_padd(_padd(t, _pscale(poly_mul_mod(t, b, m), -1, m), m),
-                         _pscale(poly_mul_mod(c, g, m), -1, m), m))
-    assert g[-1] == 1 and h[-1] == 1
-    return g, h, s, t
-
-
-def _poly_eval_matrix(coeffs, matrix, mod):
-    """Evaluate an ascending-coefficient polynomial at a matrix, Horner."""
-    n = matrix.shape[0]
-    out = np.zeros((n, n), dtype=np.int64)
-    eye = np.eye(n, dtype=np.int64)
-    matrix = np.asarray(matrix, dtype=object)
-    for c in reversed(coeffs):
-        out = np.asarray((np.asarray(out, dtype=object) @ matrix) % mod,
-                         dtype=np.int64)
-        cc = int(c) % mod
-        if cc:
-            out = (out + cc * eye) % mod
-    return out
-
-
-def slope_projector(matrix, p, prec, h=0):
-    """Idempotent onto the slope <= h part of the operator, exact mod p^prec.
-
-    Factors the characteristic polynomial as (non-unit-root part) times
-    (unit-root part) by Hensel lifting from the residue field, then
-    evaluates the Bezout complement at the matrix.  Only h = 0 has a
-    canonical integral splitting at every precision; asking for more
-    raises SlopeGapUnresolvable.
-    """
-    if h != 0:
-        raise SlopeGapUnresolvable(
-            f"no canonical splitting separates slope {h} from above at "
-            f"precision {prec}; only h = 0 is supported")
-    mod = p**prec
-    n = matrix.shape[0]
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    cp = berkowitz_charpoly(matrix, mod)
-    f = [int(c) % mod for c in reversed(cp)]
-    fp = [c % p for c in f]
-    a = 0
-    while a <= n and fp[a] == 0:
-        a += 1
-    if a == 0:
-        return np.eye(n, dtype=np.int64)
-    if a > n:
-        return np.zeros((n, n), dtype=np.int64)
-    qb = fp[a:]
-    rb = [0] * a + [1]
-    s0, t0 = _bezout_mod_p(rb, qb, p)
-    g_, h_, s_, t_ = _hensel_pair(f, rb, qb, s0, t0, p, prec)
-    # s g + t h = 1 and f(U) = 0, so (s g)(U) is the identity on the
-    # unit-root kernel of h(U) and zero on the complement
-    return _poly_eval_matrix(poly_mul_mod(s_, g_, mod), matrix, mod)
-
-
 class SlopeData:
     """Characteristic data of U_p at one precision, JSON-exportable."""
 
@@ -648,17 +514,21 @@ def _leading_unit_index(flatvec, p):
     return next((i for i, x in enumerate(flatvec) if int(x) % p), None)
 
 
-def lift_eigensymbol(space, phi, alpha, kappa, sign=-1, n_iter=None,
-                     perturb=None, target_loss=2):
+# p-adic digits a finite-precision check may lose: the eigensymbol lift,
+# its eigenvalues and lifting.verify_interpolation hold mod p^(prec - LOSS)
+LOSS = 2
+
+
+def lift_eigensymbol(space, phi, alpha, kappa, sign=-1, perturb=None):
     """Lift a classical U_p eigensymbol into the solved moment space.
 
     Seeds a stratum-k preimage of phi under specialization, then iterates
-    alpha^{-1} U_p composed with the sign and disc-sector projections;
-    every component off the target eigenline either lies in a
-    projected-away sector or carries positive relative slope and decays.
-    Requires the non-critical condition v_p(alpha) < k + 1.  Returns the
-    stratum-supported eigensymbol, scaled so its first unit coordinate is
-    1, together with the achieved residual valuation.
+    alpha^{-1} U_p composed with the sign and disc-sector projections,
+    2 (prec + 2) times; every component off the target eigenline either
+    lies in a projected-away sector or carries positive relative slope
+    and decays.  Requires the non-critical condition v_p(alpha) < k + 1.
+    Returns the stratum-supported eigensymbol, scaled so its first unit
+    coordinate is 1, together with the achieved residual valuation.
     """
     p, prec = space.p, space.prec
     mod = p**prec
@@ -686,27 +556,25 @@ def lift_eigensymbol(space, phi, alpha, kappa, sign=-1, n_iter=None,
     seed = space.combination(coeffs)
     if perturb is not None:
         seed = seed + perturb
-    if n_iter is None:
-        n_iter = 2 * (prec + 2)
     y = seed
-    for _ in range(n_iter):
+    for _ in range(2 * (prec + 2)):
         y = oc_hecke_Up(y).scale(ainv)
         y = oc_sign_project(y, sign)
         y = disc_sector_project(y, k)
     residual = oc_hecke_Up(y) - y.scale(int(alpha) % mod)
     res_val = min((valuation(v, p, prec) for v in residual.flat()),
                   default=prec)
-    if res_val < prec - target_loss:
+    if res_val < prec - LOSS:
         raise NoConvergence(
             f"iteration stalled: residual valuation {res_val} < "
-            f"{prec - target_loss}")
+            f"{prec - LOSS}")
     lead = _leading_unit_index(y.flat(), p)
     if lead is not None:
         y = y.scale(pow(int(y.flat()[lead]) % mod, -1, mod))
     return y, res_val
 
 
-def hecke_eigenvalue(sym, n, loss=2):
+def hecke_eigenvalue(sym, n):
     """Scalar of T_n on an eigensymbol, verified against the residual."""
     p, prec = sym.p, sym.prec
     mod = p**prec
@@ -719,6 +587,6 @@ def hecke_eigenvalue(sym, n, loss=2):
     residual = img - sym.scale(lam)
     res_val = min((valuation(v, p, prec) for v in residual.flat()),
                   default=prec)
-    if res_val < prec - loss:
-        raise NotEigen(f"residual valuation {res_val} below {prec - loss}")
+    if res_val < prec - LOSS:
+        raise NotEigen(f"residual valuation {res_val} below {prec - LOSS}")
     return lam

@@ -2,8 +2,8 @@
 
 Covers the congruence families F_M, the unimodular right action, Gauss
 reduction cycles, fundamental automorphs, level automorphs with their
-orientation normalization, geodesic boundary divisors, exact equivalence
-testing under Gamma0(M), and deterministic class enumeration.
+orientation normalization, geodesic boundary divisors, canonical keys of
+SL2(Z) classes, and deterministic class enumeration.
 
 Class enumeration never scans the cosets of Gamma0(M).  The primitive
 SL2(Z) classes of a discriminant come from one walk of each reduced cycle
@@ -36,8 +36,8 @@ from .arith import (
 )
 from .cosets import _p1_table, left_coset_reps
 from .errors import (
-    BadIndex, BadSemigroupElement, DegreeMismatch, DiscriminantMismatch,
-    NoConvergence, NonUnimodular, SquareDiscriminant)
+    BadIndex, BadSemigroupElement, DegreeMismatch, NoConvergence,
+    NonUnimodular, SquareDiscriminant)
 
 
 class QuadForm:
@@ -305,14 +305,16 @@ def cycle_divisor(Q, M, omega):
 
 
 # ---------------------------------------------------------------------------
-# equivalence testing
+# canonical keys of SL2(Z) classes
 
 
 def _root_directions(Q):
     """Primitive integer vectors spanning the two rational root lines."""
     d = Q.discriminant()
-    e = isqrt(d)
-    assert e * e == d
+    e = isqrt(max(d, 0))
+    if d <= 0 or e * e != d:
+        raise BadIndex(f"root directions need a positive square "
+                       f"discriminant, got {d}")
     if Q.a == 0:
         dirs = [(1, 0), (-Q.c, Q.b)]
     else:
@@ -320,7 +322,8 @@ def _root_directions(Q):
     out = []
     for x, y in dirs:
         g = gcd(x, y)
-        assert g != 0
+        if g == 0:
+            raise BadIndex(f"{Q} has a zero root direction")
         out.append((x // g, y // g))
     return out
 
@@ -331,92 +334,28 @@ def _square_canonical(P):
     Returns (canonical QuadForm, t) with act(P, t) = canonical; two such
     forms are SL2(Z)-equivalent iff their canonicals coincide.
     """
-    d = P.discriminant()
-    e = isqrt(d)
-    assert e * e == d and d > 0 and P.is_primitive()
-    for px, qx in _root_directions(P):
-        g0, s, t = xgcd(px, qx)
-        assert g0 == 1
-        ginv = (px, qx, -t, s)
-        assert mat_det(ginv) == 1
-        g = mat_inv(ginv)
+    if not P.is_primitive():
+        raise BadIndex(f"{P} is not primitive")
+    dirs = _root_directions(P)
+    e = isqrt(P.discriminant())
+    for px, qx in dirs:
+        _, s, t = xgcd(px, qx)
+        g = mat_inv((px, qx, -t, s))   # NonUnimodular unless gcd is 1
         F = act(P, g)
-        assert F.a == 0 and abs(F.b) == e
+        if F.a != 0 or abs(F.b) != e:
+            raise BadIndex(f"{P} moved by {g} to {F}, not (0, +-{e}, c)")
         if F.b == e:
             c0 = F.c % e if e > 0 else F.c
             m = (c0 - F.c) // e
             tr = (1, 0, -m, 1)
             total = mat_mul(g, tr)
             canon = act(P, total)
-            assert canon.triple() == (0, e, c0)
+            if canon.triple() != (0, e, c0):
+                raise BadIndex(f"{P} moved by {total} to {canon}, "
+                               f"not (0, {e}, {c0})")
             return canon, total
-    raise AssertionError("no root direction produced the +e orientation")
-
-
-def _sl2_transporter(P1, P2):
-    """Some g in SL2(Z) with act(P1, g) = P2, or None; primitive inputs."""
-    d = P1.discriminant()
-    e = isqrt(d)
-    if e * e == d:
-        c1, t1 = _square_canonical(P1)
-        c2, t2 = _square_canonical(P2)
-        if c1 != c2:
-            return None
-        return mat_mul(t1, mat_inv(t2))
-    R1, t1 = reduce_form(P1)
-    R2, t2 = reduce_form(P2)
-    members, _ = _cycle(R1)
-    for F, h in members:
-        if F == R2:
-            return mat_mul(mat_mul(t1, h), mat_inv(t2))
-    return None
-
-
-def _automorph_mod_search(g0, A, M):
-    """Least n >= 0 with lower-left of g0 * A^n divisible by M, else None.
-
-    Runs entirely mod M; the search stops after one full period of A in
-    SL2(Z/M).
-    """
-    if M == 1:
-        return 0
-    Am = tuple(x % M for x in A)
-    gm = tuple(x % M for x in g0)
-    ident = (1 % M, 0, 0, 1 % M)
-    power = ident
-    n = 0
-    while True:
-        cur = tuple(x % M for x in mat_mul(gm, power))
-        if cur[2] % M == 0:
-            return n
-        power = tuple(x % M for x in mat_mul(power, Am))
-        n += 1
-        if power == ident:
-            return None
-        assert n <= 10**7
-
-
-def equivalent_under_gamma0(Q1, Q2, M):
-    """A matrix g in Gamma0(M) with act(Q1, g) = Q2, or None."""
-    d = Q1.discriminant()
-    if d != Q2.discriminant():
-        raise DiscriminantMismatch(f"{d} vs {Q2.discriminant()}")
-    if Q1.content() != Q2.content():
-        return None
-    P1, P2 = Q1.primitive_part(), Q2.primitive_part()
-    g0 = _sl2_transporter(P1, P2)
-    if g0 is None:
-        return None
-    e = isqrt(P1.discriminant())
-    if e * e == P1.discriminant():
-        return g0 if g0[2] % M == 0 else None
-    A = fundamental_automorph(P2)
-    n = _automorph_mod_search(g0, A, M)
-    if n is None:
-        return None
-    g = mat_mul(g0, mat_pow(A, n))
-    assert g[2] % M == 0 and act(Q1, g) == Q2
-    return g
+    raise NoConvergence(f"no root direction of {P} gives the +{e} "
+                        f"orientation")
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,12 @@ sector blocks.
 coset of Gamma0(M) before it solved the F_M congruence per prime power
 of M, and ``primitive_sl2_classes_cycle`` is ``qf._primitive_sl2_classes``
 as it walked each reduced cycle on ``QuadForm`` objects through ``_cycle``.
+``equivalent_under_gamma0`` (with ``_sl2_transporter``,
+``_automorph_mod_search`` and its ``DiscriminantMismatch``) decides
+whether two forms are Gamma0(M)-equivalent, and certifies class
+enumeration; ``gamma0_generators`` is the Schreier generating set of
+Gamma0(M) that the invariance tests draw group elements from.  Both left
+the package because only the tests called them.
 
 ``weighted_sum``, ``evaluate_values`` and ``check_relations`` evaluate a
 classical symbol one generator value at a time through ``SymPoly.act``;
@@ -65,14 +71,16 @@ along the form.
 import json
 import warnings
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, gcd, isqrt
 from operator import mul
 
 import numpy as np
 import sympy
 
-from shintani.arith import RationalCusp
-from shintani.cosets import _units, left_coset_reps
+from shintani.arith import MAT_ID, RationalCusp, mat_inv, mat_mul, mat_pow
+from shintani.cosets import (
+    _units, coset_index, coset_section, left_coset_reps)
 from shintani.dist import _act_blocks, _check_s0, _pairs, _stratum_cols
 from shintani.errors import (
     BadIndex,
@@ -81,6 +89,7 @@ from shintani.errors import (
     NotInFM,
     OperandMismatch,
     PrecisionMismatch,
+    ShintaniError,
 )
 from shintani.lifting import quad_power
 from shintani.linalg import (
@@ -100,7 +109,17 @@ from shintani.modsym import (
     solve_symbol_space,
 )
 from shintani.ocsymb import _sources
-from shintani.qf import QuadForm, _cycle, act, cycle_divisor, in_FM, is_reduced
+from shintani.qf import (
+    QuadForm,
+    _cycle,
+    _square_canonical,
+    act,
+    cycle_divisor,
+    fundamental_automorph,
+    in_FM,
+    is_reduced,
+    reduce_form,
+)
 
 
 class MomentDist2:
@@ -1030,6 +1049,103 @@ def primitive_sl2_classes_cycle(d):
         seen.update(cycle_forms)
         classes.append(min(cycle_forms, key=QuadForm.triple))
     return sorted(classes, key=QuadForm.triple)
+
+
+# ---------------------------------------------------------------------------
+# Gamma0(M)-equivalence and generators
+
+
+class DiscriminantMismatch(ShintaniError):
+    """Two quadratic forms that should share a discriminant do not."""
+
+
+def _sl2_transporter(P1, P2):
+    """Some g in SL2(Z) with act(P1, g) = P2, or None; primitive inputs."""
+    d = P1.discriminant()
+    e = isqrt(d)
+    if e * e == d:
+        c1, t1 = _square_canonical(P1)
+        c2, t2 = _square_canonical(P2)
+        if c1 != c2:
+            return None
+        return mat_mul(t1, mat_inv(t2))
+    R1, t1 = reduce_form(P1)
+    R2, t2 = reduce_form(P2)
+    members, _ = _cycle(R1)
+    for F, h in members:
+        if F == R2:
+            return mat_mul(mat_mul(t1, h), mat_inv(t2))
+    return None
+
+
+def _automorph_mod_search(g0, A, M):
+    """Least n >= 0 with lower-left of g0 * A^n divisible by M, else None.
+
+    Runs entirely mod M; the search stops after one full period of A in
+    SL2(Z/M).
+    """
+    if M == 1:
+        return 0
+    Am = tuple(x % M for x in A)
+    gm = tuple(x % M for x in g0)
+    ident = (1 % M, 0, 0, 1 % M)
+    power = ident
+    n = 0
+    while True:
+        cur = tuple(x % M for x in mat_mul(gm, power))
+        if cur[2] % M == 0:
+            return n
+        power = tuple(x % M for x in mat_mul(power, Am))
+        n += 1
+        if power == ident:
+            return None
+        assert n <= 10**7
+
+
+def equivalent_under_gamma0(Q1, Q2, M):
+    """A matrix g in Gamma0(M) with act(Q1, g) = Q2, or None."""
+    d = Q1.discriminant()
+    if d != Q2.discriminant():
+        raise DiscriminantMismatch(f"{d} vs {Q2.discriminant()}")
+    if Q1.content() != Q2.content():
+        return None
+    P1, P2 = Q1.primitive_part(), Q2.primitive_part()
+    g0 = _sl2_transporter(P1, P2)
+    if g0 is None:
+        return None
+    e = isqrt(P1.discriminant())
+    if e * e == P1.discriminant():
+        return g0 if g0[2] % M == 0 else None
+    A = fundamental_automorph(P2)
+    n = _automorph_mod_search(g0, A, M)
+    if n is None:
+        return None
+    g = mat_mul(g0, mat_pow(A, n))
+    assert g[2] % M == 0 and act(Q1, g) == Q2
+    return g
+
+
+@lru_cache(maxsize=None)
+def gamma0_generators(M):
+    """A finite generating set of Gamma0(M), by Schreier's lemma.
+
+    SL2(Z) is generated by S and T; for each section element g and each
+    generator x, the element g x h^{-1} (h the section rep of the coset of
+    g x) lies in Gamma0(M), and together these generate it.
+    """
+    S = (0, -1, 1, 0)
+    T = (1, 1, 0, 1)
+    section = coset_section(M)
+    gens = set()
+    for g in section:
+        for x in (S, T):
+            gx = mat_mul(g, x)
+            h = section[coset_index(gx, M)]
+            gamma = mat_mul(gx, mat_inv(h))
+            assert gamma[2] % M == 0
+            if gamma != MAT_ID:
+                gens.add(gamma)
+    return tuple(sorted(gens))
 
 
 # ---------------------------------------------------------------------------

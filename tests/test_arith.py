@@ -4,13 +4,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from sympy import isprime, jacobi_symbol
 
 from shintani.arith import (
     DirichletChar,
     RationalCusp,
-    cfrac_path,
     crt,
     is_prime,
     kronecker,
@@ -277,41 +276,16 @@ def test_mat_helpers():
     assert mat_mul(j, mat_inv(j)) == (1, 0, 0, 1)
 
 
-def test_cfrac_path_examples():
-    # 0: single identity-column step
-    assert cfrac_path(RationalCusp(0)) == [(1, 0, 0, 1)]
-    # 1/2: chain oo -> 0 -> 1/2
-    path = cfrac_path(RationalCusp(1, 2))
-    assert len(path) == 2
-    cols = [(path[0][0], path[0][2])] + [(m[1], m[3]) for m in path]
-    assert cols == [(1, 0), (0, 1), (1, 2)]
-    # 5/3: through the convergents of [1; 1, 2] = 1, 2, 5/3
-    path = cfrac_path(RationalCusp(5, 3))
-    cols = [(path[0][0], path[0][2])] + [(m[1], m[3]) for m in path]
-    assert cols == [(1, 0), (1, 1), (2, 1), (5, 3)]
-    for m in path:
-        assert mat_det(m) in (1, -1)
-    with pytest.raises(ValueError):
-        cfrac_path(RationalCusp.infinity())
-
-
-@given(st.integers(-10**6, 10**6), st.integers(1, 10**6))
-def test_cfrac_path_telescopes(num, den):
-    g = gcd(num, den)
-    num, den = num // max(g, 1), den // max(g, 1)
-    cusp = RationalCusp(num, den)
-    path = cfrac_path(cusp)
-    # endpoints: first column of first step is oo, last column is the cusp
-    assert (path[0][0], path[0][2]) == (1, 0)
-    assert RationalCusp(path[-1][1], path[-1][3]) == cusp
-    for m in path:
-        assert mat_det(m) in (1, -1)
-    # consecutive steps share a column cusp
-    for m1, m2 in zip(path, path[1:]):
-        assert (m1[1], m1[3]) == (m2[0], m2[2])
+# the convergents of 0, 1/2 and 5/3 = [1; 1, 2], after oo = (1, 0)
+CONVERGENTS = {(0, 1): [(1, 0), (0, 1)],
+               (1, 2): [(1, 0), (0, 1), (1, 2)],
+               (5, 3): [(1, 0), (1, 1), (2, 1), (5, 3)]}
 
 
 @given(st.integers(-10**4, 10**4), st.integers(1, 10**4))
+@example(0, 1)
+@example(1, 2)
+@example(5, 3)
 def test_sl2_chain_identity(num, den):
     g = gcd(num, den)
     num, den = num // max(g, 1), den // max(g, 1)
@@ -320,6 +294,16 @@ def test_sl2_chain_identity(num, den):
     # every chain element is in SL2(Z)
     for m in chain:
         assert mat_det(m) == 1
+    # first columns run through the convergents from oo to the cusp, and
+    # each second column is the convergent before, up to sign
+    cols = [(1, 0)] + [(m[0], m[2]) for m in chain]
+    assert cols[-1] == (num, den)
+    for prev, m in zip(cols, chain):
+        assert (m[1], m[3]) in (prev, (-prev[0], -prev[1]))
+    if (num, den) in CONVERGENTS:
+        assert cols == CONVERGENTS[num, den]
+    with pytest.raises(ValueError):
+        sl2_chain(RationalCusp.infinity())
     # {cusp} - {oo} = -sum ({g 0} - {g oo}) as formal divisors
     totals = {}
     inf = RationalCusp.infinity()

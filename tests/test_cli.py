@@ -246,6 +246,28 @@ def test_usage_error_int64_overflow(capsys):
     assert "KernelOverflow" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    "verify equivariance --level 11 --weight 1 --nmax 5 --ells 0",
+    "verify equivariance --level 11 --weight 1 --nmax 5 --ells 4",
+    "verify equivariance --level 11 --weight 1 --nmax 5 --ells 11",
+    "verify oc-hecke --p 5 --moments 2 --padic-prec 2 --nmax 5 --ells 0",
+    "verify oc-hecke --p 5 --moments 2 --padic-prec 2 --nmax 5 --ells 2",
+    "shintani oc --p 6 --moments 2 --padic-prec 2 --nmax 3",
+    "slopes --p 11 --moments 2 --padic-prec 0",
+    "slopes --p 11 --moments -1 --padic-prec 2",
+    "verify interpolation --p 5 --moments 1 --padic-prec 3 --nmax 5 "
+    "--weights 2",
+    "modsym basis --level 11 --weight 0 --char 3",
+])
+def test_usage_error_one_line_exit_two(capsys, argv):
+    code = cli.main(argv.split())
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_usage_error_missing_subcommand():
     with pytest.raises(SystemExit) as exc:
         cli.main(["qf"])
@@ -374,10 +396,10 @@ def test_runtime_needs_numpy_only(capsys):
 
 
 def test_jobconfig_character():
-    cfg = cli.JobConfig(command="x", char_disc=5)
+    cfg = cli.JobConfig(char_disc=5)
     chi = cfg.character()
     assert chi(2) == DirichletChar.from_kronecker(5)(2) == -1
-    assert cli.JobConfig(command="x").character()(2) == 1
+    assert cli.JobConfig().character()(2) == 1
 
 
 def test_json_diff_helper():

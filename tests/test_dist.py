@@ -9,7 +9,6 @@ import pytest
 import sympy
 
 from shintani.arith import DirichletChar, mat_mul
-from shintani.cosets import gamma0_generators
 from shintani.errors import (
     BadSemigroupElement,
     InsufficientMoments,
@@ -38,6 +37,7 @@ from oracles import (
     dirac_distN,
     eval_weight,
     eval_weight_meta,
+    gamma0_generators,
     meta_zero,
     moments2_dumps,
     moments2_from_json,

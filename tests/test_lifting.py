@@ -1,8 +1,6 @@
 """Exact and finite-precision lifts to half-integral-weight expansions."""
 
 import ast
-import importlib
-import inspect
 import json
 import os
 import pathlib
@@ -846,51 +844,64 @@ def test_formal_json_deterministic(ocphi5):
 
 
 # ---------------------------------------------------------------------------
-# public surface
+# source surface
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "shintani"
 
 
-def _references(path):
-    """{owner: names referenced} of a module; owner is None at top level.
+def _definitions():
+    """Top-level definitions of src/ and the names module-level code uses.
 
-    The owner of a reference inside a top-level function or class is that
-    definition's name, so a function calling itself does not count.
+    Returns ({(module, name): names referenced inside it}, names), where
+    names are those that module-level statements other than imports
+    reference.  A reference is a bare name or an attribute name, so a
+    name reaches every definition of that name in any module.
     """
-    tree = ast.parse(path.read_text())
-    refs = {}
-    for node in tree.body:
-        owner = (node.name if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            else None)
-        names = refs.setdefault(owner, set())
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
-                names.add(sub.id)
-            elif isinstance(sub, ast.Attribute):
-                names.add(sub.attr)
-            elif isinstance(sub, ast.alias):
-                names.add(sub.name)
-    return refs
+    defs, seeds = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            names = {sub.id if isinstance(sub, ast.Name) else sub.attr
+                     for sub in ast.walk(node)
+                     if isinstance(sub, (ast.Name, ast.Attribute))}
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defs[path.stem, node.name] = names
+            else:
+                seeds |= names
+    return defs, seeds
 
 
-@pytest.mark.parametrize("module",
-                         ["dist", "lifting", "linalg", "manin", "modsym"])
-def test_public_names_have_callers_outside_the_tests(module):
-    # every public function and class is referenced in src/ outside its
-    # own definition, or named in bench/ or the README
-    root = pathlib.Path(__file__).resolve().parents[1]
-    mod = importlib.import_module(f"shintani.{module}")
-    public = [name for name, obj in vars(mod).items()
-              if not name.startswith("_")
-              and (inspect.isfunction(obj) or inspect.isclass(obj))
-              and obj.__module__ == mod.__name__]
-    assert public
-    used = set()
-    for path in sorted((root / "src" / "shintani").glob("*.py")):
-        for owner, names in _references(path).items():
-            used |= {n for n in names
-                     if (path.stem, owner) != (module, n)}
-    texts = [path.read_text() for path in sorted((root / "bench").glob("*.py"))]
-    texts.append((root / "README.md").read_text())
-    unused = [name for name in public if name not in used
-              and not any(re.search(rf"\b{name}\b", t) for t in texts)]
-    assert unused == [], f"shintani.{module}: only the tests call {unused}"
+def test_every_definition_in_src_is_reached():
+    # every function and class of src/, private or cached ones included,
+    # is reached from cli.main, module-level code or a name that bench/
+    # or the README uses, through the names each reached one references
+    defs, names = _definitions()
+    texts = [path.read_text() for path in sorted((ROOT / "bench").glob("*.py"))]
+    texts.append((ROOT / "README.md").read_text())
+    names |= {name for _, name in defs
+              if any(re.search(rf"\b{re.escape(name)}\b", t) for t in texts)}
+    by_name = {}
+    for key in defs:
+        by_name.setdefault(key[1], []).append(key)
+    todo = [("cli", "main")] + [key for n in names for key in by_name.get(n, ())]
+    reached = set()
+    while todo:
+        key = todo.pop()
+        if key not in reached:
+            reached.add(key)
+            todo += [k for n in defs[key] for k in by_name.get(n, ())]
+    unreached = sorted(f"{m}.{n}" for m, n in set(defs) - reached)
+    assert unreached == [], f"only the tests reach {unreached}"
+
+
+def test_src_has_no_assert():
+    # python -O strips assert statements, so checks raise errors.py classes
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)
+             or (isinstance(node, ast.Name) and node.id == "AssertionError")]
+    assert found == []

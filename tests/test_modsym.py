@@ -9,7 +9,7 @@ import pytest
 import sympy
 
 from shintani.arith import DirichletChar, mat_inv, mat_mul
-from shintani.cosets import coset_index, coset_section, gamma0_generators
+from shintani.cosets import coset_index, coset_section
 from shintani.errors import (
     BadCharacteristic,
     BadIndex,
@@ -45,6 +45,7 @@ from oracles import (
     eigensymbols_sympy,
     evaluate_symbol,
     frac_solve_many,
+    gamma0_generators,
     hecke_Tll,
     hecke_Up,
     pairing,

@@ -1,4 +1,4 @@
-"""Overconvergent symbol spaces, slopes, projectors, and the eigenlift."""
+"""Overconvergent symbol spaces, slopes, and the eigenlift."""
 
 import json
 import random
@@ -16,7 +16,6 @@ from shintani.errors import (
     CriticalSlope,
     NotEigen,
     PrecisionMismatch,
-    SlopeGapUnresolvable,
 )
 from shintani import manin, ocsymb
 from shintani.linalg import berkowitz_charpoly, zpm_kernel, zpm_solve
@@ -35,7 +34,6 @@ from shintani.ocsymb import (
     oc_hecke_Up,
     oc_involution,
     oc_sign_project,
-    slope_projector,
     solve_oc_space,
     specialize_symbol,
     up_matrix,
@@ -570,7 +568,7 @@ def test_operator_on_a_stack_matches_column_by_column(reps):
 
 
 # ---------------------------------------------------------------------------
-# newton_slopes and slope_projector
+# newton_slopes
 
 
 def test_newton_slopes_handbuilt():
@@ -615,18 +613,6 @@ def test_slope_zero_present_and_rank_certified(sp11_big):
     assert 0 in slopes
 
 
-def test_slope_projector_idempotent_commutes(sp11_big):
-    p, prec = 11, 8
-    mod = p**prec
-    U0 = up_matrix(sp11_big, 0)
-    E = slope_projector(U0, p, prec)
-    assert np.array_equal(mmul(E, E, mod), E % mod)
-    assert np.array_equal(mmul(E, U0, mod), mmul(U0, E, mod))
-    cp0 = berkowitz_charpoly(U0, mod)
-    slopes0, _ = newton_slopes(cp0, p, prec)
-    assert rank_mod_p(E, p) == sum(1 for s in slopes0 if s == 0)
-
-
 def test_slope_projector_complement_determinant(sp11_big):
     # val(det U) = sum of all slopes; units contribute nothing, so this
     # is the determinant valuation of U on the slope > 0 complement
@@ -643,34 +629,6 @@ def test_slope_projector_complement_determinant(sp11_big):
         v += 1
     assert v == pos_sum
     assert v < prec - 2
-
-
-def test_bezout_mod_p_matches_sympy_gcdex():
-    sympy = pytest.importorskip("sympy")
-    x = sympy.symbols("x")
-    rng = random.Random(5)
-    checked = 0
-    for p in (5, 7, 11):
-        for _ in range(60):
-            a = [rng.randrange(p) for _ in range(rng.randint(1, 7))] + [1]
-            b = [rng.randrange(p) for _ in range(rng.randint(0, 6))] + [1]
-            A = sympy.Poly(a[::-1], x, modulus=p)
-            B = sympy.Poly(b[::-1], x, modulus=p)
-            ss, tt, gg = sympy.gcdex(A, B)
-            if gg.degree() != 0:
-                continue
-            ginv = pow(int(gg.LC()) % p, -1, p)
-            want = tuple([int(c) * ginv % p for c in v.all_coeffs()[::-1]]
-                         or [0] for v in (ss, tt))
-            assert ocsymb._bezout_mod_p(a, b, p) == want
-            checked += 1
-    assert checked > 100
-
-
-def test_slope_projector_gap_unresolvable(sp11_small):
-    U = up_matrix(sp11_small, 0)
-    with pytest.raises(SlopeGapUnresolvable):
-        slope_projector(U, 11, 5, h=1)
 
 
 def test_slope_data_json(sp11_big):

@@ -9,18 +9,19 @@ from math import gcd, isqrt
 
 import pytest
 import sympy
-from oracles import bucket_dedupe_scan, primitive_sl2_classes_cycle
+from oracles import (
+    DiscriminantMismatch,
+    bucket_dedupe_scan,
+    equivalent_under_gamma0,
+    gamma0_generators,
+    primitive_sl2_classes_cycle,
+)
 
 import shintani
 from shintani import cli, qf
 from shintani.arith import MAT_ID, RationalCusp, mat_det, mat_inv, mat_mul, mat_pow
-from shintani.cosets import (
-    coset_index,
-    coset_section,
-    gamma0_generators,
-    p1_classes,
-)
-from shintani.errors import DiscriminantMismatch, NonUnimodular, SquareDiscriminant
+from shintani.cosets import coset_index, coset_section, p1_classes
+from shintani.errors import NonUnimodular, SquareDiscriminant
 from shintani.qf import (
     QuadForm,
     _bucket_dedupe,
@@ -30,7 +31,6 @@ from shintani.qf import (
     act,
     cycle_divisor,
     enumerate_classes,
-    equivalent_under_gamma0,
     fundamental_automorph,
     gamma_Q,
     in_FM,
