@@ -874,10 +874,10 @@ def _definitions():
     return defs, seeds
 
 
-def test_every_definition_in_src_is_reached():
-    # every function and class of src/, private or cached ones included,
-    # is reached from cli.main, module-level code or a name that bench/
-    # or the README uses, through the names each reached one references
+def _reached():
+    """Definitions of src/ reached from cli.main, module-level code or a
+    name that bench/ or the README uses, through the names each reached
+    one references; returns (definitions, reached)."""
     defs, names = _definitions()
     texts = [path.read_text() for path in sorted((ROOT / "bench").glob("*.py"))]
     texts.append((ROOT / "README.md").read_text())
@@ -893,7 +893,16 @@ def test_every_definition_in_src_is_reached():
         if key not in reached:
             reached.add(key)
             todo += [k for n in defs[key] for k in by_name.get(n, ())]
-    unreached = sorted(f"{m}.{n}" for m, n in set(defs) - reached)
+    return defs, reached
+
+
+@pytest.mark.parametrize("module", sorted({m for m, _ in _definitions()[0]}))
+def test_public_names_have_callers_outside_the_tests(module):
+    # every function and class of the module, private or cached ones
+    # included, is reached from outside the tests (see _reached)
+    defs, reached = _reached()
+    unreached = sorted(f"{m}.{n}" for m, n in set(defs) - reached
+                       if m == module)
     assert unreached == [], f"only the tests reach {unreached}"
 
 
