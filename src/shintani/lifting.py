@@ -71,14 +71,11 @@ class HalfIntQExp:
 
     ``coeffs`` maps n >= 1 to a coefficient; indices up to ``n_max``
     that are absent are zero, indices beyond ``n_max`` are unknown.
-    ``twists`` lists the primes whose index-compression operators have
-    been applied; each multiplies the nebentype by the quadratic
-    symbol at that prime.
     """
 
-    __slots__ = ("M", "k", "chi", "ring", "n_max", "twists", "coeffs")
+    __slots__ = ("M", "k", "chi", "ring", "n_max", "coeffs")
 
-    def __init__(self, M, k, chi, coeffs, n_max, ring="Q", twists=()):
+    def __init__(self, M, k, chi, coeffs, n_max, ring="Q"):
         check_ring(ring)
         if M < 1 or k < 0 or n_max < 0:
             raise BadIndex(f"need M >= 1, k >= 0 and n_max >= 0, "
@@ -88,7 +85,6 @@ class HalfIntQExp:
         self.chi = chi
         self.ring = ring
         self.n_max = n_max
-        self.twists = tuple(twists)
         store = {}
         for n, v in dict(coeffs).items():
             if not 1 <= n <= n_max:
@@ -108,11 +104,8 @@ class HalfIntQExp:
         return (2 * self.k + 3, 2)
 
     def character(self, d):
-        """Nebentype value at d, with all index-compression twists."""
-        v = self.chi(d) * kronecker((-1) ** (self.k + 1) * self.M, d)
-        for t in self.twists:
-            v *= kronecker(t, d)
-        return v
+        """Nebentype value at d."""
+        return self.chi(d) * kronecker((-1) ** (self.k + 1) * self.M, d)
 
     def coeff(self, n):
         if not 1 <= n <= self.n_max:
@@ -120,15 +113,14 @@ class HalfIntQExp:
         return self.coeffs.get(n, 0)
 
     def _compat(self, other):
-        if ((self.M, self.k, self.ring, self.twists, self.chi) !=
-                (other.M, other.k, other.ring, other.twists, other.chi)):
+        if ((self.M, self.k, self.ring, self.chi) !=
+                (other.M, other.k, other.ring, other.chi)):
             raise OperandMismatch(f"{self!r} and {other!r} do not add")
 
-    def _like(self, coeffs, n_max=None, twists=None):
+    def _like(self, coeffs, n_max=None):
         return HalfIntQExp(self.M, self.k, self.chi, coeffs,
                            self.n_max if n_max is None else n_max,
-                           self.ring,
-                           self.twists if twists is None else twists)
+                           self.ring)
 
     def __add__(self, other):
         self._compat(other)
@@ -154,10 +146,10 @@ class HalfIntQExp:
     def __eq__(self, other):
         if not isinstance(other, HalfIntQExp):
             return NotImplemented
-        return ((self.M, self.k, self.chi, self.ring, self.twists,
-                 self.n_max, self.coeffs) ==
-                (other.M, other.k, other.chi, other.ring, other.twists,
-                 other.n_max, other.coeffs))
+        return ((self.M, self.k, self.chi, self.ring, self.n_max,
+                 self.coeffs) ==
+                (other.M, other.k, other.chi, other.ring, other.n_max,
+                 other.coeffs))
 
     def to_json(self):
         return {

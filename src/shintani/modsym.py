@@ -11,13 +11,15 @@ the level-M group.  Both action matrices are exact Sym^k blocks of
 ``dist._sym_blocks``.  Base rings are exact: "Q" (Fraction coefficients)
 or ("zpm", p, prec) with p >= 5.
 
-A symbol is its generator values, and everything else goes through
-integer rows acting on its flat coordinates: the relation rows that the
-solver's kernel is checked against, the evaluation matrix of a divisor
-(``_term_rows``) and one cached matrix per Hecke operator or involution
-(``_coset_rows``).  Coordinates in a basis are read off each basis
-vector's private column.  The value-by-value evaluation and the pairing
-itself are the tests' oracles.
+A symbol is one tuple of flat coordinates, one side-L block per
+generator, and everything goes through integer rows acting on it: the
+relation rows that the solver's kernel is checked against, the
+evaluation matrix of a divisor (``_term_rows``) and one cached matrix per
+Hecke operator or involution (``_coset_rows``).  Coordinates in a basis
+are read off each basis vector's private column.  ``SymPoly``, one
+weight-k vector on either side, is the value type of
+``lifting.quad_power`` and ``dist.specialize``; the value-by-value
+evaluation and the pairing itself are the tests' oracles.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import count, dropwhile
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 
 import numpy as np
 
@@ -70,9 +72,15 @@ def check_ring(ring):
 
 
 def ring_reduce(ring, x):
+    """x in the ring; a fraction a/b goes to a * b^-1 mod p^M."""
     if ring == "Q":
         return x if isinstance(x, Fraction) else Fraction(x)
     _, p, prec = ring
+    if isinstance(x, Fraction):
+        if x.denominator % p == 0:
+            raise BadCharacteristic(f"{x} has no image in Z/{p}^{prec}: "
+                                    f"its denominator is not a unit")
+        return x.numerator * pow(x.denominator, -1, p**prec) % p**prec
     return int(x) % p**prec
 
 
@@ -192,64 +200,57 @@ class SymPoly:
 
 
 class ModularSymbol:
-    """Generator values of one symbol; the presentation does the rest."""
+    """One symbol as its flat coordinates; the presentation does the rest.
 
-    __slots__ = ("level", "k", "chi", "ring", "values")
+    ``coords()`` is a tuple of ngens * (k + 1) ring-reduced coefficients:
+    one block per generator in ``p1_classes`` order, each in the divided
+    basis of side L.
+    """
 
-    def __init__(self, level, k, chi, ring, values):
-        values = tuple(values)
-        ngens = len(p1_classes(level))
-        if len(values) != ngens:
-            raise DegreeMismatch(f"level {level} needs {ngens} generator "
-                                 f"values, got {len(values)}")
-        for v in values:
-            if (v.level, v.k, v.ring) != (level, k, ring):
-                raise OperandMismatch(f"{v!r} is not a value at level "
-                                      f"{level}, weight {k}, ring {ring!r}")
+    __slots__ = ("level", "k", "chi", "ring", "_flat")
+
+    def __init__(self, level, k, chi, ring, coords):
+        check_ring(ring)
+        coords = tuple(coords)
+        n = len(p1_classes(level)) * (k + 1)
+        if len(coords) != n:
+            raise DegreeMismatch(f"level {level}, weight {k} needs {n} "
+                                 f"coordinates, got {len(coords)}")
         self.level = level
         self.k = k
         self.chi = chi
         self.ring = ring
-        self.values = values
+        self._flat = tuple(ring_reduce(ring, x) for x in coords)
+
+    def _like(self, coords):
+        return ModularSymbol(self.level, self.k, self.chi, self.ring, coords)
 
     def zero_like(self):
-        z = self.values[0].zero_like()
-        return ModularSymbol(self.level, self.k, self.chi, self.ring,
-                             [z] * len(self.values))
+        return self._like((0,) * len(self._flat))
 
     def __add__(self, other):
-        if (self.level, self.k, self.ring) != (other.level, other.k, other.ring):
+        if ((self.level, self.k, self.chi, self.ring) !=
+                (other.level, other.k, other.chi, other.ring)):
             raise OperandMismatch(f"{self!r} and {other!r} do not add")
-        return ModularSymbol(self.level, self.k, self.chi, self.ring,
-                             [x + y for x, y in zip(self.values, other.values)])
+        return self._like(map(add, self._flat, other._flat))
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, r):
-        return ModularSymbol(self.level, self.k, self.chi, self.ring,
-                             [v.scale(r) for v in self.values])
+        return self._like(r * x for x in self._flat)
 
     def is_zero(self):
-        return all(v.is_zero() for v in self.values)
+        return not any(self._flat)
 
     def coords(self):
         """Flat coefficient vector, generator blocks in order."""
-        out = []
-        for v in self.values:
-            out.extend(v.coeffs)
-        return tuple(out)
+        return self._flat
 
     def __repr__(self):
         return (f"ModularSymbol(level={self.level}, k={self.k}, "
-                f"ring={self.ring!r}, {len(self.values)} generators)")
-
-
-def _from_flat(M, k, chi, ring, flat):
-    step = k + 1
-    vals = [SymPoly(M, k, flat[i * step:(i + 1) * step], chi, "L", ring)
-            for i in range(len(flat) // step)]
-    return ModularSymbol(M, k, chi, ring, vals)
+                f"ring={self.ring!r}, {len(self._flat) // (self.k + 1)} "
+                f"generators)")
 
 
 def _term_rows(M, k, chi, groups):
@@ -318,8 +319,7 @@ def _apply_int_matrix(rows, phi):
 
 
 def _apply_rows(phi, rows):
-    return _from_flat(phi.level, phi.k, phi.chi, phi.ring,
-                      _apply_int_matrix(rows, phi))
+    return phi._like(_apply_int_matrix(rows, phi))
 
 
 def solve_symbol_space(M, k, chi, ring="Q"):
@@ -349,7 +349,7 @@ def solve_symbol_space(M, k, chi, ring="Q"):
     if np.any(residue):
         raise OperandMismatch(f"a solved level-{M} weight-{k} symbol "
                               f"breaks the relations")
-    return [_from_flat(M, k, chi, ring, [int(x) for x in vec])
+    return [ModularSymbol(M, k, chi, ring, [int(x) for x in vec])
             for vec in basis]
 
 
@@ -478,7 +478,7 @@ def eigensymbols(M, k, chi, sign):
         ints = _normalize_content(flat)
         if next(x for x in ints if x) < 0:
             ints = [-x for x in ints]
-        sym = _from_flat(M, k, chi, "Q", ints)
+        sym = ModularSymbol(M, k, chi, "Q", ints)
         clean = {l: (int(x) if x.denominator == 1 else x) for l, x in emap.items()}
         out.append((sym, clean))
     out.sort(key=lambda se: tuple(se[1][l] for l in primes))

@@ -46,7 +46,7 @@ from .linalg import (
     zpm_solve,
     zpm_span_basis,
 )
-from .modsym import ModularSymbol, SymPoly, check_ring
+from .modsym import ModularSymbol, check_ring
 
 
 class OCSymbol:
@@ -494,20 +494,17 @@ class SlopeData:
 
 def specialize_symbol(sym, kappa):
     """Generator-wise projection to the classical weight-k symbol space."""
-    vals = [specialize(gen, kappa, sym.N, sym.p, sym.prec, sym.T)
-            for gen in sym.data]
+    coords = [x for gen in sym.data
+              for x in specialize(gen, kappa, sym.N, sym.p, sym.prec,
+                                  sym.T).coeffs]
     return ModularSymbol(sym.level, kappa.k, kappa.chi,
-                         ("zpm", sym.p, sym.prec), vals)
+                         ("zpm", sym.p, sym.prec), coords)
 
 
 def classical_to_zpm(phi, p, prec):
-    """Reduce an integral classical symbol into the mod p^prec model."""
-    vals = []
-    for v in phi.values:
-        ints = [int(x) for x in v.coeffs]
-        vals.append(SymPoly(phi.level, phi.k, ints, phi.chi, v.side,
-                            ("zpm", p, prec)))
-    return ModularSymbol(phi.level, phi.k, phi.chi, ("zpm", p, prec), vals)
+    """Reduce a classical symbol, p-integral, into the mod p^prec model."""
+    return ModularSymbol(phi.level, phi.k, phi.chi, ("zpm", p, prec),
+                         phi.coords())
 
 
 def _leading_unit_index(flatvec, p):

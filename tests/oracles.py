@@ -19,10 +19,8 @@ masses, multiplicative convolution, the squaring pushforward and weight
 evaluation, are the lift's coefficient ring as the package kept it, one
 object per coefficient, before a ``FormalQExp`` became one int64 array
 of right factors.  ``meta_of`` and ``row_of`` convert between an array
-row and a ``MetaCoeff`` with the point mass at 1 as its left factor;
-``qexp_module_action`` acts on the left factors through that ring, and
-``halfint_Tp`` is the index compression of exact expansions, which only
-the tests use.
+row and a ``MetaCoeff`` with the point mass at 1 as its left factor,
+and ``qexp_module_action`` acts on the left factors through that ring.
 
 ``stratum_relation_matrix`` is one stratum's relation matrix in disc
 coordinates, the matrix ``solve_oc_space`` reduced whole before it solved
@@ -42,9 +40,13 @@ enumeration; ``gamma0_generators`` is the Schreier generating set of
 Gamma0(M) that the invariance tests draw group elements from.  Both left
 the package because only the tests called them.
 
-``weighted_sum``, ``evaluate_values`` and ``check_relations`` evaluate a
-classical symbol one generator value at a time through ``SymPoly.act``;
-with ``evaluate_symbol``, ``act_involution``, ``pairing``, ``dirac_poly``,
+``sympolys_of`` and ``symbol_of`` convert between a ``ModularSymbol``'s
+flat coordinates and its generator values, one side-L ``SymPoly`` each,
+the form the package stored a classical symbol in before it became one
+coordinate tuple.  ``weighted_sum``, ``evaluate_values`` and
+``check_values`` evaluate generator values of any type one at a time,
+a classical symbol's through ``SymPoly.act``; with ``check_relations``,
+``evaluate_symbol``, ``act_involution``, ``pairing``, ``dirac_poly``,
 ``Divisor0`` and the class-by-class cycle pairing ``J_classical`` they
 are the second route the package kept for classical symbols before it
 checked, evaluated and gave them coordinates through integer rows only.
@@ -96,9 +98,9 @@ from shintani.linalg import (
     _check_kernel_bounds, frac_nullspace, frac_rref, zpm_solve)
 from shintani.manin import MAT_IOTA, divisor_terms, presentation
 from shintani.modsym import (
+    ModularSymbol,
     SymPoly,
     _apply_rows,
-    _from_flat,
     _hecke_rows,
     _merge_eigen,
     _normalize_content,
@@ -658,15 +660,6 @@ def qexp_module_action(r, e):
     return e._like(np.array(rows, dtype=np.int64).reshape(e.data.shape))
 
 
-def halfint_Tp(e, p):
-    """Index compression by a prime dividing the level parameter."""
-    if e.M % p:
-        raise BadIndex(f"{p} does not divide the level parameter {e.M}")
-    nm = e.n_max // p
-    return e._like({n: e.coeff(p * n) for n in range(1, nm + 1)},
-                   n_max=nm, twists=e.twists + (p,))
-
-
 # ------------------------------------------------------------------- JSON
 
 def moments2_to_json(mu):
@@ -990,7 +983,7 @@ def eigensymbols_sympy(M, k, chi, sign, lbound=7):
         ints = _normalize_content(flat)
         if next(x for x in ints if x) < 0:
             ints = [-x for x in ints]
-        sym = _from_flat(M, k, chi, "Q", ints)
+        sym = ModularSymbol(M, k, chi, "Q", ints)
         clean = {l: (int(x) if x.denominator == 1 else x) for l, x in emap.items()}
         out.append((sym, clean))
     out.sort(key=lambda se: tuple(se[1][l] for l in primes))
@@ -1152,6 +1145,22 @@ def gamma0_generators(M):
 # the classical symbols' value-by-value route
 
 
+def sympolys_of(phi):
+    """Generator values of a ModularSymbol, one side-L SymPoly each."""
+    step = phi.k + 1
+    flat = phi.coords()
+    return tuple(SymPoly(phi.level, phi.k, flat[i:i + step], phi.chi, "L",
+                         phi.ring)
+                 for i in range(0, len(flat), step))
+
+
+def symbol_of(values):
+    """The ModularSymbol whose generator values are the SymPolys given."""
+    v = values[0]
+    return ModularSymbol(v.level, v.k, v.chi, v.ring,
+                         [x for w in values for x in w.coeffs])
+
+
 def weighted_sum(terms, add, acc):
     """Fold the terms of sum_(c, g, w) w * x_c|g into acc.
 
@@ -1175,17 +1184,22 @@ def evaluate_values(M, values, divisor):
                         values[0].zero_like())
 
 
-def check_relations(sym):
-    """Exact check of the defining relations on a symbol's generator values."""
-    add = _add_value(sym.values)
-    zero = sym.values[0].zero_like()
+def check_values(M, values):
+    """Exact check of the defining relations on generator values."""
+    add = _add_value(values)
+    zero = values[0].zero_like()
     return all(weighted_sum(rel, add, zero).is_zero()
-               for rel in presentation(sym.level).relations)
+               for rel in presentation(M).relations)
+
+
+def check_relations(sym):
+    """check_values for a ModularSymbol, on its generator values."""
+    return check_values(sym.level, sympolys_of(sym))
 
 
 def evaluate_symbol(phi, divisor):
     """Phi(D) for a ModularSymbol, from its generator values."""
-    return evaluate_values(phi.level, phi.values, divisor)
+    return evaluate_values(phi.level, sympolys_of(phi), divisor)
 
 
 def act_involution(F):

@@ -194,6 +194,24 @@ def test_two_tag_oc_json_is_pinned(capsys):
         "3a651a2d918ab2777ce330624d2392d1348562c03bb4847ecfdc3395fb81190e")
 
 
+def test_classical_json_is_pinned(capsys):
+    # the benchmark's digests cover level 11 weight 0 and the level-5
+    # lift only; these pin eigensystems with coordinates at level 7
+    # weight 2, and a basis under a quadratic character whose involution
+    # split has halves
+    cases = [
+        (("modsym", "eigen", "--level", "7", "--weight", "2", "--sign", "1"),
+         "ad2c77ba7cdffce08510a53c849070da1488ef69d8dabc5ae2fa16f00b80afd4"),
+        (("modsym", "basis", "--level", "13", "--weight", "2", "--char",
+          "13"),
+         "cacbd46238816dc55fb6c0d78d1c256ca88c0349a939518c55c167aaae1a7efb"),
+    ]
+    for argv, digest in cases:
+        code, out = run_cli(capsys, *argv, "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_zero_against_zero_is_vacuous(capsys):
     # every lift at lifting weight 0 vanishes: an equivariance report that
     # only compared zero with zero ends in VACUOUS and exits 1

@@ -60,7 +60,6 @@ from oracles import (
     data_of,
     dirac_distN,
     eval_weight_meta,
-    halfint_Tp,
     meta_of,
     meta_zero,
     qexp_module_action,
@@ -160,19 +159,6 @@ def test_halfint_nebentype_values():
     e = HalfIntQExp(11, 0, T11, {}, 4)
     assert e.character(3) == kronecker(-11, 3) == 1
     assert e.character(7) == kronecker(-11, 7) == -1
-    # index compression by p multiplies by the quadratic symbol at p
-    e11 = HalfIntQExp(11, 0, T11, {}, 4, twists=(11,))
-    assert e11.character(3) == kronecker(-11, 3) * kronecker(11, 3) == -1
-
-
-def test_halfint_Tp_shift():
-    e = HalfIntQExp(11, 0, T11, {11: 5, 22: 7, 3: 1}, 24)
-    c = halfint_Tp(e, 11)
-    assert c.n_max == 2
-    assert c.coeff(1) == 5 and c.coeff(2) == 7
-    assert c.twists == (11,)
-    with pytest.raises(BadIndex):
-        halfint_Tp(e, 3)
 
 
 def test_halfint_Tl2_delta_series():
@@ -347,6 +333,8 @@ def test_theta_classical_matches_J_classical_oracle(ring):
 
 
 OPTIMIZED_GUARDS = """
+from fractions import Fraction
+
 import numpy as np
 from shintani.arith import DirichletChar, crt
 from shintani.dist import ArithWeight
@@ -356,7 +344,7 @@ from shintani.lifting import (
     FormalQExp, HalfIntQExp, J_oc, specialize_qexp, theta_classical)
 from shintani.linalg import matmul_mod
 from shintani.modsym import (
-    ModularSymbol, _from_flat, eigensymbols, hecke_matrix,
+    ModularSymbol, SymPoly, eigensymbols, hecke_matrix, ring_reduce,
     solve_symbol_space)
 from shintani.ocsymb import (
     OCSpace, OCSymbol, lift_eigensymbol, oc_hecke_Tll, solve_oc_space,
@@ -380,7 +368,7 @@ unit = np.zeros((1,) + oc5.data.shape, dtype=np.int64)
 unit[0, 0, 0, 0, 0] = 1
 not_stable = OCSpace(5, 1, 5, 2, 2, unit, [0], [0])
 # value 1 on one generator breaks the weight-0 relations
-off_image = _from_flat(5, 0, T, ("zpm", 5, 2), [1, 0, 0, 0, 0, 0])
+off_image = ModularSymbol(5, 0, T, ("zpm", 5, 2), [1, 0, 0, 0, 0, 0])
 
 
 def corrupted(kernel, fake, *args):
@@ -402,7 +390,8 @@ cases = {
     "FormalQExp": lambda: (FormalQExp(5, 1, 5, 2, 1, zeros, 4)
                            + FormalQExp(5, 1, 5, 3, 1, zeros, 4)),
     "theta_classical": lambda: theta_classical(sym5, 11, 1, T, 4),
-    "SymPoly": lambda: sym5.values[0] + sym11.values[0],
+    "SymPoly": lambda: (SymPoly(5, 2, sym5.coords()[:3], T)
+                        + SymPoly(11, 2, sym11.coords()[:3], T)),
     "ModularSymbol": lambda: sym5 + sym11,
     "Divisor0": lambda: Divisor0([((1, 2), 1)]),
     "oc_hecke_Tll": lambda: oc_hecke_Tll(oc5, 5),
@@ -444,9 +433,11 @@ cases = {
     "HalfIntQExp(level)": lambda: HalfIntQExp(0, 0, T, {}, 4),
     "HalfIntQExp(n_max)": lambda: HalfIntQExp(11, 0, T, {}, -1),
     "ModularSymbol(gens)": lambda: ModularSymbol(
-        5, 2, T, "Q", sym5.values[:-1]),
-    "ModularSymbol(values)": lambda: ModularSymbol(
-        11, 2, T, "Q", sym5.values[:1] * len(sym11.values)),
+        5, 2, T, "Q", sym5.coords()[:-1]),
+    "ModularSymbol(chi)": lambda: sym5 + ModularSymbol(
+        5, 2, DirichletChar.from_kronecker(5), "Q", sym5.coords()),
+    # 1/5 has no image in Z/5^2
+    "ring_reduce": lambda: ring_reduce(("zpm", 5, 2), Fraction(1, 5)),
     "ArithWeight": lambda: ArithWeight(-1, T, 5),
     "enumerate_classes": lambda: enumerate_classes(11, -11),
     "crt": lambda: crt(1, 4, 3, 6),
@@ -471,7 +462,7 @@ def test_input_guards_survive_optimize():
     out = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_GUARDS],
                          capture_output=True, text=True, check=True, env=env,
                          timeout=300).stdout.split("\n")
-    assert out[:40] == [
+    assert out[:41] == [
         "debug False",
         "J_classical NotInFM",
         "J_oc NotInFM",
@@ -507,7 +498,8 @@ def test_input_guards_survive_optimize():
         "HalfIntQExp(level) BadIndex",
         "HalfIntQExp(n_max) BadIndex",
         "ModularSymbol(gens) DegreeMismatch",
-        "ModularSymbol(values) OperandMismatch",
+        "ModularSymbol(chi) OperandMismatch",
+        "ring_reduce BadCharacteristic",
         "ArithWeight BadIndex",
         "enumerate_classes BadIndex",
         "crt BadIndex",

@@ -9,7 +9,7 @@ import pytest
 import sympy
 
 from shintani.arith import DirichletChar, mat_inv, mat_mul
-from shintani.cosets import coset_index, coset_section
+from shintani.cosets import coset_index, coset_section, p1_classes
 from shintani.errors import (
     BadCharacteristic,
     BadIndex,
@@ -30,8 +30,10 @@ from shintani.modsym import (
     involution_matrix,
     involution_split,
     ring_half,
+    ring_reduce,
     solve_symbol_space,
 )
+from shintani.ocsymb import classical_to_zpm
 
 from oracles import (
     Divisor0,
@@ -49,6 +51,8 @@ from oracles import (
     hecke_Tll,
     hecke_Up,
     pairing,
+    symbol_of,
+    sympolys_of,
     zpm_in_span,
 )
 
@@ -285,6 +289,57 @@ def test_solve_bad_rings():
         ring_half(("zpm", 2, 3))
 
 
+def test_ring_reduce_inverts_denominators_prime_to_p():
+    # the plus part of a level-11 weight-2 symbol has halves: -11/2 is
+    # -11 * 2^-1 = 57 mod 5^3, and 1/5 has no image mod 5^3
+    plus, _ = involution_split(solve_symbol_space(11, 2, TRIV)[2])
+    i, x = next((i, x) for i, x in enumerate(plus.coords())
+                if x.denominator > 1)
+    assert x == Fraction(-11, 2)
+    zpm = classical_to_zpm(plus, 5, 3).coords()
+    assert zpm[i] == ring_reduce(("zpm", 5, 3), x) == 57
+    assert classical_to_zpm(plus.scale(2), 5, 3).coords() == tuple(
+        2 * y % 125 for y in zpm)
+    assert ring_reduce(("zpm", 5, 3), -11) == 114
+    with pytest.raises(BadCharacteristic, match="denominator"):
+        ring_reduce(("zpm", 5, 3), Fraction(1, 5))
+    with pytest.raises(BadCharacteristic, match="denominator"):
+        classical_to_zpm(plus.scale(Fraction(1, 5)), 5, 3)
+
+
+@pytest.mark.parametrize("ring", ["Q", ("zpm", 7, 3)])
+def test_sympolys_of_round_trips(ring):
+    # the oracles' generator values and the flat coordinates carry the
+    # same symbol
+    chi = DirichletChar.from_kronecker(5)
+    basis = solve_symbol_space(5, 2, chi, ring)
+    assert basis
+    for phi in basis:
+        values = sympolys_of(phi)
+        assert len(values) == len(p1_classes(5))
+        assert {(v.level, v.k, v.chi, v.side, v.ring) for v in values} == {
+            (5, 2, chi, "L", ring)}
+        back = symbol_of(values)
+        assert (back.level, back.k, back.chi, back.ring, back.coords()) == (
+            phi.level, phi.k, phi.chi, phi.ring, phi.coords())
+        assert sympolys_of(back) == values
+
+
+def test_symbol_refuses_wrong_length_and_other_spaces():
+    sym = solve_symbol_space(5, 2, TRIV)[0]
+    with pytest.raises(DegreeMismatch):
+        ModularSymbol(5, 2, TRIV, "Q", sym.coords()[:-1])
+    with pytest.raises(BadCharacteristic):
+        ModularSymbol(5, 2, TRIV, ("zpm", 3, 2), sym.coords())
+    other = ModularSymbol(5, 2, DirichletChar.from_kronecker(5), "Q",
+                          sym.coords())
+    for op in ("__add__", "__sub__"):
+        with pytest.raises(OperandMismatch):
+            getattr(sym, op)(other)
+    assert (sym - sym).is_zero() and sym.zero_like().is_zero()
+    assert (sym + sym).coords() == sym.scale(2).coords()
+
+
 def test_basis_symbols_satisfy_relations():
     for M, k in ((11, 0), (5, 2), (15, 0)):
         for sym in solve_symbol_space(M, k, TRIV, "Q"):
@@ -316,10 +371,10 @@ def test_relation_check_refuses_a_corrupted_kernel(monkeypatch, ring, kernel):
 
 def test_perturbed_symbol_breaks_relations():
     sym = solve_symbol_space(11, 0, TRIV, "Q")[0]
-    vals = list(sym.values)
+    vals = list(sympolys_of(sym))
     bumped = vals[3].coeffs[0] + 1
     vals[3] = SymPoly(11, 0, (bumped,), TRIV)
-    bad = ModularSymbol(11, 0, TRIV, "Q", vals)
+    bad = symbol_of(vals)
     assert not check_relations(bad)
 
 
@@ -332,12 +387,13 @@ def test_evaluate_half_to_infinity_uses_two_paths():
     D = Divisor0.path(RationalCusp(1, 2), RationalCusp.infinity())
     val = evaluate_symbol(sym, D)
     chain = sl2_chain(RationalCusp(1, 2))
-    manual = sym.values[0].zero_like()
+    manual = sympolys_of(sym)[0].zero_like()
     from shintani.manin import presentation
     pres = presentation(11)
     for g in chain:
         c = coset_index(g, 11)
-        manual = manual + sym.values[c].act(mat_mul(pres.section[c], mat_inv(g))).scale(-1)
+        manual = manual + sympolys_of(sym)[c].act(
+            mat_mul(pres.section[c], mat_inv(g))).scale(-1)
     assert (val - manual).is_zero()
 
 
@@ -381,14 +437,17 @@ def test_hecke_commutes_and_is_multiplicative():
     a = hecke_Tn(hecke_Tn(phi, 2), 3)
     b = hecke_Tn(hecke_Tn(phi, 3), 2)
     c = hecke_Tn(phi, 6)
-    assert all((x - y).is_zero() for x, y in zip(a.values, b.values))
-    assert all((x - y).is_zero() for x, y in zip(a.values, c.values))
+    assert all((x - y).is_zero()
+               for x, y in zip(sympolys_of(a), sympolys_of(b)))
+    assert all((x - y).is_zero()
+               for x, y in zip(sympolys_of(a), sympolys_of(c)))
 
 
 def test_hecke_Tll_is_identity_in_weight_two():
     sym = solve_symbol_space(11, 0, TRIV, "Q")[1]
     img = hecke_Tll(sym, 3)
-    assert all((x - y).is_zero() for x, y in zip(img.values, sym.values))
+    assert all((x - y).is_zero()
+               for x, y in zip(sympolys_of(img), sympolys_of(sym)))
 
 
 def test_hecke_index_errors():
@@ -413,15 +472,15 @@ def test_hecke_matrices_match_double_coset_oracle(ring):
         primes = [p for p in (2, 5) if M % p == 0]
         for phi in basis + [involution_split(b)[1] for b in basis]:
             for n in (2, 3, 6):
-                assert hecke_Tn(phi, n).values == tuple(apply_double_coset(
-                    M, phi.values, hecke_reps(n, M)))
+                assert sympolys_of(hecke_Tn(phi, n)) == tuple(
+                    apply_double_coset(M, sympolys_of(phi), hecke_reps(n, M)))
             for p in primes:
-                assert hecke_Up(phi, p).values == tuple(apply_double_coset(
-                    M, phi.values, hecke_reps(p, M)))
-            assert hecke_Tll(phi, 3).values == tuple(apply_double_coset(
-                M, phi.values, [(3, 0, 0, 3)]))
-            assert involution(phi).values == tuple(apply_involution(
-                M, phi.values, act_involution))
+                assert sympolys_of(hecke_Up(phi, p)) == tuple(
+                    apply_double_coset(M, sympolys_of(phi), hecke_reps(p, M)))
+            assert sympolys_of(hecke_Tll(phi, 3)) == tuple(apply_double_coset(
+                M, sympolys_of(phi), [(3, 0, 0, 3)]))
+            assert sympolys_of(involution(phi)) == tuple(apply_involution(
+                M, sympolys_of(phi), act_involution))
     with pytest.raises(BadSemigroupElement):
         modsym._hecke_rows(5, 2, TRIV, ((1, 0, 1, 1),))
 
@@ -482,11 +541,14 @@ def test_involution_split_recombines():
     phi = basis[0] + basis[1].scale(2)
     plus, minus = involution_split(phi)
     back = plus + minus
-    assert all((x - y).is_zero() for x, y in zip(back.values, phi.values))
+    assert all((x - y).is_zero()
+               for x, y in zip(sympolys_of(back), sympolys_of(phi)))
     ip = involution(plus)
     im = involution(minus)
-    assert all((x - y).is_zero() for x, y in zip(ip.values, plus.values))
-    assert all((x + y).is_zero() for x, y in zip(im.values, minus.values))
+    assert all((x - y).is_zero()
+               for x, y in zip(sympolys_of(ip), sympolys_of(plus)))
+    assert all((x + y).is_zero()
+               for x, y in zip(sympolys_of(im), sympolys_of(minus)))
 
 
 # ----------------------------------------------------------- eigensystems
@@ -498,7 +560,8 @@ def test_eigensystem_level_eleven_minus():
     assert emap == {2: -2, 3: -1, 5: 1, 7: -2}
     # the symbol is an exact fixed point of U_11
     img = hecke_Up(sym, 11)
-    assert all((x - y).is_zero() for x, y in zip(img.values, sym.values))
+    assert all((x - y).is_zero()
+               for x, y in zip(sympolys_of(img), sympolys_of(sym)))
     # content-one integer normalization
     from math import gcd
     flat = [int(x) for x in sym.coords()]

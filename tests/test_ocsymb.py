@@ -3,7 +3,6 @@
 import json
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -46,6 +45,7 @@ from oracles import (
     apply_double_coset,
     apply_involution,
     check_relations,
+    check_values,
     data_of,
     dirac_distN,
     evaluate,
@@ -56,6 +56,7 @@ from oracles import (
     rank_mod_p,
     scalar_action,
     stratum_relation_matrix,
+    sympolys_of,
     values_of,
 )
 
@@ -172,7 +173,7 @@ def test_array_operations_match_value_by_value_oracle(level, N, precision):
     for k in (0, 1, 3):
         kappa = ArithWeight(k, chi, p)
         spec = specialize_symbol(a, kappa)
-        for v, w in zip(va, spec.values):
+        for v, w in zip(va, sympolys_of(spec)):
             assert list(w.coeffs) == [
                 (-1) ** i * sum(
                     (kappa.chi_N(t) if N > 1 else 1) * kappa.chi_p(c)
@@ -314,8 +315,7 @@ def test_basis_symbols_view_the_space_data(sp11_small):
 
 def test_basis_symbols_satisfy_relations(sp11_small, sp15):
     for b in sp11_small.basis + sp15.basis[::7]:
-        assert check_relations(
-            SimpleNamespace(level=b.level, values=values_of(b)))
+        assert check_values(b.level, values_of(b))
 
 
 def test_t0_space_specializes_onto_classical():
@@ -654,7 +654,7 @@ def test_specialize_total_mass_at_weight_zero(sp11_small):
     sym = random_symbol(sp11_small, seed=5)
     spec = specialize_symbol(sym, kappa)
     mod = 11**5
-    for v, w in zip(values_of(sym), spec.values):
+    for v, w in zip(values_of(sym), sympolys_of(spec)):
         mass = int(np.sum(v.component(0).data[:, 0])) % mod
         assert int(w.coeffs[0]) % mod == mass
 
@@ -683,8 +683,7 @@ def test_specialize_intertwines_every_hecke_operator(sp11_small):
 def test_lift_converges_with_full_residual(lifted_11a):
     _, _, Phi, res_val = lifted_11a
     assert res_val >= 8 - 2
-    assert check_relations(
-        SimpleNamespace(level=Phi.level, values=values_of(Phi)))
+    assert check_values(Phi.level, values_of(Phi))
 
 
 def test_lift_specializes_to_classical(lifted_11a):
