@@ -1,18 +1,22 @@
 """Exact linear algebra over Q and over Z/p^M.
 
-Rational elimination uses Fraction rows.  The p-adic side works on numpy int64
-matrices with entries in [0, p^M); _check_kernel_bounds refuses every
-profile with p^M >= 2^28, and all products are chunk-reduced so int64
-never overflows.
+Rational elimination is multimodular: RREF mod primes below 2^28 through
+the same Howell reduction, CRT, rational reconstruction, and an exact
+integer certificate before anything is returned (``frac_rref``).  The
+p-adic side works on numpy int64 matrices with entries in [0, p^M);
+_check_kernel_bounds refuses every profile with p^M >= 2^28, and all
+products are chunk-reduced so int64 never overflows.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
+from math import isqrt, lcm, prod
 
 import numpy as np
 
-from .arith import valuation
-from .errors import KernelOverflow, OperandMismatch
+from .arith import is_prime, valuation
+from .errors import KernelOverflow, NoConvergence, OperandMismatch
 
 # inner-dimension chunk for reduced accumulation:
 # chunk * (p^M - 1)^2 must stay below 2^63
@@ -59,30 +63,89 @@ def matmul_mod(A, B, mod):
 
 
 # ---------------------------------------------------------------------------
-# rational elimination
+# rational elimination, multimodular
+
+
+@lru_cache(maxsize=None)
+def _prime(i):
+    """The i-th prime below 2^28, largest first; none is sought at import."""
+    q = _prime(i - 1) - 2 if i else 2**28 - 1
+    while not is_prime(q):
+        q -= 2
+    return q
+
+
+def _primes():
+    return map(_prime, count())
+
+
+def _over_denominator(vec):
+    """(den, den * vec) for a rational vector, den its least denominator."""
+    den = lcm(*(x.denominator for x in vec))
+    return den, [x.numerator * (den // x.denominator) for x in vec]
+
+
+def _rational(a, m):
+    """n/d congruent to a mod m with |n|, d <= sqrt(m/2) (Wang), or None."""
+    bound = isqrt(m // 2)
+    r0, r1, s0, s1 = m, a, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    return Fraction(r1, s1) if abs(s1) <= bound else None
 
 
 def frac_rref(rows, ncols):
-    """Reduced row echelon form over Q; returns (rows, pivot_columns)."""
-    rows = [list(map(Fraction, r)) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
+    """Reduced row echelon form over Q of rows of ncols integers or
+    Fractions; returns (rows, pivot_columns).
+
+    Multimodular: Howell bases mod primes below 2^28 (the RREF mod q), CRT
+    over the primes with the best pivot set (most pivots, then
+    lexicographically first) and rational reconstruction.  A candidate R
+    is returned only if rows @ K = 0 in integers, K = (e_f - sum_i R[i][f]
+    e_(p_i)) over the free columns f; as rank mod q <= rank over Q, that
+    proves R is the RREF.  Past a Hadamard bound on the primes tried,
+    raises NoConvergence (see the README for both arguments).
+    """
+    rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
+    ints = [_over_denominator(row)[1] for row in rows if any(row)]
+    A = np.array(ints, dtype=object).reshape(len(ints), ncols)
+    squares = sorted(sum(x * x for x in row) for row in ints)
+    hadamard_sq = prod(squares[len(squares) - min(A.shape):])
+    best, tried = None, 1
+    for q in _primes():
+        if tried**2 > 4 * hadamard_sq**3:
             break
-    return rows[:r], pivots
+        tried *= q
+        reduced, info = _howell_reduce(list(A % q), ncols, q, 1)
+        pivots = [c for c, _ in info]
+        free = sorted(set(range(ncols)) - set(pivots))
+        residues = np.reshape(reduced, (len(pivots), ncols))[:, free]
+        key = (-len(pivots), pivots)
+        if best is None or key < best:
+            best, modulus, acc = key, q, residues.astype(object)
+        elif key == best:
+            acc = acc + modulus * ((residues - acc) * pow(modulus, -1, q) % q)
+            modulus *= q
+        else:
+            continue
+        entries = [_rational(a, modulus) for a in acc.flat]
+        if None in entries:
+            continue
+        den, nums = _over_denominator(entries)
+        K = np.zeros((ncols, len(free)), dtype=object)
+        K[free, range(len(free))] = den
+        K[pivots] = -np.array(nums, dtype=object).reshape(acc.shape)
+        # the exact product runs in int64 when a bound rules out overflow
+        big = ncols * int(np.abs(A).max(initial=1)) * np.abs(K).max(initial=1)
+        dtype = np.int64 if big < 2**63 else object
+        if not np.any(A.astype(dtype) @ K.astype(dtype)):
+            R = np.full((len(pivots), ncols), Fraction(0), dtype=object)
+            R[:, free] = np.array(entries, dtype=object).reshape(acc.shape)
+            R[range(len(pivots)), pivots] = Fraction(1)
+            return R.tolist(), pivots
+    raise NoConvergence(f"no certified RREF of a {len(A)} x {ncols} matrix "
+                        f"from primes with product {tried}")
 
 
 def frac_nullspace(rows, ncols):

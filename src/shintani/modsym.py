@@ -45,6 +45,7 @@ from .errors import (
 )
 from .linalg import (
     _check_kernel_bounds,
+    _over_denominator,
     berkowitz_charpoly,
     frac_nullspace,
     frac_rref,
@@ -301,12 +302,6 @@ def _hecke_rows(M, k, chi, reps):
     for alpha in reps:
         _check_s0(alpha, M)
     return _coset_rows(M, k, chi, tuple(reps))
-
-
-def _over_denominator(vec):
-    """(den, den * vec) for a rational vector, den its least denominator."""
-    den = lcm(*(x.denominator for x in vec))
-    return den, [x.numerator * (den // x.denominator) for x in vec]
 
 
 def _apply_int_matrix(rows, phi):

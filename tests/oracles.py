@@ -51,7 +51,11 @@ a classical symbol's through ``SymPoly.act``; with ``check_relations``,
 are the second route the package kept for classical symbols before it
 checked, evaluated and gave them coordinates through integer rows only.
 ``frac_solve_many`` is the elimination that gave coordinates in a basis
-before ``modsym._coords`` read them off private columns.  ``hecke_Up``,
+before ``modsym._coords`` read them off private columns.
+``frac_rref_gauss`` and ``frac_nullspace_gauss`` are the ``Fraction``
+Gauss-Jordan elimination ``linalg.frac_rref`` ran before it became
+multimodular; the oracles here eliminate with them, so they stay
+independent of the route they check.  ``hecke_Up``,
 ``hecke_Tll``, ``zpm_in_span`` and ``rank_mod_p`` are helpers that only
 the tests call.
 
@@ -94,8 +98,7 @@ from shintani.errors import (
     ShintaniError,
 )
 from shintani.lifting import quad_power
-from shintani.linalg import (
-    _check_kernel_bounds, frac_nullspace, frac_rref, zpm_solve)
+from shintani.linalg import _check_kernel_bounds, zpm_solve
 from shintani.manin import MAT_IOTA, divisor_terms, presentation
 from shintani.modsym import (
     ModularSymbol,
@@ -936,7 +939,7 @@ def eigensymbols_sympy(M, k, chi, sign, lbound=7):
     proj = [[(Fraction(1 if i == j else 0) + sign * J[i][j]) / 2
              for j in range(dim)] for i in range(dim)]
     cols = [[proj[i][j] for i in range(dim)] for j in range(dim)]
-    reduced, pivots = frac_rref([row[:] for row in cols], dim)
+    reduced, pivots = frac_rref_gauss([row[:] for row in cols], dim)
     subspace = [list(reduced[r]) for r in range(len(pivots))]
     if not subspace:
         return []
@@ -995,7 +998,7 @@ def _rational_eigenspace(R, lam, r):
     Mm = R - lam * sympy.eye(r)
     rows = [[Fraction(int(Mm[i, j].p), int(Mm[i, j].q)) for j in range(r)]
             for i in range(r)]
-    return frac_nullspace(rows, r)
+    return frac_nullspace_gauss(rows, r)
 
 
 def bucket_dedupe_scan(P, m, M):
@@ -1312,6 +1315,44 @@ def hecke_Tll(phi, l):
                                         [(l, 0, 0, l)]))
 
 
+def frac_rref_gauss(rows, ncols):
+    """Reduced row echelon form over Q by Fraction Gauss-Jordan; returns
+    (rows, pivot_columns).  Rows may be longer than ncols: pivots are
+    taken among the first ncols columns and the rest ride along."""
+    rows = [list(map(Fraction, r)) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def frac_nullspace_gauss(rows, ncols):
+    """Basis of {x : rows @ x = 0} over Q, one vector per free column."""
+    rref, pivots = frac_rref_gauss(rows, ncols)
+    basis = []
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for i, c in enumerate(pivots):
+            v[c] = -rref[i][free]
+        basis.append(v)
+    return basis
+
+
 def frac_solve_many(rows, rhss):
     """One solution of rows @ x = b over Q for each b in rhss, or None.
 
@@ -1320,7 +1361,7 @@ def frac_solve_many(rows, rhss):
     """
     ncols = len(rows[0]) if rows else 0
     aug = [[*r, *bs] for r, bs in zip(rows, zip(*rhss))]
-    rref, pivots = frac_rref(aug, ncols)
+    rref, pivots = frac_rref_gauss(aug, ncols)
     out = []
     for j, b in enumerate(rhss):
         x = [Fraction(0)] * ncols

@@ -1,12 +1,20 @@
 """Linear algebra over Q and Z/p^M against brute-force and sympy oracles."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
+import pytest
 import sympy
 
+import shintani
+from shintani import linalg, manin, modsym
+from shintani.arith import DirichletChar
+from shintani.errors import NoConvergence
 from shintani.linalg import (
     berkowitz_charpoly,
     frac_nullspace,
@@ -18,7 +26,9 @@ from shintani.linalg import (
     zpm_solve,
 )
 
-from oracles import frac_solve_many, rank_mod_p, zpm_in_span
+from oracles import (
+    frac_nullspace_gauss, frac_rref_gauss, frac_solve_many, rank_mod_p,
+    zpm_in_span)
 
 rng = random.Random(20260822)
 
@@ -58,6 +68,115 @@ def test_frac_solve():
     assert x == [Fraction(1), Fraction(3)]
     assert frac_solve_many([[1, 1], [2, 2]], [[1, 3]]) == [None]
     assert frac_solve_many([[1, 1], [2, 2]], [[1, 2]])[0] is not None
+
+
+def relation_rows(M, k):
+    rows = modsym._term_rows(M, k, DirichletChar.trivial(),
+                             manin.presentation(M).relations)
+    return rows.reshape(-1, rows.shape[-1])
+
+
+def assert_matches_gauss(rows, ncols):
+    got = frac_rref(rows, ncols)
+    assert got == frac_rref_gauss(rows, ncols)
+    assert all(type(x) is Fraction for row in got[0] for x in row)
+    assert frac_nullspace(rows, ncols) == frac_nullspace_gauss(rows, ncols)
+
+
+@pytest.fixture
+def primes_drawn(monkeypatch):
+    """How many primes each frac_rref call drew, newest last."""
+    drawn = []
+
+    def counted():
+        drawn.append(0)
+        for q in real():
+            drawn[-1] += 1
+            yield q
+
+    real = linalg._primes
+    monkeypatch.setattr(linalg, "_primes", counted)
+    return drawn
+
+
+@pytest.mark.parametrize("M, k", [(11, 0), (5, 2), (11, 2), (37, 2)])
+def test_frac_rref_matches_gauss_on_relation_rows(M, k):
+    rows = relation_rows(M, k)
+    assert_matches_gauss(rows, rows.shape[1])
+
+
+def test_frac_rref_matches_gauss_on_90_bit_integers(primes_drawn):
+    r = random.Random(20261019)
+    for _ in range(50):
+        m, n = r.randint(1, 6), r.randint(1, 7)
+        rows = [[r.randint(-2**90, 2**90) for _ in range(n)] for _ in range(m)]
+        assert_matches_gauss(rows, n)
+    # minors of 90-bit entries need several 28-bit primes
+    assert max(primes_drawn) >= 4
+
+
+@pytest.mark.filterwarnings("error")  # an int64 overflow warns
+def test_frac_rref_matches_gauss_on_fractions():
+    r = random.Random(5)
+    for _ in range(25):
+        m, n = r.randint(1, 5), r.randint(1, 6)
+        rows = [[Fraction(r.randint(-40, 40), r.randint(1, 30))
+                 for _ in range(n)] for _ in range(m)]
+        rows[0][0] = Fraction(0)
+        assert_matches_gauss(rows, n)
+
+
+@pytest.mark.parametrize("rows, ncols", [
+    ([], 3), ([[0, 0, 0]], 3), ([[0, 0], [0, 0], [0, 0]], 2),
+    ([[0, 0, 0], [1, 2, 3], [0, 0, 0], [2, 4, 6]], 3),
+    ([[2, 1, 0], [1, 3, 1], [0, 1, 4]], 3), ([[5]], 1), ([[0, 7]], 2)],
+    ids=["no rows", "zero row", "zero matrix", "zero rows", "full rank",
+         "1x1", "late pivot"])
+def test_frac_rref_matches_gauss_on_edge_cases(rows, ncols):
+    assert_matches_gauss(rows, ncols)
+
+
+@pytest.mark.parametrize("unlucky", ["pivot moves right", "rank drops"])
+def test_frac_rref_recovers_from_an_unlucky_prime(primes_drawn, unlucky):
+    # mod the first prime q the pivot of column 0 moves to column 1, or
+    # the second row vanishes; that pivot set is dropped once a prime sees
+    # the pivots over Q
+    q = linalg._prime(0)
+    if unlucky == "pivot moves right":
+        rows = [[q, 1, 0], [0, 0, 0], [2 * q, 2, 1]]
+        assert frac_rref(rows, 3)[0][0][1] == Fraction(1, q)
+    else:
+        rows = [[1, 0, 1], [0, q, q]]
+        assert frac_rref(rows, 3)[1] == [0, 1]
+    assert primes_drawn[0] >= 2
+    assert_matches_gauss(rows, 3)
+
+
+def test_frac_rref_refuses_when_the_primes_run_out(monkeypatch):
+    q = linalg._prime(0)
+    rows = [[q, 1, 0], [2 * q, 2, 1]]
+    monkeypatch.setattr(linalg, "_primes", lambda: iter([q]))
+    with pytest.raises(NoConvergence):
+        frac_rref(rows, 3)
+
+
+def test_certificate_refuses_a_corrupted_reconstruction(monkeypatch):
+    real = linalg._rational
+    monkeypatch.setattr(linalg, "_rational",
+                        lambda a, m: real(a, m) + Fraction(1, 3))
+    with pytest.raises(NoConvergence):
+        frac_rref([[1, 2, 3], [4, 5, 6]], 3)
+
+
+def test_importing_tests_no_prime():
+    # the prime supply is built on first use, so import costs nothing
+    src = os.path.dirname(os.path.dirname(os.path.abspath(shintani.__file__)))
+    code = ("import shintani.cli, shintani.linalg as L; "
+            "print(L._prime.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out == "0\n"
 
 
 def brute_kernel(A, p, M):
