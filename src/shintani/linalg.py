@@ -136,10 +136,7 @@ def frac_rref(rows, ncols):
         K = np.zeros((ncols, len(free)), dtype=object)
         K[free, range(len(free))] = den
         K[pivots] = -np.array(nums, dtype=object).reshape(acc.shape)
-        # the exact product runs in int64 when a bound rules out overflow
-        big = ncols * int(np.abs(A).max(initial=1)) * np.abs(K).max(initial=1)
-        dtype = np.int64 if big < 2**63 else object
-        if not np.any(A.astype(dtype) @ K.astype(dtype)):
+        if not np.any(A @ K):
             R = np.full((len(pivots), ncols), Fraction(0), dtype=object)
             R[:, free] = np.array(entries, dtype=object).reshape(acc.shape)
             R[range(len(pivots)), pivots] = Fraction(1)
