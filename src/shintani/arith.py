@@ -1,10 +1,9 @@
 """Base exact arithmetic: Kronecker symbols, p-adic valuations, quadratic
 Dirichlet characters, rational cusps and continued-fraction paths.
 
-Everything here is integer or Fraction arithmetic; no floating point.
+Everything here is integer arithmetic; no floating point.
 """
 
-from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import BadIndex, NoConvergence, NonUnimodular, PrimalityUnproven
@@ -277,11 +276,6 @@ class RationalCusp:
     def is_infinity(self):
         return self.den == 0
 
-    def as_fraction(self):
-        if self.is_infinity:
-            raise ValueError("infinite cusp")
-        return Fraction(self.num, self.den)
-
     def apply(self, g):
         """Moebius action of g = (a, b, c, d): column vector convention."""
         a, b, c, d = g
@@ -294,9 +288,6 @@ class RationalCusp:
 
     def __hash__(self):
         return hash((self.num, self.den))
-
-    def sort_key(self):
-        return (self.den == 0, self.num, self.den)
 
     def __repr__(self):
         if self.is_infinity:

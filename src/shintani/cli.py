@@ -10,7 +10,6 @@ diff of the first failing coefficient), 2 on usage errors.
 
 import argparse
 import json
-import os
 import random
 import sys
 from dataclasses import dataclass
@@ -649,9 +648,6 @@ def _config_from_args(args):
 
 
 def main(argv=None):
-    cache_dir = os.environ.get("SHINTANI_CACHE_DIR")
-    if cache_dir:
-        qf.enable_disk_cache(cache_dir)
     ap = build_parser()
     args = ap.parse_args(argv)
     try:

@@ -238,7 +238,7 @@ def theta_classical(phi, M, k, chi, n_max, threads=1):
 
     kernels = _map_indices(partial(_theta_kernel, M, k, chi, phi.chi),
                            range(1, n_max + 1), threads)
-    values = _apply_int_matrix(kernels, phi)
+    values = _apply_int_matrix(kernels, [phi])[0]
     return HalfIntQExp(M, k, chi, dict(zip(range(1, n_max + 1), values)),
                        n_max, phi.ring)
 

@@ -40,26 +40,28 @@ def _check_kernel_bounds(p, prec, T=0):
 
 
 def matmul_mod(A, B, mod):
-    """A @ B reduced mod ``mod``, safe against int64 overflow."""
+    """A @ B reduced mod ``mod``, safe against int64 overflow.
+
+    Stacks of matrices broadcast as in np.matmul, and a 1-D operand is a
+    row (A) or column (B) whose axis the result drops, as there.
+    """
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
     a2 = A.reshape(1, -1) if A.ndim == 1 else A
     b2 = B.reshape(-1, 1) if B.ndim == 1 else B
-    inner = a2.shape[1]
-    if inner != b2.shape[0]:
+    inner = a2.shape[-1]
+    if inner != b2.shape[-2]:
         raise OperandMismatch(
-            f"inner dimensions {inner} and {b2.shape[0]} do not match")
-    out = np.zeros((a2.shape[0], b2.shape[1]), dtype=np.int64)
+            f"inner dimensions {inner} and {b2.shape[-2]} do not match")
+    out = a2[..., :0] @ b2[..., :0, :]   # zeros of the broadcast shape
     for lo in range(0, inner, _CHUNK):
-        hi = min(lo + _CHUNK, inner)
-        out = (out + a2[:, lo:hi] @ b2[lo:hi, :]) % mod
-    if A.ndim == 1 and B.ndim == 1:
-        return int(out[0, 0])
+        hi = lo + _CHUNK
+        out = (out + a2[..., lo:hi] @ b2[..., lo:hi, :]) % mod
     if A.ndim == 1:
-        return out.reshape(-1)
+        out = out[..., 0, :]
     if B.ndim == 1:
-        return out.reshape(-1)
-    return out
+        out = out[..., 0]
+    return int(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,13 @@
-"""Coset presentation of modular symbols and the double coset loop.
+"""Coset presentation of modular symbols and the divisors of a double coset.
 
 A symbol is stored by its values on the standard paths attached to a
 section of the right cosets of P^1(Z/M).  Everything here is agnostic
-about what those values are.  The relations of the presentation and
-``divisor_terms`` are lists of (generator, matrix, weight) terms, which
-``modsym`` turns into integer rows and ``ocsymb`` into Teichmuller
-sector blocks.  The one loop, ``double_coset``, takes the evaluation of
-divisors and the twist by each representative as callbacks, so both
-kinds of symbol build their Hecke operators and the involution through
-the same code.
+about what those values are.  The relations of the presentation,
+``divisor_terms`` and ``coset_terms`` are lists of (generator, matrix,
+weight) terms, which ``modsym`` folds into integer rows and ``ocsymb``
+into Teichmuller sector blocks, each with one array fold; both kinds of
+symbol build their Hecke operators and the involution from the same
+``coset_terms``.
 """
 
 from __future__ import annotations
@@ -118,24 +117,15 @@ def hecke_reps(n, M):
     return reps
 
 
-def double_coset(M, reps, evaluate, twist, zero):
-    """Block rows of Phi|Op for Op given by right coset reps alpha.
+def coset_terms(M, reps):
+    """Terms of the divisors alpha . base_b, base-major, for right coset reps.
 
-    (Phi|Op)(D) = sum_alpha Phi(alpha D)|alpha, so block row b folds
-    acc = twist(acc, alpha, Phi(alpha . base_b)) over the reps, starting
-    from zero(); evaluate maps the list of all divisors alpha . base_b,
-    b-major, to an iterable of their values, in one batch or lazily.  Only
-    the twist involves a non-unimodular matrix, so evaluation stays inside
-    the presentation.  The involution is the one-rep case MAT_IOTA.
+    (Phi|Op)(D) = sum_alpha Phi(alpha D)|alpha, so block row b of Op is
+    the sum over alpha of the twist by alpha of the evaluation at
+    alpha . base_b, entry b * len(reps) + i here for alpha = reps[i].
+    Only the twist involves a non-unimodular matrix, so evaluation stays
+    inside the presentation.  The involution is the one-rep case MAT_IOTA.
     """
-    bases = presentation(M).base_divisors
-    values = iter(evaluate([tuple((cusp.apply(alpha), mult)
-                                  for cusp, mult in base)
-                            for base in bases for alpha in reps]))
-    out = []
-    for _ in bases:
-        acc = zero()
-        for alpha in reps:
-            acc = twist(acc, alpha, next(values))
-        out.append(acc)
-    return out
+    return [divisor_terms(M, tuple((cusp.apply(alpha), mult)
+                                   for cusp, mult in base))
+            for base in presentation(M).base_divisors for alpha in reps]

@@ -14,9 +14,9 @@ or ("zpm", p, prec) with p >= 5.
 A symbol is one tuple of flat coordinates, one side-L block per
 generator, and everything goes through integer rows acting on it: the
 relation rows that the solver's kernel is checked against, the
-evaluation matrix of a divisor (``_term_rows``) and one cached matrix per
-Hecke operator or involution (``_coset_rows``).  Coordinates in a basis
-are read off each basis vector's private column.  ``SymPoly``, one
+evaluation matrices of divisors (``_term_rows``) and one cached matrix
+per Hecke operator or involution (``_coset_rows``), applied to a whole
+basis in one exact product and read off private columns.  ``SymPoly``, one
 weight-k vector on either side, is the value type of
 ``lifting.quad_power`` and ``dist.specialize``; the value-by-value
 evaluation and the pairing itself are the tests' oracles.
@@ -284,17 +284,16 @@ def _coset_rows(M, k, chi, reps):
     """Integer matrix of the double coset operator of reps on phi.coords().
 
     Block row b is sum_alpha chi(alpha_a) * _act_matrix_L(alpha) *
-    E_{alpha . base_b}.  For MAT_IOTA the twist _act_matrix_L is
+    E_{alpha . base_b}, all E from one _term_rows call on
+    ``manin.coset_terms``.  For MAT_IOTA the twist _act_matrix_L is
     diag((-1)^j), the weight action of diag(1, -1) on side L.
     """
     chis = np.array([chi(alpha[0]) for alpha in reps], dtype=object)
-    twists = dict(zip(reps, _L_blocks(reps, k) * chis[:, None, None]))
-    blocks = manin.double_coset(
-        M, reps,
-        lambda Ds: _term_rows(M, k, chi,
-                              [manin.divisor_terms(M, D) for D in Ds]),
-        lambda acc, alpha, E: acc + twists[alpha] @ E, lambda: 0)
-    return tuple(map(tuple, np.concatenate(blocks).tolist()))
+    twists = _L_blocks(reps, k) * chis[:, None, None]
+    E = _term_rows(M, k, chi, manin.coset_terms(M, reps))
+    E = E.reshape(-1, len(reps), k + 1, E.shape[-1])
+    rows = np.matmul(twists, E).sum(axis=1).reshape(-1, E.shape[-1])
+    return tuple(map(tuple, rows.tolist()))
 
 
 def _hecke_rows(M, k, chi, reps):
@@ -304,17 +303,21 @@ def _hecke_rows(M, k, chi, reps):
     return _coset_rows(M, k, chi, tuple(reps))
 
 
-def _apply_int_matrix(rows, phi):
-    """Exact rows . phi.coords(), summed over one common denominator."""
-    coords = phi.coords()
-    if phi.ring != "Q":
-        return [sum(map(mul, row, coords)) for row in rows]
-    den, ints = _over_denominator(coords)
-    return [Fraction(sum(map(mul, row, ints)), den) for row in rows]
+def _apply_int_matrix(rows, syms):
+    """Exact rows . sym.coords() for symbols of one space: one product
+    with the stacked coordinates, each symbol's over its least
+    denominator."""
+    dens, ints = zip(*(_over_denominator(sym.coords()) for sym in syms))
+    rows = np.array(rows, dtype=object).reshape(-1, len(ints[0]))
+    images = np.array(ints, dtype=object).dot(rows.T)
+    return [[Fraction(x, den) for x in img]
+            for den, img in zip(dens, images.tolist())]
 
 
-def _apply_rows(phi, rows):
-    return phi._like(_apply_int_matrix(rows, phi))
+def _apply_rows(syms, rows):
+    """Each symbol's image under integer operator rows."""
+    images = _apply_int_matrix(rows, syms)
+    return [sym._like(img) for sym, img in zip(syms, images)]
 
 
 def solve_symbol_space(M, k, chi, ring="Q"):
@@ -350,14 +353,14 @@ def solve_symbol_space(M, k, chi, ring="Q"):
 
 def hecke_Tn(phi, n):
     """Phi|T_n via the upper triangular determinant-n representatives."""
-    return _apply_rows(phi, _hecke_rows(phi.level, phi.k, phi.chi,
-                                        manin.hecke_reps(n, phi.level)))
+    return _apply_rows([phi], _hecke_rows(phi.level, phi.k, phi.chi,
+                                          manin.hecke_reps(n, phi.level)))[0]
 
 
 def involution(phi):
     """Phi|iota for iota = diag(1, -1)."""
-    return _apply_rows(phi, _coset_rows(phi.level, phi.k, phi.chi,
-                                        (manin.MAT_IOTA,)))
+    return _apply_rows([phi], _coset_rows(phi.level, phi.k, phi.chi,
+                                          (manin.MAT_IOTA,)))[0]
 
 
 def involution_split(phi):
@@ -403,15 +406,24 @@ def _coords(basis, targets):
     return out
 
 
-def hecke_matrix(basis, n, op=hecke_Tn):
-    """Matrix of an operator on a basis of symbols, columns = images."""
+def _operator_matrix(basis, rows):
+    """Matrix of integer operator rows on a basis of symbols, columns =
+    images, all taken in one exact product."""
     cols = _coords([sym.coords() for sym in basis],
-                   [op(sym, n).coords() for sym in basis])
+                   [img.coords() for img in _apply_rows(basis, rows)])
     return [list(row) for row in zip(*cols)]
 
 
+def hecke_matrix(basis, n):
+    """Matrix of T_n on a basis of symbols, columns = images."""
+    M, k, chi = basis[0].level, basis[0].k, basis[0].chi
+    return _operator_matrix(basis, _hecke_rows(M, k, chi,
+                                               manin.hecke_reps(n, M)))
+
+
 def involution_matrix(basis):
-    return hecke_matrix(basis, None, lambda sym, _: involution(sym))
+    M, k, chi = basis[0].level, basis[0].k, basis[0].chi
+    return _operator_matrix(basis, _coset_rows(M, k, chi, (manin.MAT_IOTA,)))
 
 
 def _normalize_content(flat):
@@ -459,12 +471,12 @@ def eigensymbols(M, k, chi, sign):
             for lam in _rational_eigenvalues(R, l, M):
                 shifted = [[x - lam if i == j else x for j, x in enumerate(row)]
                            for i, row in enumerate(R)]
-                for piece in frac_nullspace(shifted, r):
-                    vec = [sum(Fraction(piece[j]) * space[j][i] for j in range(r))
-                           for i in range(dim)]
-                    new_spaces.append([vec])
-                    new_maps.append({**emap, l: lam})
-        spaces, maps = _merge_eigen(new_spaces, new_maps)
+                new_spaces.append(
+                    [[sum(Fraction(piece[j]) * space[j][i] for j in range(r))
+                      for i in range(dim)]
+                     for piece in frac_nullspace(shifted, r)])
+                new_maps.append({**emap, l: lam})
+        spaces, maps = new_spaces, new_maps
     out = []
     for space, emap in zip(spaces, maps):
         v = space[0]
@@ -534,15 +546,3 @@ def _divide_monic(f, g):
         f = [x - c * y for x, y in zip(f[1:], g[1:] + [0] * len(f))]
     return quot, f
 
-
-def _merge_eigen(spaces, maps):
-    """Recombine split vectors that carry identical eigenvalue maps."""
-    merged = []
-    for space, emap in zip(spaces, maps):
-        for mspace, mmap in merged:
-            if mmap == emap:
-                mspace.extend(space)
-                break
-        else:
-            merged.append((list(space), dict(emap)))
-    return [s for s, _ in merged], [m for _, m in merged]

@@ -10,14 +10,15 @@ The disc axis carries the regular representation of (Z/p)^x, whose
 characters omega^j are defined over Z/p^M (D(Z_p^x) = sum_j omega^j
 D(1 + pZ_p), as in Stevens' rigid analytic modular symbols), so each
 stratum splits into p - 1 Teichmuller sectors.  The relations are solved,
-and every Hecke operator is applied, one sector block at a time.
+and every Hecke operator is applied, one sector block at a time; both
+come from one fold of term groups into sector blocks, ``_term_blocks``.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import gcd, prod
 
 import numpy as np
@@ -173,33 +174,29 @@ def _stratum_action_matrix(g, N, p, prec, T, d):
     return (twist[:, None, None] * block) % mod
 
 
-def _term_blocks(terms, ngens, N, p, prec, T, d):
-    """sum_(c, g, w) w * x_c|g on stratum d as its p - 1 sector blocks.
+def _term_blocks(groups, ngens, N, p, prec, T, d):
+    """Each group's sum_(c, g, w) w * x_c|g on stratum d as p - 1 sector
+    blocks: an array (p - 1, len(groups), rows, columns).
 
-    Block j has rows (tag, moment) and columns (generator, tag, moment);
-    each term adds w times the sector blocks of _stratum_action_matrix(g)
-    into generator slice c.
+    Block j has rows (tag, moment) and columns (generator, tag, moment).
+    The sector blocks of _stratum_action_matrix of every term, times its
+    weight, are added into the term's group and generator slice at once.
     """
     blockdim = len(_units(N)) * (d + 1)
     mod = p**prec
-    block = np.zeros((p - 1, blockdim, ngens * blockdim), dtype=np.int64)
-    for c, g, w in terms:
-        S = _stratum_action_matrix(g, N, p, prec, T, d)
-        sl = slice(c * blockdim, (c + 1) * blockdim)
-        block[:, :, sl] = (block[:, :, sl] + (w % mod) * S) % mod
-    return block
-
-
-def _sector_relation_blocks(level, N, p, prec, T, d):
-    """The stratum-d relation matrix as its p - 1 sector blocks.
-
-    Block j has rows (relation, tag, moment) and columns (generator, tag,
-    moment); x solves it exactly when the generator values with disc c
-    entry omega^j(c) x satisfy the relations.
-    """
-    pres = manin.presentation(level)
-    return np.concatenate([_term_blocks(rel, pres.ngens, N, p, prec, T, d)
-                           for rel in pres.relations], axis=1)
+    out = np.zeros((len(groups), ngens, p - 1, blockdim, blockdim),
+                   dtype=np.int64)
+    terms = [(i, c, g, w) for i, group in enumerate(groups)
+             for c, g, w in group]
+    if terms:
+        owner, gens, gs, ws = zip(*terms)
+        S = np.stack([_stratum_action_matrix(g, N, p, prec, T, d)
+                      for g in gs])
+        w = np.array([x % mod for x in ws], dtype=np.int64)
+        np.add.at(out, (list(owner), list(gens)),
+                  w[:, None, None, None] * S % mod)
+    return (out % mod).transpose(2, 0, 3, 1, 4).reshape(
+        p - 1, len(groups), blockdim, ngens * blockdim)
 
 
 @lru_cache(maxsize=64)
@@ -207,28 +204,24 @@ def _coset_blocks(level, N, p, prec, T, d, reps):
     """The double coset of reps on stratum d, one read-only block per sector.
 
     Block j acts on (generator, tag, moment); its block row b is the sum
-    over alpha of S_j(alpha) E_j(alpha . base_b), E from _term_blocks and
-    S from _stratum_action_matrix, which checks every path matrix and rep.
-    MAT_IOTA (determinant -1) has S the moment sign (-1)^b of x^a y^b.
-    At most 64 are kept, of (p - 1) (ngens phi(N) (d + 1))^2 entries each.
+    over alpha of S_j(alpha) E_j(alpha . base_b), E from _term_blocks,
+    one base at a time, and S from _stratum_action_matrix, which checks
+    every path matrix and rep.  MAT_IOTA (determinant -1) has S the moment
+    sign (-1)^b of x^a y^b.  At most 64 are kept, of (p - 1) (ngens phi(N)
+    (d + 1))^2 entries each.
     """
     ngens = manin.presentation(level).ngens
     mod = p**prec
     sign = np.tile([(-1) ** (d - n) for n in range(d + 1)], len(_units(N)))
-
-    def evaluate(D):
-        terms = manin.divisor_terms(level, D)
-        return _term_blocks(terms, ngens, N, p, prec, T, d)
-
-    def twist(acc, alpha, E):
-        if alpha == manin.MAT_IOTA:
-            return (acc + sign[:, None] * E) % mod
-        S = _stratum_action_matrix(alpha, N, p, prec, T, d)
-        return (acc + np.stack([matmul_mod(s, e, mod)
-                                for s, e in zip(S, E)])) % mod
-
-    op = np.concatenate(manin.double_coset(level, reps, partial(map, evaluate),
-                                           twist, lambda: 0), axis=1)
+    S = np.stack([np.repeat(np.diag(sign)[None], p - 1, axis=0)
+                  if alpha == manin.MAT_IOTA else
+                  _stratum_action_matrix(alpha, N, p, prec, T, d)
+                  for alpha in reps], axis=1)
+    terms = manin.coset_terms(level, reps)
+    op = np.concatenate(
+        [matmul_mod(S, _term_blocks(terms[lo:lo + len(reps)], ngens, N, p,
+                                    prec, T, d), mod).sum(axis=1) % mod
+         for lo in range(0, len(terms), len(reps))], axis=1)
     op.flags.writeable = False
     return op
 
@@ -249,7 +242,7 @@ def _coset_stratum(level, N, p, prec, T, d, X, reps):
     discs = np.moveaxis(X, 2, 0)
     sectors = matmul_mod(to_sectors, discs.reshape(p - 1, -1), mod).reshape(
         p - 1, op.shape[2], -1)
-    images = np.stack([matmul_mod(B, x, mod) for B, x in zip(op, sectors)])
+    images = matmul_mod(op, sectors, mod)
     out = matmul_mod(chars.T, images.reshape(p - 1, -1), mod)
     return np.moveaxis(out.reshape(discs.shape), 0, 2)
 
@@ -337,8 +330,10 @@ def solve_oc_space(Np, N, precision):
     shape = (manin.presentation(Np).ngens, len(_units(N)), p - 1)
     blocks, strata, torsion = [], [], []
     for d in range(T + 1):
+        rel = _term_blocks(manin.presentation(Np).relations, shape[0], N, p,
+                           prec, T, d)
         rows = []
-        for j, B in enumerate(_sector_relation_blocks(Np, N, p, prec, T, d)):
+        for j, B in enumerate(rel.reshape(p - 1, -1, rel.shape[-1])):
             for y in zpm_kernel(B, p, prec)[0]:
                 x = y.reshape(shape[:2] + (1, d + 1)) * chars[j][:, None]
                 rows.append((x % mod).reshape(-1))

@@ -15,9 +15,6 @@ vanish; they are found one prime power of M at a time and combined by
 CRT, and the exact F_M test runs on those cosets only.
 """
 
-import hashlib
-import json
-import os
 from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt
@@ -495,48 +492,17 @@ def _bucket_dedupe(P, m, M):
     return out
 
 
-_DISK_CACHE_DIR = None
-
-
-def enable_disk_cache(path):
-    """Route enumerate_classes through a content-addressed JSON store."""
-    global _DISK_CACHE_DIR
-    _DISK_CACHE_DIR = path
-
-
-def _disk_cached_classes(M, delta):
-    key = f"classes:v1:{M}:{delta}".encode()
-    path = os.path.join(_DISK_CACHE_DIR,
-                        hashlib.sha256(key).hexdigest()[:32] + ".json")
-    try:
-        with open(path) as fh:
-            return tuple(QuadForm(a, b, c) for a, b, c in json.load(fh))
-    except (OSError, ValueError):
-        pass
-    out = _enumerate_classes(M, delta)
-    os.makedirs(_DISK_CACHE_DIR, exist_ok=True)
-    tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w") as fh:
-        json.dump([list(Q.triple()) for Q in out], fh)
-    os.replace(tmp, path)
-    return out
-
-
+@lru_cache(maxsize=8192)
 def enumerate_classes(M, delta):
     """Complete, duplicate-free Gamma0(M)-class list for {Q in F_M, disc = delta}.
 
     Includes imprimitive forms m*Q with content m coprime to M.
     Deterministic order: lexicographic on the canonical reduced triple of
     the class (scaled by the content), ties broken by the representative.
+    The tuple is memoized, at most 8192 of them.
     """
     if delta <= 0:
         raise BadIndex(f"discriminant {delta} is not positive")
-    if _DISK_CACHE_DIR is not None:
-        return _disk_cached_classes(M, delta)
-    return _enumerate_classes(M, delta)
-
-
-def _enumerate_classes(M, delta):
     if M % 2 == 1:
         if delta % M:
             return ()

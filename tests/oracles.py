@@ -105,7 +105,6 @@ from shintani.modsym import (
     SymPoly,
     _apply_rows,
     _hecke_rows,
-    _merge_eigen,
     _normalize_content,
     hecke_matrix,
     hecke_Tn,
@@ -972,12 +971,12 @@ def eigensymbols_sympy(M, k, chi, sign, lbound=7):
                         RuntimeWarning)
                     continue
                 lamf = Fraction(int(lam.p), int(lam.q))
-                for piece in _rational_eigenspace(R, lam, r):
-                    vec = [sum(Fraction(piece[j]) * space[j][i] for j in range(r))
-                           for i in range(dim)]
-                    new_spaces.append([vec])
-                    new_maps.append({**emap, l: lamf})
-        spaces, maps = _merge_eigen(new_spaces, new_maps)
+                new_spaces.append(
+                    [[sum(Fraction(piece[j]) * space[j][i] for j in range(r))
+                      for i in range(dim)]
+                     for piece in _rational_eigenspace(R, lam, r)])
+                new_maps.append({**emap, l: lamf})
+        spaces, maps = new_spaces, new_maps
     out = []
     for space, emap in zip(spaces, maps):
         v = space[0]
@@ -1248,7 +1247,8 @@ class Divisor0:
         items = [(c, m) for c, m in merged.items() if m != 0]
         if sum(m for _, m in items) != 0:
             raise DegreeMismatch("divisor must have degree zero")
-        items.sort(key=lambda cm: cm[0].sort_key())
+        # finite cusps by (num, den), infinity last
+        items.sort(key=lambda cm: (cm[0].is_infinity, cm[0].num, cm[0].den))
         self.pairs = tuple(items)
 
     @classmethod
@@ -1311,8 +1311,8 @@ def hecke_Tll(phi, l):
     """Diamond-scaled operator for l coprime to the level: one scalar rep."""
     if gcd(l, phi.level) != 1:
         raise BadIndex(f"{l} must be coprime to the level {phi.level}")
-    return _apply_rows(phi, _hecke_rows(phi.level, phi.k, phi.chi,
-                                        [(l, 0, 0, l)]))
+    return _apply_rows([phi], _hecke_rows(phi.level, phi.k, phi.chi,
+                                          [(l, 0, 0, l)]))[0]
 
 
 def frac_rref_gauss(rows, ncols):

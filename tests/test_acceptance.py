@@ -13,13 +13,11 @@ from fractions import Fraction
 from math import gcd
 
 import numpy as np
-import pytest
 
 from oracles import act_S0, convolve, dirac, random_moments2
 from test_dist import rand_dist1, rand_s0
 from test_qf import bfs_orbit, box_forms
 
-from shintani import qf
 from shintani.arith import DirichletChar, mat_mul
 from shintani.cosets import _units
 from shintani.dist import ArithWeight
@@ -54,14 +52,6 @@ from shintani.ocsymb import (
 from shintani.qf import QuadForm, enumerate_classes, in_FM
 
 THREADS = 4
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _shared_class_cache(tmp_path_factory):
-    """Share class enumerations across symbols and tests on disk."""
-    qf.enable_disk_cache(str(tmp_path_factory.mktemp("classes")))
-    yield
-    qf.enable_disk_cache(None)
 
 
 def _seeded_symbol(space, seed=17):

@@ -9,15 +9,9 @@ import sys
 import pytest
 
 import shintani
-from shintani import cli, ocsymb, qf
+from shintani import cli, ocsymb
 from shintani.arith import DirichletChar
 from shintani.lifting import theta_classical
-
-
-@pytest.fixture(autouse=True)
-def _no_disk_cache():
-    yield
-    qf.enable_disk_cache(None)
 
 
 def run_cli(capsys, *argv):
@@ -328,21 +322,6 @@ def test_thread_count_invariant_output(capsys):
     _, out1 = run_cli(capsys, *base, "--threads", "1")
     _, out2 = run_cli(capsys, *base, "--threads", "4")
     assert out1 == out2
-
-
-def test_cache_dir_roundtrip(tmp_path, capsys):
-    env_args = ("qf", "classes", "--level", "11", "--disc", "44", "--json")
-    _, plain = run_cli(capsys, *env_args)
-    os.environ["SHINTANI_CACHE_DIR"] = str(tmp_path)
-    try:
-        _, first = run_cli(capsys, *env_args)
-        cached_files = list(tmp_path.iterdir())
-        assert len(cached_files) == 1
-        _, second = run_cli(capsys, *env_args)
-    finally:
-        del os.environ["SHINTANI_CACHE_DIR"]
-        qf.enable_disk_cache(None)
-    assert plain == first == second
 
 
 def test_console_entry_subprocess():

@@ -14,7 +14,7 @@ import sympy
 import shintani
 from shintani import linalg, manin, modsym
 from shintani.arith import DirichletChar
-from shintani.errors import NoConvergence
+from shintani.errors import NoConvergence, OperandMismatch
 from shintani.linalg import (
     berkowitz_charpoly,
     frac_nullspace,
@@ -41,6 +41,32 @@ def test_matmul_mod_matches_bigint():
     got = matmul_mod(A, B, mod)
     want = (A.astype(object) @ B.astype(object)) % mod
     assert (got.astype(object) == want).all()
+
+
+@pytest.mark.parametrize("ashape, bshape", [
+    ((3, 4, 5), (3, 5, 2)),        # one product per stack entry
+    ((2, 1, 4, 5), (3, 5, 6)),     # stacks broadcast against each other
+    ((4, 5), (3, 5, 2)),           # a plain matrix against a stack
+    ((5,), (3, 5, 2)),             # a row against a stack
+    ((3, 4, 5), (5,)),             # a stack against a column
+    ((5,), (5,)),                  # a dot product
+    ((2, 3, 300), (300, 4)),       # inner dimension above _CHUNK
+    ((2, 3, 0), (2, 0, 4)),        # empty inner dimension
+])
+def test_stacked_matmul_mod_matches_bigint(ashape, bshape):
+    mod = 13**7
+    r = np.random.default_rng(11)
+    A = r.integers(0, mod, size=ashape)
+    B = r.integers(0, mod, size=bshape)
+    got = matmul_mod(A, B, mod)
+    want = np.matmul(A.astype(object), B.astype(object)) % mod
+    if np.ndim(want) == 0:
+        assert type(got) is int and got == want
+    else:
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert (got.astype(object) == want).all()
+    with pytest.raises(OperandMismatch, match="inner dimensions"):
+        matmul_mod(A, np.ones(A.shape[-1] + 1), mod)
 
 
 def test_frac_rref_and_nullspace_vs_sympy():

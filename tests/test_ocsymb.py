@@ -278,7 +278,8 @@ def test_sector_blocks_are_the_conjugated_relation_matrix(level, N, prec, T,
     off = [conj[:, :, j, :, :, :, k, :] for j in range(p - 1)
            for k in range(p - 1) if j != k]
     assert sum(int(np.count_nonzero(x)) for x in off) == 0
-    blocks = ocsymb._sector_relation_blocks(level, N, p, prec, T, d)
+    pres = manin.presentation(level)
+    blocks = ocsymb._term_blocks(pres.relations, pres.ngens, N, p, prec, T, d)
     diag = [conj[:, :, j, :, :, :, j, :].reshape(blocks[j].shape)
             for j in range(p - 1)]
     for j in range(p - 1):

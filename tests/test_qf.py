@@ -415,9 +415,17 @@ def test_enumerate_classes_level_five():
 
 def test_enumerate_classes_deterministic():
     a = enumerate_classes(11, 44)
-    b = enumerate_classes(11, 44)
+    b = enumerate_classes.__wrapped__(11, 44)   # past the memo
     assert a == b
     assert all(in_FM(Q, 11) and Q.discriminant() == 44 for Q in a)
+
+
+def test_enumerate_classes_is_memoized():
+    enumerate_classes.cache_clear()
+    first = enumerate_classes(11, 44)
+    assert enumerate_classes(11, 44) is first
+    info = enumerate_classes.cache_info()
+    assert (info.hits, info.misses, info.maxsize) == (1, 1, 8192)
 
 
 def test_enumerate_includes_imprimitive():
