@@ -128,10 +128,6 @@ def mat_det(g):
     return g[0] * g[3] - g[1] * g[2]
 
 
-def mat_neg(g):
-    return (-g[0], -g[1], -g[2], -g[3])
-
-
 def mat_inv(g):
     """Inverse of a unimodular integer matrix."""
     det = mat_det(g)
@@ -140,19 +136,6 @@ def mat_inv(g):
     if det == -1:
         return (-g[3], g[1], g[2], -g[0])
     raise NonUnimodular(f"determinant {det}")
-
-
-def mat_pow(g, n):
-    if n < 0:
-        return mat_pow(mat_inv(g), -n)
-    out = MAT_ID
-    base = g
-    while n:
-        if n & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
-        n >>= 1
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,19 @@
 """Integral indefinite binary quadratic forms.
 
-Covers the congruence families F_M, the unimodular right action, Gauss
-reduction cycles, fundamental automorphs, level automorphs with their
-orientation normalization, geodesic boundary divisors, canonical keys of
-SL2(Z) classes, and deterministic class enumeration.
+Covers the congruence families F_M, the unimodular right action, reduced
+cycles, automorphs with their orientation normalization, geodesic
+boundary divisors, canonical keys of SL2(Z) classes, and deterministic
+class enumeration.
 
-Class enumeration never scans the cosets of Gamma0(M).  The primitive
-SL2(Z) classes of a discriminant come from one walk of each reduced cycle
-on integer triples, and each class's representative is the least triple
-of its cycle, which is also its sort key.  The left cosets h Gamma0(M)
-whose form m*P|h can lie in F_M are the roots mod M, in h's first column
-(alpha : gamma), of the congruences that make its b- and c-coefficients
-vanish; they are found one prime power of M at a time and combined by
-CRT, and the exact F_M test runs on those cosets only.
+One walk of reduced cycles on integer triples serves all of them: each
+primitive SL2(Z) class is represented, and sorted, by the least triple
+of its cycle, and every automorph of discriminant d is read in closed
+form off one unit t^2 - d u^2 = 4 from the principal cycle.  Class
+enumeration never scans the cosets of Gamma0(M).  The left cosets
+h Gamma0(M) whose form m*P|h can lie in F_M are the roots mod M, in h's
+first column (alpha : gamma), of the congruences that make its b- and
+c-coefficients vanish; they are found one prime power of M at a time and
+combined by CRT, and the exact F_M test runs on those cosets only.
 """
 
 from functools import lru_cache
@@ -21,16 +22,7 @@ from math import gcd, isqrt
 from operator import itemgetter
 
 from .arith import (
-    MAT_ID,
-    RationalCusp,
-    mat_det,
-    mat_inv,
-    mat_mul,
-    mat_neg,
-    mat_pow,
-    sign_a_plus_b_sqrt,
-    xgcd,
-)
+    RationalCusp, mat_det, mat_inv, mat_mul, sign_a_plus_b_sqrt, xgcd)
 from .cosets import _p1_table, left_coset_reps
 from .errors import (
     BadIndex, BadSemigroupElement, DegreeMismatch, NoConvergence,
@@ -107,16 +99,7 @@ def in_FM(Q, M):
 
 
 # ---------------------------------------------------------------------------
-# Gauss reduction for indefinite nonsquare discriminant
-
-
-def is_reduced(Q):
-    """0 < b < sqrt(d) and sqrt(d) - b < 2|a| < sqrt(d) + b, exactly."""
-    d = Q.discriminant()
-    s = isqrt(max(d, 0))
-    if d <= 0 or s * s == d:
-        raise SquareDiscriminant(f"discriminant {d}")
-    return 1 <= Q.b <= s and s + 1 - Q.b <= 2 * abs(Q.a) <= s + Q.b
+# reduced cycles and automorphs for indefinite nonsquare discriminant
 
 
 def _rho_step(a, b, c, d, s):
@@ -137,63 +120,68 @@ def _rho_step(a, b, c, d, s):
     return c, r, (r * r - d) // (4 * c), (-b - r) // t
 
 
-def _rho(Q):
-    """One reduction / cycle step; returns (Q', g) with act(Q, g) = Q'."""
-    d = Q.discriminant()
-    a, b, c, m = _rho_step(Q.a, Q.b, Q.c, d, isqrt(d))
-    return QuadForm(a, b, c), (-m, -1, 1, 0)
+def _reduced_cycle(a, b, c):
+    """Reduce the triple (a, b, c) by rho steps, then walk its cycle once.
 
-
-def reduce_form(Q):
-    """Reduce to a cycle member; returns (R, t) with act(Q, t) = R."""
-    d = Q.discriminant()
-    if d <= 0 or isqrt(d) ** 2 == d:
-        raise SquareDiscriminant(f"discriminant {d}")
-    R, t = Q, MAT_ID
-    guard = 0
-    while not is_reduced(R):
-        R, g = _rho(R)
-        t = mat_mul(t, g)
-        guard += 1
-        if guard >= 10_000:
-            raise NoConvergence(f"{Q} not reduced after {guard} steps")
-    return R, t
-
-
-def _cycle(R0):
-    """The rho-cycle through reduced R0.
-
-    Returns (members, h): members lists (form, transform from R0) around
-    the cycle, and act(R0, h) = R0 with h the full cycle product.
+    Reduced means 0 < b < sqrt(d) and sqrt(d) - b < 2|a| < sqrt(d) + b.
+    Returns (members, (x, y)): the reduced triples around the cycle, from
+    the first one reached, and the first row of the cycle product h, the
+    product of the steps' (-m, -1; 1, 0), which fixes members[0].
     """
-    members = [(R0, MAT_ID)]
-    R, g = _rho(R0)
-    t = g
-    guard = 0
-    while R != R0:
-        members.append((R, t))
-        R, g = _rho(R)
-        t = mat_mul(t, g)
-        guard += 1
-        if guard >= 100_000:
-            raise NoConvergence(f"cycle of {R0} open after {guard} steps")
-    return members, t
+    d = b * b - 4 * a * c
+    s = isqrt(max(d, 0))
+    if d <= 0 or s * s == d:
+        raise SquareDiscriminant(f"discriminant {d}")
+    for _ in range(10_000):
+        if 1 <= b <= s and s + 1 - b <= 2 * abs(a) <= s + b:
+            break
+        a, b, c, _m = _rho_step(a, b, c, d, s)
+    else:
+        raise NoConvergence(f"({a}, {b}, {c}) not reduced after 10000 steps")
+    start = (a, b, c)
+    members, x, y = [], 1, 0
+    for _ in range(100_000):
+        members.append((a, b, c))
+        a, b, c, m = _rho_step(a, b, c, d, s)
+        x, y = y - m * x, -x
+        if (a, b, c) == start:
+            return members, (x, y)
+    raise NoConvergence(f"cycle of {start} open after 100000 steps")
+
+
+@lru_cache(maxsize=None)
+def _unit(d):
+    """The least solution (t, u), t > 2 and u > 0, of t^2 - d u^2 = 4.
+
+    The cycle product h of the principal form's reduced cycle generates
+    the automorphs of the cycle's first member (a, b, c) up to sign, so
+    its first row is +-((t + bu)/2, -au).
+    """
+    members, (x, y) = _reduced_cycle(1, d % 2, (d % 2 - d) // 4)
+    a, b, _ = members[0]
+    u = y // a
+    t, u = abs(2 * x + b * u), abs(u)
+    if t <= 2 or t * t - d * u * u != 4:
+        raise NoConvergence(f"the principal cycle of discriminant {d} "
+                            f"closed on ({t}, {u}), not a unit")
+    return t, u
 
 
 def fundamental_automorph(Q):
-    """Positive-trace generator of the SL2(Z) automorph group, up to sign."""
-    d = Q.discriminant()
-    if d <= 0 or isqrt(d) ** 2 == d:
-        raise SquareDiscriminant(f"discriminant {d}")
+    """Generator of the SL2(Z) automorphs of Q, up to sign, of trace t > 2.
+
+    With P = (a, b, c) the primitive part of Q and (t, u) = _unit(disc P),
+    it is ((t + bu)/2, -au; cu, (t - bu)/2), the one P's own cycle product
+    gives; the automorphs of P, and so of Q, are +-its powers (Cohen 1993,
+    5.6-5.7; Buchmann-Vollmer 2007).
+    """
     P = Q.primitive_part()
-    R0, t = reduce_form(P)
-    _, h = _cycle(R0)
-    A = mat_mul(mat_mul(t, h), mat_inv(t))
-    if A[0] + A[3] < 0:
-        A = mat_neg(A)
-    if A[0] + A[3] <= 2 or act(P, A) != P:
-        raise NoConvergence(f"the cycle of {P} closed on {A}, "
-                            f"not a hyperbolic automorph")
+    a, b, c = P.triple()
+    t, u = _unit(P.discriminant())
+    A = ((t + b * u) // 2, -a * u, c * u, (t - b * u) // 2)
+    if act(P, A) != P:
+        raise NoConvergence(f"the unit ({t}, {u}) gives {A}, "
+                            f"not an automorph of {P}")
     return A
 
 
@@ -213,20 +201,14 @@ def _is_normalized(Q, g):
 
 
 def gamma_Q(Q, M):
-    """Least positive automorph power inside Gamma0(M), orientation-normalized."""
-    A = fundamental_automorph(Q)
-    if M == 1:
-        j0 = 1
-    else:
-        B = tuple(x % M for x in A)
-        C = B
-        j0 = 1
-        while C[2] % M != 0:
-            C = tuple(x % M for x in mat_mul(C, B))
-            j0 += 1
-            if j0 > 10**7:
-                raise NoConvergence(f"no power of {A} in Gamma0({M})")
-    g = mat_pow(A, j0)
+    """The fundamental automorph of Q, orientation-normalized, in Gamma0(M).
+
+    For Q = m*P in F_M, P = (a, b, c) primitive, m divides Q.a, which is
+    prime to M, so M | m*c gives M | c: the lower-left entry cu of
+    fundamental_automorph(Q) is divisible by M, and no power is needed.
+    Forms whose fundamental automorph leaves Gamma0(M) are refused.
+    """
+    g = fundamental_automorph(Q)
     if not _is_normalized(Q, g):
         g = mat_inv(g)
         if not _is_normalized(Q, g):
@@ -363,9 +345,8 @@ def _primitive_sl2_classes(d):
     """Representatives of primitive SL2(Z) classes of discriminant d > 0.
 
     Each representative is its class's canonical triple, the one
-    _canonical_key returns: for nonsquare d the least member of its
-    reduced cycle, for square d = e^2 the form (0, e, c) with 0 <= c < e.  Scan and cycle walk run on integer
-    triples; only the returned representatives become QuadForms.
+    _canonical_key returns.  Scan and cycle walk run on integer triples;
+    only the returned representatives become QuadForms.
     """
     if d <= 0 or d % 4 not in (0, 1):
         return []
@@ -377,9 +358,7 @@ def _primitive_sl2_classes(d):
         if (b * b - d) % 4:
             continue
         prod = (b * b - d) // 4   # equals a*c, negative
-        lo = s + 1 - b
-        hi = s + b
-        for aa in range(max(1, (lo + 1) // 2), hi // 2 + 1):
+        for aa in range(max(1, (s + 2 - b) // 2), (s + b) // 2 + 1):
             if prod % aa:
                 continue
             for a in (aa, -aa):
@@ -388,19 +367,10 @@ def _primitive_sl2_classes(d):
                     reduced.add((a, b, c))
     classes = []
     for start in sorted(reduced):
-        if start not in reduced:
-            continue
-        a, b, c = start
-        least = start
-        for _ in range(len(reduced)):
-            reduced.discard((a, b, c))
-            least = min(least, (a, b, c))
-            a, b, c, _m = _rho_step(a, b, c, d, s)
-            if (a, b, c) == start:
-                break
-        else:
-            raise NoConvergence(f"cycle of {start} open at discriminant {d}")
-        classes.append(least)
+        if start in reduced:
+            members, _ = _reduced_cycle(*start)
+            reduced.difference_update(members)
+            classes.append(min(members))
     return [QuadForm(*t) for t in sorted(classes)]
 
 
@@ -408,18 +378,15 @@ def _primitive_sl2_classes(d):
 def _canonical_key(P):
     """Deterministic per-SL2-class key of a primitive form.
 
-    Class enumeration no longer calls it: the bucket's representative from
-    _primitive_sl2_classes is this key.  It stays as the oracle for that
-    sort key and because the benchmark reads its cache statistics.
+    The least member of P's reduced cycle, or (0, e, c) with 0 <= c < e
+    for square discriminant e^2.  Class enumeration reads it off
+    _primitive_sl2_classes instead; the benchmark reads its cache.
     """
     d = P.discriminant()
     e = isqrt(d)
     if e * e == d:
-        canon, _ = _square_canonical(P)
-        return canon.triple()
-    R0, _ = reduce_form(P)
-    members, _ = _cycle(R0)
-    return min(F.triple() for F, _ in members)
+        return _square_canonical(P)[0].triple()
+    return min(_reduced_cycle(P.a, P.b, P.c)[0])
 
 
 @lru_cache(maxsize=None)
@@ -465,10 +432,9 @@ def _bucket_dedupe(P, m, M):
     even M, that 2M divide b'), so the exact in_FM test on Q|h stays.
 
     Q|h and Q|h' are equivalent iff h' lies in h Stab(Q|h) Gamma0(M).
-    The automorphs of a form (a, b, c) are ((t - bu)/2, au; -cu,
-    (t + bu)/2) with t^2 - d u^2 = 4, so those of a form in F_M lie in
-    Gamma0(M) and that double coset is h Gamma0(M): distinct cosets give
-    inequivalent forms.
+    The automorphs of a form in F_M lie in Gamma0(M) (fundamental_automorph
+    and gamma_Q), so that double coset is h Gamma0(M): distinct cosets
+    give inequivalent forms.
     """
     a, b, c = m * P.a, m * P.b, m * P.c
     local = []
@@ -503,10 +469,7 @@ def enumerate_classes(M, delta):
     """
     if delta <= 0:
         raise BadIndex(f"discriminant {delta} is not positive")
-    if M % 2 == 1:
-        if delta % M:
-            return ()
-    elif delta % (4 * M):
+    if delta % (M if M % 2 else 4 * M):
         return ()
     keyed = []
     m = 1

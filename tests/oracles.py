@@ -33,6 +33,14 @@ sector blocks.
 coset of Gamma0(M) before it solved the F_M congruence per prime power
 of M, and ``primitive_sl2_classes_cycle`` is ``qf._primitive_sl2_classes``
 as it walked each reduced cycle on ``QuadForm`` objects through ``_cycle``.
+``is_reduced``, ``_rho``, ``reduce_form`` and ``_cycle`` are that
+matrix-tracking walk: each step carries its transform, and the cycle
+returns its product.  ``fundamental_automorph_cycle`` is
+``qf.fundamental_automorph`` as it conjugated that product back to the
+form, and ``gamma_Q_power`` is ``qf.gamma_Q`` as it searched the powers
+of it for the least one in Gamma0(M), with ``mat_pow`` and ``mat_neg``,
+before both read the automorph in closed form off one unit per
+discriminant.
 ``equivalent_under_gamma0`` (with ``_sl2_transporter``,
 ``_automorph_mod_search`` and its ``DiscriminantMismatch``) decides
 whether two forms are Gamma0(M)-equivalent, and certifies class
@@ -84,18 +92,21 @@ from operator import mul
 import numpy as np
 import sympy
 
-from shintani.arith import MAT_ID, RationalCusp, mat_inv, mat_mul, mat_pow
+from shintani.arith import MAT_ID, RationalCusp, mat_inv, mat_mul
 from shintani.cosets import (
     _units, coset_index, coset_section, left_coset_reps)
 from shintani.dist import _act_blocks, _check_s0, _pairs, _stratum_cols
 from shintani.errors import (
     BadIndex,
+    BadSemigroupElement,
     DegreeMismatch,
     InsufficientMoments,
+    NoConvergence,
     NotInFM,
     OperandMismatch,
     PrecisionMismatch,
     ShintaniError,
+    SquareDiscriminant,
 )
 from shintani.lifting import quad_power
 from shintani.linalg import _check_kernel_bounds, zpm_solve
@@ -115,14 +126,12 @@ from shintani.modsym import (
 from shintani.ocsymb import _sources
 from shintani.qf import (
     QuadForm,
-    _cycle,
+    _is_normalized,
+    _rho_step,
     _square_canonical,
     act,
     cycle_divisor,
-    fundamental_automorph,
     in_FM,
-    is_reduced,
-    reduce_form,
 )
 
 
@@ -1011,6 +1020,122 @@ def bucket_dedupe_scan(P, m, M):
             if in_FM(Q, M)]
 
 
+# ---------------------------------------------------------------------------
+# Gauss reduction and automorphs through matrix-tracking cycle walks
+
+
+def mat_neg(g):
+    return (-g[0], -g[1], -g[2], -g[3])
+
+
+def mat_pow(g, n):
+    if n < 0:
+        return mat_pow(mat_inv(g), -n)
+    out = MAT_ID
+    base = g
+    while n:
+        if n & 1:
+            out = mat_mul(out, base)
+        base = mat_mul(base, base)
+        n >>= 1
+    return out
+
+
+def is_reduced(Q):
+    """0 < b < sqrt(d) and sqrt(d) - b < 2|a| < sqrt(d) + b, exactly."""
+    d = Q.discriminant()
+    s = isqrt(max(d, 0))
+    if d <= 0 or s * s == d:
+        raise SquareDiscriminant(f"discriminant {d}")
+    return 1 <= Q.b <= s and s + 1 - Q.b <= 2 * abs(Q.a) <= s + Q.b
+
+
+def _rho(Q):
+    """One reduction / cycle step; returns (Q', g) with act(Q, g) = Q'."""
+    d = Q.discriminant()
+    a, b, c, m = _rho_step(Q.a, Q.b, Q.c, d, isqrt(d))
+    return QuadForm(a, b, c), (-m, -1, 1, 0)
+
+
+def reduce_form(Q):
+    """Reduce to a cycle member; returns (R, t) with act(Q, t) = R."""
+    d = Q.discriminant()
+    if d <= 0 or isqrt(d) ** 2 == d:
+        raise SquareDiscriminant(f"discriminant {d}")
+    R, t = Q, MAT_ID
+    guard = 0
+    while not is_reduced(R):
+        R, g = _rho(R)
+        t = mat_mul(t, g)
+        guard += 1
+        if guard >= 10_000:
+            raise NoConvergence(f"{Q} not reduced after {guard} steps")
+    return R, t
+
+
+def _cycle(R0):
+    """The rho-cycle through reduced R0.
+
+    Returns (members, h): members lists (form, transform from R0) around
+    the cycle, and act(R0, h) = R0 with h the full cycle product.
+    """
+    members = [(R0, MAT_ID)]
+    R, g = _rho(R0)
+    t = g
+    guard = 0
+    while R != R0:
+        members.append((R, t))
+        R, g = _rho(R)
+        t = mat_mul(t, g)
+        guard += 1
+        if guard >= 100_000:
+            raise NoConvergence(f"cycle of {R0} open after {guard} steps")
+    return members, t
+
+
+def fundamental_automorph_cycle(Q):
+    """Positive-trace generator of the SL2(Z) automorph group, up to sign."""
+    d = Q.discriminant()
+    if d <= 0 or isqrt(d) ** 2 == d:
+        raise SquareDiscriminant(f"discriminant {d}")
+    P = Q.primitive_part()
+    R0, t = reduce_form(P)
+    _, h = _cycle(R0)
+    A = mat_mul(mat_mul(t, h), mat_inv(t))
+    if A[0] + A[3] < 0:
+        A = mat_neg(A)
+    if A[0] + A[3] <= 2 or act(P, A) != P:
+        raise NoConvergence(f"the cycle of {P} closed on {A}, "
+                            f"not a hyperbolic automorph")
+    return A
+
+
+def gamma_Q_power(Q, M):
+    """Least positive automorph power inside Gamma0(M), orientation-normalized."""
+    A = fundamental_automorph_cycle(Q)
+    if M == 1:
+        j0 = 1
+    else:
+        B = tuple(x % M for x in A)
+        C = B
+        j0 = 1
+        while C[2] % M != 0:
+            C = tuple(x % M for x in mat_mul(C, B))
+            j0 += 1
+            if j0 > 10**7:
+                raise NoConvergence(f"no power of {A} in Gamma0({M})")
+    g = mat_pow(A, j0)
+    if not _is_normalized(Q, g):
+        g = mat_inv(g)
+        if not _is_normalized(Q, g):
+            raise BadSemigroupElement(
+                f"neither {g} nor its inverse is oriented for {Q}")
+    if g[2] % M or act(Q, g) != Q:
+        raise BadSemigroupElement(f"{g} is not an automorph of {Q} "
+                                  f"in Gamma0({M})")
+    return g
+
+
 def primitive_sl2_classes_cycle(d):
     """Representatives of primitive SL2(Z) classes of discriminant d > 0."""
     if d <= 0 or d % 4 not in (0, 1):
@@ -1111,7 +1236,7 @@ def equivalent_under_gamma0(Q1, Q2, M):
     e = isqrt(P1.discriminant())
     if e * e == P1.discriminant():
         return g0 if g0[2] % M == 0 else None
-    A = fundamental_automorph(P2)
+    A = fundamental_automorph_cycle(P2)
     n = _automorph_mod_search(g0, A, M)
     if n is None:
         return None

@@ -11,31 +11,39 @@ import pytest
 import sympy
 from oracles import (
     DiscriminantMismatch,
+    _cycle,
     bucket_dedupe_scan,
     equivalent_under_gamma0,
+    fundamental_automorph_cycle,
     gamma0_generators,
+    gamma_Q_power,
+    is_reduced,
+    mat_neg,
+    mat_pow,
     primitive_sl2_classes_cycle,
+    reduce_form,
 )
 
 import shintani
 from shintani import cli, qf
-from shintani.arith import MAT_ID, RationalCusp, mat_det, mat_inv, mat_mul, mat_pow
+from shintani.arith import MAT_ID, RationalCusp, mat_det, mat_inv, mat_mul
 from shintani.cosets import coset_index, coset_section, p1_classes
-from shintani.errors import NonUnimodular, SquareDiscriminant
+from shintani.errors import (
+    BadSemigroupElement, NonUnimodular, SquareDiscriminant)
 from shintani.qf import (
     QuadForm,
     _bucket_dedupe,
     _canonical_key,
-    _cycle,
     _primitive_sl2_classes,
+    _reduced_cycle,
+    _rho_step,
+    _unit,
     act,
     cycle_divisor,
     enumerate_classes,
     fundamental_automorph,
     gamma_Q,
     in_FM,
-    is_reduced,
-    reduce_form,
     square_endpoints,
 )
 
@@ -164,44 +172,50 @@ def test_reduction_terminates_and_tracks():
             d = Q.discriminant()
             if d > 0 and isqrt(d) ** 2 != d:
                 break
+        # the triple walk reduces to the first reduced form that the
+        # matrix-tracking walk of the oracle reaches
+        members, _ = _reduced_cycle(*Q.triple())
         R, t = reduce_form(Q)
-        assert is_reduced(R)
-        assert act(Q, t) == R
-        assert mat_det(t) == 1
+        assert members[0] == R.triple()
+        assert act(Q, t) == R and mat_det(t) == 1
+        assert all(is_reduced(QuadForm(*F)) for F in members)
 
 
 def test_cycle_closes_and_automorph():
     for Q in (QuadForm(1, 1, -1), QuadForm(1, 0, -2), QuadForm(3, 11, -1)):
-        R0, t = reduce_form(Q)
-        members, h = _cycle(R0)
-        assert act(R0, h) == R0
+        members, row = _reduced_cycle(*Q.triple())
         # all cycle members are reduced and distinct
-        forms = [F for F, _ in members]
-        assert len(set(forms)) == len(forms)
-        for F, tr in members:
-            assert is_reduced(F)
-            assert act(R0, tr) == F
-
-
-def pell_min_trace(d, bound=100):
-    """Smallest t in (2, bound] with t^2 - d u^2 = 4 solvable, by search."""
-    for t in range(3, bound + 1):
-        num = t * t - 4
-        if num % d == 0:
-            u = isqrt(num // d)
-            if u * u * d == num:
-                return t
-    return None
+        assert len(set(members)) == len(members)
+        assert all(is_reduced(QuadForm(*F)) for F in members)
+        # the steps' matrices multiply to h, which fixes the start triple
+        d = Q.discriminant()
+        h = MAT_ID
+        for F, G in zip(members, members[1:] + members[:1]):
+            a, b, c, m = _rho_step(*F, d, isqrt(d))
+            assert (a, b, c) == G
+            h = mat_mul(h, (-m, -1, 1, 0))
+        R0 = QuadForm(*members[0])
+        assert act(R0, h) == R0 and h[:2] == row
+        # the same cycle and product as the oracle's matrix-tracking walk
+        oracle_members, oracle_h = _cycle(R0)
+        assert [F.triple() for F, _ in oracle_members] == members
+        assert oracle_h == h
 
 
 def test_fundamental_automorph_trace_is_pell_minimal():
-    for d in (5, 8, 12, 13, 17, 20, 21, 24, 28, 29, 33):
-        t_min = pell_min_trace(d)
-        assert t_min is not None
+    for d in range(5, 61):
+        if d % 4 not in (0, 1) or isqrt(d) ** 2 == d:
+            continue
+        # the least u > 0 with 4 + d u^2 a square gives the least t > 2
+        u = 1
+        while isqrt(4 + d * u * u) ** 2 != 4 + d * u * u:
+            u += 1
+        t = isqrt(4 + d * u * u)
+        assert _unit(d) == (t, u)
         for P in _primitive_sl2_classes(d):
             A = fundamental_automorph(P)
             assert act(P, A) == P
-            assert A[0] + A[3] == t_min
+            assert A[0] + A[3] == t
 
 
 def test_fundamental_automorph_examples():
@@ -229,7 +243,7 @@ def test_gamma_Q_level_one_is_fundamental():
 
 def test_gamma_Q_least_power():
     Q = QuadForm(1, 5, 5)
-    A = fundamental_automorph(Q)
+    A = fundamental_automorph_cycle(Q)
     g = gamma_Q(Q, 5)
     assert g[2] % 5 == 0 and act(Q, g) == Q
     # find the least j with A^j in Gamma0(5); gamma_Q must be A^{+-j}
@@ -245,6 +259,51 @@ def test_gamma_Q_least_power():
 
     assert _is_normalized(Q, g)
     assert not _is_normalized(Q, mat_inv(g))
+
+
+def test_gamma_Q_refuses_automorph_outside_gamma0():
+    # (1, 1, -1) is not in F_5, and its fundamental automorph (1, 1; 1, 2)
+    # or its inverse is not in Gamma0(5); gamma_Q searches no power of it
+    assert not in_FM(QuadForm(1, 1, -1), 5)
+    with pytest.raises(BadSemigroupElement):
+        gamma_Q(QuadForm(1, 1, -1), 5)
+    assert gamma_Q_power(QuadForm(1, 1, -1), 5)[2] % 5 == 0
+
+
+AUTOMORPH_LEVELS = (1, 5, 11, 15, 37, 55)
+
+
+def test_automorphs_match_cycle_product_oracle():
+    # every class a command can reach: the closed form is the automorph
+    # conjugated from the cycle product (not only up to inversion), and
+    # gamma_Q is the least power in Gamma0(M) that the oracle searches for
+    seen = 0
+    for M in AUTOMORPH_LEVELS:
+        for n in range(1, 151):
+            for Q in enumerate_classes(M, M * n):
+                if isqrt(M * n) ** 2 == M * n:
+                    continue
+                A = fundamental_automorph(Q)
+                assert A == fundamental_automorph_cycle(Q), (M, Q)
+                assert gamma_Q(Q, M) == gamma_Q_power(Q, M), (M, Q)
+                seen += 1
+    assert seen == 2426
+    # and on forms far from reduced, imprimitive ones included
+    r = random.Random(5)
+    for _ in range(300):
+        P = QuadForm(r.randint(1, 9), r.randint(0, 30), -r.randint(1, 9))
+        Q = act(P, random_sl2(r))
+        if isqrt(Q.discriminant()) ** 2 != Q.discriminant():
+            A = fundamental_automorph(Q)
+            assert A == fundamental_automorph_cycle(Q), Q
+
+
+def test_mat_pow_and_mat_neg():
+    g = (2, 1, 1, 1)
+    assert mat_pow(g, 3) == mat_mul(g, mat_mul(g, g))
+    assert mat_pow(g, -2) == mat_inv(mat_mul(g, g))
+    assert mat_pow(g, 0) == MAT_ID
+    assert mat_neg(g) == (-2, -1, -1, -1)
 
 
 def test_gamma_Q_deeper_level():
@@ -525,7 +584,8 @@ CHECKS_WITHOUT_ASSERTS = """
 from shintani import qf
 from shintani.arith import MAT_ID
 from shintani.errors import (
-    BadIndex, DegreeMismatch, NoConvergence, SquareDiscriminant)
+    BadIndex, BadSemigroupElement, DegreeMismatch, NoConvergence,
+    SquareDiscriminant)
 
 def raises(exc, fn, *args):
     try:
@@ -536,32 +596,40 @@ def raises(exc, fn, *args):
 
 Q = qf.QuadForm
 out = [
-    raises(SquareDiscriminant, qf.is_reduced, Q(2, 4, 0)),     # d = 16
-    raises(SquareDiscriminant, qf.is_reduced, Q(1, 1, 1)),     # d = -3
-    raises(SquareDiscriminant, qf.is_reduced, Q(0, 0, 0)),     # d = 0
-    raises(BadIndex, qf._rho, Q(1, 3, 0)),
+    raises(SquareDiscriminant, qf._reduced_cycle, 2, 4, 0),     # d = 16
+    raises(SquareDiscriminant, qf._reduced_cycle, 1, 1, 1),     # d = -3
+    raises(SquareDiscriminant, qf._reduced_cycle, 0, 0, 0),     # d = 0
+    raises(SquareDiscriminant, qf.fundamental_automorph, Q(1, 3, 2)),
     raises(BadIndex, qf._rho_step, 1, 3, 0, 9, 3),
     raises(BadIndex, qf.square_endpoints, Q(1, 0, -2)),   # d = 8
     raises(DegreeMismatch, qf.CycleDivisor, [((1, 2), 1)], None),
     raises(BadIndex, qf._is_normalized, Q(1, 3, 0), MAT_ID),   # c = 0
+    raises(BadSemigroupElement, qf.gamma_Q, Q(1, 1, -1), 5),   # not in F_5
 ]
-real = qf._rho
-qf._rho = lambda F: (F, MAT_ID)                 # a step that never moves
-out.append(raises(NoConvergence, qf.reduce_form, Q(1, 0, -2)))
-qf._rho = lambda F: (Q(F.a + 1, F.b, F.c), MAT_ID)   # a cycle that never closes
-out.append(raises(NoConvergence, qf._cycle, Q(1, 1, -1)))
-qf._rho = real
+real = qf._rho_step
+qf._rho_step = lambda a, b, c, d, s: (a, b, c, 0)   # a step that never moves
+out.append(raises(NoConvergence, qf._reduced_cycle, 1, 0, -2))
+# a cycle that never closes
+qf._rho_step = lambda a, b, c, d, s: (a + 1, b, c, 0)
+out.append(raises(NoConvergence, qf._reduced_cycle, 1, 1, -1))
+qf._rho_step = real
+real = qf._reduced_cycle
+qf._reduced_cycle = lambda a, b, c: ([(1, 1, -1)], (1, 0))   # t = 2
+out.append(raises(NoConvergence, qf._unit, 8))
+qf._reduced_cycle = lambda a, b, c: ([(1, 1, -1)], (2, 1))   # t^2 - 13 != 4
+out.append(raises(NoConvergence, qf._unit, 13))
+qf._reduced_cycle = real
 print(out)
 """
 
 
 def test_checks_raise_without_asserts():
-    assert not is_reduced(QuadForm(1, 0, -2))
+    assert _reduced_cycle(1, 0, -2)[0][0] != (1, 0, -2)   # not reduced
     with pytest.raises(SquareDiscriminant):
-        is_reduced(QuadForm(2, 4, 0))
+        _reduced_cycle(2, 4, 0)
     src = os.path.dirname(os.path.dirname(os.path.abspath(shintani.__file__)))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", CHECKS_WITHOUT_ASSERTS],
         capture_output=True, text=True, check=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=src))
-    assert proc.stdout.strip() == str([True] * 10)
+    assert proc.stdout.strip() == str([True] * 13)
