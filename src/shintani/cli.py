@@ -3,16 +3,16 @@
 Subcommands expose class tables, symbol-space reports, the classical and
 finite-slope liftings, slope reports and the verification suites.  All
 output is deterministic: given the same arguments and seed, reruns are
-byte-identical.  ``--json`` switches every report to a versioned JSON
-schema.  Exit status: 0 on success, 1 when a verification fails (with a
-diff of the first failing coefficient), 2 on usage errors.
+byte-identical.  ``--json`` switches every report but the verification
+suites' to a versioned JSON schema.  Exit status: 0 on success, 1 when a
+verification fails (with a diff of the first failing coefficient), 2 on
+usage errors.
 """
 
 import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -21,7 +21,7 @@ from . import qf
 from .arith import DirichletChar, is_prime
 from .dist import ArithWeight
 from .errors import KernelOverflow
-from .linalg import _check_kernel_bounds, frac_rref
+from .linalg import _check_kernel_bounds
 from .lifting import (
     _coeff_json,
     halfint_Tl2,
@@ -37,42 +37,71 @@ from .modsym import (
     eigensymbols,
     hecke_Tn,
     involution,
+    involution_matrix,
     involution_split,
+    sign_subspace,
     solve_symbol_space,
 )
 from .ocsymb import SlopeData, charpoly_strata, oc_hecke_Tll, oc_hecke_Tn, solve_oc_space
 
 SCHEMA_VERSION = 1
-DEFAULT_SEED = 17
 
 
 class UsageError(Exception):
     """Invalid parameter combination detected before dispatch."""
 
 
-@dataclass
-class JobConfig:
-    """Validated parameters of one CLI job.
+def _int_list(text):
+    out = tuple(int(x) for x in text.split(",") if x)
+    if not out:
+        raise argparse.ArgumentTypeError("need a comma-separated integer list")
+    return out
 
-    ells and weights are empty unless the command takes --ells or
-    --weights, so validate checks them only where they are read.
+
+# Every option once: dest (its JobConfig field) -> (flag, add_argument
+# keywords).  COMMANDS below names the options each subcommand takes.
+OPTIONS = {
+    "level": ("--level", dict(type=int, required=True)),
+    "disc": ("--disc", dict(type=int, required=True)),
+    "weight": ("--weight", dict(type=int, required=True)),
+    "char_disc": ("--char", dict(
+        type=int, default=0, metavar="CHAR",
+        help="quadratic character discriminant (0 = trivial)")),
+    "sign": ("--sign", dict(type=int, default=-1, choices=(1, -1))),
+    "n_max": ("--nmax", dict(type=int, required=True, metavar="NMAX")),
+    "p": ("--p", dict(type=int, required=True, help="working prime (>= 5)")),
+    "tame": ("--tame-n", dict(type=int, default=1,
+                              help="tame level N, coprime to p")),
+    "moments": ("--moments", dict(type=int, default=6,
+                                  help="moment degree bound T")),
+    "prec": ("--padic-prec", dict(type=int, default=6,
+                                  help="coefficient precision exponent")),
+    "slope_bound": ("--h", dict(type=int, default=1,
+                                help="report slopes up to this bound")),
+    "ells": ("--ells", dict(type=_int_list, default=(3, 7))),
+    "weights": ("--weights", dict(type=_int_list, default=(0, 1, 2))),
+    "json_out": ("--json", dict(
+        action="store_true",
+        help="emit the versioned JSON schema instead of text")),
+    "threads": ("--threads", dict(
+        type=int, default=1,
+        help="classical lift threads (default 1); the output does not "
+             "depend on it")),
+    "seed": ("--seed", dict(
+        type=int, default=17,
+        help="seed for randomized reports and property checks")),
+}
+
+
+class JobConfig(argparse.Namespace):
+    """Validated parameters of one CLI job, one field per option.
+
+    A field is None when the subcommand does not take its option, and
+    validate checks only the fields that are set.
     """
 
-    level: int = 1
-    tame: int = 1
-    p: int = 0
-    weight: int = 0
-    char_disc: int = 0
-    moments: int = 6
-    prec: int = 6
-    n_max: int = 20
-    slope_bound: int = 1
-    sign: int = -1
-    ells: tuple = ()
-    weights: tuple = ()
-    seed: int = DEFAULT_SEED
-    threads: int = 1
-    json_out: bool = False
+    def __init__(self, **fields):
+        super().__init__(**{**dict.fromkeys(OPTIONS), **fields})
 
     def validate(self):
         if self.p:
@@ -89,18 +118,18 @@ class JobConfig:
                 _check_kernel_bounds(self.p, self.prec, self.moments)
             except KernelOverflow as exc:
                 raise UsageError(f"{type(exc).__name__}: {exc}") from exc
-        if self.level < 1 or self.tame < 1:
+        if any(x is not None and x < 1 for x in (self.level, self.tame)):
             raise UsageError("levels must be positive")
-        if self.weight < 0:
+        if (self.weight or 0) < 0:
             raise UsageError("weight must be nonnegative")
-        if self.n_max < 0:
+        if (self.n_max or 0) < 0:
             raise UsageError("nmax must be nonnegative")
-        if self.sign not in (1, -1):
+        if self.sign not in (None, 1, -1):
             raise UsageError("sign must be 1 or -1")
-        if self.level % self.character().modulus:
+        if self.char_disc and self.level % self.character().modulus:
             raise UsageError(f"character modulus {self.character().modulus} "
                              f"must divide the level {self.level}")
-        for l in self.ells:
+        for l in self.ells or ():
             if not is_prime(l):
                 raise UsageError(f"ells must be primes, got {l}")
             if self.p:
@@ -109,14 +138,14 @@ class JobConfig:
             elif l == 2 or self.level % l == 0:
                 raise UsageError(f"l = {l} must be odd and prime to the "
                                  f"level {self.level}")
-        for k in self.weights:
+        for k in self.weights or ():
             if not 0 <= k <= self.moments // 2:
                 raise UsageError(f"weights must lie in 0..{self.moments // 2} "
                                  f"for {self.moments} moments, got {k}")
         return self
 
     def character(self):
-        if self.char_disc == 0:
+        if not self.char_disc:
             return DirichletChar.trivial()
         return DirichletChar.from_kronecker(self.char_disc)
 
@@ -198,7 +227,8 @@ def _report(lines, ok, live=True):
 # subcommands
 
 
-def cmd_qf_classes(cfg, disc):
+def cmd_qf_classes(cfg):
+    disc = cfg.disc
     if disc <= 0:
         raise UsageError("disc must be a positive integer")
     classes = qf.enumerate_classes(cfg.level, disc)
@@ -222,18 +252,8 @@ def cmd_qf_classes(cfg, disc):
 def cmd_modsym_basis(cfg):
     chi = cfg.character()
     basis = solve_symbol_space(cfg.level, cfg.weight, chi, "Q")
-
-    def _rank(sign):
-        rows = []
-        for phi in basis:
-            part = involution_split(phi)[0 if sign == 1 else 1]
-            rows.append([Fraction(x) for x in part.coords()])
-        if not rows:
-            return 0
-        _, pivots = frac_rref(rows, len(rows[0]))
-        return len(pivots)
-
-    plus, minus = _rank(1), _rank(-1)
+    J = involution_matrix(basis) if basis else []
+    plus, minus = (len(sign_subspace(J, sign)) for sign in (1, -1))
     if cfg.json_out:
         _emit_json({
             "schema_version": SCHEMA_VERSION,
@@ -528,31 +548,37 @@ def cmd_verify_oc_hecke(cfg):
 # argument parsing
 
 
-def _add_common(sp):
-    sp.add_argument("--json", action="store_true", dest="json_out",
-                    help="emit the versioned JSON schema instead of text")
-    sp.add_argument("--threads", type=int, default=1,
-                    help="classical lift threads (default 1); the output "
-                         "does not depend on it")
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                    help="seed for randomized reports and property checks")
+GROUPS = {"qf": "quadratic form class tables",
+          "modsym": "symbol space reports",
+          "shintani": "theta lifting computations",
+          "verify": "verification suites"}
+_PADIC = "p tame moments prec"
 
-
-def _add_padic(sp):
-    sp.add_argument("--p", type=int, required=True, help="working prime (>= 5)")
-    sp.add_argument("--tame-n", type=int, default=1, dest="tame",
-                    help="tame level N, coprime to p")
-    sp.add_argument("--moments", type=int, default=6,
-                    help="moment degree bound T")
-    sp.add_argument("--padic-prec", type=int, default=6, dest="prec",
-                    help="coefficient precision exponent")
-
-
-def _ells(text):
-    out = tuple(int(x) for x in text.split(",") if x)
-    if not out:
-        raise argparse.ArgumentTypeError("need a comma-separated prime list")
-    return out
+# Every subcommand: (group, action, help, handler, its options in help
+# order).  slopes is a group without actions.
+COMMANDS = (
+    ("qf", "classes", "one orbit representative per class",
+     cmd_qf_classes, "level disc json_out threads"),
+    ("modsym", "basis", "solve the relation space",
+     cmd_modsym_basis, "level weight char_disc json_out threads"),
+    ("modsym", "eigen", "rational Hecke eigensystems",
+     cmd_modsym_eigen, "level weight char_disc sign json_out threads"),
+    ("shintani", "classical", "exact lift of eigensymbols",
+     cmd_shintani_classical,
+     "level weight char_disc sign n_max json_out threads"),
+    ("shintani", "oc", "finite-precision lift of a seeded symbol",
+     cmd_shintani_oc, f"{_PADIC} n_max json_out threads seed"),
+    ("slopes", None, "U_p Newton polygon report",
+     cmd_slopes, f"{_PADIC} slope_bound json_out threads"),
+    ("verify", "involution", "anti-symmetry of the lift",
+     cmd_verify_involution, "level weight char_disc n_max threads"),
+    ("verify", "equivariance", "classical Hecke equivariance",
+     cmd_verify_equivariance, "level weight char_disc n_max ells threads"),
+    ("verify", "interpolation", "weight interpolation",
+     cmd_verify_interpolation, f"{_PADIC} n_max weights threads seed"),
+    ("verify", "oc-hecke", "finite-precision Hecke formula",
+     cmd_verify_oc_hecke, f"{_PADIC} n_max ells threads seed"),
+)
 
 
 @lru_cache(maxsize=None)
@@ -562,114 +588,27 @@ def build_parser():
         prog="shintani",
         description="Exact classical and finite-slope theta liftings.")
     top = ap.add_subparsers(dest="group", required=True)
-
-    g_qf = top.add_parser("qf", help="quadratic form class tables")
-    qf_sub = g_qf.add_subparsers(dest="action", required=True)
-    sp = qf_sub.add_parser("classes", help="one orbit representative per class")
-    sp.add_argument("--level", type=int, required=True)
-    sp.add_argument("--disc", type=int, required=True)
-    _add_common(sp)
-
-    g_ms = top.add_parser("modsym", help="symbol space reports")
-    ms_sub = g_ms.add_subparsers(dest="action", required=True)
-    for name, hlp in (("basis", "solve the relation space"),
-                      ("eigen", "rational Hecke eigensystems")):
-        sp = ms_sub.add_parser(name, help=hlp)
-        sp.add_argument("--level", type=int, required=True)
-        sp.add_argument("--weight", type=int, required=True)
-        sp.add_argument("--char", type=int, default=0,
-                        help="quadratic character discriminant (0 = trivial)")
-        if name == "eigen":
-            sp.add_argument("--sign", type=int, default=-1, choices=(1, -1))
-        _add_common(sp)
-
-    g_sh = top.add_parser("shintani", help="theta lifting computations")
-    sh_sub = g_sh.add_subparsers(dest="action", required=True)
-    sp = sh_sub.add_parser("classical", help="exact lift of eigensymbols")
-    sp.add_argument("--level", type=int, required=True)
-    sp.add_argument("--weight", type=int, required=True)
-    sp.add_argument("--char", type=int, default=0)
-    sp.add_argument("--sign", type=int, default=-1, choices=(1, -1))
-    sp.add_argument("--nmax", type=int, required=True)
-    _add_common(sp)
-    sp = sh_sub.add_parser("oc", help="finite-precision lift of a seeded symbol")
-    _add_padic(sp)
-    sp.add_argument("--nmax", type=int, required=True)
-    _add_common(sp)
-
-    sp = top.add_parser("slopes", help="U_p Newton polygon report")
-    _add_padic(sp)
-    sp.add_argument("--h", type=int, default=1, dest="slope_bound",
-                    help="report slopes up to this bound")
-    _add_common(sp)
-
-    g_v = top.add_parser("verify", help="verification suites")
-    v_sub = g_v.add_subparsers(dest="action", required=True)
-    sp = v_sub.add_parser("involution", help="anti-symmetry of the lift")
-    sp.add_argument("--level", type=int, required=True)
-    sp.add_argument("--weight", type=int, required=True)
-    sp.add_argument("--char", type=int, default=0)
-    sp.add_argument("--nmax", type=int, required=True)
-    _add_common(sp)
-    sp = v_sub.add_parser("equivariance", help="classical Hecke equivariance")
-    sp.add_argument("--level", type=int, required=True)
-    sp.add_argument("--weight", type=int, required=True)
-    sp.add_argument("--char", type=int, default=0)
-    sp.add_argument("--nmax", type=int, required=True)
-    sp.add_argument("--ells", type=_ells, default=(3, 7))
-    _add_common(sp)
-    sp = v_sub.add_parser("interpolation", help="weight interpolation")
-    _add_padic(sp)
-    sp.add_argument("--nmax", type=int, required=True)
-    sp.add_argument("--weights", type=_ells, default=(0, 1, 2))
-    _add_common(sp)
-    sp = v_sub.add_parser("oc-hecke", help="finite-precision Hecke formula")
-    _add_padic(sp)
-    sp.add_argument("--nmax", type=int, required=True)
-    sp.add_argument("--ells", type=_ells, default=(3, 7))
-    _add_common(sp)
-
+    actions = {}
+    for group, action, hlp, handler, options in COMMANDS:
+        if action is None:
+            sp = top.add_parser(group, help=hlp)
+        else:
+            if group not in actions:
+                g = top.add_parser(group, help=GROUPS[group])
+                actions[group] = g.add_subparsers(dest="action", required=True)
+            sp = actions[group].add_parser(action, help=hlp)
+        for dest in options.split():
+            flag, kwargs = OPTIONS[dest]
+            sp.add_argument(flag, dest=dest, **kwargs)
+        sp.set_defaults(handler=handler)
     return ap
 
 
-def _config_from_args(args):
-    cfg = JobConfig()
-    for name, attr in (
-        ("level", "level"), ("tame", "tame"), ("p", "p"),
-        ("weight", "weight"), ("char", "char_disc"),
-        ("moments", "moments"), ("prec", "prec"), ("nmax", "n_max"),
-        ("slope_bound", "slope_bound"), ("sign", "sign"),
-        ("ells", "ells"), ("weights", "weights"), ("seed", "seed"),
-        ("threads", "threads"), ("json_out", "json_out"),
-    ):
-        if hasattr(args, name):
-            setattr(cfg, attr, getattr(args, name))
-    return cfg.validate()
-
-
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        if args.group == "qf":
-            return cmd_qf_classes(cfg, args.disc)
-        if args.group == "modsym":
-            return (cmd_modsym_basis if args.action == "basis"
-                    else cmd_modsym_eigen)(cfg)
-        if args.group == "shintani":
-            return (cmd_shintani_classical if args.action == "classical"
-                    else cmd_shintani_oc)(cfg)
-        if args.group == "slopes":
-            return cmd_slopes(cfg)
-        if args.group == "verify":
-            return {
-                "involution": cmd_verify_involution,
-                "equivariance": cmd_verify_equivariance,
-                "interpolation": cmd_verify_interpolation,
-                "oc-hecke": cmd_verify_oc_hecke,
-            }[args.action](cfg)
-        raise UsageError(f"unknown command group {args.group}")
+        cfg = JobConfig(**vars(args)).validate()
+        return cfg.handler(cfg)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -130,13 +130,13 @@ def _char_vectors(kappa, N, p):
 
 
 def specialize(gen, kappa, N, p, prec, T):
-    """Project one generator's tagged moments to a weight-k polynomial.
+    """Project one generator's tagged moments to the k + 1 coefficients of
+    a weight-k polynomial on side L, mod p^prec.
 
     gen is indexed (tag, disc, moment), one generator of an OCSymbol's
     data.  Coefficient of the i-th divided basis vector:
     (-1)^i * sum_t chi_N(t) * sum_c chi_p(c) * m_{t,c}(k - i, i).
     """
-    from .modsym import SymPoly
     k = kappa.k
     if k > T:
         raise InsufficientMoments(f"weight {k} exceeds moment degree {T}")
@@ -144,5 +144,4 @@ def specialize(gen, kappa, N, p, prec, T):
     # the moments (k - i, i), i = 0..k; character values are 0 or +-1
     inner = np.einsum("t,c,tci->i", ct, cc,
                       gen[..., list(_stratum_cols(T, k))[::-1]])
-    coeffs = [(-1) ** i * int(x) % p**prec for i, x in enumerate(inner)]
-    return SymPoly(N * p, k, coeffs, kappa.chi, "L", ("zpm", p, prec))
+    return tuple((-1) ** i * int(x) % p**prec for i, x in enumerate(inner))

@@ -32,13 +32,7 @@ from .errors import (
 )
 from .linalg import _check_kernel_bounds
 from .manin import divisor_terms
-from .modsym import (
-    SymPoly,
-    _apply_int_matrix,
-    _term_rows,
-    check_ring,
-    ring_reduce,
-)
+from .modsym import _apply_int_matrix, _term_rows, check_ring, ring_reduce
 from .ocsymb import LOSS, _sources, specialize_symbol
 from .qf import cycle_divisor, enumerate_classes, in_FM
 
@@ -190,8 +184,8 @@ def halfint_Tl2(e, l):
 # exact-coefficient lift
 
 
-def quad_power(Q, k, level, chi, ring="Q"):
-    """Q(X, Y)^k as a degree-2k vector on the monomial side."""
+def quad_power(Q, k):
+    """Coefficients of Q(X, Y)^k, the one of X^m Y^(2k-m) at position m."""
     qa, qb, qc = Q.triple()
     coeffs = [0] * (2 * k + 1)
     for i in range(k + 1):
@@ -199,7 +193,15 @@ def quad_power(Q, k, level, chi, ring="Q"):
             t = k - i - j
             mult = factorial(k) // (factorial(i) * factorial(j) * factorial(t))
             coeffs[2 * i + j] += mult * qa**i * qb**j * qc**t
-    return SymPoly(level, 2 * k, coeffs, chi, "Lstar", ring)
+    return tuple(coeffs)
+
+
+def _cycle_terms(Q, M, base):
+    """Path terms (generator, g, weight) of the cycle divisor of Q in F_M
+    from the cusp base."""
+    if not in_FM(Q, M):
+        raise NotInFM(f"{Q!r} is not adapted to level {M}")
+    return divisor_terms(M, cycle_divisor(Q, M, base))
 
 
 @lru_cache(maxsize=8192)
@@ -216,14 +218,12 @@ def _theta_kernel(M, k, chi, phi_chi, n):
     base = RationalCusp.infinity()
     weights, groups = [], []
     for Q in enumerate_classes(M, delta_of_index(M, n)):
-        if not in_FM(Q, M):
-            raise NotInFM(f"{Q!r} is not adapted to level {M}")
+        terms = _cycle_terms(Q, M, base)
         f = chi(Q.a)
         if f:
-            qk = quad_power(Q, k, M, phi_chi).coeffs
-            weights.append([f * (-1) ** i * int(qk[K - i])
-                            for i in range(K + 1)])
-            groups.append(divisor_terms(M, cycle_divisor(Q, M, base).pairs))
+            qk = quad_power(Q, k)
+            weights.append([f * (-1) ** i * qk[K - i] for i in range(K + 1)])
+            groups.append(terms)
     W = np.array(weights, dtype=object).reshape(len(groups), K + 1)
     return tuple(np.tensordot(W, _term_rows(M, K, phi_chi, groups), 2).tolist())
 
@@ -386,14 +386,11 @@ def _class_terms(Phi, Q, base=None):
     The pure-Python part of J_oc: the F_M check, the cycle divisor and
     the semigroup check of every path matrix.
     """
-    if not in_FM(Q, Phi.level):
-        raise NotInFM(f"{Q!r} is not adapted to level {Phi.level}")
     if base is None:
         base = RationalCusp.infinity()
-    D = cycle_divisor(Q, Phi.level, base)
     red = Phi.N * Phi.p**Phi.prec
     terms = []
-    for c, g, w in divisor_terms(Phi.level, D.pairs):
+    for c, g, w in _cycle_terms(Q, Phi.level, base):
         _check_s0(g, Phi.level)
         terms.append((c, tuple(x % red for x in g), w))
     return terms

@@ -17,9 +17,9 @@ relation rows that the solver's kernel is checked against, the
 evaluation matrices of divisors (``_term_rows``) and one cached matrix
 per Hecke operator or involution (``_coset_rows``), applied to a whole
 basis in one exact product and read off private columns.  ``SymPoly``, one
-weight-k vector on either side, is the value type of
-``lifting.quad_power`` and ``dist.specialize``; the value-by-value
-evaluation and the pairing itself are the tests' oracles.
+weight-k vector on either side, is the value type of the tests' oracles,
+the value-by-value evaluation and the pairing; it stays here because the
+benchmark's tracer wraps ``SymPoly.act``.
 """
 
 from __future__ import annotations
@@ -426,6 +426,15 @@ def involution_matrix(basis):
     return _operator_matrix(basis, _coset_rows(M, k, chi, (manin.MAT_IOTA,)))
 
 
+def sign_subspace(J, sign):
+    """Row echelon basis of the sign eigenspace of the involution matrix J:
+    the column space of (I + sign*J)/2, in the coordinates J acts on."""
+    dim = len(J)
+    cols = [[(Fraction(1 if i == j else 0) + sign * J[i][j]) / 2
+             for i in range(dim)] for j in range(dim)]
+    return frac_rref(cols, dim)[0]
+
+
 def _normalize_content(flat):
     """Scale a rational vector to integer entries with unit content."""
     ints = _over_denominator(flat)[1]
@@ -449,11 +458,7 @@ def eigensymbols(M, k, chi, sign):
     if dim == 0:
         return []
     flats = [sym.coords() for sym in basis]
-    J = involution_matrix(basis)
-    # column space of (I + sign*J)/2 inside coordinate space
-    cols = [[(Fraction(1 if i == j else 0) + sign * J[i][j]) / 2
-             for i in range(dim)] for j in range(dim)]
-    subspace, _ = frac_rref(cols, dim)
+    subspace = sign_subspace(involution_matrix(basis), sign)
     if not subspace:
         return []
 

@@ -491,7 +491,7 @@ def specialize_symbol(sym, kappa):
     """Generator-wise projection to the classical weight-k symbol space."""
     coords = [x for gen in sym.data
               for x in specialize(gen, kappa, sym.N, sym.p, sym.prec,
-                                  sym.T).coeffs]
+                                  sym.T)]
     return ModularSymbol(sym.level, kappa.k, kappa.chi,
                          ("zpm", sym.p, sym.prec), coords)
 

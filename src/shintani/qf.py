@@ -25,8 +25,8 @@ from .arith import (
     RationalCusp, mat_det, mat_inv, mat_mul, sign_a_plus_b_sqrt, xgcd)
 from .cosets import _p1_table, left_coset_reps
 from .errors import (
-    BadIndex, BadSemigroupElement, DegreeMismatch, NoConvergence,
-    NonUnimodular, SquareDiscriminant)
+    BadIndex, BadSemigroupElement, NoConvergence, NonUnimodular,
+    SquareDiscriminant)
 
 
 class QuadForm:
@@ -224,34 +224,6 @@ def gamma_Q(Q, M):
 # boundary divisors of geodesic cycles
 
 
-class CycleDivisor:
-    """Degree-zero divisor bounding the geodesic cycle attached to a form.
-
-    ``pairs`` is a tuple of (cusp, coefficient); provenance records either
-    the rational endpoints (square discriminant) or the automorph and base
-    point used.
-    """
-
-    __slots__ = ("pairs", "provenance")
-
-    def __init__(self, pairs, provenance):
-        object.__setattr__(self, "pairs", tuple(pairs))
-        object.__setattr__(self, "provenance", provenance)
-        if sum(n for _, n in self.pairs) != 0:
-            raise DegreeMismatch("a cycle divisor must have degree zero")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CycleDivisor is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, CycleDivisor):
-            return NotImplemented
-        return self.pairs == other.pairs
-
-    def __repr__(self):
-        return f"CycleDivisor({self.pairs!r})"
-
-
 def square_endpoints(Q):
     """Oriented endpoint pair (omega, omega') for square discriminant."""
     d = Q.discriminant()
@@ -270,17 +242,19 @@ def square_endpoints(Q):
 
 
 def cycle_divisor(Q, M, omega):
-    """Boundary divisor of the oriented cycle of Q at level M."""
+    """Boundary divisor of the oriented cycle of Q at level M, as the pairs
+    (cusp, coefficient): the endpoints at square discriminant, else
+    {gamma_Q omega} - {omega}."""
     d = Q.discriminant()
     e = isqrt(d)
     if e * e == d:
         w1, w2 = square_endpoints(Q)
-        return CycleDivisor(((w1, 1), (w2, -1)), ("endpoints", w1, w2))
+        return ((w1, 1), (w2, -1))
     g = gamma_Q(Q, M)
     moved = omega.apply(g)
     if moved == omega:
         raise BadSemigroupElement(f"{g} fixes the base cusp {omega}")
-    return CycleDivisor(((moved, 1), (omega, -1)), ("automorph", g, omega))
+    return ((moved, 1), (omega, -1))
 
 
 # ---------------------------------------------------------------------------

@@ -920,7 +920,7 @@ def J_oc_values(Phi, Q, base=None):
         raise NotInFM(f"{Q!r} is not adapted to level {Phi.level}")
     if base is None:
         base = RationalCusp.infinity()
-    return tilde_JQ(evaluate(Phi, cycle_divisor(Q, Phi.level, base).pairs), Q)
+    return tilde_JQ(evaluate(Phi, cycle_divisor(Q, Phi.level, base)), Q)
 
 
 def eigensymbols_sympy(M, k, chi, sign, lbound=7):
@@ -1420,9 +1420,9 @@ def J_classical(phi, Q, k, chi, base=None):
         raise NotInFM(f"{Q!r} is not adapted to level {M}")
     if base is None:
         base = RationalCusp.infinity()
-    D = cycle_divisor(Q, M, base)
-    val = evaluate_symbol(phi, D.pairs)
-    pair = pairing(val, quad_power(Q, k, M, phi.chi, phi.ring))
+    val = evaluate_symbol(phi, cycle_divisor(Q, M, base))
+    qk = SymPoly(M, 2 * k, quad_power(Q, k), phi.chi, "Lstar", phi.ring)
+    pair = pairing(val, qk)
     return ring_reduce(phi.ring, chi(Q.triple()[0] % chi.modulus) * pair)
 
 

@@ -392,6 +392,119 @@ def test_runtime_needs_numpy_only(capsys):
     assert got["runs"] == [[0, run_cli(capsys, *argv)[1]] for argv in argvs]
 
 
+# ---------------------------------------------------------------------------
+# the option and command tables
+
+
+def parse_config(argv):
+    """What main hands a handler: the parsed and validated config."""
+    return cli.JobConfig(**vars(cli.build_parser().parse_args(argv))).validate()
+
+
+README_COMMANDS = {
+    "qf classes --level 11 --disc 33": dict(
+        handler=cli.cmd_qf_classes, level=11, disc=33, json_out=False,
+        threads=1),
+    "qf classes --level 225 --disc 900": dict(
+        handler=cli.cmd_qf_classes, level=225, disc=900, json_out=False,
+        threads=1),
+    "modsym basis --level 11 --weight 0": dict(
+        handler=cli.cmd_modsym_basis, level=11, weight=0, char_disc=0,
+        json_out=False, threads=1),
+    "modsym eigen --level 11 --weight 0": dict(
+        handler=cli.cmd_modsym_eigen, level=11, weight=0, char_disc=0,
+        sign=-1, json_out=False, threads=1),
+    "shintani classical --level 5 --weight 1 --nmax 20": dict(
+        handler=cli.cmd_shintani_classical, level=5, weight=1, char_disc=0,
+        sign=-1, n_max=20, json_out=False, threads=1),
+    "shintani oc --p 5 --tame-n 1 --moments 8 --padic-prec 8 --nmax 20": dict(
+        handler=cli.cmd_shintani_oc, p=5, tame=1, moments=8, prec=8,
+        n_max=20, json_out=False, threads=1, seed=17),
+    "slopes --p 11 --tame-n 1 --moments 4 --padic-prec 4 --h 1": dict(
+        handler=cli.cmd_slopes, p=11, tame=1, moments=4, prec=4,
+        slope_bound=1, json_out=False, threads=1),
+    "verify involution --level 11 --weight 1 --nmax 50": dict(
+        handler=cli.cmd_verify_involution, level=11, weight=1, char_disc=0,
+        n_max=50, threads=1),
+    "verify equivariance --level 11 --weight 1 --nmax 60": dict(
+        handler=cli.cmd_verify_equivariance, level=11, weight=1,
+        char_disc=0, n_max=60, ells=(3, 7), threads=1),
+    "verify interpolation --p 5 --tame-n 1 --moments 8 --padic-prec 8 "
+    "--nmax 20": dict(
+        handler=cli.cmd_verify_interpolation, p=5, tame=1, moments=8,
+        prec=8, n_max=20, weights=(0, 1, 2), threads=1, seed=17),
+    "verify oc-hecke --p 5 --tame-n 1 --moments 8 --padic-prec 8 --nmax 40":
+    dict(
+        handler=cli.cmd_verify_oc_hecke, p=5, tame=1, moments=8, prec=8,
+        n_max=40, ells=(3, 7), threads=1, seed=17),
+}
+
+
+def readme_commands():
+    """The shintani command lines of the README's command-line section."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path) as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1]
+    block = block.split("```", 1)[0]
+    return [" ".join(line.split("#")[0].split()[1:])
+            for line in block.splitlines() if line.startswith("shintani ")]
+
+
+def test_readme_commands_parse_to_pinned_configs():
+    # every field of each README command's config: a drifted default, a
+    # lost option or a field a subcommand should not set shows here
+    assert readme_commands() == list(README_COMMANDS)
+    for line, fields in README_COMMANDS.items():
+        argv = line.split()
+        expected = {**dict.fromkeys(cli.OPTIONS), **fields, "group": argv[0]}
+        if argv[0] != "slopes":
+            expected["action"] = argv[1]
+        assert vars(parse_config(argv)) == expected, line
+
+
+DROPPED_PAIRS = [
+    "qf classes --level 11 --disc 33 --seed 3",
+    "modsym basis --level 11 --weight 0 --seed 3",
+    "modsym eigen --level 11 --weight 0 --seed 3",
+    "shintani classical --level 5 --weight 1 --nmax 6 --seed 3",
+    "slopes --p 11 --moments 2 --padic-prec 3 --seed 3",
+    "verify involution --level 11 --weight 0 --nmax 4 --seed 3",
+    "verify equivariance --level 11 --weight 0 --nmax 4 --seed 3",
+    "verify involution --level 11 --weight 0 --nmax 4 --json",
+    "verify equivariance --level 11 --weight 0 --nmax 4 --json",
+    "verify interpolation --p 5 --moments 2 --padic-prec 3 --nmax 4 --json",
+    "verify oc-hecke --p 5 --moments 2 --padic-prec 3 --nmax 4 --json",
+]
+
+
+@pytest.mark.parametrize("argv", DROPPED_PAIRS)
+def test_option_a_subcommand_ignores_is_refused(capsys, argv):
+    # --seed only where a seeded symbol is drawn, --json only where a
+    # report has a JSON schema
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv.split())
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    dropped = "--" + argv.rsplit(" --", 1)[1]
+    assert captured.err.endswith(f"error: unrecognized arguments: {dropped}\n")
+
+
+@pytest.mark.parametrize("option", ["--ells", "--weights"])
+def test_empty_int_list_message(capsys, option):
+    # --weights are weights, not primes: the list parser names neither
+    argv = ["verify", "interpolation" if option == "--weights" else "oc-hecke",
+            "--p", "5", "--nmax", "4", option, ","]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument {option}: need a comma-separated "
+                        "integer list\n")
+    assert "prime" not in err
+
+
 def test_jobconfig_character():
     cfg = cli.JobConfig(char_disc=5)
     chi = cfg.character()

@@ -360,14 +360,14 @@ def test_specialize_low_weights():
     mu = random_moments2(rng, P, PREC, T)
     [x] = data_of([TaggedDist2(1, P, PREC, T, {0: mu})])
     k0 = specialize(x, ArithWeight(0, TRIV, P), 1, P, PREC, T)
-    assert k0.coeffs[0] == sum(mu.m(c, 0, 0) for c in range(1, P)) % MOD
+    assert k0[0] == sum(mu.m(c, 0, 0) for c in range(1, P)) % MOD
     k1 = specialize(x, ArithWeight(1, TRIV, P), 1, P, PREC, T)
     # e_0 = Y coefficient, e_1 = X coefficient with a sign
-    assert k1.coeffs[0] == sum(mu.m(c, 1, 0) for c in range(1, P)) % MOD
-    assert k1.coeffs[1] == (-sum(mu.m(c, 0, 1) for c in range(1, P))) % MOD
+    assert k1[0] == sum(mu.m(c, 1, 0) for c in range(1, P)) % MOD
+    assert k1[1] == (-sum(mu.m(c, 0, 1) for c in range(1, P))) % MOD
     chi5 = DirichletChar.from_kronecker(5)
     k1t = specialize(x, ArithWeight(1, chi5, P), 1, P, PREC, T)
-    assert k1t.coeffs[0] == sum(chi5(c) * mu.m(c, 1, 0) for c in range(1, P)) % MOD
+    assert k1t[0] == sum(chi5(c) * mu.m(c, 1, 0) for c in range(1, P)) % MOD
 
 
 def test_specialize_insufficient_moments():
@@ -391,8 +391,9 @@ def test_specialize_equivariance():
                 g = mat_mul(g, rng.choice(gens))
             x, y = data_of([v.act(g), v])
             lhs = specialize(x, kappa, N, P, PREC, T)
-            rhs = specialize(y, kappa, N, P, PREC, T).act(g)
-            assert lhs.coeffs == rhs.coeffs
+            rhs = SymPoly(N * P, k, specialize(y, kappa, N, P, PREC, T),
+                          kappa.chi, "L", ("zpm", P, PREC)).act(g)
+            assert lhs == rhs.coeffs
 
 
 # ------------------------------------------------------------- JQ, tilde
@@ -457,7 +458,9 @@ def test_tilde_JQ_tags_and_interpolation():
         kt = ArithWeight(k, ch, P)
         lhs = eval_weight_meta(mc, kt)
         kappa = kt.doubled()
-        sp = specialize(data_of([v])[0], kappa, N, P, PREC, T)
+        gen = data_of([v])[0]
+        sp = SymPoly(N * P, kappa.k, specialize(gen, kappa, N, P, PREC, T),
+                     kappa.chi, "L", ("zpm", P, PREC))
         qpow = quadratic_power_poly(Q, k, 15, kappa.chi)
         rhs = (ch(Q.triple()[0]) * pairing(sp, qpow)) % MOD
         assert lhs == rhs

@@ -183,10 +183,10 @@ def test_halfint_Tl2_rejects():
 def test_quad_power_vectors():
     # position m holds the X^m Y^(2k-m) coefficient
     Q = QuadForm(2, -11, 11)
-    p1 = quad_power(Q, 1, 11, T11)
-    assert list(p1.coeffs) == [11, -11, 2]
-    p2 = quad_power(Q, 2, 11, T11)
-    assert list(p2.coeffs) == [121, -242, 165, -44, 4]
+    p1 = quad_power(Q, 1)
+    assert list(p1) == [11, -11, 2]
+    p2 = quad_power(Q, 2)
+    assert list(p2) == [121, -242, 165, -44, 4]
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from shintani.modsym import (
     involution_split,
     ring_half,
     ring_reduce,
+    sign_subspace,
     solve_symbol_space,
 )
 from shintani.ocsymb import classical_to_zpm
@@ -46,6 +47,7 @@ from oracles import (
     dirac_poly,
     eigensymbols_sympy,
     evaluate_symbol,
+    frac_rref_gauss,
     frac_solve_many,
     gamma0_generators,
     hecke_Tll,
@@ -549,6 +551,25 @@ def test_involution_split_recombines():
                for x, y in zip(sympolys_of(ip), sympolys_of(plus)))
     assert all((x + y).is_zero()
                for x, y in zip(sympolys_of(im), sympolys_of(minus)))
+
+
+def test_sign_subspace_ranks_match_split_symbols():
+    # the rank of (I +- J)/2 on basis coordinates is the rank of the
+    # projected symbols phi^+- on flat coordinates, by Gauss-Jordan: the
+    # coordinate map is injective
+    chi13 = DirichletChar.from_kronecker(13)
+    for M, k, chi in ((11, 0, TRIV), (5, 2, TRIV), (13, 2, chi13),
+                      (7, 4, TRIV)):
+        basis = solve_symbol_space(M, k, chi, "Q")
+        J = involution_matrix(basis)
+        ranks = []
+        for sign, half in ((1, 0), (-1, 1)):
+            rows = [[Fraction(x) for x in involution_split(phi)[half].coords()]
+                    for phi in basis]
+            ranks.append(len(frac_rref_gauss(rows, len(rows[0]))[1]))
+            assert len(sign_subspace(J, sign)) == ranks[-1], (M, k, sign)
+        assert sum(ranks) == len(basis)
+    assert sign_subspace([], 1) == sign_subspace([], -1) == []
 
 
 # ----------------------------------------------------------- eigensystems

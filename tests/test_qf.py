@@ -326,20 +326,22 @@ def test_square_endpoints_examples():
 
 
 def test_cycle_divisor_square():
-    D = cycle_divisor(QuadForm(1, 3, 2), 1, RationalCusp(0))
-    assert D.pairs == ((RationalCusp(1), 1), (RationalCusp(1, 2), -1))
-    assert D.provenance[0] == "endpoints"
+    # square discriminant: the divisor of the rational endpoints
+    Q = QuadForm(1, 3, 2)
+    D = cycle_divisor(Q, 1, RationalCusp(0))
+    assert D == ((RationalCusp(1), 1), (RationalCusp(1, 2), -1))
+    assert D == tuple(zip(square_endpoints(Q), (1, -1)))
 
 
 def test_cycle_divisor_automorph():
+    # nonsquare discriminant: {gamma_Q omega} - {omega} from the base omega
     Q = QuadForm(1, 1, -1)
     omega = RationalCusp(0)
     D = cycle_divisor(Q, 1, omega)
-    kind, g, base = D.provenance
-    assert kind == "automorph" and base == omega
+    g = gamma_Q(Q, 1)
     assert act(Q, g) == Q
-    assert D.pairs == ((omega.apply(g), 1), (omega, -1))
-    assert sum(n for _, n in D.pairs) == 0
+    assert D == ((omega.apply(g), 1), (omega, -1))
+    assert sum(n for _, n in D) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -584,8 +586,7 @@ CHECKS_WITHOUT_ASSERTS = """
 from shintani import qf
 from shintani.arith import MAT_ID
 from shintani.errors import (
-    BadIndex, BadSemigroupElement, DegreeMismatch, NoConvergence,
-    SquareDiscriminant)
+    BadIndex, BadSemigroupElement, NoConvergence, SquareDiscriminant)
 
 def raises(exc, fn, *args):
     try:
@@ -602,7 +603,6 @@ out = [
     raises(SquareDiscriminant, qf.fundamental_automorph, Q(1, 3, 2)),
     raises(BadIndex, qf._rho_step, 1, 3, 0, 9, 3),
     raises(BadIndex, qf.square_endpoints, Q(1, 0, -2)),   # d = 8
-    raises(DegreeMismatch, qf.CycleDivisor, [((1, 2), 1)], None),
     raises(BadIndex, qf._is_normalized, Q(1, 3, 0), MAT_ID),   # c = 0
     raises(BadSemigroupElement, qf.gamma_Q, Q(1, 1, -1), 5),   # not in F_5
 ]
@@ -632,4 +632,4 @@ def test_checks_raise_without_asserts():
         [sys.executable, "-O", "-c", CHECKS_WITHOUT_ASSERTS],
         capture_output=True, text=True, check=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=src))
-    assert proc.stdout.strip() == str([True] * 13)
+    assert proc.stdout.strip() == str([True] * 12)
