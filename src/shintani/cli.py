@@ -104,7 +104,7 @@ class JobConfig(argparse.Namespace):
         super().__init__(**{**dict.fromkeys(OPTIONS), **fields})
 
     def validate(self):
-        if self.p:
+        if self.p is not None:
             if self.p < 5 or not is_prime(self.p):
                 raise UsageError(f"p must be a prime >= 5, got {self.p}")
             if gcd(self.p, self.tame) != 1:
@@ -132,7 +132,7 @@ class JobConfig(argparse.Namespace):
         for l in self.ells or ():
             if not is_prime(l):
                 raise UsageError(f"ells must be primes, got {l}")
-            if self.p:
+            if self.p is not None:
                 if l == 2 and self.tame % 2:
                     raise UsageError("l = 2 needs an even tame level")
             elif l == 2 or self.level % l == 0:

@@ -2,13 +2,16 @@
 
 Right cosets Gamma0(M) g are classified by the bottom row of g modulo M,
 up to unit scaling; this gives the bijection with P^1(Z/M) used everywhere
-below.
+below.  Each class is written as its least unit multiple, found in closed
+form (the P^1(Z/N) normalization of Cremona, Algorithms for Modular
+Elliptic Curves, section 2.2), so no table of pairs is kept.
 """
 
+from bisect import bisect_left
 from functools import lru_cache
 from math import gcd
 
-from .arith import MAT_ID, mat_det, mat_inv, xgcd
+from .arith import MAT_ID, mat_det, xgcd
 from .errors import BadIndex, NonUnimodular
 
 
@@ -17,40 +20,33 @@ def _units(M):
     return tuple(t for t in range(M) if gcd(t, M) == 1)
 
 
-@lru_cache(maxsize=None)
-def _p1_table(M):
-    """Sorted canonical classes of P^1(Z/M) and the map (u, v) -> class index.
+def _canonical(u, v, M):
+    """The least unit multiple of (u : v) in P^1(Z/M).
 
-    One walk over the pairs in lexicographic order: the first pair of each
-    unit orbit met is the orbit's minimum, hence its canonical
-    representative, and spanning the orbit from it labels every member.
+    With g = gcd(u, M), the least first coordinate of a unit multiple is g
+    (0 when g = M, and then v is a unit); the units s with s*u = g mod M
+    are those s = (u/g)^-1 mod M/g, and the pair is (g, least s*v mod M).
     """
-    units = _units(M)
-    classes = []
-    table = {}
-    for u in range(M):
-        for v in range(M):
-            if (u, v) in table or gcd(gcd(u, v), M) != 1:
-                continue
-            for t in units:
-                table[((t * u) % M, (t * v) % M)] = len(classes)
-            classes.append((u, v))
-    return tuple(classes), table
+    if gcd(gcd(u, v), M) != 1:
+        raise BadIndex(f"({u} : {v}) is not a point of P^1(Z/{M})")
+    g = gcd(u, M)
+    if g == M:
+        return 0, 1
+    step = M // g
+    return g, min(s * v % M for s in range(pow(u // g, -1, step), M, step)
+                  if gcd(s, M) == 1)
 
 
 @lru_cache(maxsize=None)
 def p1_classes(M):
     """Canonical representatives of P^1(Z/M), sorted."""
-    if M == 1:
-        return ((0, 1),)
-    return _p1_table(M)[0]
+    return tuple(sorted({_canonical(g, v, M) for g in range(1, M + 1)
+                         if M % g == 0 for v in range(M) if gcd(g, v) == 1}))
 
 
 def coset_index(g, M):
     """Index of the coset Gamma0(M) g, read off the bottom row mod M."""
-    if M == 1:
-        return 0
-    return _p1_table(M)[1][(g[2] % M, g[3] % M)]
+    return bisect_left(p1_classes(M), _canonical(g[2], g[3], M))
 
 
 def _lift_coprime(u, v, M):
@@ -82,9 +78,3 @@ def coset_section(M):
         raise BadIndex(f"the coset of 1 in Gamma0({M}) has section "
                        f"{identity}")
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def left_coset_reps(M):
-    """Matrices h_j with SL2(Z) the disjoint union of the h_j Gamma0(M)."""
-    return tuple(mat_inv(g) for g in coset_section(M))

@@ -514,11 +514,11 @@ LOSS = 2
 def lift_eigensymbol(space, phi, alpha, kappa, sign=-1, perturb=None):
     """Lift a classical U_p eigensymbol into the solved moment space.
 
-    Seeds a stratum-k preimage of phi under specialization, then iterates
-    alpha^{-1} U_p composed with the sign and disc-sector projections,
-    2 (prec + 2) times; every component off the target eigenline either
-    lies in a projected-away sector or carries positive relative slope
-    and decays.  Requires the non-critical condition v_p(alpha) < k + 1.
+    Seeds a stratum-k preimage of phi under specialization, iterates
+    alpha^{-1} U_p on it 2 (prec + 2) times, then projects once onto the
+    sign and disc sector: both projections are idempotents that commute
+    with U_p.  Off the target eigenline, what survives the projections has
+    positive relative slope and decays.  Requires v_p(alpha) < k + 1.
     Returns the stratum-supported eigensymbol, scaled so its first unit
     coordinate is 1, together with the achieved residual valuation.
     """
@@ -551,8 +551,7 @@ def lift_eigensymbol(space, phi, alpha, kappa, sign=-1, perturb=None):
     y = seed
     for _ in range(2 * (prec + 2)):
         y = oc_hecke_Up(y).scale(ainv)
-        y = oc_sign_project(y, sign)
-        y = disc_sector_project(y, k)
+    y = disc_sector_project(oc_sign_project(y, sign), k)
     residual = oc_hecke_Up(y) - y.scale(int(alpha) % mod)
     res_val = min((valuation(v, p, prec) for v in residual.flat()),
                   default=prec)

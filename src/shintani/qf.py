@@ -23,7 +23,7 @@ from operator import itemgetter
 
 from .arith import (
     RationalCusp, mat_det, mat_inv, mat_mul, sign_a_plus_b_sqrt, xgcd)
-from .cosets import _p1_table, left_coset_reps
+from .cosets import coset_index, coset_section
 from .errors import (
     BadIndex, BadSemigroupElement, NoConvergence, NonUnimodular,
     SquareDiscriminant)
@@ -400,8 +400,8 @@ def _bucket_dedupe(P, m, M):
     holds iff B(., v2) vanishes mod M, because v1 and v2 span Z^2: two
     linear congruences in (alpha, gamma).  The common roots of the three
     congruences are found on P^1(Z/q) for each prime power q of M and
-    combined by CRT; each root's representative is the coset section's
-    h, whose bottom-left class is (-gamma, alpha).  The congruences are
+    combined by CRT; each root's representative h is the inverse of the
+    section matrix of the class of (-gamma, alpha).  The congruences are
     necessary, not sufficient (F_M also asks that a' be a unit and, for
     even M, that 2M divide b'), so the exact in_FM test on Q|h stays.
 
@@ -421,12 +421,12 @@ def _bucket_dedupe(P, m, M):
             return []
         local.append(roots)
     Qm = QuadForm(a, b, c)
-    reps, index = left_coset_reps(M), _p1_table(M)[1]
+    section = coset_section(M)
     out = []
     for combo in product(*local):
-        al = sum(x for x, _ in combo) % M
-        ga = sum(y for _, y in combo) % M
-        Q = act(Qm, reps[index[(-ga % M, al)]])
+        al = sum(x for x, _ in combo)
+        ga = sum(y for _, y in combo)
+        Q = act(Qm, mat_inv(section[coset_index((0, 0, -ga, al), M)]))
         if in_FM(Q, M):
             out.append(Q)
     return out

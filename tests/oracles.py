@@ -27,7 +27,9 @@ coordinates, the matrix ``solve_oc_space`` reduced whole before it solved
 each Teichmuller sector on its own.  It builds each term's block with
 ``_act_stratum``, the value action on disc coordinates that the package
 applied one path term at a time before its Hecke operators became cached
-sector blocks.
+sector blocks.  ``lift_eigensymbol_each_step`` is ``lift_eigensymbol`` as
+it projected onto the sign and disc sector after every U_p step, before
+it projected once after the iteration.
 
 ``bucket_dedupe_scan`` is ``qf._bucket_dedupe`` as it acted by every left
 coset of Gamma0(M) before it solved the F_M congruence per prime power
@@ -92,9 +94,8 @@ from operator import mul
 import numpy as np
 import sympy
 
-from shintani.arith import MAT_ID, RationalCusp, mat_inv, mat_mul
-from shintani.cosets import (
-    _units, coset_index, coset_section, left_coset_reps)
+from shintani.arith import MAT_ID, RationalCusp, mat_inv, mat_mul, valuation
+from shintani.cosets import _units, coset_index, coset_section
 from shintani.dist import _act_blocks, _check_s0, _pairs, _stratum_cols
 from shintani.errors import (
     BadIndex,
@@ -123,7 +124,15 @@ from shintani.modsym import (
     ring_reduce,
     solve_symbol_space,
 )
-from shintani.ocsymb import _sources
+from shintani.ocsymb import (
+    _leading_unit_index,
+    _sources,
+    classical_to_zpm,
+    disc_sector_project,
+    oc_hecke_Up,
+    oc_sign_project,
+    specialize_symbol,
+)
 from shintani.qf import (
     QuadForm,
     _is_normalized,
@@ -801,6 +810,41 @@ def stratum_relation_matrix(level, N, p, prec, T, d):
         for rel in pres.relations])
 
 
+def lift_eigensymbol_each_step(space, phi, alpha, kappa, sign=-1,
+                               perturb=None):
+    """``lift_eigensymbol`` projecting onto the sign and disc sector at
+    every step of the alpha^-1 U_p iteration, rather than once after it.
+
+    Returns the normalized lift and its residual valuation, as the
+    package's lift does; the input checks and their errors are left out.
+    """
+    p, prec, k = space.p, space.prec, kappa.k
+    mod = p**prec
+    ainv = pow(int(alpha) % mod, -1, mod)
+    phi_z = phi if phi.ring != "Q" else classical_to_zpm(phi, p, prec)
+    idx = space.stratum_indices(k)
+    S = np.array([[int(c) for c in
+                   specialize_symbol(space.basis[i], kappa).coords()]
+                  for i in idx], dtype=np.int64).T
+    target = np.array([int(c) for c in phi_z.coords()], dtype=np.int64)
+    coeffs = np.zeros(space.dimension, dtype=np.int64)
+    coeffs[idx] = zpm_solve(S, target, p, prec)
+    y = space.combination(coeffs)
+    if perturb is not None:
+        y = y + perturb
+    for _ in range(2 * (prec + 2)):
+        y = oc_hecke_Up(y).scale(ainv)
+        y = oc_sign_project(y, sign)
+        y = disc_sector_project(y, k)
+    residual = oc_hecke_Up(y) - y.scale(int(alpha) % mod)
+    res_val = min((valuation(v, p, prec) for v in residual.flat()),
+                  default=prec)
+    lead = _leading_unit_index(y.flat(), p)
+    if lead is not None:
+        y = y.scale(pow(int(y.flat()[lead]) % mod, -1, mod))
+    return y, res_val
+
+
 def act_blocks_formula(g, p, prec, T):
     """Per-degree matrices of the substitution (x,y) -> ((x,y)g).
 
@@ -1012,11 +1056,11 @@ def _rational_eigenspace(R, lam, r):
 def bucket_dedupe_scan(P, m, M):
     """Gamma0(M)-inequivalent members of the SL2-orbit of m*P inside F_M.
 
-    One member per left coset h Gamma0(M): m*P acted by h, kept when it
-    lands in F_M.
+    One member per left coset h Gamma0(M), h the inverse of a section
+    matrix: m*P acted by h, kept when it lands in F_M.
     """
     Qm = P.scale(m)
-    return [Q for Q in (act(Qm, h) for h in left_coset_reps(M))
+    return [Q for Q in (act(Qm, mat_inv(g)) for g in coset_section(M))
             if in_FM(Q, M)]
 
 

@@ -265,6 +265,8 @@ def test_usage_error_int64_overflow(capsys):
     "verify oc-hecke --p 5 --moments 2 --padic-prec 2 --nmax 5 --ells 0",
     "verify oc-hecke --p 5 --moments 2 --padic-prec 2 --nmax 5 --ells 2",
     "shintani oc --p 6 --moments 2 --padic-prec 2 --nmax 3",
+    "shintani oc --p 0 --nmax 4",
+    "slopes --p 0",
     "slopes --p 11 --moments 2 --padic-prec 0",
     "slopes --p 11 --moments -1 --padic-prec 2",
     "verify interpolation --p 5 --moments 1 --padic-prec 3 --nmax 5 "

@@ -52,6 +52,7 @@ from oracles import (
     hecke_Tll,
     hecke_Up,
     invol_tagged,
+    lift_eigensymbol_each_step,
     random_moments2,
     rank_mod_p,
     scalar_action,
@@ -722,15 +723,21 @@ def test_lift_critical_slope_gate(sp11_big):
         lift_eigensymbol(sp11_big, phi, 11, kappa)
 
 
+def stratum0_perturbation(space, seed=17):
+    mod = space.p**space.prec
+    idx0 = space.stratum_indices(0)
+    rng = np.random.default_rng(seed)
+    perturb = space.basis[idx0[0]].zero_like()
+    for i in idx0:
+        perturb = perturb + space.basis[i].scale(int(rng.integers(0, mod)))
+    return perturb
+
+
 def test_lift_independent_of_initialization(sp11_big, lifted_11a):
     phi, kappa, Phi, _ = lifted_11a
     p, prec = 11, 8
     mod = p**prec
-    idx0 = sp11_big.stratum_indices(0)
-    rng = np.random.default_rng(17)
-    perturb = sp11_big.basis[idx0[0]].zero_like()
-    for i in idx0:
-        perturb = perturb + sp11_big.basis[i].scale(int(rng.integers(0, mod)))
+    perturb = stratum0_perturbation(sp11_big)
     Phi2, res2 = lift_eigensymbol(sp11_big, phi, 1, kappa, sign=-1,
                                   perturb=perturb)
     assert res2 >= prec - 2
@@ -740,6 +747,25 @@ def test_lift_independent_of_initialization(sp11_big, lifted_11a):
     lam = f2[i0] * pow(f1[i0], -1, mod) % mod
     for a, b in zip(f2, f1):
         assert (a - lam * b) % p**(prec - 2) == 0
+
+
+@pytest.mark.parametrize("profile", ["slopes", "perturbed"])
+def test_lift_projecting_once_matches_each_step(profile, sp11_big):
+    # the sign and sector projections commute with U_p and are idempotent,
+    # so projecting after the iteration gives the per-step array exactly
+    phi, _ = eigensymbols(11, 0, TRIV, -1)[0]
+    kappa = ArithWeight(0, TRIV, 11)
+    if profile == "slopes":   # the benchmark's slopes space, (prec, T) = (6, 1)
+        space, perturb = solve_oc_space(11, 1, (6, 1)), None
+    else:
+        space, perturb = sp11_big, stratum0_perturbation(sp11_big)
+    got, res = lift_eigensymbol(space, phi, 1, kappa, sign=-1,
+                                perturb=perturb)
+    want, res_want = lift_eigensymbol_each_step(space, phi, 1, kappa,
+                                                sign=-1, perturb=perturb)
+    assert not got.is_zero()
+    assert res == res_want
+    assert np.array_equal(got.data, want.data)
 
 
 def test_hecke_eigenvalue_rejects_noneigen(sp11_small):

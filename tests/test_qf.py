@@ -29,7 +29,7 @@ from shintani import cli, qf
 from shintani.arith import MAT_ID, RationalCusp, mat_det, mat_inv, mat_mul
 from shintani.cosets import coset_index, coset_section, p1_classes
 from shintani.errors import (
-    BadSemigroupElement, NonUnimodular, SquareDiscriminant)
+    BadIndex, BadSemigroupElement, NonUnimodular, SquareDiscriminant)
 from shintani.qf import (
     QuadForm,
     _bucket_dedupe,
@@ -94,9 +94,11 @@ def test_p1_sizes():
         assert len(coset_section(M)) == size
 
 
-@pytest.mark.parametrize("M", [1, 4, 12, 36, 143])
-def test_p1_table_matches_unit_orbit_minimum(M):
+@pytest.mark.parametrize("M", [1, 2, 4, 12, 36, 98, 143, 210, 221, 225])
+def test_p1_classes_match_unit_orbit_minimum(M):
     # the definition: the class of (u, v) is the least of its unit multiples
+    # (M = 2 even, 98 a prime square, 210 four primes, 221 the class-tables
+    # level, 225 the README prime-power level)
     units = [t for t in range(M) if gcd(t, M) == 1]
     canon = {(u, v): min(((t * u) % M, (t * v) % M) for t in units)
              for u in range(M) for v in range(M) if gcd(gcd(u, v), M) == 1}
@@ -106,6 +108,12 @@ def test_p1_table_matches_unit_orbit_minimum(M):
         assert p1_classes(M) == tuple(index)
     for (u, v), c in canon.items():
         assert coset_index((0, 0, u, v), M) == index[c]
+
+
+@pytest.mark.parametrize("u, v, M", [(2, 4, 6), (0, 3, 9), (0, 0, 2)])
+def test_coset_index_rejects_a_non_point(u, v, M):
+    with pytest.raises(BadIndex):
+        coset_index((0, 0, u, v), M)
 
 
 def test_schreier_generators_in_gamma0():
