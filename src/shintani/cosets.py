@@ -1,13 +1,14 @@
 """The projective line over Z/M and coset sections of Gamma0(M) in SL2(Z).
 
-Right cosets Gamma0(M) g are classified by the bottom row of g modulo M,
-up to unit scaling; this gives the bijection with P^1(Z/M) used everywhere
-below.  Each class is written as its least unit multiple, found in closed
-form (the P^1(Z/N) normalization of Cremona, Algorithms for Modular
-Elliptic Curves, section 2.2), so no table of pairs is kept.
+Right cosets Gamma0(M) g are classified by the bottom row (u : v) of g in
+P^1(Z/M), pairs mod M up to unit scaling.  By CRT, P^1(Z/M) is the
+product of the local lines P^1(Z/q) over the prime powers q = p^e of M
+(Cremona, Algorithms for Modular Elliptic Curves, section 2.2).  The
+local indices of a point, each in closed form, are the digits of its
+mixed-radix code, and one table of |P^1(Z/M)| entries maps the code to
+the point's place among the sorted least unit multiples.
 """
 
-from bisect import bisect_left
 from functools import lru_cache
 from math import gcd
 
@@ -20,57 +21,86 @@ def _units(M):
     return tuple(t for t in range(M) if gcd(t, M) == 1)
 
 
-def _canonical(u, v, M):
-    """The least unit multiple of (u : v) in P^1(Z/M).
+@lru_cache(maxsize=None)
+def _local_lines(M):
+    """(p, q, points, inverse) for each prime power q = p^e of M, by
+    increasing p: points is P^1(Z/q) in local index order, (1 : t) for
+    t < q and then (p*t : 1) for t < q/p, and inverse[t] is 1/t mod q, or
+    0 when p divides t."""
+    out, rest = [], M
+    for p in range(2, M + 1):
+        q = 1
+        while rest % p == 0:
+            rest, q = rest // p, q * p
+        if q > 1:
+            out.append((p, q, tuple([(1, t) for t in range(q)]
+                                    + [(p * t, 1) for t in range(q // p)]),
+                        tuple(pow(t, -1, q) if t % p else 0
+                              for t in range(q))))
+    return tuple(out)
 
-    With g = gcd(u, M), the least first coordinate of a unit multiple is g
-    (0 when g = M, and then v is a unit); the units s with s*u = g mod M
-    are those s = (u/g)^-1 mod M/g, and the pair is (g, least s*v mod M).
-    """
-    if gcd(gcd(u, v), M) != 1:
-        raise BadIndex(f"({u} : {v}) is not a point of P^1(Z/{M})")
-    g = gcd(u, M)
-    if g == M:
-        return 0, 1
-    step = M // g
-    return g, min(s * v % M for s in range(pow(u // g, -1, step), M, step)
-                  if gcd(s, M) == 1)
+
+def _code(u, v, lines):
+    """Mixed-radix code of (u : v): its local index mod q is v/u mod q if
+    p does not divide u, else q + (u/v mod q)/p."""
+    code = 0
+    for p, q, points, inverse in lines:
+        if inverse[u % q]:
+            i = v * inverse[u % q] % q
+        elif inverse[v % q]:
+            i = q + u * inverse[v % q] % q // p
+        else:
+            raise BadIndex(f"({u} : {v}) is not a point of P^1(Z/{q})")
+        code = code * len(points) + i
+    return code
 
 
 @lru_cache(maxsize=None)
+def _p1(M):
+    """(classes, place, lines): the sorted least unit multiples, the index
+    in classes of the point with each code, and the local lines.
+
+    A unit multiple keeps gcd(u, M), so a scan of the coprime pairs (g, v)
+    with g | M, in lexicographic order, meets each class first at its
+    least unit multiple; the class of (M : v) is written (0, 1).
+    """
+    lines, first = _local_lines(M), {}
+    for g in range(1, M + 1):
+        if M % g == 0:
+            for v in range(M):
+                if gcd(g, v) == 1:
+                    first.setdefault(_code(g, v, lines),
+                                     (g, v) if g < M else (0, 1))
+    classes = sorted(first.values())
+    index = {c: i for i, c in enumerate(classes)}
+    place = tuple(index[first[k]] for k in range(len(first)))
+    return tuple(classes), place, lines
+
+
 def p1_classes(M):
     """Canonical representatives of P^1(Z/M), sorted."""
-    return tuple(sorted({_canonical(g, v, M) for g in range(1, M + 1)
-                         if M % g == 0 for v in range(M) if gcd(g, v) == 1}))
+    return _p1(M)[0]
 
 
 def coset_index(g, M):
     """Index of the coset Gamma0(M) g, read off the bottom row mod M."""
-    return bisect_left(p1_classes(M), _canonical(g[2], g[3], M))
-
-
-def _lift_coprime(u, v, M):
-    """Integers (u0, v0) congruent to (u, v) mod M with gcd(u0, v0) = 1."""
-    for k in range(4 * M + 2):
-        v0 = v + k * M
-        if gcd(u, v0) == 1:
-            return u, v0
-    raise BadIndex(f"({u} : {v}) is not a point of P^1(Z/{M})")
+    _, place, lines = _p1(M)
+    return place[_code(g[2], g[3], lines)]
 
 
 @lru_cache(maxsize=None)
 def coset_section(M):
-    """One SL2(Z) matrix per coset, bottom row lifting the P^1 class.
+    """One SL2(Z) matrix per coset, its bottom row the class's coprime
+    representative.
 
     The class of (0, 1) lifts to the identity, so the section contains 1
     and Schreier's lemma applies.
     """
     out = []
     for u, v in p1_classes(M):
-        u0, v0 = _lift_coprime(u, v, M)
-        _, x, y = xgcd(v0, u0)
-        g = (x, -y, u0, v0)
-        if mat_det(g) != 1:   # det g = gcd(u0, v0)
+        _, x, y = xgcd(v, u)
+        g = (x, -y, u, v)
+        if mat_det(g) != 1:   # det g = gcd(u, v)
             raise NonUnimodular(f"section matrix {g} of ({u} : {v})")
         out.append(g)
     identity = out[coset_index(MAT_ID, M)]

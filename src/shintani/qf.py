@@ -10,20 +10,20 @@ primitive SL2(Z) class is represented, and sorted, by the least triple
 of its cycle, and every automorph of discriminant d is read in closed
 form off one unit t^2 - d u^2 = 4 from the principal cycle.  Class
 enumeration never scans the cosets of Gamma0(M).  The left cosets
-h Gamma0(M) whose form m*P|h can lie in F_M are the roots mod M, in h's
-first column (alpha : gamma), of the congruences that make its b- and
-c-coefficients vanish; they are found one prime power of M at a time and
-combined by CRT, and the exact F_M test runs on those cosets only.
+h Gamma0(M) whose form m*P|h can lie in F_M are the points (u : v) of
+P^1(Z/M), the bottom row of h^-1, where the congruences that make its b-
+and c-coefficients vanish hold.  They are found on the local lines of
+``cosets``, one prime power of M at a time, and the exact F_M test runs
+on those cosets only.
 """
 
 from functools import lru_cache
-from itertools import product
 from math import gcd, isqrt
 from operator import itemgetter
 
 from .arith import (
     RationalCusp, mat_det, mat_inv, mat_mul, sign_a_plus_b_sqrt, xgcd)
-from .cosets import coset_index, coset_section
+from .cosets import _p1, coset_section
 from .errors import (
     BadIndex, BadSemigroupElement, NoConvergence, NonUnimodular,
     SquareDiscriminant)
@@ -315,18 +315,20 @@ def _square_canonical(P):
 # class enumeration
 
 
+@lru_cache(maxsize=8192)
 def _primitive_sl2_classes(d):
     """Representatives of primitive SL2(Z) classes of discriminant d > 0.
 
     Each representative is its class's canonical triple, the one
     _canonical_key returns.  Scan and cycle walk run on integer triples;
-    only the returned representatives become QuadForms.
+    only the returned representatives become QuadForms.  The tuple is
+    memoized, at most 8192 of them.
     """
     if d <= 0 or d % 4 not in (0, 1):
-        return []
+        return ()
     s = isqrt(d)
     if s * s == d:
-        return [QuadForm(0, s, c) for c in range(s) if gcd(s, c) == 1]
+        return tuple(QuadForm(0, s, c) for c in range(s) if gcd(s, c) == 1)
     reduced = set()
     for b in range(1, s + 1):
         if (b * b - d) % 4:
@@ -345,7 +347,7 @@ def _primitive_sl2_classes(d):
             members, _ = _reduced_cycle(*start)
             reduced.difference_update(members)
             classes.append(min(members))
-    return [QuadForm(*t) for t in sorted(classes)]
+    return tuple(QuadForm(*t) for t in sorted(classes))
 
 
 @lru_cache(maxsize=None)
@@ -363,47 +365,22 @@ def _canonical_key(P):
     return min(_reduced_cycle(P.a, P.b, P.c)[0])
 
 
-@lru_cache(maxsize=None)
-def _local_lines(M):
-    """P^1 over each prime power q of M, with the CRT idempotent of q.
-
-    A tuple of (q, points, e): points are the (alpha, gamma) of P^1(Z/q),
-    (1, t) for t < q and (p*t, 1) for t < q/p, and e = 1 mod q,
-    e = 0 mod M/q.
-    """
-    out = []
-    rest, p = M, 2
-    while rest > 1:
-        if p * p > rest:
-            p = rest
-        if rest % p == 0:
-            q = 1
-            while rest % p == 0:
-                rest //= p
-                q *= p
-            points = ([(1, t) for t in range(q)]
-                      + [(p * t, 1) for t in range(q // p)])
-            out.append((q, tuple(points), M // q * pow(M // q, -1, q) % M))
-        p += 1
-    return tuple(out)
-
-
 def _bucket_dedupe(P, m, M):
     """Gamma0(M)-inequivalent members of the SL2-orbit of m*P inside F_M.
 
     One member per left coset h Gamma0(M) whose form Q|h (Q = m*P) lies
-    in F_M.  With h = (alpha, beta; gamma, delta), Q|h(X, Y) is
-    Q(X*v1 + Y*v2) for v1 = (delta, -beta) and v2 = (-gamma, alpha), so
-    its c-coefficient is Q(v2) = Q(gamma, -alpha) and its b-coefficient
-    B(v1, v2), B the bilinear form of Q.  The coset is fixed by h's first
-    column (alpha : gamma) in P^1(Z/M).  Given M | Q(v2), M | B(v1, v2)
-    holds iff B(., v2) vanishes mod M, because v1 and v2 span Z^2: two
-    linear congruences in (alpha, gamma).  The common roots of the three
-    congruences are found on P^1(Z/q) for each prime power q of M and
-    combined by CRT; each root's representative h is the inverse of the
-    section matrix of the class of (-gamma, alpha).  The congruences are
-    necessary, not sufficient (F_M also asks that a' be a unit and, for
-    even M, that 2M divide b'), so the exact in_FM test on Q|h stays.
+    in F_M, with h the inverse of a coset section matrix s.  With rows
+    r1 and r2 of s, Q|h(X, Y) is Q(X*r1 + Y*r2), so its c-coefficient is
+    Q(r2) and its b-coefficient B(r1, r2), B the bilinear form of Q.  The
+    coset is fixed by the class of r2 = (u : v) in P^1(Z/M).  Given
+    M | Q(r2), M | B(r1, r2) holds iff B(., r2) vanishes mod M, because
+    r1 and r2 span Z^2: two linear congruences in (u, v).  The common
+    roots of the three congruences are found on the local line P^1(Z/q)
+    of each prime power q of M; a root's code, the mixed-radix number of
+    its local indices, picks its section matrix.  The
+    congruences are necessary, not sufficient (F_M also asks that a' be
+    a unit and, for even M, that 2M divide b'), so the exact in_FM test
+    on Q|h stays.
 
     Q|h and Q|h' are equivalent iff h' lies in h Stab(Q|h) Gamma0(M).
     The automorphs of a form in F_M lie in Gamma0(M) (fundamental_automorph
@@ -411,25 +388,17 @@ def _bucket_dedupe(P, m, M):
     give inequivalent forms.
     """
     a, b, c = m * P.a, m * P.b, m * P.c
-    local = []
-    for q, points, e in _local_lines(M):
-        roots = [(al * e, ga * e) for al, ga in points
-                 if (2 * a * ga - b * al) % q == 0
-                 and (b * ga - 2 * c * al) % q == 0
-                 and (a * ga * ga - b * al * ga + c * al * al) % q == 0]
-        if not roots:
-            return []
-        local.append(roots)
-    Qm = QuadForm(a, b, c)
-    section = coset_section(M)
-    out = []
-    for combo in product(*local):
-        al = sum(x for x, _ in combo)
-        ga = sum(y for _, y in combo)
-        Q = act(Qm, mat_inv(section[coset_index((0, 0, -ga, al), M)]))
-        if in_FM(Q, M):
-            out.append(Q)
-    return out
+    _, place, lines = _p1(M)
+    codes = [0]
+    for _, q, points, _ in lines:
+        roots = [i for i, (u, v) in enumerate(points)
+                 if (2 * a * u + b * v) % q == 0
+                 and (b * u + 2 * c * v) % q == 0
+                 and (a * u * u + b * u * v + c * v * v) % q == 0]
+        codes = [code * len(points) + i for code in codes for i in roots]
+    Qm, section = QuadForm(a, b, c), coset_section(M)
+    return [Q for Q in (act(Qm, mat_inv(section[place[k]])) for k in codes)
+            if in_FM(Q, M)]
 
 
 @lru_cache(maxsize=8192)

@@ -31,6 +31,10 @@ sector blocks.  ``lift_eigensymbol_each_step`` is ``lift_eigensymbol`` as
 it projected onto the sign and disc sector after every U_p step, before
 it projected once after the iteration.
 
+``_canonical`` is the least unit multiple of a point of P^1(Z/M), found
+by a minimum over the units that carry its first coordinate to gcd(u, M),
+as ``cosets`` indexed P^1(Z/M) before it read the index off the local
+lines of the prime powers of M.
 ``bucket_dedupe_scan`` is ``qf._bucket_dedupe`` as it acted by every left
 coset of Gamma0(M) before it solved the F_M congruence per prime power
 of M, and ``primitive_sl2_classes_cycle`` is ``qf._primitive_sl2_classes``
@@ -1051,6 +1055,23 @@ def _rational_eigenspace(R, lam, r):
     rows = [[Fraction(int(Mm[i, j].p), int(Mm[i, j].q)) for j in range(r)]
             for i in range(r)]
     return frac_nullspace_gauss(rows, r)
+
+
+def _canonical(u, v, M):
+    """The least unit multiple of (u : v) in P^1(Z/M).
+
+    With g = gcd(u, M), the least first coordinate of a unit multiple is g
+    (0 when g = M, and then v is a unit); the units s with s*u = g mod M
+    are those s = (u/g)^-1 mod M/g, and the pair is (g, least s*v mod M).
+    """
+    if gcd(gcd(u, v), M) != 1:
+        raise BadIndex(f"({u} : {v}) is not a point of P^1(Z/{M})")
+    g = gcd(u, M)
+    if g == M:
+        return 0, 1
+    step = M // g
+    return g, min(s * v % M for s in range(pow(u // g, -1, step), M, step)
+                  if gcd(s, M) == 1)
 
 
 def bucket_dedupe_scan(P, m, M):

@@ -11,6 +11,7 @@ import pytest
 import sympy
 from oracles import (
     DiscriminantMismatch,
+    _canonical,
     _cycle,
     bucket_dedupe_scan,
     equivalent_under_gamma0,
@@ -94,23 +95,39 @@ def test_p1_sizes():
         assert len(coset_section(M)) == size
 
 
-@pytest.mark.parametrize("M", [1, 2, 4, 12, 36, 98, 143, 210, 221, 225])
+@pytest.mark.parametrize(
+    "M", [1, 2, 4, 12, 36, 98, 143, 210, 221, 225, 1001, 2310])
 def test_p1_classes_match_unit_orbit_minimum(M):
     # the definition: the class of (u, v) is the least of its unit multiples
     # (M = 2 even, 98 a prime square, 210 four primes, 221 the class-tables
-    # level, 225 the README prime-power level)
-    units = [t for t in range(M) if gcd(t, M) == 1]
-    canon = {(u, v): min(((t * u) % M, (t * v) % M) for t in units)
-             for u in range(M) for v in range(M) if gcd(gcd(u, v), M) == 1}
-    index = {c: i for i, c in enumerate(sorted(set(canon.values())))}
+    # level, 225 the README prime-power level).  At 1001 and 2310 the orbit
+    # minimum is too slow: the closed-form minimum _canonical is the
+    # oracle, on every class and on a seeded sample of points
+    if M < 1000:
+        units = [t for t in range(M) if gcd(t, M) == 1]
+        canon = {(u, v): min(((t * u) % M, (t * v) % M) for t in units)
+                 for u in range(M) for v in range(M)
+                 if gcd(gcd(u, v), M) == 1}
+        classes = sorted(set(canon.values()))
+    else:
+        classes = sorted({_canonical(g, v, M) for g in range(1, M + 1)
+                          if M % g == 0 for v in range(M) if gcd(g, v) == 1})
+        r = random.Random(M)
+        points = ((r.randrange(M), r.randrange(M)) for _ in range(20000))
+        canon = {(u, v): _canonical(u, v, M) for u, v in points
+                 if gcd(gcd(u, v), M) == 1}
+    index = {c: i for i, c in enumerate(classes)}
     assert len(p1_classes(M)) == len(index)
     if M > 1:  # P^1(Z/1) is one point, written (0, 1)
         assert p1_classes(M) == tuple(index)
     for (u, v), c in canon.items():
-        assert coset_index((0, 0, u, v), M) == index[c]
+        # manin passes raw matrix entries: integer lifts outside [0, M)
+        for k, l in ((0, 0), (-1, 2), (3, -2)):
+            assert coset_index((0, 0, u + k * M, v + l * M), M) == index[c]
 
 
-@pytest.mark.parametrize("u, v, M", [(2, 4, 6), (0, 3, 9), (0, 0, 2)])
+@pytest.mark.parametrize("u, v, M", [(2, 4, 6), (0, 3, 9), (0, 0, 2),
+                                     (12, -8, 6)])
 def test_coset_index_rejects_a_non_point(u, v, M):
     with pytest.raises(BadIndex):
         coset_index((0, 0, u, v), M)
@@ -429,7 +446,7 @@ def test_primitive_sl2_class_counts():
     assert len(_primitive_sl2_classes(4)) == 1
     assert len(_primitive_sl2_classes(9)) == 2
     # no forms when d is 2 or 3 mod 4
-    assert _primitive_sl2_classes(7) == []
+    assert _primitive_sl2_classes(7) == ()
 
 
 def box_forms(M, delta, cap):
@@ -556,7 +573,8 @@ def test_bucket_dedupe_matches_coset_scan(M, monkeypatch):
 
 def test_primitive_sl2_classes_match_cycle_oracle():
     for d in range(-4, 3001):
-        assert _primitive_sl2_classes(d) == primitive_sl2_classes_cycle(d), d
+        assert _primitive_sl2_classes(d) == tuple(
+            primitive_sl2_classes_cycle(d)), d
 
 
 @pytest.mark.parametrize("M", [1, 9, 12, 25, 221])
