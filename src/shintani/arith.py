@@ -1,12 +1,13 @@
 """Base exact arithmetic: Kronecker symbols, p-adic valuations, quadratic
-Dirichlet characters, rational cusps and continued-fraction paths.
+Dirichlet characters, rational cusps, continued-fraction paths, ExactValue.
 
 Everything here is integer arithmetic; no floating point.
 """
 
 from math import gcd, isqrt
 
-from .errors import BadIndex, NoConvergence, NonUnimodular, PrimalityUnproven
+from .errors import (BadIndex, NoConvergence, NonUnimodular, OperandMismatch,
+                     PrimalityUnproven)
 
 
 def xgcd(a, b):
@@ -323,3 +324,37 @@ def sl2_chain(cusp):
             raise NonUnimodular(f"chain step {g} of {cusp} is not in SL2(Z)")
         chain.append(g)
     return chain
+
+
+# ---------------------------------------------------------------------------
+# exact values: elements of a module over one base ring
+
+
+class ExactValue:
+    """Base of the symbol and q-expansion types, modules over one ring.
+
+    A subclass supplies ``_key()`` (its module), ``_state()``, ``_add`` and
+    ``scale``; adding another type or module raises ``_mismatch``.
+    """
+
+    __slots__ = ()
+    _mismatch = OperandMismatch
+
+    def __add__(self, other):
+        if type(other) is not type(self) or other._key() != self._key():
+            raise self._mismatch(f"{self!r} and {other!r} do not add")
+        return self._add(other)
+
+    def __sub__(self, other):
+        return self + (other.scale(-1) if type(other) is type(self) else other)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def zero_like(self):
+        return self.scale(0)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key() and self._state() == other._state()

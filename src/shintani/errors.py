@@ -62,7 +62,8 @@ class TwoNotInvertible(ShintaniError):
 
 
 class CriticalSlope(ShintaniError):
-    """Slope equals the critical value k+1; unique lifting fails."""
+    """Slope equals the critical value k+1, where unique lifting fails, or is
+    any positive slope: the finite-precision lift needs alpha a unit mod p."""
 
 
 class NoConvergence(ShintaniError):

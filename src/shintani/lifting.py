@@ -8,9 +8,9 @@ the exact coefficients at every admissible weight.  Each such
 coefficient is the point mass at 1 tensor a right factor, one moment
 table per tame tag, and an expansion stores its right factors as one
 int64 array; point-mass convolutions on that array carry the
-imprimitive classes and the Hecke operators.  Both sides carry their
-own Hecke operators, and the verifier at the bottom checks that weight
-evaluation intertwines the two constructions coefficientwise.
+imprimitive classes and the Hecke operators.  Both sides, each an
+``arith.ExactValue``, carry their own Hecke operators, and the verifier
+checks coefficientwise that weight evaluation intertwines the two lifts.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -19,7 +19,7 @@ from math import factorial, gcd
 
 import numpy as np
 
-from .arith import RationalCusp, is_prime, kronecker, valuation
+from .arith import ExactValue, RationalCusp, is_prime, kronecker, valuation
 from .cosets import _units
 from .dist import _char_vectors, _check_s0, _stratum_cols, _sym_blocks
 from .errors import (
@@ -60,7 +60,7 @@ def _map_indices(fn, ns, threads):
 # half-integral-weight q-expansions with exact coefficients
 
 
-class HalfIntQExp:
+class HalfIntQExp(ExactValue):
     """q-expansion of weight k + 3/2 at level 4M.
 
     ``coeffs`` maps n >= 1 to a coefficient; indices up to ``n_max``
@@ -106,44 +106,27 @@ class HalfIntQExp:
             raise BadIndex(f"coefficient {n} not computed (n_max={self.n_max})")
         return self.coeffs.get(n, 0)
 
-    def _compat(self, other):
-        if ((self.M, self.k, self.ring, self.chi) !=
-                (other.M, other.k, other.ring, other.chi)):
-            raise OperandMismatch(f"{self!r} and {other!r} do not add")
+    def _key(self):
+        return (self.M, self.k, self.ring, self.chi)
+
+    def _state(self):
+        return (self.n_max, self.coeffs)
 
     def _like(self, coeffs, n_max=None):
         return HalfIntQExp(self.M, self.k, self.chi, coeffs,
                            self.n_max if n_max is None else n_max,
                            self.ring)
 
-    def __add__(self, other):
-        self._compat(other)
+    def _add(self, other):
         nm = min(self.n_max, other.n_max)
         return self._like({n: self.coeff(n) + other.coeff(n)
                            for n in range(1, nm + 1)}, n_max=nm)
-
-    def __sub__(self, other):
-        self._compat(other)
-        nm = min(self.n_max, other.n_max)
-        return self._like({n: self.coeff(n) - other.coeff(n)
-                           for n in range(1, nm + 1)}, n_max=nm)
-
-    def __neg__(self):
-        return self._like({n: -v for n, v in self.coeffs.items()})
 
     def scale(self, r):
         return self._like({n: r * v for n, v in self.coeffs.items()})
 
     def is_zero(self):
         return not self.coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, HalfIntQExp):
-            return NotImplemented
-        return ((self.M, self.k, self.chi, self.ring, self.n_max,
-                 self.coeffs) ==
-                (other.M, other.k, other.chi, other.ring, other.n_max,
-                 other.coeffs))
 
     def to_json(self):
         return {
@@ -247,7 +230,7 @@ def theta_classical(phi, M, k, chi, n_max, threads=1):
 # q-expansions with tensor-of-distributions coefficients
 
 
-class FormalQExp:
+class FormalQExp(ExactValue):
     """q-expansion whose coefficients are tensors of tagged distributions.
 
     Every coefficient is the point mass at 1, on moment range 2 Tp, tensor
@@ -301,10 +284,11 @@ class FormalQExp:
         """The right factor at slot n, indexed (tag, disc, moment)."""
         return self._rows([n])[0]
 
-    def _compat(self, other):
-        if ((self.level, self.N, self.p, self.prec, self.Tp) !=
-                (other.level, other.N, other.p, other.prec, other.Tp)):
-            raise OperandMismatch(f"{self!r} and {other!r} do not add")
+    def _key(self):
+        return (self.level, self.N, self.p, self.prec, self.Tp)
+
+    def _state(self):
+        return (self.n_max, self.indices, self.data.tolist())
 
     def _like(self, data, n_max=None, indices=None):
         return FormalQExp(self.level, self.N, self.p, self.prec, self.Tp,
@@ -312,32 +296,16 @@ class FormalQExp:
                           self.n_max if n_max is None else n_max,
                           self.indices if indices is None else indices)
 
-    def _combine(self, other, sign):
-        self._compat(other)
+    def _add(self, other):
         idx = sorted(set(self.indices) & set(other.indices))
-        return self._like(self._rows(idx) + sign * other._rows(idx),
+        return self._like(self._rows(idx) + other._rows(idx),
                           n_max=min(self.n_max, other.n_max), indices=idx)
-
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
 
     def scale(self, r):
         return self._like(self.data * (int(r) % self.p**self.prec))
 
     def is_zero(self):
         return not self.data.any()
-
-    def __eq__(self, other):
-        if not isinstance(other, FormalQExp):
-            return NotImplemented
-        return ((self.level, self.N, self.p, self.prec, self.Tp,
-                 self.n_max, self.indices) ==
-                (other.level, other.N, other.p, other.prec, other.Tp,
-                 other.n_max, other.indices)
-                and np.array_equal(self.data, other.data))
 
     def to_json(self):
         return {
@@ -573,13 +541,9 @@ def verify_interpolation(Phi, kappa_tilde, n_max, threads=1):
     phik = specialize_symbol(Phi, kappa_tilde.doubled())
     exact = theta_classical(phik, Phi.level, kappa_tilde.k, kappa_tilde.chi,
                             n_max, threads=threads)
-    worst = prec
-    fails = []
-    for n in range(1, n_max + 1):
-        v = valuation(lifted.coeff(n) - exact.coeff(n), p, prec)
-        worst = min(worst, v)
-        if v < prec - LOSS:
-            fails.append(n)
+    diff = lifted - exact
+    vals = {n: valuation(v, p, prec) for n, v in diff.coeffs.items()}
+    fails = sorted(n for n, v in vals.items() if v < prec - LOSS)
     return {
         "level": Phi.level,
         "weight_k": kappa_tilde.k,
@@ -587,7 +551,7 @@ def verify_interpolation(Phi, kappa_tilde, n_max, threads=1):
         "precision": prec,
         "loss": LOSS,
         "passed": not fails,
-        "residual_valuation": worst,
+        "residual_valuation": min(vals.values(), default=prec),
         "failing_indices": fails,
         "live": not (lifted.is_zero() and exact.is_zero()),
     }

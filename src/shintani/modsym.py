@@ -12,14 +12,14 @@ the level-M group.  Both action matrices are exact Sym^k blocks of
 or ("zpm", p, prec) with p >= 5.
 
 A symbol is one tuple of flat coordinates, one side-L block per
-generator, and everything goes through integer rows acting on it: the
-relation rows that the solver's kernel is checked against, the
-evaluation matrices of divisors (``_term_rows``) and one cached matrix
-per Hecke operator or involution (``_coset_rows``), applied to a whole
-basis in one exact product and read off private columns.  ``SymPoly``, one
-weight-k vector on either side, is the value type of the tests' oracles,
-the value-by-value evaluation and the pairing; it stays here because the
-benchmark's tracer wraps ``SymPoly.act``.
+generator, and an ``arith.ExactValue``; everything else goes through
+integer rows acting on it: the relation rows that the solver's kernel is
+checked against, the evaluation matrices of divisors (``_term_rows``)
+and one cached matrix per Hecke operator or involution (``_coset_rows``),
+applied to a whole basis in one exact product and read off private
+columns.  ``SymPoly``, one weight-k vector on either side, is the value
+type of the tests' oracles, the value-by-value evaluation and the
+pairing; it stays here because the benchmark's tracer wraps ``SymPoly.act``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from operator import add, mul
 
 import numpy as np
 
-from .arith import is_prime
+from .arith import ExactValue, is_prime
 from .cosets import p1_classes
 from .dist import _check_s0, _sym_blocks
 from .errors import (
@@ -121,7 +121,7 @@ def _act_matrix_Lstar(g, k):
     return tuple(map(tuple, block.T.tolist()))
 
 
-class SymPoly:
+class SymPoly(ExactValue):
     """A weight-k coefficient vector on one side of the pairing."""
 
     __slots__ = ("level", "k", "coeffs", "chi", "side", "ring")
@@ -139,30 +139,21 @@ class SymPoly:
         self.side = side
         self.ring = ring
 
-    def _compat(self, other):
-        if ((self.level, self.k, self.side, self.ring, self.chi) !=
-                (other.level, other.k, other.side, other.ring, other.chi)):
-            raise OperandMismatch(f"{self!r} and {other!r} do not add")
+    def _key(self):
+        return (self.level, self.k, self.side, self.ring, self.chi)
 
-    def zero_like(self):
-        return SymPoly(self.level, self.k, (0,) * (self.k + 1),
-                       self.chi, self.side, self.ring)
+    def _state(self):
+        return self.coeffs
 
-    def __add__(self, other):
-        self._compat(other)
-        return SymPoly(self.level, self.k,
-                       [x + y for x, y in zip(self.coeffs, other.coeffs)],
-                       self.chi, self.side, self.ring)
+    def _like(self, coeffs):
+        return SymPoly(self.level, self.k, coeffs, self.chi, self.side,
+                       self.ring)
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return self.scale(-1)
+    def _add(self, other):
+        return self._like(list(map(add, self.coeffs, other.coeffs)))
 
     def scale(self, r):
-        return SymPoly(self.level, self.k, [r * x for x in self.coeffs],
-                       self.chi, self.side, self.ring)
+        return self._like([r * x for x in self.coeffs])
 
     def is_zero(self):
         return all(x == 0 for x in self.coeffs)
@@ -184,23 +175,16 @@ class SymPoly:
             factor = self.chi(d)
         out = [factor * sum(mat[j][i] * self.coeffs[i] for i in range(self.k + 1))
                for j in range(self.k + 1)]
-        return SymPoly(self.level, self.k, out, self.chi, self.side, self.ring)
-
-    def __eq__(self, other):
-        if not isinstance(other, SymPoly):
-            return NotImplemented
-        return (self.level, self.k, self.side, self.ring, self.chi,
-                self.coeffs) == (other.level, other.k, other.side,
-                                 other.ring, other.chi, other.coeffs)
+        return self._like(out)
 
     def __hash__(self):
-        return hash((self.level, self.k, self.side, self.coeffs))
+        return hash((self._key(), self.coeffs))
 
     def __repr__(self):
         return f"SymPoly(k={self.k}, side={self.side}, {list(self.coeffs)})"
 
 
-class ModularSymbol:
+class ModularSymbol(ExactValue):
     """One symbol as its flat coordinates; the presentation does the rest.
 
     ``coords()`` is a tuple of ngens * (k + 1) ring-reduced coefficients:
@@ -223,20 +207,17 @@ class ModularSymbol:
         self.ring = ring
         self._flat = tuple(ring_reduce(ring, x) for x in coords)
 
+    def _key(self):
+        return (self.level, self.k, self.chi, self.ring)
+
+    def _state(self):
+        return self._flat
+
     def _like(self, coords):
         return ModularSymbol(self.level, self.k, self.chi, self.ring, coords)
 
-    def zero_like(self):
-        return self._like((0,) * len(self._flat))
-
-    def __add__(self, other):
-        if ((self.level, self.k, self.chi, self.ring) !=
-                (other.level, other.k, other.chi, other.ring)):
-            raise OperandMismatch(f"{self!r} and {other!r} do not add")
+    def _add(self, other):
         return self._like(map(add, self._flat, other._flat))
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
 
     def scale(self, r):
         return self._like(r * x for x in self._flat)
@@ -367,9 +348,7 @@ def involution_split(phi):
     """(Phi^+, Phi^-) with Phi^{+-} = (Phi +- Phi|iota) / 2."""
     half = ring_half(phi.ring)
     pi = involution(phi)
-    plus = (phi + pi).scale(half)
-    minus = (phi + pi.scale(-1)).scale(half)
-    return plus, minus
+    return (phi + pi).scale(half), (phi - pi).scale(half)
 
 
 def _coords(basis, targets):

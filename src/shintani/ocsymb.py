@@ -4,7 +4,7 @@ The value module is graded by total moment degree and every operator in
 sight (the congruence group, Hecke sums, the involution) is homogeneous,
 so the solution space, the U_p matrix and the slope theory all decompose
 stratum by stratum.  Linear algebra happens per stratum; a general symbol
-is a sum of stratum-supported pieces.
+is a sum of stratum-supported pieces, added and scaled as arrays mod p^M.
 
 The disc axis carries the regular representation of (Z/p)^x, whose
 characters omega^j are defined over Z/p^M (D(Z_p^x) = sum_j omega^j
@@ -24,7 +24,7 @@ from math import gcd, prod
 import numpy as np
 
 from . import manin
-from .arith import crt, valuation
+from .arith import ExactValue, crt, valuation
 from .cosets import _units
 from .dist import _act_blocks, _check_s0, _pairs, _stratum_cols, specialize
 from .errors import (
@@ -50,7 +50,7 @@ from .linalg import (
 from .modsym import ModularSymbol, check_ring
 
 
-class OCSymbol:
+class OCSymbol(ExactValue):
     """Generator values in the tagged two-variable distribution module.
 
     data is one read-only int64 array indexed (generator, tag, disc,
@@ -59,6 +59,7 @@ class OCSymbol:
     """
 
     __slots__ = ("level", "N", "p", "prec", "T", "data")
+    _mismatch = PrecisionMismatch
 
     def __init__(self, level, N, p, prec, T, data):
         _check_shape(level, N, p, prec, T, np.shape(data))
@@ -79,24 +80,17 @@ class OCSymbol:
         sym.prec, sym.T, sym.data = space.prec, space.T, data
         return sym
 
+    def _key(self):
+        return (self.N, self.p, self.prec, self.T)
+
+    def _state(self):
+        return self.data.tolist()
+
     def _like(self, data):
         return OCSymbol(self.level, self.N, self.p, self.prec, self.T, data)
 
-    def _compat(self, other):
-        if (self.N, self.p, self.prec, self.T) != (other.N, other.p,
-                                                   other.prec, other.T):
-            raise PrecisionMismatch(f"{self!r} and {other!r} do not add")
-
-    def zero_like(self):
-        return self._like(np.zeros_like(self.data))
-
-    def __add__(self, other):
-        self._compat(other)
+    def _add(self, other):
         return self._like(self.data + other.data)
-
-    def __sub__(self, other):
-        self._compat(other)
-        return self._like(self.data - other.data)
 
     def scale(self, r):
         return self._like(self.data * (int(r) % self.p**self.prec))
@@ -372,10 +366,7 @@ def oc_involution(sym):
 def oc_sign_project(sym, sign):
     """(1 + sign * iota) / 2 applied to the symbol."""
     half = pow(2, -1, sym.p**sym.prec)
-    flip = oc_involution(sym)
-    if sign < 0:
-        flip = flip.scale(-1)
-    return (sym + flip).scale(half)
+    return (sym + oc_involution(sym).scale(sign)).scale(half)
 
 
 def disc_sector_project(sym, d):
@@ -518,16 +509,15 @@ def lift_eigensymbol(space, phi, alpha, kappa, sign=-1, perturb=None):
     alpha^{-1} U_p on it 2 (prec + 2) times, then projects once onto the
     sign and disc sector: both projections are idempotents that commute
     with U_p.  Off the target eigenline, what survives the projections has
-    positive relative slope and decays.  Requires v_p(alpha) < k + 1.
+    positive relative slope and decays.  Requires alpha to be a unit mod p.
     Returns the stratum-supported eigensymbol, scaled so its first unit
     coordinate is 1, together with the achieved residual valuation.
     """
     p, prec = space.p, space.prec
     mod = p**prec
     k = kappa.k
-    if valuation(alpha, p, prec) >= k + 1:
-        raise CriticalSlope(
-            f"v_p({alpha}) >= {k + 1} is critical at weight {k}")
+    if int(alpha) % p == 0:
+        raise CriticalSlope(f"v_p({alpha}) > 0: the lift needs a unit alpha")
     ainv = pow(int(alpha) % mod, -1, mod)
     phi_z = phi if phi.ring != "Q" else classical_to_zpm(phi, p, prec)
 

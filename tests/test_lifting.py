@@ -17,8 +17,14 @@ import pytest
 import shintani
 from shintani.arith import DirichletChar, RationalCusp, kronecker
 from shintani.cosets import _units
-from shintani.dist import ArithWeight
-from shintani.errors import BadIndex, DegreeMismatch, InsufficientMoments, NotInFM
+from shintani.dist import ArithWeight, _pairs
+from shintani.errors import (
+    BadIndex,
+    DegreeMismatch,
+    InsufficientMoments,
+    NotInFM,
+    OperandMismatch,
+)
 from shintani.lifting import (
     FormalQExp,
     HalfIntQExp,
@@ -36,6 +42,8 @@ from shintani.lifting import (
     verify_interpolation,
 )
 from shintani.modsym import (
+    ModularSymbol,
+    SymPoly,
     eigensymbols,
     hecke_Tn,
     involution,
@@ -50,6 +58,7 @@ from shintani.ocsymb import (
     oc_hecke_Tn,
     solve_oc_space,
 )
+from shintani import manin
 from shintani.qf import QuadForm, act, enumerate_classes
 
 from oracles import (
@@ -501,6 +510,64 @@ def test_input_guards_survive_optimize():
         "crt BadIndex",
         "DirichletChar BadIndex",
     ]
+
+
+def exact_values():
+    """Per value type: two values of one module and one of another."""
+    T = DirichletChar.trivial(1)
+    rng = np.random.default_rng(7)
+    # (generator, tag, disc, moment) at level 5 = 1 * 5 with T = 2
+    sym_shape = (manin.presentation(5).ngens, 1, 4, len(_pairs(2)[0]))
+    # (slot, tag, disc, moment) for q-slots 1..4: only 1 and 4 carry discs
+    slots = np.zeros((4, 1, 4, 2), dtype=np.int64)
+    slots[[0, 3]] = rng.integers(0, 25, (2, 1, 4, 2))
+    return {
+        "SymPoly": (SymPoly(5, 2, [1, 2, 3], T),
+                    SymPoly(5, 2, [0, Fraction(1, 2), -4], T),
+                    SymPoly(11, 2, [1, 2, 3], T)),
+        "ModularSymbol": (ModularSymbol(5, 0, T, "Q", range(6)),
+                          ModularSymbol(5, 0, T, "Q", [3, 1, 4, 1, 5, 9]),
+                          ModularSymbol(5, 0, T, ("zpm", 5, 2), range(6))),
+        "OCSymbol": (OCSymbol(5, 1, 5, 2, 2, rng.integers(0, 25, sym_shape)),
+                     OCSymbol(5, 1, 5, 2, 2, rng.integers(0, 25, sym_shape)),
+                     OCSymbol(5, 1, 5, 3, 2, rng.integers(0, 125, sym_shape))),
+        # the second operand is known to a higher n_max, or on fewer slots
+        "HalfIntQExp": (HalfIntQExp(11, 0, T, {1: 2, 3: Fraction(5, 3)}, 4),
+                        HalfIntQExp(11, 0, T, {1: -2, 2: 7, 6: 1}, 6),
+                        HalfIntQExp(11, 1, T, {1: 2}, 4)),
+        "FormalQExp": (FormalQExp(5, 1, 5, 2, 1, slots, 4),
+                       FormalQExp(5, 1, 5, 2, 1, 3 * slots[[0, 3]], 4, [1, 4]),
+                       FormalQExp(5, 1, 5, 3, 1, slots, 4)),
+    }
+
+
+@pytest.mark.parametrize("name", list(exact_values()))
+def test_exact_value_contract(name):
+    a, b, other = exact_values()[name]
+    assert type(a).__name__ == name and not a.is_zero()
+    assert a - b == a + b.scale(-1) and a - b != a
+    assert -a == a.scale(-1) and -(-a) == a
+    assert a + a.zero_like() == a and a.zero_like().is_zero()
+    assert (a - a).is_zero() and a != b and a != other
+    for op in (lambda x, y: x + y, lambda x, y: x - y):
+        with pytest.raises(type(a)._mismatch):
+            op(a, other)
+        with pytest.raises(type(a)._mismatch):
+            op(other, a)
+
+
+def test_exact_values_of_two_types_do_not_add():
+    values = [v[0] for v in exact_values().values()]
+    for a in values:
+        for b in values + [1, None]:
+            if type(a) is not type(b):
+                with pytest.raises(type(a)._mismatch):
+                    a + b
+                with pytest.raises(type(a)._mismatch):
+                    a - b
+    sym = exact_values()["ModularSymbol"][0]
+    with pytest.raises(OperandMismatch):
+        sym + HalfIntQExp(5, 0, DirichletChar.trivial(1), {}, 4)
 
 
 def test_theta_oc_evaluates_each_primitive_class_once(monkeypatch, ocphi5):

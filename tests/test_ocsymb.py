@@ -723,6 +723,14 @@ def test_lift_critical_slope_gate(sp11_big):
         lift_eigensymbol(sp11_big, phi, 11, kappa)
 
 
+def test_lift_refuses_a_non_unit_alpha(sp11_small):
+    # v_p(11) = 1 is below the critical slope 2 at weight 1, but the
+    # finite-precision lift inverts alpha mod p^prec
+    phi, _ = eigensymbols(11, 0, TRIV, -1)[0]
+    with pytest.raises(CriticalSlope, match="unit"):
+        lift_eigensymbol(sp11_small, phi, 11, ArithWeight(1, TRIV, 11))
+
+
 def stratum0_perturbation(space, seed=17):
     mod = space.p**space.prec
     idx0 = space.stratum_indices(0)
