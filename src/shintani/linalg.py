@@ -207,6 +207,22 @@ def _howell_reduce(rows, width, p, M):
     return done, info
 
 
+def _graph(A, p, M):
+    """(image, zpm_kernel(A)) from the Howell form of A's graph mod p^M:
+    image lists (c, v, a, u) for each row (a, u) whose pivot p^v is at a
+    column c < m, so that A u = a."""
+    _check_kernel_bounds(p, M)
+    A = np.asarray(A, dtype=np.int64)
+    m, n = A.shape
+    # rows (column_i(A), e_i): the row span is the graph {(A x, x)}
+    aug = np.concatenate([A.T % p**M, np.eye(n, dtype=np.int64)], axis=1)
+    reduced, info = _howell_reduce(list(aug), m + n, p, M)
+    image = [(c, v, r[:m], r[m:]) for r, (c, v) in zip(reduced, info)
+             if c < m]
+    raw = [r[m:] for r, (c, _) in zip(reduced, info) if c >= m]
+    return image, zpm_span_basis(raw, n, p, M)
+
+
 def zpm_kernel(A, p, M):
     """Howell basis of {x : A @ x = 0 mod p^M}.
 
@@ -215,14 +231,7 @@ def zpm_kernel(A, p, M):
     rank is the number of zero torsion entries, and sum(M - v_i) is the
     p-logarithm of the kernel's cardinality.
     """
-    A = np.asarray(A, dtype=np.int64)
-    m, n = A.shape
-    pm = p**M
-    # rows (column_i(A), e_i): the row span is the graph {(A x, x)}
-    aug = np.concatenate([A.T % pm, np.eye(n, dtype=np.int64)], axis=1)
-    reduced, info = _howell_reduce(list(aug), m + n, p, M)
-    raw = [r[m:] for r, (c, _) in zip(reduced, info) if c >= m]
-    return zpm_span_basis(raw, n, p, M)
+    return _graph(A, p, M)[1]
 
 
 def zpm_span_basis(rows, width, p, M):
@@ -232,26 +241,38 @@ def zpm_span_basis(rows, width, p, M):
     the entries above each reduced into [0, p^v), which makes the basis
     unique: any generating set of one module gives the same rows.
     """
-    if len(rows) == 0:
-        return [], []
+    _check_kernel_bounds(p, M)
     basis, info = _howell_reduce(rows, width, p, M)
     return basis, [v for _, v in info]
 
 
-def zpm_solve(A, b, p, M):
-    """One solution of A @ x = b mod p^M, or None."""
-    A = np.asarray(A, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    m, n = A.shape
-    pm = p**M
-    aug = np.concatenate([A % pm, (b % pm).reshape(m, 1)], axis=1)
-    basis, _ = zpm_kernel(aug, p, M)
-    for vec in basis:
-        t = int(vec[n])
-        if t % p != 0:
-            tinv = pow(t, -1, pm)
-            return (-vec[:n] * tinv) % pm
-    return None
+def zpm_solve(A, B, p, M):
+    """Solution X of A @ X = B mod p^M, or None if a column has none.
+
+    B is a vector or a matrix of right-hand sides y.  Each column of X is
+    -r[:n] / r[n] for the first row r with a unit last entry of the Howell
+    basis of ker[A | y].  One reduction of A's graph serves every column:
+    back-substitution along its image pivots gives x0 with A x0 = y (a
+    remainder means y is not in the image), and ker[A | y] is spanned by
+    (k, 0), k in ker A, and (-x0, 1); a Howell basis is unique.
+    """
+    B = np.asarray(B, dtype=np.int64)
+    n, pm = np.shape(A)[1], p**M
+    image, (kernel, _) = _graph(A, p, M)
+    Y = (B[:, None] if B.ndim == 1 else B) % pm
+    X = np.zeros((n, Y.shape[1]), dtype=np.int64)
+    for c, v, a, u in image:   # every product stays below pm^2 < 2^56
+        q = Y[c] // p**v
+        Y = (Y - np.outer(a, q)) % pm
+        X = (X + np.outer(u, q)) % pm
+    if Y.any():
+        return None
+    pad = [np.append(k, 0) for k in kernel]
+    for j, x0 in enumerate(X.T if kernel else ()):   # else x0 is unique
+        rows, _ = zpm_span_basis(pad + [np.append(-x0 % pm, 1)], n + 1, p, M)
+        r = next(r for r in rows if r[n] % p)
+        X[:, j] = -r[:n] * pow(int(r[n]), -1, pm) % pm
+    return X if B.ndim > 1 else X[:, 0]
 
 
 # ---------------------------------------------------------------------------

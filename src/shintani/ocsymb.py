@@ -397,7 +397,10 @@ def up_matrix(space, d, n=None):
 
     Operators are degree-homogeneous, so each stratum carries its own
     square matrix.  T_n's cached sector blocks act on all basis columns of
-    the stratum at once.
+    the stratum at once, and one zpm_solve solves them all.  B is the
+    solution the Howell basis of ker[A | y] picks for each image y; where
+    ker A != 0, every B + K C also represents the operator, and its
+    characteristic polynomial can differ.
     """
     idx = space.stratum_indices(d)
     if not idx:
@@ -408,10 +411,10 @@ def up_matrix(space, d, n=None):
     X = A.reshape(-1, len(_units(N)), p - 1, d + 1, len(idx))
     img = _coset_stratum(space.level, N, p, space.prec, space.T, d, X,
                          reps).reshape(A.shape)
-    cols = [zpm_solve(A, y, p, space.prec) for y in img.T]
-    if any(x is None for x in cols):
+    B = zpm_solve(A, img, p, space.prec)
+    if B is None:
         raise OperandMismatch("Hecke image left the solved space")
-    return np.stack(cols, axis=1)
+    return B
 
 
 def charpoly_strata(space, dmax=None):

@@ -114,7 +114,7 @@ from shintani.errors import (
     SquareDiscriminant,
 )
 from shintani.lifting import quad_power
-from shintani.linalg import _check_kernel_bounds, zpm_solve
+from shintani.linalg import _check_kernel_bounds, zpm_kernel
 from shintani.manin import MAT_IOTA, divisor_terms, presentation
 from shintani.modsym import (
     ModularSymbol,
@@ -133,6 +133,7 @@ from shintani.ocsymb import (
     _sources,
     classical_to_zpm,
     disc_sector_project,
+    oc_hecke_Tn,
     oc_hecke_Up,
     oc_sign_project,
     specialize_symbol,
@@ -832,7 +833,7 @@ def lift_eigensymbol_each_step(space, phi, alpha, kappa, sign=-1,
                   for i in idx], dtype=np.int64).T
     target = np.array([int(c) for c in phi_z.coords()], dtype=np.int64)
     coeffs = np.zeros(space.dimension, dtype=np.int64)
-    coeffs[idx] = zpm_solve(S, target, p, prec)
+    coeffs[idx] = zpm_solve_by_column(S, target, p, prec)
     y = space.combination(coeffs)
     if perturb is not None:
         y = y + perturb
@@ -1562,12 +1563,39 @@ def frac_solve_many(rows, rhss):
     return out
 
 
+def zpm_solve_by_column(A, b, p, M):
+    """``zpm_solve`` for one right-hand side b from its own Howell
+    reduction: the first row with a unit last entry of the Howell basis of
+    ker[A | b] gives x, or there is none and b is not in the image.
+    """
+    A = np.asarray(A, dtype=np.int64)
+    n, pm = A.shape[1], p**M
+    aug = np.concatenate([A % pm, (np.asarray(b) % pm).reshape(-1, 1)],
+                         axis=1)
+    for vec in zpm_kernel(aug, p, M)[0]:
+        t = int(vec[n])
+        if t % p:
+            return (-vec[:n] * pow(t, -1, pm)) % pm
+    return None
+
+
+def up_matrix_by_column(space, d, n=None):
+    """``up_matrix`` from one operator image and one ``zpm_solve_by_column``
+    per basis symbol of the stratum."""
+    idx = space.stratum_indices(d)
+    A = space.stratum_matrix(d)
+    cols = [zpm_solve_by_column(
+        A, oc_hecke_Tn(space.basis[i], n or space.p).flat_stratum(d),
+        space.p, space.prec) for i in idx]
+    return np.stack(cols, axis=1) if cols else np.zeros((0, 0), np.int64)
+
+
 def zpm_in_span(vectors, target, p, M):
     """Whether target lies in the Z/p^M span of the given vectors."""
     if not vectors:
         return not np.any(np.asarray(target) % p**M)
     A = np.stack([np.asarray(v, dtype=np.int64) for v in vectors], axis=1)
-    return zpm_solve(A, target, p, M) is not None
+    return zpm_solve_by_column(A, target, p, M) is not None
 
 
 def rank_mod_p(A, p):

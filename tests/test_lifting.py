@@ -351,7 +351,7 @@ from shintani.errors import ShintaniError
 from shintani import modsym
 from shintani.lifting import (
     FormalQExp, HalfIntQExp, J_oc, specialize_qexp, theta_classical)
-from shintani.linalg import matmul_mod
+from shintani.linalg import matmul_mod, zpm_solve
 from shintani.modsym import (
     ModularSymbol, SymPoly, eigensymbols, ring_reduce,
     solve_symbol_space)
@@ -428,6 +428,7 @@ cases = {
     "lift_eigensymbol(image)": lambda: lift_eigensymbol(
         sp5, off_image, 1, ArithWeight(0, T, 5)),
     "matmul_mod": lambda: matmul_mod(np.ones((2, 3)), np.ones((5, 2)), 7),
+    "zpm_solve(3^30)": lambda: zpm_solve(np.eye(2), np.ones(2), 3, 30),
     # one all-ones "kernel" vector breaks the weight-0 S-pair relations
     "solve_symbol_space(Q kernel)": lambda: corrupted(
         "frac_nullspace", lambda rows, n: [[1] * n], 11, 0, T),
@@ -468,7 +469,7 @@ def test_input_guards_survive_optimize():
     out = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_GUARDS],
                          capture_output=True, text=True, check=True, env=env,
                          timeout=300).stdout.split("\n")
-    assert out[:40] == [
+    assert out[:41] == [
         "debug False",
         "J_classical NotInFM",
         "J_oc NotInFM",
@@ -497,6 +498,7 @@ def test_input_guards_survive_optimize():
         "lift_eigensymbol(stratum) DegreeMismatch",
         "lift_eigensymbol(image) OperandMismatch",
         "matmul_mod OperandMismatch",
+        "zpm_solve(3^30) KernelOverflow",
         "solve_symbol_space(Q kernel) OperandMismatch",
         "solve_symbol_space(zpm kernel) OperandMismatch",
         "eigensymbols(sign) BadIndex",

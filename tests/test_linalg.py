@@ -14,7 +14,7 @@ import sympy
 import shintani
 from shintani import linalg, manin, modsym
 from shintani.arith import DirichletChar
-from shintani.errors import NoConvergence, OperandMismatch
+from shintani.errors import KernelOverflow, NoConvergence, OperandMismatch
 from shintani.linalg import (
     berkowitz_charpoly,
     frac_nullspace,
@@ -24,11 +24,12 @@ from shintani.linalg import (
     poly_mul_mod,
     zpm_kernel,
     zpm_solve,
+    zpm_span_basis,
 )
 
 from oracles import (
     frac_nullspace_gauss, frac_rref_gauss, frac_solve_many, rank_mod_p,
-    zpm_in_span)
+    zpm_in_span, zpm_solve_by_column)
 
 rng = random.Random(20260822)
 
@@ -286,6 +287,56 @@ def test_zpm_solve():
         assert not ((A.astype(object) @ x.astype(object) - b) % pm).any()
     # unsolvable: p * x = 1
     assert zpm_solve(np.array([[p]]), np.array([1]), p, M) is None
+
+
+def torsion_system(r, p, M, m, n, k):
+    """A with columns scaled by p^0, p^1 or p^(M-1), and B = A X0."""
+    pm = p**M
+    A = r.integers(0, pm, size=(m, n)) * p ** r.choice([0, 1, M - 1], n)
+    A = (A % pm).astype(np.int64)
+    X0 = r.integers(0, pm, size=(n, k)).astype(object)
+    return A, (A.astype(object) @ X0 % pm).astype(np.int64)
+
+
+def test_zpm_solve_matrix_matches_column_by_column():
+    p, M = 3, 4
+    pm = p**M
+    r = np.random.default_rng(5)
+    torsion = 0
+    for _ in range(30):
+        m, n = int(r.integers(1, 7)), int(r.integers(1, 7))
+        A, B = torsion_system(r, p, M, m, n, int(r.integers(1, 5)))
+        torsion += any(zpm_kernel(A, p, M)[1])
+        X = zpm_solve(A, B, p, M)
+        assert X.shape == (n, B.shape[1])
+        for x, y in zip(X.T, B.T):
+            assert np.array_equal(x, zpm_solve(A, y, p, M))
+            assert np.array_equal(x, zpm_solve_by_column(A, y, p, M))
+    assert torsion >= 5   # kernels with rows of positive valuation
+    # one column outside the image makes the whole solve None
+    A = r.integers(0, pm, size=(4, 3)) * [[p], [1], [1], [1]] % pm
+    B = (A @ r.integers(0, pm, size=(3, 3)).astype(object) % pm
+         ).astype(np.int64)
+    B[0, 1] = 1   # row 0 of A is divisible by p
+    assert zpm_solve_by_column(A, B[:, 1], p, M) is None
+    assert zpm_solve(A, B, p, M) is None
+    assert zpm_solve(A, B[:, 1], p, M) is None
+    # a vector b gives a vector x
+    x = zpm_solve(A, B[:, 0], p, M)
+    assert x.shape == (3,)
+    assert np.array_equal(x, zpm_solve_by_column(A, B[:, 0], p, M))
+
+
+def test_zpm_routines_refuse_moduli_above_the_int64_bound():
+    # 3^30 >= 2^28: reductions would overflow int64 and answer wrongly
+    p, M = 3, 30
+    A = np.array([[1, 2, 0], [0, 3, 1], [5, 0, 7]], dtype=np.int64)
+    b = A @ np.array([1, 2, 3], dtype=np.int64)
+    for call in (lambda: zpm_kernel(A, p, M),
+                 lambda: zpm_span_basis(list(A), 3, p, M),
+                 lambda: zpm_solve(A, b, p, M)):
+        with pytest.raises(KernelOverflow):
+            call()
 
 
 def test_zpm_in_span():

@@ -58,6 +58,7 @@ from oracles import (
     scalar_action,
     stratum_relation_matrix,
     sympolys_of,
+    up_matrix_by_column,
     values_of,
 )
 
@@ -447,6 +448,26 @@ def test_up_matrix_intertwines_classical_on_t0():
         ucols.append(x)
     U_cl = np.stack(ucols, axis=1)
     assert np.array_equal(mmul(S, U_oc, mod), mmul(U_cl, S, mod))
+
+
+@pytest.mark.parametrize("level, N, precision, ns, dmax", [
+    (11, 1, (6, 1), (None, 2, 3), 1),
+    (5, 1, (8, 8), (None, 2, 3), 8),
+    (15, 3, (4, 4), (None, 2, 3), 4),
+    (11, 1, (8, 8), (None,), 3),
+])
+def test_up_matrix_matches_the_per_column_solve(level, N, precision, ns,
+                                                dmax):
+    # the same representative, not merely some solution: where ker A != 0
+    # another one can change the characteristic polynomial
+    space = solve_oc_space(level, N, precision)
+    assert any(zpm_kernel(space.stratum_matrix(d), space.p, space.prec)[0]
+               for d in range(dmax + 1))
+    for d in range(dmax + 1):
+        for n in ns:
+            B = up_matrix(space, d, n)
+            assert B.dtype == np.int64
+            assert np.array_equal(B, up_matrix_by_column(space, d, n))
 
 
 def test_up_reps_raise_moment_valuations():
