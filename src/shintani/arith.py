@@ -4,7 +4,7 @@ Dirichlet characters, rational cusps, continued-fraction paths, ExactValue.
 Everything here is integer arithmetic; no floating point.
 """
 
-from math import gcd, isqrt
+from math import gcd
 
 from .errors import (BadIndex, NoConvergence, NonUnimodular, OperandMismatch,
                      PrimalityUnproven)
@@ -89,30 +89,6 @@ def is_prime(n):
     return True
 
 
-def sign_a_plus_b_sqrt(a, b, d):
-    """Exact sign of a + b*sqrt(d) for integers a, b and d >= 0."""
-    if d < 0:
-        raise BadIndex(f"sign of a + b*sqrt(d) needs d >= 0, got {d}")
-    r = isqrt(d)
-    if r * r == d:
-        v = a + b * r
-        return (v > 0) - (v < 0)
-    if b == 0:
-        return (a > 0) - (a < 0)
-    if a == 0:
-        return (b > 0) - (b < 0)
-    if a > 0 and b > 0:
-        return 1
-    if a < 0 and b < 0:
-        return -1
-    # opposite signs: compare a^2 with b^2*d
-    lhs, rhs = a * a, b * b * d
-    if lhs == rhs:
-        return 0
-    bigger_is_a = lhs > rhs
-    return ((a > 0) - (a < 0)) if bigger_is_a else ((b > 0) - (b < 0))
-
-
 # ---------------------------------------------------------------------------
 # 2x2 integer matrices as row-major 4-tuples (a, b, c, d)
 
@@ -182,12 +158,14 @@ class DirichletChar:
         return cls(modulus, {a: 1 for a in range(modulus)})
 
     @classmethod
-    def from_kronecker(cls, D, modulus=None):
-        """Quadratic character a -> kronecker(D, a), period |D| (or 4|D|)."""
-        m = modulus if modulus is not None else (abs(D) if D % 4 in (0, 1) else 4 * abs(D))
-        if m == 0:
-            m = 1
-        return cls(m, {a: kronecker(D, a) for a in range(m)})
+    def from_kronecker(cls, D):
+        """Quadratic character a -> kronecker(D, a), period |D| (or 4|D|).
+
+        The table reads a = 1..m at a % m, so the period-1 characters of
+        D = 0 and D = 1 are trivial, not kronecker(D, 0) = 0.
+        """
+        m = max(abs(D) if D % 4 in (0, 1) else 4 * abs(D), 1)
+        return cls(m, {a % m: kronecker(D, a) for a in range(1, m + 1)})
 
     def __call__(self, a):
         return self.table[a % self.modulus]
@@ -241,9 +219,8 @@ class RationalCusp:
             num = 1
         else:
             g = gcd(num, den)
-            if g:
-                num //= g
-                den //= g
+            num //= g
+            den //= g
             if den < 0:
                 num, den = -num, -den
         object.__setattr__(self, "num", num)

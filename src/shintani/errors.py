@@ -57,10 +57,6 @@ class BadIndex(ShintaniError):
     """Hecke index, q-slot, discriminant or modulus out of range."""
 
 
-class TwoNotInvertible(ShintaniError):
-    """Involution split requires 2 invertible in the ring."""
-
-
 class CriticalSlope(ShintaniError):
     """Slope equals the critical value k+1, where unique lifting fails, or is
     any positive slope: the finite-precision lift needs alpha a unit mod p."""

@@ -112,8 +112,6 @@ def hecke_reps(n, M):
         d = n // a
         for b in range(d):
             reps.append((a, b, 0, d))
-    if not reps:
-        raise BadIndex(f"no determinant-{n} representatives at level {M}")
     return reps
 
 

@@ -41,7 +41,6 @@ from .errors import (
     BadIndex,
     DegreeMismatch,
     OperandMismatch,
-    TwoNotInvertible,
 )
 from .linalg import (
     _check_kernel_bounds,
@@ -83,16 +82,6 @@ def ring_reduce(ring, x):
                                     f"its denominator is not a unit")
         return x.numerator * pow(x.denominator, -1, p**prec) % p**prec
     return int(x) % p**prec
-
-
-def ring_half(ring):
-    """1/2 in the ring; the involution split needs it."""
-    if ring == "Q":
-        return Fraction(1, 2)
-    _, p, prec = ring
-    if p == 2:
-        raise TwoNotInvertible(f"2 is not a unit in Z/{p}^{prec}")
-    return pow(2, -1, p**prec)
 
 
 def _L_blocks(gs, k):
@@ -346,9 +335,8 @@ def involution(phi):
 
 def involution_split(phi):
     """(Phi^+, Phi^-) with Phi^{+-} = (Phi +- Phi|iota) / 2."""
-    half = ring_half(phi.ring)
     pi = involution(phi)
-    return (phi + pi).scale(half), (phi - pi).scale(half)
+    return (phi + pi).scale(Fraction(1, 2)), (phi - pi).scale(Fraction(1, 2))
 
 
 def _coords(basis, targets):

@@ -24,7 +24,7 @@ from math import gcd, prod
 import numpy as np
 
 from . import manin
-from .arith import ExactValue, crt, valuation
+from .arith import ExactValue, valuation
 from .cosets import _units
 from .dist import _act_blocks, _check_s0, _pairs, _stratum_cols, specialize
 from .errors import (
@@ -369,27 +369,21 @@ def oc_sign_project(sym, sign):
     return (sym + oc_involution(sym).scale(sign)).scale(half)
 
 
-def disc_sector_project(sym, d):
-    """Average of unit disc rotations on a stratum-d supported symbol.
+def disc_sector_project(sym):
+    """Mean over the disc axis, broadcast back to every disc.
 
-    Rescaling the units by s acts on stratum d as s^d times a pure disc
-    rotation; dividing the weight back out leaves the rotation, and
-    averaging over s projects onto the rotation-invariant sector.
-    Commutes with every Hecke operator and with the involution.  With
-    s = 1 mod N the tags stay put; disc c reads disc s^-1 c, and the
-    moment x^a y^b is weighted by s^(a + b - d).
+    The unit s = 1 mod N, s = c mod p acts by keeping the tags, reading
+    disc c' at disc s^-1 c', and weighting the moment x^a y^b by s^(a + b).
+    On a stratum-d symbol every weight s^(a + b - d) is 1, so the average
+    over s of s^-d times that action, the projection onto the
+    rotation-invariant sector, is the mean over discs: the omega^0 part of
+    D(Z_p^x) = sum_j omega^j D(1 + pZ_p).  The mean is idempotent on every
+    symbol, and commutes with every Hecke operator and the involution.
     """
-    p, N = sym.p, sym.N
-    mod = p**sym.prec
-    degrees = np.array([a + b - d for a, b in _pairs(sym.T)[0]])
-    acc = np.zeros_like(sym.data)
-    for c in range(1, p):
-        s = crt(1, N, c, p) if N > 1 else c
-        weight = np.array([pow(s, int(e), mod) for e in degrees],
-                          dtype=np.int64)
-        discs = [pow(s, -1, p) * x % p - 1 for x in range(1, p)]
-        acc = (acc + sym.data.take(discs, axis=2) * weight) % mod
-    return sym._like(acc * pow(p - 1, -1, mod))
+    mod = sym.p**sym.prec
+    mean = sym.data.sum(axis=2, keepdims=True) % mod
+    return sym._like(np.broadcast_to(mean * pow(sym.p - 1, -1, mod),
+                                     sym.data.shape))
 
 
 def up_matrix(space, d, n=None):
@@ -544,7 +538,7 @@ def lift_eigensymbol(space, phi, alpha, kappa, sign=-1, perturb=None):
     y = seed
     for _ in range(2 * (prec + 2)):
         y = oc_hecke_Up(y).scale(ainv)
-    y = disc_sector_project(oc_sign_project(y, sign), k)
+    y = disc_sector_project(oc_sign_project(y, sign))
     residual = oc_hecke_Up(y) - y.scale(int(alpha) % mod)
     res_val = min((valuation(v, p, prec) for v in residual.flat()),
                   default=prec)

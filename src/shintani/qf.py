@@ -1,14 +1,14 @@
 """Integral indefinite binary quadratic forms.
 
 Covers the congruence families F_M, the unimodular right action, reduced
-cycles, automorphs with their orientation normalization, geodesic
-boundary divisors, canonical keys of SL2(Z) classes, and deterministic
-class enumeration.
+cycles, automorphs, geodesic boundary divisors, canonical keys of SL2(Z)
+classes, and deterministic class enumeration.
 
 One walk of reduced cycles on integer triples serves all of them: each
 primitive SL2(Z) class is represented, and sorted, by the least triple
 of its cycle, and every automorph of discriminant d is read in closed
-form off one unit t^2 - d u^2 = 4 from the principal cycle.  Class
+form off one unit t^2 - d u^2 = 4 from the principal cycle; gamma_Q, the
+oriented one, is the inverse of that closed form.  Class
 enumeration never scans the cosets of Gamma0(M).  The left cosets
 h Gamma0(M) whose form m*P|h can lie in F_M are the points (u : v) of
 P^1(Z/M), the bottom row of h^-1, where the congruences that make its b-
@@ -21,8 +21,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 from operator import itemgetter
 
-from .arith import (
-    RationalCusp, mat_det, mat_inv, mat_mul, sign_a_plus_b_sqrt, xgcd)
+from .arith import RationalCusp, mat_det, mat_inv, mat_mul, xgcd
 from .cosets import _p1, coset_section
 from .errors import (
     BadIndex, BadSemigroupElement, NoConvergence, NonUnimodular,
@@ -185,35 +184,19 @@ def fundamental_automorph(Q):
     return A
 
 
-def _is_normalized(Q, g):
-    """The orientation condition r - t*omega_Q > 1 on g = [[r, s], [t, u]].
-
-    omega_Q = (b + sqrt(d)) / (2c); multiplying through by 2c reduces the
-    inequality to an exact integer-plus-surd sign test.
-    """
-    d = Q.discriminant()
-    r, _, t, _ = g
-    c2 = 2 * Q.c
-    if c2 == 0:
-        raise BadIndex(f"orientation of {Q} needs c != 0")
-    lhs = sign_a_plus_b_sqrt(c2 * (r - 1) - t * Q.b, -t, d)
-    return lhs == (1 if c2 > 0 else -1)
-
-
 def gamma_Q(Q, M):
-    """The fundamental automorph of Q, orientation-normalized, in Gamma0(M).
+    """The inverse of fundamental_automorph(Q), which must lie in Gamma0(M).
 
-    For Q = m*P in F_M, P = (a, b, c) primitive, m divides Q.a, which is
-    prime to M, so M | m*c gives M | c: the lower-left entry cu of
-    fundamental_automorph(Q) is divisible by M, and no power is needed.
-    Forms whose fundamental automorph leaves Gamma0(M) are refused.
+    This is the automorph g = (r, s; v, w) of Q oriented by r - v*omega > 1,
+    where omega = (b + sqrt(d)) / (2c) for Q's primitive part P = (a, b, c).
+    With (t, u) = _unit(d), fundamental_automorph(Q) = ((t + bu)/2, -au;
+    cu, (t - bu)/2) has r - v*omega = (t - u sqrt(d))/2 = 2/(t + u sqrt(d)),
+    below 1, and its inverse has r - v*omega = (t + u sqrt(d))/2 > 1.  For
+    Q = m*P in F_M, m divides Q.a, which is prime to M, so M | m*c gives
+    M | c: the lower-left entry -cu is divisible by M, and no power is
+    needed.  Forms whose fundamental automorph leaves Gamma0(M) are refused.
     """
-    g = fundamental_automorph(Q)
-    if not _is_normalized(Q, g):
-        g = mat_inv(g)
-        if not _is_normalized(Q, g):
-            raise BadSemigroupElement(
-                f"neither {g} nor its inverse is oriented for {Q}")
+    g = mat_inv(fundamental_automorph(Q))
     if g[2] % M or act(Q, g) != Q:
         raise BadSemigroupElement(f"{g} is not an automorph of {Q} "
                                   f"in Gamma0({M})")

@@ -29,7 +29,10 @@ each Teichmuller sector on its own.  It builds each term's block with
 applied one path term at a time before its Hecke operators became cached
 sector blocks.  ``lift_eigensymbol_each_step`` is ``lift_eigensymbol`` as
 it projected onto the sign and disc sector after every U_p step, before
-it projected once after the iteration.
+it projected once after the iteration, and it projects with
+``disc_sector_project_rotations``, ``ocsymb.disc_sector_project`` as it
+averaged the p - 1 weighted disc rotations on one stratum before it took
+the mean over the disc axis.
 
 ``_canonical`` is the least unit multiple of a point of P^1(Z/M), found
 by a minimum over the units that carry its first coordinate to gcd(u, M),
@@ -46,7 +49,9 @@ returns its product.  ``fundamental_automorph_cycle`` is
 form, and ``gamma_Q_power`` is ``qf.gamma_Q`` as it searched the powers
 of it for the least one in Gamma0(M), with ``mat_pow`` and ``mat_neg``,
 before both read the automorph in closed form off one unit per
-discriminant.
+discriminant.  It keeps the orientation test ``_is_normalized``, with
+the exact surd sign ``sign_a_plus_b_sqrt``, that ``qf.gamma_Q`` ran
+before it took the inverse of the closed form.
 ``equivalent_under_gamma0`` (with ``_sl2_transporter``,
 ``_automorph_mod_search`` and its ``DiscriminantMismatch``) decides
 whether two forms are Gamma0(M)-equivalent, and certifies class
@@ -98,7 +103,8 @@ from operator import mul
 import numpy as np
 import sympy
 
-from shintani.arith import MAT_ID, RationalCusp, mat_inv, mat_mul, valuation
+from shintani.arith import (
+    MAT_ID, RationalCusp, crt, mat_inv, mat_mul, valuation)
 from shintani.cosets import _units, coset_index, coset_section
 from shintani.dist import _act_blocks, _check_s0, _pairs, _stratum_cols
 from shintani.errors import (
@@ -132,7 +138,6 @@ from shintani.ocsymb import (
     _leading_unit_index,
     _sources,
     classical_to_zpm,
-    disc_sector_project,
     oc_hecke_Tn,
     oc_hecke_Up,
     oc_sign_project,
@@ -140,7 +145,6 @@ from shintani.ocsymb import (
 )
 from shintani.qf import (
     QuadForm,
-    _is_normalized,
     _rho_step,
     _square_canonical,
     act,
@@ -815,6 +819,28 @@ def stratum_relation_matrix(level, N, p, prec, T, d):
         for rel in pres.relations])
 
 
+def disc_sector_project_rotations(sym, d):
+    """Average of unit disc rotations on a stratum-d supported symbol.
+
+    Rescaling the units by s acts on stratum d as s^d times a pure disc
+    rotation; dividing the weight back out leaves the rotation, and
+    averaging over s projects onto the rotation-invariant sector.  With
+    s = 1 mod N the tags stay put; disc c reads disc s^-1 c, and the
+    moment x^a y^b is weighted by s^(a + b - d).
+    """
+    p, N = sym.p, sym.N
+    mod = p**sym.prec
+    degrees = np.array([a + b - d for a, b in _pairs(sym.T)[0]])
+    acc = np.zeros_like(sym.data)
+    for c in range(1, p):
+        s = crt(1, N, c, p) if N > 1 else c
+        weight = np.array([pow(s, int(e), mod) for e in degrees],
+                          dtype=np.int64)
+        discs = [pow(s, -1, p) * x % p - 1 for x in range(1, p)]
+        acc = (acc + sym.data.take(discs, axis=2) * weight) % mod
+    return sym._like(acc * pow(p - 1, -1, mod))
+
+
 def lift_eigensymbol_each_step(space, phi, alpha, kappa, sign=-1,
                                perturb=None):
     """``lift_eigensymbol`` projecting onto the sign and disc sector at
@@ -840,7 +866,7 @@ def lift_eigensymbol_each_step(space, phi, alpha, kappa, sign=-1,
     for _ in range(2 * (prec + 2)):
         y = oc_hecke_Up(y).scale(ainv)
         y = oc_sign_project(y, sign)
-        y = disc_sector_project(y, k)
+        y = disc_sector_project_rotations(y, k)
     residual = oc_hecke_Up(y) - y.scale(int(alpha) % mod)
     res_val = min((valuation(v, p, prec) for v in residual.flat()),
                   default=prec)
@@ -1174,6 +1200,45 @@ def fundamental_automorph_cycle(Q):
         raise NoConvergence(f"the cycle of {P} closed on {A}, "
                             f"not a hyperbolic automorph")
     return A
+
+
+def sign_a_plus_b_sqrt(a, b, d):
+    """Exact sign of a + b*sqrt(d) for integers a, b and d >= 0."""
+    if d < 0:
+        raise BadIndex(f"sign of a + b*sqrt(d) needs d >= 0, got {d}")
+    r = isqrt(d)
+    if r * r == d:
+        v = a + b * r
+        return (v > 0) - (v < 0)
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return (b > 0) - (b < 0)
+    if a > 0 and b > 0:
+        return 1
+    if a < 0 and b < 0:
+        return -1
+    # opposite signs: compare a^2 with b^2*d
+    lhs, rhs = a * a, b * b * d
+    if lhs == rhs:
+        return 0
+    bigger_is_a = lhs > rhs
+    return ((a > 0) - (a < 0)) if bigger_is_a else ((b > 0) - (b < 0))
+
+
+def _is_normalized(Q, g):
+    """The orientation condition r - t*omega_Q > 1 on g = [[r, s], [t, u]].
+
+    omega_Q = (b + sqrt(d)) / (2c); multiplying through by 2c reduces the
+    inequality to an exact integer-plus-surd sign test.
+    """
+    d = Q.discriminant()
+    r, _, t, _ = g
+    c2 = 2 * Q.c
+    if c2 == 0:
+        raise BadIndex(f"orientation of {Q} needs c != 0")
+    lhs = sign_a_plus_b_sqrt(c2 * (r - 1) - t * Q.b, -t, d)
+    return lhs == (1 if c2 > 0 else -1)
 
 
 def gamma_Q_power(Q, M):

@@ -15,12 +15,13 @@ from shintani.arith import (
     mat_det,
     mat_inv,
     mat_mul,
-    sign_a_plus_b_sqrt,
     sl2_chain,
     valuation,
     xgcd,
 )
 from shintani.errors import PrimalityUnproven
+
+from oracles import sign_a_plus_b_sqrt
 
 
 def legendre_exhaustive(a, p):
@@ -181,6 +182,9 @@ def test_char_trivial_mod_1():
     chi = DirichletChar.trivial(1)
     assert chi(7) == 1
     assert chi(0) == 1
+    # the period-1 Kronecker characters are trivial, not the zero function
+    assert DirichletChar.from_kronecker(1) == chi
+    assert DirichletChar.from_kronecker(0) == chi
 
 
 def test_char_quadratic_mod_4():

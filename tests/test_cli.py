@@ -514,6 +514,19 @@ def test_jobconfig_character():
     assert cli.JobConfig().character()(2) == 1
 
 
+def test_char_one_is_the_trivial_character(capsys):
+    # --char 1 is kronecker(1, .), the trivial character: its report has
+    # the dimension lines of --char 0, not those of the zero function
+    def dimensions(char):
+        code, out = run_cli(capsys, "modsym", "basis", "--level", "11",
+                            "--weight", "0", "--char", char)
+        assert code == 0
+        return [line for line in out.splitlines() if "dimension" in line]
+
+    assert dimensions("1") == dimensions("0") == [
+        "dimension: 3", "plus dimension: 2", "minus dimension: 1"]
+
+
 def test_json_diff_helper():
     a = {"x": [1, 2], "y": {"z": 3}}
     b = {"x": [1, 5], "y": {"z": 3}}

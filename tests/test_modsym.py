@@ -16,7 +16,6 @@ from shintani.errors import (
     BadSemigroupElement,
     DegreeMismatch,
     OperandMismatch,
-    TwoNotInvertible,
 )
 from shintani import modsym
 from shintani.manin import MAT_IOTA, hecke_reps
@@ -29,7 +28,6 @@ from shintani.modsym import (
     involution,
     involution_matrix,
     involution_split,
-    ring_half,
     ring_reduce,
     sign_subspace,
     solve_symbol_space,
@@ -287,8 +285,6 @@ def test_solve_bad_rings():
         solve_symbol_space(11, 0, TRIV, ("zpm", 4, 2))
     with pytest.raises(BadCharacteristic):
         solve_symbol_space(11, 0, TRIV, "R")
-    with pytest.raises(TwoNotInvertible):
-        ring_half(("zpm", 2, 3))
 
 
 def test_ring_reduce_inverts_denominators_prime_to_p():

@@ -48,6 +48,7 @@ from oracles import (
     check_values,
     data_of,
     dirac_distN,
+    disc_sector_project_rotations,
     evaluate,
     hecke_Tll,
     hecke_Up,
@@ -154,14 +155,21 @@ def test_array_operations_match_value_by_value_oracle(level, N, precision):
         [x.flat_stratum(0) for x in basis], axis=1))
 
     for d in (0, 1, T):
-        want = [v.zero_like() for v in va]
+        # the stratum-d part of a, where the weighted rotations project
+        cols = list(_stratum_cols(T, d))
+        ad = np.zeros_like(a.data)
+        ad[..., cols] = a.data[..., cols]
+        ad = a._like(ad)
+        vd = values_of(ad)
+        want = [v.zero_like() for v in vd]
         for c in range(1, p):
             s = crt(1, N, c, p) if N > 1 else c
             nu = dirac_distN(s, N, p, prec, T)
             want = [w + scalar_action(nu, v).scale(pow(s, -d, mod))
-                    for w, v in zip(want, va)]
-        assert values_of(disc_sector_project(a, d)) == tuple(
-            w.scale(pow(p - 1, -1, mod)) for w in want)
+                    for w, v in zip(want, vd)]
+        want = tuple(w.scale(pow(p - 1, -1, mod)) for w in want)
+        assert values_of(disc_sector_project(ad)) == want
+        assert values_of(disc_sector_project_rotations(ad, d)) == want
 
     flip = apply_involution(level, va, invol_tagged)
     for sign in (1, -1):
@@ -817,12 +825,20 @@ def test_sign_and_sector_projectors_are_projectors(sp11_small):
     assert (again - plus).is_zero()
     flipped = oc_involution(minus)
     assert (flipped + minus).is_zero()
-    # disc sector average is idempotent on stratum-supported symbols
-    idx0 = sp11_small.stratum_indices(0)
-    s0 = sp11_small.basis[idx0[0]]
-    p1 = disc_sector_project(s0, 0)
-    p2 = disc_sector_project(p1, 0)
-    assert (p2 - p1).is_zero()
+    # the disc mean, on a symbol of every stratum at once, where the
+    # weighted rotation average of one stratum is not idempotent: the mean
+    # is, and it commutes with U_p, T_2 and the involution
+    space = solve_oc_space(11, 1, (5, 3))
+    sym = random_symbol(space, seed=53)
+    proj = disc_sector_project(sym)
+    assert not proj.is_zero() and not (proj - sym).is_zero()
+    assert (disc_sector_project(proj) - proj).is_zero()
+    for op in (oc_hecke_Up, lambda x: oc_hecke_Tn(x, 2), oc_involution):
+        assert not op(proj).is_zero()
+        assert (op(proj) - disc_sector_project(op(sym))).is_zero()
+    for d in range(space.T + 1):
+        once = disc_sector_project_rotations(sym, d)
+        assert not (disc_sector_project_rotations(once, d) - once).is_zero()
 
 
 def test_oc_symbol_evaluate_invariance(sp11_small):

@@ -12,6 +12,7 @@ import sympy
 from oracles import (
     DiscriminantMismatch,
     _canonical,
+    _is_normalized,
     _cycle,
     bucket_dedupe_scan,
     equivalent_under_gamma0,
@@ -261,8 +262,7 @@ def test_fundamental_automorph_imprimitive():
 def test_gamma_Q_level_one_is_fundamental():
     Q = QuadForm(1, 1, -1)
     g = gamma_Q(Q, 1)
-    A = fundamental_automorph(Q)
-    assert g in (A, mat_inv(A))
+    assert g == mat_inv(fundamental_automorph(Q))
     assert act(Q, g) == Q
 
 
@@ -280,8 +280,6 @@ def test_gamma_Q_least_power():
         assert j < 1000
     assert g in (mat_pow(A, j), mat_pow(A, -j))
     # the two candidates are distinguished by the normalization; exactly one wins
-    from shintani.qf import _is_normalized
-
     assert _is_normalized(Q, g)
     assert not _is_normalized(Q, mat_inv(g))
 
@@ -310,7 +308,10 @@ def test_automorphs_match_cycle_product_oracle():
                     continue
                 A = fundamental_automorph(Q)
                 assert A == fundamental_automorph_cycle(Q), (M, Q)
-                assert gamma_Q(Q, M) == gamma_Q_power(Q, M), (M, Q)
+                g = gamma_Q(Q, M)
+                assert g == gamma_Q_power(Q, M), (M, Q)
+                # the closed form: the inverse automorph is the oriented one
+                assert g == mat_inv(A) and _is_normalized(Q, g), (M, Q)
                 seen += 1
     assert seen == 2426
     # and on forms far from reduced, imprimitive ones included
@@ -321,6 +322,8 @@ def test_automorphs_match_cycle_product_oracle():
         if isqrt(Q.discriminant()) ** 2 != Q.discriminant():
             A = fundamental_automorph(Q)
             assert A == fundamental_automorph_cycle(Q), Q
+            g = gamma_Q(Q, 1)
+            assert g == mat_inv(A) and _is_normalized(Q, g), Q
 
 
 def test_mat_pow_and_mat_neg():
@@ -610,7 +613,6 @@ def test_prime_power_level_class_table_is_pinned(capsys):
 # the package's own exception.
 CHECKS_WITHOUT_ASSERTS = """
 from shintani import qf
-from shintani.arith import MAT_ID
 from shintani.errors import (
     BadIndex, BadSemigroupElement, NoConvergence, SquareDiscriminant)
 
@@ -629,7 +631,6 @@ out = [
     raises(SquareDiscriminant, qf.fundamental_automorph, Q(1, 3, 2)),
     raises(BadIndex, qf._rho_step, 1, 3, 0, 9, 3),
     raises(BadIndex, qf.square_endpoints, Q(1, 0, -2)),   # d = 8
-    raises(BadIndex, qf._is_normalized, Q(1, 3, 0), MAT_ID),   # c = 0
     raises(BadSemigroupElement, qf.gamma_Q, Q(1, 1, -1), 5),   # not in F_5
 ]
 real = qf._rho_step
@@ -658,4 +659,4 @@ def test_checks_raise_without_asserts():
         [sys.executable, "-O", "-c", CHECKS_WITHOUT_ASSERTS],
         capture_output=True, text=True, check=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=src))
-    assert proc.stdout.strip() == str([True] * 12)
+    assert proc.stdout.strip() == str([True] * 11)
