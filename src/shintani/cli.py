@@ -85,8 +85,9 @@ OPTIONS = {
         help="emit the versioned JSON schema instead of text")),
     "threads": ("--threads", dict(
         type=int, default=1,
-        help="classical lift threads (default 1); the output does not "
-             "depend on it")),
+        help="classical lift threads (default 1, at least 1), one pool "
+             "task each over a strided slice of the q-slots; the output "
+             "does not depend on it")),
     "seed": ("--seed", dict(
         type=int, default=17,
         help="seed for randomized reports and property checks")),
@@ -124,6 +125,8 @@ class JobConfig(argparse.Namespace):
             raise UsageError("weight must be nonnegative")
         if (self.n_max or 0) < 0:
             raise UsageError("nmax must be nonnegative")
+        if self.threads is not None and self.threads < 1:
+            raise UsageError("threads must be positive")
         if self.sign not in (None, 1, -1):
             raise UsageError("sign must be 1 or -1")
         if self.char_disc and self.level % self.character().modulus:

@@ -2,15 +2,17 @@
 
 The exact-coefficient lift pairs symbol values against powers of
 quadratic forms and assembles the results over form classes into a
-q-expansion; the finite-precision lift does the same with tagged
-distribution values, producing tensor coefficients that evaluate to
-the exact coefficients at every admissible weight.  Each such
-coefficient is the point mass at 1 tensor a right factor, one moment
-table per tame tag, and an expansion stores its right factors as one
-int64 array; point-mass convolutions on that array carry the
-imprimitive classes and the Hecke operators.  Both sides, each an
-``arith.ExactValue``, carry their own Hecke operators, and the verifier
-checks coefficientwise that weight evaluation intertwines the two lifts.
+q-expansion, one cached integer kernel per slot; each thread builds the
+uncached kernels of its strided slice of the slots together.  The
+finite-precision lift does the same with tagged distribution values,
+producing tensor coefficients that evaluate to the exact coefficients
+at every admissible weight.  Each such coefficient is the point mass at
+1 tensor a right factor, one moment table per tame tag, and an expansion
+stores its right factors as one int64 array; point-mass convolutions on
+that array carry the imprimitive classes and the Hecke operators.  Both
+sides, each an ``arith.ExactValue``, carry their own Hecke operators,
+and the verifier checks coefficientwise that weight evaluation
+intertwines the two lifts.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -48,12 +50,15 @@ def realizable_index(M, n):
 
 
 def _map_indices(fn, ns, threads):
-    """Apply fn over indices; results keep the input order."""
+    """fn on min(threads, len(ns)) strided slices of ns, one pool task each
+    unless there is one slice; fn maps a slice to a list, kept in order."""
     ns = list(ns)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, ns))
-    return [fn(n) for n in ns]
+    step = max(1, min(threads, len(ns)))
+    if step == 1:
+        return fn(ns)
+    with ThreadPoolExecutor(max_workers=step) as ex:
+        parts = list(ex.map(fn, [ns[i::step] for i in range(step)]))
+    return [parts[i % step][i // step] for i in range(len(ns))]
 
 
 # ---------------------------------------------------------------------------
@@ -179,36 +184,57 @@ def quad_power(Q, k):
     return tuple(coeffs)
 
 
-def _cycle_terms(Q, M, base):
+def _cycle_terms(Q, M, base=None):
     """Path terms (generator, g, weight) of the cycle divisor of Q in F_M
-    from the cusp base."""
+    from the cusp base, by default infinity."""
     if not in_FM(Q, M):
         raise NotInFM(f"{Q!r} is not adapted to level {M}")
-    return divisor_terms(M, cycle_divisor(Q, M, base))
+    return divisor_terms(M, cycle_divisor(Q, M, base or RationalCusp.infinity()))
 
 
-@lru_cache(maxsize=8192)
-def _theta_kernel(M, k, chi, phi_chi, n):
-    """Integer vector K_n with coefficient n of the lift equal to K_n . coords.
+def _build_kernels(M, k, chi, phi_chi, ns):
+    """Integer vectors K_n, coefficient n of the lift being K_n . coords, at
+    the slots ns, from one _term_rows call over all their classes.
 
     K_n = sum_Q chi(a_Q) * s(Q^k)^T E_{D_Q} over the classes of the q^n
     slot, where s(P)_i = (-1)^i P_(2k-i) pairs side L with the monomial
     side and E_D is the evaluation matrix of symbols twisted by phi_chi:
-    the cycle pairing chi(a_Q) <phi(D_Q), Q^k> summed over the classes,
-    with the symbol factored out.
+    the cycle pairing summed over the classes, the symbol factored out.
     """
     K = 2 * k
-    base = RationalCusp.infinity()
-    weights, groups = [], []
-    for Q in enumerate_classes(M, delta_of_index(M, n)):
-        terms = _cycle_terms(Q, M, base)
-        f = chi(Q.a)
-        if f:
-            qk = quad_power(Q, k)
-            weights.append([f * (-1) ** i * qk[K - i] for i in range(K + 1)])
-            groups.append(terms)
-    W = np.array(weights, dtype=object).reshape(len(groups), K + 1)
-    return tuple(np.tensordot(W, _term_rows(M, K, phi_chi, groups), 2).tolist())
+    owner, weights, groups = [], [], []
+    for slot, n in enumerate(ns):
+        for Q in enumerate_classes(M, delta_of_index(M, n)):
+            terms = _cycle_terms(Q, M)
+            f = chi(Q.a)
+            if f:
+                qk = quad_power(Q, k)
+                owner.append(slot)
+                weights.append([f * (-1) ** i * qk[K - i] for i in range(K + 1)])
+                groups.append(terms)
+    W = np.array(weights, dtype=object).reshape(len(groups), K + 1, 1)
+    rows = _term_rows(M, K, phi_chi, groups)
+    out = np.zeros((len(ns), rows.shape[-1]), dtype=object)
+    np.add.at(out, np.array(owner, dtype=np.intp), (W * rows).sum(axis=1))
+    return list(map(tuple, out.tolist()))
+
+
+@lru_cache(maxsize=8192)
+def _kernel_cell(M, k, chi, phi_chi, n):
+    """The cache entry of slot n: a list that holds K_n once it is built."""
+    return []
+
+
+def _theta_kernels(M, k, chi, phi_chi, ns):
+    """K_n at the slots ns, the uncached ones built 32 at a time.  A task
+    holds the cells of its slots, so no eviction can take one from it."""
+    cells = [_kernel_cell(M, k, chi, phi_chi, n) for n in ns]
+    todo = [(n, cell) for n, cell in zip(ns, cells) if not cell]
+    for i in range(0, len(todo), 32):
+        batch, empty = zip(*todo[i:i + 32])
+        for cell, K_n in zip(empty, _build_kernels(M, k, chi, phi_chi, batch)):
+            cell.append(K_n)
+    return [cell[0] for cell in cells]
 
 
 def theta_classical(phi, M, k, chi, n_max, threads=1):
@@ -219,7 +245,7 @@ def theta_classical(phi, M, k, chi, n_max, threads=1):
         raise DegreeMismatch(
             f"symbol degree {phi.k} does not match weight parameter {k}")
 
-    kernels = _map_indices(partial(_theta_kernel, M, k, chi, phi.chi),
+    kernels = _map_indices(partial(_theta_kernels, M, k, chi, phi.chi),
                            range(1, n_max + 1), threads)
     values = _apply_int_matrix(kernels, [phi])[0]
     return HalfIntQExp(M, k, chi, dict(zip(range(1, n_max + 1), values)),
@@ -354,8 +380,6 @@ def _class_terms(Phi, Q, base=None):
     The pure-Python part of J_oc: the F_M check, the cycle divisor and
     the semigroup check of every path matrix.
     """
-    if base is None:
-        base = RationalCusp.infinity()
     red = Phi.N * Phi.p**Phi.prec
     terms = []
     for c, g, w in _cycle_terms(Q, Phi.level, base):

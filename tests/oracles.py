@@ -69,6 +69,10 @@ a classical symbol's through ``SymPoly.act``; with ``check_relations``,
 ``Divisor0`` and the class-by-class cycle pairing ``J_classical`` they
 are the second route the package kept for classical symbols before it
 checked, evaluated and gave them coordinates through integer rows only.
+``theta_kernel_by_slot`` is the exact lift's coefficient kernel as the
+package built it, one slot per call and one thread-pool task per slot,
+before ``lifting._build_kernels`` built the uncached slots of a thread's
+slice together.
 ``frac_solve_many`` is the elimination that gave coordinates in a basis
 before ``modsym._coords`` read them off private columns.
 ``frac_rref_gauss`` and ``frac_nullspace_gauss`` are the ``Fraction``
@@ -119,7 +123,7 @@ from shintani.errors import (
     ShintaniError,
     SquareDiscriminant,
 )
-from shintani.lifting import quad_power
+from shintani.lifting import delta_of_index, quad_power
 from shintani.linalg import _check_kernel_bounds, zpm_kernel
 from shintani.manin import MAT_IOTA, divisor_terms, presentation
 from shintani.modsym import (
@@ -128,6 +132,7 @@ from shintani.modsym import (
     _apply_rows,
     _hecke_rows,
     _normalize_content,
+    _term_rows,
     hecke_matrix,
     hecke_Tn,
     involution_matrix,
@@ -149,6 +154,7 @@ from shintani.qf import (
     _square_canonical,
     act,
     cycle_divisor,
+    enumerate_classes,
     in_FM,
 )
 
@@ -1555,6 +1561,30 @@ def J_classical(phi, Q, k, chi, base=None):
     qk = SymPoly(M, 2 * k, quad_power(Q, k), phi.chi, "Lstar", phi.ring)
     pair = pairing(val, qk)
     return ring_reduce(phi.ring, chi(Q.triple()[0] % chi.modulus) * pair)
+
+
+def theta_kernel_by_slot(M, k, chi, phi_chi, n):
+    """Integer vector K_n with coefficient n of the lift equal to K_n . coords.
+
+    K_n = sum_Q chi(a_Q) * s(Q^k)^T E_{D_Q} over the classes of the q^n
+    slot, where s(P)_i = (-1)^i P_(2k-i) pairs side L with the monomial
+    side and E_D is the evaluation matrix of symbols twisted by phi_chi,
+    from one _term_rows call over the slot's classes.
+    """
+    K = 2 * k
+    base = RationalCusp.infinity()
+    weights, groups = [], []
+    for Q in enumerate_classes(M, delta_of_index(M, n)):
+        if not in_FM(Q, M):
+            raise NotInFM(f"{Q!r} is not adapted to level {M}")
+        terms = divisor_terms(M, cycle_divisor(Q, M, base))
+        f = chi(Q.a)
+        if f:
+            qk = quad_power(Q, k)
+            weights.append([f * (-1) ** i * qk[K - i] for i in range(K + 1)])
+            groups.append(terms)
+    W = np.array(weights, dtype=object).reshape(len(groups), K + 1)
+    return tuple(np.tensordot(W, _term_rows(M, K, phi_chi, groups), 2).tolist())
 
 
 def hecke_Up(phi, p):

@@ -5,11 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import threading
+from collections import Counter
 
 import pytest
 
 import shintani
-from shintani import cli, ocsymb
+from shintani import cli, lifting, ocsymb
 from shintani.arith import DirichletChar
 from shintani.lifting import theta_classical
 
@@ -272,6 +274,8 @@ def test_usage_error_int64_overflow(capsys):
     "verify interpolation --p 5 --moments 1 --padic-prec 3 --nmax 5 "
     "--weights 2",
     "modsym basis --level 11 --weight 0 --char 3",
+    "verify involution --level 11 --weight 1 --nmax 5 --threads 0",
+    "verify involution --level 11 --weight 1 --nmax 5 --threads -1",
 ])
 def test_usage_error_one_line_exit_two(capsys, argv):
     code = cli.main(argv.split())
@@ -324,6 +328,27 @@ def test_thread_count_invariant_output(capsys):
     _, out1 = run_cli(capsys, *base, "--threads", "1")
     _, out2 = run_cli(capsys, *base, "--threads", "4")
     assert out1 == out2
+
+
+def test_equivariance_builds_each_kernel_once(capsys, monkeypatch):
+    # 12 lifts, of depth 10 and 90, each split between two pool tasks:
+    # every slot's kernel is built by one task, then read from the cache
+    built, lock = Counter(), threading.Lock()
+    real = lifting._build_kernels
+
+    def counted(M, k, chi, phi_chi, ns):
+        with lock:
+            built.update((M, k, chi, phi_chi, n) for n in ns)
+        return real(M, k, chi, phi_chi, ns)
+
+    monkeypatch.setattr(lifting, "_build_kernels", counted)
+    lifting._kernel_cell.cache_clear()
+    code, out = run_cli(capsys, "verify", "equivariance", "--level", "11",
+                        "--weight", "1", "--nmax", "10", "--ells", "3",
+                        "--threads", "2")
+    assert code == 0 and out.endswith("RESULT: PASS\n")
+    assert sorted(key[-1] for key in built) == list(range(1, 91))
+    assert set(built.values()) == {1}
 
 
 def test_console_entry_subprocess():

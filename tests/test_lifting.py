@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 import numpy as np
@@ -57,7 +58,7 @@ from shintani.ocsymb import (
     oc_hecke_Tn,
     solve_oc_space,
 )
-from shintani import manin
+from shintani import lifting, manin
 from shintani.qf import QuadForm, act, enumerate_classes
 
 from oracles import (
@@ -73,6 +74,7 @@ from oracles import (
     qexp_module_action,
     row_of,
     scalar_action,
+    theta_kernel_by_slot,
     values_of,
 )
 
@@ -334,6 +336,48 @@ def test_theta_classical_matches_J_classical_oracle(ring):
                 assert th.coeff(n) == ring_reduce(ring, oracle), (chi, n)
             nonzero += not th.is_zero()
     assert nonzero >= 3
+
+
+@pytest.mark.parametrize("M, k, ns", [
+    (11, 1, range(1, 61)),
+    (5, 1, range(1, 41)),
+    (11, 0, range(1, 41)),
+    (11, 1, range(500, 521)),
+], ids=["11-1-n60", "5-1-n40", "11-0-n40", "11-1-n500-520"])
+def test_batched_kernels_match_per_slot_oracle(M, k, ns):
+    # one batch over every slot, then through the cache: 32-slot batches
+    # on the strided slices of one and of three threads
+    chi, ns = DirichletChar.trivial(), list(ns)
+    oracle = [theta_kernel_by_slot(M, k, chi, chi, n) for n in ns]
+    assert any(any(K_n) for K_n in oracle)
+    assert lifting._build_kernels(M, k, chi, chi, ns) == oracle
+    for threads in (1, 3):
+        lifting._kernel_cell.cache_clear()
+        slices = partial(lifting._theta_kernels, M, k, chi, chi)
+        assert lifting._map_indices(slices, ns, threads) == oracle
+
+
+def test_theta_classical_independent_of_threads():
+    # with 3 and 7 threads the strided slices of most slot counts have
+    # unequal lengths, and 7 threads exceed the slots of n_max <= 5; a
+    # short switch interval interleaves the tasks' cache reads and builds
+    basis = solve_symbol_space(11, 2, DirichletChar.trivial())
+    phi = basis[0] + basis[-1].scale(3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for n_max in (0, 1, 2, 5, 40):
+            lifts = []
+            for threads in (1, 2, 3, 7):
+                lifting._kernel_cell.cache_clear()
+                lifts.append(theta_classical(phi, 11, 1,
+                                             DirichletChar.trivial(), n_max,
+                                             threads=threads))
+            assert all(e == lifts[0] for e in lifts[1:]), n_max
+            assert all(e.n_max == n_max for e in lifts)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not lifts[0].is_zero()
 
 
 # ---------------------------------------------------------------------------
