@@ -254,7 +254,7 @@ def cmd_qf_classes(cfg):
 
 def cmd_modsym_basis(cfg):
     chi = cfg.character()
-    basis = solve_symbol_space(cfg.level, cfg.weight, chi, "Q")
+    basis = solve_symbol_space(cfg.level, cfg.weight, chi)
     J = involution_matrix(basis) if basis else []
     plus, minus = (len(sign_subspace(J, sign)) for sign in (1, -1))
     if cfg.json_out:
@@ -434,7 +434,7 @@ def cmd_verify_involution(cfg):
         "orientation involution",
         f"  level={cfg.level}  weight={cfg.weight}  nmax={cfg.n_max}",
     ]
-    basis = solve_symbol_space(cfg.level, 2 * cfg.weight, chi, "Q")
+    basis = solve_symbol_space(cfg.level, 2 * cfg.weight, chi)
     lines.append(f"  basis symbols: {len(basis)}")
     ok = True
     for i, phi in enumerate(basis, 1):
@@ -463,7 +463,7 @@ def cmd_verify_equivariance(cfg):
         f"  level={cfg.level}  weight={cfg.weight}  nmax={cfg.n_max}"
         f"  primes={','.join(map(str, cfg.ells))}",
     ]
-    basis = solve_symbol_space(cfg.level, 2 * cfg.weight, chi, "Q")
+    basis = solve_symbol_space(cfg.level, 2 * cfg.weight, chi)
     lines.append(f"  basis symbols: {len(basis)}")
     ok, live = True, False
     for l in cfg.ells:
@@ -494,8 +494,7 @@ def cmd_verify_interpolation(cfg):
     ok, live = True, False
     for k in cfg.weights:
         kappa = ArithWeight(k, DirichletChar.trivial(), cfg.p)
-        report = verify_interpolation(Phi, kappa, cfg.n_max,
-                                      threads=cfg.threads)
+        report = verify_interpolation(Phi, kappa, cfg.n_max)
         need = report["precision"] - report["loss"]
         diff = None
         if not report["passed"]:

@@ -1,18 +1,20 @@
 """Lifts from modular symbols to half-integral-weight q-expansions.
 
-The exact-coefficient lift pairs symbol values against powers of
-quadratic forms and assembles the results over form classes into a
-q-expansion, one cached integer kernel per slot; each thread builds the
-uncached kernels of its strided slice of the slots together.  The
-finite-precision lift does the same with tagged distribution values,
-producing tensor coefficients that evaluate to the exact coefficients
-at every admissible weight.  Each such coefficient is the point mass at
-1 tensor a right factor, one moment table per tame tag, and an expansion
-stores its right factors as one int64 array; point-mass convolutions on
-that array carry the imprimitive classes and the Hecke operators.  Both
-sides, each an ``arith.ExactValue``, carry their own Hecke operators,
-and the verifier checks coefficientwise that weight evaluation
-intertwines the two lifts.
+Coefficient n of either lift sums over the Gamma_0(M)-classes of the
+slot's discriminant, read off one class table: a class m P, P primitive,
+has the cycle of P, so each primitive P is evaluated once.  The
+exact-coefficient lift pairs symbol values against powers of quadratic
+forms, one cached integer kernel per slot, with chi(m) m^k carrying m P;
+each thread builds the uncached kernels of its strided slice of the
+slots together.  The finite-precision lift does the same with tagged
+distribution values, producing tensor coefficients that evaluate to the
+exact coefficients at every admissible weight.  Each such coefficient is
+the point mass at 1 tensor a right factor, one moment table per tame
+tag, and an expansion stores its right factors as one int64 array;
+point-mass convolutions on that array carry the imprimitive classes and
+the Hecke operators.  Both sides, each an ``arith.ExactValue``, carry
+their own Hecke operators, and the verifier checks coefficientwise that
+weight evaluation intertwines the two lifts.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -184,38 +186,51 @@ def quad_power(Q, k):
     return tuple(coeffs)
 
 
-def _cycle_terms(Q, M, base=None):
+def _cycle_terms(Q, M):
     """Path terms (generator, g, weight) of the cycle divisor of Q in F_M
-    from the cusp base, by default infinity."""
+    from the cusp infinity."""
     if not in_FM(Q, M):
         raise NotInFM(f"{Q!r} is not adapted to level {M}")
-    return divisor_terms(M, cycle_divisor(Q, M, base or RationalCusp.infinity()))
+    return divisor_terms(M, cycle_divisor(Q, M, RationalCusp.infinity()))
+
+
+def _class_table(M, ns):
+    """The classes of the slots ns, each a content m times a primitive P.
+
+    Returns the distinct primitive parts, the cycle terms of each (a
+    class m P has the cycle of P) and one row (slot, form, m) per class,
+    slot and form being positions in ns and in the primitive parts.
+    """
+    pos, rows = {}, []
+    for slot, n in enumerate(ns):
+        for Q in enumerate_classes(M, delta_of_index(M, n)):
+            rows.append((slot, pos.setdefault(Q.primitive_part(), len(pos)),
+                         Q.content()))
+    return (list(pos), [_cycle_terms(P, M) for P in pos],
+            np.array(rows, dtype=np.int64).reshape(-1, 3))
 
 
 def _build_kernels(M, k, chi, phi_chi, ns):
     """Integer vectors K_n, coefficient n of the lift being K_n . coords, at
-    the slots ns, from one _term_rows call over all their classes.
+    the slots ns, from one _term_rows call over their primitive classes.
 
     K_n = sum_Q chi(a_Q) * s(Q^k)^T E_{D_Q} over the classes of the q^n
     slot, where s(P)_i = (-1)^i P_(2k-i) pairs side L with the monomial
     side and E_D is the evaluation matrix of symbols twisted by phi_chi:
     the cycle pairing summed over the classes, the symbol factored out.
+    A class m P shares D_P with P and chi(a_mP) (mP)^k = chi(m) m^k *
+    chi(a_P) P^k, so each primitive P is contracted once.
     """
     K = 2 * k
-    owner, weights, groups = [], [], []
-    for slot, n in enumerate(ns):
-        for Q in enumerate_classes(M, delta_of_index(M, n)):
-            terms = _cycle_terms(Q, M)
-            f = chi(Q.a)
-            if f:
-                qk = quad_power(Q, k)
-                owner.append(slot)
-                weights.append([f * (-1) ** i * qk[K - i] for i in range(K + 1)])
-                groups.append(terms)
-    W = np.array(weights, dtype=object).reshape(len(groups), K + 1, 1)
-    rows = _term_rows(M, K, phi_chi, groups)
-    out = np.zeros((len(ns), rows.shape[-1]), dtype=object)
-    np.add.at(out, np.array(owner, dtype=np.intp), (W * rows).sum(axis=1))
+    forms, terms, rows = _class_table(M, ns)
+    W = np.array([[chi(P.a) * (-1) ** i * c
+                   for i, c in enumerate(reversed(quad_power(P, k)))]
+                  for P in forms], dtype=object).reshape(len(forms), K + 1, 1)
+    per_form = (W * _term_rows(M, K, phi_chi, terms)).sum(axis=1)
+    slot, form, m = rows.T
+    scale = np.array([chi(x) * x**k for x in m.tolist()], dtype=object)
+    out = np.zeros((len(ns), per_form.shape[-1]), dtype=object)
+    np.add.at(out, slot, per_form[form] * scale.reshape(-1, 1))
     return list(map(tuple, out.tolist()))
 
 
@@ -374,36 +389,26 @@ def _coeff_json(e, row):
 # finite-precision lift
 
 
-def _class_terms(Phi, Q, base=None):
-    """Path terms (generator, g mod N p^M, weight) of Phi on the cycle of Q.
-
-    The pure-Python part of J_oc: the F_M check, the cycle divisor and
-    the semigroup check of every path matrix.
-    """
-    red = Phi.N * Phi.p**Phi.prec
-    terms = []
-    for c, g, w in _cycle_terms(Q, Phi.level, base):
-        _check_s0(g, Phi.level)
-        terms.append((c, tuple(x % red for x in g), w))
-    return terms
-
-
 def _J_batch(Phi, forms, terms):
-    """J_oc at every form at once, from the forms' _class_terms.
+    """J_oc at every form at once, from the forms' cycle terms.
 
-    Runs on the symbol's data and on the even strata d = 2n only, the
-    ones J_Q reads.  Per stratum: one gather of the generator, tag and
-    disc axes by a^-1, one batched product with the Sym^d blocks (d + 1
-    residue products per entry), the term weights and a per-form sum;
-    then the pushforward along Q, batched over forms: contract with the
-    coefficients of Q(x, y)^n, move disc c to a c^2 and tag t to t^2 a.
+    Checks that every path matrix lies in the semigroup and reduces it
+    mod N p^M.  Runs on the symbol's data and on the even strata d = 2n
+    only, the ones J_Q reads.  Per stratum: one gather of the generator,
+    tag and disc axes by a^-1, one batched product with the Sym^d blocks
+    (d + 1 residue products per entry), the term weights and a per-form
+    sum; then the pushforward along Q, batched over forms: contract with
+    the coefficients of Q(x, y)^n, move disc c to a c^2 and tag t to
+    t^2 a.
     """
     N, p, prec, T = Phi.N, Phi.p, Phi.prec, Phi.T
     mod, Tp, tags = p**prec, T // 2, _units(N)
     mats, rows = {}, []
     for i, ts in enumerate(terms):
-        rows += [(i, c, mats.setdefault(g, len(mats)), w % mod)
-                 for c, g, w in ts]
+        for c, g, w in ts:
+            _check_s0(g, Phi.level)
+            g = tuple(x % (N * mod) for x in g)
+            rows.append((i, c, mats.setdefault(g, len(mats)), w % mod))
     owner, gen, mat, wt = np.array(rows, dtype=np.int64).reshape(-1, 4).T
     src = [_sources(g, N, p) for g in mats]
     tsrc = np.array([s[0] for s in src],
@@ -439,13 +444,13 @@ def _J_batch(Phi, forms, terms):
     return right % mod
 
 
-def J_oc(Phi, Q, base=None):
+def J_oc(Phi, Q):
     """Right tensor factor of the finite-precision lift at the class of Q.
 
     Indexed (tag, disc, moment); the one-form case of _J_batch, which
     theta_oc runs on all its forms.
     """
-    return _J_batch(Phi, [Q], [_class_terms(Phi, Q, base)])[0]
+    return _J_batch(Phi, [Q], [_cycle_terms(Q, Phi.level)])[0]
 
 
 def _dirac_convolve(X, s, N, p, prec):
@@ -467,32 +472,18 @@ def _dirac_convolve(X, s, N, p, prec):
 def theta_oc(Phi, n_max, indices=None):
     """Assemble the finite-precision lift on the requested q-slots.
 
-    Scaled copies of a primitive form contribute the primitive class's
-    tensor convolved with the point mass at the scaling factor, so each
-    primitive class is evaluated once and shared across indices.
+    Each primitive class of the class table is evaluated once; a class
+    m P adds its tensor convolved with the point mass at m.
     """
     Np, N, p, prec = Phi.level, Phi.N, Phi.p, Phi.prec
     if indices is None:
         indices = range(1, n_max + 1)
     indices = sorted(set(indices))
-    classes = {n: enumerate_classes(Np, delta_of_index(Np, n)) for n in indices}
-    prims = {}
-    for n in indices:
-        for Q in classes[n]:
-            P = Q.primitive_part()
-            prims.setdefault(P.triple(), P)
-    forms = list(prims.values())
-    right = _J_batch(Phi, forms, [_class_terms(Phi, P) for P in forms])
-    pos = {key: j for j, key in enumerate(prims)}
-    # (slot row, primitive row) of every class, grouped by its content
-    by_content = {}
-    for i, n in enumerate(indices):
-        for Q in classes[n]:
-            by_content.setdefault(Q.content(), []).append(
-                (i, pos[Q.primitive_part().triple()]))
+    forms, terms, rows = _class_table(Np, indices)
+    right = _J_batch(Phi, forms, terms)
     data = np.zeros((len(indices),) + right.shape[1:], dtype=np.int64)
-    for m, pairs in by_content.items():
-        slot, prim = np.array(pairs, dtype=np.int64).T
+    for m in set(rows[:, 2].tolist()):
+        slot, prim, _ = rows[rows[:, 2] == m].T
         np.add.at(data, slot, _dirac_convolve(right[prim], m, N, p, prec))
     return FormalQExp(Np, N, p, prec, Phi.T // 2, data, n_max, indices)
 
@@ -552,7 +543,7 @@ def specialize_qexp(e, kappa_tilde):
                        ("zpm", e.p, e.prec))
 
 
-def verify_interpolation(Phi, kappa_tilde, n_max, threads=1):
+def verify_interpolation(Phi, kappa_tilde, n_max):
     """Compare the two routes from a finite-precision symbol to a weight.
 
     Route one evaluates the lifted expansion's tensors at the weight;
@@ -564,7 +555,7 @@ def verify_interpolation(Phi, kappa_tilde, n_max, threads=1):
     lifted = specialize_qexp(theta_oc(Phi, n_max), kappa_tilde)
     phik = specialize_symbol(Phi, kappa_tilde.doubled())
     exact = theta_classical(phik, Phi.level, kappa_tilde.k, kappa_tilde.chi,
-                            n_max, threads=threads)
+                            n_max)
     diff = lifted - exact
     vals = {n: valuation(v, p, prec) for n, v in diff.coeffs.items()}
     fails = sorted(n for n, v in vals.items() if v < prec - LOSS)

@@ -48,8 +48,6 @@ from .linalg import (
     berkowitz_charpoly,
     frac_nullspace,
     frac_rref,
-    matmul_mod,
-    zpm_kernel,
 )
 from . import manin
 
@@ -290,34 +288,25 @@ def _apply_rows(syms, rows):
     return [sym._like(img) for sym, img in zip(syms, images)]
 
 
-def solve_symbol_space(M, k, chi, ring="Q"):
-    """Basis of the space of level-M weight-k symbols over the ring.
+def solve_symbol_space(M, k, chi):
+    """Basis of the space of level-M weight-k symbols over Q.
 
     Unknowns are the generator values; the returned symbols satisfy the
     S-pair, triple and minus relations exactly, hence extend to genuine
     equivariant maps on degree-zero cusp divisors.  One exact product of
-    the relation rows with the integer basis vectors (mod p^M over
-    Z/p^M) checks that on every call.
+    the relation rows with the integer basis vectors checks that on every
+    call.
     """
-    check_ring(ring)
     if chi.modulus > 1 and M % chi.modulus != 0:
         raise ValueError(f"character modulus {chi.modulus} must divide {M}")
     rows = _term_rows(M, k, chi, manin.presentation(M).relations)
     n = rows.shape[-1]
     rows = rows.reshape(-1, n)
-    if ring == "Q":
-        basis = [_normalize_content(vec) for vec in frac_nullspace(rows, n)]
-        residue = rows.dot(np.array(basis, dtype=object).reshape(-1, n).T)
-    else:
-        _, p, prec = ring
-        rows = (rows % p**prec).astype(np.int64)
-        basis, _ = zpm_kernel(rows, p, prec)
-        residue = matmul_mod(rows, np.reshape(basis, (len(basis), n)).T,
-                             p**prec)
-    if np.any(residue):
+    basis = [_normalize_content(vec) for vec in frac_nullspace(rows, n)]
+    if np.any(rows.dot(np.array(basis, dtype=object).reshape(-1, n).T)):
         raise OperandMismatch(f"a solved level-{M} weight-{k} symbol "
                               f"breaks the relations")
-    return [ModularSymbol(M, k, chi, ring, [int(x) for x in vec])
+    return [ModularSymbol(M, k, chi, "Q", [int(x) for x in vec])
             for vec in basis]
 
 
@@ -420,7 +409,7 @@ def eigensymbols(M, k, chi, sign):
     """
     if sign not in (1, -1):
         raise BadIndex(f"sign must be 1 or -1, got {sign!r}")
-    basis = solve_symbol_space(M, k, chi, "Q")
+    basis = solve_symbol_space(M, k, chi)
     dim = len(basis)
     if dim == 0:
         return []

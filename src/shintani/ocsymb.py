@@ -369,21 +369,24 @@ def oc_sign_project(sym, sign):
     return (sym + oc_involution(sym).scale(sign)).scale(half)
 
 
-def disc_sector_project(sym):
-    """Mean over the disc axis, broadcast back to every disc.
+def disc_sector_project(sym, chi_p):
+    """Projection onto the sector of chi_p on the disc axis.
 
     The unit s = 1 mod N, s = c mod p acts by keeping the tags, reading
     disc c' at disc s^-1 c', and weighting the moment x^a y^b by s^(a + b).
     On a stratum-d symbol every weight s^(a + b - d) is 1, so the average
-    over s of s^-d times that action, the projection onto the
-    rotation-invariant sector, is the mean over discs: the omega^0 part of
-    D(Z_p^x) = sum_j omega^j D(1 + pZ_p).  The mean is idempotent on every
-    symbol, and commutes with every Hecke operator and the involution.
+    over s of chi_p(s) s^-d times that action, the projection onto the
+    chi_p part of D(Z_p^x) = sum_j omega^j D(1 + pZ_p), sends x to
+    c -> chi_p(c) sum_c' chi_p(c') x_c' / (p - 1): for trivial chi_p the
+    mean over discs.  chi_p is +-1 on units, so this is idempotent on
+    every symbol, and it commutes with every Hecke operator and the
+    involution.
     """
     mod = sym.p**sym.prec
-    mean = sym.data.sum(axis=2, keepdims=True) % mod
-    return sym._like(np.broadcast_to(mean * pow(sym.p - 1, -1, mod),
-                                     sym.data.shape))
+    v = np.array([chi_p(c) for c in range(1, sym.p)],
+                 dtype=np.int64).reshape(-1, 1)
+    total = (sym.data * v).sum(axis=2, keepdims=True) % mod
+    return sym._like(v * total * pow(sym.p - 1, -1, mod))
 
 
 def up_matrix(space, d, n=None):
@@ -411,18 +414,11 @@ def up_matrix(space, d, n=None):
     return B
 
 
-def charpoly_strata(space, dmax=None):
-    """Product of per-stratum U_p characteristic polynomials.
-
-    Restricting to strata <= dmax yields an honest divisor of the full
-    characteristic polynomial, so the slopes it produces form a
-    sub-multiset of the full slope multiset.
-    """
+def charpoly_strata(space):
+    """Product of per-stratum U_p characteristic polynomials."""
     mod = space.p**space.prec
     poly = [1]
     for d in range(space.T + 1):
-        if dmax is not None and d > dmax:
-            continue
         B = up_matrix(space, d)
         if B.shape[0]:
             poly = poly_mul_mod(poly, berkowitz_charpoly(B, mod), mod)
@@ -504,11 +500,14 @@ def lift_eigensymbol(space, phi, alpha, kappa, sign=-1, perturb=None):
 
     Seeds a stratum-k preimage of phi under specialization, iterates
     alpha^{-1} U_p on it 2 (prec + 2) times, then projects once onto the
-    sign and disc sector: both projections are idempotents that commute
-    with U_p.  Off the target eigenline, what survives the projections has
-    positive relative slope and decays.  Requires alpha to be a unit mod p.
-    Returns the stratum-supported eigensymbol, scaled so its first unit
-    coordinate is 1, together with the achieved residual valuation.
+    sign and onto the disc sector of kappa's wild character: both
+    projections are idempotents that commute with U_p.  Off the target
+    eigenline, what survives the projections has positive relative slope
+    and decays.  Requires alpha to be a unit mod p.  Returns the
+    stratum-supported eigensymbol, scaled so its first unit coordinate is
+    1, together with the achieved residual valuation; raises NoConvergence
+    unless it specializes to a unit multiple of phi (phi needs a unit
+    coordinate) mod p^(prec - LOSS), so a zero lift is never returned.
     """
     p, prec = space.p, space.prec
     mod = p**prec
@@ -538,7 +537,7 @@ def lift_eigensymbol(space, phi, alpha, kappa, sign=-1, perturb=None):
     y = seed
     for _ in range(2 * (prec + 2)):
         y = oc_hecke_Up(y).scale(ainv)
-    y = disc_sector_project(oc_sign_project(y, sign))
+    y = disc_sector_project(oc_sign_project(y, sign), kappa.chi_p)
     residual = oc_hecke_Up(y) - y.scale(int(alpha) % mod)
     res_val = min((valuation(v, p, prec) for v in residual.flat()),
                   default=prec)
@@ -546,6 +545,13 @@ def lift_eigensymbol(space, phi, alpha, kappa, sign=-1, perturb=None):
         raise NoConvergence(
             f"iteration stalled: residual valuation {res_val} < "
             f"{prec - LOSS}")
+    spec = np.array([int(c) for c in specialize_symbol(y, kappa).coords()],
+                    dtype=np.int64)
+    i = _leading_unit_index(spec, p)
+    if i is None or target[i] % p == 0 or (
+            (spec * target[i] - target * spec[i]) % p**(prec - LOSS)).any():
+        raise NoConvergence(f"the lift does not specialize to a unit "
+                            f"multiple of phi mod {p}^{prec - LOSS}")
     lead = _leading_unit_index(y.flat(), p)
     if lead is not None:
         y = y.scale(pow(int(y.flat()[lead]) % mod, -1, mod))

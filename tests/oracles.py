@@ -31,8 +31,9 @@ sector blocks.  ``lift_eigensymbol_each_step`` is ``lift_eigensymbol`` as
 it projected onto the sign and disc sector after every U_p step, before
 it projected once after the iteration, and it projects with
 ``disc_sector_project_rotations``, ``ocsymb.disc_sector_project`` as it
-averaged the p - 1 weighted disc rotations on one stratum before it took
-the mean over the disc axis.
+averaged the p - 1 weighted disc rotations, twisted by the weight's wild
+character, on one stratum before it became one chi_p-weighted sum over
+the disc axis.
 
 ``_canonical`` is the least unit multiple of a point of P^1(Z/M), found
 by a minimum over the units that carry its first coordinate to gcd(u, M),
@@ -71,16 +72,18 @@ are the second route the package kept for classical symbols before it
 checked, evaluated and gave them coordinates through integer rows only.
 ``theta_kernel_by_slot`` is the exact lift's coefficient kernel as the
 package built it, one slot per call and one thread-pool task per slot,
-before ``lifting._build_kernels`` built the uncached slots of a thread's
-slice together.
+each class evaluated on its own, before ``lifting._build_kernels`` built
+the uncached slots of a thread's slice together and read each primitive
+class once from the class table.
 ``frac_solve_many`` is the elimination that gave coordinates in a basis
 before ``modsym._coords`` read them off private columns.
 ``frac_rref_gauss`` and ``frac_nullspace_gauss`` are the ``Fraction``
 Gauss-Jordan elimination ``linalg.frac_rref`` ran before it became
 multimodular; the oracles here eliminate with them, so they stay
 independent of the route they check.  ``hecke_Up``,
-``hecke_Tll``, ``zpm_in_span`` and ``rank_mod_p`` are helpers that only
-the tests call.
+``hecke_Tll``, ``zpm_in_span``, ``rank_mod_p`` and ``basis_over`` (the
+solved basis over Q, reduced into Z/p^M where asked, since the package
+solves symbol spaces over Q only) are helpers that only the tests call.
 
 ``eigensymbols_sympy`` and ``_rational_eigenspace`` are
 ``modsym.eigensymbols`` as it split the sign subspace with sympy's
@@ -825,13 +828,14 @@ def stratum_relation_matrix(level, N, p, prec, T, d):
         for rel in pres.relations])
 
 
-def disc_sector_project_rotations(sym, d):
-    """Average of unit disc rotations on a stratum-d supported symbol.
+def disc_sector_project_rotations(sym, d, chi_p):
+    """Average of unit disc rotations, twisted by chi_p, on a stratum-d
+    supported symbol.
 
     Rescaling the units by s acts on stratum d as s^d times a pure disc
     rotation; dividing the weight back out leaves the rotation, and
-    averaging over s projects onto the rotation-invariant sector.  With
-    s = 1 mod N the tags stay put; disc c reads disc s^-1 c, and the
+    averaging chi_p(s) times it over s projects onto the chi_p sector.
+    With s = 1 mod N the tags stay put; disc c reads disc s^-1 c, and the
     moment x^a y^b is weighted by s^(a + b - d).
     """
     p, N = sym.p, sym.N
@@ -843,7 +847,7 @@ def disc_sector_project_rotations(sym, d):
         weight = np.array([pow(s, int(e), mod) for e in degrees],
                           dtype=np.int64)
         discs = [pow(s, -1, p) * x % p - 1 for x in range(1, p)]
-        acc = (acc + sym.data.take(discs, axis=2) * weight) % mod
+        acc = (acc + sym.data.take(discs, axis=2) * weight * chi_p(s)) % mod
     return sym._like(acc * pow(p - 1, -1, mod))
 
 
@@ -872,7 +876,7 @@ def lift_eigensymbol_each_step(space, phi, alpha, kappa, sign=-1,
     for _ in range(2 * (prec + 2)):
         y = oc_hecke_Up(y).scale(ainv)
         y = oc_sign_project(y, sign)
-        y = disc_sector_project_rotations(y, k)
+        y = disc_sector_project_rotations(y, k, kappa.chi_p)
     residual = oc_hecke_Up(y) - y.scale(int(alpha) % mod)
     res_val = min((valuation(v, p, prec) for v in residual.flat()),
                   default=prec)
@@ -1014,7 +1018,7 @@ def eigensymbols_sympy(M, k, chi, sign, lbound=7):
     to integer coefficients with content one.
     """
     assert sign in (1, -1)
-    basis = solve_symbol_space(M, k, chi, "Q")
+    basis = solve_symbol_space(M, k, chi)
     dim = len(basis)
     if dim == 0:
         return []
@@ -1585,6 +1589,15 @@ def theta_kernel_by_slot(M, k, chi, phi_chi, n):
             groups.append(terms)
     W = np.array(weights, dtype=object).reshape(len(groups), K + 1)
     return tuple(np.tensordot(W, _term_rows(M, K, phi_chi, groups), 2).tolist())
+
+
+def basis_over(M, k, chi, ring):
+    """solve_symbol_space's basis, each symbol reduced into the ring."""
+    basis = solve_symbol_space(M, k, chi)
+    if ring == "Q":
+        return basis
+    _, p, prec = ring
+    return [classical_to_zpm(phi, p, prec) for phi in basis]
 
 
 def hecke_Up(phi, p):

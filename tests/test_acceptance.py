@@ -69,7 +69,7 @@ def test_acceptance_antisymmetry_classical():
     t0 = time.monotonic()
     for M, k in ((11, 0), (5, 1)):
         chi = DirichletChar.trivial(M)
-        basis = solve_symbol_space(M, 2 * k, chi, "Q")
+        basis = solve_symbol_space(M, 2 * k, chi)
         assert basis
         for phi in basis:
             th = theta_classical(phi, M, k, chi, 50, threads=THREADS)
@@ -81,7 +81,7 @@ def test_acceptance_antisymmetry_classical():
                                    threads=THREADS).is_zero()
     # the identity is not vacuous: the odd-weight family has mass
     chi5 = DirichletChar.trivial(5)
-    some = solve_symbol_space(5, 2, chi5, "Q")
+    some = solve_symbol_space(5, 2, chi5)
     assert any(not theta_classical(phi, 5, 1, chi5, 50,
                                    threads=THREADS).is_zero()
                for phi in some)
@@ -97,7 +97,7 @@ def test_acceptance_classical_hecke_equivariance():
     t0 = time.monotonic()
     M, k = 11, 1
     chi = DirichletChar.trivial(M)
-    basis = solve_symbol_space(M, 2 * k, chi, "Q")
+    basis = solve_symbol_space(M, 2 * k, chi)
     assert len(basis) == 6
     living = 0
     for phi in basis:
@@ -179,7 +179,7 @@ def test_acceptance_interpolation():
     Phi = _seeded_symbol(space5)
     for k in (0, 1, 2):
         kappa = ArithWeight(k, DirichletChar.trivial(1), 5)
-        report = verify_interpolation(Phi, kappa, 20, threads=THREADS)
+        report = verify_interpolation(Phi, kappa, 20)
         assert report["passed"], report
         assert report["residual_valuation"] >= report["precision"] - 2
     # ... and a lifted eigensymbol
@@ -190,7 +190,7 @@ def test_acceptance_interpolation():
     assert res >= 6
     for k in (0, 1, 2):
         kappa = ArithWeight(k, DirichletChar.trivial(1), 11)
-        report = verify_interpolation(Lift, kappa, 20, threads=THREADS)
+        report = verify_interpolation(Lift, kappa, 20)
         assert report["passed"], report
     assert time.monotonic() - t0 < 300
 

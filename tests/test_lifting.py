@@ -65,6 +65,7 @@ from oracles import (
     J_classical,
     J_oc_values,
     MetaCoeff,
+    basis_over,
     convolve_distN,
     data_of,
     dirac_distN,
@@ -84,7 +85,7 @@ T11 = DirichletChar.trivial(11)
 
 @pytest.fixture(scope="module")
 def basis51():
-    return solve_symbol_space(5, 2, T5 * T5, "Q")
+    return solve_symbol_space(5, 2, T5 * T5)
 
 
 @pytest.fixture(scope="module")
@@ -325,7 +326,7 @@ def test_theta_classical_matches_J_classical_oracle(ring):
     quad = DirichletChar.from_kronecker(5)
     nonzero = 0
     for sym_chi, chi, k in ((T5, T5, 1), (quad, quad, 2), (T5, quad, 1)):
-        basis = solve_symbol_space(5, 2 * k, sym_chi, ring)
+        basis = basis_over(5, 2 * k, sym_chi, ring)
         # halving one summand mixes the coordinates' denominators
         half = Fraction(1, 2)
         for phi in basis + [b.scale(half) + basis[0] for b in basis[1:]]:
@@ -475,10 +476,6 @@ cases = {
     # one all-ones "kernel" vector breaks the weight-0 S-pair relations
     "solve_symbol_space(Q kernel)": lambda: corrupted(
         "frac_nullspace", lambda rows, n: [[1] * n], 11, 0, T),
-    "solve_symbol_space(zpm kernel)": lambda: corrupted(
-        "zpm_kernel",
-        lambda A, p, prec: ([np.ones(A.shape[1], np.int64)], [0]),
-        11, 0, T, ("zpm", 5, 2)),
     "eigensymbols(sign)": lambda: eigensymbols(11, 0, T, 0),
     "HalfIntQExp(level)": lambda: HalfIntQExp(0, 0, T, {}, 4),
     "HalfIntQExp(n_max)": lambda: HalfIntQExp(11, 0, T, {}, -1),
@@ -512,7 +509,7 @@ def test_input_guards_survive_optimize():
     out = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_GUARDS],
                          capture_output=True, text=True, check=True, env=env,
                          timeout=300).stdout.split("\n")
-    assert out[:41] == [
+    assert out[:40] == [
         "debug False",
         "J_classical NotInFM",
         "J_oc NotInFM",
@@ -543,7 +540,6 @@ def test_input_guards_survive_optimize():
         "matmul_mod OperandMismatch",
         "zpm_solve(3^30) KernelOverflow",
         "solve_symbol_space(Q kernel) OperandMismatch",
-        "solve_symbol_space(zpm kernel) OperandMismatch",
         "eigensymbols(sign) BadIndex",
         "HalfIntQExp(level) BadIndex",
         "HalfIntQExp(n_max) BadIndex",
@@ -617,21 +613,54 @@ def test_exact_values_of_two_types_do_not_add():
 
 def test_theta_oc_evaluates_each_primitive_class_once(monkeypatch, ocphi5):
     # one path-term evaluation per primitive class, shared between indices
-    from shintani import lifting
-
     n_max = 40
     prims = {Q.primitive_part().triple() for n in range(1, n_max + 1)
              for Q in enumerate_classes(5, delta_of_index(5, n))}
-    original = lifting._class_terms
+    original = lifting._cycle_terms
     calls = []
 
-    def counted(Phi, Q, base=None):
+    def counted(Q, M):
         calls.append(Q.triple())
-        return original(Phi, Q, base)
+        return original(Q, M)
 
-    monkeypatch.setattr(lifting, "_class_terms", counted)
+    monkeypatch.setattr(lifting, "_cycle_terms", counted)
     assert not theta_oc(ocphi5, n_max).is_zero()
     assert len(calls) == len(prims) == len(set(calls))
+
+
+@pytest.mark.parametrize("M, chi, n_max", [
+    (11, DirichletChar.trivial(), 90),
+    (5, DirichletChar.from_kronecker(5), 40),
+], ids=["11-trivial-n90", "5-quadratic-n40"])
+def test_theta_classical_evaluates_each_primitive_class_once(monkeypatch, M,
+                                                             chi, n_max):
+    # each kernel build takes the cycle terms of primitive forms only, each
+    # at most once; the imprimitive classes reuse their primitive part's
+    real_build, real_terms = lifting._build_kernels, lifting._cycle_terms
+    builds, scaled = [], 0
+
+    def build(*args):
+        builds.append([])
+        return real_build(*args)
+
+    def terms(Q, level):
+        builds[-1].append(Q.triple())
+        return real_terms(Q, level)
+
+    for n in range(1, n_max + 1):
+        scaled += sum(Q.content() > 1
+                      for Q in enumerate_classes(M, delta_of_index(M, n)))
+    assert scaled
+    monkeypatch.setattr(lifting, "_build_kernels", build)
+    monkeypatch.setattr(lifting, "_cycle_terms", terms)
+    lifting._kernel_cell.cache_clear()
+    basis = solve_symbol_space(M, 2, DirichletChar.trivial())
+    phi = basis[0] + basis[-1].scale(3)
+    assert not theta_classical(phi, M, 1, chi, n_max).is_zero()
+    assert builds and all(builds)
+    for calls in builds:
+        assert len(calls) == len(set(calls))
+        assert all(gcd(*Q) == 1 for Q in calls)
 
 
 def test_formal_qexp_container(ocphi5):
@@ -730,9 +759,11 @@ def test_J_oc_matches_value_by_value_oracle(oc_lift_cases):
                  for Q in enumerate_classes(Np, delta_of_index(Np, n))]
         for Q in forms:
             assert np.array_equal(J_oc(Phi, Q), row_of(J_oc_values(Phi, Q)))
-        base = RationalCusp(2, 3)
-        assert np.array_equal(J_oc(Phi, forms[-1], base),
-                              row_of(J_oc_values(Phi, forms[-1], base)))
+        # the lift reads the cycle from infinity; the oracle's from 2/3
+        # gives the same tensor
+        assert np.array_equal(
+            J_oc(Phi, forms[-1]),
+            row_of(J_oc_values(Phi, forms[-1], RationalCusp(2, 3))))
         tags = {t for v in values_of(Phi) for t in v.comps}
         assert len(tags) == len(_units(Phi.N))  # every tag carries mass
 

@@ -5,6 +5,7 @@ import time
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 
@@ -18,10 +19,12 @@ from shintani.errors import (
     OperandMismatch,
 )
 from shintani import modsym
-from shintani.manin import MAT_IOTA, hecke_reps
+from shintani.linalg import zpm_kernel
+from shintani.manin import MAT_IOTA, hecke_reps, presentation
 from shintani.modsym import (
     ModularSymbol,
     SymPoly,
+    _term_rows,
     eigensymbols,
     hecke_matrix,
     hecke_Tn,
@@ -41,6 +44,7 @@ from oracles import (
     act_matrix_Lstar_formula,
     apply_double_coset,
     apply_involution,
+    basis_over,
     check_relations,
     dirac_poly,
     eigensymbols_sympy,
@@ -249,7 +253,7 @@ def oracle_dimension(M, k):
 
 
 def test_dimension_level_eleven_weight_two():
-    basis = solve_symbol_space(11, 0, TRIV, "Q")
+    basis = solve_symbol_space(11, 0, TRIV)
     assert len(basis) == 3
     # genus of the level-11 curve is 1 and it has two cusps: 2g + 2 - 1
     assert oracle_dimension(11, 0) == 3
@@ -258,33 +262,36 @@ def test_dimension_level_eleven_weight_two():
 def test_dimension_level_one_is_zero():
     # the paired-path relation forces 2w = 0 on the single generator
     assert oracle_dimension(1, 0) == 0
-    assert solve_symbol_space(1, 0, TRIV, "Q") == []
+    assert solve_symbol_space(1, 0, TRIV) == []
 
 
 def test_dimension_level_five_sym2():
-    basis = solve_symbol_space(5, 2, TRIV, "Q")
+    basis = solve_symbol_space(5, 2, TRIV)
     assert len(basis) == 4
     assert oracle_dimension(5, 2) == 4
 
 
 def test_solve_zpm_matches_rational_dimension():
-    bz = solve_symbol_space(11, 0, TRIV, ("zpm", 5, 4))
+    # the kernel of the relation rows mod 5^4 has the rational dimension,
+    # and every rational solution reduces into its span
+    rows = _term_rows(11, 0, TRIV, presentation(11).relations)
+    rows = (rows.reshape(-1, rows.shape[-1]) % 5**4).astype(np.int64)
+    bz, _ = zpm_kernel(rows, 5, 4)
     assert len(bz) == 3
-    bq = solve_symbol_space(11, 0, TRIV, "Q")
-    # every rational solution reduces into the mod 5^4 span
-    span = [list(map(int, s.coords())) for s in bz]
-    for s in bq:
-        flat = [int(x) for x in s.coords()]
-        assert zpm_in_span(span, flat, 5, 4)
+    span = [list(map(int, v)) for v in bz]
+    for s in solve_symbol_space(11, 0, TRIV):
+        assert zpm_in_span(span, [int(x) for x in s.coords()], 5, 4)
 
 
 def test_solve_bad_rings():
+    # a solved symbol reduces into Z/p^M for primes p >= 5 only
+    sym = solve_symbol_space(11, 0, TRIV)[0]
     with pytest.raises(BadCharacteristic):
-        solve_symbol_space(11, 0, TRIV, ("zpm", 3, 2))
+        classical_to_zpm(sym, 3, 2)
     with pytest.raises(BadCharacteristic):
-        solve_symbol_space(11, 0, TRIV, ("zpm", 4, 2))
+        classical_to_zpm(sym, 4, 2)
     with pytest.raises(BadCharacteristic):
-        solve_symbol_space(11, 0, TRIV, "R")
+        ModularSymbol(11, 0, TRIV, "R", sym.coords())
 
 
 def test_ring_reduce_inverts_denominators_prime_to_p():
@@ -310,7 +317,7 @@ def test_sympolys_of_round_trips(ring):
     # the oracles' generator values and the flat coordinates carry the
     # same symbol
     chi = DirichletChar.from_kronecker(5)
-    basis = solve_symbol_space(5, 2, chi, ring)
+    basis = basis_over(5, 2, chi, ring)
     assert basis
     for phi in basis:
         values = sympolys_of(phi)
@@ -340,7 +347,7 @@ def test_symbol_refuses_wrong_length_and_other_spaces():
 
 def test_basis_symbols_satisfy_relations():
     for M, k in ((11, 0), (5, 2), (15, 0)):
-        for sym in solve_symbol_space(M, k, TRIV, "Q"):
+        for sym in solve_symbol_space(M, k, TRIV):
             assert check_relations(sym)
 
 
@@ -348,27 +355,19 @@ def _bump_first_entry(basis):
     return [[basis[0][0] + 1, *basis[0][1:]], *basis[1:]]
 
 
-@pytest.mark.parametrize("ring, kernel", [
-    ("Q", "frac_nullspace"), (("zpm", 5, 2), "zpm_kernel")], ids=["Q", "zpm"])
-def test_relation_check_refuses_a_corrupted_kernel(monkeypatch, ring, kernel):
+def test_relation_check_refuses_a_corrupted_kernel(monkeypatch):
     # the solver multiplies the relation rows into its kernel on every
     # call; one entry off by one breaks an S-pair relation
-    assert solve_symbol_space(11, 0, TRIV, ring)
-    real = getattr(modsym, kernel)
-
-    def fake(*args):
-        if ring == "Q":
-            return _bump_first_entry(real(*args))
-        basis, torsion = real(*args)
-        return _bump_first_entry(basis), torsion
-
-    monkeypatch.setattr(modsym, kernel, fake)
+    assert solve_symbol_space(11, 0, TRIV)
+    real = modsym.frac_nullspace
+    monkeypatch.setattr(modsym, "frac_nullspace",
+                        lambda *args: _bump_first_entry(real(*args)))
     with pytest.raises(OperandMismatch, match="breaks the relations"):
-        solve_symbol_space(11, 0, TRIV, ring)
+        solve_symbol_space(11, 0, TRIV)
 
 
 def test_perturbed_symbol_breaks_relations():
-    sym = solve_symbol_space(11, 0, TRIV, "Q")[0]
+    sym = solve_symbol_space(11, 0, TRIV)[0]
     vals = list(sympolys_of(sym))
     bumped = vals[3].coeffs[0] + 1
     vals[3] = SymPoly(11, 0, (bumped,), TRIV)
@@ -381,7 +380,7 @@ def test_perturbed_symbol_breaks_relations():
 def test_evaluate_half_to_infinity_uses_two_paths():
     from shintani.arith import RationalCusp, sl2_chain
     assert len(sl2_chain(RationalCusp(1, 2))) == 2
-    sym = solve_symbol_space(11, 0, TRIV, "Q")[0]
+    sym = solve_symbol_space(11, 0, TRIV)[0]
     D = Divisor0.path(RationalCusp(1, 2), RationalCusp.infinity())
     val = evaluate_symbol(sym, D)
     chain = sl2_chain(RationalCusp(1, 2))
@@ -399,7 +398,7 @@ def test_evaluate_group_invariance():
     rng = random.Random(17)
     from shintani.arith import RationalCusp
     for M, k in ((11, 0), (5, 2)):
-        basis = solve_symbol_space(M, k, TRIV, "Q")
+        basis = solve_symbol_space(M, k, TRIV)
         phi = basis[0]
         for q in basis[1:]:
             phi = phi + q
@@ -424,13 +423,13 @@ def test_evaluate_degree_zero_assertion():
 
 def test_hecke_images_satisfy_relations():
     for M, k in ((11, 0), (5, 2)):
-        sym = solve_symbol_space(M, k, TRIV, "Q")[0]
+        sym = solve_symbol_space(M, k, TRIV)[0]
         assert check_relations(hecke_Tn(sym, 2))
         assert check_relations(hecke_Up(sym, M))
 
 
 def test_hecke_commutes_and_is_multiplicative():
-    basis = solve_symbol_space(5, 2, TRIV, "Q")
+    basis = solve_symbol_space(5, 2, TRIV)
     phi = basis[0] + basis[2]
     a = hecke_Tn(hecke_Tn(phi, 2), 3)
     b = hecke_Tn(hecke_Tn(phi, 3), 2)
@@ -442,14 +441,14 @@ def test_hecke_commutes_and_is_multiplicative():
 
 
 def test_hecke_Tll_is_identity_in_weight_two():
-    sym = solve_symbol_space(11, 0, TRIV, "Q")[1]
+    sym = solve_symbol_space(11, 0, TRIV)[1]
     img = hecke_Tll(sym, 3)
     assert all((x - y).is_zero()
                for x, y in zip(sympolys_of(img), sympolys_of(sym)))
 
 
 def test_hecke_index_errors():
-    sym = solve_symbol_space(11, 0, TRIV, "Q")[0]
+    sym = solve_symbol_space(11, 0, TRIV)[0]
     with pytest.raises(BadIndex):
         hecke_Up(sym, 3)
     with pytest.raises(BadIndex):
@@ -465,7 +464,7 @@ def test_hecke_matrices_match_double_coset_oracle(ring):
     cases = ((10, 2, DirichletChar.trivial(10)),
              (5, 2, DirichletChar.from_kronecker(5)))
     for M, k, chi in cases:
-        basis = solve_symbol_space(M, k, chi, ring)
+        basis = basis_over(M, k, chi, ring)
         assert basis
         primes = [p for p in (2, 5) if M % p == 0]
         for phi in basis + [involution_split(b)[1] for b in basis]:
@@ -519,7 +518,7 @@ def test_coords_refuse_what_they_cannot_read():
 
 
 def test_spectrum_level_eleven():
-    basis = solve_symbol_space(11, 0, TRIV, "Q")
+    basis = solve_symbol_space(11, 0, TRIV)
     T2 = hecke_matrix(basis, 2)
     m = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
                       for row in T2])
@@ -528,14 +527,14 @@ def test_spectrum_level_eleven():
 
 def test_involution_matrix_squares_to_identity():
     for M, k in ((11, 0), (5, 2)):
-        basis = solve_symbol_space(M, k, TRIV, "Q")
+        basis = solve_symbol_space(M, k, TRIV)
         J = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
                            for x in row] for row in involution_matrix(basis)])
         assert J * J == sympy.eye(len(basis))
 
 
 def test_involution_split_recombines():
-    basis = solve_symbol_space(5, 2, TRIV, "Q")
+    basis = solve_symbol_space(5, 2, TRIV)
     phi = basis[0] + basis[1].scale(2)
     plus, minus = involution_split(phi)
     back = plus + minus
@@ -556,7 +555,7 @@ def test_sign_subspace_ranks_match_split_symbols():
     chi13 = DirichletChar.from_kronecker(13)
     for M, k, chi in ((11, 0, TRIV), (5, 2, TRIV), (13, 2, chi13),
                       (7, 4, TRIV)):
-        basis = solve_symbol_space(M, k, chi, "Q")
+        basis = solve_symbol_space(M, k, chi)
         J = involution_matrix(basis)
         ranks = []
         for sign, half in ((1, 0), (-1, 1)):

@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -13,12 +14,14 @@ from shintani.dist import ArithWeight, _act_blocks, _pairs, _stratum_cols
 from shintani.errors import (
     BadSemigroupElement,
     CriticalSlope,
+    NoConvergence,
     NotEigen,
     PrecisionMismatch,
 )
 from shintani import manin, ocsymb
-from shintani.linalg import berkowitz_charpoly, zpm_kernel, zpm_solve
-from shintani.modsym import hecke_Tn, involution, solve_symbol_space
+from shintani.linalg import (
+    berkowitz_charpoly, poly_mul_mod, zpm_kernel, zpm_solve)
+from shintani.modsym import hecke_Tn, involution
 from shintani.ocsymb import (
     OCSpace,
     OCSymbol,
@@ -44,6 +47,7 @@ from oracles import (
     TaggedDist2,
     apply_double_coset,
     apply_involution,
+    basis_over,
     check_relations,
     check_values,
     data_of,
@@ -154,7 +158,9 @@ def test_array_operations_match_value_by_value_oracle(level, N, precision):
     assert np.array_equal(space.stratum_matrix(0), np.stack(
         [x.flat_stratum(0) for x in basis], axis=1))
 
-    for d in (0, 1, T):
+    # the trivial character and the quadratic character mod p
+    quad = DirichletChar.from_kronecker(p if p % 4 == 1 else -p)
+    for d, chi_p in product((0, 1, T), (TRIV, quad)):
         # the stratum-d part of a, where the weighted rotations project
         cols = list(_stratum_cols(T, d))
         ad = np.zeros_like(a.data)
@@ -165,11 +171,11 @@ def test_array_operations_match_value_by_value_oracle(level, N, precision):
         for c in range(1, p):
             s = crt(1, N, c, p) if N > 1 else c
             nu = dirac_distN(s, N, p, prec, T)
-            want = [w + scalar_action(nu, v).scale(pow(s, -d, mod))
+            want = [w + scalar_action(nu, v).scale(chi_p(c) * pow(s, -d, mod))
                     for w, v in zip(want, vd)]
         want = tuple(w.scale(pow(p - 1, -1, mod)) for w in want)
-        assert values_of(disc_sector_project(ad)) == want
-        assert values_of(disc_sector_project_rotations(ad, d)) == want
+        assert values_of(disc_sector_project(ad, chi_p)) == want
+        assert values_of(disc_sector_project_rotations(ad, d, chi_p)) == want
 
     flip = apply_involution(level, va, invol_tagged)
     for sign in (1, -1):
@@ -333,8 +339,7 @@ def test_t0_space_specializes_onto_classical():
     p, prec = 11, 5
     space = solve_oc_space(11, 1, (prec, 0))
     kappa = ArithWeight(0, TRIV, p)
-    ring = ("zpm", p, prec)
-    classical = solve_symbol_space(11, 0, TRIV, ring)
+    classical = basis_over(11, 0, TRIV, ("zpm", p, prec))
     images = []
     for b in space.basis:
         s = specialize_symbol(b, kappa)
@@ -434,8 +439,7 @@ def test_up_matrix_intertwines_classical_on_t0():
     mod = p**prec
     space = solve_oc_space(11, 1, (prec, 0))
     kappa = ArithWeight(0, TRIV, p)
-    ring = ("zpm", p, prec)
-    classical = solve_symbol_space(11, 0, TRIV, ring)
+    classical = basis_over(11, 0, TRIV, ("zpm", p, prec))
     C = np.stack([np.array([int(c) for c in phi.coords()], dtype=np.int64)
                   for phi in classical], axis=1)
     # specialization matrix: oc basis coords -> classical basis coords
@@ -638,8 +642,12 @@ def test_slope_zero_present_and_rank_certified(sp11_big):
     for _ in range(2 * U0.shape[0]):
         Pk = (Pk @ P) % p
     assert rank_mod_p(Pk.astype(np.int64), p) == n_units
-    # the product over low strata also reaches slope zero
-    cp = charpoly_strata(sp11_big, dmax=2)
+    # the product over the strata <= 2, a divisor of the full
+    # characteristic polynomial, also reaches slope zero
+    cp = [1]
+    for d in range(3):
+        cp = poly_mul_mod(
+            cp, berkowitz_charpoly(up_matrix(sp11_big, d), mod), mod)
     slopes, _ = newton_slopes(cp, p, prec)
     assert 0 in slopes
 
@@ -805,6 +813,37 @@ def test_lift_projecting_once_matches_each_step(profile, sp11_big):
     assert np.array_equal(got.data, want.data)
 
 
+@pytest.mark.parametrize("k, precision", [(1, (6, 2)), (3, (6, 4))])
+def test_lift_in_the_sector_of_the_wild_character(k, precision):
+    # chi = (-7/.) has wild part (./7) = omega^3, so the U_7 = 1 system
+    # lives in disc sector 3, which the mean over the discs erases
+    chi = DirichletChar.from_kronecker(-7)
+    [phi] = [phi for phi, ev in eigensymbols(7, k, chi, 1) if ev[7] == 1]
+    space, kappa = solve_oc_space(7, 1, precision), ArithWeight(k, chi, 7)
+    got, res = lift_eigensymbol(space, phi, 1, kappa, sign=1)
+    want, res_want = lift_eigensymbol_each_step(space, phi, 1, kappa,
+                                                sign=1)
+    assert not got.is_zero() and res == res_want == 6
+    assert np.array_equal(got.data, want.data)
+    assert hecke_eigenvalue(got, 7) == 1
+    # it specializes to a unit multiple of phi
+    mod = 7**6
+    spec = [int(c) for c in specialize_symbol(got, kappa).coords()]
+    pc = [int(c) for c in phi.coords()]
+    i = next(i for i, c in enumerate(pc) if c % 7)
+    lam = spec[i] * pow(pc[i], -1, mod) % mod
+    assert lam % 7 and all((a - lam * b) % 7**4 == 0 for a, b in zip(spec, pc))
+
+
+def test_lift_refuses_the_wrong_sign():
+    # the plus part of the minus eigensymbol's iterate is zero, which
+    # passes the residual check: the lift must not return it
+    phi, _ = eigensymbols(11, 0, TRIV, -1)[0]
+    with pytest.raises(NoConvergence, match="unit multiple of phi"):
+        lift_eigensymbol(solve_oc_space(11, 1, (6, 1)), phi, 1,
+                         ArithWeight(0, TRIV, 11), sign=1)
+
+
 def test_hecke_eigenvalue_rejects_noneigen(sp11_small):
     sym = random_symbol(sp11_small, seed=23)
     with pytest.raises(NotEigen):
@@ -830,15 +869,21 @@ def test_sign_and_sector_projectors_are_projectors(sp11_small):
     # is, and it commutes with U_p, T_2 and the involution
     space = solve_oc_space(11, 1, (5, 3))
     sym = random_symbol(space, seed=53)
-    proj = disc_sector_project(sym)
-    assert not proj.is_zero() and not (proj - sym).is_zero()
-    assert (disc_sector_project(proj) - proj).is_zero()
-    for op in (oc_hecke_Up, lambda x: oc_hecke_Tn(x, 2), oc_involution):
-        assert not op(proj).is_zero()
-        assert (op(proj) - disc_sector_project(op(sym))).is_zero()
-    for d in range(space.T + 1):
-        once = disc_sector_project_rotations(sym, d)
-        assert not (disc_sector_project_rotations(once, d) - once).is_zero()
+    quad = DirichletChar.from_kronecker(-11)
+    for chi_p in (TRIV, quad):
+        proj = disc_sector_project(sym, chi_p)
+        assert not proj.is_zero() and not (proj - sym).is_zero()
+        assert (disc_sector_project(proj, chi_p) - proj).is_zero()
+        for op in (oc_hecke_Up, lambda x: oc_hecke_Tn(x, 2), oc_involution):
+            assert not op(proj).is_zero()
+            assert (op(proj) - disc_sector_project(op(sym), chi_p)).is_zero()
+        for d in range(space.T + 1):
+            once = disc_sector_project_rotations(sym, d, chi_p)
+            assert not (disc_sector_project_rotations(once, d, chi_p)
+                        - once).is_zero()
+    # the two sectors are complementary pieces of the symbol
+    assert (disc_sector_project(disc_sector_project(sym, quad), TRIV)
+            .is_zero())
 
 
 def test_oc_symbol_evaluate_invariance(sp11_small):
