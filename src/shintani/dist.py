@@ -86,6 +86,18 @@ def _sym_blocks(gs, strata, mod=None):
     return out
 
 
+def _indexed_terms(groups, N, p, prec):
+    """Terms (c, g, w) of groups as int64 rows (group, c, matrix, w mod
+    p^prec), and the distinct matrices, checked once each, mod N p^prec."""
+    mod, mats = p**prec, {}
+    rows = [(i, c, mats.setdefault(g, len(mats)), w % mod)
+            for i, group in enumerate(groups) for c, g, w in group]
+    for g in mats:
+        _check_s0(g, N * p)
+    return (np.array(rows, dtype=np.int64).reshape(-1, 4),
+            [tuple(x % (N * mod) for x in g) for g in mats])
+
+
 @lru_cache(maxsize=8192)
 def _act_blocks(g, p, prec, T):
     """The stratum blocks of one matrix g: the one-matrix _sym_blocks."""

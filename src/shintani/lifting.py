@@ -25,7 +25,7 @@ import numpy as np
 
 from .arith import ExactValue, RationalCusp, is_prime, kronecker, valuation
 from .cosets import _units
-from .dist import _char_vectors, _check_s0, _stratum_cols, _sym_blocks
+from .dist import _char_vectors, _indexed_terms, _stratum_cols, _sym_blocks
 from .errors import (
     BadIndex,
     BadLevel,
@@ -403,20 +403,15 @@ def _J_batch(Phi, forms, terms):
     """
     N, p, prec, T = Phi.N, Phi.p, Phi.prec, Phi.T
     mod, Tp, tags = p**prec, T // 2, _units(N)
-    mats, rows = {}, []
-    for i, ts in enumerate(terms):
-        for c, g, w in ts:
-            _check_s0(g, Phi.level)
-            g = tuple(x % (N * mod) for x in g)
-            rows.append((i, c, mats.setdefault(g, len(mats)), w % mod))
-    owner, gen, mat, wt = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    rows, mats = _indexed_terms(terms, N, p, prec)
+    owner, gen, mat, wt = rows.T
     src = [_sources(g, N, p) for g in mats]
     tsrc = np.array([s[0] for s in src],
                     dtype=np.int64).reshape(-1, len(tags))[mat]
     dsrc = np.array([s[1] for s in src],
                     dtype=np.int64).reshape(-1, p - 1)[mat]
     evens = range(0, 2 * Tp + 1, 2)
-    blocks = _sym_blocks(list(mats), evens, mod)
+    blocks = _sym_blocks(mats, evens, mod)
     X = Phi.data
     qa, qb, qc = (np.array([Q.triple()[i] % mod for Q in forms],
                            dtype=np.int64).reshape(-1, 1) for i in range(3))

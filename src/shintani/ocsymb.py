@@ -11,7 +11,7 @@ characters omega^j are defined over Z/p^M (D(Z_p^x) = sum_j omega^j
 D(1 + pZ_p), as in Stevens' rigid analytic modular symbols), so each
 stratum splits into p - 1 Teichmuller sectors.  The relations are solved,
 and every Hecke operator is applied, one sector block at a time; both
-come from one fold of term groups into sector blocks, ``_term_blocks``.
+fold term groups into sector blocks from one ``_sym_blocks`` batch.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ import numpy as np
 from . import manin
 from .arith import ExactValue, valuation
 from .cosets import _units
-from .dist import _act_blocks, _check_s0, _pairs, _stratum_cols, specialize
+from .dist import (_act_blocks, _indexed_terms, _pairs, _stratum_cols,
+                   _sym_blocks, specialize)
 from .errors import (
     BadIndex,
     BadLevel,
@@ -148,49 +149,49 @@ def _characters(p, prec):
                     dtype=np.int64)
 
 
+def _sector_blocks(gs, V, N, p, prec):
+    """Sector blocks (g, sector, (tag, moment), (tag, moment)) of reduced
+    matrices gs with Sym^d blocks V.  Reading disc a^-1 c multiplies
+    c -> omega^j(c) by omega^j(a)^-1, so sector j of g is omega^j(a)^-1
+    times the _sources tag gather tensor its block.
+    """
+    n, k, ntags = len(V), V.shape[1], len(_units(N))
+    tsrc = np.array([_sources(g, N, p)[0] for g in gs],
+                    dtype=np.int64).reshape(n, ntags)
+    twist = _characters(p, prec)[:, [pow(g[0], -1, p) - 1 for g in gs]].T
+    out = np.zeros((n, p - 1, ntags, k, ntags, k), dtype=np.int64)
+    # every twist * block entry is below (p^prec)^2 < 2^56
+    out[np.arange(n)[:, None], :, np.arange(ntags), :, tsrc] = (
+        twist[:, None, :, None, None] * V[:, None, None] % p**prec)
+    return out.reshape(n, p - 1, ntags * k, ntags * k)
+
+
 @lru_cache(maxsize=4096)
 def _stratum_action_matrix(g, N, p, prec, T, d):
-    """The value action of g on one stratum, one block per sector.
-
-    g moves tags and discs as _sources says, moments by the stratum-d
-    block of _act_blocks.  Reading disc a^-1 c turns the disc vector
-    c -> omega^j(c) into omega^j(a)^-1 times it, so in sector j the action
-    is omega^j(a)^-1 times the tag gather tensor the Sym^d block.  Indexed
-    (sector, (tag, moment), (tag, moment)).
-    """
-    _check_s0(g, N * p)
-    mod = p**prec
-    g = tuple(x % (N * mod) for x in g)
-    tsrc, _ = _sources(g, N, p)
-    tags = np.eye(len(tsrc), dtype=np.int64)[tsrc]
-    block = np.kron(tags, _act_blocks(g, p, prec, T)[d])
-    twist = _characters(p, prec)[:, pow(g[0], -1, p) - 1]
-    return (twist[:, None, None] * block) % mod
+    """The one-matrix _sector_blocks, on the cached _act_blocks."""
+    _, gs = _indexed_terms([[(0, g, 1)]], N, p, prec)
+    V = _act_blocks(gs[0], p, prec, T)[d]
+    return _sector_blocks(gs, V[None], N, p, prec)[0]
 
 
-def _term_blocks(groups, ngens, N, p, prec, T, d):
-    """Each group's sum_(c, g, w) w * x_c|g on stratum d as p - 1 sector
-    blocks: an array (p - 1, len(groups), rows, columns).
-
-    Block j has rows (tag, moment) and columns (generator, tag, moment).
-    The sector blocks of _stratum_action_matrix of every term, times its
-    weight, are added into the term's group and generator slice at once.
-    """
-    blockdim = len(_units(N)) * (d + 1)
-    mod = p**prec
-    out = np.zeros((len(groups), ngens, p - 1, blockdim, blockdim),
-                   dtype=np.int64)
-    terms = [(i, c, g, w) for i, group in enumerate(groups)
-             for c, g, w in group]
-    if terms:
-        owner, gens, gs, ws = zip(*terms)
-        S = np.stack([_stratum_action_matrix(g, N, p, prec, T, d)
-                      for g in gs])
-        w = np.array([x % mod for x in ws], dtype=np.int64)
-        np.add.at(out, (list(owner), list(gens)),
-                  w[:, None, None, None] * S % mod)
+def _fold(rows, S, lo, size, ngens, mod):
+    """Sector blocks (sector, group, (tag, moment), (generator, tag, moment))
+    of groups lo .. lo + size - 1 of the group-ordered _indexed_terms rows."""
+    a, b = np.searchsorted(rows[:, 0], [lo, lo + size])
+    owner, gen, mat, w = rows[a:b].T
+    out = np.zeros((size, ngens) + S.shape[1:], dtype=np.int64)
+    # every weight * block entry is below (p^prec)^2 < 2^56
+    np.add.at(out, (owner - lo, gen), w[:, None, None, None] * S[mat] % mod)
     return (out % mod).transpose(2, 0, 3, 1, 4).reshape(
-        p - 1, len(groups), blockdim, ngens * blockdim)
+        S.shape[1], size, S.shape[2], ngens * S.shape[2])
+
+
+def _term_blocks(groups, ngens, N, p, prec, d):
+    """Each group's sum_(c, g, w) w * x_c|g on stratum d as sector blocks,
+    from one _sym_blocks batch of the distinct path matrices."""
+    rows, gs = _indexed_terms(groups, N, p, prec)
+    S = _sector_blocks(gs, _sym_blocks(gs, [d], p**prec)[d], N, p, prec)
+    return _fold(rows, S, 0, len(groups), ngens, p**prec)
 
 
 @lru_cache(maxsize=64)
@@ -198,24 +199,23 @@ def _coset_blocks(level, N, p, prec, T, d, reps):
     """The double coset of reps on stratum d, one read-only block per sector.
 
     Block j acts on (generator, tag, moment); its block row b is the sum
-    over alpha of S_j(alpha) E_j(alpha . base_b), E from _term_blocks,
-    one base at a time, and S from _stratum_action_matrix, which checks
-    every path matrix and rep.  MAT_IOTA (determinant -1) has S the moment
+    over alpha of S_j(alpha) E_j(alpha . base_b), E folded one base at a
+    time from one _sym_blocks batch of all path matrices, and S from
+    _stratum_action_matrix.  MAT_IOTA (determinant -1) has S the moment
     sign (-1)^b of x^a y^b.  At most 64 are kept, of (p - 1) (ngens phi(N)
     (d + 1))^2 entries each.
     """
-    ngens = manin.presentation(level).ngens
-    mod = p**prec
+    ngens, mod, k = manin.presentation(level).ngens, p**prec, len(reps)
     sign = np.tile([(-1) ** (d - n) for n in range(d + 1)], len(_units(N)))
     S = np.stack([np.repeat(np.diag(sign)[None], p - 1, axis=0)
                   if alpha == manin.MAT_IOTA else
                   _stratum_action_matrix(alpha, N, p, prec, T, d)
                   for alpha in reps], axis=1)
-    terms = manin.coset_terms(level, reps)
-    op = np.concatenate(
-        [matmul_mod(S, _term_blocks(terms[lo:lo + len(reps)], ngens, N, p,
-                                    prec, T, d), mod).sum(axis=1) % mod
-         for lo in range(0, len(terms), len(reps))], axis=1)
+    rows, gs = _indexed_terms(manin.coset_terms(level, reps), N, p, prec)
+    paths = _sector_blocks(gs, _sym_blocks(gs, [d], mod)[d], N, p, prec)
+    folds = (_fold(rows, paths, b * k, k, ngens, mod) for b in range(ngens))
+    op = np.concatenate([matmul_mod(S, E, mod).sum(axis=1) % mod
+                         for E in folds], axis=1)
     op.flags.writeable = False
     return op
 
@@ -325,7 +325,7 @@ def solve_oc_space(Np, N, precision):
     blocks, strata, torsion = [], [], []
     for d in range(T + 1):
         rel = _term_blocks(manin.presentation(Np).relations, shape[0], N, p,
-                           prec, T, d)
+                           prec, d)
         rows = []
         for j, B in enumerate(rel.reshape(p - 1, -1, rel.shape[-1])):
             for y in zpm_kernel(B, p, prec)[0]:

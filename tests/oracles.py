@@ -22,6 +22,12 @@ of right factors.  ``meta_of`` and ``row_of`` convert between an array
 row and a ``MetaCoeff`` with the point mass at 1 as its left factor,
 and ``qexp_module_action`` acts on the left factors through that ring.
 
+``stratum_action_kron``, ``term_blocks_kron`` and ``coset_blocks_kron``
+are ``ocsymb._stratum_action_matrix``, ``_term_blocks`` and
+``_coset_blocks`` as the package built them, one cached np.kron of the
+tag gather and the Sym^d block per path matrix and one np.stack of the
+term blocks, before the relation and Hecke folds built the sector blocks
+of all their distinct path matrices in one ``dist._sym_blocks`` batch.
 ``stratum_relation_matrix`` is one stratum's relation matrix in disc
 coordinates, the matrix ``solve_oc_space`` reduced whole before it solved
 each Teichmuller sector on its own.  It builds each term's block with
@@ -127,8 +133,8 @@ from shintani.errors import (
     SquareDiscriminant,
 )
 from shintani.lifting import delta_of_index, quad_power
-from shintani.linalg import _check_kernel_bounds, zpm_kernel
-from shintani.manin import MAT_IOTA, divisor_terms, presentation
+from shintani.linalg import _check_kernel_bounds, matmul_mod, zpm_kernel
+from shintani.manin import MAT_IOTA, coset_terms, divisor_terms, presentation
 from shintani.modsym import (
     ModularSymbol,
     SymPoly,
@@ -143,6 +149,7 @@ from shintani.modsym import (
     solve_symbol_space,
 )
 from shintani.ocsymb import (
+    _characters,
     _leading_unit_index,
     _sources,
     classical_to_zpm,
@@ -826,6 +833,58 @@ def stratum_relation_matrix(level, N, p, prec, T, d):
         weighted_sum(rel, add, np.zeros(
             (blockdim, pres.ngens * blockdim), dtype=np.int64))
         for rel in pres.relations])
+
+
+def stratum_action_kron(g, N, p, prec, T, d):
+    """Sector blocks of the value action of g on stratum d, one np.kron of
+    the tag gather and the cached Sym^d block, times the twist of each
+    sector: indexed (sector, (tag, moment), (tag, moment))."""
+    _check_s0(g, N * p)
+    mod = p**prec
+    g = tuple(x % (N * mod) for x in g)
+    tsrc, _ = _sources(g, N, p)
+    tags = np.eye(len(tsrc), dtype=np.int64)[tsrc]
+    block = np.kron(tags, _act_blocks(g, p, prec, T)[d])
+    twist = _characters(p, prec)[:, pow(g[0], -1, p) - 1]
+    return (twist[:, None, None] * block) % mod
+
+
+def term_blocks_kron(groups, ngens, N, p, prec, T, d):
+    """Each group's sum_(c, g, w) w * x_c|g on stratum d as p - 1 sector
+    blocks (p - 1, len(groups), rows, columns), one stratum_action_kron
+    per term, stacked and added at the term's group and generator."""
+    blockdim = len(_units(N)) * (d + 1)
+    mod = p**prec
+    out = np.zeros((len(groups), ngens, p - 1, blockdim, blockdim),
+                   dtype=np.int64)
+    terms = [(i, c, g, w) for i, group in enumerate(groups)
+             for c, g, w in group]
+    if terms:
+        owner, gens, gs, ws = zip(*terms)
+        S = np.stack([stratum_action_kron(g, N, p, prec, T, d) for g in gs])
+        w = np.array([x % mod for x in ws], dtype=np.int64)
+        np.add.at(out, (list(owner), list(gens)),
+                  w[:, None, None, None] * S % mod)
+    return (out % mod).transpose(2, 0, 3, 1, 4).reshape(
+        p - 1, len(groups), blockdim, ngens * blockdim)
+
+
+def coset_blocks_kron(level, N, p, prec, T, d, reps):
+    """The double coset of reps on stratum d, one block per sector: block
+    row b sums S(alpha) E(alpha . base_b) over the reps, with S from
+    stratum_action_kron and E from term_blocks_kron, one base at a time."""
+    ngens = presentation(level).ngens
+    mod = p**prec
+    sign = np.tile([(-1) ** (d - n) for n in range(d + 1)], len(_units(N)))
+    S = np.stack([np.repeat(np.diag(sign)[None], p - 1, axis=0)
+                  if alpha == MAT_IOTA else
+                  stratum_action_kron(alpha, N, p, prec, T, d)
+                  for alpha in reps], axis=1)
+    terms = coset_terms(level, reps)
+    return np.concatenate(
+        [matmul_mod(S, term_blocks_kron(terms[lo:lo + len(reps)], ngens, N,
+                                        p, prec, T, d), mod).sum(axis=1) % mod
+         for lo in range(0, len(terms), len(reps))], axis=1)
 
 
 def disc_sector_project_rotations(sym, d, chi_p):

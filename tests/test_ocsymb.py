@@ -50,6 +50,7 @@ from oracles import (
     basis_over,
     check_relations,
     check_values,
+    coset_blocks_kron,
     data_of,
     dirac_distN,
     disc_sector_project_rotations,
@@ -63,6 +64,7 @@ from oracles import (
     scalar_action,
     stratum_relation_matrix,
     sympolys_of,
+    term_blocks_kron,
     up_matrix_by_column,
     values_of,
 )
@@ -283,11 +285,14 @@ def _conjugate_by_characters(A, level, N, p, prec, d):
 
 
 @pytest.mark.parametrize("level, N, prec, T, d",
-                         [(5, 1, 8, 8, 4), (15, 3, 8, 8, 4)])
+                         [(5, 1, 8, 8, 4), (15, 3, 8, 8, 4),
+                          (15, 3, 12, 2, 2)])
 def test_sector_blocks_are_the_conjugated_relation_matrix(level, N, prec, T,
                                                           d):
     # the character table conjugates the full relation matrix to block
-    # diagonal form, and the directly built sector blocks are its blocks
+    # diagonal form, and the directly built sector blocks are its blocks;
+    # 5^12 is just below the 2^28 bound, where every batched twist * block
+    # and weight * block entry is below (p^prec)^2 < 2^56
     p = level // N
     A = stratum_relation_matrix(level, N, p, prec, T, d)
     conj = _conjugate_by_characters(A, level, N, p, prec, d)
@@ -295,7 +300,7 @@ def test_sector_blocks_are_the_conjugated_relation_matrix(level, N, prec, T,
            for k in range(p - 1) if j != k]
     assert sum(int(np.count_nonzero(x)) for x in off) == 0
     pres = manin.presentation(level)
-    blocks = ocsymb._term_blocks(pres.relations, pres.ngens, N, p, prec, T, d)
+    blocks = ocsymb._term_blocks(pres.relations, pres.ngens, N, p, prec, d)
     diag = [conj[:, :, j, :, :, :, j, :].reshape(blocks[j].shape)
             for j in range(p - 1)]
     for j in range(p - 1):
@@ -560,19 +565,56 @@ def test_oc_operators_match_value_by_value_oracle(level, N, precision):
 def test_oc_operators_match_oracle_on_unsolved_values():
     # tame level 5 has units of order 4, so tags and discs moving by a
     # versus by a^-1 differ; the operators are formulas in the generator
-    # values, so random values need not satisfy the relations
-    level, N, p, prec, T = 35, 5, 7, 3, 2
-    rng = random.Random(35)
-    vals = [TaggedDist2(N, p, prec, T, {t: random_moments2(rng, p, prec, T)
-                                        for t in (1, 2, 3, 4)})
-            for _ in range(manin.presentation(level).ngens)]
-    sym = OCSymbol(level, N, p, prec, T, data_of(vals))
-    assert values_of(oc_hecke_Tn(sym, 2)) == tuple(apply_double_coset(
-        level, vals, manin.hecke_reps(2, level)))
-    assert values_of(oc_hecke_Tll(sym, 3)) == tuple(apply_double_coset(
-        level, vals, [(3, 0, 0, 3)]))
-    assert values_of(oc_involution(sym)) == tuple(apply_involution(
-        level, vals, invol_tagged))
+    # values, so random values need not satisfy the relations.  5^12 and
+    # 3^17 are just below the 2^28 bound, where every batched twist * block
+    # and weight * block entry is below (p^prec)^2 < 2^56
+    for level, N, prec, l in [(35, 5, 3, 3), (15, 3, 12, 2), (15, 5, 17, 2)]:
+        p, T = level // N, 2
+        rng = random.Random(level * prec)
+        vals = [TaggedDist2(N, p, prec, T,
+                            {t: random_moments2(rng, p, prec, T)
+                             for t in _units(N)})
+                for _ in range(manin.presentation(level).ngens)]
+        sym = OCSymbol(level, N, p, prec, T, data_of(vals))
+        for n in (2, p):
+            assert values_of(oc_hecke_Tn(sym, n)) == tuple(apply_double_coset(
+                level, vals, manin.hecke_reps(n, level))), (level, n)
+        assert values_of(oc_hecke_Tll(sym, l)) == tuple(apply_double_coset(
+            level, vals, [(l, 0, 0, l)]))
+        assert values_of(oc_involution(sym)) == tuple(apply_involution(
+            level, vals, invol_tagged))
+
+
+def test_term_blocks_check_every_distinct_path_matrix():
+    # the batch checks each distinct matrix once, not only the first: a
+    # group whose second distinct matrix leaves the semigroup is refused
+    level, N, p, prec, d = 15, 3, 5, 4, 1
+    ngens = manin.presentation(level).ngens
+    good = [(0, (1, 0, 0, 1), 1), (1, (1, 0, 0, 1), -1), (2, (2, 1, 15, 8), 1)]
+    assert ocsymb._term_blocks([good], ngens, N, p, prec, d).any()
+    for bad in [(1, 0, 1, 1), (3, 1, 15, 6), (1, 1, 15, 1)]:
+        with pytest.raises(BadSemigroupElement):
+            ocsymb._term_blocks([good[:2] + [(2, bad, 1)] + good[2:]], ngens,
+                                N, p, prec, d)
+
+
+@pytest.mark.parametrize("level, N, precision", [(5, 1, (8, 8)),
+                                                 (11, 1, (6, 1))])
+def test_sector_folds_match_the_kron_oracle(level, N, precision):
+    # the relation and Hecke folds against one np.kron per path matrix and
+    # one np.stack per fold, on every stratum
+    p, (prec, T) = level // N, precision
+    pres = manin.presentation(level)
+    for d in range(T + 1):
+        assert np.array_equal(
+            ocsymb._term_blocks(pres.relations, pres.ngens, N, p, prec, d),
+            term_blocks_kron(pres.relations, pres.ngens, N, p, prec, T, d))
+        for reps in (manin.hecke_reps(p, level), manin.hecke_reps(2, level),
+                     [(3, 0, 0, 3)], [manin.MAT_IOTA]):
+            reps = tuple(reps)
+            assert np.array_equal(
+                ocsymb._coset_blocks(level, N, p, prec, T, d, reps),
+                coset_blocks_kron(level, N, p, prec, T, d, reps)), (d, reps)
 
 
 def test_coset_blocks_are_cached_and_read_only():
