@@ -187,16 +187,10 @@ class DirichletChar:
 
     def factor(self, p):
         """Split into (tame, wild) parts with wild modulus the p-part."""
-        mp = 1
-        m = self.modulus
-        while m % p == 0:
-            m //= p
+        mN, mp = self.modulus, 1
+        while mN % p == 0:
+            mN //= p
             mp *= p
-        mN = self.modulus // mp
-        if mN == 1:
-            return DirichletChar.trivial(1), DirichletChar(mp, dict(enumerate(self.table)))
-        if mp == 1:
-            return DirichletChar(mN, dict(enumerate(self.table))), DirichletChar.trivial(1)
         tame = {a: self(crt(a, mN, 1, mp)) for a in range(mN) if gcd(a, mN) == 1}
         wild = {a: self(crt(1, mN, a, mp)) for a in range(mp) if gcd(a, mp) == 1}
         return DirichletChar(mN, tame), DirichletChar(mp, wild)
@@ -256,50 +250,30 @@ class RationalCusp:
         return f"Cusp({self.num}/{self.den})" if self.den != 1 else f"Cusp({self.num})"
 
 
-def cfrac_convergents(num, den):
-    """Convergents of num/den: list of (p_j, q_j), starting with (1, 0)."""
-    if den <= 0 or gcd(num, den) != 1:
-        raise BadIndex(f"{num}/{den} is not reduced with a positive "
-                       f"denominator")
-    convs = [(1, 0)]
-    p0, q0 = 1, 0
-    p1, q1 = None, None
-    a, b = num, den
-    first = True
+def sl2_chain(cusp):
+    """SL2(Z) matrices g_j with {cusp} - {oo} = -sum_j ({g_j 0} - {g_j oo}).
+
+    Columns of g_j are (conv_j, +-conv_{j-1}), convergents from (p_-2,
+    q_-2) = (0, 1), the sign fixed so det = +1; flipping a column's sign
+    leaves its cusp unchanged.
+    """
+    if cusp.is_infinity:
+        raise BadIndex("no chain for the infinite cusp")
+    (pp, qq), (pn, qn) = (0, 1), (1, 0)
+    a, b, chain = cusp.num, cusp.den, []
     while b:
         # floor division keeps partial quotients >= 1 after the first
         q, r = divmod(a, b)
         a, b = b, r
-        if first:
-            p1, q1 = q, 1
-            first = False
-        else:
-            p0, q0, p1, q1 = p1, q1, q * p1 + p0, q * q1 + q0
-        convs.append((p1, q1))
-    if (p1, q1) != (num, den):
-        raise NoConvergence(f"the convergents of {num}/{den} end at "
-                            f"{p1}/{q1}")
-    return convs
-
-
-def sl2_chain(cusp):
-    """SL2(Z) matrices g_j with {cusp} - {oo} = -sum_j ({g_j 0} - {g_j oo}).
-
-    Columns of g_j are (conv_j, +-conv_{j-1}), the sign fixed so det = +1;
-    flipping a column's sign leaves its cusp unchanged.
-    """
-    if cusp.is_infinity:
-        raise ValueError("no chain for the infinite cusp")
-    convs = cfrac_convergents(cusp.num, cusp.den)
-    chain = []
-    for j in range(1, len(convs)):
-        (pp, qq), (pn, qn) = convs[j - 1], convs[j]
+        (pp, qq), (pn, qn) = (pn, qn), (q * pn + pp, q * qn + qq)
         g = (pn, pp, qn, qq)
         if mat_det(g) == -1:
             g = (pn, -pp, qn, -qq)
         if mat_det(g) != 1:
             raise NonUnimodular(f"chain step {g} of {cusp} is not in SL2(Z)")
         chain.append(g)
+    if (pn, qn) != (cusp.num, cusp.den):
+        raise NoConvergence(f"the convergents of {cusp} end at {pn}/{qn}")
     return chain
 
 

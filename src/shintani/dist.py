@@ -5,13 +5,15 @@ x^a y^b over the disc x = c mod p, for units c and total degree
 a + b <= T, with values mod p^M.  The semigroup action substitutes a
 linear change of variables, which is homogeneous, so the degree-T
 truncation is exact: no error enters except through the base ring.
-Here live the Sym^d blocks of that substitution; the values themselves,
+Here live the Sym^d blocks of that substitution and the one fold of
+(generator, matrix, weight) path terms into blocks, exact for classical
+symbols and mod p^M for distribution values; the values themselves,
 tagged by the tame units, are the int64 arrays of ``ocsymb.OCSymbol``.
 
 One-variable distributions on the units carry moments m_c(n), n <= T',
 one table per tame tag: the coefficients of the finite-precision lift,
 stored as rows of ``lifting.FormalQExp.data``.  Here live the arithmetic
-weights and the character vectors that evaluate both kinds at a weight.
+weights and the one contraction that evaluates both kinds at a weight.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from math import gcd
 import numpy as np
 
 from .cosets import _units
-from .errors import BadIndex, BadSemigroupElement, InsufficientMoments
+from .errors import (BadIndex, BadLevel, BadSemigroupElement,
+                     InsufficientMoments)
 
 
 @lru_cache(maxsize=None)
@@ -86,16 +89,32 @@ def _sym_blocks(gs, strata, mod=None):
     return out
 
 
-def _indexed_terms(groups, N, p, prec):
-    """Terms (c, g, w) of groups as int64 rows (group, c, matrix, w mod
-    p^prec), and the distinct matrices, checked once each, mod N p^prec."""
-    mod, mats = p**prec, {}
-    rows = [(i, c, mats.setdefault(g, len(mats)), w % mod)
+def _indexed_terms(groups, level, mod=None):
+    """Terms (c, g, w) of groups as int64 rows (group, c, matrix, w), w
+    reduced mod ``mod`` if one is given, and the distinct matrices as
+    given, each checked once to act at ``level``."""
+    mats = {}
+    rows = [(i, c, mats.setdefault(g, len(mats)),
+             w if mod is None else w % mod)
             for i, group in enumerate(groups) for c, g, w in group]
     for g in mats:
-        _check_s0(g, N * p)
-    return (np.array(rows, dtype=np.int64).reshape(-1, 4),
-            [tuple(x % (N * mod) for x in g) for g in mats])
+        _check_s0(g, level)
+    return np.array(rows, dtype=np.int64).reshape(-1, 4), list(mats)
+
+
+def _fold(rows, S, lo, size, ngens, mod=None):
+    """Blocks (sector, group, row, (generator, column)) of the groups
+    lo .. lo + size - 1 of group-ordered _indexed_terms rows: each group's
+    sum of w times the block S[matrix] (sector, row, column) in generator
+    column c.  Exact on object blocks when mod is None."""
+    red = (lambda X: X) if mod is None else (lambda X: X % mod)
+    a, b = np.searchsorted(rows[:, 0], [lo, lo + size])
+    owner, gen, mat, w = rows[a:b].T
+    out = np.zeros((size, ngens) + S.shape[1:], dtype=S.dtype)
+    # mod p^prec every weight * block entry is below (p^prec)^2 < 2^56
+    np.add.at(out, (owner - lo, gen), red(w[:, None, None, None] * S[mat]))
+    return red(out).transpose(2, 0, 3, 1, 4).reshape(
+        S.shape[1], size, S.shape[2], ngens * S.shape[3])
 
 
 @lru_cache(maxsize=8192)
@@ -115,8 +134,8 @@ class ArithWeight:
             raise BadIndex(f"weight must be >= 0, got {k}")
         tame, wild = chi.factor(p)
         if wild.modulus not in (1, p):
-            raise ValueError(f"wild part must have modulus dividing {p}, "
-                             f"got {wild.modulus}")
+            raise BadIndex(f"wild part must have modulus dividing {p}, "
+                           f"got {wild.modulus}")
         self.k = k
         self.chi = chi
         self.p = p
@@ -131,29 +150,29 @@ class ArithWeight:
         return f"ArithWeight(k={self.k}, chi mod {self.chi.modulus}, p={self.p})"
 
 
-def _char_vectors(kappa, N, p):
-    """(tag vector, disc vector) of a weight's character, entries 0 or +-1.
+def _at_weight(X, kappa, N, p):
+    """sum_t chi_N(t) * sum_c chi_p(c) * X[..., t, c, :] for X indexed
+    (..., tag, disc, moment), chi_N read at 1 at tame level 1."""
+    if kappa.p != p:
+        raise BadLevel(f"a weight at p = {kappa.p} evaluates data at p = {p}")
+    ct = [kappa.chi_N(t if N > 1 else 1) for t in _units(N)]
+    cc = [kappa.chi_p(c) for c in range(1, p)]
+    # character values are 0 or +-1
+    return np.einsum("t,c,...tcm->...m", ct, cc, X)
 
-    The tag vector holds chi_N(t) over the tame units t, or chi_N(1) at
-    tame level 1; the disc vector holds chi_p(c) over the discs 1..p-1.
-    """
-    ct = [kappa.chi_N(t) if N > 1 else kappa.chi_N(1) for t in _units(N)]
-    return ct, [kappa.chi_p(c) for c in range(1, p)]
 
+def specialize(X, kappa, N, p, prec, T):
+    """Project tagged moments to the k + 1 coefficients of a weight-k
+    polynomial on side L, mod p^prec.
 
-def specialize(gen, kappa, N, p, prec, T):
-    """Project one generator's tagged moments to the k + 1 coefficients of
-    a weight-k polynomial on side L, mod p^prec.
-
-    gen is indexed (tag, disc, moment), one generator of an OCSymbol's
-    data.  Coefficient of the i-th divided basis vector:
+    X is indexed (..., tag, disc, moment), as the data of an OCSymbol or
+    of a whole space, and the result (..., k + 1).  Coefficient of the
+    i-th divided basis vector:
     (-1)^i * sum_t chi_N(t) * sum_c chi_p(c) * m_{t,c}(k - i, i).
     """
     k = kappa.k
     if k > T:
         raise InsufficientMoments(f"weight {k} exceeds moment degree {T}")
-    ct, cc = _char_vectors(kappa, N, p)
-    # the moments (k - i, i), i = 0..k; character values are 0 or +-1
-    inner = np.einsum("t,c,tci->i", ct, cc,
-                      gen[..., list(_stratum_cols(T, k))[::-1]])
-    return tuple((-1) ** i * int(x) % p**prec for i, x in enumerate(inner))
+    # the moments (k - i, i), i = 0..k
+    inner = _at_weight(X[..., list(_stratum_cols(T, k))[::-1]], kappa, N, p)
+    return inner * (-1) ** np.arange(k + 1) % p**prec

@@ -50,11 +50,12 @@ class BadCharacteristic(ShintaniError):
 
 
 class BadLevel(ShintaniError):
-    """Level is not a tame level times a prime coprime to it."""
+    """Level is not a tame level times a prime coprime to it, a character's
+    modulus does not divide the level, or a weight lives at another prime."""
 
 
 class BadIndex(ShintaniError):
-    """Hecke index, q-slot, discriminant or modulus out of range."""
+    """Hecke index, q-slot, discriminant, modulus, cusp or side out of range."""
 
 
 class CriticalSlope(ShintaniError):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .arith import ExactValue, RationalCusp, is_prime, kronecker, valuation
 from .cosets import _units
-from .dist import _char_vectors, _indexed_terms, _stratum_cols, _sym_blocks
+from .dist import _at_weight, _indexed_terms, _stratum_cols, _sym_blocks
 from .errors import (
     BadIndex,
     BadLevel,
@@ -392,18 +392,17 @@ def _coeff_json(e, row):
 def _J_batch(Phi, forms, terms):
     """J_oc at every form at once, from the forms' cycle terms.
 
-    Checks that every path matrix lies in the semigroup and reduces it
-    mod N p^M.  Runs on the symbol's data and on the even strata d = 2n
-    only, the ones J_Q reads.  Per stratum: one gather of the generator,
-    tag and disc axes by a^-1, one batched product with the Sym^d blocks
-    (d + 1 residue products per entry), the term weights and a per-form
-    sum; then the pushforward along Q, batched over forms: contract with
-    the coefficients of Q(x, y)^n, move disc c to a c^2 and tag t to
-    t^2 a.
+    Checks that every path matrix lies in the semigroup.  Runs on the
+    symbol's data and on the even strata d = 2n only, the ones J_Q reads.
+    Per stratum: one gather of the generator, tag and disc axes by a^-1,
+    one batched product with the Sym^d blocks (d + 1 residue products per
+    entry), the term weights and a per-form sum; then the pushforward
+    along Q, batched over forms: contract with the coefficients of
+    Q(x, y)^n, move disc c to a c^2 and tag t to t^2 a.
     """
     N, p, prec, T = Phi.N, Phi.p, Phi.prec, Phi.T
     mod, Tp, tags = p**prec, T // 2, _units(N)
-    rows, mats = _indexed_terms(terms, N, p, prec)
+    rows, mats = _indexed_terms(terms, N * p, mod)
     owner, gen, mat, wt = rows.T
     src = [_sources(g, N, p) for g in mats]
     tsrc = np.array([s[0] for s in src],
@@ -530,9 +529,8 @@ def specialize_qexp(e, kappa_tilde):
     k = kappa_tilde.k
     if k > e.Tp:
         raise InsufficientMoments(f"weight {k} exceeds moment range {e.Tp}")
-    ct, cc = _char_vectors(kappa_tilde, e.N, e.p)
-    # character values are 0 or +-1
-    values = np.einsum("t,c,itc->i", ct, cc, e.data[..., k]) % e.p**e.prec
+    values = _at_weight(e.data[..., k:k + 1], kappa_tilde, e.N,
+                        e.p)[:, 0] % e.p**e.prec
     return HalfIntQExp(e.level, k, kappa_tilde.chi,
                        dict(zip(e.indices, values.tolist())), e.n_max,
                        ("zpm", e.p, e.prec))

@@ -4,9 +4,9 @@ A symbol is stored by its values on the standard paths attached to a
 section of the right cosets of P^1(Z/M).  Everything here is agnostic
 about what those values are.  The relations of the presentation,
 ``divisor_terms`` and ``coset_terms`` are lists of (generator, matrix,
-weight) terms, which ``modsym`` folds into integer rows and ``ocsymb``
-into Teichmuller sector blocks, each with one array fold; both kinds of
-symbol build their Hecke operators and the involution from the same
+weight) terms, which ``dist._fold`` sums into integer rows for ``modsym``
+and into Teichmuller sector blocks for ``ocsymb``; both kinds of symbol
+build their Hecke operators and the involution from the same
 ``coset_terms``.
 """
 

@@ -14,12 +14,13 @@ or ("zpm", p, prec) with p >= 5.
 A symbol is one tuple of flat coordinates, one side-L block per
 generator, and an ``arith.ExactValue``; everything else goes through
 integer rows acting on it: the relation rows that the solver's kernel is
-checked against, the evaluation matrices of divisors (``_term_rows``)
-and one cached matrix per Hecke operator or involution (``_coset_rows``),
-applied to a whole basis in one exact product and read off private
-columns.  ``SymPoly``, one weight-k vector on either side, is the value
-type of the tests' oracles, the value-by-value evaluation and the
-pairing; it stays here because the benchmark's tracer wraps ``SymPoly.act``.
+checked against, the evaluation matrices of divisors (``_term_rows``, the
+exact one-sector case of ``dist._fold``) and one cached matrix per Hecke
+operator or involution (``_coset_rows``), applied to a whole basis in one
+exact product and read off private columns.  ``SymPoly``, one weight-k
+vector on either side, is the value type of the tests' oracles, the
+value-by-value evaluation and the pairing; it stays here because the
+benchmark's tracer wraps ``SymPoly.act``.
 """
 
 from __future__ import annotations
@@ -35,10 +36,11 @@ import numpy as np
 
 from .arith import ExactValue, is_prime
 from .cosets import p1_classes
-from .dist import _check_s0, _sym_blocks
+from .dist import _check_s0, _fold, _indexed_terms, _sym_blocks
 from .errors import (
     BadCharacteristic,
     BadIndex,
+    BadLevel,
     DegreeMismatch,
     OperandMismatch,
 )
@@ -52,15 +54,11 @@ from .linalg import (
 from . import manin
 
 
-def ring_is_zpm(ring):
-    return isinstance(ring, tuple) and ring[0] == "zpm"
-
-
 @lru_cache(maxsize=None)
 def check_ring(ring):
     if ring == "Q":
         return
-    if ring_is_zpm(ring):
+    if isinstance(ring, tuple) and ring[0] == "zpm":
         _, p, prec = ring
         if p < 5 or not is_prime(p) or prec < 1:
             raise BadCharacteristic(f"need Z/p^M with prime p >= 5, got {ring}")
@@ -116,7 +114,7 @@ class SymPoly(ExactValue):
     def __init__(self, level, k, coeffs, chi, side="L", ring="Q"):
         check_ring(ring)
         if side not in ("L", "Lstar"):
-            raise ValueError(f"side must be 'L' or 'Lstar', got {side!r}")
+            raise BadIndex(f"side must be 'L' or 'Lstar', got {side!r}")
         if len(coeffs) != k + 1:
             raise DegreeMismatch(f"degree {k} needs {k + 1} coefficients")
         self.level = level
@@ -228,23 +226,15 @@ def _term_rows(M, k, chi, groups):
 
     For a relation of the presentation these are its relation rows; for
     the terms of a divisor D (``manin.divisor_terms``) they are the matrix
-    E_D with phi(D) = E_D . phi.coords().  Every g is checked to act at
-    level M, the blocks of all terms come from one _sym_blocks call, and
-    each is added into its generator slice.
+    E_D with phi(D) = E_D . phi.coords().  The exact one-sector case of
+    ``dist._fold``, on one _sym_blocks batch of the distinct matrices,
+    each checked once to act at level M.
     """
-    terms = [(i, c, g, w) for i, group in enumerate(groups)
-             for c, g, w in group]
-    ngens = manin.presentation(M).ngens
-    out = np.zeros((len(groups), ngens, k + 1, k + 1), dtype=object)
-    if terms:
-        owner, gens, gs, ws = zip(*terms)
-        for g in gs:
-            _check_s0(g, M)
-        f = np.array([w * chi(g[0]) for g, w in zip(gs, ws)], dtype=object)
-        np.add.at(out, (list(owner), list(gens)),
-                  _L_blocks(gs, k) * f[:, None, None])
-    return out.transpose(0, 2, 1, 3).reshape(len(groups), k + 1,
-                                             ngens * (k + 1))
+    rows, gs = _indexed_terms(groups, M)
+    chis = np.array([chi(g[0]) for g in gs], dtype=object)
+    S = _L_blocks(gs, k) * chis.reshape(-1, 1, 1)
+    return _fold(rows, S[:, None], 0, len(groups),
+                 manin.presentation(M).ngens)[0]
 
 
 @lru_cache(maxsize=256)
@@ -298,7 +288,7 @@ def solve_symbol_space(M, k, chi):
     call.
     """
     if chi.modulus > 1 and M % chi.modulus != 0:
-        raise ValueError(f"character modulus {chi.modulus} must divide {M}")
+        raise BadLevel(f"character modulus {chi.modulus} must divide {M}")
     rows = _term_rows(M, k, chi, manin.presentation(M).relations)
     n = rows.shape[-1]
     rows = rows.reshape(-1, n)

@@ -11,7 +11,8 @@ characters omega^j are defined over Z/p^M (D(Z_p^x) = sum_j omega^j
 D(1 + pZ_p), as in Stevens' rigid analytic modular symbols), so each
 stratum splits into p - 1 Teichmuller sectors.  The relations are solved,
 and every Hecke operator is applied, one sector block at a time; both
-fold term groups into sector blocks from one ``_sym_blocks`` batch.
+build the sector blocks of a call's distinct path matrices from one
+``_sym_blocks`` batch and sum them with ``dist._fold``.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ import numpy as np
 from . import manin
 from .arith import ExactValue, valuation
 from .cosets import _units
-from .dist import (_act_blocks, _indexed_terms, _pairs, _stratum_cols,
-                   _sym_blocks, specialize)
+from .dist import (_act_blocks, _check_s0, _fold, _indexed_terms, _pairs,
+                   _stratum_cols, _sym_blocks, specialize)
 from .errors import (
     BadIndex,
     BadLevel,
@@ -103,9 +104,6 @@ class OCSymbol(ExactValue):
         """Concatenated moment vector: generator, tag, disc, (a, b) order."""
         return self.data.reshape(-1)
 
-    def flat_stratum(self, d):
-        return self.data[..., list(_stratum_cols(self.T, d))].reshape(-1)
-
     def __repr__(self):
         return (f"OCSymbol(level={self.level}, N={self.N}, p={self.p}, "
                 f"M={self.prec}, T={self.T})")
@@ -169,27 +167,16 @@ def _sector_blocks(gs, V, N, p, prec):
 @lru_cache(maxsize=4096)
 def _stratum_action_matrix(g, N, p, prec, T, d):
     """The one-matrix _sector_blocks, on the cached _act_blocks."""
-    _, gs = _indexed_terms([[(0, g, 1)]], N, p, prec)
-    V = _act_blocks(gs[0], p, prec, T)[d]
-    return _sector_blocks(gs, V[None], N, p, prec)[0]
-
-
-def _fold(rows, S, lo, size, ngens, mod):
-    """Sector blocks (sector, group, (tag, moment), (generator, tag, moment))
-    of groups lo .. lo + size - 1 of the group-ordered _indexed_terms rows."""
-    a, b = np.searchsorted(rows[:, 0], [lo, lo + size])
-    owner, gen, mat, w = rows[a:b].T
-    out = np.zeros((size, ngens) + S.shape[1:], dtype=np.int64)
-    # every weight * block entry is below (p^prec)^2 < 2^56
-    np.add.at(out, (owner - lo, gen), w[:, None, None, None] * S[mat] % mod)
-    return (out % mod).transpose(2, 0, 3, 1, 4).reshape(
-        S.shape[1], size, S.shape[2], ngens * S.shape[2])
+    _check_s0(g, N * p)
+    V = _act_blocks(g, p, prec, T)[d]
+    return _sector_blocks([g], V[None], N, p, prec)[0]
 
 
 def _term_blocks(groups, ngens, N, p, prec, d):
-    """Each group's sum_(c, g, w) w * x_c|g on stratum d as sector blocks,
-    from one _sym_blocks batch of the distinct path matrices."""
-    rows, gs = _indexed_terms(groups, N, p, prec)
+    """Each group's sum_(c, g, w) w * x_c|g on stratum d as sector blocks
+    (sector, group, (tag, moment), (generator, tag, moment)), from one
+    _sym_blocks batch of the distinct path matrices."""
+    rows, gs = _indexed_terms(groups, N * p, p**prec)
     S = _sector_blocks(gs, _sym_blocks(gs, [d], p**prec)[d], N, p, prec)
     return _fold(rows, S, 0, len(groups), ngens, p**prec)
 
@@ -211,7 +198,7 @@ def _coset_blocks(level, N, p, prec, T, d, reps):
                   if alpha == manin.MAT_IOTA else
                   _stratum_action_matrix(alpha, N, p, prec, T, d)
                   for alpha in reps], axis=1)
-    rows, gs = _indexed_terms(manin.coset_terms(level, reps), N, p, prec)
+    rows, gs = _indexed_terms(manin.coset_terms(level, reps), level, mod)
     paths = _sector_blocks(gs, _sym_blocks(gs, [d], mod)[d], N, p, prec)
     folds = (_fold(rows, paths, b * k, k, ngens, mod) for b in range(ngens))
     op = np.concatenate([matmul_mod(S, E, mod).sum(axis=1) % mod
@@ -389,11 +376,11 @@ def disc_sector_project(sym, chi_p):
     return sym._like(v * total * pow(sym.p - 1, -1, mod))
 
 
-def up_matrix(space, d, n=None):
-    """Matrix of U_p (or T_n when n is given) on one stratum's basis.
+def up_matrix(space, d):
+    """Matrix of U_p on one stratum's basis.
 
     Operators are degree-homogeneous, so each stratum carries its own
-    square matrix.  T_n's cached sector blocks act on all basis columns of
+    square matrix.  U_p's cached sector blocks act on all basis columns of
     the stratum at once, and one zpm_solve solves them all.  B is the
     solution the Howell basis of ker[A | y] picks for each image y; where
     ker A != 0, every B + K C also represents the operator, and its
@@ -403,7 +390,7 @@ def up_matrix(space, d, n=None):
     if not idx:
         return np.zeros((0, 0), dtype=np.int64)
     p, N = space.p, space.N
-    reps = manin.hecke_reps(p if n is None else n, space.level)
+    reps = manin.hecke_reps(p, space.level)
     A = space.stratum_matrix(d)
     X = A.reshape(-1, len(_units(N)), p - 1, d + 1, len(idx))
     img = _coset_stratum(space.level, N, p, space.prec, space.T, d, X,
@@ -473,11 +460,9 @@ class SlopeData:
 
 def specialize_symbol(sym, kappa):
     """Generator-wise projection to the classical weight-k symbol space."""
-    coords = [x for gen in sym.data
-              for x in specialize(gen, kappa, sym.N, sym.p, sym.prec,
-                                  sym.T)]
+    coords = specialize(sym.data, kappa, sym.N, sym.p, sym.prec, sym.T)
     return ModularSymbol(sym.level, kappa.k, kappa.chi,
-                         ("zpm", sym.p, sym.prec), coords)
+                         ("zpm", sym.p, sym.prec), coords.reshape(-1).tolist())
 
 
 def classical_to_zpm(phi, p, prec):
@@ -508,23 +493,25 @@ def lift_eigensymbol(space, phi, alpha, kappa, sign=-1, perturb=None):
     1, together with the achieved residual valuation; raises NoConvergence
     unless it specializes to a unit multiple of phi (phi needs a unit
     coordinate) mod p^(prec - LOSS), so a zero lift is never returned.
+    phi lives over Q or over Z/p^m with m >= prec.
     """
-    p, prec = space.p, space.prec
+    p, prec, N, T = space.p, space.prec, space.N, space.T
     mod = p**prec
     k = kappa.k
+    if phi.ring != "Q" and (phi.ring[1] != p or phi.ring[2] < prec):
+        raise PrecisionMismatch(f"a symbol over {phi.ring} does not reduce "
+                                f"to Z/{p}^{prec}")
     if int(alpha) % p == 0:
         raise CriticalSlope(f"v_p({alpha}) > 0: the lift needs a unit alpha")
     ainv = pow(int(alpha) % mod, -1, mod)
-    phi_z = phi if phi.ring != "Q" else classical_to_zpm(phi, p, prec)
 
     idx = space.stratum_indices(k)
     if not idx:
         raise DegreeMismatch(f"no basis symbol of moment degree {k}")
-    S = np.stack(
-        [np.array([int(c) for c in
-                   specialize_symbol(space.basis[i], kappa).coords()],
-                  dtype=np.int64) for i in idx], axis=1)
-    target = np.array([int(c) for c in phi_z.coords()], dtype=np.int64)
+    S = specialize(space.data[idx], kappa, N, p, prec, T)
+    S = S.reshape(len(idx), -1).T
+    target = np.array(classical_to_zpm(phi, p, prec).coords(),
+                      dtype=np.int64)
     x = zpm_solve(S, target, p, prec)
     if x is None:
         raise OperandMismatch(
@@ -545,8 +532,7 @@ def lift_eigensymbol(space, phi, alpha, kappa, sign=-1, perturb=None):
         raise NoConvergence(
             f"iteration stalled: residual valuation {res_val} < "
             f"{prec - LOSS}")
-    spec = np.array([int(c) for c in specialize_symbol(y, kappa).coords()],
-                    dtype=np.int64)
+    spec = specialize(y.data, kappa, N, p, prec, T).reshape(-1)
     i = _leading_unit_index(spec, p)
     if i is None or target[i] % p == 0 or (
             (spec * target[i] - target * spec[i]) % p**(prec - LOSS)).any():

@@ -1746,13 +1746,20 @@ def zpm_solve_by_column(A, b, p, M):
     return None
 
 
+def flat_stratum(sym, d):
+    """The stratum-d moments of an OCSymbol as one vector: generator, tag,
+    disc, (n, d - n) order, as the columns of ``OCSpace.stratum_matrix``."""
+    return sym.data[..., list(_stratum_cols(sym.T, d))].reshape(-1)
+
+
 def up_matrix_by_column(space, d, n=None):
-    """``up_matrix`` from one operator image and one ``zpm_solve_by_column``
-    per basis symbol of the stratum."""
+    """``up_matrix`` (or the matrix of T_n when n is given) from one
+    operator image and one ``zpm_solve_by_column`` per basis symbol of the
+    stratum."""
     idx = space.stratum_indices(d)
     A = space.stratum_matrix(d)
     cols = [zpm_solve_by_column(
-        A, oc_hecke_Tn(space.basis[i], n or space.p).flat_stratum(d),
+        A, flat_stratum(oc_hecke_Tn(space.basis[i], n or space.p), d),
         space.p, space.prec) for i in idx]
     return np.stack(cols, axis=1) if cols else np.zeros((0, 0), np.int64)
 

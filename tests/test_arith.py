@@ -19,7 +19,7 @@ from shintani.arith import (
     valuation,
     xgcd,
 )
-from shintani.errors import PrimalityUnproven
+from shintani.errors import BadIndex, PrimalityUnproven
 
 from oracles import sign_a_plus_b_sqrt
 
@@ -302,7 +302,7 @@ def test_sl2_chain_identity(num, den):
         assert (m[1], m[3]) in (prev, (-prev[0], -prev[1]))
     if (num, den) in CONVERGENTS:
         assert cols == CONVERGENTS[num, den]
-    with pytest.raises(ValueError):
+    with pytest.raises(BadIndex):
         sl2_chain(RationalCusp.infinity())
     # {cusp} - {oo} = -sum ({g 0} - {g oo}) as formal divisors
     totals = {}

@@ -10,6 +10,7 @@ import sympy
 
 from shintani.arith import DirichletChar, mat_mul
 from shintani.errors import (
+    BadIndex,
     BadSemigroupElement,
     InsufficientMoments,
     KernelOverflow,
@@ -359,14 +360,14 @@ def test_specialize_low_weights():
     rng = random.Random(12)
     mu = random_moments2(rng, P, PREC, T)
     [x] = data_of([TaggedDist2(1, P, PREC, T, {0: mu})])
-    k0 = specialize(x, ArithWeight(0, TRIV, P), 1, P, PREC, T)
+    k0 = tuple(specialize(x, ArithWeight(0, TRIV, P), 1, P, PREC, T))
     assert k0[0] == sum(mu.m(c, 0, 0) for c in range(1, P)) % MOD
-    k1 = specialize(x, ArithWeight(1, TRIV, P), 1, P, PREC, T)
+    k1 = tuple(specialize(x, ArithWeight(1, TRIV, P), 1, P, PREC, T))
     # e_0 = Y coefficient, e_1 = X coefficient with a sign
     assert k1[0] == sum(mu.m(c, 1, 0) for c in range(1, P)) % MOD
     assert k1[1] == (-sum(mu.m(c, 0, 1) for c in range(1, P))) % MOD
     chi5 = DirichletChar.from_kronecker(5)
-    k1t = specialize(x, ArithWeight(1, chi5, P), 1, P, PREC, T)
+    k1t = tuple(specialize(x, ArithWeight(1, chi5, P), 1, P, PREC, T))
     assert k1t[0] == sum(chi5(c) * mu.m(c, 1, 0) for c in range(1, P)) % MOD
 
 
@@ -390,8 +391,9 @@ def test_specialize_equivariance():
             for _ in range(rng.randrange(1, 5)):
                 g = mat_mul(g, rng.choice(gens))
             x, y = data_of([v.act(g), v])
-            lhs = specialize(x, kappa, N, P, PREC, T)
-            rhs = SymPoly(N * P, k, specialize(y, kappa, N, P, PREC, T),
+            lhs = tuple(specialize(x, kappa, N, P, PREC, T))
+            rhs = SymPoly(N * P, k,
+                          tuple(specialize(y, kappa, N, P, PREC, T)),
                           kappa.chi, "L", ("zpm", P, PREC)).act(g)
             assert lhs == rhs.coeffs
 
@@ -527,7 +529,7 @@ def test_arith_weight_validation():
     assert w.chi_N.modulus == 3 and w.chi_p.modulus == 5
     assert w.doubled().k == 4
     chi25 = DirichletChar.trivial(25)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadIndex):
         ArithWeight(1, chi25, 5)
 
 

@@ -21,6 +21,7 @@ from shintani.cosets import _units
 from shintani.dist import ArithWeight, _pairs
 from shintani.errors import (
     BadIndex,
+    BadLevel,
     DegreeMismatch,
     InsufficientMoments,
     NotInFM,
@@ -57,6 +58,7 @@ from shintani.ocsymb import (
     oc_hecke_Tll,
     oc_hecke_Tn,
     solve_oc_space,
+    specialize_symbol,
 )
 from shintani import lifting, manin
 from shintani.qf import QuadForm, act, enumerate_classes
@@ -921,6 +923,16 @@ def test_qexp_hecke_index_bookkeeping(ocphi5):
 # weight evaluation ties the two constructions together
 
 
+def test_weight_evaluation_refuses_a_weight_at_another_prime(ocphi5):
+    # (5/.) at p = 7 is all tame and reads as trivial at tame level 1, so
+    # without the prime check p = 5 data evaluates to the trivial values
+    kappa = ArithWeight(2, DirichletChar.from_kronecker(5), 7)
+    with pytest.raises(BadLevel):
+        specialize_symbol(ocphi5, kappa)
+    with pytest.raises(BadLevel):
+        specialize_qexp(theta_oc(ocphi5, 8), kappa)
+
+
 def test_specialize_qexp_linearity(ocsp5, ocphi5):
     rng = random.Random(23)
     Psi = ocsp5.combination(
@@ -981,27 +993,40 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "shintani"
 
 
+def _references(node):
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr
+            for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute))}
+
+
 def _definitions():
-    """Top-level definitions of src/ and the names module-level code uses.
+    """Top-level definitions and class methods of src/, and the names
+    module-level code uses.
 
     Returns ({(module, name): names referenced inside it}, names), where
     names are those that module-level statements other than imports
-    reference.  A reference is a bare name or an attribute name, so a
-    name reaches every definition of that name in any module.
+    reference, and a method's name is "Class.method".  A reference is a
+    bare name or an attribute name, so a name reaches every definition of
+    that name, function or method, in any module.  Dunder methods are
+    called by the language, so they count as referenced.
     """
     defs, seeds = {}, set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
-            names = {sub.id if isinstance(sub, ast.Name) else sub.attr
-                     for sub in ast.walk(node)
-                     if isinstance(sub, (ast.Name, ast.Attribute))}
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
-                defs[path.stem, node.name] = names
+                defs[path.stem, node.name] = _references(node)
             else:
-                seeds |= names
+                seeds |= _references(node)
+            if isinstance(node, ast.ClassDef):
+                for meth in node.body:
+                    if isinstance(meth, ast.FunctionDef):
+                        defs[path.stem, f"{node.name}.{meth.name}"] = (
+                            _references(meth))
+                        if meth.name.startswith("__"):
+                            seeds.add(meth.name)
     return defs, seeds
 
 
@@ -1010,13 +1035,13 @@ def _reached():
     name that bench/ or the README uses, through the names each reached
     one references; returns (definitions, reached)."""
     defs, names = _definitions()
-    texts = [path.read_text() for path in sorted((ROOT / "bench").glob("*.py"))]
-    texts.append((ROOT / "README.md").read_text())
-    names |= {name for _, name in defs
-              if any(re.search(rf"\b{re.escape(name)}\b", t) for t in texts)}
     by_name = {}
     for key in defs:
-        by_name.setdefault(key[1], []).append(key)
+        by_name.setdefault(key[1].rpartition(".")[2], []).append(key)
+    texts = [path.read_text() for path in sorted((ROOT / "bench").glob("*.py"))]
+    texts.append((ROOT / "README.md").read_text())
+    names |= {name for name in by_name
+              if any(re.search(rf"\b{re.escape(name)}\b", t) for t in texts)}
     todo = [("cli", "main")] + [key for n in names for key in by_name.get(n, ())]
     reached = set()
     while todo:

@@ -14,6 +14,7 @@ from shintani.cosets import coset_index, coset_section, p1_classes
 from shintani.errors import (
     BadCharacteristic,
     BadIndex,
+    BadLevel,
     BadSemigroupElement,
     DegreeMismatch,
     OperandMismatch,
@@ -292,6 +293,13 @@ def test_solve_bad_rings():
         classical_to_zpm(sym, 4, 2)
     with pytest.raises(BadCharacteristic):
         ModularSymbol(11, 0, TRIV, "R", sym.coords())
+
+
+def test_bad_side_and_character_modulus_raise_package_errors():
+    with pytest.raises(BadIndex):
+        SymPoly(11, 2, [1, 2, 3], TRIV, side="R")
+    with pytest.raises(BadLevel):
+        solve_symbol_space(11, 0, DirichletChar.from_kronecker(5))
 
 
 def test_ring_reduce_inverts_denominators_prime_to_p():

@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -18,7 +19,7 @@ from shintani.errors import (
     NotEigen,
     PrecisionMismatch,
 )
-from shintani import manin, ocsymb
+from shintani import manin, modsym, ocsymb
 from shintani.linalg import (
     berkowitz_charpoly, poly_mul_mod, zpm_kernel, zpm_solve)
 from shintani.modsym import hecke_Tn, involution
@@ -27,6 +28,7 @@ from shintani.ocsymb import (
     OCSymbol,
     SlopeData,
     charpoly_strata,
+    classical_to_zpm,
     disc_sector_project,
     hecke_eigenvalue,
     lift_eigensymbol,
@@ -55,6 +57,7 @@ from oracles import (
     dirac_distN,
     disc_sector_project_rotations,
     evaluate,
+    flat_stratum,
     hecke_Tll,
     hecke_Up,
     invol_tagged,
@@ -145,7 +148,7 @@ def test_array_operations_match_value_by_value_oracle(level, N, precision):
         [v.component(t).data.reshape(-1) for v in va for t in tags]))
     for d in range(T + 1):
         cols = list(_stratum_cols(T, d))
-        assert np.array_equal(a.flat_stratum(d), np.concatenate(
+        assert np.array_equal(flat_stratum(a, d), np.concatenate(
             [v.component(t).data[:, cols].reshape(-1)
              for v in va for t in tags]))
 
@@ -158,7 +161,7 @@ def test_array_operations_match_value_by_value_oracle(level, N, precision):
         want = [w + v.scale(int(c)) for w, v in zip(want, values_of(x))]
     assert values_of(space.combination(coeffs)) == tuple(want)
     assert np.array_equal(space.stratum_matrix(0), np.stack(
-        [x.flat_stratum(0) for x in basis], axis=1))
+        [flat_stratum(x, 0) for x in basis], axis=1))
 
     # the trivial character and the quadratic character mod p
     quad = DirichletChar.from_kronecker(p if p % 4 == 1 else -p)
@@ -427,8 +430,8 @@ def test_tame_sector_block_decomposition(sp15):
             b = sp15.basis[i]
             rb = rotate(b, d)
             assert (rotate(rb, d) - b).is_zero()
-            plus_flats.append((b + rb).scale(half).flat_stratum(d))
-            minus_flats.append((b - rb).scale(half).flat_stratum(d))
+            plus_flats.append(flat_stratum((b + rb).scale(half), d))
+            minus_flats.append(flat_stratum((b - rb).scale(half), d))
         lc_plus += span_logcard(plus_flats)
         lc_minus += span_logcard(minus_flats)
     assert lc_plus == lc_triv
@@ -467,24 +470,22 @@ def test_up_matrix_intertwines_classical_on_t0():
     assert np.array_equal(mmul(S, U_oc, mod), mmul(U_cl, S, mod))
 
 
-@pytest.mark.parametrize("level, N, precision, ns, dmax", [
-    (11, 1, (6, 1), (None, 2, 3), 1),
-    (5, 1, (8, 8), (None, 2, 3), 8),
-    (15, 3, (4, 4), (None, 2, 3), 4),
-    (11, 1, (8, 8), (None,), 3),
+@pytest.mark.parametrize("level, N, precision, dmax", [
+    (11, 1, (6, 1), 1),
+    (5, 1, (8, 8), 8),
+    (15, 3, (4, 4), 4),
+    (11, 1, (8, 8), 3),
 ])
-def test_up_matrix_matches_the_per_column_solve(level, N, precision, ns,
-                                                dmax):
+def test_up_matrix_matches_the_per_column_solve(level, N, precision, dmax):
     # the same representative, not merely some solution: where ker A != 0
     # another one can change the characteristic polynomial
     space = solve_oc_space(level, N, precision)
     assert any(zpm_kernel(space.stratum_matrix(d), space.p, space.prec)[0]
                for d in range(dmax + 1))
     for d in range(dmax + 1):
-        for n in ns:
-            B = up_matrix(space, d, n)
-            assert B.dtype == np.int64
-            assert np.array_equal(B, up_matrix_by_column(space, d, n))
+        B = up_matrix(space, d)
+        assert B.dtype == np.int64
+        assert np.array_equal(B, up_matrix_by_column(space, d))
 
 
 def test_up_reps_raise_moment_valuations():
@@ -518,7 +519,7 @@ def test_up_commutes_with_tl(sp11_small):
                for i in sp11_small.stratum_indices(0))
     mod = 11**5
     U = up_matrix(sp11_small, 0)
-    T3 = up_matrix(sp11_small, 0, n=3)
+    T3 = up_matrix_by_column(sp11_small, 0, 3)
     assert np.array_equal(mmul(U, T3, mod), mmul(T3, U, mod))
 
 
@@ -531,7 +532,7 @@ def test_oc_operators_match_value_by_value_oracle(level, N, precision):
     p, mod = level // N, space.p**space.prec
     several = random_symbol(space, seed=level)
     assert len({d for d in range(space.T + 1)
-                if several.flat_stratum(d).any()}) > 1
+                if flat_stratum(several, d).any()}) > 1
     for sym in (several, space.basis[-1]):
         vals = values_of(sym)
         for n in (2, 3, 6, p):
@@ -548,13 +549,15 @@ def test_oc_operators_match_value_by_value_oracle(level, N, precision):
         A = space.stratum_matrix(d)
         for n in (None, 2):
             reps = manin.hecke_reps(p if n is None else n, level)
-            images = np.stack([OCSymbol(level, N, p, space.prec, space.T,
-                                        data_of(apply_double_coset(
-                                            level, values_of(space.basis[i]),
-                                            reps))).flat_stratum(d)
-                               for i in idx], axis=1)
-            assert np.array_equal(mmul(A, up_matrix(space, d, n=n), mod),
-                                  images % mod), (d, n)
+            images = np.stack([
+                flat_stratum(OCSymbol(level, N, p, space.prec, space.T,
+                                      data_of(apply_double_coset(
+                                          level, values_of(space.basis[i]),
+                                          reps))), d)
+                for i in idx], axis=1)
+            B = (up_matrix(space, d) if n is None
+                 else up_matrix_by_column(space, d, n))
+            assert np.array_equal(mmul(A, B, mod), images % mod), (d, n)
     bad = [(1, 0, 1, 1)]  # lower-left entry not divisible by the level
     with pytest.raises(BadSemigroupElement):
         apply_double_coset(level, values_of(several), bad)
@@ -587,15 +590,18 @@ def test_oc_operators_match_oracle_on_unsolved_values():
 
 def test_term_blocks_check_every_distinct_path_matrix():
     # the batch checks each distinct matrix once, not only the first: a
-    # group whose second distinct matrix leaves the semigroup is refused
+    # group whose second distinct matrix leaves the semigroup is refused,
+    # by the sector fold and by the classical fold alike
     level, N, p, prec, d = 15, 3, 5, 4, 1
     ngens = manin.presentation(level).ngens
     good = [(0, (1, 0, 0, 1), 1), (1, (1, 0, 0, 1), -1), (2, (2, 1, 15, 8), 1)]
-    assert ocsymb._term_blocks([good], ngens, N, p, prec, d).any()
-    for bad in [(1, 0, 1, 1), (3, 1, 15, 6), (1, 1, 15, 1)]:
-        with pytest.raises(BadSemigroupElement):
-            ocsymb._term_blocks([good[:2] + [(2, bad, 1)] + good[2:]], ngens,
-                                N, p, prec, d)
+    for fold in (partial(ocsymb._term_blocks, ngens=ngens, N=N, p=p,
+                         prec=prec, d=d),
+                 partial(modsym._term_rows, level, d, TRIV)):
+        assert fold([good]).any()
+        for bad in [(1, 0, 1, 1), (3, 1, 15, 6), (1, 1, 15, 1)]:
+            with pytest.raises(BadSemigroupElement):
+                fold([good[:2] + [(2, bad, 1)] + good[2:]])
 
 
 @pytest.mark.parametrize("level, N, precision", [(5, 1, (8, 8)),
@@ -884,6 +890,20 @@ def test_lift_refuses_the_wrong_sign():
     with pytest.raises(NoConvergence, match="unit multiple of phi"):
         lift_eigensymbol(solve_oc_space(11, 1, (6, 1)), phi, 1,
                          ArithWeight(0, TRIV, 11), sign=1)
+
+
+def test_lift_checks_the_ring_of_phi():
+    # phi over Z/p^m reduces to the space's Z/p^prec only for m >= prec
+    # and the space's p; otherwise the lift refuses it up front
+    phi, _ = eigensymbols(11, 0, TRIV, -1)[0]
+    space, kappa = solve_oc_space(11, 1, (6, 1)), ArithWeight(0, TRIV, 11)
+    want, res = lift_eigensymbol(space, phi, 1, kappa)
+    got, res_got = lift_eigensymbol(
+        space, classical_to_zpm(phi, 11, 8), 1, kappa)
+    assert res_got == res and np.array_equal(got.data, want.data)
+    for ring in [(11, 4), (7, 6)]:
+        with pytest.raises(PrecisionMismatch):
+            lift_eigensymbol(space, classical_to_zpm(phi, *ring), 1, kappa)
 
 
 def test_hecke_eigenvalue_rejects_noneigen(sp11_small):
