@@ -152,10 +152,10 @@ class ArithWeight:
 
 def _at_weight(X, kappa, N, p):
     """sum_t chi_N(t) * sum_c chi_p(c) * X[..., t, c, :] for X indexed
-    (..., tag, disc, moment), chi_N read at 1 at tame level 1."""
-    if kappa.p != p:
-        raise BadLevel(f"a weight at p = {kappa.p} evaluates data at p = {p}")
-    ct = [kappa.chi_N(t if N > 1 else 1) for t in _units(N)]
+    (..., tag, disc, moment), for kappa at p with chi_N defined mod N."""
+    if kappa.p != p or N % kappa.chi_N.modulus:
+        raise BadLevel(f"{kappa!r} evaluates no data at N = {N}, p = {p}")
+    ct = [kappa.chi_N(t) for t in _units(N)]
     cc = [kappa.chi_p(c) for c in range(1, p)]
     # character values are 0 or +-1
     return np.einsum("t,c,...tcm->...m", ct, cc, X)

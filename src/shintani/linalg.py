@@ -234,6 +234,42 @@ def zpm_kernel(A, p, M):
     return _graph(A, p, M)[1]
 
 
+def zpm_block_kernel(W, pivots, p, M):
+    """Generators of {x : W_s x = 0 mod p^M} for each W_s of a stack W
+    indexed (s, group, row, generator, column) in k x k blocks.
+
+    In order, group i whose block at c = pivots[i] is the identity in
+    every W_s solves x_c = -R x, R its other blocks: every other group t
+    takes W_t - W_tc W_i, which clears its c block, and i leaves.  A unit
+    pivot keeps the kernel the same module.  zpm_kernel solves the rest,
+    and the x_c are expanded back in reverse order.
+    """
+    pm = p**M
+    W = np.asarray(W, dtype=np.int64) % pm
+    S, groups, k, ngens, _ = W.shape
+    live, left, solved = np.ones(ngens, bool), np.ones(groups, bool), []
+    for i, c in enumerate(pivots):
+        if not (live[c] and (W[:, i, :, c] == np.eye(k)).all()):
+            continue
+        live[c] = left[i] = False
+        R = W[:, i].reshape(S, 1, k, ngens * k)
+        t = left & W[..., c, :].any(axis=(0, 2, 3))
+        Wt = W[:, t]
+        sub = matmul_mod(Wt[..., c, :], R, pm)
+        W[:, t] = (Wt - sub.reshape(Wt.shape)) % pm
+        solved.append((c, R[:, 0].transpose(0, 2, 1)))
+    n, rows = int(live.sum()), int(left.sum()) * k
+    bases = [zpm_kernel(B[B.any(axis=1)], p, M)[0]
+             for B in W[:, left][..., live, :].reshape(S, rows, n * k)]
+    X = np.zeros((S, max(map(len, bases)), ngens, k), dtype=np.int64)
+    for x, basis in zip(X, bases):
+        x[:len(basis), live] = np.reshape(basis, (len(basis), n, k))
+    for c, R in reversed(solved):   # x_c is still 0 under its identity
+        X[:, :, c] = -matmul_mod(X.reshape(S, -1, ngens * k), R, pm) % pm
+    return [x[:len(basis)].reshape(-1, ngens * k)
+            for x, basis in zip(X, bases)]
+
+
 def zpm_span_basis(rows, width, p, M):
     """Howell basis of the span of ``rows`` inside (Z/p^M)^width.
 

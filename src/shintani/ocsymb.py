@@ -12,7 +12,8 @@ D(1 + pZ_p), as in Stevens' rigid analytic modular symbols), so each
 stratum splits into p - 1 Teichmuller sectors.  The relations are solved,
 and every Hecke operator is applied, one sector block at a time; both
 build the sector blocks of a call's distinct path matrices from one
-``_sym_blocks`` batch and sum them with ``dist._fold``.
+``_sym_blocks`` batch and sum them with ``dist._fold``.  The solve first
+eliminates the generators whose relation block is an identity pivot.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .linalg import (
     lower_convex_hull,
     matmul_mod,
     poly_mul_mod,
-    zpm_kernel,
+    zpm_block_kernel,
     zpm_solve,
     zpm_span_basis,
 )
@@ -293,13 +294,15 @@ def solve_oc_space(Np, N, precision):
     """Exact solution space of the relations, per stratum and sector.
 
     precision = (prec, T): values mod p^prec with moments of total degree
-    up to T.  Each sector block's kernel goes back to disc coordinates
-    through the character table, and the union is Howell-reduced once per
-    stratum; that basis is unique, so it is the basis of the full stratum
-    matrix.  The returned basis symbols are stratum-supported and
-    generate the full space; a nonzero torsion entry marks a generator
-    only defined modulo a smaller power of p.  The space is immutable, so
-    the last one solved is cached and shared.
+    up to T.  zpm_block_kernel solves each sector block after it
+    eliminates the generators whose relation still starts with an
+    identity block.  The kernels go back to disc coordinates through the
+    character table, and the union is Howell-reduced once per stratum;
+    that basis is unique, so it is the basis of the full stratum matrix.
+    The returned basis symbols are stratum-supported and generate the
+    full space; a nonzero torsion entry marks a generator only defined
+    modulo a smaller power of p.  The space is immutable, so the last one
+    solved is cached and shared.
     """
     p = Np // N
     if N * p != Np or gcd(p, N) != 1:
@@ -308,18 +311,18 @@ def solve_oc_space(Np, N, precision):
     check_ring(("zpm", p, prec))
     mod = p**prec
     chars = _characters(p, prec)
-    shape = (manin.presentation(Np).ngens, len(_units(N)), p - 1)
+    pres = manin.presentation(Np)
+    shape = (pres.ngens, len(_units(N)), p - 1)
+    pivots = [group[0][0] for group in pres.relations]
     blocks, strata, torsion = [], [], []
     for d in range(T + 1):
-        rel = _term_blocks(manin.presentation(Np).relations, shape[0], N, p,
-                           prec, d)
-        rows = []
-        for j, B in enumerate(rel.reshape(p - 1, -1, rel.shape[-1])):
-            for y in zpm_kernel(B, p, prec)[0]:
-                x = y.reshape(shape[:2] + (1, d + 1)) * chars[j][:, None]
-                rows.append((x % mod).reshape(-1))
-        kernel, tors = zpm_span_basis(rows, prod(shape) * (d + 1), p,
-                                      prec)
+        rel = _term_blocks(pres.relations, pres.ngens, N, p, prec, d)
+        W = rel.reshape(rel.shape[:3] + (pres.ngens, -1))
+        rows, width = [], prod(shape) * (d + 1)
+        for j, Y in enumerate(zpm_block_kernel(W, pivots, p, prec)):
+            X = Y.reshape((-1,) + shape[:2] + (1, d + 1)) * chars[j][:, None]
+            rows.extend(X.reshape(-1, width) % mod)
+        kernel, tors = zpm_span_basis(rows, width, p, prec)
         for vec, v in zip(kernel, tors):
             blocks.append((d, vec.reshape(shape + (d + 1,))))
             strata.append(d)

@@ -30,7 +30,10 @@ term blocks, before the relation and Hecke folds built the sector blocks
 of all their distinct path matrices in one ``dist._sym_blocks`` batch.
 ``stratum_relation_matrix`` is one stratum's relation matrix in disc
 coordinates, the matrix ``solve_oc_space`` reduced whole before it solved
-each Teichmuller sector on its own.  It builds each term's block with
+each Teichmuller sector on its own, and ``solve_oc_space_whole_sectors``
+is that sector solve as it ran before ``linalg.zpm_block_kernel``
+eliminated the generators with identity pivot blocks first: Howell
+reduction of every whole sector block.  It builds each term's block with
 ``_act_stratum``, the value action on disc coordinates that the package
 applied one path term at a time before its Hecke operators became cached
 sector blocks.  ``lift_eigensymbol_each_step`` is ``lift_eigensymbol`` as
@@ -122,6 +125,7 @@ from shintani.cosets import _units, coset_index, coset_section
 from shintani.dist import _act_blocks, _check_s0, _pairs, _stratum_cols
 from shintani.errors import (
     BadIndex,
+    BadLevel,
     BadSemigroupElement,
     DegreeMismatch,
     InsufficientMoments,
@@ -133,7 +137,8 @@ from shintani.errors import (
     SquareDiscriminant,
 )
 from shintani.lifting import delta_of_index, quad_power
-from shintani.linalg import _check_kernel_bounds, matmul_mod, zpm_kernel
+from shintani.linalg import (
+    _check_kernel_bounds, matmul_mod, zpm_kernel, zpm_span_basis)
 from shintani.manin import MAT_IOTA, coset_terms, divisor_terms, presentation
 from shintani.modsym import (
     ModularSymbol,
@@ -152,6 +157,7 @@ from shintani.ocsymb import (
     _characters,
     _leading_unit_index,
     _sources,
+    _term_blocks,
     classical_to_zpm,
     oc_hecke_Tn,
     oc_hecke_Up,
@@ -590,13 +596,16 @@ def sigma_distN(d):
 
 
 def eval_weight(d, kappa):
-    """Integrate chi(t) * t_p^k against a tagged one-variable distribution."""
+    """Integrate chi(t) * t_p^k against a tagged one-variable distribution;
+    the tame part of chi must be defined mod the distribution's N."""
     if kappa.k > d.Tp:
         raise InsufficientMoments(f"weight {kappa.k} exceeds moment range {d.Tp}")
+    if d.N % kappa.chi_N.modulus:
+        raise BadLevel(f"tame modulus {kappa.chi_N.modulus} at N = {d.N}")
     mod = d.p**d.prec
     tot = 0
     for t, nu in d.comps.items():
-        ct = kappa.chi_N(t) if d.N > 1 else kappa.chi_N(1)
+        ct = kappa.chi_N(t)
         if ct == 0:
             continue
         inner = 0
@@ -833,6 +842,34 @@ def stratum_relation_matrix(level, N, p, prec, T, d):
         weighted_sum(rel, add, np.zeros(
             (blockdim, pres.ngens * blockdim), dtype=np.int64))
         for rel in pres.relations])
+
+
+def solve_oc_space_whole_sectors(Np, N, precision):
+    """``ocsymb.solve_oc_space`` as it solved each sector block whole:
+    zpm_kernel on every sector block, back to disc coordinates through
+    the character table, and one Howell reduction of the union per
+    stratum.  Returns the space's (data, strata, torsion)."""
+    p, (prec, T) = Np // N, precision
+    pres, mod, chars = presentation(Np), p**prec, _characters(p, prec)
+    shape = (pres.ngens, len(_units(N)), p - 1)
+    data, strata, torsion = [], [], []
+    for d in range(T + 1):
+        rel = _term_blocks(pres.relations, pres.ngens, N, p, prec, d)
+        rows = []
+        for j, B in enumerate(rel.reshape(p - 1, -1, rel.shape[-1])):
+            for y in zpm_kernel(B, p, prec)[0]:
+                x = y.reshape(shape[:2] + (1, d + 1)) * chars[j][:, None]
+                rows.append((x % mod).reshape(-1))
+        kernel, tors = zpm_span_basis(rows, rel.shape[-1] * (p - 1), p,
+                                      prec)
+        for vec, v in zip(kernel, tors):
+            sym = np.zeros(shape + (len(_pairs(T)[0]),), dtype=np.int64)
+            sym[..., list(_stratum_cols(T, d))] = vec.reshape(
+                shape + (d + 1,))
+            data.append(sym)
+            strata.append(d)
+            torsion.append(v)
+    return np.stack(data), strata, torsion
 
 
 def stratum_action_kron(g, N, p, prec, T, d):

@@ -856,7 +856,8 @@ def test_qexp_hecke_matches_oracle(oc_lift_cases):
 
 def test_specialize_qexp_matches_oracle(oc_lift_cases):
     # eval_weight_meta on every coefficient, at every weight the moments
-    # reach, with tame and wild quadratic characters
+    # reach, with tame and wild quadratic characters; the tame character
+    # mod 3 is defined at tame level 3 only, and both refuse it at N = 1
     live = 0
     for Phi, _ in oc_lift_cases:
         p = Phi.p
@@ -867,6 +868,12 @@ def test_specialize_qexp_matches_oracle(oc_lift_cases):
         for k in range(e.Tp + 1):
             for chi in (DirichletChar.trivial(), tame, wild, tame * wild):
                 kt = ArithWeight(k, chi, p)
+                if Phi.N % 3 and chi.modulus % 3 == 0:
+                    with pytest.raises(BadLevel):
+                        specialize_qexp(e, kt)
+                    with pytest.raises(BadLevel):
+                        eval_weight_meta(metas[1], kt)
+                    continue
                 got = specialize_qexp(e, kt)
                 want = {n: eval_weight_meta(mc, kt) for n, mc in metas.items()}
                 assert {n: got.coeff(n) for n in e.indices} == want, (e, kt)
@@ -924,13 +931,26 @@ def test_qexp_hecke_index_bookkeeping(ocphi5):
 
 
 def test_weight_evaluation_refuses_a_weight_at_another_prime(ocphi5):
-    # (5/.) at p = 7 is all tame and reads as trivial at tame level 1, so
-    # without the prime check p = 5 data evaluates to the trivial values
-    kappa = ArithWeight(2, DirichletChar.from_kronecker(5), 7)
+    # the trivial weight at p = 7 has only its prime to refuse: without
+    # the prime check p = 5 data evaluates to the trivial values
+    kappa = ArithWeight(2, DirichletChar.trivial(), 7)
     with pytest.raises(BadLevel):
         specialize_symbol(ocphi5, kappa)
     with pytest.raises(BadLevel):
         specialize_qexp(theta_oc(ocphi5, 8), kappa)
+
+
+def test_weight_evaluation_refuses_a_tame_character_off_the_level():
+    # (-3/.) is tame at p = 5 but not defined mod N = 1; read at 1, it
+    # gave exactly the values of the trivial weight
+    space = solve_oc_space(5, 1, (4, 4))
+    Phi = space.combination([1] * space.dimension)
+    kappa = ArithWeight(2, DirichletChar.from_kronecker(-3), 5)
+    assert not specialize_symbol(Phi, ArithWeight(2, T5, 5)).is_zero()
+    with pytest.raises(BadLevel):
+        specialize_symbol(Phi, kappa)
+    with pytest.raises(BadLevel):
+        specialize_qexp(theta_oc(Phi, 8), kappa)
 
 
 def test_specialize_qexp_linearity(ocsp5, ocphi5):

@@ -22,6 +22,7 @@ from shintani.linalg import (
     lower_convex_hull,
     matmul_mod,
     poly_mul_mod,
+    zpm_block_kernel,
     zpm_kernel,
     zpm_solve,
     zpm_span_basis,
@@ -249,6 +250,40 @@ def test_zpm_kernel_exhaustive_small():
         assert got == want, A
         # torsion accounting: kernel size is p^sum(M - v)
         assert len(want) == p ** sum(M - v for v in torsion)
+
+
+def test_zpm_block_kernel_matches_zpm_kernel_on_random_stacks():
+    # groups 0 and 1 are eliminated, group 0 through x_1, so x_0 is
+    # expanded after x_1; group 2 (the identity in the first member only),
+    # group 3 (the identity at generator 0, eliminated before it) and
+    # group 4 (no identity) are not, and the expanded generators span each
+    # member's whole kernel
+    p, M, k, ngens = 3, 3, 2, 7
+    pm = p**M
+    r = np.random.default_rng(29)
+    pivots = [0, 1, 2, 0, 3]
+    support = [(0, 1, 5, 6), (1, 5, 6), (2, 5, 6), (0, 3, 6), range(ngens)]
+    groups = len(pivots)
+    for trial in range(12):
+        W = np.zeros((2, groups, k, ngens, k), dtype=np.int64)
+        for i, gens in enumerate(support):
+            for g in gens:
+                W[:, i, :, g] = r.integers(0, pm, size=(2, k, k)) // p**(
+                    trial % 3)
+            if i < 4:
+                W[:, i, :, pivots[i]] = np.eye(k)
+        W[:, 4, :, 3] *= p
+        W[1, 2, :, 2] += p
+        gens = zpm_block_kernel(W, pivots, p, M)
+        for Ws, y in zip(W, gens):
+            A = Ws.reshape(groups * k, ngens * k)
+            assert not (matmul_mod(A, np.reshape(y, (-1, ngens * k)).T,
+                                   pm)).any()
+            want = zpm_kernel(A, p, M)
+            got = zpm_span_basis(y, ngens * k, p, M)
+            assert got[1] == want[1]
+            assert np.array_equal(np.reshape(got[0], (-1, ngens * k)),
+                                  np.reshape(want[0], (-1, ngens * k)))
 
 
 def test_zpm_kernel_random_membership():

@@ -19,9 +19,10 @@ from shintani.errors import (
     NotEigen,
     PrecisionMismatch,
 )
-from shintani import manin, modsym, ocsymb
+from shintani import linalg, manin, modsym, ocsymb
 from shintani.linalg import (
-    berkowitz_charpoly, poly_mul_mod, zpm_kernel, zpm_solve)
+    berkowitz_charpoly, poly_mul_mod, zpm_block_kernel, zpm_kernel,
+    zpm_span_basis, zpm_solve)
 from shintani.modsym import hecke_Tn, involution
 from shintani.ocsymb import (
     OCSpace,
@@ -65,6 +66,7 @@ from oracles import (
     random_moments2,
     rank_mod_p,
     scalar_action,
+    solve_oc_space_whole_sectors,
     stratum_relation_matrix,
     sympolys_of,
     term_blocks_kron,
@@ -327,6 +329,64 @@ def test_sector_solve_matches_full_stratum_kernel(level, N, precision):
         assert len(kern) == len(idx) > 0
         assert np.array_equal(space.stratum_matrix(d).T, np.stack(kern))
         assert [space.torsion[i] for i in idx] == tors
+
+
+# every profile of the block elimination equivalence; 5^12 is just below
+# the 2^28 bound, and at levels 5 and 10 two S-pairs have a generator
+# fixed by S, whose block I + A at it is no pivot
+BLOCK_PROFILES = [(5, 1, (8, 8)), (5, 1, (12, 2)), (7, 1, (6, 6)),
+                  (11, 1, (6, 1)), (10, 2, (6, 3)), (15, 3, (4, 4)),
+                  (20, 4, (3, 3)), (15, 3, (12, 2))]
+
+
+@pytest.mark.parametrize("level, N, precision", BLOCK_PROFILES)
+def test_block_elimination_spans_each_sector_kernel(level, N, precision,
+                                                    monkeypatch):
+    # oracle: zpm_kernel on the whole sector block; the generators the
+    # elimination expands span the same module, so their Howell bases and
+    # torsion agree, while the Howell kernel itself sees fewer generators
+    p, (prec, T) = level // N, precision
+    pres = manin.presentation(level)
+    pivots = [group[0][0] for group in pres.relations]
+    widths = []
+
+    def recorded(A, p, M):
+        widths.append(np.shape(A)[1])
+        return zpm_kernel(A, p, M)
+
+    monkeypatch.setattr(linalg, "zpm_kernel", recorded)
+    nonzero = 0
+    for d in range(T + 1):
+        rel = ocsymb._term_blocks(pres.relations, pres.ngens, N, p, prec, d)
+        width = rel.shape[-1]
+        gens = zpm_block_kernel(rel.reshape(rel.shape[:3] + (pres.ngens, -1)),
+                                pivots, p, prec)
+        assert len(gens) == p - 1
+        for B, y in zip(rel, gens):
+            want, want_tors = zpm_kernel(B.reshape(-1, width), p, prec)
+            got, tors = zpm_span_basis(y, width, p, prec)
+            assert tors == want_tors
+            assert np.array_equal(np.reshape(got, (-1, width)),
+                                  np.reshape(want, (-1, width)))
+            nonzero += len(want) > 0
+        assert max(widths[-(p - 1):]) < width
+    assert nonzero >= T + 1
+    # the S-fixed generators of level 5 stay live
+    if level == 5:
+        assert widths[-1] == 2 * (T + 1) * len(_units(N))
+
+
+@pytest.mark.parametrize("level, N, precision",
+                         [(5, 1, (8, 8)), (10, 2, (6, 3)), (15, 3, (4, 4))])
+def test_solve_oc_space_matches_whole_sector_solve(level, N, precision):
+    # oracle: the sector solve before the block elimination; the union's
+    # Howell basis is unique, so the space is the same byte for byte
+    space = solve_oc_space(level, N, precision)
+    data, strata, torsion = solve_oc_space_whole_sectors(level, N, precision)
+    assert space.data.tobytes() == data.tobytes()
+    assert space.data.shape == data.shape
+    assert space.strata == tuple(strata)
+    assert space.torsion == tuple(torsion)
 
 
 def test_basis_symbols_view_the_space_data(sp11_small):
