@@ -178,12 +178,9 @@ class DirichletChar:
     def __hash__(self):
         return hash((self.modulus, self.table))
 
-    def __mul__(self, other):
-        m = self.modulus * other.modulus // gcd(self.modulus, other.modulus)
-        return DirichletChar(m, {a: self(a) * other(a) for a in range(m)})
-
     def squared(self):
-        return self * self
+        """chi^2: principal mod the same modulus, chi being quadratic."""
+        return DirichletChar.trivial(self.modulus)
 
     def factor(self, p):
         """Split into (tame, wild) parts with wild modulus the p-part."""

@@ -293,7 +293,9 @@ def zpm_solve(A, B, p, M):
     (k, 0), k in ker A, and (-x0, 1); a Howell basis is unique.
     """
     B = np.asarray(B, dtype=np.int64)
-    n, pm = np.shape(A)[1], p**M
+    (m, n), pm = np.shape(A), p**M
+    if len(B) != m:
+        raise OperandMismatch(f"{len(B)} right-hand sides for {m} rows")
     image, (kernel, _) = _graph(A, p, M)
     Y = (B[:, None] if B.ndim == 1 else B) % pm
     X = np.zeros((n, Y.shape[1]), dtype=np.int64)

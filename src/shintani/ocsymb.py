@@ -75,14 +75,6 @@ class OCSymbol(ExactValue):
         self.T = T
         self.data = data
 
-    @classmethod
-    def _view(cls, space, data):
-        """A symbol of space on data already checked, reduced and read-only."""
-        sym = cls.__new__(cls)
-        sym.level, sym.N, sym.p = space.level, space.N, space.p
-        sym.prec, sym.T, sym.data = space.prec, space.T, data
-        return sym
-
     def _key(self):
         return (self.N, self.p, self.prec, self.T)
 
@@ -168,7 +160,6 @@ def _sector_blocks(gs, V, N, p, prec):
 @lru_cache(maxsize=4096)
 def _stratum_action_matrix(g, N, p, prec, T, d):
     """The one-matrix _sector_blocks, on the cached _act_blocks."""
-    _check_s0(g, N * p)
     V = _act_blocks(g, p, prec, T)[d]
     return _sector_blocks([g], V[None], N, p, prec)[0]
 
@@ -189,15 +180,14 @@ def _coset_blocks(level, N, p, prec, T, d, reps):
     Block j acts on (generator, tag, moment); its block row b is the sum
     over alpha of S_j(alpha) E_j(alpha . base_b), E folded one base at a
     time from one _sym_blocks batch of all path matrices, and S from
-    _stratum_action_matrix.  MAT_IOTA (determinant -1) has S the moment
-    sign (-1)^b of x^a y^b.  At most 64 are kept, of (p - 1) (ngens phi(N)
-    (d + 1))^2 entries each.
+    _stratum_action_matrix: for MAT_IOTA, the one rep checked against no
+    semigroup, that is the moment sign (-1)^(d - n) of x^n y^(d - n).  At
+    most 64 are kept, of (p - 1) (ngens phi(N) (d + 1))^2 entries each.
     """
+    for alpha in set(reps) - {manin.MAT_IOTA}:
+        _check_s0(alpha, level)
     ngens, mod, k = manin.presentation(level).ngens, p**prec, len(reps)
-    sign = np.tile([(-1) ** (d - n) for n in range(d + 1)], len(_units(N)))
-    S = np.stack([np.repeat(np.diag(sign)[None], p - 1, axis=0)
-                  if alpha == manin.MAT_IOTA else
-                  _stratum_action_matrix(alpha, N, p, prec, T, d)
+    S = np.stack([_stratum_action_matrix(alpha, N, p, prec, T, d)
                   for alpha in reps], axis=1)
     rows, gs = _indexed_terms(manin.coset_terms(level, reps), level, mod)
     paths = _sector_blocks(gs, _sym_blocks(gs, [d], mod)[d], N, p, prec)
@@ -208,48 +198,43 @@ def _coset_blocks(level, N, p, prec, T, d, reps):
     return op
 
 
-def _coset_stratum(level, N, p, prec, T, d, X, reps):
-    """The double coset of reps on stacked stratum-d coordinates.
+def _apply_coset(space, X, reps):
+    """The double coset of reps on data X of space, stratum by stratum.
 
-    X is indexed (generator, tag, disc, moment, column), one symbol's
-    stratum-d part per column, and so is the result.  The inverse
-    character table maps discs to sectors, each sector takes one product
-    with its _coset_blocks block, and the table maps back.
+    space is a symbol or an OCSpace, for its N, p, prec and T.  X is
+    indexed (..., generator, tag, disc, moment), one symbol or a stack of
+    them, and so is the result.  On each stratum the inverse character
+    table maps discs to sectors, each sector takes one product with its
+    _coset_blocks block, and the table maps back.
     """
-    mod = p**prec
-    op = _coset_blocks(level, N, p, prec, T, d, tuple(reps))
-    chars = _characters(p, prec)
+    N, p, prec, T = space.N, space.p, space.prec, space.T
+    mod, chars = p**prec, _characters(p, prec)
     # row j of the inverse table is omega^-j / (p - 1) = omega^(p-1-j) / (p - 1)
     to_sectors = chars[-np.arange(p - 1) % (p - 1)] * pow(p - 1, -1, mod) % mod
-    discs = np.moveaxis(X, 2, 0)
-    sectors = matmul_mod(to_sectors, discs.reshape(p - 1, -1), mod).reshape(
-        p - 1, op.shape[2], -1)
-    images = matmul_mod(op, sectors, mod)
-    out = matmul_mod(chars.T, images.reshape(p - 1, -1), mod)
-    return np.moveaxis(out.reshape(discs.shape), 0, 2)
-
-
-def _apply_coset(sym, reps):
-    """The double coset of reps on a symbol, stratum by stratum."""
-    out = np.zeros_like(sym.data)
-    for d in range(sym.T + 1):
-        cols = list(_stratum_cols(sym.T, d))
-        X = sym.data[..., cols, None]
-        if X.any():
-            out[..., cols] = _coset_stratum(sym.level, sym.N, sym.p, sym.prec,
-                                            sym.T, d, X, reps)[..., 0]
-    return sym._like(out)
+    out = np.zeros_like(X)
+    for d in range(T + 1):
+        cols = list(_stratum_cols(T, d))
+        # (disc, ..., generator, tag, moment); the blocks act from the right
+        discs = np.moveaxis(X[..., cols], -2, 0)
+        if not discs.any():
+            continue
+        op = _coset_blocks(N * p, N, p, prec, T, d, tuple(reps))
+        sectors = matmul_mod(to_sectors, discs.reshape(p - 1, -1), mod)
+        images = matmul_mod(sectors.reshape(p - 1, -1, op.shape[2]),
+                            op.transpose(0, 2, 1), mod)
+        back = matmul_mod(chars.T, images.reshape(p - 1, -1), mod)
+        out[..., cols] = np.moveaxis(back.reshape(discs.shape), 0, -2)
+    return out
 
 
 class OCSpace:
     """Solved symbol space, basis grouped by moment stratum.
 
-    data stacks the basis symbols' data along a leading basis axis, and
-    each basis symbol's data is a read-only view of its row.
+    data stacks the basis symbols' data, read-only, along a leading basis
+    axis; strata and torsion run along the same axis.
     """
 
-    __slots__ = ("level", "N", "p", "prec", "T", "data", "basis", "strata",
-                 "torsion")
+    __slots__ = ("level", "N", "p", "prec", "T", "data", "strata", "torsion")
 
     def __init__(self, level, N, p, prec, T, data, strata, torsion):
         _check_shape(level, N, p, prec, T, np.shape(data)[1:])
@@ -260,13 +245,12 @@ class OCSpace:
         self.T = T
         self.data = np.asarray(data, dtype=np.int64) % p**prec
         self.data.flags.writeable = False
-        self.basis = tuple(OCSymbol._view(self, x) for x in self.data)
         self.strata = tuple(strata)
         self.torsion = tuple(torsion)
 
     @property
     def dimension(self):
-        return len(self.basis)
+        return len(self.strata)
 
     def stratum_indices(self, d):
         return [i for i, s in enumerate(self.strata) if s == d]
@@ -278,10 +262,10 @@ class OCSpace:
         return block.reshape(len(idx), -1).T
 
     def combination(self, coeffs):
-        """The symbol sum_i coeffs[i] * basis[i]."""
+        """The symbol with data sum_i coeffs[i] * data[i]."""
         mod = self.p**self.prec
         coeffs = [int(c) % mod for c in coeffs]
-        if not self.basis or len(coeffs) != self.dimension:
+        if not self.dimension or len(coeffs) != self.dimension:
             raise OperandMismatch(f"{len(coeffs)} coefficients for a basis "
                                   f"of {self.dimension}")
         flat = matmul_mod(coeffs, self.data.reshape(self.dimension, -1), mod)
@@ -323,19 +307,19 @@ def solve_oc_space(Np, N, precision):
             X = Y.reshape((-1,) + shape[:2] + (1, d + 1)) * chars[j][:, None]
             rows.extend(X.reshape(-1, width) % mod)
         kernel, tors = zpm_span_basis(rows, width, p, prec)
-        for vec, v in zip(kernel, tors):
-            blocks.append((d, vec.reshape(shape + (d + 1,))))
-            strata.append(d)
-            torsion.append(v)
+        blocks.extend(vec.reshape(shape + (d + 1,)) for vec in kernel)
+        strata.extend([d] * len(kernel))
+        torsion.extend(tors)
     data = np.zeros((len(blocks),) + shape + (len(_pairs(T)[0]),),
                     dtype=np.int64)
-    for i, (d, block) in enumerate(blocks):
+    for i, (d, block) in enumerate(zip(strata, blocks)):
         data[i][..., list(_stratum_cols(T, d))] = block
     return OCSpace(Np, N, p, prec, T, data, strata, torsion)
 
 
 def oc_hecke_Tn(sym, n):
-    return _apply_coset(sym, manin.hecke_reps(n, sym.level))
+    return sym._like(_apply_coset(sym, sym.data,
+                                  manin.hecke_reps(n, sym.level)))
 
 
 def oc_hecke_Up(sym):
@@ -345,16 +329,18 @@ def oc_hecke_Up(sym):
 def oc_hecke_Tll(sym, l):
     if gcd(l, sym.level) != 1:
         raise BadIndex(f"{l} must be coprime to the level {sym.level}")
-    return _apply_coset(sym, [(l, 0, 0, l)])
+    return sym._like(_apply_coset(sym, sym.data, [(l, 0, 0, l)]))
 
 
 def oc_involution(sym):
     """Phi|iota for iota = diag(1, -1)."""
-    return _apply_coset(sym, [manin.MAT_IOTA])
+    return sym._like(_apply_coset(sym, sym.data, [manin.MAT_IOTA]))
 
 
 def oc_sign_project(sym, sign):
-    """(1 + sign * iota) / 2 applied to the symbol."""
+    """(1 + sign * iota) / 2 applied to the symbol, for sign 1 or -1."""
+    if sign not in (1, -1):
+        raise BadIndex(f"sign must be 1 or -1, got {sign!r}")
     half = pow(2, -1, sym.p**sym.prec)
     return (sym + oc_involution(sym).scale(sign)).scale(half)
 
@@ -383,7 +369,7 @@ def up_matrix(space, d):
     """Matrix of U_p on one stratum's basis.
 
     Operators are degree-homogeneous, so each stratum carries its own
-    square matrix.  U_p's cached sector blocks act on all basis columns of
+    square matrix.  U_p's cached sector blocks act on all basis symbols of
     the stratum at once, and one zpm_solve solves them all.  B is the
     solution the Howell basis of ker[A | y] picks for each image y; where
     ker A != 0, every B + K C also represents the operator, and its
@@ -392,13 +378,10 @@ def up_matrix(space, d):
     idx = space.stratum_indices(d)
     if not idx:
         return np.zeros((0, 0), dtype=np.int64)
-    p, N = space.p, space.N
-    reps = manin.hecke_reps(p, space.level)
-    A = space.stratum_matrix(d)
-    X = A.reshape(-1, len(_units(N)), p - 1, d + 1, len(idx))
-    img = _coset_stratum(space.level, N, p, space.prec, space.T, d, X,
-                         reps).reshape(A.shape)
-    B = zpm_solve(A, img, p, space.prec)
+    reps = manin.hecke_reps(space.p, space.level)
+    img = _apply_coset(space, space.data[idx], reps)
+    img = img[..., list(_stratum_cols(space.T, d))].reshape(len(idx), -1).T
+    B = zpm_solve(space.stratum_matrix(d), img, space.p, space.prec)
     if B is None:
         raise OperandMismatch("Hecke image left the solved space")
     return B
@@ -410,8 +393,7 @@ def charpoly_strata(space):
     poly = [1]
     for d in range(space.T + 1):
         B = up_matrix(space, d)
-        if B.shape[0]:
-            poly = poly_mul_mod(poly, berkowitz_charpoly(B, mod), mod)
+        poly = poly_mul_mod(poly, berkowitz_charpoly(B, mod), mod)
     return poly
 
 
@@ -429,9 +411,7 @@ def newton_slopes(charpoly, p, prec):
     hull = lower_convex_hull(pts)
     slopes = []
     for (x0, y0), (x1, y1) in zip(hull, hull[1:]):
-        s = Fraction(y1 - y0, x1 - x0)
-        if s >= prec:
-            s = Fraction(prec)
+        s = min(Fraction(y1 - y0, x1 - x0), Fraction(prec))
         slopes.extend([s] * (x1 - x0))
     return sorted(slopes), list(hull)
 
@@ -483,7 +463,7 @@ def _leading_unit_index(flatvec, p):
 LOSS = 2
 
 
-def lift_eigensymbol(space, phi, alpha, kappa, sign=-1, perturb=None):
+def lift_eigensymbol(space, phi, alpha, kappa, sign=-1):
     """Lift a classical U_p eigensymbol into the solved moment space.
 
     Seeds a stratum-k preimage of phi under specialization, iterates
@@ -496,7 +476,8 @@ def lift_eigensymbol(space, phi, alpha, kappa, sign=-1, perturb=None):
     1, together with the achieved residual valuation; raises NoConvergence
     unless it specializes to a unit multiple of phi (phi needs a unit
     coordinate) mod p^(prec - LOSS), so a zero lift is never returned.
-    phi lives over Q or over Z/p^m with m >= prec.
+    phi lives over Q or over Z/p^m with m >= prec, at the space's level
+    and kappa's weight and character.
     """
     p, prec, N, T = space.p, space.prec, space.N, space.T
     mod = p**prec
@@ -506,6 +487,12 @@ def lift_eigensymbol(space, phi, alpha, kappa, sign=-1, perturb=None):
                                 f"to Z/{p}^{prec}")
     if int(alpha) % p == 0:
         raise CriticalSlope(f"v_p({alpha}) > 0: the lift needs a unit alpha")
+    if phi.level != space.level:
+        raise BadLevel(f"phi has level {phi.level}, the space {space.level}")
+    if phi.k != k:
+        raise DegreeMismatch(f"phi has weight {phi.k}, kappa weight {k}")
+    if any(phi.chi(a) != kappa.chi(a) for a in _units(space.level)):
+        raise OperandMismatch("phi and kappa differ in character")
     ainv = pow(int(alpha) % mod, -1, mod)
 
     idx = space.stratum_indices(k)
@@ -521,10 +508,7 @@ def lift_eigensymbol(space, phi, alpha, kappa, sign=-1, perturb=None):
             "classical symbol is not in the specialization image")
     coeffs = np.zeros(space.dimension, dtype=np.int64)
     coeffs[idx] = x
-    seed = space.combination(coeffs)
-    if perturb is not None:
-        seed = seed + perturb
-    y = seed
+    y = space.combination(coeffs)
     for _ in range(2 * (prec + 2)):
         y = oc_hecke_Up(y).scale(ainv)
     y = disc_sector_project(oc_sign_project(y, sign), kappa.chi_p)
@@ -541,10 +525,9 @@ def lift_eigensymbol(space, phi, alpha, kappa, sign=-1, perturb=None):
             (spec * target[i] - target * spec[i]) % p**(prec - LOSS)).any():
         raise NoConvergence(f"the lift does not specialize to a unit "
                             f"multiple of phi mod {p}^{prec - LOSS}")
+    # y has a unit coordinate, since its specialization has one
     lead = _leading_unit_index(y.flat(), p)
-    if lead is not None:
-        y = y.scale(pow(int(y.flat()[lead]) % mod, -1, mod))
-    return y, res_val
+    return y.scale(pow(int(y.flat()[lead]) % mod, -1, mod)), res_val
 
 
 def hecke_eigenvalue(sym, n):

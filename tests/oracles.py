@@ -93,6 +93,9 @@ independent of the route they check.  ``hecke_Up``,
 ``hecke_Tll``, ``zpm_in_span``, ``rank_mod_p`` and ``basis_over`` (the
 solved basis over Q, reduced into Z/p^M where asked, since the package
 solves symbol spaces over Q only) are helpers that only the tests call.
+``basis_symbols`` is a solved space's basis, one ``OCSymbol`` per row of
+its data, as ``OCSpace.basis`` kept it before every operator applied to
+symbol data of any leading shape.
 
 ``eigensymbols_sympy`` and ``_rational_eigenspace`` are
 ``modsym.eigensymbols`` as it split the sign subspace with sympy's
@@ -154,6 +157,7 @@ from shintani.modsym import (
     solve_symbol_space,
 )
 from shintani.ocsymb import (
+    OCSymbol,
     _characters,
     _leading_unit_index,
     _sources,
@@ -909,7 +913,10 @@ def term_blocks_kron(groups, ngens, N, p, prec, T, d):
 def coset_blocks_kron(level, N, p, prec, T, d, reps):
     """The double coset of reps on stratum d, one block per sector: block
     row b sums S(alpha) E(alpha . base_b) over the reps, with S from
-    stratum_action_kron and E from term_blocks_kron, one base at a time."""
+    stratum_action_kron and E from term_blocks_kron, one base at a time.
+    For MAT_IOTA, S is written out as the moment sign (-1)^(d - n), so the
+    package's twist of the involution from its action blocks is checked
+    against an independent one."""
     ngens = presentation(level).ngens
     mod = p**prec
     sign = np.tile([(-1) ** (d - n) for n in range(d + 1)], len(_units(N)))
@@ -954,14 +961,17 @@ def lift_eigensymbol_each_step(space, phi, alpha, kappa, sign=-1,
 
     Returns the normalized lift and its residual valuation, as the
     package's lift does; the input checks and their errors are left out.
+    perturb, a symbol of the space, is added to the seed, to show the lift
+    does not depend on its starting point.
     """
     p, prec, k = space.p, space.prec, kappa.k
     mod = p**prec
     ainv = pow(int(alpha) % mod, -1, mod)
     phi_z = phi if phi.ring != "Q" else classical_to_zpm(phi, p, prec)
     idx = space.stratum_indices(k)
+    basis = basis_symbols(space)
     S = np.array([[int(c) for c in
-                   specialize_symbol(space.basis[i], kappa).coords()]
+                   specialize_symbol(basis[i], kappa).coords()]
                   for i in idx], dtype=np.int64).T
     target = np.array([int(c) for c in phi_z.coords()], dtype=np.int64)
     coeffs = np.zeros(space.dimension, dtype=np.int64)
@@ -1783,6 +1793,12 @@ def zpm_solve_by_column(A, b, p, M):
     return None
 
 
+def basis_symbols(space):
+    """The basis symbols of an OCSpace, one OCSymbol per row of its data."""
+    return tuple(OCSymbol(space.level, space.N, space.p, space.prec, space.T,
+                          x) for x in space.data)
+
+
 def flat_stratum(sym, d):
     """The stratum-d moments of an OCSymbol as one vector: generator, tag,
     disc, (n, d - n) order, as the columns of ``OCSpace.stratum_matrix``."""
@@ -1795,8 +1811,9 @@ def up_matrix_by_column(space, d, n=None):
     stratum."""
     idx = space.stratum_indices(d)
     A = space.stratum_matrix(d)
+    basis = basis_symbols(space)
     cols = [zpm_solve_by_column(
-        A, flat_stratum(oc_hecke_Tn(space.basis[i], n or space.p), d),
+        A, flat_stratum(oc_hecke_Tn(basis[i], n or space.p), d),
         space.p, space.prec) for i in idx]
     return np.stack(cols, axis=1) if cols else np.zeros((0, 0), np.int64)
 

@@ -87,18 +87,18 @@ T11 = DirichletChar.trivial(11)
 
 @pytest.fixture(scope="module")
 def basis51():
-    return solve_symbol_space(5, 2, T5 * T5)
+    return solve_symbol_space(5, 2, T5.squared())
 
 
 @pytest.fixture(scope="module")
 def eigen51():
-    [(phi, emap)] = eigensymbols(5, 2, T5 * T5, -1)
+    [(phi, emap)] = eigensymbols(5, 2, T5.squared(), -1)
     return phi, emap
 
 
 @pytest.fixture(scope="module")
 def eigen11(ms11_basis=None):
-    [(phi, emap)] = eigensymbols(11, 0, T11 * T11, -1)
+    [(phi, emap)] = eigensymbols(11, 0, T11.squared(), -1)
     return phi, emap
 
 
@@ -402,17 +402,18 @@ from shintani.modsym import (
     ModularSymbol, SymPoly, eigensymbols, ring_reduce,
     solve_symbol_space)
 from shintani.ocsymb import (
-    OCSpace, OCSymbol, lift_eigensymbol, oc_hecke_Tll, solve_oc_space,
-    up_matrix)
+    OCSpace, OCSymbol, lift_eigensymbol, oc_hecke_Tll, oc_sign_project,
+    solve_oc_space, up_matrix)
 from shintani.qf import QuadForm, enumerate_classes
 
-from oracles import Divisor0, J_classical
+from oracles import Divisor0, J_classical, basis_symbols
 
 T = DirichletChar.trivial(1)
 bad = QuadForm(2, 1, -3)  # in neither F_5 nor F_11
 sym5, sym11 = solve_symbol_space(5, 2, T)[0], solve_symbol_space(11, 2, T)[0]
 sp5 = solve_oc_space(5, 1, (2, 2))
-oc5, oc5_prec3 = sp5.basis[0], solve_oc_space(5, 1, (3, 2)).basis[0]
+oc5, oc5_prec3 = (basis_symbols(space)[0] for space in
+                  (sp5, solve_oc_space(5, 1, (3, 2))))
 # coefficient arrays (slot, tag, disc, moment) for q-slots 1..4 at
 # (p, M, Tp) = (5, 2, 1); the second carries mass at slot 2 (disc 10)
 zeros = np.zeros((4, 1, 4, 2), dtype=np.int64)
@@ -473,8 +474,16 @@ cases = {
         sp5, sym5, 1, ArithWeight(3, T, 5)),
     "lift_eigensymbol(image)": lambda: lift_eigensymbol(
         sp5, off_image, 1, ArithWeight(0, T, 5)),
+    "lift_eigensymbol(level)": lambda: lift_eigensymbol(
+        sp5, sym11, 1, ArithWeight(2, T, 5)),
+    "lift_eigensymbol(weight)": lambda: lift_eigensymbol(
+        sp5, off_image, 1, ArithWeight(1, T, 5)),
+    "lift_eigensymbol(character)": lambda: lift_eigensymbol(
+        sp5, off_image, 1, ArithWeight(0, DirichletChar.from_kronecker(5), 5)),
+    "oc_sign_project": lambda: oc_sign_project(oc5, 2),
     "matmul_mod": lambda: matmul_mod(np.ones((2, 3)), np.ones((5, 2)), 7),
     "zpm_solve(3^30)": lambda: zpm_solve(np.eye(2), np.ones(2), 3, 30),
+    "zpm_solve(shape)": lambda: zpm_solve(np.eye(3), [1, 2], 5, 2),
     # one all-ones "kernel" vector breaks the weight-0 S-pair relations
     "solve_symbol_space(Q kernel)": lambda: corrupted(
         "frac_nullspace", lambda rows, n: [[1] * n], 11, 0, T),
@@ -511,7 +520,7 @@ def test_input_guards_survive_optimize():
     out = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_GUARDS],
                          capture_output=True, text=True, check=True, env=env,
                          timeout=300).stdout.split("\n")
-    assert out[:40] == [
+    assert out[:45] == [
         "debug False",
         "J_classical NotInFM",
         "J_oc NotInFM",
@@ -539,8 +548,13 @@ def test_input_guards_survive_optimize():
         "up_matrix OperandMismatch",
         "lift_eigensymbol(stratum) DegreeMismatch",
         "lift_eigensymbol(image) OperandMismatch",
+        "lift_eigensymbol(level) BadLevel",
+        "lift_eigensymbol(weight) DegreeMismatch",
+        "lift_eigensymbol(character) OperandMismatch",
+        "oc_sign_project BadIndex",
         "matmul_mod OperandMismatch",
         "zpm_solve(3^30) KernelOverflow",
+        "zpm_solve(shape) OperandMismatch",
         "solve_symbol_space(Q kernel) OperandMismatch",
         "eigensymbols(sign) BadIndex",
         "HalfIntQExp(level) BadIndex",
@@ -863,10 +877,12 @@ def test_specialize_qexp_matches_oracle(oc_lift_cases):
         p = Phi.p
         e = theta_oc(Phi, 12)
         metas = _metas(e)
+        D = 5 if p == 5 else -7
         tame = DirichletChar.from_kronecker(-3)
-        wild = DirichletChar.from_kronecker(5 if p == 5 else -7)
+        wild = DirichletChar.from_kronecker(D)
+        both = DirichletChar.from_kronecker(-3 * D)   # tame times wild
         for k in range(e.Tp + 1):
-            for chi in (DirichletChar.trivial(), tame, wild, tame * wild):
+            for chi in (DirichletChar.trivial(), tame, wild, both):
                 kt = ArithWeight(k, chi, p)
                 if Phi.N % 3 and chi.modulus % 3 == 0:
                     with pytest.raises(BadLevel):

@@ -324,6 +324,14 @@ def test_zpm_solve():
     assert zpm_solve(np.array([[p]]), np.array([1]), p, M) is None
 
 
+def test_zpm_solve_refuses_a_right_hand_side_of_the_wrong_length():
+    # one right-hand side entry, or row, per equation
+    with pytest.raises(OperandMismatch, match="right-hand sides"):
+        zpm_solve(np.eye(3), [1, 2], 5, 2)
+    with pytest.raises(OperandMismatch, match="right-hand sides"):
+        zpm_solve(np.eye(3), np.ones((4, 2)), 5, 2)
+
+
 def torsion_system(r, p, M, m, n, k):
     """A with columns scaled by p^0, p^1 or p^(M-1), and B = A X0."""
     pm = p**M

@@ -13,10 +13,14 @@ from shintani.arith import DirichletChar, crt
 from shintani.cosets import _units
 from shintani.dist import ArithWeight, _act_blocks, _pairs, _stratum_cols
 from shintani.errors import (
+    BadIndex,
+    BadLevel,
     BadSemigroupElement,
     CriticalSlope,
+    DegreeMismatch,
     NoConvergence,
     NotEigen,
+    OperandMismatch,
     PrecisionMismatch,
 )
 from shintani import linalg, manin, modsym, ocsymb
@@ -51,6 +55,7 @@ from oracles import (
     apply_double_coset,
     apply_involution,
     basis_over,
+    basis_symbols,
     check_relations,
     check_values,
     coset_blocks_kron,
@@ -190,9 +195,9 @@ def test_array_operations_match_value_by_value_oracle(level, N, precision):
             (v + w.scale(sign)).scale(pow(2, -1, mod))
             for v, w in zip(va, flip))
 
-    chi = DirichletChar.from_kronecker(-p if p % 4 == 3 else p)
-    if N > 1:
-        chi = chi * DirichletChar.from_kronecker(-3)
+    # (+-p/.), times (-3/.) at tame level 3
+    chi = DirichletChar.from_kronecker((-p if p % 4 == 3 else p)
+                                       * (-3 if N > 1 else 1))
     for k in (0, 1, 3):
         kappa = ArithWeight(k, chi, p)
         spec = specialize_symbol(a, kappa)
@@ -385,21 +390,13 @@ def test_solve_oc_space_matches_whole_sector_solve(level, N, precision):
     data, strata, torsion = solve_oc_space_whole_sectors(level, N, precision)
     assert space.data.tobytes() == data.tobytes()
     assert space.data.shape == data.shape
+    assert not space.data.flags.writeable
     assert space.strata == tuple(strata)
     assert space.torsion == tuple(torsion)
 
 
-def test_basis_symbols_view_the_space_data(sp11_small):
-    space = sp11_small
-    for i, b in enumerate(space.basis):
-        assert np.shares_memory(b.data, space.data)
-        assert np.array_equal(b.data, space.data[i])
-        assert not b.data.flags.writeable
-    assert not space.data.flags.writeable
-
-
 def test_basis_symbols_satisfy_relations(sp11_small, sp15):
-    for b in sp11_small.basis + sp15.basis[::7]:
+    for b in basis_symbols(sp11_small) + basis_symbols(sp15)[::7]:
         assert check_values(b.level, values_of(b))
 
 
@@ -409,7 +406,7 @@ def test_t0_space_specializes_onto_classical():
     kappa = ArithWeight(0, TRIV, p)
     classical = basis_over(11, 0, TRIV, ("zpm", p, prec))
     images = []
-    for b in space.basis:
+    for b in basis_symbols(space):
         s = specialize_symbol(b, kappa)
         assert check_relations(s)
         images.append(np.array([int(c) for c in s.coords()], dtype=np.int64))
@@ -483,11 +480,12 @@ def test_tame_sector_block_decomposition(sp15):
             [scalar_action(nu, v).scale(w) for v in values_of(sym)]))
 
     lc_plus = lc_minus = 0
+    basis = basis_symbols(sp15)
     for d in range(T + 1):
         idx = sp15.stratum_indices(d)
         plus_flats, minus_flats = [], []
         for i in idx:
-            b = sp15.basis[i]
+            b = basis[i]
             rb = rotate(b, d)
             assert (rotate(rb, d) - b).is_zero()
             plus_flats.append(flat_stratum((b + rb).scale(half), d))
@@ -512,7 +510,7 @@ def test_up_matrix_intertwines_classical_on_t0():
                   for phi in classical], axis=1)
     # specialization matrix: oc basis coords -> classical basis coords
     scols, ucols = [], []
-    for b in space.basis:
+    for b in basis_symbols(space):
         s = specialize_symbol(b, kappa)
         x = zpm_solve(C, np.array([int(c) for c in s.coords()],
                                   dtype=np.int64), p, prec)
@@ -569,7 +567,7 @@ def test_up_commutes_with_tl(sp11_small):
     # Exact operator-level commutation on every basis symbol.  (Coordinate
     # matrices through torsion generators are only defined modulo a smaller
     # power, so matrix products are the wrong object to compare there.)
-    for b in sp11_small.basis:
+    for b in basis_symbols(sp11_small):
         ut = oc_hecke_Tn(oc_hecke_Up(b), 3)
         tu = oc_hecke_Up(oc_hecke_Tn(b, 3))
         assert (ut - tu).is_zero()
@@ -593,7 +591,8 @@ def test_oc_operators_match_value_by_value_oracle(level, N, precision):
     several = random_symbol(space, seed=level)
     assert len({d for d in range(space.T + 1)
                 if flat_stratum(several, d).any()}) > 1
-    for sym in (several, space.basis[-1]):
+    basis = basis_symbols(space)
+    for sym in (several, basis[-1]):
         vals = values_of(sym)
         for n in (2, 3, 6, p):
             want = apply_double_coset(level, vals, manin.hecke_reps(n, level))
@@ -612,7 +611,7 @@ def test_oc_operators_match_value_by_value_oracle(level, N, precision):
             images = np.stack([
                 flat_stratum(OCSymbol(level, N, p, space.prec, space.T,
                                       data_of(apply_double_coset(
-                                          level, values_of(space.basis[i]),
+                                          level, values_of(basis[i]),
                                           reps))), d)
                 for i in idx], axis=1)
             B = (up_matrix(space, d) if n is None
@@ -622,7 +621,7 @@ def test_oc_operators_match_value_by_value_oracle(level, N, precision):
     with pytest.raises(BadSemigroupElement):
         apply_double_coset(level, values_of(several), bad)
     with pytest.raises(BadSemigroupElement):
-        ocsymb._apply_coset(several, bad)
+        ocsymb._apply_coset(several, several.data, bad)
 
 
 def test_oc_operators_match_oracle_on_unsolved_values():
@@ -698,16 +697,20 @@ def test_coset_blocks_are_cached_and_read_only():
                                   [manin.MAT_IOTA]])
 def test_operator_on_a_stack_matches_column_by_column(reps):
     # random values need not satisfy the relations; the operator is
-    # linear, so each column of a stack is the image of that column alone
-    level, N, p, prec, T, d = 15, 3, 5, 3, 2, 2
-    shape = (manin.presentation(level).ngens, len(_units(N)), p - 1, d + 1)
-    X = np.random.default_rng(15).integers(0, p**prec, size=shape + (4,))
-    stacked = ocsymb._coset_stratum(level, N, p, prec, T, d, X, reps)
-    assert stacked.any()
-    for i in range(X.shape[-1]):
-        alone = ocsymb._coset_stratum(level, N, p, prec, T, d,
-                                      X[..., i:i + 1], reps)
-        assert np.array_equal(stacked[..., i:i + 1], alone), i
+    # linear, so each symbol of a stack with two leading axes is the image
+    # of that symbol alone, and the image reaches every stratum
+    level, N, p, prec, T = 15, 3, 5, 3, 2
+    shape = (manin.presentation(level).ngens, len(_units(N)), p - 1,
+             len(_pairs(T)[0]))
+    X = np.random.default_rng(15).integers(0, p**prec, size=(2, 3) + shape)
+    sym = OCSymbol(level, N, p, prec, T, X[0, 0])
+    stacked = ocsymb._apply_coset(sym, X, reps)
+    assert stacked.shape == X.shape
+    for d in range(T + 1):
+        assert stacked[..., list(_stratum_cols(T, d))].any(), d
+    for i, j in product(range(2), range(3)):
+        alone = ocsymb._apply_coset(sym, X[i, j], reps)
+        assert np.array_equal(stacked[i, j], alone), (i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -877,22 +880,22 @@ def test_lift_refuses_a_non_unit_alpha(sp11_small):
 
 
 def stratum0_perturbation(space, seed=17):
-    mod = space.p**space.prec
-    idx0 = space.stratum_indices(0)
     rng = np.random.default_rng(seed)
-    perturb = space.basis[idx0[0]].zero_like()
-    for i in idx0:
-        perturb = perturb + space.basis[i].scale(int(rng.integers(0, mod)))
-    return perturb
+    coeffs = np.zeros(space.dimension, dtype=np.int64)
+    for i in space.stratum_indices(0):
+        coeffs[i] = rng.integers(0, space.p**space.prec)
+    return space.combination(coeffs)
 
 
 def test_lift_independent_of_initialization(sp11_big, lifted_11a):
+    # the oracle's lift from a seed perturbed on stratum 0 agrees with the
+    # package's lift up to a unit multiple
     phi, kappa, Phi, _ = lifted_11a
     p, prec = 11, 8
     mod = p**prec
     perturb = stratum0_perturbation(sp11_big)
-    Phi2, res2 = lift_eigensymbol(sp11_big, phi, 1, kappa, sign=-1,
-                                  perturb=perturb)
+    Phi2, res2 = lift_eigensymbol_each_step(sp11_big, phi, 1, kappa,
+                                            sign=-1, perturb=perturb)
     assert res2 >= prec - 2
     f1 = [int(x) for x in Phi.flat()]
     f2 = [int(x) for x in Phi2.flat()]
@@ -902,20 +905,17 @@ def test_lift_independent_of_initialization(sp11_big, lifted_11a):
         assert (a - lam * b) % p**(prec - 2) == 0
 
 
-@pytest.mark.parametrize("profile", ["slopes", "perturbed"])
+@pytest.mark.parametrize("profile", ["slopes", "big"])
 def test_lift_projecting_once_matches_each_step(profile, sp11_big):
     # the sign and sector projections commute with U_p and are idempotent,
     # so projecting after the iteration gives the per-step array exactly
     phi, _ = eigensymbols(11, 0, TRIV, -1)[0]
     kappa = ArithWeight(0, TRIV, 11)
-    if profile == "slopes":   # the benchmark's slopes space, (prec, T) = (6, 1)
-        space, perturb = solve_oc_space(11, 1, (6, 1)), None
-    else:
-        space, perturb = sp11_big, stratum0_perturbation(sp11_big)
-    got, res = lift_eigensymbol(space, phi, 1, kappa, sign=-1,
-                                perturb=perturb)
+    # the benchmark's slopes space, (prec, T) = (6, 1), or (8, 8)
+    space = solve_oc_space(11, 1, (6, 1)) if profile == "slopes" else sp11_big
+    got, res = lift_eigensymbol(space, phi, 1, kappa, sign=-1)
     want, res_want = lift_eigensymbol_each_step(space, phi, 1, kappa,
-                                                sign=-1, perturb=perturb)
+                                                sign=-1)
     assert not got.is_zero()
     assert res == res_want
     assert np.array_equal(got.data, want.data)
@@ -964,6 +964,42 @@ def test_lift_checks_the_ring_of_phi():
     for ring in [(11, 4), (7, 6)]:
         with pytest.raises(PrecisionMismatch):
             lift_eigensymbol(space, classical_to_zpm(phi, *ring), 1, kappa)
+
+
+def test_lift_checks_phi_against_the_space_and_kappa():
+    # phi must share the space's level and kappa's weight and character;
+    # characters compare as functions on the units mod the level
+    space, triv11 = solve_oc_space(11, 1, (6, 2)), ArithWeight(0, TRIV, 11)
+    phi17, _ = eigensymbols(17, 0, TRIV, -1)[0]
+    with pytest.raises(BadLevel, match="level 17"):
+        lift_eigensymbol(space, phi17, 1, triv11)
+    phi11, _ = eigensymbols(11, 0, TRIV, -1)[0]
+    with pytest.raises(DegreeMismatch, match="weight 0"):
+        lift_eigensymbol(space, phi11, 1, ArithWeight(1, TRIV, 11))
+    chi = DirichletChar.from_kronecker(-7)
+    [phi7] = [phi for phi, ev in eigensymbols(7, 1, chi, 1) if ev[7] == 1]
+    with pytest.raises(OperandMismatch, match="character"):
+        lift_eigensymbol(solve_oc_space(7, 1, (6, 2)), phi7, 1,
+                         ArithWeight(1, TRIV, 7), sign=1)
+    # the trivial characters mod 1 and mod 11 agree on the units mod 11
+    got, _ = lift_eigensymbol(space, phi11, 1,
+                              ArithWeight(0, DirichletChar.trivial(11), 11))
+    want, _ = lift_eigensymbol(space, phi11, 1, triv11)
+    assert not got.is_zero() and np.array_equal(got.data, want.data)
+
+
+def test_sign_outside_plus_and_minus_one_is_refused(sp11_small):
+    # the projection and the lift took such a sign as -1 and returned the
+    # minus part without an error
+    space = solve_oc_space(11, 1, (6, 1))
+    phi, _ = eigensymbols(11, 0, TRIV, -1)[0]
+    sym = random_symbol(sp11_small, seed=3)
+    for sign in (0, 2, -3):
+        with pytest.raises(BadIndex, match="sign"):
+            oc_sign_project(sym, sign)
+        with pytest.raises(BadIndex, match="sign"):
+            lift_eigensymbol(space, phi, 1, ArithWeight(0, TRIV, 11),
+                             sign=sign)
 
 
 def test_hecke_eigenvalue_rejects_noneigen(sp11_small):
