@@ -64,7 +64,8 @@ class CriticalSlope(ShintaniError):
 
 
 class NoConvergence(ShintaniError):
-    """Iterative lift failed to stabilise within the allowed iteration budget."""
+    """A walk ran out of steps, an elimination found no certificate, or a
+    lifted eigensymbol failed its exact eigen or specialization check."""
 
 
 class NotEigen(ShintaniError):

@@ -390,7 +390,7 @@ def _coeff_json(e, row):
 
 
 def _J_batch(Phi, forms, terms):
-    """J_oc at every form at once, from the forms' cycle terms.
+    """Right tensor factors of the lift at all forms, from their cycle terms.
 
     Checks that every path matrix lies in the semigroup.  Runs on the
     symbol's data and on the even strata d = 2n only, the ones J_Q reads.
@@ -436,15 +436,6 @@ def _J_batch(Phi, forms, terms):
         nxt[:, :-2] += qc * qpow
         qpow = nxt % mod
     return right % mod
-
-
-def J_oc(Phi, Q):
-    """Right tensor factor of the finite-precision lift at the class of Q.
-
-    Indexed (tag, disc, moment); the one-form case of _J_batch, which
-    theta_oc runs on all its forms.
-    """
-    return _J_batch(Phi, [Q], [_cycle_terms(Q, Phi.level)])[0]
 
 
 def _dirac_convolve(X, s, N, p, prec):

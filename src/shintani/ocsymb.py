@@ -28,8 +28,8 @@ import numpy as np
 from . import manin
 from .arith import ExactValue, valuation
 from .cosets import _units
-from .dist import (_act_blocks, _check_s0, _fold, _indexed_terms, _pairs,
-                   _stratum_cols, _sym_blocks, specialize)
+from .dist import (_act_blocks, _at_weight, _check_s0, _fold, _indexed_terms,
+                   _pairs, _stratum_cols, _sym_blocks, specialize)
 from .errors import (
     BadIndex,
     BadLevel,
@@ -345,24 +345,26 @@ def oc_sign_project(sym, sign):
     return (sym + oc_involution(sym).scale(sign)).scale(half)
 
 
-def disc_sector_project(sym, chi_p):
-    """Projection onto the sector of chi_p on the disc axis.
+def character_project(sym, kappa):
+    """Projection onto the part of kappa's character chi = chi_N chi_p.
 
-    The unit s = 1 mod N, s = c mod p acts by keeping the tags, reading
-    disc c' at disc s^-1 c', and weighting the moment x^a y^b by s^(a + b).
-    On a stratum-d symbol every weight s^(a + b - d) is 1, so the average
-    over s of chi_p(s) s^-d times that action, the projection onto the
-    chi_p part of D(Z_p^x) = sum_j omega^j D(1 + pZ_p), sends x to
-    c -> chi_p(c) sum_c' chi_p(c') x_c' / (p - 1): for trivial chi_p the
-    mean over discs.  chi_p is +-1 on units, so this is idempotent on
-    every symbol, and it commutes with every Hecke operator and the
-    involution.
+    On stratum d, averaging chi(s) s^-d times the unit s (tag t reads
+    s^-1 t, disc c reads s^-1 c) over s mod N p sends x to (t, c) ->
+    chi_N(t) chi_p(c) A / (phi(N) (p - 1)), A = dist._at_weight(x).  Taken
+    on every stratum, that is idempotent (chi = +-1 on units) and commutes
+    with every double coset and the involution, which rotate tags and
+    discs by their upper-left entry and leave the moments alone.  Raises
+    BadLevel when p divides phi(N) (p - 1).
     """
-    mod = sym.p**sym.prec
-    v = np.array([chi_p(c) for c in range(1, sym.p)],
-                 dtype=np.int64).reshape(-1, 1)
-    total = (sym.data * v).sum(axis=2, keepdims=True) % mod
-    return sym._like(v * total * pow(sym.p - 1, -1, mod))
+    N, p, mod = sym.N, sym.p, sym.p**sym.prec
+    size = len(_units(N)) * (p - 1)
+    if size % p == 0:
+        raise BadLevel(f"{p} divides phi({N}) ({p} - 1)")
+    chars = np.multiply.outer([kappa.chi_N(t) for t in _units(N)],
+                              [kappa.chi_p(c) for c in range(1, p)])
+    # A is reduced first, so A times the inverse stays below (p^prec)^2
+    A = _at_weight(sym.data, kappa, N, p) % mod * pow(size, -1, mod) % mod
+    return sym._like(chars[..., None] * A[..., None, None, :])
 
 
 def up_matrix(space, d):
@@ -458,30 +460,30 @@ def _leading_unit_index(flatvec, p):
     return next((i for i, x in enumerate(flatvec) if int(x) % p), None)
 
 
-# p-adic digits a finite-precision check may lose: the eigensymbol lift,
-# its eigenvalues and lifting.verify_interpolation hold mod p^(prec - LOSS)
+# p-adic digits a finite-precision check may lose: Hecke eigenvalues and
+# lifting.verify_interpolation hold mod p^(prec - LOSS)
 LOSS = 2
 
 
 def lift_eigensymbol(space, phi, alpha, kappa, sign=-1):
     """Lift a classical U_p eigensymbol into the solved moment space.
 
-    Seeds a stratum-k preimage of phi under specialization, iterates
-    alpha^{-1} U_p on it 2 (prec + 2) times, then projects once onto the
-    sign and onto the disc sector of kappa's wild character: both
-    projections are idempotents that commute with U_p.  Off the target
-    eigenline, what survives the projections has positive relative slope
-    and decays.  Requires alpha to be a unit mod p.  Returns the
-    stratum-supported eigensymbol, scaled so its first unit coordinate is
-    1, together with the achieved residual valuation; raises NoConvergence
-    unless it specializes to a unit multiple of phi (phi needs a unit
-    coordinate) mod p^(prec - LOSS), so a zero lift is never returned.
-    phi lives over Q or over Z/p^m with m >= prec, at the space's level
-    and kappa's weight and character.
+    Seeds a stratum-k preimage of phi under specialization and projects it
+    onto the sign and with character_project P, once.  The result y is an
+    eigensymbol mod p^prec exactly: P commutes with U_p and the involution,
+    specialize . P = specialize (chi^2 = 1 on units), and on the image of P
+    in stratum k specialization is injective, P x being determined by the
+    A it reads; so specialize(U_p y - alpha y), which is U_p - alpha on
+    phi's sign part, is 0, and U_p y = alpha y.  Requires alpha a unit mod
+    p.  Returns y, scaled so its first unit coordinate is 1, and the
+    residual valuation prec; raises NoConvergence unless U_p y = alpha y
+    and y specializes to a unit multiple of phi (phi needs a unit
+    coordinate) mod p^prec, so a zero lift is never returned.  phi lives
+    over Q or over Z/p^m with m >= prec, at the space's level and kappa's
+    weight and character.
     """
-    p, prec, N, T = space.p, space.prec, space.N, space.T
+    p, prec, N, T, k = space.p, space.prec, space.N, space.T, kappa.k
     mod = p**prec
-    k = kappa.k
     if phi.ring != "Q" and (phi.ring[1] != p or phi.ring[2] < prec):
         raise PrecisionMismatch(f"a symbol over {phi.ring} does not reduce "
                                 f"to Z/{p}^{prec}")
@@ -493,7 +495,6 @@ def lift_eigensymbol(space, phi, alpha, kappa, sign=-1):
         raise DegreeMismatch(f"phi has weight {phi.k}, kappa weight {k}")
     if any(phi.chi(a) != kappa.chi(a) for a in _units(space.level)):
         raise OperandMismatch("phi and kappa differ in character")
-    ainv = pow(int(alpha) % mod, -1, mod)
 
     idx = space.stratum_indices(k)
     if not idx:
@@ -508,26 +509,22 @@ def lift_eigensymbol(space, phi, alpha, kappa, sign=-1):
             "classical symbol is not in the specialization image")
     coeffs = np.zeros(space.dimension, dtype=np.int64)
     coeffs[idx] = x
-    y = space.combination(coeffs)
-    for _ in range(2 * (prec + 2)):
-        y = oc_hecke_Up(y).scale(ainv)
-    y = disc_sector_project(oc_sign_project(y, sign), kappa.chi_p)
-    residual = oc_hecke_Up(y) - y.scale(int(alpha) % mod)
-    res_val = min((valuation(v, p, prec) for v in residual.flat()),
-                  default=prec)
-    if res_val < prec - LOSS:
-        raise NoConvergence(
-            f"iteration stalled: residual valuation {res_val} < "
-            f"{prec - LOSS}")
+    y = character_project(oc_sign_project(space.combination(coeffs), sign),
+                          kappa)
+    residual = (oc_hecke_Up(y) - y.scale(int(alpha) % mod)).flat()
+    if residual.any():
+        raise NoConvergence(f"U_p y - alpha y has valuation "
+                            f"{min(valuation(v, p, prec) for v in residual)}"
+                            f" < {prec}")
     spec = specialize(y.data, kappa, N, p, prec, T).reshape(-1)
     i = _leading_unit_index(spec, p)
     if i is None or target[i] % p == 0 or (
-            (spec * target[i] - target * spec[i]) % p**(prec - LOSS)).any():
+            (spec * target[i] - target * spec[i]) % mod).any():
         raise NoConvergence(f"the lift does not specialize to a unit "
-                            f"multiple of phi mod {p}^{prec - LOSS}")
+                            f"multiple of phi mod {p}^{prec}")
     # y has a unit coordinate, since its specialization has one
     lead = _leading_unit_index(y.flat(), p)
-    return y.scale(pow(int(y.flat()[lead]) % mod, -1, mod)), res_val
+    return y.scale(pow(int(y.flat()[lead]) % mod, -1, mod)), prec
 
 
 def hecke_eigenvalue(sym, n):

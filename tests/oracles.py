@@ -37,12 +37,12 @@ reduction of every whole sector block.  It builds each term's block with
 ``_act_stratum``, the value action on disc coordinates that the package
 applied one path term at a time before its Hecke operators became cached
 sector blocks.  ``lift_eigensymbol_each_step`` is ``lift_eigensymbol`` as
-it projected onto the sign and disc sector after every U_p step, before
-it projected once after the iteration, and it projects with
-``disc_sector_project_rotations``, ``ocsymb.disc_sector_project`` as it
-averaged the p - 1 weighted disc rotations, twisted by the weight's wild
-character, on one stratum before it became one chi_p-weighted sum over
-the disc axis.
+it iterated alpha^-1 U_p and projected after every step, before it
+projected its seed once, and it projects with
+``character_project_rotations``: ``ocsymb.character_project`` as the
+average of the phi(N) (p - 1) weighted rotations of tags and discs,
+twisted by the weight's character, on one stratum, rather than one
+character-weighted sum over both axes.
 
 ``_canonical`` is the least unit multiple of a point of P^1(Z/M), found
 by a minimum over the units that carry its first coordinate to gcd(u, M),
@@ -105,8 +105,10 @@ an exact integer characteristic polynomial.
 ``act_blocks_formula`` is the entry-by-entry Sym^d block that the numpy
 recurrence ``dist._sym_blocks`` replaced, ``act_matrix_L_formula`` and
 ``act_matrix_Lstar_formula`` the binomial sums ``modsym`` built its weight
-action matrices with before they became ``_sym_blocks`` output, and
-``J_oc_values`` the finite-precision lift's coefficient at one form
+action matrices with before they became ``_sym_blocks`` output.
+``J_oc`` is ``lifting._J_batch`` at one form, which left the package
+because only the tests called it, and ``J_oc_values`` the
+finite-precision lift's coefficient at one form
 computed value by value: the symbol evaluated on the cycle divisor through
 ``TaggedDist2.act``, then ``tilde_JQ`` pushing each tag component forward
 along the form.
@@ -139,7 +141,8 @@ from shintani.errors import (
     ShintaniError,
     SquareDiscriminant,
 )
-from shintani.lifting import delta_of_index, quad_power
+from shintani.lifting import (
+    _cycle_terms, _J_batch, delta_of_index, quad_power)
 from shintani.linalg import (
     _check_kernel_bounds, matmul_mod, zpm_kernel, zpm_span_basis)
 from shintani.manin import MAT_IOTA, coset_terms, divisor_terms, presentation
@@ -931,33 +934,41 @@ def coset_blocks_kron(level, N, p, prec, T, d, reps):
          for lo in range(0, len(terms), len(reps))], axis=1)
 
 
-def disc_sector_project_rotations(sym, d, chi_p):
-    """Average of unit disc rotations, twisted by chi_p, on a stratum-d
-    supported symbol.
+def character_project_rotations(sym, d, kappa):
+    """Average of unit rotations of tags and discs, twisted by kappa's
+    character, on a stratum-d supported symbol.
 
-    Rescaling the units by s acts on stratum d as s^d times a pure disc
+    Rescaling the units by s acts on stratum d as s^d times a pure
     rotation; dividing the weight back out leaves the rotation, and
-    averaging chi_p(s) times it over s projects onto the chi_p sector.
-    With s = 1 mod N the tags stay put; disc c reads disc s^-1 c, and the
-    moment x^a y^b is weighted by s^(a + b - d).
+    averaging chi_N(s) chi_p(s) times it over the units s mod N p
+    projects onto the part of kappa's character.  Tag t reads tag s^-1 t,
+    disc c reads disc s^-1 c, and the moment x^a y^b is weighted by
+    s^(a + b - d).
     """
     p, N = sym.p, sym.N
     mod = p**sym.prec
     degrees = np.array([a + b - d for a, b in _pairs(sym.T)[0]])
+    tags = _units(N)
     acc = np.zeros_like(sym.data)
-    for c in range(1, p):
-        s = crt(1, N, c, p) if N > 1 else c
-        weight = np.array([pow(s, int(e), mod) for e in degrees],
-                          dtype=np.int64)
-        discs = [pow(s, -1, p) * x % p - 1 for x in range(1, p)]
-        acc = (acc + sym.data.take(discs, axis=2) * weight * chi_p(s)) % mod
-    return sym._like(acc * pow(p - 1, -1, mod))
+    for t in tags:
+        for c in range(1, p):
+            s = crt(t, N, c, p) if N > 1 else c
+            weight = np.array([pow(s, int(e), mod) for e in degrees],
+                              dtype=np.int64)
+            sinv = pow(s, -1, N * p)
+            src = [tags.index(sinv * x % N) for x in tags]
+            discs = [sinv * x % p - 1 for x in range(1, p)]
+            moved = sym.data.take(src, axis=1).take(discs, axis=2)
+            acc = (acc + moved * weight
+                   * kappa.chi_N(t) * kappa.chi_p(c)) % mod
+    return sym._like(acc * pow(len(tags) * (p - 1), -1, mod))
 
 
 def lift_eigensymbol_each_step(space, phi, alpha, kappa, sign=-1,
                                perturb=None):
-    """``lift_eigensymbol`` projecting onto the sign and disc sector at
-    every step of the alpha^-1 U_p iteration, rather than once after it.
+    """``lift_eigensymbol`` as it iterated alpha^-1 U_p 2 (prec + 2) times
+    on the seed, projecting onto the sign and onto kappa's character by
+    ``character_project_rotations`` after every step.
 
     Returns the normalized lift and its residual valuation, as the
     package's lift does; the input checks and their errors are left out.
@@ -982,7 +993,7 @@ def lift_eigensymbol_each_step(space, phi, alpha, kappa, sign=-1,
     for _ in range(2 * (prec + 2)):
         y = oc_hecke_Up(y).scale(ainv)
         y = oc_sign_project(y, sign)
-        y = disc_sector_project_rotations(y, k, kappa.chi_p)
+        y = character_project_rotations(y, k, kappa)
     residual = oc_hecke_Up(y) - y.scale(int(alpha) % mod)
     res_val = min((valuation(v, p, prec) for v in residual.flat()),
                   default=prec)
@@ -1103,6 +1114,12 @@ def tilde_JQ(value, Q):
     # The left factor carries twice the right factor's moment range: its
     # evaluations go through the squaring map, which halves the range.
     return MetaCoeff(dirac_distN(1, N, p, prec, 2 * Tp), right)
+
+
+def J_oc(Phi, Q):
+    """Right tensor factor of the finite-precision lift at the class of Q,
+    indexed (tag, disc, moment): the one-form case of lifting._J_batch."""
+    return _J_batch(Phi, [Q], [_cycle_terms(Q, Phi.level)])[0]
 
 
 def J_oc_values(Phi, Q, base=None):

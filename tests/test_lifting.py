@@ -30,7 +30,6 @@ from shintani.errors import (
 from shintani.lifting import (
     FormalQExp,
     HalfIntQExp,
-    J_oc,
     _dirac_convolve,
     delta_of_index,
     halfint_Tl2,
@@ -65,6 +64,7 @@ from shintani.qf import QuadForm, act, enumerate_classes
 
 from oracles import (
     J_classical,
+    J_oc,
     J_oc_values,
     MetaCoeff,
     basis_over,
@@ -396,7 +396,7 @@ from shintani.dist import ArithWeight
 from shintani.errors import ShintaniError
 from shintani import modsym
 from shintani.lifting import (
-    FormalQExp, HalfIntQExp, J_oc, specialize_qexp, theta_classical)
+    FormalQExp, HalfIntQExp, specialize_qexp, theta_classical)
 from shintani.linalg import matmul_mod, zpm_solve
 from shintani.modsym import (
     ModularSymbol, SymPoly, eigensymbols, ring_reduce,
@@ -406,7 +406,7 @@ from shintani.ocsymb import (
     solve_oc_space, up_matrix)
 from shintani.qf import QuadForm, enumerate_classes
 
-from oracles import Divisor0, J_classical, basis_symbols
+from oracles import Divisor0, J_classical, J_oc, basis_symbols
 
 T = DirichletChar.trivial(1)
 bad = QuadForm(2, 1, -3)  # in neither F_5 nor F_11

@@ -33,8 +33,8 @@ from shintani.ocsymb import (
     OCSymbol,
     SlopeData,
     charpoly_strata,
+    character_project,
     classical_to_zpm,
-    disc_sector_project,
     hecke_eigenvalue,
     lift_eigensymbol,
     newton_slopes,
@@ -56,12 +56,12 @@ from oracles import (
     apply_involution,
     basis_over,
     basis_symbols,
+    character_project_rotations,
     check_relations,
     check_values,
     coset_blocks_kron,
     data_of,
     dirac_distN,
-    disc_sector_project_rotations,
     evaluate,
     flat_stratum,
     hecke_Tll,
@@ -170,24 +170,29 @@ def test_array_operations_match_value_by_value_oracle(level, N, precision):
     assert np.array_equal(space.stratum_matrix(0), np.stack(
         [flat_stratum(x, 0) for x in basis], axis=1))
 
-    # the trivial character and the quadratic character mod p
-    quad = DirichletChar.from_kronecker(p if p % 4 == 1 else -p)
-    for d, chi_p in product((0, 1, T), (TRIV, quad)):
+    # the trivial character, the quadratic character mod p and, at tame
+    # level 3, that character times (-3/.)
+    quad = p if p % 4 == 1 else -p
+    chis = [TRIV, DirichletChar.from_kronecker(quad)] + (
+        [DirichletChar.from_kronecker(-3 * quad)] if N > 1 else [])
+    for d, chi in product((0, 1, T), chis):
         # the stratum-d part of a, where the weighted rotations project
         cols = list(_stratum_cols(T, d))
         ad = np.zeros_like(a.data)
         ad[..., cols] = a.data[..., cols]
         ad = a._like(ad)
         vd = values_of(ad)
+        kappa = ArithWeight(d, chi, p)
         want = [v.zero_like() for v in vd]
-        for c in range(1, p):
-            s = crt(1, N, c, p) if N > 1 else c
+        for t, c in product(tags, range(1, p)):
+            s = crt(t, N, c, p) if N > 1 else c
             nu = dirac_distN(s, N, p, prec, T)
-            want = [w + scalar_action(nu, v).scale(chi_p(c) * pow(s, -d, mod))
-                    for w, v in zip(want, vd)]
-        want = tuple(w.scale(pow(p - 1, -1, mod)) for w in want)
-        assert values_of(disc_sector_project(ad, chi_p)) == want
-        assert values_of(disc_sector_project_rotations(ad, d, chi_p)) == want
+            w = kappa.chi_N(t) * kappa.chi_p(c) * pow(s, -d, mod)
+            want = [x + scalar_action(nu, v).scale(w)
+                    for x, v in zip(want, vd)]
+        want = tuple(x.scale(pow(len(tags) * (p - 1), -1, mod)) for x in want)
+        assert values_of(character_project(ad, kappa)) == want
+        assert values_of(character_project_rotations(ad, d, kappa)) == want
 
     flip = apply_involution(level, va, invol_tagged)
     for sign in (1, -1):
@@ -905,10 +910,20 @@ def test_lift_independent_of_initialization(sp11_big, lifted_11a):
         assert (a - lam * b) % p**(prec - 2) == 0
 
 
+def assert_unit_multiple(spec, phi, p, prec):
+    """spec is a unit multiple of phi's coordinates mod p^prec."""
+    mod = p**prec
+    spec = [int(c) for c in spec.coords()]
+    pc = [int(c) for c in phi.coords()]
+    i = next(i for i, c in enumerate(pc) if c % p)
+    lam = spec[i] * pow(pc[i], -1, mod) % mod
+    assert lam % p and all((a - lam * b) % mod == 0 for a, b in zip(spec, pc))
+
+
 @pytest.mark.parametrize("profile", ["slopes", "big"])
 def test_lift_projecting_once_matches_each_step(profile, sp11_big):
-    # the sign and sector projections commute with U_p and are idempotent,
-    # so projecting after the iteration gives the per-step array exactly
+    # the sign and character projections commute with U_p and are
+    # idempotent, so projecting the seed once gives the per-step array
     phi, _ = eigensymbols(11, 0, TRIV, -1)[0]
     kappa = ArithWeight(0, TRIV, 11)
     # the benchmark's slopes space, (prec, T) = (6, 1), or (8, 8)
@@ -934,17 +949,63 @@ def test_lift_in_the_sector_of_the_wild_character(k, precision):
     assert not got.is_zero() and res == res_want == 6
     assert np.array_equal(got.data, want.data)
     assert hecke_eigenvalue(got, 7) == 1
-    # it specializes to a unit multiple of phi
-    mod = 7**6
-    spec = [int(c) for c in specialize_symbol(got, kappa).coords()]
-    pc = [int(c) for c in phi.coords()]
-    i = next(i for i, c in enumerate(pc) if c % 7)
-    lam = spec[i] * pow(pc[i], -1, mod) % mod
-    assert lam % 7 and all((a - lam * b) % 7**4 == 0 for a, b in zip(spec, pc))
+    assert_unit_multiple(specialize_symbol(got, kappa), phi, 7, 6)
+
+
+@pytest.mark.filterwarnings("ignore:skipping irrational")
+@pytest.mark.parametrize("level", [15, 21])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_lift_at_tame_level_three_matches_each_step(level, sign):
+    # chi = (-3/.) is the tame character: the oracle's twisted average of
+    # tag and disc rotations gives the package's array exactly
+    chi, p = DirichletChar.from_kronecker(-3), level // 3
+    space, kappa = solve_oc_space(level, 3, (4, 1)), ArithWeight(1, chi, p)
+    [(phi, alpha)] = [(phi, ev[p]) for phi, ev in
+                      eigensymbols(level, 1, chi, sign) if ev[p] % p]
+    got, res = lift_eigensymbol(space, phi, alpha, kappa, sign=sign)
+    want, res_want = lift_eigensymbol_each_step(space, phi, alpha, kappa,
+                                                sign=sign)
+    assert not got.is_zero() and res == res_want == 4
+    assert np.array_equal(got.data, want.data)
+
+
+@pytest.mark.filterwarnings("ignore:skipping irrational")
+def test_lift_at_tame_level_five():
+    # the tame level 5 holds other tame characters' parts with unit U_7
+    # eigenvalues, which only the projection onto chi_N removes
+    chi = DirichletChar.trivial(35)
+    space, kappa = solve_oc_space(35, 5, (4, 0)), ArithWeight(0, chi, 7)
+    systems = [(phi, sign) for sign in (1, -1)
+               for phi, ev in eigensymbols(35, 0, chi, sign) if ev[7] == 1]
+    assert [sign for _, sign in systems] == [1, 1, 1, -1]
+    for phi, sign in systems:
+        lift, res = lift_eigensymbol(space, phi, 1, kappa, sign=sign)
+        assert not lift.is_zero() and res == 4
+        assert hecke_eigenvalue(lift, 7) == 1
+        assert_unit_multiple(specialize_symbol(lift, kappa), phi, 7, 4)
+
+
+def test_lift_checks_the_residual_exactly(monkeypatch):
+    # a U_p off by 7^5 in one entry leaves residual valuation 5: the lift
+    # checks its residual mod 7^6, not mod 7^(6 - 2)
+    chi = DirichletChar.from_kronecker(-7)
+    [phi] = [phi for phi, ev in eigensymbols(7, 1, chi, 1) if ev[7] == 1]
+    real = ocsymb.oc_hecke_Up
+
+    def crooked(sym):
+        img = real(sym)
+        data = np.array(img.data)
+        data.flat[np.flatnonzero(data)[0]] += 7**5
+        return img._like(data)
+
+    monkeypatch.setattr(ocsymb, "oc_hecke_Up", crooked)
+    with pytest.raises(NoConvergence, match="valuation 5 < 6"):
+        lift_eigensymbol(solve_oc_space(7, 1, (6, 2)), phi, 1,
+                         ArithWeight(1, chi, 7), sign=1)
 
 
 def test_lift_refuses_the_wrong_sign():
-    # the plus part of the minus eigensymbol's iterate is zero, which
+    # the plus part of the minus eigensymbol's seed is zero, which
     # passes the residual check: the lift must not return it
     phi, _ = eigensymbols(11, 0, TRIV, -1)[0]
     with pytest.raises(NoConvergence, match="unit multiple of phi"):
@@ -1022,26 +1083,45 @@ def test_sign_and_sector_projectors_are_projectors(sp11_small):
     assert (again - plus).is_zero()
     flipped = oc_involution(minus)
     assert (flipped + minus).is_zero()
-    # the disc mean, on a symbol of every stratum at once, where the
-    # weighted rotation average of one stratum is not idempotent: the mean
-    # is, and it commutes with U_p, T_2 and the involution
-    space = solve_oc_space(11, 1, (5, 3))
-    sym = random_symbol(space, seed=53)
+    # the character projection, on a symbol of every stratum at once,
+    # where the weighted rotation average of one stratum is not
+    # idempotent: the projection is, and it commutes with U_p, T_2 and the
+    # involution; at tame level 3 it also projects onto the tame character
     quad = DirichletChar.from_kronecker(-11)
-    for chi_p in (TRIV, quad):
-        proj = disc_sector_project(sym, chi_p)
-        assert not proj.is_zero() and not (proj - sym).is_zero()
-        assert (disc_sector_project(proj, chi_p) - proj).is_zero()
-        for op in (oc_hecke_Up, lambda x: oc_hecke_Tn(x, 2), oc_involution):
-            assert not op(proj).is_zero()
-            assert (op(proj) - disc_sector_project(op(sym), chi_p)).is_zero()
-        for d in range(space.T + 1):
-            once = disc_sector_project_rotations(sym, d, chi_p)
-            assert not (disc_sector_project_rotations(once, d, chi_p)
-                        - once).is_zero()
-    # the two sectors are complementary pieces of the symbol
-    assert (disc_sector_project(disc_sector_project(sym, quad), TRIV)
-            .is_zero())
+    five = DirichletChar.from_kronecker(5)
+    for (level, N, precision), chis in [
+            ((11, 1, (5, 3)), (TRIV, quad)),
+            ((15, 3, (4, 2)), (TRIV, five, DirichletChar.from_kronecker(-3),
+                               DirichletChar.from_kronecker(-15)))]:
+        space = solve_oc_space(level, N, precision)
+        sym = random_symbol(space, seed=53)
+        kappas = [ArithWeight(0, chi, level // N) for chi in chis]
+        for kappa in kappas:
+            proj = character_project(sym, kappa)
+            assert not proj.is_zero() and not (proj - sym).is_zero()
+            assert (character_project(proj, kappa) - proj).is_zero()
+            for op in (oc_hecke_Up, lambda x: oc_hecke_Tn(x, 2),
+                       oc_involution):
+                assert not op(proj).is_zero()
+                assert (op(proj)
+                        - character_project(op(sym), kappa)).is_zero()
+            for d in range(space.T + 1):
+                once = character_project_rotations(sym, d, kappa)
+                assert not (character_project_rotations(once, d, kappa)
+                            - once).is_zero()
+        # the parts of distinct characters are complementary pieces
+        for kappa, other in product(kappas, repeat=2):
+            if kappa is not other:
+                assert character_project(character_project(sym, kappa),
+                                         other).is_zero()
+
+
+def test_character_projection_needs_p_prime_to_phi_of_N():
+    # p = 5 divides phi(11) (5 - 1), which is then not a unit mod 5^2
+    sym = OCSymbol(55, 11, 5, 2, 0, np.zeros((manin.presentation(55).ngens,
+                                              10, 4, 1), dtype=np.int64))
+    with pytest.raises(BadLevel, match="divides"):
+        character_project(sym, ArithWeight(0, DirichletChar.trivial(55), 5))
 
 
 def test_oc_symbol_evaluate_invariance(sp11_small):
