@@ -102,19 +102,19 @@ def _indexed_terms(groups, level, mod=None):
     return np.array(rows, dtype=np.int64).reshape(-1, 4), list(mats)
 
 
-def _fold(rows, S, lo, size, ngens, mod=None):
-    """Blocks (sector, group, row, (generator, column)) of the groups
-    lo .. lo + size - 1 of group-ordered _indexed_terms rows: each group's
-    sum of w times the block S[matrix] (sector, row, column) in generator
-    column c.  Exact on object blocks when mod is None."""
-    red = (lambda X: X) if mod is None else (lambda X: X % mod)
-    a, b = np.searchsorted(rows[:, 0], [lo, lo + size])
-    owner, gen, mat, w = rows[a:b].T
-    out = np.zeros((size, ngens) + S.shape[1:], dtype=S.dtype)
-    # mod p^prec every weight * block entry is below (p^prec)^2 < 2^56
-    np.add.at(out, (owner - lo, gen), red(w[:, None, None, None] * S[mat]))
+def _fold(rows, S, ngroups, ngens, mod=None):
+    """Blocks (sector, group, row, (generator, column)): per group the sum
+    of w S[matrix] (sector, row, column) in column c over its _indexed_terms
+    rows (group, c, matrix, w), in any order; exact when mod is None."""
+    red = (lambda X: X) if mod is None else (
+        lambda X: np.remainder(X, mod, out=X))
+    out = np.zeros((ngroups, ngens) + S.shape[1:], dtype=S.dtype)
+    terms = S[rows[:, 2]]
+    # w * block < (p^prec)^2 < 2^56, reduced in place before it is added
+    terms *= rows[:, 3].reshape(-1, 1, 1, 1)
+    np.add.at(out, (rows[:, 0], rows[:, 1]), red(terms))
     return red(out).transpose(2, 0, 3, 1, 4).reshape(
-        S.shape[1], size, S.shape[2], ngens * S.shape[3])
+        S.shape[1], ngroups, S.shape[2], ngens * S.shape[3])
 
 
 @lru_cache(maxsize=8192)

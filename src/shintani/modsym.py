@@ -233,7 +233,7 @@ def _term_rows(M, k, chi, groups):
     rows, gs = _indexed_terms(groups, M)
     chis = np.array([chi(g[0]) for g in gs], dtype=object)
     S = _L_blocks(gs, k) * chis.reshape(-1, 1, 1)
-    return _fold(rows, S[:, None], 0, len(groups),
+    return _fold(rows, S[:, None], len(groups),
                  manin.presentation(M).ngens)[0]
 
 

@@ -10,10 +10,10 @@ The disc axis carries the regular representation of (Z/p)^x, whose
 characters omega^j are defined over Z/p^M (D(Z_p^x) = sum_j omega^j
 D(1 + pZ_p), as in Stevens' rigid analytic modular symbols), so each
 stratum splits into p - 1 Teichmuller sectors.  The relations are solved,
-and every Hecke operator is applied, one sector block at a time; both
-build the sector blocks of a call's distinct path matrices from one
-``_sym_blocks`` batch and sum them with ``dist._fold``.  The solve first
-eliminates the generators whose relation block is an identity pivot.
+and every Hecke operator is applied, one sector block at a time, each
+built for all strata by one ``_term_blocks`` fold on one ``_sym_blocks``
+batch.  The solve first eliminates the generators whose relation block
+is an identity pivot.
 """
 
 from __future__ import annotations
@@ -164,66 +164,66 @@ def _stratum_action_matrix(g, N, p, prec, T, d):
     return _sector_blocks([g], V[None], N, p, prec)[0]
 
 
-def _term_blocks(groups, ngens, N, p, prec, d):
-    """Each group's sum_(c, g, w) w * x_c|g on stratum d as sector blocks
-    (sector, group, (tag, moment), (generator, tag, moment)), from one
-    _sym_blocks batch of the distinct path matrices."""
-    rows, gs = _indexed_terms(groups, N * p, p**prec)
-    S = _sector_blocks(gs, _sym_blocks(gs, [d], p**prec)[d], N, p, prec)
-    return _fold(rows, S, 0, len(groups), ngens, p**prec)
+def _term_blocks(groups, ngens, N, p, prec, T, reps=((1, 0, 0, 1),)):
+    """Yields per stratum d = 0..T sector blocks (sector, b, (tag, moment),
+    (generator, tag, moment)) of the sums of w x_c|g|reps[i] over i and the
+    terms (c, g, w) of groups[b * len(reps) + i], one S P per (i, g)."""
+    k, mod = len(reps), p**prec
+    rows, gs = _indexed_terms(groups, N * p, mod)
+    pairs = {}
+    rows[:, 2] = [pairs.setdefault(ig, len(pairs)) for ig in
+                  zip((rows[:, 0] % k).tolist(), rows[:, 2].tolist())]
+    rows[:, 0] //= k
+    rep, mat = np.array(list(pairs), dtype=np.int64).reshape(-1, 2).T
+    V = _sym_blocks(gs, range(T + 1), mod)
+    for d in range(T + 1):
+        S = np.stack([_stratum_action_matrix(a, N, p, prec, T, d)
+                      for a in reps])
+        P = _sector_blocks(gs, V[d], N, p, prec)
+        # S P is reduced, so w times each entry is below (p^prec)^2 < 2^56
+        yield _fold(rows, matmul_mod(S[rep], P[mat], mod), len(groups) // k,
+                    ngens, mod)
 
 
-@lru_cache(maxsize=64)
-def _coset_blocks(level, N, p, prec, T, d, reps):
-    """The double coset of reps on stratum d, one read-only block per sector.
-
-    Block j acts on (generator, tag, moment); its block row b is the sum
-    over alpha of S_j(alpha) E_j(alpha . base_b), E folded one base at a
-    time from one _sym_blocks batch of all path matrices, and S from
-    _stratum_action_matrix: for MAT_IOTA, the one rep checked against no
-    semigroup, that is the moment sign (-1)^(d - n) of x^n y^(d - n).  At
-    most 64 are kept, of (p - 1) (ngens phi(N) (d + 1))^2 entries each.
-    """
+@lru_cache(maxsize=8)
+def _coset_blocks(level, N, p, prec, T, reps):
+    """The double coset of reps: per stratum d = 0..T, read-only sector
+    blocks on (generator, tag, moment), block row b the divisors
+    alpha . base_b twisted by alpha (MAT_IOTA, unchecked against the
+    semigroup, by the moment sign (-1)^(d - n)).  An entry is one operator,
+    (p - 1) (ngens phi(N) (d + 1))^2 entries per d; at most 8 are kept."""
     for alpha in set(reps) - {manin.MAT_IOTA}:
         _check_s0(alpha, level)
-    ngens, mod, k = manin.presentation(level).ngens, p**prec, len(reps)
-    S = np.stack([_stratum_action_matrix(alpha, N, p, prec, T, d)
-                  for alpha in reps], axis=1)
-    rows, gs = _indexed_terms(manin.coset_terms(level, reps), level, mod)
-    paths = _sector_blocks(gs, _sym_blocks(gs, [d], mod)[d], N, p, prec)
-    folds = (_fold(rows, paths, b * k, k, ngens, mod) for b in range(ngens))
-    op = np.concatenate([matmul_mod(S, E, mod).sum(axis=1) % mod
-                         for E in folds], axis=1)
-    op.flags.writeable = False
-    return op
+    ngens = manin.presentation(level).ngens
+    ops = tuple(op.reshape(p - 1, -1, op.shape[-1]) for op in _term_blocks(
+        manin.coset_terms(level, reps), ngens, N, p, prec, T, reps))
+    for op in ops:
+        op.flags.writeable = False
+    return ops
 
 
 def _apply_coset(space, X, reps):
-    """The double coset of reps on data X of space, stratum by stratum.
-
-    space is a symbol or an OCSpace, for its N, p, prec and T.  X is
-    indexed (..., generator, tag, disc, moment), one symbol or a stack of
-    them, and so is the result.  On each stratum the inverse character
-    table maps discs to sectors, each sector takes one product with its
-    _coset_blocks block, and the table maps back.
-    """
+    """The double coset of reps on data X (..., generator, tag, disc,
+    moment) of space, a symbol or an OCSpace: each stratum that holds data
+    takes one product per sector with its _coset_blocks block."""
     N, p, prec, T = space.N, space.p, space.prec, space.T
     mod, chars = p**prec, _characters(p, prec)
     # row j of the inverse table is omega^-j / (p - 1) = omega^(p-1-j) / (p - 1)
-    to_sectors = chars[-np.arange(p - 1) % (p - 1)] * pow(p - 1, -1, mod) % mod
+    inverse = chars[-np.arange(p - 1) % (p - 1)] * pow(p - 1, -1, mod) % mod
+    ops = _coset_blocks(N * p, N, p, prec, T, tuple(reps))
+    cols = [list(_stratum_cols(T, d)) for d in range(T + 1)]
+    live = [d for d in range(T + 1) if X[..., cols[d]].any()]
+    flat = [i for d in live for i in cols[d]]
+    # (sector, ..., generator, tag, moment); the blocks act from the right
+    discs = np.moveaxis(X[..., flat], -2, 0)
+    Y = matmul_mod(inverse, discs.reshape(p - 1, -1), mod).reshape(discs.shape)
+    for d, end in zip(live, np.cumsum([d + 1 for d in live])):
+        Z = Y[..., end - d - 1:end]
+        Z[...] = matmul_mod(Z.reshape(p - 1, -1, ops[d].shape[2]),
+                            ops[d].transpose(0, 2, 1), mod).reshape(Z.shape)
+    back = matmul_mod(chars.T, Y.reshape(p - 1, -1), mod)
     out = np.zeros_like(X)
-    for d in range(T + 1):
-        cols = list(_stratum_cols(T, d))
-        # (disc, ..., generator, tag, moment); the blocks act from the right
-        discs = np.moveaxis(X[..., cols], -2, 0)
-        if not discs.any():
-            continue
-        op = _coset_blocks(N * p, N, p, prec, T, d, tuple(reps))
-        sectors = matmul_mod(to_sectors, discs.reshape(p - 1, -1), mod)
-        images = matmul_mod(sectors.reshape(p - 1, -1, op.shape[2]),
-                            op.transpose(0, 2, 1), mod)
-        back = matmul_mod(chars.T, images.reshape(p - 1, -1), mod)
-        out[..., cols] = np.moveaxis(back.reshape(discs.shape), 0, -2)
+    out[..., flat] = np.moveaxis(back.reshape(discs.shape), 0, -2)
     return out
 
 
@@ -299,8 +299,8 @@ def solve_oc_space(Np, N, precision):
     shape = (pres.ngens, len(_units(N)), p - 1)
     pivots = [group[0][0] for group in pres.relations]
     blocks, strata, torsion = [], [], []
-    for d in range(T + 1):
-        rel = _term_blocks(pres.relations, pres.ngens, N, p, prec, d)
+    for d, rel in enumerate(_term_blocks(pres.relations, pres.ngens, N, p,
+                                         prec, T)):
         W = rel.reshape(rel.shape[:3] + (pres.ngens, -1))
         rows, width = [], prod(shape) * (d + 1)
         for j, Y in enumerate(zpm_block_kernel(W, pivots, p, prec)):

@@ -28,6 +28,11 @@ are ``ocsymb._stratum_action_matrix``, ``_term_blocks`` and
 tag gather and the Sym^d block per path matrix and one np.stack of the
 term blocks, before the relation and Hecke folds built the sector blocks
 of all their distinct path matrices in one ``dist._sym_blocks`` batch.
+Each takes one stratum d, and ``coset_blocks_kron`` folds one base
+divisor at a time and twists the fold by the stacked representatives,
+as the package did before it built each operator once for all strata,
+multiplying each distinct (representative, path matrix) pair once and
+folding every base at once.
 ``stratum_relation_matrix`` is one stratum's relation matrix in disc
 coordinates, the matrix ``solve_oc_space`` reduced whole before it solved
 each Teichmuller sector on its own, and ``solve_oc_space_whole_sectors``
@@ -860,8 +865,8 @@ def solve_oc_space_whole_sectors(Np, N, precision):
     pres, mod, chars = presentation(Np), p**prec, _characters(p, prec)
     shape = (pres.ngens, len(_units(N)), p - 1)
     data, strata, torsion = [], [], []
-    for d in range(T + 1):
-        rel = _term_blocks(pres.relations, pres.ngens, N, p, prec, d)
+    for d, rel in enumerate(_term_blocks(pres.relations, pres.ngens, N, p,
+                                         prec, T)):
         rows = []
         for j, B in enumerate(rel.reshape(p - 1, -1, rel.shape[-1])):
             for y in zpm_kernel(B, p, prec)[0]:

@@ -419,6 +419,37 @@ def test_runtime_needs_numpy_only(capsys):
     assert got["runs"] == [[0, run_cli(capsys, *argv)[1]] for argv in argvs]
 
 
+# np.unique's first call imports numpy.ma, which costs milliseconds and
+# over a megabyte of peak RSS; the overconvergent commands never need it
+NO_MASKED_ARRAYS = """
+import contextlib, io, json, sys
+import shintani.cli
+at_import = "numpy.ma" in sys.modules
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(shintani.cli.main(argv))
+print(json.dumps([at_import, codes, "numpy.ma" in sys.modules]))
+"""
+
+
+def test_oc_commands_import_no_masked_arrays():
+    argvs = [["verify", "oc-hecke", *OC_PROFILE, "--nmax", "8"],
+             ["slopes", "--p", "11", "--tame-n", "1", "--moments", "1",
+              "--padic-prec", "4", "--h", "1"],
+             ["shintani", "oc", *OC_PROFILE, "--nmax", "8", "--json"]]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(shintani.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_MASKED_ARRAYS, json.dumps(argvs)],
+        capture_output=True, text=True, check=True, env=env, timeout=300)
+    at_import, codes, loaded = json.loads(proc.stdout)
+    if at_import:
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    assert codes == [0, 0, 0]
+    assert not loaded
+
+
 # ---------------------------------------------------------------------------
 # the option and command tables
 

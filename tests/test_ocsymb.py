@@ -315,7 +315,8 @@ def test_sector_blocks_are_the_conjugated_relation_matrix(level, N, prec, T,
            for k in range(p - 1) if j != k]
     assert sum(int(np.count_nonzero(x)) for x in off) == 0
     pres = manin.presentation(level)
-    blocks = ocsymb._term_blocks(pres.relations, pres.ngens, N, p, prec, d)
+    blocks = list(ocsymb._term_blocks(pres.relations, pres.ngens, N, p, prec,
+                                      T))[d]
     diag = [conj[:, :, j, :, :, :, j, :].reshape(blocks[j].shape)
             for j in range(p - 1)]
     for j in range(p - 1):
@@ -366,8 +367,7 @@ def test_block_elimination_spans_each_sector_kernel(level, N, precision,
 
     monkeypatch.setattr(linalg, "zpm_kernel", recorded)
     nonzero = 0
-    for d in range(T + 1):
-        rel = ocsymb._term_blocks(pres.relations, pres.ngens, N, p, prec, d)
+    for rel in ocsymb._term_blocks(pres.relations, pres.ngens, N, p, prec, T):
         width = rel.shape[-1]
         gens = zpm_block_kernel(rel.reshape(rel.shape[:3] + (pres.ngens, -1)),
                                 pivots, p, prec)
@@ -659,42 +659,62 @@ def test_term_blocks_check_every_distinct_path_matrix():
     level, N, p, prec, d = 15, 3, 5, 4, 1
     ngens = manin.presentation(level).ngens
     good = [(0, (1, 0, 0, 1), 1), (1, (1, 0, 0, 1), -1), (2, (2, 1, 15, 8), 1)]
-    for fold in (partial(ocsymb._term_blocks, ngens=ngens, N=N, p=p,
-                         prec=prec, d=d),
-                 partial(modsym._term_rows, level, d, TRIV)):
+
+    def sector_fold(groups):
+        return list(ocsymb._term_blocks(groups, ngens, N, p, prec, d))[d]
+
+    for fold in (sector_fold, partial(modsym._term_rows, level, d, TRIV)):
         assert fold([good]).any()
         for bad in [(1, 0, 1, 1), (3, 1, 15, 6), (1, 1, 15, 1)]:
             with pytest.raises(BadSemigroupElement):
                 fold([good[:2] + [(2, bad, 1)] + good[2:]])
 
 
-@pytest.mark.parametrize("level, N, precision", [(5, 1, (8, 8)),
-                                                 (11, 1, (6, 1))])
+@pytest.mark.parametrize("level, N, precision",
+                         [(5, 1, (8, 8)), (11, 1, (6, 1)), (15, 3, (4, 4)),
+                          (15, 3, (12, 2))])
 def test_sector_folds_match_the_kron_oracle(level, N, precision):
-    # the relation and Hecke folds against one np.kron per path matrix and
-    # one np.stack per fold, on every stratum
-    p, (prec, T) = level // N, precision
+    # the relation and Hecke folds, each built once for all strata, against
+    # one np.kron per path matrix and one np.stack per fold, on every
+    # stratum of U_p, T_2, T_{l,l} and the involution; 5^12 is just below
+    # the 2^28 bound, where every weight * reduced product is below 2^56
+    p, (prec, T), l = level // N, precision, 3 if level % 3 else 7
     pres = manin.presentation(level)
-    for d in range(T + 1):
-        assert np.array_equal(
-            ocsymb._term_blocks(pres.relations, pres.ngens, N, p, prec, d),
-            term_blocks_kron(pres.relations, pres.ngens, N, p, prec, T, d))
-        for reps in (manin.hecke_reps(p, level), manin.hecke_reps(2, level),
-                     [(3, 0, 0, 3)], [manin.MAT_IOTA]):
-            reps = tuple(reps)
-            assert np.array_equal(
-                ocsymb._coset_blocks(level, N, p, prec, T, d, reps),
-                coset_blocks_kron(level, N, p, prec, T, d, reps)), (d, reps)
+    rels = list(ocsymb._term_blocks(pres.relations, pres.ngens, N, p, prec, T))
+    assert len(rels) == T + 1
+    for d, rel in enumerate(rels):
+        assert np.array_equal(rel, term_blocks_kron(
+            pres.relations, pres.ngens, N, p, prec, T, d)), d
+    for reps in (manin.hecke_reps(p, level), manin.hecke_reps(2, level),
+                 [(l, 0, 0, l)], [manin.MAT_IOTA]):
+        reps = tuple(reps)
+        ops = ocsymb._coset_blocks(level, N, p, prec, T, reps)
+        assert len(ops) == T + 1
+        for d, op in enumerate(ops):
+            want = coset_blocks_kron(level, N, p, prec, T, d, reps)
+            assert np.array_equal(op, want), (d, reps)
 
 
 def test_coset_blocks_are_cached_and_read_only():
-    key = (15, 3, 5, 3, 2, 1, tuple(manin.hecke_reps(5, 15)))
-    op = ocsymb._coset_blocks(*key)
-    assert ocsymb._coset_blocks(*key) is op
-    assert op.shape == (4, 24 * 2 * 2, 24 * 2 * 2)
-    assert not op.flags.writeable
-    with pytest.raises(ValueError):
-        op[0, 0, 0] = 1
+    key = (15, 3, 5, 3, 2, tuple(manin.hecke_reps(5, 15)))
+    ops = ocsymb._coset_blocks(*key)
+    assert ocsymb._coset_blocks(*key) is ops
+    assert isinstance(ops, tuple)
+    assert [op.shape for op in ops] == [(4, 24 * 2 * (d + 1), 24 * 2 * (d + 1))
+                                        for d in range(3)]
+    for op in ops:
+        assert not op.flags.writeable
+        with pytest.raises(ValueError):
+            op[0, 0, 0] = 1
+
+
+def test_coset_blocks_refuse_a_rep_outside_the_semigroup():
+    # each rep but the involution is checked once, before any block is
+    # built: a non-unit upper-left, a lower-left off the level and a
+    # negative determinant are refused
+    for bad in [(5, 0, 0, 1), (1, 0, 1, 1), (2, 0, 0, -1)]:
+        with pytest.raises(BadSemigroupElement):
+            ocsymb._coset_blocks(15, 3, 5, 3, 2, ((1, 0, 0, 2), bad))
 
 
 @pytest.mark.parametrize("reps", [manin.hecke_reps(5, 15),
