@@ -148,9 +148,7 @@ class JobConfig(argparse.Namespace):
         return self
 
     def character(self):
-        if not self.char_disc:
-            return DirichletChar.trivial()
-        return DirichletChar.from_kronecker(self.char_disc)
+        return DirichletChar.from_kronecker(self.char_disc or 0)
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +159,11 @@ def _emit(text):
     sys.stdout.write(text + "\n")
 
 
-def _emit_json(obj):
-    _emit(json.dumps(obj, sort_keys=True, indent=2))
+def _emit_json(cfg, obj):
+    """Write obj under the schema version and the command that made it."""
+    command = " ".join(filter(None, (cfg.group, vars(cfg).get("action"))))
+    _emit(json.dumps({**obj, "schema_version": SCHEMA_VERSION,
+                      "command": command}, sort_keys=True, indent=2))
 
 
 def _json_diff(a, b, path="$"):
@@ -236,9 +237,7 @@ def cmd_qf_classes(cfg):
         raise UsageError("disc must be a positive integer")
     classes = qf.enumerate_classes(cfg.level, disc)
     if cfg.json_out:
-        _emit_json({
-            "schema_version": SCHEMA_VERSION,
-            "command": "qf classes",
+        _emit_json(cfg, {
             "level": cfg.level,
             "disc": disc,
             "count": len(classes),
@@ -258,9 +257,7 @@ def cmd_modsym_basis(cfg):
     J = involution_matrix(basis) if basis else []
     plus, minus = (len(sign_subspace(J, sign)) for sign in (1, -1))
     if cfg.json_out:
-        _emit_json({
-            "schema_version": SCHEMA_VERSION,
-            "command": "modsym basis",
+        _emit_json(cfg, {
             "level": cfg.level,
             "weight": cfg.weight,
             "character_disc": cfg.char_disc,
@@ -285,9 +282,7 @@ def cmd_modsym_eigen(cfg):
     chi = cfg.character()
     systems = eigensymbols(cfg.level, cfg.weight, chi, cfg.sign)
     if cfg.json_out:
-        _emit_json({
-            "schema_version": SCHEMA_VERSION,
-            "command": "modsym eigen",
+        _emit_json(cfg, {
             "level": cfg.level,
             "weight": cfg.weight,
             "character_disc": cfg.char_disc,
@@ -319,9 +314,7 @@ def cmd_shintani_classical(cfg):
                                 cfg.n_max, threads=cfg.threads)
         payload.append((sys_, theta))
     if cfg.json_out:
-        _emit_json({
-            "schema_version": SCHEMA_VERSION,
-            "command": "shintani classical",
+        _emit_json(cfg, {
             "level": cfg.level,
             "weight": cfg.weight,
             "character_disc": cfg.char_disc,
@@ -350,15 +343,15 @@ def cmd_shintani_classical(cfg):
     return 0
 
 
-def _seeded_oc_symbol(space, seed):
-    rng = random.Random(seed)
-    mod = space.p ** space.prec
-    return space.combination([rng.randrange(mod) for _ in range(space.dimension)])
+def _seeded_oc_symbol(cfg):
+    space = solve_oc_space(cfg.p * cfg.tame, cfg.tame, (cfg.prec, cfg.moments))
+    rng, mod = random.Random(cfg.seed), space.p ** space.prec
+    return space, space.combination(
+        [rng.randrange(mod) for _ in range(space.dimension)])
 
 
 def cmd_shintani_oc(cfg):
-    space = solve_oc_space(cfg.p * cfg.tame, cfg.tame, (cfg.prec, cfg.moments))
-    Phi = _seeded_oc_symbol(space, cfg.seed)
+    space, Phi = _seeded_oc_symbol(cfg)
     e = theta_oc(Phi, cfg.n_max)
     # report the weight-1 specialization: the even-weight sector of the
     # lifting vanishes identically by anti-symmetry, so weight 1 is the
@@ -367,9 +360,7 @@ def cmd_shintani_oc(cfg):
     spec0 = specialize_qexp(e, ArithWeight(spec_k, DirichletChar.trivial(),
                                            cfg.p))
     if cfg.json_out:
-        _emit_json({
-            "schema_version": SCHEMA_VERSION,
-            "command": "shintani oc",
+        _emit_json(cfg, {
             "p": cfg.p,
             "tame_level": cfg.tame,
             "moments": cfg.moments,
@@ -401,16 +392,13 @@ def cmd_slopes(cfg):
     bound = Fraction(cfg.slope_bound)
     kept = [s for s in data.slopes if s <= bound]
     if cfg.json_out:
-        obj = data.to_json()
-        obj.update({
-            "schema_version": SCHEMA_VERSION,
-            "command": "slopes",
+        _emit_json(cfg, {
+            **data.to_json(),
             "tame_level": cfg.tame,
             "moments": cfg.moments,
             "slope_bound": cfg.slope_bound,
             "slopes_kept": [[s.numerator, s.denominator] for s in kept],
         })
-        _emit_json(obj)
         return 0
     _emit(f"slope report  p={cfg.p}  tame={cfg.tame}  moments={cfg.moments}"
           f"  prec={cfg.prec}")
@@ -489,8 +477,7 @@ def cmd_verify_interpolation(cfg):
         f"  p={cfg.p}  tame={cfg.tame}  moments={cfg.moments}"
         f"  prec={cfg.prec}  nmax={cfg.n_max}  seed={cfg.seed}",
     ]
-    space = solve_oc_space(cfg.p * cfg.tame, cfg.tame, (cfg.prec, cfg.moments))
-    Phi = _seeded_oc_symbol(space, cfg.seed)
+    _, Phi = _seeded_oc_symbol(cfg)
     ok, live = True, False
     for k in cfg.weights:
         kappa = ArithWeight(k, DirichletChar.trivial(), cfg.p)
@@ -518,8 +505,7 @@ def cmd_verify_oc_hecke(cfg):
         f"  primes={','.join(map(str, cfg.ells))}",
     ]
     level = cfg.p * cfg.tame
-    space = solve_oc_space(level, cfg.tame, (cfg.prec, cfg.moments))
-    Phi = _seeded_oc_symbol(space, cfg.seed)
+    _, Phi = _seeded_oc_symbol(cfg)
     base = [n for n in range(1, cfg.n_max + 1) if realizable_index(level, n)]
     ok, live = True, False
     for l in cfg.ells:

@@ -404,11 +404,7 @@ def _J_batch(Phi, forms, terms):
     mod, Tp, tags = p**prec, T // 2, _units(N)
     rows, mats = _indexed_terms(terms, N * p, mod)
     owner, gen, mat, wt = rows.T
-    src = [_sources(g, N, p) for g in mats]
-    tsrc = np.array([s[0] for s in src],
-                    dtype=np.int64).reshape(-1, len(tags))[mat]
-    dsrc = np.array([s[1] for s in src],
-                    dtype=np.int64).reshape(-1, p - 1)[mat]
+    tsrc, dsrc = (x[mat] for x in _sources([g[0] for g in mats], N, p))
     evens = range(0, 2 * Tp + 1, 2)
     blocks = _sym_blocks(mats, evens, mod)
     X = Phi.data
@@ -448,7 +444,7 @@ def _dirac_convolve(X, s, N, p, prec):
     if gcd(s, N * p) != 1:
         return np.zeros_like(X)
     mod = p**prec
-    tsrc, dsrc = _sources((s, 0, 0, 1), N, p)
+    (tsrc,), (dsrc,) = _sources([s], N, p)
     weights = np.array([pow(s, n, mod) for n in range(X.shape[-1])],
                        dtype=np.int64)
     return X[..., tsrc, :, :][..., dsrc, :] * weights % mod

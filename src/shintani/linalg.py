@@ -210,7 +210,10 @@ def _howell_reduce(rows, width, p, M):
 def _graph(A, p, M):
     """(image, zpm_kernel(A)) from the Howell form of A's graph mod p^M:
     image lists (c, v, a, u) for each row (a, u) whose pivot p^v is at a
-    column c < m, so that A u = a."""
+    column c < m, so that A u = a.  The other rows are (0, u), and every
+    (0, x) in the graph is a combination of them (Howell property): their
+    tails u, pivots p^v with the entries above reduced into [0, p^v), are
+    the kernel's unique Howell basis, with torsion v."""
     _check_kernel_bounds(p, M)
     A = np.asarray(A, dtype=np.int64)
     m, n = A.shape
@@ -219,8 +222,8 @@ def _graph(A, p, M):
     reduced, info = _howell_reduce(list(aug), m + n, p, M)
     image = [(c, v, r[:m], r[m:]) for r, (c, v) in zip(reduced, info)
              if c < m]
-    raw = [r[m:] for r, (c, _) in zip(reduced, info) if c >= m]
-    return image, zpm_span_basis(raw, n, p, M)
+    kernel = [(r[m:], v) for r, (c, v) in zip(reduced, info) if c >= m]
+    return image, ([u for u, _ in kernel], [v for _, v in kernel])
 
 
 def zpm_kernel(A, p, M):

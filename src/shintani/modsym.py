@@ -34,7 +34,7 @@ from operator import add, mul
 
 import numpy as np
 
-from .arith import ExactValue, is_prime
+from .arith import DirichletChar, ExactValue, is_prime
 from .cosets import p1_classes
 from .dist import _check_s0, _fold, _indexed_terms, _sym_blocks
 from .errors import (
@@ -255,9 +255,14 @@ def _coset_rows(M, k, chi, reps):
 
 
 def _hecke_rows(M, k, chi, reps):
-    """_coset_rows for reps in the acting semigroup, each one checked."""
-    for alpha in reps:
+    """_coset_rows for reps, each but MAT_IOTA checked in the acting
+    semigroup, and chi read as a character mod M: the rows read it on
+    units mod M only, so characters that agree there share one entry."""
+    for alpha in set(reps) - {manin.MAT_IOTA}:
         _check_s0(alpha, M)
+    if M % chi.modulus:
+        raise BadLevel(f"character modulus {chi.modulus} must divide {M}")
+    chi = DirichletChar(M, [chi(a) for a in range(M)])
     return _coset_rows(M, k, chi, tuple(reps))
 
 
@@ -287,7 +292,7 @@ def solve_symbol_space(M, k, chi):
     the relation rows with the integer basis vectors checks that on every
     call.
     """
-    if chi.modulus > 1 and M % chi.modulus != 0:
+    if M % chi.modulus:
         raise BadLevel(f"character modulus {chi.modulus} must divide {M}")
     rows = _term_rows(M, k, chi, manin.presentation(M).relations)
     n = rows.shape[-1]
@@ -308,7 +313,7 @@ def hecke_Tn(phi, n):
 
 def involution(phi):
     """Phi|iota for iota = diag(1, -1)."""
-    return _apply_rows([phi], _coset_rows(phi.level, phi.k, phi.chi,
+    return _apply_rows([phi], _hecke_rows(phi.level, phi.k, phi.chi,
                                           (manin.MAT_IOTA,)))[0]
 
 
@@ -369,7 +374,7 @@ def hecke_matrix(basis, n):
 
 def involution_matrix(basis):
     M, k, chi = basis[0].level, basis[0].k, basis[0].chi
-    return _operator_matrix(basis, _coset_rows(M, k, chi, (manin.MAT_IOTA,)))
+    return _operator_matrix(basis, _hecke_rows(M, k, chi, (manin.MAT_IOTA,)))
 
 
 def sign_subspace(J, sign):

@@ -113,16 +113,15 @@ def _check_shape(level, N, p, prec, T, shape):
         raise DegreeMismatch(f"data of shape {tuple(shape)}, need {need}")
 
 
-def _sources(g, N, p):
-    """Source positions (tags, discs) of the value action of g.
-
-    Tags and discs move by the upper-left entry a: output tag t and disc
-    c read input tag a^-1 t and disc a^-1 c.
-    """
-    ainv = pow(g[0], -1, N * p)
+def _sources(a, N, p):
+    """Source positions, tags (len(a), phi(N)) and discs (len(a), p - 1),
+    for upper-left entries a: output tag t reads tag a^-1 t, from one table
+    of the units mod N, and disc c reads a^-1 c (a^-1 < N p: no overflow)."""
     tags = _units(N)
-    return ([tags.index(ainv * t % N) for t in tags],
-            [ainv * c % p - 1 for c in range(1, p)])
+    pos = np.zeros(N, dtype=np.int64)
+    pos[list(tags)] = range(len(tags))
+    ainv = np.array([pow(x, -1, N * p) for x in a], dtype=np.int64)[:, None]
+    return pos[ainv * tags % N], ainv * np.arange(1, p) % p - 1
 
 
 @lru_cache(maxsize=None)
@@ -140,16 +139,14 @@ def _characters(p, prec):
                     dtype=np.int64)
 
 
-def _sector_blocks(gs, V, N, p, prec):
-    """Sector blocks (g, sector, (tag, moment), (tag, moment)) of reduced
-    matrices gs with Sym^d blocks V.  Reading disc a^-1 c multiplies
-    c -> omega^j(c) by omega^j(a)^-1, so sector j of g is omega^j(a)^-1
-    times the _sources tag gather tensor its block.
-    """
-    n, k, ntags = len(V), V.shape[1], len(_units(N))
-    tsrc = np.array([_sources(g, N, p)[0] for g in gs],
-                    dtype=np.int64).reshape(n, ntags)
-    twist = _characters(p, prec)[:, [pow(g[0], -1, p) - 1 for g in gs]].T
+def _sector_blocks(src, V, p, prec):
+    """Sector blocks (matrix, sector, (tag, moment), (tag, moment)) of a
+    batch with _sources gathers src and Sym^d blocks V: sector j is the
+    tag gather tensor the block times omega^j(a^-1), read at disc 1 of
+    the gather, since reading disc a^-1 c multiplies omega^j(c) by it."""
+    tsrc, dsrc = src
+    n, ntags, k = len(V), tsrc.shape[1], V.shape[1]
+    twist = _characters(p, prec)[:, dsrc[:, 0]].T
     out = np.zeros((n, p - 1, ntags, k, ntags, k), dtype=np.int64)
     # every twist * block entry is below (p^prec)^2 < 2^56
     out[np.arange(n)[:, None], :, np.arange(ntags), :, tsrc] = (
@@ -161,13 +158,14 @@ def _sector_blocks(gs, V, N, p, prec):
 def _stratum_action_matrix(g, N, p, prec, T, d):
     """The one-matrix _sector_blocks, on the cached _act_blocks."""
     V = _act_blocks(g, p, prec, T)[d]
-    return _sector_blocks([g], V[None], N, p, prec)[0]
+    return _sector_blocks(_sources([g[0]], N, p), V[None], p, prec)[0]
 
 
 def _term_blocks(groups, ngens, N, p, prec, T, reps=((1, 0, 0, 1),)):
     """Yields per stratum d = 0..T sector blocks (sector, b, (tag, moment),
     (generator, tag, moment)) of the sums of w x_c|g|reps[i] over i and the
-    terms (c, g, w) of groups[b * len(reps) + i], one S P per (i, g)."""
+    terms (c, g, w) of groups[b * len(reps) + i], one S P per (i, g), the
+    gathers of all strata from one _sources call."""
     k, mod = len(reps), p**prec
     rows, gs = _indexed_terms(groups, N * p, mod)
     pairs = {}
@@ -176,10 +174,11 @@ def _term_blocks(groups, ngens, N, p, prec, T, reps=((1, 0, 0, 1),)):
     rows[:, 0] //= k
     rep, mat = np.array(list(pairs), dtype=np.int64).reshape(-1, 2).T
     V = _sym_blocks(gs, range(T + 1), mod)
+    src = _sources([g[0] for g in gs], N, p)
     for d in range(T + 1):
         S = np.stack([_stratum_action_matrix(a, N, p, prec, T, d)
                       for a in reps])
-        P = _sector_blocks(gs, V[d], N, p, prec)
+        P = _sector_blocks(src, V[d], p, prec)
         # S P is reduced, so w times each entry is below (p^prec)^2 < 2^56
         yield _fold(rows, matmul_mod(S[rep], P[mat], mod), len(groups) // k,
                     ngens, mod)

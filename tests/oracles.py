@@ -33,6 +33,11 @@ divisor at a time and twists the fold by the stacked representatives,
 as the package did before it built each operator once for all strata,
 multiplying each distinct (representative, path matrix) pair once and
 folding every base at once.
+``sources_scan`` is ``ocsymb._sources`` as the package gathered the tags
+and discs of one matrix per call, each tag found by a scan of the units
+mod N, before every distribution action gathered its whole batch from
+one position table of the units and read the sector twist off the disc
+gather.
 ``stratum_relation_matrix`` is one stratum's relation matrix in disc
 coordinates, the matrix ``solve_oc_space`` reduced whole before it solved
 each Teichmuller sector on its own, and ``solve_oc_space_whole_sectors``
@@ -168,7 +173,6 @@ from shintani.ocsymb import (
     OCSymbol,
     _characters,
     _leading_unit_index,
-    _sources,
     _term_blocks,
     classical_to_zpm,
     oc_hecke_Tn,
@@ -816,18 +820,28 @@ def invol_tagged(v):
     return TaggedDist2(v.N, v.p, v.prec, v.T, comps)
 
 
+def sources_scan(g, N, p):
+    """Source positions (tags, discs) of the value action of one matrix g,
+    each tag found by a scan of the units mod N: output tag t and disc c
+    read input tag a^-1 t and disc a^-1 c, a the upper-left entry."""
+    ainv = pow(g[0], -1, N * p)
+    tags = _units(N)
+    return ([tags.index(ainv * t % N) for t in tags],
+            [ainv * c % p - 1 for c in range(1, p)])
+
+
 def _act_stratum(g, Y, N, p, prec, T, d):
     """Value action of g on stacked stratum-d coordinates.
 
     Y is indexed (tag, disc, moment, column).  Tags and discs move as
-    _sources says, moments by the stratum-d block of _act_blocks, on
+    sources_scan says, moments by the stratum-d block of _act_blocks, on
     every column at once.  The product sums d + 1 <= T + 1 residue
     products, inside the int64 bound.
     """
     _check_s0(g, N * p)
     mod = p**prec
     g = tuple(x % (N * mod) for x in g)
-    tsrc, dsrc = _sources(g, N, p)
+    tsrc, dsrc = sources_scan(g, N, p)
     V = _act_blocks(g, p, prec, T)[d]
     return (V @ Y.take(tsrc, axis=0).take(dsrc, axis=1)) % mod
 
@@ -891,7 +905,7 @@ def stratum_action_kron(g, N, p, prec, T, d):
     _check_s0(g, N * p)
     mod = p**prec
     g = tuple(x % (N * mod) for x in g)
-    tsrc, _ = _sources(g, N, p)
+    tsrc, _ = sources_scan(g, N, p)
     tags = np.eye(len(tsrc), dtype=np.int64)[tsrc]
     block = np.kron(tags, _act_blocks(g, p, prec, T)[d])
     twist = _characters(p, prec)[:, pow(g[0], -1, p) - 1]

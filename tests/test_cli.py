@@ -109,6 +109,25 @@ def test_slopes_report(capsys):
     assert [0, 1] in obj["slopes_kept"]
 
 
+@pytest.mark.parametrize("argv", [
+    "qf classes --level 11 --disc 33",
+    "modsym basis --level 11 --weight 0",
+    "modsym eigen --level 11 --weight 0",
+    "shintani classical --level 5 --weight 1 --nmax 4",
+    "shintani oc --p 5 --moments 2 --padic-prec 3 --nmax 4",
+    "slopes --p 11 --moments 2 --padic-prec 3",
+])
+def test_json_reports_carry_one_envelope(capsys, argv):
+    # every JSON report names the schema version and its command, the
+    # group and the action as typed
+    code, out = run_cli(capsys, *argv.split(), "--json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["schema_version"] == 1
+    words = argv.split()
+    assert obj["command"] == " ".join(words[:1 if words[0] == "slopes" else 2])
+
+
 # ---------------------------------------------------------------------------
 # verify suites: exit codes and report shape
 
@@ -568,6 +587,11 @@ def test_jobconfig_character():
     chi = cfg.character()
     assert chi(2) == DirichletChar.from_kronecker(5)(2) == -1
     assert cli.JobConfig().character()(2) == 1
+    # D = 0 is the trivial character itself: equal, with the same hash
+    for disc in (None, 0):
+        triv = cli.JobConfig(char_disc=disc).character()
+        assert triv == DirichletChar.trivial()
+        assert hash(triv) == hash(DirichletChar.trivial())
 
 
 def test_char_one_is_the_trivial_character(capsys):

@@ -286,6 +286,23 @@ def test_zpm_block_kernel_matches_zpm_kernel_on_random_stacks():
                                   np.reshape(want[0], (-1, ngens * k)))
 
 
+def test_graph_kernel_is_already_its_howell_basis():
+    # the rows of the graph's one Howell form with pivot column >= m, cut
+    # to their last n entries, are the kernel's unique Howell basis: a
+    # second reduction changes no row and no torsion entry
+    r = np.random.default_rng(2000)
+    for _ in range(300):
+        p, M = int(r.choice([2, 3, 5, 7])), int(r.integers(1, 5))
+        m, n = int(r.integers(1, 6)), int(r.integers(1, 6))
+        A = r.integers(0, p**M, size=(m, n)) * p ** r.integers(
+            0, M + 1, size=(m, n)) % p**M
+        basis, torsion = linalg._graph(A, p, M)[1]
+        again, again_torsion = zpm_span_basis(basis, n, p, M)
+        assert again_torsion == torsion
+        assert np.array_equal(np.reshape(again, (-1, n)),
+                              np.reshape(basis, (-1, n)))
+
+
 def test_zpm_kernel_random_membership():
     p, M = 5, 4
     pm = p**M

@@ -490,6 +490,23 @@ def test_hecke_matrices_match_double_coset_oracle(ring):
         modsym._hecke_rows(5, 2, TRIV, ((1, 0, 1, 1),))
 
 
+def test_characters_equal_mod_the_level_share_one_operator():
+    # trivial() and trivial(11) agree on every unit mod 11: the second
+    # eigensystem run reads each of its operators from the cache, and its
+    # symbols keep the character they were asked for
+    eigensymbols(11, 0, DirichletChar.trivial(), -1)
+    misses = modsym._coset_rows.cache_info().misses
+    systems = eigensymbols(11, 0, DirichletChar.trivial(11), -1)
+    assert modsym._coset_rows.cache_info().misses == misses
+    assert systems
+    assert all(phi.chi == DirichletChar.trivial(11) for phi, _ in systems)
+    # a character whose modulus does not divide the level is refused
+    phi = ModularSymbol(11, 0, DirichletChar.from_kronecker(5), "Q",
+                        [0] * len(p1_classes(11)))
+    with pytest.raises(BadLevel):
+        hecke_Tn(phi, 2)
+
+
 @pytest.mark.parametrize("M", (11, 15, 37))
 def test_coords_match_frac_solve_oracle(monkeypatch, M):
     # coordinates read off private columns against one elimination, for

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from functools import partial
 from itertools import product
+from math import gcd
 
 import numpy as np
 import pytest
@@ -72,6 +73,7 @@ from oracles import (
     rank_mod_p,
     scalar_action,
     solve_oc_space_whole_sectors,
+    sources_scan,
     stratum_relation_matrix,
     sympolys_of,
     term_blocks_kron,
@@ -285,6 +287,46 @@ def test_character_table(p, prec):
     assert max(orders) == p - 1
     assert all(X[0] == 1)
     assert all(X[j].any() and not all(X[j] == 1) for j in range(1, p - 1))
+
+
+@pytest.mark.parametrize("N, p", [(1, 5), (3, 7), (4, 5), (15, 11)])
+def test_batched_sources_match_the_per_matrix_scan(N, p):
+    # one gather for a batch of upper-left entries, units mod N p of any
+    # size and sign and MAT_IOTA's, row by row the per-matrix scan
+    rng = random.Random(N * p)
+    units = [a for a in range(-3 * N * p, 3 * N * p) if gcd(a, N * p) == 1]
+    gs = [(a + rng.randrange(10**20) * N * p, 0, 0, 1)
+          for a in rng.sample(units, 12)] + [manin.MAT_IOTA]
+    tsrc, dsrc = ocsymb._sources([g[0] for g in gs], N, p)
+    assert tsrc.dtype == dsrc.dtype == np.int64
+    assert tsrc.shape == (len(gs), len(_units(N)))
+    assert dsrc.shape == (len(gs), p - 1)
+    for g, t, c in zip(gs, tsrc, dsrc):
+        assert (t.tolist(), c.tolist()) == sources_scan(g, N, p), g
+
+
+def test_term_blocks_gather_once_per_call(monkeypatch):
+    # the tag and disc gathers of a fold's path matrices are built once
+    # for all strata, and each rep's twist once per _stratum_action_matrix
+    # miss
+    level, N, p, prec, T = 15, 3, 5, 3, 2
+    reps = tuple(manin.hecke_reps(2, level))
+    groups = manin.coset_terms(level, reps)
+    ngens = manin.presentation(level).ngens
+    calls = []
+    real = ocsymb._sources
+
+    def counted(a, N, p):
+        calls.append(len(a))
+        return real(a, N, p)
+
+    monkeypatch.setattr(ocsymb, "_sources", counted)
+    ocsymb._stratum_action_matrix.cache_clear()
+    list(ocsymb._term_blocks(groups, ngens, N, p, prec, T, reps))
+    assert len(calls) == 1 + len(reps) * (T + 1)
+    calls.clear()
+    list(ocsymb._term_blocks(groups, ngens, N, p, prec, T, reps))
+    assert len(calls) == 1 and calls[0] > 1
 
 
 def _conjugate_by_characters(A, level, N, p, prec, d):
