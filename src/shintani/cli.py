@@ -42,7 +42,8 @@ from .modsym import (
     sign_subspace,
     solve_symbol_space,
 )
-from .ocsymb import SlopeData, charpoly_strata, oc_hecke_Tll, oc_hecke_Tn, solve_oc_space
+from .ocsymb import (LOSS, SlopeData, charpoly_strata, oc_hecke_Tll,
+                     oc_hecke_Tn, solve_oc_space)
 
 SCHEMA_VERSION = 1
 
@@ -85,9 +86,9 @@ OPTIONS = {
         help="emit the versioned JSON schema instead of text")),
     "threads": ("--threads", dict(
         type=int, default=1,
-        help="classical lift threads (default 1, at least 1), one pool "
-             "task each over a strided slice of the q-slots; the output "
-             "does not depend on it")),
+        help="classical lift threads (default 1, at least 1), used by "
+             "shintani classical and verify involution and equivariance "
+             "and ignored by the rest; no output depends on it")),
     "seed": ("--seed", dict(
         type=int, default=17,
         help="seed for randomized reports and property checks")),
@@ -141,6 +142,8 @@ class JobConfig(argparse.Namespace):
             elif l == 2 or self.level % l == 0:
                 raise UsageError(f"l = {l} must be odd and prime to the "
                                  f"level {self.level}")
+        if self.weights is not None and self.prec <= LOSS:
+            raise UsageError(f"padic-prec must exceed {LOSS} to interpolate")
         for k in self.weights or ():
             if not 0 <= k <= self.moments // 2:
                 raise UsageError(f"weights must lie in 0..{self.moments // 2} "

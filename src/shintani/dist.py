@@ -92,13 +92,15 @@ def _sym_blocks(gs, strata, mod=None):
 def _indexed_terms(groups, level, mod=None):
     """Terms (c, g, w) of groups as int64 rows (group, c, matrix, w), w
     reduced mod ``mod`` if one is given, and the distinct matrices as
-    given, each checked once to act at ``level``."""
+    given, each checked once to act at ``level``: g, or g diag(1, -1) if
+    det g = -1 (the involution's path matrices), lies in the semigroup."""
     mats = {}
     rows = [(i, c, mats.setdefault(g, len(mats)),
              w if mod is None else w % mod)
             for i, group in enumerate(groups) for c, g, w in group]
-    for g in mats:
-        _check_s0(g, level)
+    for A, B, C, D in mats:
+        _check_s0((A, -B, C, -D) if A * D - B * C == -1 else (A, B, C, D),
+                  level)
     return np.array(rows, dtype=np.int64).reshape(-1, 4), list(mats)
 
 
@@ -119,7 +121,8 @@ def _fold(rows, S, ngroups, ngens, mod=None):
 
 @lru_cache(maxsize=8192)
 def _act_blocks(g, p, prec, T):
-    """The stratum blocks of one matrix g: the one-matrix _sym_blocks."""
+    """The one-matrix _sym_blocks, with no caller in the package: it stays
+    only until the benchmark stops binding it and reading its cache."""
     blocks = _sym_blocks([g], range(T + 1), p**prec)
     return tuple(blocks[d][0] for d in range(T + 1))
 

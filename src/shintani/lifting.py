@@ -37,7 +37,7 @@ from .errors import (
 from .linalg import _check_kernel_bounds
 from .manin import divisor_terms
 from .modsym import _apply_int_matrix, _term_rows, check_ring, ring_reduce
-from .ocsymb import LOSS, _sources, specialize_symbol
+from .ocsymb import LOSS, _check_loss, _sources, specialize_symbol
 from .qf import cycle_divisor, enumerate_classes, in_FM
 
 
@@ -529,9 +529,11 @@ def verify_interpolation(Phi, kappa_tilde, n_max):
     Route one evaluates the lifted expansion's tensors at the weight;
     route two specializes the symbol first and lifts exactly.  Returns
     a report; equality is required modulo p^(prec - LOSS), and ``live``
-    says that some coefficient of either route is nonzero.
+    says that some coefficient of either route is nonzero.  Raises
+    PrecisionMismatch where prec <= LOSS, which checks nothing.
     """
     p, prec = Phi.p, Phi.prec
+    _check_loss(prec)
     lifted = specialize_qexp(theta_oc(Phi, n_max), kappa_tilde)
     phik = specialize_symbol(Phi, kappa_tilde.doubled())
     exact = theta_classical(phik, Phi.level, kappa_tilde.k, kappa_tilde.chi,

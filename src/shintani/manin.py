@@ -5,9 +5,9 @@ section of the right cosets of P^1(Z/M).  Everything here is agnostic
 about what those values are.  The relations of the presentation,
 ``divisor_terms`` and ``coset_terms`` are lists of (generator, matrix,
 weight) terms, which ``dist._fold`` sums into integer rows for ``modsym``
-and into Teichmuller sector blocks for ``ocsymb``; both kinds of symbol
-build their Hecke operators and the involution from the same
-``coset_terms``.
+and into Teichmuller sector blocks for ``ocsymb``.  Both kinds of symbol
+build their Hecke operators and the involution as one such fold of
+``coset_terms``, whose path matrices already carry their representative.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from math import gcd
 
 from .arith import RationalCusp, mat_det, mat_inv, mat_mul, sl2_chain
 from .cosets import coset_index, coset_section
+from .dist import _check_s0
 from .errors import BadIndex, BadSemigroupElement
 
 MAT_S = (0, -1, 1, 0)
@@ -116,14 +117,15 @@ def hecke_reps(n, M):
 
 
 def coset_terms(M, reps):
-    """Terms of the divisors alpha . base_b, base-major, for right coset reps.
+    """One group per base divisor b: the terms (c, gamma alpha, w) over
+    every alpha in reps and every term (c, gamma, w) of alpha . base_b.
 
-    (Phi|Op)(D) = sum_alpha Phi(alpha D)|alpha, so block row b of Op is
-    the sum over alpha of the twist by alpha of the evaluation at
-    alpha . base_b, entry b * len(reps) + i here for alpha = reps[i].
-    Only the twist involves a non-unimodular matrix, so evaluation stays
-    inside the presentation.  The involution is the one-rep case MAT_IOTA.
-    """
-    return [divisor_terms(M, tuple((cusp.apply(alpha), mult)
-                                   for cusp, mult in base))
-            for base in presentation(M).base_divisors for alpha in reps]
+    (Phi|Op)(D) = sum_alpha Phi(alpha D)|alpha and x_c|gamma|alpha =
+    x_c|(gamma alpha), so block row b of Op is the fold of group b.  Every
+    rep but MAT_IOTA is checked to lie in the level-M semigroup here."""
+    for alpha in set(reps) - {MAT_IOTA}:
+        _check_s0(alpha, M)
+    return [[(c, mat_mul(gamma, alpha), w) for alpha in reps
+             for c, gamma, w in divisor_terms(
+                 M, tuple((cusp.apply(alpha), mult) for cusp, mult in base))]
+            for base in presentation(M).base_divisors]

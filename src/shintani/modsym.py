@@ -16,7 +16,8 @@ generator, and an ``arith.ExactValue``; everything else goes through
 integer rows acting on it: the relation rows that the solver's kernel is
 checked against, the evaluation matrices of divisors (``_term_rows``, the
 exact one-sector case of ``dist._fold``) and one cached matrix per Hecke
-operator or involution (``_coset_rows``), applied to a whole basis in one
+operator or involution (``_coset_rows``, the same fold of the products
+gamma alpha of ``manin.coset_terms``), applied to a whole basis in one
 exact product and read off private columns.  ``SymPoly``, one weight-k
 vector on either side, is the value type of the tests' oracles, the
 value-by-value evaluation and the pairing; it stays here because the
@@ -239,27 +240,17 @@ def _term_rows(M, k, chi, groups):
 
 @lru_cache(maxsize=256)
 def _coset_rows(M, k, chi, reps):
-    """Integer matrix of the double coset operator of reps on phi.coords().
-
-    Block row b is sum_alpha chi(alpha_a) * _act_matrix_L(alpha) *
-    E_{alpha . base_b}, all E from one _term_rows call on
-    ``manin.coset_terms``.  For MAT_IOTA the twist _act_matrix_L is
-    diag((-1)^j), the weight action of diag(1, -1) on side L.
-    """
-    chis = np.array([chi(alpha[0]) for alpha in reps], dtype=object)
-    twists = _L_blocks(reps, k) * chis[:, None, None]
+    """Integer matrix of the double coset of reps on phi.coords(): block
+    row b is the _term_rows fold of ``manin.coset_terms``' group b, chi
+    needing no twist as alpha is upper triangular: (gamma alpha)_a =
+    gamma_a alpha_a."""
     E = _term_rows(M, k, chi, manin.coset_terms(M, reps))
-    E = E.reshape(-1, len(reps), k + 1, E.shape[-1])
-    rows = np.matmul(twists, E).sum(axis=1).reshape(-1, E.shape[-1])
-    return tuple(map(tuple, rows.tolist()))
+    return tuple(map(tuple, E.reshape(-1, E.shape[-1]).tolist()))
 
 
 def _hecke_rows(M, k, chi, reps):
-    """_coset_rows for reps, each but MAT_IOTA checked in the acting
-    semigroup, and chi read as a character mod M: the rows read it on
-    units mod M only, so characters that agree there share one entry."""
-    for alpha in set(reps) - {manin.MAT_IOTA}:
-        _check_s0(alpha, M)
+    """_coset_rows for reps with chi read as a character mod M, so that
+    characters agreeing on the units mod M share one entry."""
     if M % chi.modulus:
         raise BadLevel(f"character modulus {chi.modulus} must divide {M}")
     chi = DirichletChar(M, [chi(a) for a in range(M)])

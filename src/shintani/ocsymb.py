@@ -12,8 +12,9 @@ D(1 + pZ_p), as in Stevens' rigid analytic modular symbols), so each
 stratum splits into p - 1 Teichmuller sectors.  The relations are solved,
 and every Hecke operator is applied, one sector block at a time, each
 built for all strata by one ``_term_blocks`` fold on one ``_sym_blocks``
-batch.  The solve first eliminates the generators whose relation block
-is an identity pivot.
+batch, a double coset over ``manin.coset_terms``' products gamma alpha.
+The solve first eliminates the generators whose relation block is an
+identity pivot.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ import numpy as np
 from . import manin
 from .arith import ExactValue, valuation
 from .cosets import _units
-from .dist import (_act_blocks, _at_weight, _check_s0, _fold, _indexed_terms,
-                   _pairs, _stratum_cols, _sym_blocks, specialize)
+from .dist import (_act_blocks, _at_weight, _fold, _indexed_terms, _pairs,
+                   _stratum_cols, _sym_blocks, specialize)
 from .errors import (
     BadIndex,
     BadLevel,
@@ -156,46 +157,35 @@ def _sector_blocks(src, V, p, prec):
 
 @lru_cache(maxsize=4096)
 def _stratum_action_matrix(g, N, p, prec, T, d):
-    """The one-matrix _sector_blocks, on the cached _act_blocks."""
+    """The one-matrix _sector_blocks, with no caller in the package: it
+    stays only until the benchmark stops binding it and reading its cache."""
     V = _act_blocks(g, p, prec, T)[d]
     return _sector_blocks(_sources([g[0]], N, p), V[None], p, prec)[0]
 
 
-def _term_blocks(groups, ngens, N, p, prec, T, reps=((1, 0, 0, 1),)):
+def _term_blocks(groups, ngens, N, p, prec, T):
     """Yields per stratum d = 0..T sector blocks (sector, b, (tag, moment),
-    (generator, tag, moment)) of the sums of w x_c|g|reps[i] over i and the
-    terms (c, g, w) of groups[b * len(reps) + i], one S P per (i, g), the
-    gathers of all strata from one _sources call."""
-    k, mod = len(reps), p**prec
-    rows, gs = _indexed_terms(groups, N * p, mod)
-    pairs = {}
-    rows[:, 2] = [pairs.setdefault(ig, len(pairs)) for ig in
-                  zip((rows[:, 0] % k).tolist(), rows[:, 2].tolist())]
-    rows[:, 0] //= k
-    rep, mat = np.array(list(pairs), dtype=np.int64).reshape(-1, 2).T
-    V = _sym_blocks(gs, range(T + 1), mod)
+    (generator, tag, moment)) of the sums of w x_c|g over the terms
+    (c, g, w) of groups[b]: one _sym_blocks batch and one _sources gather
+    of the distinct matrices g for all strata, folded by dist._fold."""
+    rows, gs = _indexed_terms(groups, N * p, p**prec)
+    V = _sym_blocks(gs, range(T + 1), p**prec)
     src = _sources([g[0] for g in gs], N, p)
     for d in range(T + 1):
-        S = np.stack([_stratum_action_matrix(a, N, p, prec, T, d)
-                      for a in reps])
-        P = _sector_blocks(src, V[d], p, prec)
-        # S P is reduced, so w times each entry is below (p^prec)^2 < 2^56
-        yield _fold(rows, matmul_mod(S[rep], P[mat], mod), len(groups) // k,
-                    ngens, mod)
+        yield _fold(rows, _sector_blocks(src, V[d], p, prec), len(groups),
+                    ngens, p**prec)
 
 
 @lru_cache(maxsize=8)
 def _coset_blocks(level, N, p, prec, T, reps):
     """The double coset of reps: per stratum d = 0..T, read-only sector
-    blocks on (generator, tag, moment), block row b the divisors
-    alpha . base_b twisted by alpha (MAT_IOTA, unchecked against the
-    semigroup, by the moment sign (-1)^(d - n)).  An entry is one operator,
-    (p - 1) (ngens phi(N) (d + 1))^2 entries per d; at most 8 are kept."""
-    for alpha in set(reps) - {manin.MAT_IOTA}:
-        _check_s0(alpha, level)
+    blocks on (generator, tag, moment), block row b the _term_blocks fold
+    of manin.coset_terms' group b, the terms (c, gamma alpha, w).  An entry
+    is one operator, (p - 1) (ngens phi(N) (d + 1))^2 entries per d; at
+    most 8 are kept."""
     ngens = manin.presentation(level).ngens
     ops = tuple(op.reshape(p - 1, -1, op.shape[-1]) for op in _term_blocks(
-        manin.coset_terms(level, reps), ngens, N, p, prec, T, reps))
+        manin.coset_terms(level, reps), ngens, N, p, prec, T))
     for op in ops:
         op.flags.writeable = False
     return ops
@@ -464,6 +454,12 @@ def _leading_unit_index(flatvec, p):
 LOSS = 2
 
 
+def _check_loss(prec):
+    """Refuse a precision where agreement mod p^(prec - LOSS) is vacuous."""
+    if prec <= LOSS:
+        raise PrecisionMismatch(f"precision {prec} <= {LOSS} checks nothing")
+
+
 def lift_eigensymbol(space, phi, alpha, kappa, sign=-1):
     """Lift a classical U_p eigensymbol into the solved moment space.
 
@@ -527,8 +523,10 @@ def lift_eigensymbol(space, phi, alpha, kappa, sign=-1):
 
 
 def hecke_eigenvalue(sym, n):
-    """Scalar of T_n on an eigensymbol, verified against the residual."""
+    """Scalar of T_n on an eigensymbol, verified against the residual mod
+    p^(prec - LOSS); raises PrecisionMismatch where that checks nothing."""
     p, prec = sym.p, sym.prec
+    _check_loss(prec)
     mod = p**prec
     img = oc_hecke_Tn(sym, n)
     flat = sym.flat()

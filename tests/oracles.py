@@ -28,11 +28,10 @@ are ``ocsymb._stratum_action_matrix``, ``_term_blocks`` and
 tag gather and the Sym^d block per path matrix and one np.stack of the
 term blocks, before the relation and Hecke folds built the sector blocks
 of all their distinct path matrices in one ``dist._sym_blocks`` batch.
-Each takes one stratum d, and ``coset_blocks_kron`` folds one base
-divisor at a time and twists the fold by the stacked representatives,
-as the package did before it built each operator once for all strata,
-multiplying each distinct (representative, path matrix) pair once and
-folding every base at once.
+Each takes one stratum d, and ``coset_blocks_kron`` builds the terms of
+each divisor alpha . base itself, folds one base divisor at a time and
+twists the fold by the stacked representatives, as the package did
+before its double cosets became one fold of the products gamma alpha.
 ``sources_scan`` is ``ocsymb._sources`` as the package gathered the tags
 and discs of one matrix per call, each tag found by a scan of the units
 mod N, before every distribution action gathered its whole batch from
@@ -155,7 +154,7 @@ from shintani.lifting import (
     _cycle_terms, _J_batch, delta_of_index, quad_power)
 from shintani.linalg import (
     _check_kernel_bounds, matmul_mod, zpm_kernel, zpm_span_basis)
-from shintani.manin import MAT_IOTA, coset_terms, divisor_terms, presentation
+from shintani.manin import MAT_IOTA, divisor_terms, presentation
 from shintani.modsym import (
     ModularSymbol,
     SymPoly,
@@ -937,8 +936,8 @@ def coset_blocks_kron(level, N, p, prec, T, d, reps):
     row b sums S(alpha) E(alpha . base_b) over the reps, with S from
     stratum_action_kron and E from term_blocks_kron, one base at a time.
     For MAT_IOTA, S is written out as the moment sign (-1)^(d - n), so the
-    package's twist of the involution from its action blocks is checked
-    against an independent one."""
+    package's involution, whose path matrices gamma iota carry that sign,
+    is checked against an independent one."""
     ngens = presentation(level).ngens
     mod = p**prec
     sign = np.tile([(-1) ** (d - n) for n in range(d + 1)], len(_units(N)))
@@ -946,7 +945,10 @@ def coset_blocks_kron(level, N, p, prec, T, d, reps):
                   if alpha == MAT_IOTA else
                   stratum_action_kron(alpha, N, p, prec, T, d)
                   for alpha in reps], axis=1)
-    terms = coset_terms(level, reps)
+    terms = [divisor_terms(level, tuple((cusp.apply(alpha), mult)
+                                        for cusp, mult in base))
+             for base in presentation(level).base_divisors
+             for alpha in reps]
     return np.concatenate(
         [matmul_mod(S, term_blocks_kron(terms[lo:lo + len(reps)], ngens, N,
                                         p, prec, T, d), mod).sum(axis=1) % mod

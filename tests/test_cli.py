@@ -292,6 +292,9 @@ def test_usage_error_int64_overflow(capsys):
     "slopes --p 11 --moments -1 --padic-prec 2",
     "verify interpolation --p 5 --moments 1 --padic-prec 3 --nmax 5 "
     "--weights 2",
+    "verify interpolation --p 5 --moments 2 --padic-prec 2 --nmax 12 "
+    "--weights 1",
+    "verify interpolation --p 5 --moments 4 --padic-prec 1 --nmax 5",
     "modsym basis --level 11 --weight 0 --char 3",
     "verify involution --level 11 --weight 1 --nmax 5 --threads 0",
     "verify involution --level 11 --weight 1 --nmax 5 --threads -1",

@@ -26,6 +26,7 @@ from shintani.errors import (
     InsufficientMoments,
     NotInFM,
     OperandMismatch,
+    PrecisionMismatch,
 )
 from shintani.lifting import (
     FormalQExp,
@@ -994,6 +995,16 @@ def test_interpolation_report(ocphi5):
         assert rep["residual_valuation"] >= rep["precision"] - rep["loss"]
         assert rep["failing_indices"] == []
         assert rep["weight_k"] == k and rep["level"] == 5
+
+
+def test_interpolation_refuses_a_precision_that_checks_nothing():
+    # agreement mod p^(prec - LOSS) holds for anything at prec <= LOSS,
+    # so such a report would pass whatever the symbol
+    for prec in (1, 2):
+        space = solve_oc_space(5, 1, (prec, 2))
+        sym = space.combination(range(1, space.dimension + 1))
+        with pytest.raises(PrecisionMismatch):
+            verify_interpolation(sym, ArithWeight(1, T5, 5), 12)
 
 
 def test_interpolation_nonzero_sector(ocphi5):

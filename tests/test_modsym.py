@@ -136,8 +136,9 @@ def test_act_matrices_match_the_binomial_formulas():
 
 
 def test_act_matrix_of_iota_is_the_sign_diagonal():
-    # _coset_rows twists by _act_matrix_L(MAT_IOTA), which must be
-    # diag((-1)^j), the oracles' act_involution on side L
+    # the weight action of MAT_IOTA on side L must be diag((-1)^j), the
+    # oracles' act_involution: the involution's fold reads it through the
+    # products gamma iota, _act_matrix_L(gamma iota) = diag((-1)^j) L(gamma)
     for k in range(11):
         assert modsym._act_matrix_L(MAT_IOTA, k) == tuple(
             tuple((-1) ** j if i == j else 0 for i in range(k + 1))
@@ -486,8 +487,10 @@ def test_hecke_matrices_match_double_coset_oracle(ring):
                 M, sympolys_of(phi), [(3, 0, 0, 3)]))
             assert sympolys_of(involution(phi)) == tuple(apply_involution(
                 M, sympolys_of(phi), act_involution))
-    with pytest.raises(BadSemigroupElement):
-        modsym._hecke_rows(5, 2, TRIV, ((1, 0, 1, 1),))
+    # diag(-1, 1) too: the fold alone would admit gamma alpha = -gamma iota
+    for bad in [(1, 0, 1, 1), (-1, 0, 0, 1)]:
+        with pytest.raises(BadSemigroupElement):
+            modsym._hecke_rows(5, 2, TRIV, (bad,))
 
 
 def test_characters_equal_mod_the_level_share_one_operator():

@@ -306,13 +306,11 @@ def test_batched_sources_match_the_per_matrix_scan(N, p):
 
 
 def test_term_blocks_gather_once_per_call(monkeypatch):
-    # the tag and disc gathers of a fold's path matrices are built once
-    # for all strata, and each rep's twist once per _stratum_action_matrix
-    # miss
+    # a double coset is one fold over the products gamma alpha: one build
+    # gathers the tags and discs of all of them once for all strata, and
+    # looks up no one-matrix action block
     level, N, p, prec, T = 15, 3, 5, 3, 2
     reps = tuple(manin.hecke_reps(2, level))
-    groups = manin.coset_terms(level, reps)
-    ngens = manin.presentation(level).ngens
     calls = []
     real = ocsymb._sources
 
@@ -320,13 +318,16 @@ def test_term_blocks_gather_once_per_call(monkeypatch):
         calls.append(len(a))
         return real(a, N, p)
 
+    def lookups():
+        return [f.cache_info().hits + f.cache_info().misses
+                for f in (ocsymb._stratum_action_matrix, _act_blocks)]
+
     monkeypatch.setattr(ocsymb, "_sources", counted)
-    ocsymb._stratum_action_matrix.cache_clear()
-    list(ocsymb._term_blocks(groups, ngens, N, p, prec, T, reps))
-    assert len(calls) == 1 + len(reps) * (T + 1)
-    calls.clear()
-    list(ocsymb._term_blocks(groups, ngens, N, p, prec, T, reps))
-    assert len(calls) == 1 and calls[0] > 1
+    ocsymb._coset_blocks.cache_clear()
+    before = lookups()
+    ocsymb._coset_blocks(level, N, p, prec, T, reps)
+    assert len(calls) == 1 and calls[0] > len(reps)
+    assert lookups() == before
 
 
 def _conjugate_by_characters(A, level, N, p, prec, d):
@@ -697,17 +698,22 @@ def test_oc_operators_match_oracle_on_unsolved_values():
 def test_term_blocks_check_every_distinct_path_matrix():
     # the batch checks each distinct matrix once, not only the first: a
     # group whose second distinct matrix leaves the semigroup is refused,
-    # by the sector fold and by the classical fold alike
+    # by the sector fold and by the classical fold alike.  Of determinant
+    # -1 only the level group times iota passes, as gamma iota does in the
+    # involution's fold; determinant -2 is refused even where g iota would
+    # lie in the semigroup
     level, N, p, prec, d = 15, 3, 5, 4, 1
     ngens = manin.presentation(level).ngens
-    good = [(0, (1, 0, 0, 1), 1), (1, (1, 0, 0, 1), -1), (2, (2, 1, 15, 8), 1)]
+    good = [(0, (1, 0, 0, 1), 1), (1, (1, 0, 0, 1), -1), (2, (2, 1, 15, 8), 1),
+            (3, (2, -1, 15, -8), 1)]
 
     def sector_fold(groups):
         return list(ocsymb._term_blocks(groups, ngens, N, p, prec, d))[d]
 
     for fold in (sector_fold, partial(modsym._term_rows, level, d, TRIV)):
         assert fold([good]).any()
-        for bad in [(1, 0, 1, 1), (3, 1, 15, 6), (1, 1, 15, 1)]:
+        for bad in [(1, 0, 1, 1), (3, 1, 15, 6), (1, 1, 15, 1),
+                    (1, 0, 1, -1), (2, 0, 0, -1)]:
             with pytest.raises(BadSemigroupElement):
                 fold([good[:2] + [(2, bad, 1)] + good[2:]])
 
@@ -753,8 +759,9 @@ def test_coset_blocks_are_cached_and_read_only():
 def test_coset_blocks_refuse_a_rep_outside_the_semigroup():
     # each rep but the involution is checked once, before any block is
     # built: a non-unit upper-left, a lower-left off the level and a
-    # negative determinant are refused
-    for bad in [(5, 0, 0, 1), (1, 0, 1, 1), (2, 0, 0, -1)]:
+    # negative determinant are refused, and so is diag(-1, 1), whose
+    # products gamma alpha the fold alone would admit as -gamma iota
+    for bad in [(5, 0, 0, 1), (1, 0, 1, 1), (2, 0, 0, -1), (-1, 0, 0, 1)]:
         with pytest.raises(BadSemigroupElement):
             ocsymb._coset_blocks(15, 3, 5, 3, 2, ((1, 0, 0, 2), bad))
 
@@ -1129,6 +1136,15 @@ def test_hecke_eigenvalue_rejects_noneigen(sp11_small):
     sym = random_symbol(sp11_small, seed=23)
     with pytest.raises(NotEigen):
         hecke_eigenvalue(sym, 2)
+
+
+def test_hecke_eigenvalue_refuses_a_precision_that_checks_nothing():
+    # the residual is checked mod p^(prec - LOSS), so at prec <= LOSS a
+    # symbol that is no eigensymbol would get an eigenvalue
+    for prec in (1, 2):
+        sym = random_symbol(solve_oc_space(11, 1, (prec, 1)), seed=23)
+        with pytest.raises(PrecisionMismatch):
+            hecke_eigenvalue(sym, 2)
 
 
 # ---------------------------------------------------------------------------
